@@ -2,8 +2,8 @@
 //! determinism contract at the source level.
 //!
 //! The whole reproduction rests on one contract: same seed ⇒ byte-identical
-//! `FLEET_cod.json` / `OBS_cod.json` under Modeled, ThreadPerShard and
-//! WallClock execution at any thread count. The runtime equivalence gates
+//! `FLEET_cod.json` / `OBS_cod.json` under Modeled and WallClock execution
+//! at any thread count. The runtime equivalence gates
 //! (`fleet_report --wallclock`, `trace_report`) catch a violation only
 //! *after* it ships as a flaky seed-diff; this crate fences the
 //! nondeterminism off before it compiles into a run, following the paper's

@@ -88,7 +88,7 @@ impl Rule {
             Rule::UnorderedCollections => &["HashMap", "HashSet"],
             Rule::AmbientRandomness => &["thread_rng", "from_entropy", "from_os_rng", "OsRng"],
             Rule::UndocumentedUnsafe => &[],
-            Rule::ThreadSpawn => &["thread::spawn", "thread::Builder"],
+            Rule::ThreadSpawn => &["thread::spawn", "thread::scope", "thread::Builder"],
             Rule::AmbientEnv => &["std::env", "std::time"],
         }
     }
@@ -320,6 +320,9 @@ mod tests {
     fn thread_spawn_fires() {
         assert_eq!(rules_hit("std::thread::spawn(|| {});", false)[0].1, "thread-spawn");
         assert_eq!(rules_hit("thread::Builder::new()", false)[0].1, "thread-spawn");
+        // Scoped threads are threads: a per-tick fan-out is still a spawner.
+        assert_eq!(rules_hit("std::thread::scope(|s| {});", false)[0].1, "thread-spawn");
+        assert!(rules_hit("let thread_scope = thread::scoped_name;", false).is_empty());
         assert!(rules_hit("my_thread::spawner()", false).is_empty());
     }
 

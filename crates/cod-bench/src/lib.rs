@@ -7,13 +7,10 @@
 //!   MAD outlier rejection and bootstrap confidence intervals;
 //! - [`report`] — the `BENCH_cod.json` schema and the measured-vs-paper
 //!   comparison table;
-//! - [`json`] — re-export of the shared [`cod_json`] tree backing the report
-//!   (the vendored serde is a marker-trait stub);
-//! - [`experiments`] — experiments E1–E10 themselves, shared by the bench
+//! - [`experiments`] — experiments E1–E14 themselves, shared by the bench
 //!   targets and the `bench_report` runner binary.
 
 pub mod experiments;
-pub mod json;
 pub mod measure;
 pub mod report;
 

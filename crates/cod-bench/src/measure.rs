@@ -1,13 +1,11 @@
 //! Statistical measurement primitives for the benchmark harness.
 //!
-//! This replaces the bare wall-clock loop of the vendored criterion stub with
-//! a small but real measurement pipeline: warm-up, calibrated per-sample
+//! A small but real measurement pipeline: warm-up, calibrated per-sample
 //! iteration counts, robust summary statistics (median / p95 / p99), MAD-based
 //! outlier rejection, and a bootstrap confidence interval for the mean driven
 //! by the vendored deterministic [`rand`] generator. Every number the harness
-//! publishes flows through [`Stats::from_samples`], so a bench target, the
-//! `bench_report` runner binary and the `vendor/criterion` compatibility shim
-//! all report the same statistics.
+//! publishes flows through [`Stats::from_samples`], so a bench target and the
+//! `bench_report` runner binary report the same statistics.
 
 use std::time::{Duration, Instant};
 

@@ -14,8 +14,8 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use crate::json::Json;
 use crate::measure::Stats;
+use cod_json::Json;
 
 /// Version stamp of the JSON schema; bump on breaking layout changes.
 pub const SCHEMA_VERSION: u32 = 1;

@@ -4,7 +4,7 @@
 //! `k` of every session runs before frame `k+1` of any of them. Work that is
 //! identical across the cohort at a given frame (memoized waveform columns,
 //! hoisted per-frame tables) lives in a [`BatchScratch`] owned by the driver
-//! and threaded down through [`crate::Cluster::run_frame_batched`] to every
+//! and threaded down through [`crate::Cluster::run_frame_with`] to every
 //! [`crate::LogicalProcess::step_batched`]. Modules claim a typed slot by
 //! name and decide themselves what to share; a module that ignores the
 //! scratch falls back to its scalar `step`, so batched stepping is always

@@ -235,35 +235,25 @@ impl Cluster {
     ///
     /// Returns the first error raised by an LP step or kernel tick.
     pub fn run_frame(&mut self) -> Result<FrameRecord, CbError> {
-        let frame = self.metrics.frames_run;
-        let dt = self.config.frame_period.as_secs_f64();
-        let mut costs = Vec::with_capacity(self.computers.len());
-        for computer in self.computers.iter_mut() {
-            let cost = computer.step_frame(self.now, dt)?;
-            costs.push((computer.name().to_owned(), cost));
-        }
-        self.now += self.config.frame_period;
-        SimLan::advance_to(&self.lan, self.now);
-        self.metrics.record_frame(self.config.frame_period, &costs);
-        Ok(FrameRecord { frame, now: self.now, costs })
+        self.run_frame_with(None)
     }
 
-    /// [`Cluster::run_frame`] with the cohort's batch scratch threaded to
-    /// every computer, for sessions advanced in lockstep with same-shape
-    /// siblings. Bit-identical to the scalar frame.
+    /// [`Cluster::run_frame`] with the cohort's batch scratch, if the session
+    /// is advanced in lockstep with same-shape siblings, threaded to every
+    /// computer. Bit-identical with or without one.
     ///
     /// # Errors
     ///
     /// Returns the first error raised by an LP step or kernel tick.
-    pub fn run_frame_batched(
+    pub fn run_frame_with(
         &mut self,
-        scratch: &mut BatchScratch,
+        mut scratch: Option<&mut BatchScratch>,
     ) -> Result<FrameRecord, CbError> {
         let frame = self.metrics.frames_run;
         let dt = self.config.frame_period.as_secs_f64();
         let mut costs = Vec::with_capacity(self.computers.len());
         for computer in self.computers.iter_mut() {
-            let cost = computer.step_frame_batched(self.now, dt, scratch)?;
+            let cost = computer.step_frame(self.now, dt, scratch.as_deref_mut())?;
             costs.push((computer.name().to_owned(), cost));
         }
         self.now += self.config.frame_period;

@@ -13,10 +13,9 @@
 //!    [`ExecutionMode::Modeled`] must drain byte-identical `OBS_cod.json`
 //!    bytes.
 //! 2. **Byte identity across execution modes** — the same seed under
-//!    `ThreadPerShard`, `WallClock { threads: 1 }` and
-//!    `WallClock { threads: 4 }` must reproduce the modeled run's
-//!    `OBS_cod.json` byte for byte: thread scheduling must never leak into
-//!    the deterministic sink.
+//!    `WallClock { threads: 1 }` and `WallClock { threads: 4 }` must
+//!    reproduce the modeled run's `OBS_cod.json` byte for byte: thread
+//!    scheduling must never leak into the deterministic sink.
 //! 3. **Fingerprint separation** — arming tracing must not change a single
 //!    byte of `FLEET_cod.json`: the report of a traced run must equal the
 //!    report of an untraced run of the same configuration.
@@ -134,11 +133,7 @@ fn main() -> ExitCode {
 
     // Gate 2: byte identity across execution modes — the deterministic sink
     // must be blind to who stepped the shards.
-    for mode in [
-        ExecutionMode::ThreadPerShard,
-        ExecutionMode::WallClock { threads: 1 },
-        ExecutionMode::WallClock { threads: 4 },
-    ] {
+    for mode in [ExecutionMode::WallClock { threads: 1 }, ExecutionMode::WallClock { threads: 4 }] {
         let mut config = base.clone();
         config.execution = mode;
         match obs_bytes(&config, &format!("{mode:?}")) {

@@ -1,10 +1,11 @@
 //! The wall-clock execution engine: a work-stealing pool of pinned worker
 //! threads stepping shard batches in real time.
 //!
-//! The modeled-time paths ([`crate::fleet::ExecutionMode::Modeled`] and the
-//! legacy thread-per-shard fan-out) answer "how much CPU would this tick
-//! cost"; this module answers "how fast does the hardware actually serve
-//! it". A [`WallClockExecutor`] spawns its workers **once per fleet run** —
+//! The modeled-time path ([`crate::fleet::ExecutionMode::Modeled`]) answers
+//! "how much CPU would this tick cost"; this module answers "how fast does
+//! the hardware actually serve it" — and is the only place in the workspace
+//! that creates a thread (audit rule R5 holds everything else to that). A
+//! [`WallClockExecutor`] spawns its workers **once per fleet run** —
 //! each worker is pinned to its index for the lifetime of the run, so the
 //! per-tick cost is a task hand-off, not a thread spawn — and every tick the
 //! fleet driver injects one *shard-batch task* per shard:
@@ -114,16 +115,12 @@ impl WallClockExecutor {
     /// keeps its own deque and its name (`fleet-worker-i`) from first tick
     /// to shutdown, so the per-tick cost is a queue hand-off, not a thread
     /// spawn.
-    pub fn new(threads: usize) -> WallClockExecutor {
-        WallClockExecutor::new_traced(threads, None)
-    }
-
-    /// [`WallClockExecutor::new`] with an optional wall-clock trace sink.
+    ///
     /// When `wall` is `Some`, every worker records per-task spans, steal
     /// instants and idle gaps into its own trace lane
     /// ([`WallTrace::worker_lane`]); when `None` the loop is exactly the
     /// untraced hot path.
-    pub fn new_traced(threads: usize, wall: Option<Arc<WallTrace>>) -> WallClockExecutor {
+    pub fn new(threads: usize, wall: Option<Arc<WallTrace>>) -> WallClockExecutor {
         let threads = threads.max(1);
         let injector = Arc::new(Injector::new());
         let (done_tx, done_rx) = unbounded();
@@ -203,8 +200,8 @@ impl WallClockExecutor {
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panicked while stepping a shard, mirroring
-    /// the thread-per-shard path's join behavior.
+    /// Panics with "shard thread panicked" if a worker thread panicked while
+    /// stepping a shard, like a failed join would.
     pub(crate) fn step_shards(&self, shards: &mut Vec<Shard>) -> Result<Vec<TickResult>, CbError> {
         let expected = shards.len();
         // Hand every shard to the pool. Shard ids are fleet indices, so id
@@ -404,7 +401,7 @@ mod tests {
                 expected.push(shard.step_batch().unwrap());
             }
             // Pool run of identically prepared shards.
-            let executor = WallClockExecutor::new(threads);
+            let executor = WallClockExecutor::new(threads, None);
             let mut shards: Vec<Shard> =
                 (0..3).map(|i| shard_with_session(i, 7 + i as u64, 8)).collect();
             let results = executor.step_shards(&mut shards).unwrap();
@@ -424,7 +421,7 @@ mod tests {
 
     #[test]
     fn executor_survives_many_ticks_and_returns_shards_every_time() {
-        let executor = WallClockExecutor::new(2);
+        let executor = WallClockExecutor::new(2, None);
         assert_eq!(executor.threads(), 2);
         let mut shards: Vec<Shard> = (0..2).map(|i| shard_with_session(i, 3, 12)).collect();
         let mut retired = 0usize;
@@ -438,7 +435,7 @@ mod tests {
 
     #[test]
     fn zero_threads_clamps_to_one_worker() {
-        let executor = WallClockExecutor::new(0);
+        let executor = WallClockExecutor::new(0, None);
         assert_eq!(executor.threads(), 1);
         let mut shards = vec![shard_with_session(0, 5, 4)];
         let results = executor.step_shards(&mut shards).unwrap();
@@ -448,7 +445,7 @@ mod tests {
 
     #[test]
     fn worker_panic_surfaces_like_a_failed_join() {
-        let executor = WallClockExecutor::new(2);
+        let executor = WallClockExecutor::new(2, None);
         let mut shards: Vec<Shard> = (0..2).map(|i| shard_with_session(i, 9, 8)).collect();
         shards[1].poison_for_test = true;
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

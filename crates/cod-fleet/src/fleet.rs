@@ -7,10 +7,10 @@
 //! least-loaded shards with free slots, and every shard then advances each of
 //! its resident sessions by one batch of executive frames. Shards are
 //! independent, so the stepping runs under the configured [`ExecutionMode`]:
-//! sequentially on the caller's thread, on one scoped OS thread per shard, or
-//! on the work-stealing pool of [`crate::executor::WallClockExecutor`].
-//! Results are folded back in shard order either way, which keeps the outcome
-//! bit-identical across every mode and thread count.
+//! sequentially on the caller's thread, or on the work-stealing pool of
+//! [`crate::executor::WallClockExecutor`] — the only code that creates
+//! threads. Results are folded back in shard order either way, which keeps
+//! the outcome bit-identical across both modes and every thread count.
 //!
 //! Three optional mechanisms make the fleet heterogeneity- and
 //! priority-aware:
@@ -57,19 +57,14 @@ use crate::workload::{coarse_eligible, generate, initial_tier, Priority, Workloa
 /// The mode decides *who* steps the shards and how real time is spent — never
 /// what the shards compute or the order their results are folded in, so the
 /// [`FleetOutcome`] (and therefore `FLEET_cod.json`) is bit-identical across
-/// every mode and thread count for the same configuration.
+/// both modes and every thread count for the same configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
     /// Step shards sequentially on the caller's thread. The pure modeled-time
-    /// mode: zero threading overhead, the baseline every other mode must
+    /// mode: zero threading overhead, the baseline the wall-clock mode must
     /// reproduce bit for bit.
     #[default]
     Modeled,
-    /// The legacy fan-out: one scoped OS thread per shard, spawned and joined
-    /// every tick. Kept as the reference parallel implementation (and for its
-    /// panic-on-join regression coverage); superseded by
-    /// [`ExecutionMode::WallClock`] for real throughput measurements.
-    ThreadPerShard,
     /// The wall-clock engine: a work-stealing pool of `threads` pinned worker
     /// threads (spawned once per run) pulling shard-batch tasks through a
     /// lock-free injector. The mode to measure real sessions/sec under.
@@ -80,11 +75,10 @@ pub enum ExecutionMode {
 }
 
 impl ExecutionMode {
-    /// Worker threads this mode steps `shards` shards with.
-    pub fn threads_for(&self, shards: usize) -> usize {
+    /// Worker threads this mode steps shards with, whatever their number.
+    pub fn threads_for(&self, _shards: usize) -> usize {
         match *self {
             ExecutionMode::Modeled => 1,
-            ExecutionMode::ThreadPerShard => shards.max(1),
             ExecutionMode::WallClock { threads } => threads.max(1),
         }
     }
@@ -153,7 +147,7 @@ impl FleetConfig {
             max_pending: 16,
             tiering: false,
             workload: WorkloadConfig::quick(seed),
-            execution: ExecutionMode::ThreadPerShard,
+            execution: ExecutionMode::default(),
             obs: ObsConfig::Disabled,
         }
     }
@@ -161,17 +155,9 @@ impl FleetConfig {
     /// The full configuration: 256 sessions over `shards` homogeneous shards.
     pub fn full(shards: usize, seed: u64) -> FleetConfig {
         FleetConfig {
-            shards,
-            shard: ShardConfig::default(),
-            shard_speeds: Vec::new(),
-            placement: PlacementPolicy::SpeedWeighted,
-            preemption: false,
-            migration: false,
             max_pending: 32,
-            tiering: false,
             workload: WorkloadConfig::full(seed),
-            execution: ExecutionMode::ThreadPerShard,
-            obs: ObsConfig::Disabled,
+            ..FleetConfig::quick(shards, seed)
         }
     }
 
@@ -424,15 +410,13 @@ pub struct WallClockStats {
     pub ticks: u64,
     /// Per-worker count of shard tasks taken from outside the worker's own
     /// deque (injector batch-takes plus sibling steals). Empty for the
-    /// modeled and thread-per-shard modes; diagnostic only, never serialized
-    /// into `FLEET_cod.json`.
+    /// modeled mode; diagnostic only, never serialized into `FLEET_cod.json`.
     pub worker_steals: Vec<u64>,
     /// Per-worker count of empty-handed scheduling rounds. Empty for the
-    /// modeled and thread-per-shard modes; diagnostic only, never serialized.
+    /// modeled mode; diagnostic only, never serialized.
     pub worker_idle_spins: Vec<u64>,
     /// Per-worker count of shard-batch tasks run (from any source). Empty
-    /// for the modeled and thread-per-shard modes; diagnostic only, never
-    /// serialized.
+    /// for the modeled mode; diagnostic only, never serialized.
     pub worker_tasks: Vec<u64>,
 }
 
@@ -499,18 +483,15 @@ pub fn run_fleet_traced(
     let run_started = WallStopwatch::start();
     let mut stepping_wall = Duration::ZERO;
     let mut det = config.obs.deterministic_enabled().then(DetTrace::new);
-    let wall = config.obs.wall_enabled().then(|| {
-        Arc::new(WallTrace::new(match config.execution {
-            ExecutionMode::WallClock { threads } => threads.max(1),
-            _ => 0,
-        }))
-    });
-    let executor = match config.execution {
-        ExecutionMode::WallClock { threads } => {
-            Some(WallClockExecutor::new_traced(threads, wall.clone()))
-        }
-        _ => None,
+    // A wall-clock run gets a pool (and a trace lane per worker); a modeled
+    // run steps in-thread.
+    let pool_threads = match config.execution {
+        ExecutionMode::WallClock { threads } => Some(threads.max(1)),
+        ExecutionMode::Modeled => None,
     };
+    let wall =
+        config.obs.wall_enabled().then(|| Arc::new(WallTrace::new(pool_threads.unwrap_or(0))));
+    let executor = pool_threads.map(|threads| WallClockExecutor::new(threads, wall.clone()));
     let arrivals = generate(&config.workload);
     let mut admission = AdmissionState::new(AdmissionConfig {
         shards: config.shards,
@@ -670,7 +651,7 @@ pub fn run_fleet_traced(
         // 4. Batch-step every shard under the configured execution mode.
         let step_started = WallStopwatch::start();
         let step_start_us = wall.as_ref().map(|w| w.now_us());
-        let results = step_all(&mut shards, config.execution, executor.as_ref())?;
+        let results = step_all(&mut shards, executor.as_ref())?;
         if let (Some(w), Some(start)) = (wall.as_ref(), step_start_us) {
             w.complete(DRIVER_LANE, "step-phase".to_string(), "step", start);
         }
@@ -893,24 +874,16 @@ fn session_outcome(done: Completed, tick: u64, shard: usize) -> SessionOutcome {
     }
 }
 
-/// Steps every shard once under the configured execution mode: sequentially,
-/// on one scoped OS thread per shard, or across the work-stealing pool.
-/// Results come back in shard order under every mode.
+/// Steps every shard once: across the work-stealing pool when the run carries
+/// an executor, else sequentially on the caller's thread. Results come back in
+/// shard order either way.
 fn step_all(
     shards: &mut Vec<Shard>,
-    mode: ExecutionMode,
     executor: Option<&WallClockExecutor>,
 ) -> Result<Vec<TickResult>, CbError> {
-    match mode {
-        ExecutionMode::WallClock { .. } => {
-            executor.expect("a wall-clock run carries its executor").step_shards(shards)
-        }
-        ExecutionMode::ThreadPerShard if shards.len() > 1 => std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                shards.iter_mut().map(|shard| scope.spawn(move || shard.step_batch())).collect();
-            handles.into_iter().map(|h| h.join().expect("shard thread panicked")).collect()
-        }),
-        _ => shards.iter_mut().map(Shard::step_batch).collect(),
+    match executor {
+        Some(executor) => executor.step_shards(shards),
+        None => shards.iter_mut().map(Shard::step_batch).collect(),
     }
 }
 
@@ -973,9 +946,9 @@ mod tests {
         let mut config = tiny_config(3, 17);
         let modeled = run_fleet(&config).unwrap();
         let modes = [
-            ExecutionMode::ThreadPerShard,
             ExecutionMode::WallClock { threads: 1 },
             ExecutionMode::WallClock { threads: 2 },
+            ExecutionMode::WallClock { threads: 3 },
             ExecutionMode::WallClock { threads: 4 },
         ];
         for mode in modes {
@@ -1005,34 +978,19 @@ mod tests {
     }
 
     #[test]
-    fn thread_per_shard_panic_surfaces_as_a_failed_join() {
-        // Regression: the `.expect("shard thread panicked")` join branch of
-        // the scoped fan-out was uncovered — a worker panic must abort the
-        // tick with that message, not hang or vanish.
-        for mode in [ExecutionMode::ThreadPerShard, ExecutionMode::WallClock { threads: 2 }] {
-            let mut shards: Vec<Shard> =
-                (0..2).map(|i| Shard::new(i, ShardConfig::default(), 1.0)).collect();
-            shards[1].poison_for_test = true;
-            let executor = match mode {
-                ExecutionMode::WallClock { threads } => Some(WallClockExecutor::new(threads)),
-                _ => None,
-            };
-            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                step_all(&mut shards, mode, executor.as_ref())
-            }))
-            .expect_err("a poisoned shard must panic the tick");
-            // The scoped join's `.expect` carries a formatted String payload;
-            // the executor re-panics with a &str — accept either shape.
-            let message = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            assert!(
-                message.contains("shard thread panicked"),
-                "wrong panic under {mode:?}: {message:?}"
-            );
-        }
+    fn step_all_surfaces_an_executor_worker_panic() {
+        // A worker panic must abort the tick with the failed-join message,
+        // not hang the driver on the result channel or vanish.
+        let mut shards: Vec<Shard> =
+            (0..2).map(|i| Shard::new(i, ShardConfig::default(), 1.0)).collect();
+        shards[1].poison_for_test = true;
+        let executor = WallClockExecutor::new(2, None);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            step_all(&mut shards, Some(&executor))
+        }))
+        .expect_err("a poisoned shard must panic the tick");
+        let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(message.contains("shard thread panicked"), "wrong panic: {message:?}");
     }
 
     #[test]
@@ -1247,7 +1205,7 @@ mod tests {
         let b = run_fleet(&small).unwrap();
         assert_eq!(a, b);
         let mut threaded = small.clone();
-        threaded.execution = ExecutionMode::ThreadPerShard;
+        threaded.execution = ExecutionMode::WallClock { threads: 4 };
         let c = run_fleet(&threaded).unwrap();
         assert_eq!(a.sessions, c.sessions);
         assert_eq!(a.elapsed_modeled, c.elapsed_modeled);

@@ -533,7 +533,9 @@ mod tests {
         let mut config = outcome().config;
         let modeled = FleetReport::from_outcome(&run_fleet(&config).unwrap());
         let baseline = modeled.to_json().to_pretty();
-        for mode in [ExecutionMode::ThreadPerShard, ExecutionMode::WallClock { threads: 3 }] {
+        for mode in
+            [ExecutionMode::WallClock { threads: 2 }, ExecutionMode::WallClock { threads: 3 }]
+        {
             config.execution = mode;
             let report = FleetReport::from_outcome(&run_fleet(&config).unwrap());
             assert_eq!(report.fingerprint, modeled.fingerprint, "fingerprint under {mode:?}");

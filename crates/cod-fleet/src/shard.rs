@@ -25,8 +25,8 @@ use cod_cluster::nominal_sequential_frame_cost;
 use cod_net::Micros;
 use cod_trace::{DetTrace, WallTrace, DRIVER_LANE};
 use crane_sim::{
-    step_frames_batch, step_frames_batch_traced, BatchStepStats, Coarse, CraneSimulator,
-    FidelityTier, SessionReport, SimulatorConfig,
+    step_frames_batch_traced, BatchStepStats, Coarse, CraneSimulator, FidelityTier, SessionReport,
+    SimulatorConfig,
 };
 
 use crate::workload::{Priority, SessionSpec};
@@ -36,7 +36,7 @@ use crate::workload::{Priority, SessionSpec};
 /// Both modes produce bit-identical sessions — identical telemetry digests,
 /// reports and modeled costs — because the batched path shares only work that
 /// is provably invariant across cohort members (see
-/// [`crane_sim::step_frames_batch`]). `Batched` is the default; `Scalar` is
+/// [`crane_sim::step_frames_batch_traced`]). `Batched` is the default; `Scalar` is
 /// kept as the reference implementation the equivalence checks diff against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SteppingMode {
@@ -114,17 +114,20 @@ impl SessionShape {
     }
 }
 
-/// A session resident on a shard.
+/// A session resident on a shard: its portable identity plus the simulator
+/// currently serving it.
 struct Resident {
-    spec: SessionSpec,
+    session: PortableSession,
     sim: CraneSimulator,
-    frames_done: usize,
-    arrived_tick: u64,
-    admitted_tick: u64,
-    preempted: u32,
-    migrated: u32,
-    promoted: u32,
-    demoted: u32,
+}
+
+impl Resident {
+    /// Frames still to run. Saturating: a resumed session can arrive with
+    /// more frames done than its budget asks for (a shrunk spec, or an
+    /// over-replayed portable) — it must retire, not underflow.
+    fn remaining_frames(&self) -> usize {
+        self.session.spec.frames.saturating_sub(self.session.frames_done)
+    }
 }
 
 /// A resident session serialized for transport: everything needed to resume
@@ -377,7 +380,7 @@ impl Shard {
         // per-session-frame cost, not the full-rack one.
         let hint = r.sim.session_cost_hint();
         if hint == Micros::ZERO {
-            self.nominal_frame_cost_for(r.spec.config.tier)
+            self.nominal_frame_cost_for(r.session.spec.config.tier)
         } else {
             hint
         }
@@ -394,7 +397,7 @@ impl Shard {
         let mut total = Micros::ZERO;
         for r in &self.residents {
             let per_frame = self.per_frame_cost(r);
-            let remaining = r.spec.frames.saturating_sub(r.frames_done) as u64;
+            let remaining = r.remaining_frames() as u64;
             total = Micros(total.0.saturating_add(per_frame.0.saturating_mul(remaining)));
         }
         total
@@ -409,8 +412,7 @@ impl Shard {
         let mut total = Micros::ZERO;
         for r in &self.residents {
             let per_frame = self.per_frame_cost(r);
-            let frames =
-                self.config.batch_frames.min(r.spec.frames.saturating_sub(r.frames_done)) as u64;
+            let frames = self.config.batch_frames.min(r.remaining_frames()) as u64;
             total = Micros(total.0.saturating_add(per_frame.0.saturating_mul(frames)));
         }
         total
@@ -437,11 +439,11 @@ impl Shard {
             .enumerate()
             .map(|(index, r)| ResidentView {
                 index,
-                id: r.spec.id,
-                priority: r.spec.priority,
-                tier: r.spec.config.tier,
-                frames_done: r.frames_done,
-                remaining_frames: r.spec.frames.saturating_sub(r.frames_done),
+                id: r.session.spec.id,
+                priority: r.session.spec.priority,
+                tier: r.session.spec.config.tier,
+                frames_done: r.session.frames_done,
+                remaining_frames: r.remaining_frames(),
                 per_frame: self.per_frame_cost(r),
             })
             .collect()
@@ -509,42 +511,22 @@ impl Shard {
     /// # Panics
     ///
     /// Panics if the shard has no free slot.
-    pub fn resume(&mut self, portable: PortableSession) -> Result<Micros, CbError> {
+    pub fn resume(&mut self, mut session: PortableSession) -> Result<Micros, CbError> {
         assert!(self.free_slots() > 0, "shard {} is full", self.id);
-        let PortableSession {
-            mut spec,
-            frames_done,
-            arrived_tick,
-            admitted_tick,
-            preempted,
-            migrated,
-            promoted,
-            demoted,
-        } = portable;
         // The shard's machine speed is a property of the shard, not the
         // session: stamp it before the shape lookup so pooled racks match.
-        spec.config.cpu_speed = self.speed;
-        let mut sim = self.obtain_sim(&spec)?;
+        session.spec.config.cpu_speed = self.speed;
+        let mut sim = self.obtain_sim(&session.spec)?;
         let mut replay_cost = Micros::ZERO;
-        for _ in 0..frames_done {
+        for _ in 0..session.frames_done {
             let record = sim.step_frame()?;
             for (_, cost) in &record.costs {
                 replay_cost += *cost;
             }
         }
-        self.stats.replayed_frames += frames_done as u64;
+        self.stats.replayed_frames += session.frames_done as u64;
         self.stats.busy += replay_cost;
-        self.residents.push(Resident {
-            spec,
-            sim,
-            frames_done,
-            arrived_tick,
-            admitted_tick,
-            preempted,
-            migrated,
-            promoted,
-            demoted,
-        });
+        self.residents.push(Resident { session, sim });
         self.stats.peak_residents = self.stats.peak_residents.max(self.residents.len());
         Ok(replay_cost)
     }
@@ -559,26 +541,22 @@ impl Shard {
     pub fn extract(&mut self, index: usize, migration: bool) -> PortableSession {
         let mut r = self.residents.remove(index);
         if migration {
-            r.migrated += 1;
+            r.session.migrated += 1;
             self.stats.migrated_out += 1;
         } else {
-            r.preempted += 1;
+            r.session.preempted += 1;
             self.stats.preempted_out += 1;
         }
-        let shape = SessionShape::of(&r.spec.config);
-        let pool = self.pool.entry(shape).or_default();
+        self.recycle(&r.session.spec.config, r.sim);
+        r.session
+    }
+
+    /// Files a simulator leaving residency under its shape, if the pool has
+    /// room for it.
+    fn recycle(&mut self, config: &SimulatorConfig, sim: CraneSimulator) {
+        let pool = self.pool.entry(SessionShape::of(config)).or_default();
         if pool.len() < self.config.pool_per_shape {
-            pool.push(r.sim);
-        }
-        PortableSession {
-            spec: r.spec,
-            frames_done: r.frames_done,
-            arrived_tick: r.arrived_tick,
-            admitted_tick: r.admitted_tick,
-            preempted: r.preempted,
-            migrated: r.migrated,
-            promoted: r.promoted,
-            demoted: r.demoted,
+            pool.push(sim);
         }
     }
 
@@ -601,33 +579,20 @@ impl Shard {
     /// Panics if `index` is out of range or the resident is already on `tier`.
     pub fn retier(&mut self, index: usize, tier: FidelityTier) -> Result<Micros, CbError> {
         let mut r = self.residents.remove(index);
-        assert_ne!(r.spec.config.tier, tier, "retier must change the tier");
-        let shape = SessionShape::of(&r.spec.config);
-        let pool = self.pool.entry(shape).or_default();
-        if pool.len() < self.config.pool_per_shape {
-            pool.push(r.sim);
-        }
+        assert_ne!(r.session.spec.config.tier, tier, "retier must change the tier");
+        self.recycle(&r.session.spec.config, r.sim);
         match tier {
             FidelityTier::Full => {
-                r.promoted += 1;
+                r.session.promoted += 1;
                 self.stats.promoted += 1;
             }
             FidelityTier::Coarse => {
-                r.demoted += 1;
+                r.session.demoted += 1;
                 self.stats.demoted += 1;
             }
         }
-        r.spec.config.tier = tier;
-        self.resume(PortableSession {
-            spec: r.spec,
-            frames_done: r.frames_done,
-            arrived_tick: r.arrived_tick,
-            admitted_tick: r.admitted_tick,
-            preempted: r.preempted,
-            migrated: r.migrated,
-            promoted: r.promoted,
-            demoted: r.demoted,
-        })
+        r.session.spec.config.tier = tier;
+        self.resume(r.session)
     }
 
     /// Books a migrated-in session (the paired accounting of
@@ -658,17 +623,14 @@ impl Shard {
         match self.config.stepping {
             SteppingMode::Scalar => {
                 for r in self.residents.iter_mut() {
-                    // saturating: a resumed session can arrive with more
-                    // frames done than its budget asks for (see the
-                    // regression test) — it must retire, not underflow.
-                    let frames = batch_frames.min(r.spec.frames.saturating_sub(r.frames_done));
+                    let frames = batch_frames.min(r.remaining_frames());
                     for _ in 0..frames {
                         let record = r.sim.step_frame()?;
                         for (_, cost) in &record.costs {
                             tick_busy += *cost;
                         }
                     }
-                    r.frames_done += frames;
+                    r.session.frames_done += frames;
                     if let Some(det) = self.trace.as_mut().and_then(|t| t.det.as_mut()) {
                         det.batch.frames_stepped += frames as u64;
                     }
@@ -677,7 +639,7 @@ impl Shard {
             SteppingMode::Batched => {
                 let mut cohorts: BTreeMap<SessionShape, Vec<&mut Resident>> = BTreeMap::new();
                 for r in self.residents.iter_mut() {
-                    cohorts.entry(SessionShape::of(&r.spec.config)).or_default().push(r);
+                    cohorts.entry(SessionShape::of(&r.session.spec.config)).or_default().push(r);
                 }
                 for members in cohorts.values_mut() {
                     let cohort_start = self
@@ -685,25 +647,21 @@ impl Shard {
                         .as_ref()
                         .and_then(|t| t.wall.as_ref())
                         .map(|(w, lane)| (w.now_us(), *lane));
-                    let budgets: Vec<usize> = members
-                        .iter()
-                        .map(|r| batch_frames.min(r.spec.frames.saturating_sub(r.frames_done)))
-                        .collect();
+                    let budgets: Vec<usize> =
+                        members.iter().map(|r| batch_frames.min(r.remaining_frames())).collect();
                     let mut batch: Vec<(&mut CraneSimulator, usize)> = members
                         .iter_mut()
                         .zip(&budgets)
                         .map(|(r, budget)| (&mut r.sim, *budget))
                         .collect();
-                    let costs = match self.trace.as_mut().and_then(|t| t.det.as_mut()) {
-                        Some(det) => {
-                            det.cohorts += 1;
-                            step_frames_batch_traced(&mut batch, Some(&mut det.batch))?
-                        }
-                        None => step_frames_batch(&mut batch)?,
-                    };
+                    let stats = self.trace.as_mut().and_then(|t| t.det.as_mut()).map(|det| {
+                        det.cohorts += 1;
+                        &mut det.batch
+                    });
+                    let costs = step_frames_batch_traced(&mut batch, stats)?;
                     for ((r, budget), cost) in members.iter_mut().zip(&budgets).zip(&costs) {
                         tick_busy += *cost;
-                        r.frames_done += *budget;
+                        r.session.frames_done += *budget;
                     }
                     if let Some((start, lane)) = cohort_start {
                         if let Some((w, _)) = self.trace.as_ref().and_then(|t| t.wall.as_ref()) {
@@ -720,7 +678,7 @@ impl Shard {
         let mut completed = Vec::new();
         let residents = std::mem::take(&mut self.residents);
         for r in residents {
-            if r.frames_done >= r.spec.frames {
+            if r.remaining_frames() == 0 {
                 completed.push(self.retire(r));
             } else {
                 self.residents.push(r);
@@ -734,23 +692,20 @@ impl Shard {
         let cost = r.sim.cluster().metrics().total_sequential_cost;
         let telemetry = r.sim.telemetry_digest().fingerprint();
         self.stats.sessions_completed += 1;
-        let shape = SessionShape::of(&r.spec.config);
-        let pool = self.pool.entry(shape).or_default();
-        if pool.len() < self.config.pool_per_shape {
-            pool.push(r.sim);
-        }
+        self.recycle(&r.session.spec.config, r.sim);
+        let s = r.session;
         Completed {
-            id: r.spec.id,
-            name: r.spec.name,
-            frames: r.spec.frames,
-            priority: r.spec.priority,
-            arrived_tick: r.arrived_tick,
-            admitted_tick: r.admitted_tick,
-            preempted: r.preempted,
-            migrated: r.migrated,
-            promoted: r.promoted,
-            demoted: r.demoted,
-            tier: r.spec.config.tier,
+            id: s.spec.id,
+            name: s.spec.name,
+            frames: s.spec.frames,
+            priority: s.spec.priority,
+            arrived_tick: s.arrived_tick,
+            admitted_tick: s.admitted_tick,
+            preempted: s.preempted,
+            migrated: s.migrated,
+            promoted: s.promoted,
+            demoted: s.demoted,
+            tier: s.spec.config.tier,
             report,
             cost,
             telemetry,

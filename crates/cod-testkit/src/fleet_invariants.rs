@@ -12,7 +12,7 @@ use cod_fleet::{
     SessionShape, SteppingMode,
 };
 use crane_sim::{
-    step_frames_batch, CraneSimulator, FidelityTier, SimulatorConfig, SCORE_DRIFT_TOLERANCE,
+    step_frames_batch_traced, CraneSimulator, FidelityTier, SimulatorConfig, SCORE_DRIFT_TOLERANCE,
 };
 
 use crate::matrix::{scenario_specs, MatrixConfig};
@@ -209,6 +209,15 @@ pub fn check_fleet_outcome(outcome: &FleetOutcome) -> Vec<String> {
     violations
 }
 
+/// Index of the first byte at which two serialized reports differ (the shorter
+/// length when one is a prefix of the other), `None` when they are identical.
+fn first_divergence(a: &str, b: &str) -> Option<usize> {
+    if a == b {
+        return None;
+    }
+    Some(a.bytes().zip(b.bytes()).position(|(x, y)| x != y).unwrap_or(a.len().min(b.len())))
+}
+
 /// Runs the fleet twice from the same configuration and returns both reports
 /// plus the first difference between their serialized forms (`None` proves
 /// the run replays byte for byte).
@@ -223,12 +232,7 @@ pub fn fleet_replay_check(
     let second = FleetReport::from_outcome(&run_fleet(config)?);
     let a = first.to_json().to_pretty();
     let b = second.to_json().to_pretty();
-    let divergence = if a == b {
-        None
-    } else {
-        Some(a.bytes().zip(b.bytes()).position(|(x, y)| x != y).unwrap_or(a.len().min(b.len())))
-    };
-    Ok((first, second, divergence))
+    Ok((first, second, first_divergence(&a, &b)))
 }
 
 /// Proves wall-clock equivalence: the same configuration served under
@@ -255,31 +259,19 @@ pub fn wallclock_equivalence_check(
         pooled_config.execution = ExecutionMode::WallClock { threads };
         let report = FleetReport::from_outcome(&run_fleet(&pooled_config)?);
         let bytes = report.to_json().to_pretty();
-        let divergence = if bytes == reference {
-            None
-        } else {
-            Some(
-                reference
-                    .bytes()
-                    .zip(bytes.bytes())
-                    .position(|(x, y)| x != y)
-                    .unwrap_or(reference.len().min(bytes.len())),
-            )
-        };
-        divergences.push((threads, divergence));
+        divergences.push((threads, first_divergence(&reference, &bytes)));
     }
     Ok((modeled, divergences))
 }
 
 /// Proves observability equivalence: the same configuration with the
 /// deterministic sink armed ([`cod_fleet::ObsConfig::Deterministic`]) must
-/// drain byte-identical `OBS_cod.json` bytes under [`ExecutionMode::Modeled`],
-/// [`ExecutionMode::ThreadPerShard`] and [`ExecutionMode::WallClock`] at each
-/// requested thread count — the sink records modeled time and seeded
-/// identifiers only, so who stepped the shards must be invisible in it.
-/// Returns the modeled run's report bytes plus, per mode label, the first
-/// byte where that run's report diverged (`None` everywhere proves
-/// equivalence).
+/// drain byte-identical `OBS_cod.json` bytes under [`ExecutionMode::Modeled`]
+/// and [`ExecutionMode::WallClock`] at each requested thread count — the sink
+/// records modeled time and seeded identifiers only, so who stepped the shards
+/// must be invisible in it. Returns the modeled run's report bytes plus, per
+/// mode label, the first byte where that run's report diverged (`None`
+/// everywhere proves equivalence).
 ///
 /// # Errors
 ///
@@ -297,25 +289,10 @@ pub fn obs_equivalence_check(
         Ok(det.to_report_json(traced.workload.seed).to_pretty())
     };
     let reference = obs_bytes(ExecutionMode::Modeled)?;
-    let mut modes = vec![("thread-per-shard".to_owned(), ExecutionMode::ThreadPerShard)];
+    let mut divergences = Vec::with_capacity(thread_counts.len());
     for &threads in thread_counts {
-        modes.push((format!("wallclock-{threads}"), ExecutionMode::WallClock { threads }));
-    }
-    let mut divergences = Vec::with_capacity(modes.len());
-    for (label, execution) in modes {
-        let bytes = obs_bytes(execution)?;
-        let divergence = if bytes == reference {
-            None
-        } else {
-            Some(
-                reference
-                    .bytes()
-                    .zip(bytes.bytes())
-                    .position(|(x, y)| x != y)
-                    .unwrap_or(reference.len().min(bytes.len())),
-            )
-        };
-        divergences.push((label, divergence));
+        let bytes = obs_bytes(ExecutionMode::WallClock { threads })?;
+        divergences.push((format!("wallclock-{threads}"), first_divergence(&reference, &bytes)));
     }
     Ok((reference, divergences))
 }
@@ -365,12 +342,7 @@ pub fn batch_equivalence_check(
             ));
         }
         let bytes = FleetReport::from_outcome(&outcome).to_json().to_pretty();
-        if bytes != reference_bytes {
-            let at = reference_bytes
-                .bytes()
-                .zip(bytes.bytes())
-                .position(|(x, y)| x != y)
-                .unwrap_or(reference_bytes.len().min(bytes.len()));
+        if let Some(at) = first_divergence(&reference_bytes, &bytes) {
             violations.push(format!(
                 "batched ({label}): serialized report diverged from scalar at byte {at}"
             ));
@@ -383,7 +355,7 @@ pub fn batch_equivalence_check(
 /// scenario matrix: each distinct shape the sweep exercises (deduplicated —
 /// fault plans do not change a shape) gets a small same-shape cohort of
 /// divergent seeds run both scalar (one [`CraneSimulator::step_frame`] loop
-/// per session) and batched ([`step_frames_batch`] lockstep), and every
+/// per session) and batched ([`step_frames_batch_traced`] lockstep), and every
 /// member's telemetry digest must match bit for bit. Returns a description of
 /// every divergence (empty ⇒ equivalent).
 ///
@@ -424,7 +396,7 @@ pub fn batch_shape_coverage_check(
             .collect::<Result<Vec<_>, _>>()?;
         let mut batch: Vec<(&mut CraneSimulator, usize)> =
             sims.iter_mut().map(|sim| (sim, frames)).collect();
-        step_frames_batch(&mut batch)?;
+        step_frames_batch_traced(&mut batch, None)?;
         for (k, (sim, scalar)) in sims.iter().zip(&scalar_digests).enumerate() {
             if sim.telemetry_digest() != *scalar {
                 violations.push(format!(

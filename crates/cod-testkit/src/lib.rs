@@ -6,8 +6,9 @@
 //! *reproducible test inputs*, in the simulation-testing style of turmoil and
 //! FoundationDB, layered on the deterministic in-process LAN of [`cod_net`]:
 //!
-//! * [`plans`] — named, seeded [`cod_net::FaultPlan`]s (clean, 2%/5% loss,
-//!   latency spike, duplication + reordering, partition blip);
+//! * [`cod_net::plans`] — named, seeded [`cod_net::FaultPlan`]s (clean, 2%/5%
+//!   loss, latency spike, duplication + reordering, partition blip), shared
+//!   with the fleet workload generator;
 //! * [`invariants`] — cluster-wide safety properties checked after every
 //!   frame: CB channel-table consistency, frame-sync lock-step monotonicity,
 //!   score bounds, no-LP-starvation;
@@ -48,7 +49,6 @@ pub mod fleet_invariants;
 pub mod harness;
 pub mod invariants;
 pub mod matrix;
-pub mod plans;
 
 pub use fleet_invariants::{
     batch_equivalence_check, batch_shape_coverage_check, check_fleet_outcome, fleet_replay_check,
@@ -57,4 +57,3 @@ pub use fleet_invariants::{
 pub use harness::{replay_check, run_scenario, run_scenario_with, ScenarioOutcome, ScenarioSpec};
 pub use invariants::{standard_invariants, FrameContext, Invariant, InvariantViolation};
 pub use matrix::{run_matrix, scenario_specs, MatrixConfig, MatrixSummary, ScenarioResult};
-pub use plans::NamedPlan;

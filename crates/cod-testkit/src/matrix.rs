@@ -3,16 +3,16 @@
 //!
 //! The sweep is the regression net for every future scale/perf PR: it proves
 //! the whole cluster still initializes, keeps lock-step, stays within score
-//! bounds and starves nothing, under every fault plan of [`crate::plans`].
+//! bounds and starves nothing, under every fault plan of [`cod_net::plans`].
 //! Results are written as machine-readable JSON (`SCENARIOS_cod.json`) in the
 //! same spirit as the benchmark layer's `BENCH_cod.json`.
 
 use cod_cb::CbError;
 use cod_json::Json;
+use cod_net::plans::{self, NamedPlan};
 use crane_sim::{GpuGeneration, OperatorKind, SimulatorConfig};
 
 use crate::harness::{run_scenario, ScenarioOutcome, ScenarioSpec};
-use crate::plans::{self, NamedPlan};
 
 /// Configuration of a matrix sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

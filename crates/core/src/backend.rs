@@ -66,25 +66,16 @@ pub trait SimBackend: Send {
     /// Runs one *session* frame and returns its step-level record. Tiers that
     /// decimate return a zero-cost record for the frames they skip.
     ///
-    /// # Errors
-    ///
-    /// Returns the first error raised by a module or the backbone.
-    fn step_frame(&mut self) -> Result<FrameRecord, CbError>;
-
-    /// [`SimBackend::step_frame`] with access to scratch shared across the
-    /// same-shape cohort being advanced in lockstep (see
-    /// [`crate::simulator::step_frames_batch`]). MUST be bit-identical to
-    /// `step_frame`; the default ignores the scratch, so every backend is
-    /// batchable — sharing work is an opt-in optimization, never a semantic
-    /// change.
+    /// `scratch` is the scratch shared across the same-shape cohort being
+    /// advanced in lockstep (see [`crate::simulator::step_frames_batch_traced`]),
+    /// `None` for a session stepped on its own. The frame MUST be
+    /// bit-identical either way — sharing work is an opt-in optimization,
+    /// never a semantic change.
     ///
     /// # Errors
     ///
     /// Returns the first error raised by a module or the backbone.
-    fn step_frame_batched(&mut self, scratch: &mut BatchScratch) -> Result<FrameRecord, CbError> {
-        let _ = scratch;
-        self.step_frame()
-    }
+    fn step_frame(&mut self, scratch: Option<&mut BatchScratch>) -> Result<FrameRecord, CbError>;
 
     /// Rewinds every piece of session state to the canonical session start
     /// and re-seeds the stochastic models (see
@@ -305,12 +296,8 @@ impl SimBackend for FullFidelity {
         &self.config
     }
 
-    fn step_frame(&mut self) -> Result<FrameRecord, CbError> {
-        self.cluster.run_frame()
-    }
-
-    fn step_frame_batched(&mut self, scratch: &mut BatchScratch) -> Result<FrameRecord, CbError> {
-        self.cluster.run_frame_batched(scratch)
+    fn step_frame(&mut self, scratch: Option<&mut BatchScratch>) -> Result<FrameRecord, CbError> {
+        self.cluster.run_frame_with(scratch)
     }
 
     fn reset_for_session(&mut self, seed: u64) -> Result<(), CbError> {
@@ -478,32 +465,20 @@ impl SimBackend for Coarse {
         &self.config
     }
 
-    fn step_frame(&mut self) -> Result<FrameRecord, CbError> {
+    fn step_frame(&mut self, scratch: Option<&mut BatchScratch>) -> Result<FrameRecord, CbError> {
         let frame = self.session_frames;
         self.session_frames += 1;
         if frame % Self::DECIMATION == 0 {
-            // One real cluster frame absorbs this batch of session frames.
-            let mut record = self.rack.step_frame()?;
+            // One real cluster frame absorbs this batch of session frames,
+            // and only it touches the cohort scratch. Cohort members whose
+            // decimation phases differ merely miss the memo — identity never
+            // depends on alignment.
+            let mut record = self.rack.step_frame(scratch)?;
             record.frame = frame;
             Ok(record)
         } else {
             // A decimated-away frame: no modeled cost, time holds until the
             // next real step advances it by a full decimated period.
-            Ok(FrameRecord { frame, now: self.rack.cluster().now(), costs: Vec::new() })
-        }
-    }
-
-    fn step_frame_batched(&mut self, scratch: &mut BatchScratch) -> Result<FrameRecord, CbError> {
-        // Same decimation as the scalar path; only the real cluster frames
-        // touch the cohort scratch. Cohort members whose decimation phases
-        // differ merely miss the memo — identity never depends on alignment.
-        let frame = self.session_frames;
-        self.session_frames += 1;
-        if frame % Self::DECIMATION == 0 {
-            let mut record = self.rack.step_frame_batched(scratch)?;
-            record.frame = frame;
-            Ok(record)
-        } else {
             Ok(FrameRecord { frame, now: self.rack.cluster().now(), costs: Vec::new() })
         }
     }

@@ -38,7 +38,5 @@ pub use backend::{Coarse, FullFidelity, SimBackend, SCORE_DRIFT_TOLERANCE};
 pub use config::{FidelityTier, GpuGeneration, OperatorKind, SimulatorConfig};
 pub use fom::CraneFom;
 pub use operator::{ExamOperator, IdleOperator, Observation, Operator, RecklessOperator};
-pub use simulator::{
-    step_frames_batch, step_frames_batch_traced, BatchStepStats, CraneSimulator, SessionReport,
-};
+pub use simulator::{step_frames_batch_traced, BatchStepStats, CraneSimulator, SessionReport};
 pub use telemetry::{FrameDigest, SharedTelemetry, TelemetrySnapshot, TelemetryTrace};

@@ -160,7 +160,7 @@ impl CraneSimulator {
     /// Returns the first error raised by a module or the backbone.
     pub fn run_frames(&mut self, frames: usize) -> Result<(), CbError> {
         for _ in 0..frames {
-            self.backend.step_frame()?;
+            self.backend.step_frame(None)?;
         }
         Ok(())
     }
@@ -174,21 +174,7 @@ impl CraneSimulator {
     ///
     /// Returns the first error raised by a module or the backbone.
     pub fn step_frame(&mut self) -> Result<FrameRecord, CbError> {
-        self.backend.step_frame()
-    }
-
-    /// [`CraneSimulator::step_frame`] with access to scratch shared across a
-    /// lockstep cohort — see [`step_frames_batch`]. Bit-identical to
-    /// `step_frame` by the [`SimBackend::step_frame_batched`] contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error raised by a module or the backbone.
-    pub fn step_frame_batched(
-        &mut self,
-        scratch: &mut BatchScratch,
-    ) -> Result<FrameRecord, CbError> {
-        self.backend.step_frame_batched(scratch)
+        self.backend.step_frame(None)
     }
 
     /// Read access to the underlying cluster (rack layout, metrics, kernels),
@@ -247,28 +233,6 @@ impl CraneSimulator {
     }
 }
 
-/// Advances a cohort of simulators frame-major and in lockstep: frame `k` of
-/// every member runs before frame `k+1` of any of them, all sharing one
-/// [`BatchScratch`] whose epoch advances per frame index. Each entry carries
-/// its own frame budget; members whose budget is exhausted sit out the
-/// remaining frames.
-///
-/// This is the data-parallel inner loop of the serving layer's batched
-/// stepping: same-shape sessions admitted together keep their per-frame pure
-/// work (waveform columns today, hoisted tables tomorrow) aligned, so the
-/// scratch turns N copies of it into one. Returns the summed modeled cost of
-/// each member's frames, in cohort order. Bit-identical to stepping every
-/// member independently with [`CraneSimulator::step_frame`].
-///
-/// # Errors
-///
-/// Returns the first error raised by any member's executive.
-pub fn step_frames_batch(
-    batch: &mut [(&mut CraneSimulator, usize)],
-) -> Result<Vec<Micros>, CbError> {
-    step_frames_batch_traced(batch, None)
-}
-
 /// Frame-level counters collected by [`step_frames_batch_traced`]: how many
 /// session frames the batch actually stepped and how the cohort's wavebank
 /// memo fared. Deterministic — a pure function of the cohort and the seed —
@@ -293,10 +257,22 @@ impl BatchStepStats {
     }
 }
 
-/// [`step_frames_batch`] with an optional stats out-parameter. When `stats`
-/// is `Some`, the counters for this batch are *added* into it (callers keep
-/// one accumulator across many cohorts); the stepping itself is bit-identical
-/// either way.
+/// Advances a cohort of simulators frame-major and in lockstep: frame `k` of
+/// every member runs before frame `k+1` of any of them, all sharing one
+/// [`BatchScratch`] whose epoch advances per frame index. Each entry carries
+/// its own frame budget; members whose budget is exhausted sit out the
+/// remaining frames.
+///
+/// This is the data-parallel inner loop of the serving layer's batched
+/// stepping: same-shape sessions admitted together keep their per-frame pure
+/// work (waveform columns today, hoisted tables tomorrow) aligned, so the
+/// scratch turns N copies of it into one. Returns the summed modeled cost of
+/// each member's frames, in cohort order. Bit-identical to stepping every
+/// member independently with [`CraneSimulator::step_frame`].
+///
+/// When `stats` is `Some`, the counters for this batch are *added* into it
+/// (callers keep one accumulator across many cohorts); the stepping itself is
+/// bit-identical either way.
 ///
 /// # Errors
 ///
@@ -313,7 +289,7 @@ pub fn step_frames_batch_traced(
         scratch.begin_frame();
         for ((sim, budget), cost) in batch.iter_mut().zip(costs.iter_mut()) {
             if frame < *budget {
-                let record = sim.step_frame_batched(&mut scratch)?;
+                let record = sim.backend.step_frame(Some(&mut scratch))?;
                 for (_, c) in &record.costs {
                     *cost += *c;
                 }
@@ -485,7 +461,7 @@ mod tests {
 
             let mut batch: Vec<(&mut CraneSimulator, usize)> =
                 batched.iter_mut().map(|sim| (sim, frames)).collect();
-            let batched_costs = step_frames_batch(&mut batch).unwrap();
+            let batched_costs = step_frames_batch_traced(&mut batch, None).unwrap();
 
             assert_eq!(scalar_costs, batched_costs, "modeled costs diverged on {tier:?}");
             for (a, b) in scalar.iter().zip(batched.iter()) {
@@ -511,7 +487,7 @@ mod tests {
         }
         let mut batch: Vec<(&mut CraneSimulator, usize)> =
             batched.iter_mut().zip(budgets).map(|(sim, budget)| (sim, budget)).collect();
-        step_frames_batch(&mut batch).unwrap();
+        step_frames_batch_traced(&mut batch, None).unwrap();
 
         for ((a, b), budget) in scalar.iter().zip(batched.iter()).zip(budgets) {
             assert_eq!(a.backend().frames_run(), budget as u64);

@@ -71,6 +71,7 @@ pub fn banned(m: &std::collections::HashMap<u32, u32>) -> usize {
     let not_a_spawn = "std::thread::spawn in a string";
     let _ = not_a_spawn; // and thread::spawn in a comment
     std::thread::spawn(|| {}).join().unwrap();
+    std::thread::scope(|_| {}); // audit:allow(thread-spawn): fixture waiver.
 }
 "#,
     ),
@@ -133,6 +134,8 @@ fn every_rule_fires_exactly_once_on_the_fixture_tree() {
     // The R1 fixture's waived line is counted as waived, not as a pass.
     let per_rule = report.per_rule();
     assert_eq!(per_rule[0].2, 1, "one waived wall-clock hit expected");
+    // Likewise the R5 fixture's scoped fan-out: detected, then waived.
+    assert_eq!(per_rule[4].2, 1, "one waived thread-spawn hit expected");
 }
 
 #[test]

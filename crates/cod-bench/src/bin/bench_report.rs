@@ -92,6 +92,10 @@ fn main() -> ExitCode {
     }
     println!("wrote {} ({} experiments)", args.out.display(), report.experiments.len());
 
+    // Every gate is evaluated and printed, so a run that regresses two of
+    // them says so in one pass.
+    let mut failed = false;
+
     // Regression gate: the 8-PC COD must keep beating one desktop PC clearly.
     let speedup = report
         .experiment("E8")
@@ -100,9 +104,10 @@ fn main() -> ExitCode {
         .unwrap_or(0.0);
     if speedup < SPEEDUP_FLOOR {
         eprintln!("REGRESSION: COD speedup {speedup:.2}x fell below the {SPEEDUP_FLOOR:.1}x floor");
-        return ExitCode::FAILURE;
+        failed = true;
+    } else {
+        println!("COD speedup {speedup:.2}x (floor {SPEEDUP_FLOOR:.1}x) — ok");
     }
-    println!("COD speedup {speedup:.2}x (floor {SPEEDUP_FLOOR:.1}x) — ok");
 
     // Regression gate: the Coarse tier must stay score-compatible with the
     // full rack on the E12 spec sample.
@@ -117,12 +122,13 @@ fn main() -> ExitCode {
              {:.1}-point tolerance",
             crane_sim::SCORE_DRIFT_TOLERANCE
         );
-        return ExitCode::FAILURE;
+        failed = true;
+    } else {
+        println!(
+            "E12 score drift {drift:.1} points (tolerance {:.1}) — ok",
+            crane_sim::SCORE_DRIFT_TOLERANCE
+        );
     }
-    println!(
-        "E12 score drift {drift:.1} points (tolerance {:.1}) — ok",
-        crane_sim::SCORE_DRIFT_TOLERANCE
-    );
 
     // Regression gate: batched lockstep stepping must keep paying for itself
     // at the 8-resident cohort E11 sweeps (identity is asserted inside the
@@ -137,12 +143,13 @@ fn main() -> ExitCode {
             "REGRESSION: E11 batched stepping speedup {batch_speedup:.2}x at 8 residents fell \
              below the {BATCH_SPEEDUP_FLOOR:.1}x floor"
         );
-        return ExitCode::FAILURE;
+        failed = true;
+    } else {
+        println!(
+            "E11 batched stepping {batch_speedup:.2}x at 8 residents (floor \
+             {BATCH_SPEEDUP_FLOOR:.1}x) — ok"
+        );
     }
-    println!(
-        "E11 batched stepping {batch_speedup:.2}x at 8 residents (floor \
-         {BATCH_SPEEDUP_FLOOR:.1}x) — ok"
-    );
 
     // Regression gate: arming the deterministic trace sink must stay cheap
     // enough to leave on — E14 pins the ceiling.
@@ -157,8 +164,13 @@ fn main() -> ExitCode {
             "REGRESSION: E14 tracing overhead {overhead:+.2}% escaped the {ceiling:.1}% ceiling \
              on the batched serving path"
         );
+        failed = true;
+    } else {
+        println!("E14 tracing overhead {overhead:+.2}% (ceiling {ceiling:.1}%) — ok");
+    }
+
+    if failed {
         return ExitCode::FAILURE;
     }
-    println!("E14 tracing overhead {overhead:+.2}% (ceiling {ceiling:.1}%) — ok");
     ExitCode::SUCCESS
 }

@@ -1,11 +1,11 @@
-//! Experiment E12 — fidelity tiers: what the `Coarse` backend costs in
+//! Experiment E12 — fidelity tiers: what the `Coarse` tier costs in
 //! score accuracy and what it buys in serving capacity.
 //!
-//! The `SimBackend` split lets a session run on a decimated rack (one
+//! `FidelityTier::Coarse` lets a session run on a decimated rack (one
 //! display channel, the integrator stepped at an eighth of the frame rate)
 //! that is an order of magnitude cheaper in modeled cost. That is only
 //! useful if the cheap tier stays *score-compatible*: a Batch session
-//! graded on the Coarse backend must reach (close to) the verdict the full
+//! graded on the Coarse tier must reach (close to) the verdict the full
 //! rack would have reached. E12 measures both sides of the bargain — the
 //! per-spec final-score drift between tiers over a seeded sample of session
 //! specs, and the throughput multiplier a bursty fleet gets from serving

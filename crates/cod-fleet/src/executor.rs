@@ -100,7 +100,7 @@ struct WorkerCounters {
 
 /// A pool of long-lived worker threads stepping shard batches via work
 /// stealing. Create one per fleet run; submit one tick at a time through
-/// [`WallClockExecutor::step_shards`].
+/// the crate-private `step_shards`.
 pub struct WallClockExecutor {
     injector: Arc<Injector<Task>>,
     done_rx: Receiver<TaskDone>,

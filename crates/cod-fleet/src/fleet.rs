@@ -116,7 +116,7 @@ pub struct FleetConfig {
     /// Bound on the admission queue.
     pub max_pending: usize,
     /// Whether the fleet serves fidelity tiers: Batch sessions are admitted
-    /// on the Coarse backend, and under queue pressure coarse-eligible Full
+    /// on the Coarse tier, and under queue pressure coarse-eligible Full
     /// residents are demoted live (promoted back one per calm tick) — shed
     /// fidelity before shedding sessions, buy it back with spare capacity.
     /// Off, every session runs Full, exactly as before the tier split.
@@ -748,7 +748,7 @@ pub fn run_fleet_traced(
 /// shedding sessions, buy it back with spare capacity.
 ///
 /// * **Pressure** (admission queue non-empty): every Full resident whose
-///   class tolerates the Coarse backend is demoted this tick. Demotions are
+///   class tolerates the Coarse tier is demoted this tick. Demotions are
 ///   cheapest exactly when pressure hits — fresh placements have few frames
 ///   to replay — and the freed modeled capacity drains the queue sooner.
 /// * **Calm** (queue empty): one demoted session per tick is promoted back

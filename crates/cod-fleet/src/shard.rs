@@ -25,7 +25,7 @@ use cod_cluster::nominal_sequential_frame_cost;
 use cod_net::Micros;
 use cod_trace::{DetTrace, WallTrace, DRIVER_LANE};
 use crane_sim::{
-    step_frames_batch_traced, BatchStepStats, Coarse, CraneSimulator, FidelityTier, SessionReport,
+    step_frames_batch_traced, BatchStepStats, CraneSimulator, FidelityTier, SessionReport,
     SimulatorConfig,
 };
 
@@ -360,13 +360,9 @@ impl Shard {
     /// over its decimation batch — which is what stops a Coarse resident from
     /// inflating placement bids and backlog costs at full-rack price.
     fn nominal_frame_cost_for(&self, tier: FidelityTier) -> Micros {
-        let reference = match tier {
-            FidelityTier::Full => nominal_sequential_frame_cost(3),
-            FidelityTier::Coarse => Micros(
-                nominal_sequential_frame_cost(Coarse::DISPLAY_CHANNELS).0 / Coarse::DECIMATION,
-            ),
-        };
-        Micros((reference.0 as f64 / self.speed).round() as u64)
+        let rack = nominal_sequential_frame_cost(tier.display_channels(3));
+        let reference = rack.0 / tier.decimation();
+        Micros((reference as f64 / self.speed).round() as u64)
     }
 
     /// The worst-case (Full-tier) nominal frame cost, used to price an
@@ -376,7 +372,7 @@ impl Shard {
     }
 
     fn per_frame_cost(&self, r: &Resident) -> Micros {
-        // The backend-specific hint: a Coarse session reports its decimated
+        // The hint is tier-specific: a Coarse session reports its decimated
         // per-session-frame cost, not the full-rack one.
         let hint = r.sim.session_cost_hint();
         if hint == Micros::ZERO {
@@ -517,13 +513,7 @@ impl Shard {
         // session: stamp it before the shape lookup so pooled racks match.
         session.spec.config.cpu_speed = self.speed;
         let mut sim = self.obtain_sim(&session.spec)?;
-        let mut replay_cost = Micros::ZERO;
-        for _ in 0..session.frames_done {
-            let record = sim.step_frame()?;
-            for (_, cost) in &record.costs {
-                replay_cost += *cost;
-            }
-        }
+        let replay_cost = sim.run_frames(session.frames_done)?;
         self.stats.replayed_frames += session.frames_done as u64;
         self.stats.busy += replay_cost;
         self.residents.push(Resident { session, sim });
@@ -624,12 +614,7 @@ impl Shard {
             SteppingMode::Scalar => {
                 for r in self.residents.iter_mut() {
                     let frames = batch_frames.min(r.remaining_frames());
-                    for _ in 0..frames {
-                        let record = r.sim.step_frame()?;
-                        for (_, cost) in &record.costs {
-                            tick_busy += *cost;
-                        }
-                    }
+                    tick_busy += r.sim.run_frames(frames)?;
                     r.session.frames_done += frames;
                     if let Some(det) = self.trace.as_mut().and_then(|t| t.det.as_mut()) {
                         det.batch.frames_stepped += frames as u64;
@@ -856,7 +841,7 @@ mod tests {
         let mut d = a.clone();
         d.config.cpu_speed = 2.0;
         assert_ne!(SessionShape::of(&a.config), SessionShape::of(&d.config));
-        // The fidelity tier selects a different backend entirely.
+        // The fidelity tier racks a different cluster entirely.
         let mut e = a.clone();
         e.config.tier = FidelityTier::Coarse;
         assert_ne!(SessionShape::of(&a.config), SessionShape::of(&e.config));

@@ -50,7 +50,7 @@ impl Priority {
     }
 }
 
-/// Whether sessions of this class may be served by the Coarse backend.
+/// Whether sessions of this class may be served on the Coarse tier.
 /// Interactive sessions have a person at the controls and always get the full
 /// rack; Training and Batch work tolerates the decimated tier.
 pub fn coarse_eligible(priority: Priority) -> bool {

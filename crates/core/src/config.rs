@@ -22,22 +22,29 @@ pub enum OperatorKind {
     Reckless,
 }
 
-/// Which simulation backend serves the session.
+/// Largest final-score deviation a Coarse session may show against the Full
+/// run of the same (config, seed), in score points. Pinned by experiment E12
+/// and enforced by the testkit tier-transparency invariant and the
+/// `fleet_report --quick` score-drift gate.
+pub const SCORE_DRIFT_TOLERANCE: f64 = 25.0;
+
+/// How much of the rack serves the session, and how often it steps.
 ///
 /// The paper's core trade is fidelity versus cluster cost: a full rack per
 /// trainee gives licensing-exam fidelity, but batch scoring and early training
-/// runs tolerate a much cheaper approximation. The tier selects the backend
-/// behind [`crate::CraneSimulator`]; both tiers run the same physics from the
-/// same seed, so a session can move between them by deterministic replay.
+/// runs tolerate a much cheaper approximation. The tier sizes and paces the
+/// one rack behind [`crate::CraneSimulator`]; both tiers run the same physics
+/// from the same seed, so a session can move between them by deterministic
+/// replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum FidelityTier {
     /// The paper's eight-PC rack: every display channel, every module, full
-    /// integrator rate. The only tier that existed before the backend split.
+    /// integrator rate.
     Full,
     /// A decimated rack: one display channel and one cluster frame per
-    /// [`crate::backend::Coarse::DECIMATION`] session frames, order(s) of
-    /// magnitude cheaper in modeled cost and score-compatible within
-    /// [`crate::backend::SCORE_DRIFT_TOLERANCE`].
+    /// [`FidelityTier::decimation`] session frames, order(s) of magnitude
+    /// cheaper in modeled cost and score-compatible within
+    /// [`SCORE_DRIFT_TOLERANCE`].
     Coarse,
 }
 
@@ -60,6 +67,23 @@ impl FidelityTier {
         match self {
             FidelityTier::Full => "full",
             FidelityTier::Coarse => "coarse",
+        }
+    }
+
+    /// Session frames per cluster frame: the rack steps once every this many
+    /// session frames, with a `dt` this many times longer.
+    pub fn decimation(self) -> u64 {
+        match self {
+            FidelityTier::Full => 1,
+            FidelityTier::Coarse => 8,
+        }
+    }
+
+    /// Display channels racked for a session configured with `configured`.
+    pub fn display_channels(self, configured: usize) -> usize {
+        match self {
+            FidelityTier::Full => configured,
+            FidelityTier::Coarse => 1,
         }
     }
 }
@@ -100,7 +124,7 @@ pub struct SimulatorConfig {
     /// is what lets a serving layer migrate a session between shards of
     /// different speeds and replay it bit for bit.
     pub cpu_speed: f64,
-    /// Fidelity tier: which backend serves the session. Part of the replay
+    /// Fidelity tier: how the rack is sized and paced. Part of the replay
     /// identity — the same seed on a different tier is a different trace.
     pub tier: FidelityTier,
 }

@@ -21,7 +21,6 @@
 //! ```
 
 pub mod audio;
-pub mod backend;
 pub mod config;
 pub mod dashboard;
 pub mod dynamics;
@@ -34,8 +33,9 @@ pub mod simulator;
 pub mod telemetry;
 pub mod visual;
 
-pub use backend::{Coarse, FullFidelity, SimBackend, SCORE_DRIFT_TOLERANCE};
-pub use config::{FidelityTier, GpuGeneration, OperatorKind, SimulatorConfig};
+pub use config::{
+    FidelityTier, GpuGeneration, OperatorKind, SimulatorConfig, SCORE_DRIFT_TOLERANCE,
+};
 pub use fom::CraneFom;
 pub use operator::{ExamOperator, IdleOperator, Observation, Operator, RecklessOperator};
 pub use simulator::{step_frames_batch_traced, BatchStepStats, CraneSimulator, SessionReport};

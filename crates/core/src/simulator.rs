@@ -5,22 +5,41 @@
 //! computers hosting the dynamics, dashboard + scenario, instructor + audio and
 //! motion-platform modules — all glued together by the Communication Backbone.
 //!
-//! Since the fidelity-tier refactor, [`CraneSimulator`] is a thin facade over
-//! a [`SimBackend`]: the deployment above lives in
-//! [`crate::backend::FullFidelity`], and [`crate::backend::Coarse`] provides a
-//! decimated, order(s)-of-magnitude cheaper tier behind the same API. The
-//! facade dispatches on [`SimulatorConfig::tier`] at construction.
+//! There is one rack. A [`FidelityTier`] only sizes and paces it: the tier
+//! picks how many display PCs are racked ([`FidelityTier::display_channels`])
+//! and how many session frames one cluster frame absorbs
+//! ([`FidelityTier::decimation`]), with the integrator step stretched by the
+//! same factor so a session covers the same simulated duration on every tier.
+//! Both tiers are deterministic functions of (config, seed), so a serving
+//! layer can move a live session between them with the same replay machinery
+//! it uses for cross-shard migration: extract the portable state, rebuild on
+//! the other tier, replay the frames done so far.
 
-use cod_cluster::{BatchScratch, Cluster, ComputerId, FrameRecord};
-use cod_net::{FaultPlan, LanStats, Micros};
+use cod_cluster::{
+    frame_period_for_fps, BatchScratch, Cluster, ClusterConfig, ComputerId, FrameRecord,
+    FrameSyncServer,
+};
+use cod_net::{FaultPlan, LanConfig, LanStats, Micros};
+use render_sim::GpuCostModel;
 use serde::{Deserialize, Serialize};
 
-use crate::backend::{build_backend, SimBackend};
-use crate::config::{FidelityTier, SimulatorConfig};
-use crate::instructor::FaultInjector;
+use crate::audio::AudioLp;
+use crate::config::{FidelityTier, GpuGeneration, OperatorKind, SimulatorConfig};
+use crate::dashboard::DashboardLp;
+use crate::dynamics::DynamicsLp;
+use crate::fom::CraneFom;
+use crate::instructor::{FaultInjector, InstructorLp};
+use crate::motion::MotionPlatformLp;
+use crate::operator::{ExamOperator, IdleOperator, Operator, RecklessOperator};
+use crate::scenario::ScenarioLp;
 use crate::telemetry::{FrameDigest, SharedTelemetry, TelemetrySnapshot};
-use cod_cb::CbError;
+use crate::visual::VisualDisplayLp;
+use cod_cb::{CbError, ClassRegistry};
 use crane_scene::course::Course;
+
+/// Swap-lock cost the synchronization server adds on top of the slowest
+/// display channel.
+const BARRIER_OVERHEAD: Micros = Micros::from_millis(3);
 
 /// Summary of a completed (or interrupted) training session.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -59,14 +78,61 @@ pub struct SessionReport {
     pub lan: LanStats,
 }
 
-/// The assembled simulator: a facade over the [`SimBackend`] selected by
+/// The operator model for a configuration.
+fn make_operator(kind: OperatorKind) -> Box<dyn Operator> {
+    match kind {
+        OperatorKind::Exam => Box::new(ExamOperator::new(Course::licensing_exam())),
+        OperatorKind::Idle => Box::new(IdleOperator),
+        OperatorKind::Reckless => Box::new(RecklessOperator::default()),
+    }
+}
+
+/// The assembled simulator: the rack sized and paced by
 /// [`SimulatorConfig::tier`].
+///
+/// A simulator is a deterministic function of its configuration and session
+/// seed: equal (config, seed) pairs stepped the same number of *session*
+/// frames produce bit-identical telemetry — which is what lets a fleet
+/// recycle racks and promote or demote live sessions by replay.
+///
+/// Three levers make the Coarse tier order(s) of magnitude cheaper than the
+/// Full one while keeping the same (seeded, deterministic) physics models:
+///
+/// * **One display channel** instead of three — the visual pipeline dominates
+///   the full rack's modeled cost.
+/// * **Frame decimation** — only every [`FidelityTier::decimation`]-th
+///   session frame steps the cluster; the rest return a zero-cost record.
+///   Collision checks and telemetry consequently sample at the decimated
+///   rate ("aggregated collision, decimated telemetry").
+/// * **Reduced integrator rate** — the cluster runs at
+///   `target_fps / decimation`, so each cluster frame integrates a
+///   proportionally longer `dt`.
+///
+/// Scores stay comparable because the scenario grades elapsed simulated time
+/// and collisions, neither of which depends on channel count; the coarser
+/// integration step is the only drift source, bounded by
+/// [`crate::SCORE_DRIFT_TOLERANCE`].
 pub struct CraneSimulator {
-    backend: Box<dyn SimBackend>,
+    /// The caller's configuration; the racked channel count and the cluster
+    /// frame rate are derived from it through the tier.
+    config: SimulatorConfig,
+    cluster: Cluster,
+    telemetry: SharedTelemetry,
+    fault_injector: FaultInjector,
+    registry: ClassRegistry,
+    fom: CraneFom,
+    display_count: usize,
+    /// Simulation time at which sessions start (the end of CB initialization);
+    /// session resets rewind the whole cluster to this instant.
+    session_epoch: Micros,
+    /// Session frames per cluster frame ([`FidelityTier::decimation`]).
+    decimation: u64,
+    /// Session frames stepped since the last reset (≥ cluster frames run).
+    session_frames: u64,
 }
 
 impl CraneSimulator {
-    /// Builds the deployment for the configured fidelity tier and runs the
+    /// Builds the rack for the configured fidelity tier and runs the
     /// Communication Backbone initialization phase.
     ///
     /// # Errors
@@ -74,26 +140,130 @@ impl CraneSimulator {
     /// Returns an error if the configuration is invalid or a module fails to
     /// declare its publications and subscriptions.
     pub fn new(config: SimulatorConfig) -> Result<CraneSimulator, CbError> {
-        Ok(CraneSimulator { backend: build_backend(config)? })
+        config.validate().map_err(CbError::Codec)?;
+        let (registry, fom) = CraneFom::standard();
+        let telemetry = SharedTelemetry::new();
+        let decimation = config.tier.decimation();
+        let channels = config.tier.display_channels(config.display_channels);
+        // Everything but the channel count and the rate — operator, seed,
+        // cargo, resolution — is the caller's on every tier, so the physics
+        // follow the same course.
+        let cluster_fps = config.target_fps / decimation as f64;
+        let (instructor, fault_injector) =
+            InstructorLp::new(registry.clone(), fom, telemetry.clone());
+
+        let cluster_config = ClusterConfig {
+            lan: LanConfig::fast_ethernet(config.seed),
+            frame_period: frame_period_for_fps(cluster_fps),
+            init_rounds: 120,
+        };
+        let mut sim = CraneSimulator {
+            config,
+            cluster: Cluster::new(cluster_config, registry.clone()),
+            telemetry: telemetry.clone(),
+            fault_injector,
+            registry: registry.clone(),
+            fom,
+            display_count: channels,
+            session_epoch: Micros::ZERO,
+            decimation,
+            session_frames: 0,
+        };
+
+        // The top of the rack: one computer per display channel.
+        for channel in 0..channels {
+            sim.add_display(channel, channels)?;
+        }
+        // The next computer: the synchronization server.
+        let sync_pc = sim.add_computer("sync-server");
+        sim.cluster.add_lp(sync_pc, Box::new(FrameSyncServer::new(fom.sync, channels)))?;
+
+        // The remaining computers host the other modules.
+        let dynamics_pc = sim.add_computer("dynamics-pc");
+        sim.cluster.add_lp(
+            dynamics_pc,
+            Box::new(DynamicsLp::new(
+                registry.clone(),
+                fom,
+                config.cargo_mass_kg,
+                telemetry.clone(),
+            )),
+        )?;
+
+        let control_pc = sim.add_computer("control-pc");
+        let operator = make_operator(config.operator);
+        sim.cluster.add_lp(
+            control_pc,
+            Box::new(DashboardLp::new(registry.clone(), fom, operator, telemetry.clone())),
+        )?;
+        sim.cluster.add_lp(
+            control_pc,
+            Box::new(ScenarioLp::new(registry.clone(), fom, telemetry.clone())),
+        )?;
+
+        let instructor_pc = sim.add_computer("instructor-pc");
+        sim.cluster.add_lp(instructor_pc, Box::new(instructor))?;
+        sim.cluster.add_lp(
+            instructor_pc,
+            Box::new(AudioLp::new(registry.clone(), fom, telemetry.clone())),
+        )?;
+
+        let motion_pc = sim.add_computer("motion-pc");
+        sim.cluster.add_lp(
+            motion_pc,
+            Box::new(MotionPlatformLp::new(registry, fom, cluster_fps, config.seed, telemetry)),
+        )?;
+
+        sim.cluster.initialize()?;
+        // Every session — the first one included — starts from the canonical
+        // post-initialization state, so a recycled simulator replays a fresh
+        // one bit for bit.
+        sim.session_epoch = sim.cluster.now();
+        sim.reset_for_session(config.seed)?;
+        Ok(sim)
     }
 
-    /// The fidelity tier serving this simulator.
+    fn add_computer(&mut self, name: &str) -> ComputerId {
+        self.cluster.add_computer_with_speed(name, self.config.cpu_speed)
+    }
+
+    /// Racks one more display PC rendering `channel` of a `total`-channel
+    /// surround view.
+    fn add_display(&mut self, channel: usize, total: usize) -> Result<(), CbError> {
+        let gpu = match self.config.gpu {
+            GpuGeneration::Tnt2 => GpuCostModel::tnt2_class(),
+            GpuGeneration::NextGeneration => GpuCostModel::next_generation(),
+        };
+        let pc = self.add_computer(&format!("display-{channel}"));
+        self.cluster.add_lp(
+            pc,
+            Box::new(VisualDisplayLp::new(
+                self.registry.clone(),
+                self.fom,
+                channel,
+                total,
+                self.config.display_width,
+                self.config.display_height,
+                self.config.render_pixels,
+                gpu,
+                self.telemetry.clone(),
+            )),
+        )?;
+        Ok(())
+    }
+
+    /// The fidelity tier of this simulator.
     pub fn tier(&self) -> FidelityTier {
-        self.backend.tier()
-    }
-
-    /// Read access to the backend, for code that needs tier-specific detail.
-    pub fn backend(&self) -> &dyn SimBackend {
-        self.backend.as_ref()
+        self.config.tier
     }
 
     /// Recycles the simulator for a new session without tearing down the
     /// rack: the scene assets, CB kernels and established virtual channels
     /// are reused (the expensive initialization protocol does not run again)
     /// while every piece of session state — telemetry, LAN and fault
-    /// counters, frame-sync barriers, module state, clocks and metrics — is
-    /// rewound to the canonical session start. The configuration keeps its
-    /// topology; only the session seed changes.
+    /// counters, frame-sync barriers, module state, clocks, metrics and the
+    /// decimation phase — is rewound to the canonical session start. The
+    /// configuration keeps its topology; only the session seed changes.
     ///
     /// Running `n` frames after this call produces a
     /// [`crate::TelemetryTrace`] bit-identical to a freshly built simulator
@@ -106,35 +276,37 @@ impl CraneSimulator {
     ///
     /// Returns the first error raised by a module's session reset.
     pub fn reset_for_session(&mut self, seed: u64) -> Result<(), CbError> {
-        self.backend.reset_for_session(seed)
+        self.config.seed = seed;
+        self.session_frames = 0;
+        self.telemetry.reset();
+        self.cluster.begin_session(self.session_epoch, seed)
     }
 
     /// The configuration the simulator was built with.
     pub fn config(&self) -> &SimulatorConfig {
-        self.backend.config()
+        &self.config
     }
 
     /// The shared telemetry sink.
     pub fn telemetry(&self) -> &SharedTelemetry {
-        self.backend.telemetry()
+        &self.telemetry
     }
 
     /// The instructor's fault-injection console.
     pub fn fault_injector(&self) -> &FaultInjector {
-        self.backend.fault_injector()
+        &self.fault_injector
     }
 
     /// Number of computers in the rack.
     pub fn computer_count(&self) -> usize {
-        self.backend.cluster().computer_count()
+        self.cluster.computer_count()
     }
 
     /// The module placement: for each computer, its name and resident module names.
     pub fn rack_layout(&self) -> Vec<(String, Vec<String>)> {
-        let cluster = self.backend.cluster();
-        (0..cluster.computer_count())
+        (0..self.cluster.computer_count())
             .map(|i| {
-                let computer = cluster.computer(ComputerId(i));
+                let computer = self.cluster.computer(ComputerId(i));
                 (
                     computer.name().to_owned(),
                     computer.lp_names().iter().map(|s| (*s).to_owned()).collect(),
@@ -149,20 +321,21 @@ impl CraneSimulator {
     ///
     /// Returns the first error raised by a module or the backbone.
     pub fn run(&mut self) -> Result<(), CbError> {
-        let frames = self.backend.config().exam_frames;
-        self.run_frames(frames)
+        self.run_frames(self.config.exam_frames).map(drop)
     }
 
-    /// Runs `frames` additional session frames.
+    /// Runs `frames` additional session frames and returns their summed
+    /// modeled cost.
     ///
     /// # Errors
     ///
     /// Returns the first error raised by a module or the backbone.
-    pub fn run_frames(&mut self, frames: usize) -> Result<(), CbError> {
+    pub fn run_frames(&mut self, frames: usize) -> Result<Micros, CbError> {
+        let mut cost = Micros::ZERO;
         for _ in 0..frames {
-            self.backend.step_frame(None)?;
+            cost += self.step_cost(None)?;
         }
-        Ok(())
+        Ok(cost)
     }
 
     /// Runs exactly one session frame and returns its step-level record — the
@@ -174,20 +347,49 @@ impl CraneSimulator {
     ///
     /// Returns the first error raised by a module or the backbone.
     pub fn step_frame(&mut self) -> Result<FrameRecord, CbError> {
-        self.backend.step_frame(None)
+        self.step(None)
+    }
+
+    /// The one frame step.
+    ///
+    /// `scratch` is the scratch shared across the same-shape cohort being
+    /// advanced in lockstep (see [`step_frames_batch_traced`]), `None` for a
+    /// session stepped on its own. The frame is bit-identical either way —
+    /// sharing work is an opt-in optimization, never a semantic change.
+    fn step(&mut self, scratch: Option<&mut BatchScratch>) -> Result<FrameRecord, CbError> {
+        let frame = self.session_frames;
+        let record = if frame % self.decimation == 0 {
+            // One real cluster frame absorbs this batch of session frames,
+            // and only it touches the cohort scratch. Cohort members whose
+            // decimation phases differ merely miss the memo — identity never
+            // depends on alignment.
+            FrameRecord { frame, ..self.cluster.run_frame_with(scratch)? }
+        } else {
+            // A decimated-away frame: no modeled cost, time holds until the
+            // next real step advances it by a full decimated period.
+            FrameRecord { frame, now: self.cluster.now(), costs: Vec::new() }
+        };
+        self.session_frames += 1;
+        Ok(record)
+    }
+
+    /// One frame step reduced to its summed modeled cost.
+    fn step_cost(&mut self, scratch: Option<&mut BatchScratch>) -> Result<Micros, CbError> {
+        let record = self.step(scratch)?;
+        Ok(record.costs.iter().fold(Micros::ZERO, |sum, (_, cost)| sum + *cost))
     }
 
     /// Read access to the underlying cluster (rack layout, metrics, kernels),
     /// used by invariant checkers to audit CB channel tables.
     pub fn cluster(&self) -> &Cluster {
-        self.backend.cluster()
+        &self.cluster
     }
 
     /// Installs a fault-injection plan on the cluster LAN. Usually called right
     /// after construction so the Communication Backbone initializes over a
     /// healthy network and the faults hit the running session.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.backend.set_fault_plan(plan);
+        self.cluster.set_fault_plan(plan);
     }
 
     /// Plugs an additional display channel into the running system — the
@@ -199,23 +401,68 @@ impl CraneSimulator {
     ///
     /// Returns an error if the new module fails to initialize.
     pub fn add_extra_display(&mut self) -> Result<(), CbError> {
-        self.backend.add_extra_display()
+        let channel = self.display_count;
+        self.display_count += 1;
+        self.add_display(channel, self.display_count)
     }
 
     /// A snapshot of the raw telemetry.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        self.backend.telemetry().snapshot()
+        self.telemetry.snapshot()
     }
 
     /// A bit-exact digest of the current session state, in session-frame
-    /// terms (see [`SimBackend::telemetry_digest`]).
+    /// terms. Equal digests mean bit-identical runs.
     pub fn telemetry_digest(&self) -> FrameDigest {
-        self.backend.telemetry_digest()
+        FrameDigest::capture(
+            self.session_frames,
+            self.cluster.now(),
+            &self.telemetry.snapshot(),
+            &self.cluster.lan_stats(),
+        )
     }
 
     /// Builds the session report from the telemetry and cluster metrics.
     pub fn report(&self) -> SessionReport {
-        self.backend.report()
+        let snap = self.telemetry.snapshot();
+        let metrics = self.cluster.metrics();
+        let frame_period = self.cluster.frame_period();
+
+        let slowest_channel =
+            snap.channel_frame_times.iter().copied().max().unwrap_or(Micros::ZERO);
+        let synchronized_period = if slowest_channel == Micros::ZERO {
+            Micros::ZERO
+        } else {
+            slowest_channel + BARRIER_OVERHEAD
+        };
+        let fps_of = |period: Micros| {
+            if period == Micros::ZERO {
+                0.0
+            } else {
+                1.0 / period.as_secs_f64()
+            }
+        };
+
+        SessionReport {
+            // The cluster counts cluster frames; a session is graded in
+            // session frames.
+            frames_run: self.session_frames,
+            score: snap.scenario.score,
+            phase: snap.scenario.phase.clone(),
+            passed: snap.scenario.passed,
+            bar_hits: snap.scenario.bar_hits,
+            collisions: snap.collisions.len(),
+            cluster_fps: metrics.achievable_fps(frame_period),
+            sequential_fps: metrics.sequential_fps(frame_period),
+            synchronized_fps: fps_of(synchronized_period),
+            free_running_fps: fps_of(slowest_channel),
+            channel_frame_times: snap.channel_frame_times.clone(),
+            max_hook_swing: snap.swing_history.iter().copied().fold(0.0, f64::max),
+            platform_saturated: snap.platform_saturated,
+            audio_rms: snap.audio_rms,
+            established_channels: self.cluster.established_channels(),
+            lan: self.cluster.lan_stats(),
+        }
     }
 
     /// The exam course in use (for operators and analysis code).
@@ -226,10 +473,15 @@ impl CraneSimulator {
     /// Mean modeled cost of running one session frame of this whole session
     /// on a single machine hosting the virtual cluster in-process — the
     /// placement hint a serving layer uses to predict shard load. Zero until
-    /// a frame has run. Tier-specific: a Coarse session reports its decimated
-    /// cost.
+    /// a frame has run. A mean over *session* frames: decimated-away frames
+    /// cost nothing, which is exactly what makes the Coarse tier cheap to
+    /// keep resident.
     pub fn session_cost_hint(&self) -> Micros {
-        self.backend.session_cost_hint()
+        if self.session_frames == 0 {
+            Micros::ZERO
+        } else {
+            Micros(self.cluster.metrics().total_sequential_cost.0 / self.session_frames)
+        }
     }
 }
 
@@ -289,10 +541,7 @@ pub fn step_frames_batch_traced(
         scratch.begin_frame();
         for ((sim, budget), cost) in batch.iter_mut().zip(costs.iter_mut()) {
             if frame < *budget {
-                let record = sim.backend.step_frame(Some(&mut scratch))?;
-                for (_, c) in &record.costs {
-                    *cost += *c;
-                }
+                *cost += sim.step_cost(Some(&mut scratch))?;
                 frames_stepped += 1;
             }
         }
@@ -309,7 +558,8 @@ pub fn step_frames_batch_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::OperatorKind;
+    use crate::telemetry::TelemetryTrace;
+    use crate::SCORE_DRIFT_TOLERANCE;
 
     fn quick_config(operator: OperatorKind, frames: usize) -> SimulatorConfig {
         SimulatorConfig {
@@ -429,6 +679,106 @@ mod tests {
         assert!(CraneSimulator::new(bad).is_err());
     }
 
+    fn config(tier: FidelityTier, frames: usize) -> SimulatorConfig {
+        SimulatorConfig { tier, ..quick_config(OperatorKind::Exam, frames) }
+    }
+
+    #[test]
+    fn coarse_backend_is_an_order_of_magnitude_cheaper() {
+        let frames = 64;
+        let mut full = CraneSimulator::new(config(FidelityTier::Full, frames)).unwrap();
+        let mut coarse = CraneSimulator::new(config(FidelityTier::Coarse, frames)).unwrap();
+        full.run().unwrap();
+        coarse.run().unwrap();
+        assert_eq!(full.report().frames_run, frames as u64);
+        assert_eq!(coarse.report().frames_run, frames as u64, "session frames, not cluster frames");
+        let (f, c) = (full.session_cost_hint(), coarse.session_cost_hint());
+        assert!(c > Micros::ZERO, "hint must be live after the first frame batch");
+        assert!(
+            f.0 >= 10 * c.0,
+            "coarse must be >= 10x cheaper per session frame: full={f:?} coarse={c:?}"
+        );
+    }
+
+    #[test]
+    fn both_tiers_cover_the_same_simulated_duration() {
+        let frames = 64;
+        let mut full = CraneSimulator::new(config(FidelityTier::Full, frames)).unwrap();
+        let mut coarse = CraneSimulator::new(config(FidelityTier::Coarse, frames)).unwrap();
+        let (f0, c0) = (full.cluster().now(), coarse.cluster().now());
+        full.run().unwrap();
+        coarse.run().unwrap();
+        let full_elapsed = full.cluster().now() - f0;
+        let coarse_elapsed = coarse.cluster().now() - c0;
+        assert_eq!(
+            full_elapsed, coarse_elapsed,
+            "decimation must stretch dt, not shrink the session"
+        );
+    }
+
+    #[test]
+    fn coarse_score_stays_within_the_pinned_tolerance() {
+        for operator in [OperatorKind::Exam, OperatorKind::Reckless] {
+            let mut base = config(FidelityTier::Full, 400);
+            base.operator = operator;
+            let mut full = CraneSimulator::new(base).unwrap();
+            let mut coarse =
+                CraneSimulator::new(SimulatorConfig { tier: FidelityTier::Coarse, ..base })
+                    .unwrap();
+            full.run().unwrap();
+            coarse.run().unwrap();
+            let drift = (full.report().score - coarse.report().score).abs();
+            assert!(
+                drift <= SCORE_DRIFT_TOLERANCE,
+                "{operator:?}: drift {drift} exceeds tolerance {SCORE_DRIFT_TOLERANCE}"
+            );
+        }
+    }
+
+    #[test]
+    fn coarse_replay_is_bit_exact_across_reset() {
+        // 13 is not a multiple of the decimation: the reset lands mid-batch,
+        // so the replay only matches if the decimation phase restarts at 0.
+        for frames in [48, 13] {
+            let mut sim = CraneSimulator::new(config(FidelityTier::Coarse, frames)).unwrap();
+            let mut first = TelemetryTrace::new();
+            for _ in 0..frames {
+                sim.step_frame().unwrap();
+                first.record(sim.telemetry_digest());
+            }
+            sim.reset_for_session(sim.config().seed).unwrap();
+            let mut second = TelemetryTrace::new();
+            for _ in 0..frames {
+                sim.step_frame().unwrap();
+                second.record(sim.telemetry_digest());
+            }
+            assert_eq!(
+                first.first_divergence(&second),
+                None,
+                "coarse recycling must replay exactly after {frames} frames"
+            );
+        }
+    }
+
+    #[test]
+    fn decimated_frames_carry_no_cost() {
+        let mut sim = CraneSimulator::new(config(FidelityTier::Coarse, 16)).unwrap();
+        let mut real = 0;
+        for i in 0..16u64 {
+            let record = sim.step_frame().unwrap();
+            assert_eq!(record.frame, i, "records are numbered in session frames");
+            if record.costs.is_empty() {
+                continue;
+            }
+            real += 1;
+        }
+        assert_eq!(
+            real,
+            16 / FidelityTier::Coarse.decimation(),
+            "one real cluster frame per decimation batch"
+        );
+    }
+
     fn cohort(tier: FidelityTier, n: usize, frames: usize) -> Vec<CraneSimulator> {
         (0..n)
             .map(|k| {
@@ -490,7 +840,7 @@ mod tests {
         step_frames_batch_traced(&mut batch, None).unwrap();
 
         for ((a, b), budget) in scalar.iter().zip(batched.iter()).zip(budgets) {
-            assert_eq!(a.backend().frames_run(), budget as u64);
+            assert_eq!(a.report().frames_run, budget as u64);
             assert_eq!(a.telemetry_digest(), b.telemetry_digest());
         }
     }

@@ -1,7 +1,7 @@
 //! Stewart-platform motion base substrate (paper §3.4).
 //!
 //! The motion platform of the original trainer is a Stewart platform: "six
-//! parallel manipulators connect the platform with the base [and] can be
+//! parallel manipulators connect the platform with the base \[and\] can be
 //! expanded and contracted individually to control the gesture of the
 //! platform". The physical actuators are replaced here by a kinematic model;
 //! everything the motion platform *controller* module has to do — washout

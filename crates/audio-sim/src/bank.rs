@@ -1,22 +1,26 @@
-//! Cross-mixer memoization of pure waveform columns, the audio half of the
+//! Cross-mixer memoization of waveform columns, the audio half of the
 //! batched-stepping path.
 //!
-//! Rendering one mixer frame evaluates `Waveform::sample` once per output
-//! sample per source — thousands of `sin` calls that dominate the cost of a
-//! full-fidelity session frame. Those values are a pure function of the
-//! waveform parameters, the source age and the sample clock; they do not
-//! depend on the session seed, the per-source gain or the listener position.
-//! When several same-shape sessions are stepped in lockstep their static
-//! sources (background noise, engine rumble) stay age-aligned, so a frame's
-//! waveform column is identical across the whole cohort. A [`WaveBank`]
-//! computes each distinct column once per frame and lets every mixer of the
-//! cohort replay it, applying its own gain and attenuation afterwards in
-//! exactly the scalar order of operations — the rendered blocks stay
-//! bit-identical to unbatched rendering.
+//! A source's waveform column — [`Waveform::fill`] over the frame, cut where
+//! a one-shot finishes — is a pure function of the waveform parameters, the
+//! source age and the sample clock; it does not depend on the session seed,
+//! the per-source gain or the listener position. When several same-shape
+//! sessions are stepped in lockstep their static sources (background noise,
+//! engine rumble) stay age-aligned, so a frame's column is identical across
+//! the whole cohort. A [`WaveBank`] computes each distinct column once per
+//! frame and lets every mixer of the cohort replay it, applying its own gain
+//! and attenuation afterwards. A miss runs the same block kernel the unbanked
+//! render runs, so the rendered blocks are bit-identical either way.
+//!
+//! What a hit saves is small: the kernel pays libm once per partial per
+//! block, not once per sample, so a column costs about a microsecond and the
+//! memo is within noise of recomputing it (E11 reads ~1.0x batched over
+//! scalar). The bank stays because its hit/miss counters are reported
+//! surface (`BatchStepStats`, `OBS_cod.json`); see ROADMAP open item 2.
 //!
 //! Sources that have diverged between sessions (a collision one-shot, a motor
-//! toggled at a different frame) simply miss the memo and are computed the
-//! scalar way; divergence costs speed, never correctness.
+//! toggled at a different frame) simply miss the memo; divergence costs a
+//! recompute, never correctness.
 
 use std::collections::BTreeMap;
 
@@ -92,9 +96,9 @@ impl WaveBank {
     }
 
     /// The waveform column of `source` for a `frames`-sample render at
-    /// `sample_rate`: entry `i` is `waveform.sample(age + i * dt)`, truncated
-    /// where a one-shot source finishes (the scalar render's `break`).
-    /// Gain and attenuation are deliberately excluded — they are per-mixer.
+    /// `sample_rate` (`SoundSource::fill_column`, memoized): the waveform at
+    /// `age + i * dt`, truncated where a one-shot source finishes. Gain and
+    /// attenuation are deliberately excluded — they are per-mixer.
     pub(crate) fn column(
         &mut self,
         sample_rate: u32,
@@ -113,16 +117,8 @@ impl WaveBank {
             self.hits += 1;
         } else {
             self.misses += 1;
-            let mut column = Vec::with_capacity(frames);
-            for i in 0..frames {
-                // Exactly the scalar render's probe: same age expression,
-                // same cutoff test, same sample call.
-                let probe = SoundSource { age: source.age + i as f64 * dt, ..*source };
-                if probe.finished() {
-                    break;
-                }
-                column.push(probe.waveform.sample(probe.age));
-            }
+            let mut column = Vec::new();
+            source.fill_column(frames, dt, &mut column);
             self.columns.insert(key, column);
         }
         self.columns.get(&key).expect("column just ensured").as_slice()
@@ -140,19 +136,6 @@ mod tests {
             gain: 0.12,
             position: None,
             age,
-        }
-    }
-
-    #[test]
-    fn column_matches_the_scalar_probe_bit_for_bit() {
-        let mut bank = WaveBank::new();
-        let source = rumble(1.25);
-        let dt = 1.0 / 11_025.0;
-        let column = bank.column(11_025, 689, dt, &source).to_vec();
-        assert_eq!(column.len(), 689);
-        for (i, value) in column.iter().enumerate() {
-            let probe = SoundSource { age: source.age + i as f64 * dt, ..source };
-            assert_eq!(value.to_bits(), probe.waveform.sample(probe.age).to_bits());
         }
     }
 

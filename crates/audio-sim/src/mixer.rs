@@ -175,16 +175,6 @@ impl Mixer {
         }
     }
 
-    fn attenuation(&self, source: &SoundSource) -> f64 {
-        match source.position {
-            None => 1.0,
-            Some(p) => {
-                let distance = p.distance(self.listener).max(self.reference_distance);
-                self.reference_distance / distance
-            }
-        }
-    }
-
     /// Renders `duration` seconds of mixed audio and advances every source.
     pub fn render(&mut self, duration: f64) -> RenderedBlock {
         self.render_with_bank(duration, None)
@@ -193,10 +183,12 @@ impl Mixer {
     /// [`Mixer::render`] with an optional [`WaveBank`] shared across the
     /// mixers of a lockstep-stepped cohort.
     ///
-    /// Bit-identical to [`Mixer::render`]: the bank memoizes only the pure
-    /// `Waveform::sample` column of each source; the per-source gain, the
-    /// distance attenuation, the `f32` cast and the one-shot cutoff are
-    /// applied per mixer in exactly the scalar order of operations.
+    /// Bit-identical to [`Mixer::render`]: with or without a bank, each
+    /// source's waveform column comes from the one block kernel
+    /// ([`Waveform::fill`], cut where a one-shot finishes); the bank only
+    /// decides whether a column another mixer of the cohort already computed
+    /// this frame is replayed instead. The per-source gain, the distance
+    /// attenuation and the `f32` cast are applied per mixer, after the column.
     pub fn render_with_bank(
         &mut self,
         duration: f64,
@@ -205,34 +197,18 @@ impl Mixer {
         let frames = (duration * self.sample_rate as f64).round() as usize;
         let dt = 1.0 / self.sample_rate as f64;
         let mut samples = vec![0.0f32; frames];
-        for (_, source) in self.sources.iter_mut() {
-            let gain = match source.position {
-                None => 1.0,
-                Some(p) => {
-                    let distance = p.distance(self.listener).max(self.reference_distance);
-                    self.reference_distance / distance
+        let mut unbanked = Vec::new();
+        for source in self.sources.values_mut() {
+            let gain = attenuation(self.listener, self.reference_distance, source.position);
+            let column = match bank.as_deref_mut() {
+                Some(bank) => bank.column(self.sample_rate, frames, dt, source),
+                None => {
+                    source.fill_column(frames, dt, &mut unbanked);
+                    unbanked.as_slice()
                 }
             };
-            match bank.as_deref_mut() {
-                Some(bank) => {
-                    // The column is `waveform.sample(age + i*dt)` with the
-                    // one-shot cutoff encoded in its length; what remains is
-                    // the scalar `(t_source.sample() * gain) as f32` with
-                    // `t_source.sample()` = column value times source gain.
-                    let column = bank.column(self.sample_rate, frames, dt, source);
-                    for (slot, value) in samples.iter_mut().zip(column) {
-                        *slot += ((*value * source.gain) * gain) as f32;
-                    }
-                }
-                None => {
-                    for (i, slot) in samples.iter_mut().enumerate() {
-                        let t_source = SoundSource { age: source.age + i as f64 * dt, ..*source };
-                        if t_source.finished() {
-                            break;
-                        }
-                        *slot += (t_source.sample() * gain) as f32;
-                    }
-                }
+            for (slot, value) in samples.iter_mut().zip(column) {
+                *slot += ((*value * source.gain) * gain) as f32;
             }
             source.age += duration;
         }
@@ -242,14 +218,17 @@ impl Mixer {
         for s in samples.iter_mut() {
             *s = s.clamp(-1.0, 1.0);
         }
-        let _ = self.attenuation(&SoundSource {
-            kind: SourceKind::Continuous,
-            waveform: Waveform::Sine { frequency: 1.0 },
-            gain: 0.0,
-            position: None,
-            age: 0.0,
-        });
         RenderedBlock { sample_rate: self.sample_rate, samples }
+    }
+}
+
+/// Distance attenuation of a source at `position` heard from `listener`: full
+/// volume inside `reference_distance` and for non-positional (interface)
+/// sounds, inverse-distance roll-off beyond it.
+fn attenuation(listener: Vec3, reference_distance: f64, position: Option<Vec3>) -> f64 {
+    match position {
+        None => 1.0,
+        Some(p) => reference_distance / p.distance(listener).max(reference_distance),
     }
 }
 

@@ -11,6 +11,13 @@
 //! must not move: every session's telemetry digest is bit-identical between
 //! the two paths at every cohort size.
 //!
+//! The speedup was ~2x at 8 residents while a waveform column cost thousands
+//! of libm calls. Since the block-oscillator kernel (E15) a column costs
+//! about a microsecond whether memoized or not, and E11 reads ~1.0x at every
+//! cohort size: the memo was the whole batching win. The gate is therefore a
+//! non-regression floor — batched may not cost more than scalar — and
+//! ROADMAP open item 2 carries the verdict on the memo machinery.
+//!
 //! The paper's cluster never did this — it had one operator per rack. The
 //! experiment quantifies what the consolidated serving layer gains from the
 //! paper's own determinism discipline: lockstep cohorts are only sound
@@ -120,7 +127,7 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     }
     if ctx.tables {
         println!(
-            "speedup at 8 residents: {:.2}x (bench_report --quick gates >= 1.5x)\n",
+            "speedup at 8 residents: {:.2}x (bench_report --quick gates >= 0.9x)\n",
             speedups[3]
         );
     }
@@ -147,10 +154,11 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
             DerivedMetric::new("batched_speedup_8_residents", "x", speedups[3]),
         ],
         notes: "Scalar and batched serving retire bit-identical sessions (asserted per cohort \
-                size on the telemetry digests); the speedup comes from sharing per-frame work \
-                that is invariant across same-shape cohort members, chiefly memoized audio \
-                waveform columns. The win grows with cohort size — a 1-resident cohort is the \
-                overhead floor — and `bench_report --quick` gates >= 1.5x at 8 residents."
+                size on the telemetry digests). Batching shares per-frame work that is \
+                invariant across same-shape cohort members, chiefly memoized audio waveform \
+                columns; since the block-oscillator kernel made a column cheap to recompute \
+                that sharing is worth ~1.0x at every cohort size, and `bench_report --quick` \
+                gates only non-regression: >= 0.9x at 8 residents."
             .into(),
     }
 }

@@ -8,6 +8,7 @@
 //! `bench_report` runner binary are both thin wrappers over these functions,
 //! so `cargo bench` output and `BENCH_cod.json` can never disagree.
 
+pub mod audio_mix;
 pub mod batch_stepping;
 pub mod cluster_speedup;
 pub mod collision;
@@ -76,5 +77,6 @@ pub fn all(ctx: &ExperimentCtx) -> Vec<ExperimentResult> {
         fidelity_tiers::run(ctx),
         wallclock::run(ctx),
         observability::run(ctx),
+        audio_mix::run(ctx),
     ]
 }

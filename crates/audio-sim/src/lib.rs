@@ -9,12 +9,10 @@
 //! attenuation relative to a listener, and rendered sample buffers the audio
 //! module can inspect or hand to any output device.
 
-pub mod bank;
 pub mod event;
 pub mod mixer;
 pub mod source;
 
-pub use bank::WaveBank;
 pub use event::SoundEvent;
 pub use mixer::{Mixer, RenderedBlock};
 pub use source::{SoundSource, SourceId, SourceKind, Waveform};

@@ -4,7 +4,6 @@ use serde::{Deserialize, Serialize};
 use sim_math::Vec3;
 use std::collections::BTreeMap;
 
-use crate::bank::WaveBank;
 use crate::event::SoundEvent;
 use crate::source::{SoundSource, SourceId, SourceKind, Waveform};
 
@@ -176,38 +175,19 @@ impl Mixer {
     }
 
     /// Renders `duration` seconds of mixed audio and advances every source.
-    pub fn render(&mut self, duration: f64) -> RenderedBlock {
-        self.render_with_bank(duration, None)
-    }
-
-    /// [`Mixer::render`] with an optional [`WaveBank`] shared across the
-    /// mixers of a lockstep-stepped cohort.
     ///
-    /// Bit-identical to [`Mixer::render`]: with or without a bank, each
-    /// source's waveform column comes from the one block kernel
-    /// ([`Waveform::fill`], cut where a one-shot finishes); the bank only
-    /// decides whether a column another mixer of the cohort already computed
-    /// this frame is replayed instead. The per-source gain, the distance
-    /// attenuation and the `f32` cast are applied per mixer, after the column.
-    pub fn render_with_bank(
-        &mut self,
-        duration: f64,
-        mut bank: Option<&mut WaveBank>,
-    ) -> RenderedBlock {
+    /// Each source's waveform column comes from the block kernel
+    /// ([`Waveform::fill`], cut where a one-shot finishes); the per-source
+    /// gain, the distance attenuation and the `f32` cast are applied after it.
+    pub fn render(&mut self, duration: f64) -> RenderedBlock {
         let frames = (duration * self.sample_rate as f64).round() as usize;
         let dt = 1.0 / self.sample_rate as f64;
         let mut samples = vec![0.0f32; frames];
-        let mut unbanked = Vec::new();
+        let mut column = Vec::new();
         for source in self.sources.values_mut() {
             let gain = attenuation(self.listener, self.reference_distance, source.position);
-            let column = match bank.as_deref_mut() {
-                Some(bank) => bank.column(self.sample_rate, frames, dt, source),
-                None => {
-                    source.fill_column(frames, dt, &mut unbanked);
-                    unbanked.as_slice()
-                }
-            };
-            for (slot, value) in samples.iter_mut().zip(column) {
+            source.fill_column(frames, dt, &mut column);
+            for (slot, value) in samples.iter_mut().zip(&column) {
                 *slot += ((*value * source.gain) * gain) as f32;
             }
             source.age += duration;
@@ -318,63 +298,5 @@ mod tests {
     #[should_panic]
     fn zero_sample_rate_rejected() {
         let _ = Mixer::new(0);
-    }
-
-    /// A mixer with every source species the simulator produces: background
-    /// rumble, engine rumble mid-session, a positional one-shot, motor and
-    /// alarm sines.
-    fn busy_mixer() -> Mixer {
-        let mut m = Mixer::new(11_025);
-        m.add_background_noise();
-        m.set_listener(Vec3::new(1.0, 2.0, 3.0));
-        m.handle_event(SoundEvent::EngineLoad { intensity: 0.7 });
-        m.handle_event(SoundEvent::Collision { location: Vec3::new(8.0, 0.0, 2.0), impulse: 4.0 });
-        m.handle_event(SoundEvent::MotorWorking { active: true });
-        m.handle_event(SoundEvent::Alarm { active: true });
-        m
-    }
-
-    #[test]
-    fn banked_render_is_bit_identical_to_scalar_render() {
-        let mut scalar = busy_mixer();
-        let mut banked = busy_mixer();
-        let mut bank = WaveBank::new();
-        // Several frames, so one-shots expire and ages advance through the
-        // retain/clip tail exactly like the scalar path.
-        for _ in 0..24 {
-            let a = scalar.render(0.0625);
-            let b = banked.render_with_bank(0.0625, Some(&mut bank));
-            assert_eq!(a, b, "banked block diverged from scalar render");
-            bank.clear();
-        }
-        assert_eq!(scalar, banked, "mixer state diverged");
-    }
-
-    #[test]
-    fn cohort_mixers_share_columns_and_stay_bit_identical() {
-        // Four cohort members: same-aged static sources, different engine
-        // gains and listener positions — the per-mixer parts of the render.
-        let mut scalars: Vec<Mixer> = Vec::new();
-        let mut bankeds: Vec<Mixer> = Vec::new();
-        for k in 0..4 {
-            let mut m = Mixer::new(11_025);
-            m.add_background_noise();
-            m.handle_event(SoundEvent::EngineLoad { intensity: 0.2 + 0.2 * k as f64 });
-            m.set_listener(Vec3::new(k as f64, 0.0, 0.0));
-            scalars.push(m.clone());
-            bankeds.push(m);
-        }
-        let mut bank = WaveBank::new();
-        for _ in 0..8 {
-            for (scalar, banked) in scalars.iter_mut().zip(bankeds.iter_mut()) {
-                let a = scalar.render(0.0625);
-                let b = banked.render_with_bank(0.0625, Some(&mut bank));
-                assert_eq!(a, b);
-            }
-            bank.clear();
-        }
-        // 2 sources x 8 frames computed once, then shared by 3 more mixers.
-        assert_eq!(bank.misses(), 16);
-        assert_eq!(bank.hits(), 48);
     }
 }

@@ -220,8 +220,7 @@ impl SoundSource {
     /// Replaces `column` with the source's waveform over a `frames`-sample
     /// block at step `dt`: entry `i` is the waveform at `age + i * dt`,
     /// truncated where a one-shot finishes. Gain and attenuation are left to
-    /// the mixer. The one synthesis path of both the banked and the unbanked
-    /// render.
+    /// the mixer.
     pub(crate) fn fill_column(&self, frames: usize, dt: f64, column: &mut Vec<f64>) {
         column.clear();
         column.resize(self.live_samples(frames, dt), 0.0);

@@ -9,7 +9,6 @@
 //! so `cargo bench` output and `BENCH_cod.json` can never disagree.
 
 pub mod audio_mix;
-pub mod batch_stepping;
 pub mod cluster_speedup;
 pub mod collision;
 pub mod dynamics;
@@ -73,7 +72,6 @@ pub fn all(ctx: &ExperimentCtx) -> Vec<ExperimentResult> {
         cluster_speedup::run(ctx),
         fleet::run(ctx),
         hetero_fleet::run(ctx),
-        batch_stepping::run(ctx),
         fidelity_tiers::run(ctx),
         wallclock::run(ctx),
         observability::run(ctx),

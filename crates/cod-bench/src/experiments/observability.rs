@@ -1,8 +1,8 @@
 //! Experiment E14 — observability overhead: what arming the deterministic
 //! trace sink costs on the batched serving path.
 //!
-//! The `cod-trace` hooks ride the fleet's hottest loop — every batched cohort
-//! step bumps frame and memo counters, every tick records a makespan
+//! The `cod-trace` hooks ride the fleet's hottest loop — every cohort step
+//! bumps the frame and cohort counters, every tick records a makespan
 //! histogram sample, every admission decision appends an event. The sinks
 //! are only acceptable if a traced drain stays within a few percent of an
 //! untraced one; otherwise nobody arms them in production and the

@@ -7,7 +7,7 @@
 //!   MAD outlier rejection and bootstrap confidence intervals;
 //! - [`report`] — the `BENCH_cod.json` schema and the measured-vs-paper
 //!   comparison table;
-//! - [`experiments`] — experiments E1–E15 themselves, shared by the bench
+//! - [`experiments`] — the 14 experiments themselves, shared by the bench
 //!   targets and the `bench_report` runner binary.
 
 pub mod experiments;

@@ -4,7 +4,6 @@ use cod_cb::{CbError, ClassRegistry, LpId};
 use cod_net::{FaultPlan, LanConfig, LanStats, Micros, SharedLan, SimLan};
 use serde::{Deserialize, Serialize};
 
-use crate::batch::BatchScratch;
 use crate::computer::Computer;
 use crate::lp::LogicalProcess;
 use crate::metrics::ClusterMetrics;
@@ -29,20 +28,9 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             lan: LanConfig::fast_ethernet(0xC0D),
-            frame_period: Micros::from_micros_per_fps(16.0),
+            frame_period: frame_period_for_fps(16.0),
             init_rounds: 100,
         }
-    }
-}
-
-/// Helper constructor on [`Micros`] values used by the cluster configuration.
-trait FramePeriod {
-    fn from_micros_per_fps(fps: f64) -> Micros;
-}
-
-impl FramePeriod for Micros {
-    fn from_micros_per_fps(fps: f64) -> Micros {
-        Micros((1_000_000.0 / fps).round() as u64)
     }
 }
 
@@ -235,25 +223,11 @@ impl Cluster {
     ///
     /// Returns the first error raised by an LP step or kernel tick.
     pub fn run_frame(&mut self) -> Result<FrameRecord, CbError> {
-        self.run_frame_with(None)
-    }
-
-    /// [`Cluster::run_frame`] with the cohort's batch scratch, if the session
-    /// is advanced in lockstep with same-shape siblings, threaded to every
-    /// computer. Bit-identical with or without one.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error raised by an LP step or kernel tick.
-    pub fn run_frame_with(
-        &mut self,
-        mut scratch: Option<&mut BatchScratch>,
-    ) -> Result<FrameRecord, CbError> {
         let frame = self.metrics.frames_run;
         let dt = self.config.frame_period.as_secs_f64();
         let mut costs = Vec::with_capacity(self.computers.len());
         for computer in self.computers.iter_mut() {
-            let cost = computer.step_frame(self.now, dt, scratch.as_deref_mut())?;
+            let cost = computer.step_frame(self.now, dt)?;
             costs.push((computer.name().to_owned(), cost));
         }
         self.now += self.config.frame_period;

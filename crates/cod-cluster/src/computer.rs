@@ -3,7 +3,6 @@
 use cod_cb::{CbError, CbKernel, ClassRegistry, LpContext, LpId};
 use cod_net::{Micros, SimTransport};
 
-use crate::batch::BatchScratch;
 use crate::lp::LogicalProcess;
 
 /// A desktop PC of the COD: a Communication Backbone kernel plus the Logical
@@ -123,12 +122,7 @@ impl Computer {
     }
 
     /// Runs one simulation frame on this computer: every resident LP steps
-    /// once, then the CB kernel is pumped at time `now`. When the session is
-    /// advanced in lockstep with same-shape siblings, `scratch` is the
-    /// cohort's [`BatchScratch`] and each LP is stepped through
-    /// [`LogicalProcess::step_batched`] — bit-identical to the plain step by
-    /// that method's contract. This is the only place the executive decides
-    /// between the two.
+    /// once, then the CB kernel is pumped at time `now`.
     ///
     /// Returns the modeled CPU cost of the frame (sum of LP step costs divided
     /// by the CPU speed factor).
@@ -136,19 +130,11 @@ impl Computer {
     /// # Errors
     ///
     /// Returns the first error raised by an LP step or the kernel tick.
-    pub fn step_frame(
-        &mut self,
-        now: Micros,
-        dt: f64,
-        mut scratch: Option<&mut BatchScratch>,
-    ) -> Result<Micros, CbError> {
+    pub fn step_frame(&mut self, now: Micros, dt: f64) -> Result<Micros, CbError> {
         let mut cost_us = 0.0;
         for (id, lp) in self.lps.iter_mut() {
             let mut ctx = LpContext::new(&mut self.kernel, *id);
-            match scratch.as_deref_mut() {
-                Some(scratch) => lp.step_batched(&mut ctx, dt, scratch)?,
-                None => lp.step(&mut ctx, dt)?,
-            }
+            lp.step(&mut ctx, dt)?;
             cost_us += lp.last_step_cost().0 as f64;
         }
         self.kernel.tick(now)?;
@@ -161,8 +147,6 @@ mod tests {
     use super::*;
     use cod_cb::CbApi;
     use cod_net::{LanConfig, SimLan};
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
 
     struct Counter {
         steps: u32,
@@ -191,74 +175,14 @@ mod tests {
         let mut pc = Computer::new("pc", SimLan::attach(&lan, "pc"), ClassRegistry::new());
         pc.add_lp(Box::new(Counter { steps: 0, cost: Micros::from_millis(10) })).unwrap();
         pc.add_lp(Box::new(Counter { steps: 0, cost: Micros::from_millis(20) })).unwrap();
-        let cost = pc.step_frame(Micros::ZERO, 1.0 / 60.0, None).unwrap();
+        let cost = pc.step_frame(Micros::ZERO, 1.0 / 60.0).unwrap();
         assert_eq!(cost, Micros::from_millis(30));
 
         pc.set_cpu_speed(2.0);
-        let cost = pc.step_frame(Micros::from_millis(16), 1.0 / 60.0, None).unwrap();
+        let cost = pc.step_frame(Micros::from_millis(16), 1.0 / 60.0).unwrap();
         assert_eq!(cost, Micros::from_millis(15));
         assert_eq!(pc.lp_count(), 2);
         assert_eq!(pc.lp_names(), vec!["counter", "counter"]);
-    }
-
-    /// Overrides `step_batched`: counts scratch-threaded steps in the scratch
-    /// itself and plain steps in the shared counter.
-    struct OptsIn(Arc<AtomicU32>);
-
-    impl LogicalProcess for OptsIn {
-        fn name(&self) -> &str {
-            "opts-in"
-        }
-        fn init(&mut self, _cb: &mut dyn CbApi) -> Result<(), CbError> {
-            Ok(())
-        }
-        fn step(&mut self, _cb: &mut dyn CbApi, _dt: f64) -> Result<(), CbError> {
-            self.0.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        }
-        fn step_batched(
-            &mut self,
-            _cb: &mut dyn CbApi,
-            _dt: f64,
-            scratch: &mut BatchScratch,
-        ) -> Result<(), CbError> {
-            *scratch.slot::<u32>("opts-in") += 1;
-            Ok(())
-        }
-    }
-
-    /// Implements `step` only, like every LP but audio.
-    struct StepOnly(Arc<AtomicU32>);
-
-    impl LogicalProcess for StepOnly {
-        fn name(&self) -> &str {
-            "step-only"
-        }
-        fn init(&mut self, _cb: &mut dyn CbApi) -> Result<(), CbError> {
-            Ok(())
-        }
-        fn step(&mut self, _cb: &mut dyn CbApi, _dt: f64) -> Result<(), CbError> {
-            self.0.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn scratch_reaches_only_lps_that_opt_in_and_only_when_threaded() {
-        let lan = SimLan::shared(LanConfig::ideal(4));
-        let mut pc = Computer::new("pc", SimLan::attach(&lan, "pc"), ClassRegistry::new());
-        let (opted, step_only) = (Arc::new(AtomicU32::new(0)), Arc::new(AtomicU32::new(0)));
-        pc.add_lp(Box::new(OptsIn(Arc::clone(&opted)))).unwrap();
-        pc.add_lp(Box::new(StepOnly(Arc::clone(&step_only)))).unwrap();
-        let plain_steps = || (opted.load(Ordering::Relaxed), step_only.load(Ordering::Relaxed));
-
-        pc.step_frame(Micros::ZERO, 1.0 / 60.0, None).unwrap();
-        assert_eq!(plain_steps(), (1, 1), "no scratch: both step plainly");
-
-        let mut scratch = BatchScratch::new();
-        pc.step_frame(Micros::from_millis(16), 1.0 / 60.0, Some(&mut scratch)).unwrap();
-        assert_eq!(*scratch.slot::<u32>("opts-in"), 1, "the override saw the scratch");
-        assert_eq!(plain_steps(), (1, 2), "an LP without the override still steps plainly");
     }
 
     #[test]

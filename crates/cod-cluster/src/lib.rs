@@ -66,7 +66,6 @@
 //! assert!(cluster.metrics().frames_run == 30);
 //! ```
 
-pub mod batch;
 pub mod cluster;
 pub mod computer;
 pub mod framesync;
@@ -75,7 +74,6 @@ pub mod metrics;
 pub mod pipeline;
 pub mod placement;
 
-pub use batch::BatchScratch;
 pub use cluster::{frame_period_for_fps, Cluster, ClusterConfig, ComputerId, FrameRecord};
 pub use computer::Computer;
 pub use framesync::{FrameSyncClient, FrameSyncFom, FrameSyncServer, SyncBarrierModel};

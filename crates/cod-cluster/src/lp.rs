@@ -3,8 +3,6 @@
 use cod_cb::{CbApi, CbError};
 use cod_net::Micros;
 
-use crate::batch::BatchScratch;
-
 /// A Logical Process: an independently executable simulation module.
 ///
 /// LPs never communicate with each other directly; they only call services on
@@ -29,26 +27,6 @@ pub trait LogicalProcess: Send {
     ///
     /// Returns an error if a CB service call fails.
     fn step(&mut self, cb: &mut dyn CbApi, dt: f64) -> Result<(), CbError>;
-
-    /// [`LogicalProcess::step`] with access to the cohort's [`BatchScratch`]
-    /// when the session is advanced by the batched executive. Implementations
-    /// MUST be bit-identical to `step` — the scratch may only carry work that
-    /// is a pure function of state the module would otherwise recompute
-    /// (memoized columns, hoisted tables), never anything that changes the
-    /// result. Modules without cross-session shareable work keep this
-    /// default, which ignores the scratch.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a CB service call fails.
-    fn step_batched(
-        &mut self,
-        cb: &mut dyn CbApi,
-        dt: f64,
-        _scratch: &mut BatchScratch,
-    ) -> Result<(), CbError> {
-        self.step(cb, dt)
-    }
 
     /// The modeled CPU cost of the most recent `step` on a reference desktop
     /// PC of the paper's era. The cluster executive uses this to account for

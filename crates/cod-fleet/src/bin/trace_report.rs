@@ -221,12 +221,9 @@ fn main() -> ExitCode {
     }
     println!("wrote {}", args.trace_out);
     println!(
-        "deterministic sink: {} frames stepped, {} cohorts, {} memo hits / {} misses, \
-         fingerprint {:#018x}",
+        "deterministic sink: {} frames stepped, {} cohorts, fingerprint {:#018x}",
         det.counter("frames_stepped"),
         det.counter("cohorts_stepped"),
-        det.counter("memo_hits"),
-        det.counter("memo_misses"),
         det.fingerprint(),
     );
 

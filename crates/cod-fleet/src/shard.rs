@@ -31,19 +31,19 @@ use crane_sim::{
 
 use crate::workload::{Priority, SessionSpec};
 
-/// How a shard advances its residents each tick.
+/// How a shard groups its residents each tick.
 ///
 /// Both modes produce bit-identical sessions — identical telemetry digests,
-/// reports and modeled costs — because the batched path shares only work that
-/// is provably invariant across cohort members (see
+/// reports and modeled costs — because cohort members share nothing: every
+/// session runs its own frames through the one frame path either way (see
 /// [`crane_sim::step_frames_batch_traced`]). `Batched` is the default; `Scalar` is
 /// kept as the reference implementation the equivalence checks diff against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SteppingMode {
-    /// One session at a time, one frame at a time — the reference hot loop.
+    /// One session at a time, in residency order — the reference hot loop.
     Scalar,
-    /// Residents sharing a [`SessionShape`] advance in lockstep, frame-major,
-    /// sharing per-frame scratch (e.g. memoized audio waveform columns).
+    /// Residents sharing a [`SessionShape`] advance as one cohort: the unit
+    /// the `cohorts_stepped` counter and the wall-trace "cohort" span count.
     #[default]
     Batched,
 }
@@ -246,10 +246,9 @@ pub struct ShardStats {
 /// fingerprinted `OBS_cod.json`. Wall-clock numbers never land here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct DetShardCounters {
-    /// Frame-level counters from the batched stepper (frames stepped, memo
-    /// hits/misses in the cohort wavebank).
+    /// Frame-level counters from the batch stepper (session frames stepped).
     pub(crate) batch: BatchStepStats,
-    /// Lockstep cohorts stepped (one per shape per tick under `Batched`).
+    /// Cohorts stepped (one per shape per tick under `Batched`).
     pub(crate) cohorts: u64,
 }
 
@@ -333,8 +332,6 @@ impl Shard {
         if let Some(c) = self.trace.as_ref().and_then(|t| t.det.as_ref()) {
             det.add("frames_stepped", c.batch.frames_stepped);
             det.add("cohorts_stepped", c.cohorts);
-            det.add("memo_hits", c.batch.memo_hits);
-            det.add("memo_misses", c.batch.memo_misses);
         }
     }
 
@@ -597,10 +594,9 @@ impl Shard {
     /// time of this tick.
     ///
     /// Under [`SteppingMode::Batched`] residents sharing a [`SessionShape`]
-    /// advance as one lockstep cohort per shape instead of one session at a
-    /// time; modeled costs are `u64` microsecond sums, so regrouping the
-    /// accumulation is exact and the tick total matches the scalar path bit
-    /// for bit.
+    /// advance as one cohort per shape instead of in residency order; modeled
+    /// costs are `u64` microsecond sums, so regrouping the accumulation is
+    /// exact and the tick total matches the scalar path bit for bit.
     ///
     /// # Errors
     ///

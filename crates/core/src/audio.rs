@@ -5,9 +5,9 @@
 //! alarm beeps — by driving the `audio-sim` mixer from the reflected state and
 //! the interactions broadcast by the other modules.
 
-use audio_sim::{Mixer, SoundEvent, WaveBank};
+use audio_sim::{Mixer, SoundEvent};
 use cod_cb::{CbApi, CbError, ClassRegistry};
-use cod_cluster::{BatchScratch, LogicalProcess};
+use cod_cluster::LogicalProcess;
 use cod_net::Micros;
 
 use crate::fom::{AlarmMsg, CollisionMsg, CraneFom, CraneStateMsg, OperatorInputMsg};
@@ -24,16 +24,21 @@ pub struct AudioLp {
     collisions_heard: u64,
 }
 
+/// The mixer every session starts with: the site's background noise only.
+fn session_start_mixer() -> Mixer {
+    let mut mixer = Mixer::new(11_025);
+    mixer.add_background_noise();
+    mixer
+}
+
 impl AudioLp {
     /// Creates the audio module.
     pub fn new(registry: ClassRegistry, fom: CraneFom, telemetry: SharedTelemetry) -> AudioLp {
-        let mut mixer = Mixer::new(11_025);
-        mixer.add_background_noise();
         AudioLp {
             registry,
             fom,
             telemetry,
-            mixer,
+            mixer: session_start_mixer(),
             crane: CraneStateMsg::default(),
             input: OperatorInputMsg::default(),
             collisions_heard: 0,
@@ -44,18 +49,22 @@ impl AudioLp {
     pub fn collisions_heard(&self) -> u64 {
         self.collisions_heard
     }
+}
 
-    /// The shared body of `step` and `step_batched`: process reflections and
-    /// interactions, drive the mixer sources, render the frame's block —
-    /// through the cohort's [`WaveBank`] when one is passed, which is
-    /// bit-identical to the unbanked render by the `render_with_bank`
-    /// contract.
-    fn step_impl(
-        &mut self,
-        cb: &mut dyn CbApi,
-        dt: f64,
-        bank: Option<&mut WaveBank>,
-    ) -> Result<(), CbError> {
+impl LogicalProcess for AudioLp {
+    fn name(&self) -> &str {
+        "audio"
+    }
+
+    fn init(&mut self, cb: &mut dyn CbApi) -> Result<(), CbError> {
+        cb.subscribe_object_class(self.fom.crane_state)?;
+        cb.subscribe_object_class(self.fom.operator_input)?;
+        cb.subscribe_interaction_class(self.fom.collision)?;
+        cb.subscribe_interaction_class(self.fom.alarm)?;
+        Ok(())
+    }
+
+    fn step(&mut self, cb: &mut dyn CbApi, dt: f64) -> Result<(), CbError> {
         for reflection in cb.reflections() {
             if reflection.class == self.fom.crane_state {
                 self.crane =
@@ -90,60 +99,9 @@ impl AudioLp {
             || self.input.hoist.abs() > 0.05;
         self.mixer.handle_event(SoundEvent::MotorWorking { active: motor_active });
 
-        let block = self.mixer.render_with_bank(dt.min(0.25), bank);
+        let block = self.mixer.render(dt.min(0.25));
         self.telemetry.update(|t| t.audio_rms = block.rms());
         Ok(())
-    }
-}
-
-/// The audio module's slot in the cohort's [`BatchScratch`]: one [`WaveBank`]
-/// shared by every session at the current lockstep frame, cleared when the
-/// frame epoch advances (ages move on, so stale columns can never hit again).
-#[derive(Debug, Default)]
-struct SharedWaveBank {
-    epoch: u64,
-    bank: WaveBank,
-}
-
-/// Reads the cohort wavebank's memo hit/miss counters out of a batch scratch
-/// (zero when no audio module ever touched the slot). The counters survive the
-/// per-epoch `clear()` — they accumulate over a whole batch — which is what
-/// the traced batch stepper reports in its `BatchStepStats`.
-pub(crate) fn wavebank_memo_stats(scratch: &mut BatchScratch) -> (u64, u64) {
-    let shared: &mut SharedWaveBank = scratch.slot("audio.wavebank");
-    (shared.bank.hits(), shared.bank.misses())
-}
-
-impl LogicalProcess for AudioLp {
-    fn name(&self) -> &str {
-        "audio"
-    }
-
-    fn init(&mut self, cb: &mut dyn CbApi) -> Result<(), CbError> {
-        cb.subscribe_object_class(self.fom.crane_state)?;
-        cb.subscribe_object_class(self.fom.operator_input)?;
-        cb.subscribe_interaction_class(self.fom.collision)?;
-        cb.subscribe_interaction_class(self.fom.alarm)?;
-        Ok(())
-    }
-
-    fn step(&mut self, cb: &mut dyn CbApi, dt: f64) -> Result<(), CbError> {
-        self.step_impl(cb, dt, None)
-    }
-
-    fn step_batched(
-        &mut self,
-        cb: &mut dyn CbApi,
-        dt: f64,
-        scratch: &mut BatchScratch,
-    ) -> Result<(), CbError> {
-        let epoch = scratch.frame_epoch();
-        let shared: &mut SharedWaveBank = scratch.slot("audio.wavebank");
-        if shared.epoch != epoch {
-            shared.bank.clear();
-            shared.epoch = epoch;
-        }
-        self.step_impl(cb, dt, Some(&mut shared.bank))
     }
 
     fn last_step_cost(&self) -> Micros {
@@ -151,9 +109,7 @@ impl LogicalProcess for AudioLp {
     }
 
     fn begin_session(&mut self, _cb: &mut dyn CbApi, _seed: u64) -> Result<(), CbError> {
-        let mut mixer = Mixer::new(11_025);
-        mixer.add_background_noise();
-        self.mixer = mixer;
+        self.mixer = session_start_mixer();
         self.crane = CraneStateMsg::default();
         self.input = OperatorInputMsg::default();
         self.collisions_heard = 0;

@@ -16,8 +16,7 @@
 //! the other tier, replay the frames done so far.
 
 use cod_cluster::{
-    frame_period_for_fps, BatchScratch, Cluster, ClusterConfig, ComputerId, FrameRecord,
-    FrameSyncServer,
+    frame_period_for_fps, Cluster, ClusterConfig, ComputerId, FrameRecord, FrameSyncServer,
 };
 use cod_net::{FaultPlan, LanConfig, LanStats, Micros};
 use render_sim::GpuCostModel;
@@ -333,7 +332,8 @@ impl CraneSimulator {
     pub fn run_frames(&mut self, frames: usize) -> Result<Micros, CbError> {
         let mut cost = Micros::ZERO;
         for _ in 0..frames {
-            cost += self.step_cost(None)?;
+            let record = self.step_frame()?;
+            cost = record.costs.iter().fold(cost, |sum, (_, c)| sum + *c);
         }
         Ok(cost)
     }
@@ -347,23 +347,10 @@ impl CraneSimulator {
     ///
     /// Returns the first error raised by a module or the backbone.
     pub fn step_frame(&mut self) -> Result<FrameRecord, CbError> {
-        self.step(None)
-    }
-
-    /// The one frame step.
-    ///
-    /// `scratch` is the scratch shared across the same-shape cohort being
-    /// advanced in lockstep (see [`step_frames_batch_traced`]), `None` for a
-    /// session stepped on its own. The frame is bit-identical either way —
-    /// sharing work is an opt-in optimization, never a semantic change.
-    fn step(&mut self, scratch: Option<&mut BatchScratch>) -> Result<FrameRecord, CbError> {
         let frame = self.session_frames;
         let record = if frame % self.decimation == 0 {
-            // One real cluster frame absorbs this batch of session frames,
-            // and only it touches the cohort scratch. Cohort members whose
-            // decimation phases differ merely miss the memo — identity never
-            // depends on alignment.
-            FrameRecord { frame, ..self.cluster.run_frame_with(scratch)? }
+            // One real cluster frame absorbs this batch of session frames.
+            FrameRecord { frame, ..self.cluster.run_frame()? }
         } else {
             // A decimated-away frame: no modeled cost, time holds until the
             // next real step advances it by a full decimated period.
@@ -371,12 +358,6 @@ impl CraneSimulator {
         };
         self.session_frames += 1;
         Ok(record)
-    }
-
-    /// One frame step reduced to its summed modeled cost.
-    fn step_cost(&mut self, scratch: Option<&mut BatchScratch>) -> Result<Micros, CbError> {
-        let record = self.step(scratch)?;
-        Ok(record.costs.iter().fold(Micros::ZERO, |sum, (_, cost)| sum + *cost))
     }
 
     /// Read access to the underlying cluster (rack layout, metrics, kernels),
@@ -485,46 +466,27 @@ impl CraneSimulator {
     }
 }
 
-/// Frame-level counters collected by [`step_frames_batch_traced`]: how many
-/// session frames the batch actually stepped and how the cohort's wavebank
-/// memo fared. Deterministic — a pure function of the cohort and the seed —
-/// so observability sinks may fold them into fingerprinted reports.
+/// Frame-level counters collected by [`step_frames_batch_traced`].
+/// Deterministic — a pure function of the cohort and its budgets — so
+/// observability sinks may fold them into fingerprinted reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStepStats {
-    /// Session frames stepped across all members (budget-gated, so less than
-    /// `members * max_budget` when budgets are ragged).
+    /// Session frames stepped across all members: the sum of their budgets.
     pub frames_stepped: u64,
-    /// Wavebank memo hits across the whole batch.
+    /// Always 0, removed at the benchmark re-bind (`benchmark/` reads it).
     pub memo_hits: u64,
-    /// Wavebank memo misses (columns rendered then shared) across the batch.
+    /// Always 0, removed at the benchmark re-bind (`benchmark/` reads it).
     pub memo_misses: u64,
 }
 
-impl BatchStepStats {
-    /// Accumulates another batch's counters into this one.
-    pub fn merge(&mut self, other: &BatchStepStats) {
-        self.frames_stepped += other.frames_stepped;
-        self.memo_hits += other.memo_hits;
-        self.memo_misses += other.memo_misses;
-    }
-}
-
-/// Advances a cohort of simulators frame-major and in lockstep: frame `k` of
-/// every member runs before frame `k+1` of any of them, all sharing one
-/// [`BatchScratch`] whose epoch advances per frame index. Each entry carries
-/// its own frame budget; members whose budget is exhausted sit out the
-/// remaining frames.
-///
-/// This is the data-parallel inner loop of the serving layer's batched
-/// stepping: same-shape sessions admitted together keep their per-frame pure
-/// work (waveform columns today, hoisted tables tomorrow) aligned, so the
-/// scratch turns N copies of it into one. Returns the summed modeled cost of
-/// each member's frames, in cohort order. Bit-identical to stepping every
-/// member independently with [`CraneSimulator::step_frame`].
+/// Advances a cohort of simulators: each member runs its own frame budget
+/// through [`CraneSimulator::run_frames`]. Members share nothing, so this is
+/// stepping every member independently; the cohort is the serving layer's
+/// unit of accounting. Returns the summed modeled cost of each member's
+/// frames, in cohort order.
 ///
 /// When `stats` is `Some`, the counters for this batch are *added* into it
-/// (callers keep one accumulator across many cohorts); the stepping itself is
-/// bit-identical either way.
+/// (callers keep one accumulator across many cohorts).
 ///
 /// # Errors
 ///
@@ -533,24 +495,12 @@ pub fn step_frames_batch_traced(
     batch: &mut [(&mut CraneSimulator, usize)],
     stats: Option<&mut BatchStepStats>,
 ) -> Result<Vec<Micros>, CbError> {
-    let mut scratch = BatchScratch::new();
-    let mut costs = vec![Micros::ZERO; batch.len()];
-    let mut frames_stepped = 0u64;
-    let frames = batch.iter().map(|(_, budget)| *budget).max().unwrap_or(0);
-    for frame in 0..frames {
-        scratch.begin_frame();
-        for ((sim, budget), cost) in batch.iter_mut().zip(costs.iter_mut()) {
-            if frame < *budget {
-                *cost += sim.step_cost(Some(&mut scratch))?;
-                frames_stepped += 1;
-            }
-        }
-    }
+    let costs = batch
+        .iter_mut()
+        .map(|(sim, budget)| sim.run_frames(*budget))
+        .collect::<Result<Vec<_>, _>>()?;
     if let Some(stats) = stats {
-        let (hits, misses) = crate::audio::wavebank_memo_stats(&mut scratch);
-        stats.frames_stepped += frames_stepped;
-        stats.memo_hits += hits;
-        stats.memo_misses += misses;
+        stats.frames_stepped += batch.iter().map(|(_, budget)| *budget as u64).sum::<u64>();
     }
     Ok(costs)
 }
@@ -843,5 +793,20 @@ mod tests {
             assert_eq!(a.report().frames_run, budget as u64);
             assert_eq!(a.telemetry_digest(), b.telemetry_digest());
         }
+    }
+
+    #[test]
+    fn batch_stats_add_the_budget_sum_into_one_accumulator() {
+        let mut sims = cohort(FidelityTier::Full, 3, 20);
+        let mut stats = BatchStepStats::default();
+        for budgets in [[5usize, 2, 0], [1, 4, 3]] {
+            let mut batch: Vec<(&mut CraneSimulator, usize)> =
+                sims.iter_mut().zip(budgets).collect();
+            step_frames_batch_traced(&mut batch, Some(&mut stats)).unwrap();
+        }
+        assert_eq!(stats.frames_stepped, 15, "sum of both calls' budgets");
+        assert_eq!((stats.memo_hits, stats.memo_misses), (0, 0));
+        let run: Vec<u64> = sims.iter().map(|sim| sim.report().frames_run).collect();
+        assert_eq!(run, [6, 6, 3]);
     }
 }

@@ -114,11 +114,9 @@ fn main() {
     std::fs::write(trace_path, trace.to_chrome_json().to_pretty()).expect("write trace");
     println!("\nperfetto trace: {trace_path} ({} events)", trace.event_count());
     println!(
-        "obs metrics: {} frames stepped in {} lockstep cohorts ({} memo hits / {} misses)",
+        "obs metrics: {} frames stepped in {} cohorts",
         det.counter("frames_stepped"),
         det.counter("cohorts_stepped"),
-        det.counter("memo_hits"),
-        det.counter("memo_misses"),
     );
     println!(
         "obs events: {} placements, {} rejections, {} preemptions, {} migrations",

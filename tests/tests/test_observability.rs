@@ -93,6 +93,17 @@ fn det_sink_records_the_fleet_ledger_and_the_hot_loop_counters() {
 }
 
 #[test]
+fn serialized_obs_report_carries_the_stepping_counters_and_no_memo_key() {
+    let config = traced_config(0xC0D);
+    let (_, _, artifacts) = run_fleet_traced(&config).unwrap();
+    let det = artifacts.det.expect("Full arms the det sink");
+    let report = det.to_report_json(config.workload.seed).to_pretty();
+    assert!(report.contains("\"frames_stepped\""), "{report}");
+    assert!(report.contains("\"cohorts_stepped\""), "{report}");
+    assert!(!report.contains("\"memo_"), "the cohort memo is gone, its counters with it");
+}
+
+#[test]
 fn wall_sink_records_worker_lanes_without_touching_the_fleet_report() {
     let mut config = traced_config(0xC0D);
     config.execution = ExecutionMode::WallClock { threads: 4 };

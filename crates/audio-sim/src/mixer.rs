@@ -44,6 +44,9 @@ pub struct Mixer {
     engine_source: Option<SourceId>,
     motor_source: Option<SourceId>,
     alarm_source: Option<SourceId>,
+    /// Per-source waveform scratch of [`Mixer::render`], kept for its
+    /// capacity and left empty between renders.
+    column: Vec<f64>,
 }
 
 impl Default for Mixer {
@@ -69,6 +72,7 @@ impl Mixer {
             engine_source: None,
             motor_source: None,
             alarm_source: None,
+            column: Vec::new(),
         }
     }
 
@@ -183,15 +187,15 @@ impl Mixer {
         let frames = (duration * self.sample_rate as f64).round() as usize;
         let dt = 1.0 / self.sample_rate as f64;
         let mut samples = vec![0.0f32; frames];
-        let mut column = Vec::new();
         for source in self.sources.values_mut() {
             let gain = attenuation(self.listener, self.reference_distance, source.position);
-            source.fill_column(frames, dt, &mut column);
-            for (slot, value) in samples.iter_mut().zip(&column) {
+            source.fill_column(frames, dt, &mut self.column);
+            for (slot, value) in samples.iter_mut().zip(&self.column) {
                 *slot += ((*value * source.gain) * gain) as f32;
             }
             source.age += duration;
         }
+        self.column.clear();
         // Drop finished one-shots.
         self.sources.retain(|_, s| !s.finished());
         // Soft clip.

@@ -8,8 +8,11 @@
 //! untraced one; otherwise nobody arms them in production and the
 //! observability layer observes nothing. E14 times the same burst drain with
 //! `ObsConfig::Disabled` (the default null-pointer path) and with
-//! `ObsConfig::Deterministic` (every hook live), and derives the relative
-//! overhead that `bench_report` gates at ≤ 5%.
+//! `ObsConfig::Deterministic` (every hook live) in alternation — one untraced
+//! and one traced drain per sample — and derives the relative overhead that
+//! `bench_report` gates at ≤ 5% from the median of the per-pair ratios, so a
+//! shift in machine speed during the run cancels instead of landing between
+//! two blocks of samples.
 
 use cod_fleet::{
     run_fleet, run_fleet_traced, ExecutionMode, FleetConfig, FleetReport, ObsConfig,
@@ -17,7 +20,7 @@ use cod_fleet::{
 };
 
 use super::ExperimentCtx;
-use crate::measure::measure;
+use crate::measure::{measure_pairs, median, PairedMeasurement};
 use crate::report::{DerivedMetric, ExperimentResult};
 
 /// The ceiling `bench_report` enforces on the traced-over-untraced slowdown.
@@ -66,19 +69,18 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     );
     let det = artifacts.det.expect("Deterministic arms the det sink");
 
-    // Both sides get the full measurement budget: the gate is a ratio of two
-    // medians, so the halves must be equally trustworthy.
     let untraced_config = serving_config(ObsConfig::Disabled);
-    let untraced = measure(&ctx.measure, || {
-        run_fleet(&untraced_config).expect("fleet drains");
-    });
     let traced_config = serving_config(ObsConfig::Deterministic);
-    let traced = measure(&ctx.measure, || {
-        run_fleet_traced(&traced_config).expect("fleet drains");
-    });
-
-    let overhead_pct =
-        (traced.stats.median - untraced.stats.median) / untraced.stats.median.max(1e-12) * 100.0;
+    let PairedMeasurement { baseline: untraced, candidate: traced, ratios } = measure_pairs(
+        &ctx.measure,
+        || {
+            run_fleet(&untraced_config).expect("fleet drains");
+        },
+        || {
+            run_fleet_traced(&traced_config).expect("fleet drains");
+        },
+    );
+    let overhead_pct = (median(&ratios) - 1.0) * 100.0;
 
     if ctx.tables {
         println!("\n=== E14: observability overhead (16-session burst, batched, modeled) ===");
@@ -118,10 +120,10 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
             DerivedMetric::new("events_recorded", "events", det.events().len() as f64),
             DerivedMetric::new("frames_counted", "frames", det.counter("frames_stepped") as f64),
         ],
-        notes: "Overhead is the ratio of traced-over-untraced median drain times on the batched \
-                serving path; bench_report gates it at the pinned ceiling. The outcome equality \
-                asserted inside the experiment plus trace_report's byte-identity gates pin the \
-                correctness side."
+        notes: "Overhead is the median traced-over-untraced ratio of back-to-back drain pairs on \
+                the batched serving path; bench_report gates it at the pinned ceiling. The \
+                outcome equality asserted inside the experiment plus trace_report's \
+                byte-identity gates pin the correctness side."
             .into(),
     }
 }

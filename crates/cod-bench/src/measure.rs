@@ -172,15 +172,65 @@ pub fn measure<F: FnMut()>(config: &MeasureConfig, mut routine: F) -> Measuremen
         routine();
     }
     let iters = calibrate(config, &mut routine);
-    let mut samples = Vec::with_capacity(config.samples);
-    for _ in 0..config.samples.max(1) {
-        let start = Instant::now();
-        for _ in 0..iters {
-            routine();
-        }
-        samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
-    }
+    let samples: Vec<f64> =
+        (0..config.samples.max(1)).map(|_| time_sample(iters, &mut routine)).collect();
     Measurement { stats: Stats::from_samples(&samples, config), iters_per_sample: iters }
+}
+
+/// Two routines timed in alternation by [`measure_pairs`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairedMeasurement {
+    /// Summary of the baseline routine's samples.
+    pub baseline: Measurement,
+    /// Summary of the candidate routine's samples.
+    pub candidate: Measurement,
+    /// `candidate / baseline` of each pair of back-to-back samples, in the
+    /// order the pairs ran.
+    pub ratios: Vec<f64>,
+}
+
+/// Times `baseline` and `candidate` in alternation: each of `config.samples`
+/// rounds takes one sample of either (the same iteration count, calibrated on
+/// `baseline`; which side goes first flips every round), so a shift in
+/// machine speed lands inside a pair and cancels in its ratio instead of
+/// landing between two blocks of samples. Compare the two through the median
+/// of [`PairedMeasurement::ratios`].
+pub fn measure_pairs<A: FnMut(), B: FnMut()>(
+    config: &MeasureConfig,
+    mut baseline: A,
+    mut candidate: B,
+) -> PairedMeasurement {
+    for _ in 0..config.warmup_iters {
+        baseline();
+        candidate();
+    }
+    let iters = calibrate(config, &mut baseline);
+    let rounds = config.samples.max(1);
+    let (mut base_ns, mut cand_ns) = (Vec::with_capacity(rounds), Vec::with_capacity(rounds));
+    for round in 0..rounds {
+        if round % 2 == 0 {
+            base_ns.push(time_sample(iters, &mut baseline));
+            cand_ns.push(time_sample(iters, &mut candidate));
+        } else {
+            cand_ns.push(time_sample(iters, &mut candidate));
+            base_ns.push(time_sample(iters, &mut baseline));
+        }
+    }
+    let ratios = base_ns.iter().zip(&cand_ns).map(|(b, c)| c / b.max(1e-12)).collect();
+    let summarize = |ns: &[f64]| Measurement {
+        stats: Stats::from_samples(ns, config),
+        iters_per_sample: iters,
+    };
+    PairedMeasurement { baseline: summarize(&base_ns), candidate: summarize(&cand_ns), ratios }
+}
+
+/// One timed sample: mean nanoseconds per iteration over `iters` calls.
+fn time_sample<F: FnMut()>(iters: u64, routine: &mut F) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        routine();
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
 }
 
 /// Milliseconds since the Unix epoch, for stamping report metadata. Lives
@@ -415,5 +465,29 @@ mod tests {
         assert!(m.stats.median > 0.0, "a non-empty loop takes time");
         assert!(m.iters_per_sample >= 1);
         std::hint::black_box(acc);
+    }
+
+    #[test]
+    fn measure_pairs_alternates_sides_and_reports_one_ratio_per_pair() {
+        let config = MeasureConfig {
+            warmup_iters: 0,
+            samples: 4,
+            target_sample_time: Duration::from_nanos(1),
+            ..MeasureConfig::quick()
+        };
+        let order = std::cell::RefCell::new(String::new());
+        let pairs = measure_pairs(
+            &config,
+            || order.borrow_mut().push('a'),
+            || order.borrow_mut().push('b'),
+        );
+        // The calibration probe runs the baseline once; then the side that
+        // goes first flips every round.
+        assert_eq!(order.into_inner(), "a".to_owned() + "ab" + "ba" + "ab" + "ba");
+        assert_eq!(pairs.ratios.len(), 4);
+        assert!(pairs.ratios.iter().all(|r| *r > 0.0));
+        assert_eq!(pairs.baseline.stats.samples, 4);
+        assert_eq!(pairs.candidate.stats.samples, 4);
+        assert_eq!(pairs.baseline.iters_per_sample, 1);
     }
 }

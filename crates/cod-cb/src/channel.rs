@@ -110,16 +110,17 @@ impl ChannelTable {
     }
 
     /// Established channels where the given local LP is the publisher of `class`.
-    pub fn outgoing(&self, publisher_lp: LpId, class: ObjectClassId) -> Vec<&VirtualChannel> {
-        self.channels
-            .values()
-            .filter(|c| {
-                c.established
-                    && c.role == ChannelRole::Publisher
-                    && c.publisher_lp == publisher_lp
-                    && c.class == class
-            })
-            .collect()
+    pub fn outgoing(
+        &self,
+        publisher_lp: LpId,
+        class: ObjectClassId,
+    ) -> impl Iterator<Item = &VirtualChannel> {
+        self.channels.values().filter(move |c| {
+            c.established
+                && c.role == ChannelRole::Publisher
+                && c.publisher_lp == publisher_lp
+                && c.class == class
+        })
     }
 
     /// Whether an equivalent publisher-side channel already exists (same
@@ -188,7 +189,7 @@ mod tests {
         t.insert(channel(2, 10, 21, 0, false));
         t.insert(channel(3, 10, 22, 1, true));
         t.insert(channel(4, 11, 20, 0, true));
-        let out = t.outgoing(LpId(10), ObjectClassId(0));
+        let out: Vec<&VirtualChannel> = t.outgoing(LpId(10), ObjectClassId(0)).collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].id, ChannelId(1));
         assert_eq!(t.established_count(), 3);

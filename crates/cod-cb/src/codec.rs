@@ -5,7 +5,7 @@
 //! used — no serialization framework — so the exact wire cost of every message
 //! is visible and is charged faithfully by the simulated LAN's bandwidth model.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 
 use crate::error::CbError;
 use crate::fom::{AttributeId, AttributeValues, Value};
@@ -109,10 +109,14 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads an attribute-value map.
+    /// Reads an attribute-value map. Ids may arrive in any order; a repeated
+    /// id keeps its last value.
     pub fn attribute_values(&mut self) -> Result<AttributeValues, CbError> {
         let count = self.u16()? as usize;
-        let mut values = AttributeValues::new();
+        // The count is the sender's claim: reserve no more than the payload
+        // that is actually left could hold.
+        self.need(count * MIN_ATTRIBUTE_BYTES)?;
+        let mut values = AttributeValues::with_capacity(count);
         for _ in 0..count {
             let id = AttributeId(self.u16()?);
             let value = self.value()?;
@@ -122,21 +126,19 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// A writer that builds an encoded payload.
-#[derive(Debug, Default)]
-pub struct Writer {
-    buf: BytesMut,
+/// Smallest encoding of one attribute: a `u16` id, a tag byte and a `Bool`.
+const MIN_ATTRIBUTE_BYTES: usize = 4;
+
+/// A writer that appends an encoded payload to a caller-owned buffer.
+#[derive(Debug)]
+pub struct Writer<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Writer {
-    /// Creates an empty writer.
-    pub fn new() -> Writer {
-        Writer { buf: BytesMut::with_capacity(128) }
-    }
-
-    /// Finishes encoding and returns the payload.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf.to_vec()
+impl<'a> Writer<'a> {
+    /// Creates a writer appending to `buf`.
+    pub fn new(buf: &'a mut Vec<u8>) -> Writer<'a> {
+        Writer { buf }
     }
 
     /// Writes one byte.
@@ -233,15 +235,15 @@ mod tests {
 
     #[test]
     fn primitive_roundtrip() {
-        let mut w = Writer::new();
-        w.u8(7)
+        let mut buf = Vec::new();
+        Writer::new(&mut buf)
+            .u8(7)
             .u16(300)
             .u32(70_000)
             .u64(1 << 40)
             .f64(-2.5)
             .string("crane")
             .addr(Addr::new(NodeId(3), Port(9)));
-        let buf = w.finish();
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u16().unwrap(), 300);
@@ -263,11 +265,11 @@ mod tests {
             Value::Text("lift the cargo".to_owned()),
             Value::Bytes(vec![0, 1, 2, 255]),
         ];
-        let mut w = Writer::new();
+        let mut buf = Vec::new();
+        let mut w = Writer::new(&mut buf);
         for v in &values {
             w.value(v);
         }
-        let buf = w.finish();
         let mut r = Reader::new(&buf);
         for v in &values {
             assert_eq!(&r.value().unwrap(), v);
@@ -280,18 +282,61 @@ mod tests {
         values.insert(AttributeId(0), Value::F64(1.25));
         values.insert(AttributeId(3), Value::Vec3([0.0, 9.8, 0.0]));
         values.insert(AttributeId(7), Value::Text("ok".into()));
-        let mut w = Writer::new();
-        w.attribute_values(&values);
-        let buf = w.finish();
+        let mut buf = Vec::new();
+        Writer::new(&mut buf).attribute_values(&values);
         let decoded = Reader::new(&buf).attribute_values().unwrap();
         assert_eq!(decoded, values);
     }
 
+    /// An attribute-value map as a hostile sender would write it: the claimed
+    /// `count`, then `(id, U32)` entries exactly as given.
+    fn raw_attribute_values(count: u16, entries: &[(u16, u32)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut w = Writer::new(&mut buf);
+        w.u16(count);
+        for (id, v) in entries {
+            w.u16(*id).value(&Value::U32(*v));
+        }
+        buf
+    }
+
+    #[test]
+    fn attribute_count_larger_than_the_payload_is_a_codec_error() {
+        // 65 535 claimed attributes, none present, then one present: either
+        // way the claim is refused before anything is reserved for it.
+        for entries in [&[][..], &[(0, 1)][..]] {
+            let buf = raw_attribute_values(u16::MAX, entries);
+            assert!(matches!(Reader::new(&buf).attribute_values(), Err(CbError::Codec(_))));
+        }
+        // A count the payload could hold by size alone still fails cleanly
+        // when the entries run out.
+        let buf = raw_attribute_values(2, &[(0, 1)]);
+        assert!(matches!(Reader::new(&buf).attribute_values(), Err(CbError::Codec(_))));
+    }
+
+    #[test]
+    fn duplicate_attribute_ids_keep_the_last_value() {
+        let buf = raw_attribute_values(3, &[(4, 10), (1, 20), (4, 30)]);
+        let decoded = Reader::new(&buf).attribute_values().unwrap();
+        assert_eq!(decoded.len(), 2);
+        assert_eq!(decoded[&AttributeId(4)], Value::U32(30));
+        assert_eq!(decoded[&AttributeId(1)], Value::U32(20));
+    }
+
+    #[test]
+    fn unsorted_attribute_ids_decode_to_the_same_set_as_sorted_ones() {
+        let sorted = raw_attribute_values(3, &[(1, 10), (5, 50), (9, 90)]);
+        let shuffled = raw_attribute_values(3, &[(9, 90), (1, 10), (5, 50)]);
+        let decoded = Reader::new(&shuffled).attribute_values().unwrap();
+        assert_eq!(decoded, Reader::new(&sorted).attribute_values().unwrap());
+        let ids: Vec<u16> = decoded.iter().map(|(id, _)| id.0).collect();
+        assert_eq!(ids, [1, 5, 9]);
+    }
+
     #[test]
     fn truncated_message_is_a_codec_error() {
-        let mut w = Writer::new();
-        w.u64(99);
-        let buf = w.finish();
+        let mut buf = Vec::new();
+        Writer::new(&mut buf).u64(99);
         let mut r = Reader::new(&buf[..4]);
         assert!(matches!(r.u64(), Err(CbError::Codec(_))));
     }
@@ -305,9 +350,8 @@ mod tests {
 
     #[test]
     fn invalid_utf8_is_an_error() {
-        let mut w = Writer::new();
-        w.bytes(&[0xff, 0xfe]);
-        let buf = w.finish();
+        let mut buf = Vec::new();
+        Writer::new(&mut buf).bytes(&[0xff, 0xfe]);
         assert!(matches!(Reader::new(&buf).string(), Err(CbError::Codec(_))));
     }
 }

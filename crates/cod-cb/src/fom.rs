@@ -8,7 +8,6 @@
 
 use crate::error::CbError;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifies an object class declared in the FOM.
@@ -103,7 +102,105 @@ impl fmt::Display for Value {
 
 /// A set of attribute values keyed by attribute id — the payload of an
 /// *Update Attribute Values* / *Reflect Attribute Values* exchange.
-pub type AttributeValues = BTreeMap<AttributeId, Value>;
+///
+/// A flat vector of `(id, value)` pairs kept sorted by id. An update carries a
+/// handful of attributes, is built once by an LP, cloned per subscriber,
+/// decoded per delivery and read once, so one contiguous allocation serves it
+/// better than a tree node. Iteration is in ascending id order and two sets
+/// compare equal whatever order they were built in.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct AttributeValues {
+    entries: Vec<(AttributeId, Value)>,
+}
+
+impl AttributeValues {
+    /// Creates an empty set.
+    pub fn new() -> AttributeValues {
+        AttributeValues::default()
+    }
+
+    /// Creates an empty set with room for `capacity` attributes.
+    pub fn with_capacity(capacity: usize) -> AttributeValues {
+        AttributeValues { entries: Vec::with_capacity(capacity) }
+    }
+
+    /// Sets the value of `id`, returning the value it replaces, if any.
+    pub fn insert(&mut self, id: AttributeId, value: Value) -> Option<Value> {
+        // Encoders and the wire decoder insert in ascending id order.
+        if self.entries.last().is_none_or(|(last, _)| *last < id) {
+            self.entries.push((id, value));
+            return None;
+        }
+        match self.entries.binary_search_by_key(&id, |(k, _)| *k) {
+            Ok(at) => Some(std::mem::replace(&mut self.entries[at].1, value)),
+            Err(at) => {
+                self.entries.insert(at, (id, value));
+                None
+            }
+        }
+    }
+
+    /// The value of `id`, if present.
+    pub fn get(&self, id: &AttributeId) -> Option<&Value> {
+        self.entries.binary_search_by_key(id, |(k, _)| *k).ok().map(|at| &self.entries[at].1)
+    }
+
+    /// Number of attributes in the set.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when the set holds no attribute.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The `(id, value)` pairs in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = (&AttributeId, &Value)> {
+        self.into_iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a AttributeValues {
+    type Item = (&'a AttributeId, &'a Value);
+    type IntoIter = std::iter::Map<
+        std::slice::Iter<'a, (AttributeId, Value)>,
+        fn(&'a (AttributeId, Value)) -> (&'a AttributeId, &'a Value),
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries.iter().map(|(id, value)| (id, value))
+    }
+}
+
+impl std::ops::Index<&AttributeId> for AttributeValues {
+    type Output = Value;
+
+    /// # Panics
+    ///
+    /// Panics if `id` is not in the set.
+    fn index(&self, id: &AttributeId) -> &Value {
+        self.get(id).expect("attribute id not present in AttributeValues")
+    }
+}
+
+impl FromIterator<(AttributeId, Value)> for AttributeValues {
+    /// Later pairs replace earlier ones with the same id.
+    fn from_iter<I: IntoIterator<Item = (AttributeId, Value)>>(pairs: I) -> AttributeValues {
+        let pairs = pairs.into_iter();
+        let mut values = AttributeValues::with_capacity(pairs.size_hint().0);
+        for (id, value) in pairs {
+            values.insert(id, value);
+        }
+        values
+    }
+}
+
+impl<const N: usize> From<[(AttributeId, Value); N]> for AttributeValues {
+    fn from(pairs: [(AttributeId, Value); N]) -> AttributeValues {
+        pairs.into_iter().collect()
+    }
+}
 
 /// Declaration of one object class.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -300,6 +397,65 @@ mod tests {
         assert_eq!(Value::Vec3([1.0, 2.0, 3.0]).as_vec3(), Some([1.0, 2.0, 3.0]));
         assert_eq!(Value::Text("go".into()).as_text(), Some("go"));
         assert_eq!(Value::F64(1.0).as_bool(), None);
+    }
+
+    mod attribute_values_model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        proptest! {
+            /// Drives the flat container and a `BTreeMap` oracle with the same
+            /// insert sequence (any order, repeated ids) and compares every
+            /// observable.
+            #[test]
+            fn prop_matches_a_btreemap_oracle(
+                inserts in proptest::collection::vec((0u16..24, any::<u32>()), 0..40),
+            ) {
+                let mut flat = AttributeValues::new();
+                let mut oracle = BTreeMap::new();
+                for (id, v) in &inserts {
+                    let (id, value) = (AttributeId(*id), Value::U32(*v));
+                    prop_assert_eq!(flat.insert(id, value.clone()), oracle.insert(id, value));
+                }
+                prop_assert_eq!(flat.len(), oracle.len());
+                prop_assert_eq!(flat.is_empty(), oracle.is_empty());
+                for id in (0..24).map(AttributeId) {
+                    prop_assert_eq!(flat.get(&id), oracle.get(&id));
+                }
+                for (id, value) in &oracle {
+                    prop_assert_eq!(&flat[id], value);
+                }
+                let in_order: Vec<_> = oracle.iter().collect();
+                prop_assert_eq!(flat.iter().collect::<Vec<_>>(), in_order.clone());
+                prop_assert_eq!((&flat).into_iter().collect::<Vec<_>>(), in_order);
+
+                // Equality does not depend on build order, and `collect()`
+                // keeps the last value of a repeated id.
+                let pairs = || inserts.iter().map(|(id, v)| (AttributeId(*id), Value::U32(*v)));
+                prop_assert_eq!(&pairs().collect::<AttributeValues>(), &flat);
+                let ascending: AttributeValues =
+                    oracle.iter().map(|(id, v)| (*id, v.clone())).collect();
+                let descending: AttributeValues =
+                    oracle.iter().rev().map(|(id, v)| (*id, v.clone())).collect();
+                prop_assert_eq!(&ascending, &flat);
+                prop_assert_eq!(&descending, &flat);
+            }
+        }
+
+        #[test]
+        fn from_array_sorts_and_keeps_the_last_duplicate() {
+            let values: AttributeValues = [
+                (AttributeId(7), Value::Bool(true)),
+                (AttributeId(2), Value::U32(1)),
+                (AttributeId(7), Value::Bool(false)),
+            ]
+            .into();
+            let ids: Vec<u16> = values.iter().map(|(id, _)| id.0).collect();
+            assert_eq!(ids, [2, 7]);
+            assert_eq!(values[&AttributeId(7)], Value::Bool(false));
+            assert_eq!(AttributeValues::with_capacity(8), AttributeValues::new());
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::protocol::PendingSubscription;
 use crate::stats::CbStats;
 use crate::tables::{PublicationTable, SubscriptionTable};
 use crate::wire::WireMessage;
-use cod_net::{Addr, Destination, Micros, Transport};
+use cod_net::{Addr, Datagram, Destination, Micros, Transport};
 use serde::{Deserialize, Serialize};
 
 /// Identifies a Logical Process cluster-wide.
@@ -129,6 +129,10 @@ pub struct CbKernel<T: Transport> {
     channel_time_bounds: BTreeMap<ChannelId, Micros>,
     connect_last_sent: BTreeMap<ChannelId, Micros>,
     outbox: Vec<(Destination, WireMessage)>,
+    /// Receive and encode buffers kept across ticks so a steady-state tick
+    /// allocates for neither.
+    inbox: Vec<Datagram>,
+    wire: Vec<u8>,
     stats: CbStats,
 }
 
@@ -159,6 +163,8 @@ impl<T: Transport> CbKernel<T> {
             channel_time_bounds: BTreeMap::new(),
             connect_last_sent: BTreeMap::new(),
             outbox: Vec::new(),
+            inbox: Vec::new(),
+            wire: Vec::new(),
             stats: CbStats::default(),
         }
     }
@@ -382,9 +388,7 @@ impl<T: Transport> CbKernel<T> {
         // Local routing: co-resident subscribers get the reflection without
         // touching the network (paper §2.1: "no matter that the corresponded
         // LP is in the same machine or across network").
-        let local_subscribers: Vec<LpId> =
-            self.subscriptions.subscribers_of(class).into_iter().filter(|s| *s != lp).collect();
-        for sub in local_subscribers {
+        for sub in self.subscriptions.subscribers_of(class).filter(|s| *s != lp) {
             if let Some(entry) = self.lps.get_mut(&sub) {
                 entry.reflections.push_back(Reflection {
                     object,
@@ -399,13 +403,11 @@ impl<T: Transport> CbKernel<T> {
         }
 
         // Remote routing: push over every established outgoing channel.
-        let outgoing: Vec<(ChannelId, Addr)> =
-            self.channels.outgoing(lp, class).into_iter().map(|c| (c.id, c.remote_cb)).collect();
-        for (channel, remote) in outgoing {
+        for vc in self.channels.outgoing(lp, class) {
             self.outbox.push((
-                Destination::Unicast(remote),
+                Destination::Unicast(vc.remote_cb),
                 WireMessage::UpdateAttributes {
-                    channel,
+                    channel: vc.id,
                     object,
                     class,
                     timestamp,
@@ -474,17 +476,13 @@ impl<T: Transport> CbKernel<T> {
     /// Returns an error if the LP is unknown.
     pub fn send_null_messages(&mut self, lp: LpId, lower_bound: Micros) -> Result<(), CbError> {
         self.check_lp(lp)?;
-        let targets: Vec<(ChannelId, Addr)> = self
-            .channels
-            .iter()
-            .filter(|c| c.established && c.role == ChannelRole::Publisher && c.publisher_lp == lp)
-            .map(|c| (c.id, c.remote_cb))
-            .collect();
-        for (channel, remote) in targets {
-            self.outbox.push((
-                Destination::Unicast(remote),
-                WireMessage::NullMessage { channel, time: lower_bound },
-            ));
+        for vc in self.channels.iter() {
+            if vc.established && vc.role == ChannelRole::Publisher && vc.publisher_lp == lp {
+                self.outbox.push((
+                    Destination::Unicast(vc.remote_cb),
+                    WireMessage::NullMessage { channel: vc.id, time: lower_bound },
+                ));
+            }
         }
         Ok(())
     }
@@ -505,8 +503,9 @@ impl<T: Transport> CbKernel<T> {
         self.now = now;
 
         // 1. Receive.
-        let datagrams = self.transport.poll()?;
-        for dgram in datagrams {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        self.transport.poll_into(&mut inbox)?;
+        for dgram in inbox.drain(..) {
             match WireMessage::decode(&dgram.payload) {
                 Ok(msg) => {
                     self.stats.wire_messages_received += 1;
@@ -517,44 +516,44 @@ impl<T: Transport> CbKernel<T> {
                 }
             }
         }
+        self.inbox = inbox;
 
         // 2. Initialization-protocol timers: broadcast due subscriptions.
         let interval = self.config.subscription_broadcast_interval;
         let readvertise = self.config.readvertise_interval;
         let cb_addr = self.addr;
-        let mut broadcasts = Vec::new();
         for pending in self.pending.iter_mut() {
             // A co-resident publisher already serves the subscription; keep the
             // broadcast only at the slow re-advertisement pace so late remote
             // publishers can still be discovered.
             pending.locally_matched =
-                self.publications.publishers_of(pending.class).iter().any(|p| *p != pending.lp);
+                self.publications.publishers_of(pending.class).any(|p| p != pending.lp);
             if pending.broadcast_due(now, interval, readvertise) {
                 pending.record_broadcast(now);
-                broadcasts.push(WireMessage::Subscription {
-                    subscriber_cb: cb_addr,
-                    subscriber_lp: pending.lp,
-                    class: pending.class,
-                });
+                self.stats.subscription_broadcasts += 1;
+                self.outbox.push((
+                    Destination::Broadcast(cb_addr.port),
+                    WireMessage::Subscription {
+                        subscriber_cb: cb_addr,
+                        subscriber_lp: pending.lp,
+                        class: pending.class,
+                    },
+                ));
             }
-        }
-        for msg in broadcasts {
-            self.stats.subscription_broadcasts += 1;
-            self.outbox.push((Destination::Broadcast(self.addr.port), msg));
         }
 
         // 2b. Retransmit CHANNEL CONNECTION for half-open subscriber-side
         // channels (the LAN may have lost either the connection request or the
         // confirming acknowledgement).
-        let mut retries = Vec::new();
         for vc in self.channels.iter() {
             if vc.role != ChannelRole::Subscriber || vc.established {
                 continue;
             }
             let last = self.connect_last_sent.get(&vc.id).copied().unwrap_or(Micros::ZERO);
             if now.saturating_sub(last) >= interval {
-                retries.push((
-                    vc.remote_cb,
+                self.connect_last_sent.insert(vc.id, now);
+                self.outbox.push((
+                    Destination::Unicast(vc.remote_cb),
                     WireMessage::ChannelConnection {
                         channel: vc.id,
                         subscriber_cb: cb_addr,
@@ -565,17 +564,11 @@ impl<T: Transport> CbKernel<T> {
                 ));
             }
         }
-        for (remote, msg) in retries {
-            if let WireMessage::ChannelConnection { channel, .. } = &msg {
-                self.connect_last_sent.insert(*channel, now);
-            }
-            self.outbox.push((Destination::Unicast(remote), msg));
-        }
 
         // 3. Flush.
-        let outbox = std::mem::take(&mut self.outbox);
-        for (dst, msg) in outbox {
-            self.transport.send(dst, &msg.encode())?;
+        for (dst, msg) in self.outbox.drain(..) {
+            msg.encode_into(&mut self.wire);
+            self.transport.send(dst, &self.wire)?;
         }
         Ok(())
     }
@@ -586,8 +579,7 @@ impl<T: Transport> CbKernel<T> {
                 if subscriber_cb == self.addr {
                     return;
                 }
-                let publishers = self.publications.publishers_of(class);
-                for publisher_lp in publishers {
+                for publisher_lp in self.publications.publishers_of(class) {
                     if self.channels.has_equivalent(publisher_lp, subscriber_lp, class) {
                         continue;
                     }

@@ -58,8 +58,8 @@ impl PublicationTable {
     }
 
     /// Every local LP that publishes `class`.
-    pub fn publishers_of(&self, class: ObjectClassId) -> Vec<LpId> {
-        self.entries.iter().filter(|e| e.class == class).map(|e| e.lp).collect()
+    pub fn publishers_of(&self, class: ObjectClassId) -> impl Iterator<Item = LpId> + '_ {
+        self.entries.iter().filter(move |e| e.class == class).map(|e| e.lp)
     }
 
     /// Iterates over all entries.
@@ -108,8 +108,8 @@ impl SubscriptionTable {
     }
 
     /// Every local LP subscribed to `class`.
-    pub fn subscribers_of(&self, class: ObjectClassId) -> Vec<LpId> {
-        self.entries.iter().filter(|e| e.class == class).map(|e| e.lp).collect()
+    pub fn subscribers_of(&self, class: ObjectClassId) -> impl Iterator<Item = LpId> + '_ {
+        self.entries.iter().filter(move |e| e.class == class).map(|e| e.lp)
     }
 
     /// Iterates over all entries.
@@ -141,8 +141,7 @@ mod tests {
         assert!(t.insert(LpId(1), ObjectClassId(1)));
         assert!(t.publishes(LpId(1), ObjectClassId(0)));
         assert!(!t.publishes(LpId(2), ObjectClassId(1)));
-        let mut pubs = t.publishers_of(ObjectClassId(0));
-        pubs.sort();
+        let pubs: Vec<LpId> = t.publishers_of(ObjectClassId(0)).collect();
         assert_eq!(pubs, vec![LpId(1), LpId(2)]);
         assert_eq!(t.len(), 3);
     }
@@ -156,6 +155,6 @@ mod tests {
         assert_eq!(t.remove_lp(LpId(1)), 2);
         assert_eq!(t.len(), 1);
         assert!(t.subscribes(LpId(2), ObjectClassId(0)));
-        assert_eq!(t.subscribers_of(ObjectClassId(1)), Vec::<LpId>::new());
+        assert_eq!(t.subscribers_of(ObjectClassId(1)).count(), 0);
     }
 }

@@ -104,7 +104,16 @@ const TAG_WITHDRAW: u8 = 8;
 impl WireMessage {
     /// Encodes the message into a datagram payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut payload = Vec::with_capacity(128);
+        self.encode_into(&mut payload);
+        payload
+    }
+
+    /// Encodes the message into `payload`, replacing its previous contents, so
+    /// a sender can keep one buffer across messages.
+    pub fn encode_into(&self, payload: &mut Vec<u8>) {
+        payload.clear();
+        let mut w = Writer::new(payload);
         match self {
             WireMessage::Subscription { subscriber_cb, subscriber_lp, class } => {
                 w.u8(TAG_SUBSCRIPTION).addr(*subscriber_cb).u64(subscriber_lp.0).u16(class.0);
@@ -151,7 +160,6 @@ impl WireMessage {
                 w.u8(TAG_WITHDRAW).u64(lp.0);
             }
         }
-        w.finish()
     }
 
     /// Decodes a message from a datagram payload.
@@ -258,10 +266,14 @@ mod tests {
 
     #[test]
     fn roundtrip_every_variant() {
+        // One buffer reused across every message, dirty on entry.
+        let mut reused = vec![0xEE; 300];
         for msg in all_samples() {
             let encoded = msg.encode();
             let decoded = WireMessage::decode(&encoded).unwrap();
             assert_eq!(decoded, msg);
+            msg.encode_into(&mut reused);
+            assert_eq!(reused, encoded, "encode_into must replace the buffer's contents");
         }
     }
 

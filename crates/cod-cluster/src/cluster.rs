@@ -55,8 +55,9 @@ pub struct FrameRecord {
     pub frame: u64,
     /// Simulation time at the *end* of the frame.
     pub now: Micros,
-    /// Modeled CPU cost of the frame on each computer, in rack order.
-    pub costs: Vec<(String, Micros)>,
+    /// Modeled CPU cost of the frame on each computer, in rack order (index
+    /// `i` belongs to `ComputerId(i)`).
+    pub costs: Vec<Micros>,
 }
 
 /// The Cluster Of Desktop computers: computers + LAN + executive loop.
@@ -152,6 +153,13 @@ impl Cluster {
         &self.metrics
     }
 
+    /// Total modeled CPU cost accumulated so far on the computer called
+    /// `name`, or `None` if the rack has no such computer.
+    pub fn computer_cost(&self, name: &str) -> Option<Micros> {
+        let index = self.computers.iter().position(|c| c.name() == name)?;
+        Some(self.metrics.computer_cost.get(index).copied().unwrap_or(Micros::ZERO))
+    }
+
     /// Traffic counters of the cluster LAN.
     pub fn lan_stats(&self) -> LanStats {
         SimLan::stats(&self.lan)
@@ -227,8 +235,7 @@ impl Cluster {
         let dt = self.config.frame_period.as_secs_f64();
         let mut costs = Vec::with_capacity(self.computers.len());
         for computer in self.computers.iter_mut() {
-            let cost = computer.step_frame(self.now, dt)?;
-            costs.push((computer.name().to_owned(), cost));
+            costs.push(computer.step_frame(self.now, dt)?);
         }
         self.now += self.config.frame_period;
         SimLan::advance_to(&self.lan, self.now);
@@ -377,10 +384,11 @@ mod tests {
         cluster.add_lp(b, Box::new(Consumer { class, received })).unwrap();
         cluster.initialize().unwrap();
         cluster.run_frames(10).unwrap();
-        let m = cluster.metrics();
-        assert_eq!(m.computer_cost["producer-pc"], Micros::from_millis(50));
+        assert_eq!(cluster.computer_cost("producer-pc"), Some(Micros::from_millis(50)));
         // Consumer runs on a 2x computer: 2 ms * 10 / 2 = 10 ms.
-        assert_eq!(m.computer_cost["consumer-pc"], Micros::from_millis(10));
+        assert_eq!(cluster.computer_cost("consumer-pc"), Some(Micros::from_millis(10)));
+        assert_eq!(cluster.computer_cost("no-such-pc"), None);
+        let m = cluster.metrics();
         assert_eq!(m.max_frame_cost, Micros::from_millis(5));
         assert_eq!(m.max_sequential_frame_cost, Micros::from_millis(6));
     }
@@ -406,8 +414,7 @@ mod tests {
         cluster.initialize().unwrap();
         let first = cluster.run_frame().unwrap();
         assert_eq!(first.frame, 0);
-        assert_eq!(first.costs.len(), 1);
-        assert_eq!(first.costs[0], ("producer-pc".to_owned(), Micros::from_millis(5)));
+        assert_eq!(first.costs, [Micros::from_millis(5)]);
         let second = cluster.run_frame().unwrap();
         assert_eq!(second.frame, 1);
         assert_eq!(second.now, cluster.now());

@@ -2,7 +2,6 @@
 
 use cod_net::Micros;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Per-computer accounting for one executed frame.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -19,8 +18,9 @@ pub struct ClusterMetrics {
     pub frames_run: u64,
     /// Total simulated time elapsed.
     pub simulated_time: Micros,
-    /// Per-computer total modeled CPU cost (keyed by computer name).
-    pub computer_cost: BTreeMap<String, Micros>,
+    /// Per-computer total modeled CPU cost, in rack order
+    /// ([`crate::Cluster::computer_cost`] looks one up by computer name).
+    pub computer_cost: Vec<Micros>,
     /// Largest single-frame cost observed on any computer (the frame-rate
     /// limiter of the pipelined cluster).
     pub max_frame_cost: Micros,
@@ -33,13 +33,16 @@ pub struct ClusterMetrics {
 }
 
 impl ClusterMetrics {
-    /// Records one frame's per-computer costs.
-    pub fn record_frame(&mut self, dt: Micros, costs: &[(String, Micros)]) {
+    /// Records one frame's per-computer costs, given in rack order.
+    pub fn record_frame(&mut self, dt: Micros, costs: &[Micros]) {
         self.frames_run += 1;
         self.simulated_time += dt;
+        if self.computer_cost.len() < costs.len() {
+            self.computer_cost.resize(costs.len(), Micros::ZERO);
+        }
         let mut sequential = Micros::ZERO;
-        for (name, cost) in costs {
-            *self.computer_cost.entry(name.clone()).or_default() += *cost;
+        for (total, cost) in self.computer_cost.iter_mut().zip(costs) {
+            *total += *cost;
             if *cost > self.max_frame_cost {
                 self.max_frame_cost = *cost;
             }
@@ -95,14 +98,11 @@ mod tests {
         let mut m = ClusterMetrics::default();
         m.record_frame(
             Micros::from_millis(16),
-            &[("a".into(), Micros::from_millis(10)), ("b".into(), Micros::from_millis(30))],
+            &[Micros::from_millis(10), Micros::from_millis(30)],
         );
-        m.record_frame(
-            Micros::from_millis(16),
-            &[("a".into(), Micros::from_millis(20)), ("b".into(), Micros::from_millis(5))],
-        );
+        m.record_frame(Micros::from_millis(16), &[Micros::from_millis(20), Micros::from_millis(5)]);
         assert_eq!(m.frames_run, 2);
-        assert_eq!(m.computer_cost["a"], Micros::from_millis(30));
+        assert_eq!(m.computer_cost, [Micros::from_millis(30), Micros::from_millis(35)]);
         assert_eq!(m.max_frame_cost, Micros::from_millis(30));
         assert_eq!(m.max_sequential_frame_cost, Micros::from_millis(40));
     }
@@ -110,14 +110,14 @@ mod tests {
     #[test]
     fn fps_derivations() {
         let mut m = ClusterMetrics::default();
-        m.record_frame(Micros::from_millis(10), &[("a".into(), Micros::from_millis(50))]);
+        m.record_frame(Micros::from_millis(10), &[Micros::from_millis(50)]);
         // Pipelined: limited by the 50 ms computer => 20 fps.
         assert!((m.achievable_fps(Micros::from_millis(10)) - 20.0).abs() < 1e-9);
         // A faster frame period cannot beat the cost limiter.
         assert!((m.achievable_fps(Micros::from_millis(1)) - 20.0).abs() < 1e-9);
         // When costs are negligible the frame period is the limiter.
         let mut cheap = ClusterMetrics::default();
-        cheap.record_frame(Micros::from_millis(20), &[("a".into(), Micros::from_millis(1))]);
+        cheap.record_frame(Micros::from_millis(20), &[Micros::from_millis(1)]);
         assert!((cheap.achievable_fps(Micros::from_millis(20)) - 50.0).abs() < 1e-9);
     }
 

@@ -147,6 +147,27 @@ mod tests {
     }
 
     #[test]
+    fn poll_into_appends_what_poll_would_return() {
+        let hub = LoopbackHub::new();
+        let mut a = hub.attach();
+        let mut b = hub.attach();
+        let send = |a: &mut LoopbackTransport, to: Addr| {
+            a.send(Destination::Unicast(to), b"one").unwrap();
+            a.send(Destination::Broadcast(Port(1)), b"two").unwrap();
+        };
+        send(&mut a, b.local_addr());
+        let polled = b.poll().unwrap();
+        send(&mut a, b.local_addr());
+        // The provided default keeps what the caller's buffer already holds.
+        let mut kept = vec![polled[0].clone()];
+        b.poll_into(&mut kept).unwrap();
+        assert_eq!(kept[1..], polled[..]);
+        assert_eq!(kept.len(), 3);
+        b.poll_into(&mut kept).unwrap();
+        assert_eq!(kept.len(), 3, "nothing new was delivered");
+    }
+
+    #[test]
     fn detach_on_drop() {
         let hub = LoopbackHub::new();
         let a = hub.attach();

@@ -133,8 +133,8 @@ impl SimLan {
     /// Runs the LAN until no scheduled deliveries remain, returning the final time.
     pub fn run_until_idle(lan: &SharedLan) -> Micros {
         let mut l = lan.lock();
-        while let Some(Reverse(next)) = l.queue.peek().cloned() {
-            l.advance_to_inner(next.at);
+        while let Some(at) = l.queue.peek().map(|Reverse(next)| next.at) {
+            l.advance_to_inner(at);
         }
         l.clock.now()
     }
@@ -217,26 +217,22 @@ impl SimLan {
         if payload.len() > self.config.mtu {
             return Err(NetError::PayloadTooLarge { size: payload.len(), max: self.config.mtu });
         }
+        if let Destination::Unicast(addr) = dst {
+            if !self.inboxes.contains_key(&addr) {
+                return Err(NetError::UnknownEndpoint(addr));
+            }
+        }
         let payload = Bytes::copy_from_slice(payload);
-        let targets: Vec<Addr> = match dst {
-            Destination::Unicast(addr) => {
-                if !self.inboxes.contains_key(&addr) {
-                    return Err(NetError::UnknownEndpoint(addr));
-                }
-                vec![addr]
-            }
-            Destination::Broadcast(port) => {
-                self.inboxes.keys().copied().filter(|a| a.port == port && *a != src).collect()
-            }
-        };
         self.stats.record_send(src.node, payload.len());
         let now = self.clock.now();
         let inject = !self.faults.is_none();
-        for to in targets {
+        // Borrows every field but `inboxes`, which the broadcast arm walks
+        // while scheduling.
+        let mut schedule = |to: Addr| {
             let dgram = Datagram { src, dst, payload: payload.clone(), delivered_at: Micros::ZERO };
             if inject && self.faults.partitioned(now, src.node, to.node) {
                 self.stats.record_partition_drop();
-                continue;
+                return;
             }
             // Fault decisions are drawn *before* the link-loss draw so the
             // fault stream consumes its RNG identically whether or not the
@@ -255,11 +251,11 @@ impl SimLan {
             };
             if fault_dropped {
                 self.stats.record_fault_drop();
-                continue;
+                return;
             }
             if self.config.link.sample_loss(&mut self.rng) {
                 self.stats.record_drop();
-                continue;
+                return;
             }
             let mut delay = self.config.link.sample_delay(&dgram, &mut self.rng);
             if inject {
@@ -286,14 +282,26 @@ impl SimLan {
             let seq = self.next_seq;
             self.next_seq += 1;
             self.queue.push(Reverse(ScheduledDelivery { at: now + delay, seq, to, dgram }));
+        };
+        match dst {
+            Destination::Unicast(addr) => schedule(addr),
+            Destination::Broadcast(port) => self
+                .inboxes
+                .keys()
+                .copied()
+                .filter(|a| a.port == port && *a != src)
+                .for_each(schedule),
         }
         Ok(())
     }
 
-    fn poll_endpoint(&mut self, addr: Addr) -> Result<Vec<Datagram>, NetError> {
+    fn poll_endpoint(&mut self, addr: Addr, out: &mut Vec<Datagram>) -> Result<(), NetError> {
         match self.inboxes.get_mut(&addr) {
             None => Err(NetError::UnknownEndpoint(addr)),
-            Some(inbox) => Ok(inbox.drain(..).collect()),
+            Some(inbox) => {
+                out.extend(inbox.drain(..));
+                Ok(())
+            }
         }
     }
 }
@@ -318,7 +326,13 @@ impl Transport for SimTransport {
     }
 
     fn poll(&mut self) -> Result<Vec<Datagram>, NetError> {
-        self.lan.lock().poll_endpoint(self.addr)
+        let mut out = Vec::new();
+        self.poll_into(&mut out)?;
+        Ok(out)
+    }
+
+    fn poll_into(&mut self, out: &mut Vec<Datagram>) -> Result<(), NetError> {
+        self.lan.lock().poll_endpoint(self.addr, out)
     }
 
     fn local_addr(&self) -> Addr {

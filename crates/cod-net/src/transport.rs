@@ -27,6 +27,19 @@ pub trait Transport: Send {
     /// Returns an error if the transport has been disconnected from its medium.
     fn poll(&mut self) -> Result<Vec<Datagram>, NetError>;
 
+    /// Like [`Transport::poll`], but appends the delivered datagrams to `out`
+    /// so a caller that polls every tick can keep one buffer. Transports that
+    /// hold their inbox in memory override this to skip the intermediate
+    /// vector.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the transport has been disconnected from its medium.
+    fn poll_into(&mut self, out: &mut Vec<Datagram>) -> Result<(), NetError> {
+        out.extend(self.poll()?);
+        Ok(())
+    }
+
     /// The address of this endpoint on the cluster network.
     fn local_addr(&self) -> Addr;
 

@@ -302,7 +302,7 @@ pub fn obs_equivalence_check(
 /// with [`SteppingMode::Batched`] under [`ExecutionMode::Modeled`] and
 /// [`ExecutionMode::WallClock`] at each requested thread count must produce
 /// byte-identical serialized reports **and** identical per-session telemetry
-/// digests — grouping same-shape residents into lockstep cohorts may change
+/// digests — grouping same-shape residents into cohorts may change
 /// how fast sessions are served, never what they compute. Returns the scalar
 /// reference report plus a description of every divergence (empty ⇒
 /// equivalent).
@@ -355,7 +355,7 @@ pub fn batch_equivalence_check(
 /// scenario matrix: each distinct shape the sweep exercises (deduplicated —
 /// fault plans do not change a shape) gets a small same-shape cohort of
 /// divergent seeds run both scalar (one [`CraneSimulator::step_frame`] loop
-/// per session) and batched ([`step_frames_batch_traced`] lockstep), and every
+/// per session) and batched (one [`step_frames_batch_traced`] call), and every
 /// member's telemetry digest must match bit for bit. Returns a description of
 /// every divergence (empty ⇒ equivalent).
 ///
@@ -390,7 +390,7 @@ pub fn batch_shape_coverage_check(
             }
             scalar_digests.push(sim.telemetry_digest());
         }
-        // Batched run: the same cohort advanced in lockstep.
+        // Batched run: the same cohort handed to one batch call.
         let mut sims = (0..cohort)
             .map(|k| CraneSimulator::new(cohort_config(k)))
             .collect::<Result<Vec<_>, _>>()?;
@@ -661,7 +661,7 @@ mod tests {
     #[test]
     fn batched_stepping_covers_every_matrix_shape() {
         // Every distinct session shape of the full 72-scenario sweep, as a
-        // lockstep cohort vs its scalar twins.
+        // batched cohort vs its scalar twins.
         let violations = batch_shape_coverage_check(&MatrixConfig::full(), 2, 10).unwrap();
         assert!(violations.is_empty(), "{violations:?}");
     }

@@ -15,7 +15,6 @@ use crate::telemetry::SharedTelemetry;
 
 /// The audio Logical Process.
 pub struct AudioLp {
-    registry: ClassRegistry,
     fom: CraneFom,
     telemetry: SharedTelemetry,
     mixer: Mixer,
@@ -33,9 +32,11 @@ fn session_start_mixer() -> Mixer {
 
 impl AudioLp {
     /// Creates the audio module.
-    pub fn new(registry: ClassRegistry, fom: CraneFom, telemetry: SharedTelemetry) -> AudioLp {
+    ///
+    /// `_registry` is unused (the attribute ids live in `fom`); the parameter
+    /// stays until `benchmark/`, which calls this constructor, is re-bound.
+    pub fn new(_registry: ClassRegistry, fom: CraneFom, telemetry: SharedTelemetry) -> AudioLp {
         AudioLp {
-            registry,
             fom,
             telemetry,
             mixer: session_start_mixer(),
@@ -67,25 +68,21 @@ impl LogicalProcess for AudioLp {
     fn step(&mut self, cb: &mut dyn CbApi, dt: f64) -> Result<(), CbError> {
         for reflection in cb.reflections() {
             if reflection.class == self.fom.crane_state {
-                self.crane =
-                    CraneStateMsg::from_values(&self.registry, &self.fom, &reflection.values);
+                self.crane = CraneStateMsg::from_values(&self.fom, &reflection.values);
             } else if reflection.class == self.fom.operator_input {
-                self.input =
-                    OperatorInputMsg::from_values(&self.registry, &self.fom, &reflection.values);
+                self.input = OperatorInputMsg::from_values(&self.fom, &reflection.values);
             }
         }
         for interaction in cb.interactions() {
             if interaction.class == self.fom.collision {
-                let collision =
-                    CollisionMsg::from_values(&self.registry, &self.fom, &interaction.parameters);
+                let collision = CollisionMsg::from_values(&self.fom, &interaction.parameters);
                 self.collisions_heard += 1;
                 self.mixer.handle_event(SoundEvent::Collision {
                     location: collision.location,
                     impulse: collision.impulse,
                 });
             } else if interaction.class == self.fom.alarm {
-                let alarm =
-                    AlarmMsg::from_values(&self.registry, &self.fom, &interaction.parameters);
+                let alarm = AlarmMsg::from_values(&self.fom, &interaction.parameters);
                 self.mixer.handle_event(SoundEvent::Alarm { active: alarm.active });
             }
         }

@@ -4,10 +4,70 @@
 //! declared here, mirroring how the original system routed "event messages"
 //! between its seven modules over the Communication Backbone.
 
-use cod_cb::{AttributeValues, CbError, ClassRegistry, InteractionClassId, ObjectClassId, Value};
+use cod_cb::{
+    AttributeId, AttributeValues, CbError, ClassRegistry, InteractionClassId, ObjectClassId, Value,
+};
 use cod_cluster::FrameSyncFom;
 use serde::{Deserialize, Serialize};
 use sim_math::Vec3;
+
+/// Declares the attribute-id table of one class: a struct with one
+/// [`AttributeId`] per attribute, whose field names *are* the attribute names
+/// declared in the FOM, resolved once when the class is registered so the
+/// typed messages below address attributes by id, never by name.
+macro_rules! attribute_ids {
+    ($table:ident { $($attribute:ident),+ $(,)? }) => {
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+        struct $table {
+            $($attribute: AttributeId),+
+        }
+
+        impl $table {
+            const NAMES: &'static [&'static str] = &[$(stringify!($attribute)),+];
+
+            fn resolve(id_of: impl Fn(&str) -> Option<AttributeId>) -> $table {
+                $table { $($attribute: id_of(stringify!($attribute)).expect("declared above")),+ }
+            }
+        }
+    };
+}
+
+attribute_ids!(CraneStateIds {
+    chassis_position,
+    chassis_yaw,
+    chassis_pitch,
+    chassis_roll,
+    speed,
+    engine_intensity,
+    slew_angle,
+    luff_angle,
+    boom_length,
+    cable_length,
+    boom_tip,
+    radius_utilization,
+    moment_utilization,
+});
+attribute_ids!(HookStateIds {
+    hook_position,
+    cargo_position,
+    swing_angle,
+    cargo_attached,
+    cargo_mass
+});
+attribute_ids!(OperatorInputIds {
+    steering,
+    throttle,
+    brake,
+    reverse,
+    slew,
+    luff,
+    telescope,
+    hoist
+});
+attribute_ids!(ScenarioStateIds { phase, score, elapsed, complete, passed, bar_hits });
+attribute_ids!(CollisionIds { location, impulse, obstacle, scored });
+attribute_ids!(AlarmIds { code, active, message });
+attribute_ids!(FaultIds { instrument, value });
 
 /// Handles to every class the crane simulator declares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -29,53 +89,33 @@ pub struct CraneFom {
     pub fault: InteractionClassId,
     /// Frame-synchronization interactions of the surround view.
     pub sync: FrameSyncFom,
+    crane_state_ids: CraneStateIds,
+    hook_state_ids: HookStateIds,
+    operator_input_ids: OperatorInputIds,
+    scenario_state_ids: ScenarioStateIds,
+    collision_ids: CollisionIds,
+    alarm_ids: AlarmIds,
+    fault_ids: FaultIds,
 }
 
 impl CraneFom {
-    /// Declares every class in `registry`.
+    /// Declares every class in `registry` and resolves the attribute ids the
+    /// typed messages use.
     ///
     /// # Errors
     ///
     /// Returns an error if any class name is already taken.
     pub fn register(registry: &mut ClassRegistry) -> Result<CraneFom, CbError> {
-        let crane_state = registry.register_object_class(
-            "CraneState",
-            &[
-                "chassis_position",
-                "chassis_yaw",
-                "chassis_pitch",
-                "chassis_roll",
-                "speed",
-                "engine_intensity",
-                "slew_angle",
-                "luff_angle",
-                "boom_length",
-                "cable_length",
-                "boom_tip",
-                "radius_utilization",
-                "moment_utilization",
-            ],
-        )?;
-        let hook_state = registry.register_object_class(
-            "HookState",
-            &["hook_position", "cargo_position", "swing_angle", "cargo_attached", "cargo_mass"],
-        )?;
-        let operator_input = registry.register_object_class(
-            "OperatorInput",
-            &["steering", "throttle", "brake", "reverse", "slew", "luff", "telescope", "hoist"],
-        )?;
-        let scenario_state = registry.register_object_class(
-            "ScenarioState",
-            &["phase", "score", "elapsed", "complete", "passed", "bar_hits"],
-        )?;
-        let collision = registry.register_interaction_class(
-            "CollisionEvent",
-            &["location", "impulse", "obstacle", "scored"],
-        )?;
-        let alarm =
-            registry.register_interaction_class("AlarmEvent", &["code", "active", "message"])?;
-        let fault =
-            registry.register_interaction_class("FaultInjection", &["instrument", "value"])?;
+        let crane_state = registry.register_object_class("CraneState", CraneStateIds::NAMES)?;
+        let hook_state = registry.register_object_class("HookState", HookStateIds::NAMES)?;
+        let operator_input =
+            registry.register_object_class("OperatorInput", OperatorInputIds::NAMES)?;
+        let scenario_state =
+            registry.register_object_class("ScenarioState", ScenarioStateIds::NAMES)?;
+        let collision =
+            registry.register_interaction_class("CollisionEvent", CollisionIds::NAMES)?;
+        let alarm = registry.register_interaction_class("AlarmEvent", AlarmIds::NAMES)?;
+        let fault = registry.register_interaction_class("FaultInjection", FaultIds::NAMES)?;
         let sync = FrameSyncFom::register(registry)?;
         Ok(CraneFom {
             crane_state,
@@ -86,6 +126,17 @@ impl CraneFom {
             alarm,
             fault,
             sync,
+            crane_state_ids: CraneStateIds::resolve(|a| registry.attribute_id(crane_state, a)),
+            hook_state_ids: HookStateIds::resolve(|a| registry.attribute_id(hook_state, a)),
+            operator_input_ids: OperatorInputIds::resolve(|a| {
+                registry.attribute_id(operator_input, a)
+            }),
+            scenario_state_ids: ScenarioStateIds::resolve(|a| {
+                registry.attribute_id(scenario_state, a)
+            }),
+            collision_ids: CollisionIds::resolve(|p| registry.parameter_id(collision, p)),
+            alarm_ids: AlarmIds::resolve(|p| registry.parameter_id(alarm, p)),
+            fault_ids: FaultIds::resolve(|p| registry.parameter_id(fault, p)),
         })
     }
 
@@ -97,66 +148,24 @@ impl CraneFom {
     }
 }
 
-fn put(
-    registry: &ClassRegistry,
-    class: ObjectClassId,
-    values: &mut AttributeValues,
-    name: &str,
-    value: Value,
-) {
-    let id =
-        registry.attribute_id(class, name).unwrap_or_else(|| panic!("attribute {name} declared"));
-    values.insert(id, value);
+fn f64_of(v: Option<&Value>) -> f64 {
+    v.and_then(Value::as_f64).unwrap_or(0.0)
 }
 
-fn put_param(
-    registry: &ClassRegistry,
-    class: InteractionClassId,
-    values: &mut AttributeValues,
-    name: &str,
-    value: Value,
-) {
-    let id =
-        registry.parameter_id(class, name).unwrap_or_else(|| panic!("parameter {name} declared"));
-    values.insert(id, value);
+fn vec3_of(v: Option<&Value>) -> Vec3 {
+    v.and_then(Value::as_vec3).map(Vec3::from).unwrap_or(Vec3::ZERO)
 }
 
-fn get(
-    registry: &ClassRegistry,
-    class: ObjectClassId,
-    values: &AttributeValues,
-    name: &str,
-) -> Option<Value> {
-    registry.attribute_id(class, name).and_then(|id| values.get(&id)).cloned()
+fn bool_of(v: Option<&Value>) -> bool {
+    v.and_then(Value::as_bool).unwrap_or(false)
 }
 
-fn get_param(
-    registry: &ClassRegistry,
-    class: InteractionClassId,
-    values: &AttributeValues,
-    name: &str,
-) -> Option<Value> {
-    registry.parameter_id(class, name).and_then(|id| values.get(&id)).cloned()
+fn text_of(v: Option<&Value>) -> String {
+    v.and_then(Value::as_text).map(str::to_owned).unwrap_or_default()
 }
 
-fn f64_of(v: Option<Value>) -> f64 {
-    v.and_then(|v| v.as_f64()).unwrap_or(0.0)
-}
-
-fn vec3_of(v: Option<Value>) -> Vec3 {
-    v.and_then(|v| v.as_vec3()).map(Vec3::from).unwrap_or(Vec3::ZERO)
-}
-
-fn bool_of(v: Option<Value>) -> bool {
-    v.and_then(|v| v.as_bool()).unwrap_or(false)
-}
-
-fn text_of(v: Option<Value>) -> String {
-    v.and_then(|v| v.as_text().map(str::to_owned)).unwrap_or_default()
-}
-
-fn u32_of(v: Option<Value>) -> u32 {
-    v.and_then(|v| v.as_u32()).unwrap_or(0)
+fn u32_of(v: Option<&Value>) -> u32 {
+    v.and_then(Value::as_u32).unwrap_or(0)
 }
 
 /// Crane state as published by the dynamics module.
@@ -179,46 +188,42 @@ pub struct CraneStateMsg {
 
 impl CraneStateMsg {
     /// Encodes into attribute values.
-    pub fn to_values(&self, registry: &ClassRegistry, fom: &CraneFom) -> AttributeValues {
-        let mut v = AttributeValues::new();
-        let c = fom.crane_state;
-        put(registry, c, &mut v, "chassis_position", Value::Vec3(self.chassis_position.into()));
-        put(registry, c, &mut v, "chassis_yaw", Value::F64(self.chassis_yaw));
-        put(registry, c, &mut v, "chassis_pitch", Value::F64(self.chassis_pitch));
-        put(registry, c, &mut v, "chassis_roll", Value::F64(self.chassis_roll));
-        put(registry, c, &mut v, "speed", Value::F64(self.speed));
-        put(registry, c, &mut v, "engine_intensity", Value::F64(self.engine_intensity));
-        put(registry, c, &mut v, "slew_angle", Value::F64(self.slew_angle));
-        put(registry, c, &mut v, "luff_angle", Value::F64(self.luff_angle));
-        put(registry, c, &mut v, "boom_length", Value::F64(self.boom_length));
-        put(registry, c, &mut v, "cable_length", Value::F64(self.cable_length));
-        put(registry, c, &mut v, "boom_tip", Value::Vec3(self.boom_tip.into()));
-        put(registry, c, &mut v, "radius_utilization", Value::F64(self.radius_utilization));
-        put(registry, c, &mut v, "moment_utilization", Value::F64(self.moment_utilization));
-        v
+    pub fn to_values(&self, fom: &CraneFom) -> AttributeValues {
+        let a = &fom.crane_state_ids;
+        AttributeValues::from([
+            (a.chassis_position, Value::Vec3(self.chassis_position.into())),
+            (a.chassis_yaw, Value::F64(self.chassis_yaw)),
+            (a.chassis_pitch, Value::F64(self.chassis_pitch)),
+            (a.chassis_roll, Value::F64(self.chassis_roll)),
+            (a.speed, Value::F64(self.speed)),
+            (a.engine_intensity, Value::F64(self.engine_intensity)),
+            (a.slew_angle, Value::F64(self.slew_angle)),
+            (a.luff_angle, Value::F64(self.luff_angle)),
+            (a.boom_length, Value::F64(self.boom_length)),
+            (a.cable_length, Value::F64(self.cable_length)),
+            (a.boom_tip, Value::Vec3(self.boom_tip.into())),
+            (a.radius_utilization, Value::F64(self.radius_utilization)),
+            (a.moment_utilization, Value::F64(self.moment_utilization)),
+        ])
     }
 
     /// Decodes from attribute values (missing attributes default to zero).
-    pub fn from_values(
-        registry: &ClassRegistry,
-        fom: &CraneFom,
-        values: &AttributeValues,
-    ) -> CraneStateMsg {
-        let c = fom.crane_state;
+    pub fn from_values(fom: &CraneFom, values: &AttributeValues) -> CraneStateMsg {
+        let a = &fom.crane_state_ids;
         CraneStateMsg {
-            chassis_position: vec3_of(get(registry, c, values, "chassis_position")),
-            chassis_yaw: f64_of(get(registry, c, values, "chassis_yaw")),
-            chassis_pitch: f64_of(get(registry, c, values, "chassis_pitch")),
-            chassis_roll: f64_of(get(registry, c, values, "chassis_roll")),
-            speed: f64_of(get(registry, c, values, "speed")),
-            engine_intensity: f64_of(get(registry, c, values, "engine_intensity")),
-            slew_angle: f64_of(get(registry, c, values, "slew_angle")),
-            luff_angle: f64_of(get(registry, c, values, "luff_angle")),
-            boom_length: f64_of(get(registry, c, values, "boom_length")),
-            cable_length: f64_of(get(registry, c, values, "cable_length")),
-            boom_tip: vec3_of(get(registry, c, values, "boom_tip")),
-            radius_utilization: f64_of(get(registry, c, values, "radius_utilization")),
-            moment_utilization: f64_of(get(registry, c, values, "moment_utilization")),
+            chassis_position: vec3_of(values.get(&a.chassis_position)),
+            chassis_yaw: f64_of(values.get(&a.chassis_yaw)),
+            chassis_pitch: f64_of(values.get(&a.chassis_pitch)),
+            chassis_roll: f64_of(values.get(&a.chassis_roll)),
+            speed: f64_of(values.get(&a.speed)),
+            engine_intensity: f64_of(values.get(&a.engine_intensity)),
+            slew_angle: f64_of(values.get(&a.slew_angle)),
+            luff_angle: f64_of(values.get(&a.luff_angle)),
+            boom_length: f64_of(values.get(&a.boom_length)),
+            cable_length: f64_of(values.get(&a.cable_length)),
+            boom_tip: vec3_of(values.get(&a.boom_tip)),
+            radius_utilization: f64_of(values.get(&a.radius_utilization)),
+            moment_utilization: f64_of(values.get(&a.moment_utilization)),
         }
     }
 }
@@ -235,30 +240,26 @@ pub struct HookStateMsg {
 
 impl HookStateMsg {
     /// Encodes into attribute values.
-    pub fn to_values(&self, registry: &ClassRegistry, fom: &CraneFom) -> AttributeValues {
-        let mut v = AttributeValues::new();
-        let c = fom.hook_state;
-        put(registry, c, &mut v, "hook_position", Value::Vec3(self.hook_position.into()));
-        put(registry, c, &mut v, "cargo_position", Value::Vec3(self.cargo_position.into()));
-        put(registry, c, &mut v, "swing_angle", Value::F64(self.swing_angle));
-        put(registry, c, &mut v, "cargo_attached", Value::Bool(self.cargo_attached));
-        put(registry, c, &mut v, "cargo_mass", Value::F64(self.cargo_mass));
-        v
+    pub fn to_values(&self, fom: &CraneFom) -> AttributeValues {
+        let a = &fom.hook_state_ids;
+        AttributeValues::from([
+            (a.hook_position, Value::Vec3(self.hook_position.into())),
+            (a.cargo_position, Value::Vec3(self.cargo_position.into())),
+            (a.swing_angle, Value::F64(self.swing_angle)),
+            (a.cargo_attached, Value::Bool(self.cargo_attached)),
+            (a.cargo_mass, Value::F64(self.cargo_mass)),
+        ])
     }
 
     /// Decodes from attribute values.
-    pub fn from_values(
-        registry: &ClassRegistry,
-        fom: &CraneFom,
-        values: &AttributeValues,
-    ) -> HookStateMsg {
-        let c = fom.hook_state;
+    pub fn from_values(fom: &CraneFom, values: &AttributeValues) -> HookStateMsg {
+        let a = &fom.hook_state_ids;
         HookStateMsg {
-            hook_position: vec3_of(get(registry, c, values, "hook_position")),
-            cargo_position: vec3_of(get(registry, c, values, "cargo_position")),
-            swing_angle: f64_of(get(registry, c, values, "swing_angle")),
-            cargo_attached: bool_of(get(registry, c, values, "cargo_attached")),
-            cargo_mass: f64_of(get(registry, c, values, "cargo_mass")),
+            hook_position: vec3_of(values.get(&a.hook_position)),
+            cargo_position: vec3_of(values.get(&a.cargo_position)),
+            swing_angle: f64_of(values.get(&a.swing_angle)),
+            cargo_attached: bool_of(values.get(&a.cargo_attached)),
+            cargo_mass: f64_of(values.get(&a.cargo_mass)),
         }
     }
 }
@@ -278,36 +279,32 @@ pub struct OperatorInputMsg {
 
 impl OperatorInputMsg {
     /// Encodes into attribute values.
-    pub fn to_values(&self, registry: &ClassRegistry, fom: &CraneFom) -> AttributeValues {
-        let mut v = AttributeValues::new();
-        let c = fom.operator_input;
-        put(registry, c, &mut v, "steering", Value::F64(self.steering));
-        put(registry, c, &mut v, "throttle", Value::F64(self.throttle));
-        put(registry, c, &mut v, "brake", Value::F64(self.brake));
-        put(registry, c, &mut v, "reverse", Value::Bool(self.reverse));
-        put(registry, c, &mut v, "slew", Value::F64(self.slew));
-        put(registry, c, &mut v, "luff", Value::F64(self.luff));
-        put(registry, c, &mut v, "telescope", Value::F64(self.telescope));
-        put(registry, c, &mut v, "hoist", Value::F64(self.hoist));
-        v
+    pub fn to_values(&self, fom: &CraneFom) -> AttributeValues {
+        let a = &fom.operator_input_ids;
+        AttributeValues::from([
+            (a.steering, Value::F64(self.steering)),
+            (a.throttle, Value::F64(self.throttle)),
+            (a.brake, Value::F64(self.brake)),
+            (a.reverse, Value::Bool(self.reverse)),
+            (a.slew, Value::F64(self.slew)),
+            (a.luff, Value::F64(self.luff)),
+            (a.telescope, Value::F64(self.telescope)),
+            (a.hoist, Value::F64(self.hoist)),
+        ])
     }
 
     /// Decodes from attribute values.
-    pub fn from_values(
-        registry: &ClassRegistry,
-        fom: &CraneFom,
-        values: &AttributeValues,
-    ) -> OperatorInputMsg {
-        let c = fom.operator_input;
+    pub fn from_values(fom: &CraneFom, values: &AttributeValues) -> OperatorInputMsg {
+        let a = &fom.operator_input_ids;
         OperatorInputMsg {
-            steering: f64_of(get(registry, c, values, "steering")),
-            throttle: f64_of(get(registry, c, values, "throttle")),
-            brake: f64_of(get(registry, c, values, "brake")),
-            reverse: bool_of(get(registry, c, values, "reverse")),
-            slew: f64_of(get(registry, c, values, "slew")),
-            luff: f64_of(get(registry, c, values, "luff")),
-            telescope: f64_of(get(registry, c, values, "telescope")),
-            hoist: f64_of(get(registry, c, values, "hoist")),
+            steering: f64_of(values.get(&a.steering)),
+            throttle: f64_of(values.get(&a.throttle)),
+            brake: f64_of(values.get(&a.brake)),
+            reverse: bool_of(values.get(&a.reverse)),
+            slew: f64_of(values.get(&a.slew)),
+            luff: f64_of(values.get(&a.luff)),
+            telescope: f64_of(values.get(&a.telescope)),
+            hoist: f64_of(values.get(&a.hoist)),
         }
     }
 }
@@ -325,32 +322,28 @@ pub struct ScenarioStateMsg {
 
 impl ScenarioStateMsg {
     /// Encodes into attribute values.
-    pub fn to_values(&self, registry: &ClassRegistry, fom: &CraneFom) -> AttributeValues {
-        let mut v = AttributeValues::new();
-        let c = fom.scenario_state;
-        put(registry, c, &mut v, "phase", Value::Text(self.phase.clone()));
-        put(registry, c, &mut v, "score", Value::F64(self.score));
-        put(registry, c, &mut v, "elapsed", Value::F64(self.elapsed));
-        put(registry, c, &mut v, "complete", Value::Bool(self.complete));
-        put(registry, c, &mut v, "passed", Value::Bool(self.passed));
-        put(registry, c, &mut v, "bar_hits", Value::U32(self.bar_hits));
-        v
+    pub fn to_values(&self, fom: &CraneFom) -> AttributeValues {
+        let a = &fom.scenario_state_ids;
+        AttributeValues::from([
+            (a.phase, Value::Text(self.phase.clone())),
+            (a.score, Value::F64(self.score)),
+            (a.elapsed, Value::F64(self.elapsed)),
+            (a.complete, Value::Bool(self.complete)),
+            (a.passed, Value::Bool(self.passed)),
+            (a.bar_hits, Value::U32(self.bar_hits)),
+        ])
     }
 
     /// Decodes from attribute values.
-    pub fn from_values(
-        registry: &ClassRegistry,
-        fom: &CraneFom,
-        values: &AttributeValues,
-    ) -> ScenarioStateMsg {
-        let c = fom.scenario_state;
+    pub fn from_values(fom: &CraneFom, values: &AttributeValues) -> ScenarioStateMsg {
+        let a = &fom.scenario_state_ids;
         ScenarioStateMsg {
-            phase: text_of(get(registry, c, values, "phase")),
-            score: f64_of(get(registry, c, values, "score")),
-            elapsed: f64_of(get(registry, c, values, "elapsed")),
-            complete: bool_of(get(registry, c, values, "complete")),
-            passed: bool_of(get(registry, c, values, "passed")),
-            bar_hits: u32_of(get(registry, c, values, "bar_hits")),
+            phase: text_of(values.get(&a.phase)),
+            score: f64_of(values.get(&a.score)),
+            elapsed: f64_of(values.get(&a.elapsed)),
+            complete: bool_of(values.get(&a.complete)),
+            passed: bool_of(values.get(&a.passed)),
+            bar_hits: u32_of(values.get(&a.bar_hits)),
         }
     }
 }
@@ -366,28 +359,24 @@ pub struct CollisionMsg {
 
 impl CollisionMsg {
     /// Encodes into interaction parameters.
-    pub fn to_values(&self, registry: &ClassRegistry, fom: &CraneFom) -> AttributeValues {
-        let mut v = AttributeValues::new();
-        let c = fom.collision;
-        put_param(registry, c, &mut v, "location", Value::Vec3(self.location.into()));
-        put_param(registry, c, &mut v, "impulse", Value::F64(self.impulse));
-        put_param(registry, c, &mut v, "obstacle", Value::Text(self.obstacle.clone()));
-        put_param(registry, c, &mut v, "scored", Value::Bool(self.scored));
-        v
+    pub fn to_values(&self, fom: &CraneFom) -> AttributeValues {
+        let p = &fom.collision_ids;
+        AttributeValues::from([
+            (p.location, Value::Vec3(self.location.into())),
+            (p.impulse, Value::F64(self.impulse)),
+            (p.obstacle, Value::Text(self.obstacle.clone())),
+            (p.scored, Value::Bool(self.scored)),
+        ])
     }
 
     /// Decodes from interaction parameters.
-    pub fn from_values(
-        registry: &ClassRegistry,
-        fom: &CraneFom,
-        values: &AttributeValues,
-    ) -> CollisionMsg {
-        let c = fom.collision;
+    pub fn from_values(fom: &CraneFom, values: &AttributeValues) -> CollisionMsg {
+        let p = &fom.collision_ids;
         CollisionMsg {
-            location: vec3_of(get_param(registry, c, values, "location")),
-            impulse: f64_of(get_param(registry, c, values, "impulse")),
-            obstacle: text_of(get_param(registry, c, values, "obstacle")),
-            scored: bool_of(get_param(registry, c, values, "scored")),
+            location: vec3_of(values.get(&p.location)),
+            impulse: f64_of(values.get(&p.impulse)),
+            obstacle: text_of(values.get(&p.obstacle)),
+            scored: bool_of(values.get(&p.scored)),
         }
     }
 }
@@ -414,26 +403,22 @@ pub mod alarm_codes {
 
 impl AlarmMsg {
     /// Encodes into interaction parameters.
-    pub fn to_values(&self, registry: &ClassRegistry, fom: &CraneFom) -> AttributeValues {
-        let mut v = AttributeValues::new();
-        let c = fom.alarm;
-        put_param(registry, c, &mut v, "code", Value::U32(self.code));
-        put_param(registry, c, &mut v, "active", Value::Bool(self.active));
-        put_param(registry, c, &mut v, "message", Value::Text(self.message.clone()));
-        v
+    pub fn to_values(&self, fom: &CraneFom) -> AttributeValues {
+        let p = &fom.alarm_ids;
+        AttributeValues::from([
+            (p.code, Value::U32(self.code)),
+            (p.active, Value::Bool(self.active)),
+            (p.message, Value::Text(self.message.clone())),
+        ])
     }
 
     /// Decodes from interaction parameters.
-    pub fn from_values(
-        registry: &ClassRegistry,
-        fom: &CraneFom,
-        values: &AttributeValues,
-    ) -> AlarmMsg {
-        let c = fom.alarm;
+    pub fn from_values(fom: &CraneFom, values: &AttributeValues) -> AlarmMsg {
+        let p = &fom.alarm_ids;
         AlarmMsg {
-            code: u32_of(get_param(registry, c, values, "code")),
-            active: bool_of(get_param(registry, c, values, "active")),
-            message: text_of(get_param(registry, c, values, "message")),
+            code: u32_of(values.get(&p.code)),
+            active: bool_of(values.get(&p.active)),
+            message: text_of(values.get(&p.message)),
         }
     }
 }
@@ -449,24 +434,20 @@ pub struct FaultMsg {
 
 impl FaultMsg {
     /// Encodes into interaction parameters.
-    pub fn to_values(&self, registry: &ClassRegistry, fom: &CraneFom) -> AttributeValues {
-        let mut v = AttributeValues::new();
-        let c = fom.fault;
-        put_param(registry, c, &mut v, "instrument", Value::Text(self.instrument.clone()));
-        put_param(registry, c, &mut v, "value", Value::F64(self.value));
-        v
+    pub fn to_values(&self, fom: &CraneFom) -> AttributeValues {
+        let p = &fom.fault_ids;
+        AttributeValues::from([
+            (p.instrument, Value::Text(self.instrument.clone())),
+            (p.value, Value::F64(self.value)),
+        ])
     }
 
     /// Decodes from interaction parameters.
-    pub fn from_values(
-        registry: &ClassRegistry,
-        fom: &CraneFom,
-        values: &AttributeValues,
-    ) -> FaultMsg {
-        let c = fom.fault;
+    pub fn from_values(fom: &CraneFom, values: &AttributeValues) -> FaultMsg {
+        let p = &fom.fault_ids;
         FaultMsg {
-            instrument: text_of(get_param(registry, c, values, "instrument")),
-            value: f64_of(get_param(registry, c, values, "value")),
+            instrument: text_of(values.get(&p.instrument)),
+            value: f64_of(values.get(&p.value)),
         }
     }
 }
@@ -486,7 +467,7 @@ mod tests {
 
     #[test]
     fn crane_state_roundtrips() {
-        let (registry, fom) = CraneFom::standard();
+        let (_, fom) = CraneFom::standard();
         let msg = CraneStateMsg {
             chassis_position: Vec3::new(1.0, 2.0, 3.0),
             chassis_yaw: 0.5,
@@ -502,13 +483,13 @@ mod tests {
             radius_utilization: 0.6,
             moment_utilization: 0.4,
         };
-        let values = msg.to_values(&registry, &fom);
-        assert_eq!(CraneStateMsg::from_values(&registry, &fom, &values), msg);
+        let values = msg.to_values(&fom);
+        assert_eq!(CraneStateMsg::from_values(&fom, &values), msg);
     }
 
     #[test]
     fn remaining_messages_roundtrip() {
-        let (registry, fom) = CraneFom::standard();
+        let (_, fom) = CraneFom::standard();
         let hook = HookStateMsg {
             hook_position: Vec3::new(0.0, 5.0, 1.0),
             cargo_position: Vec3::new(0.0, 1.0, 1.0),
@@ -516,10 +497,7 @@ mod tests {
             cargo_attached: true,
             cargo_mass: 1500.0,
         };
-        assert_eq!(
-            HookStateMsg::from_values(&registry, &fom, &hook.to_values(&registry, &fom)),
-            hook
-        );
+        assert_eq!(HookStateMsg::from_values(&fom, &hook.to_values(&fom)), hook);
 
         let input = OperatorInputMsg {
             steering: -0.3,
@@ -528,10 +506,7 @@ mod tests {
             hoist: -0.5,
             ..Default::default()
         };
-        assert_eq!(
-            OperatorInputMsg::from_values(&registry, &fom, &input.to_values(&registry, &fom)),
-            input
-        );
+        assert_eq!(OperatorInputMsg::from_values(&fom, &input.to_values(&fom)), input);
 
         let scenario = ScenarioStateMsg {
             phase: "Traverse".into(),
@@ -541,10 +516,7 @@ mod tests {
             passed: false,
             bar_hits: 2,
         };
-        assert_eq!(
-            ScenarioStateMsg::from_values(&registry, &fom, &scenario.to_values(&registry, &fom)),
-            scenario
-        );
+        assert_eq!(ScenarioStateMsg::from_values(&fom, &scenario.to_values(&fom)), scenario);
 
         let collision = CollisionMsg {
             location: Vec3::unit_x(),
@@ -552,30 +524,21 @@ mod tests {
             obstacle: "bar-1".into(),
             scored: true,
         };
-        assert_eq!(
-            CollisionMsg::from_values(&registry, &fom, &collision.to_values(&registry, &fom)),
-            collision
-        );
+        assert_eq!(CollisionMsg::from_values(&fom, &collision.to_values(&fom)), collision);
 
         let alarm =
             AlarmMsg { code: alarm_codes::OVERLOAD, active: true, message: "overload".into() };
-        assert_eq!(
-            AlarmMsg::from_values(&registry, &fom, &alarm.to_values(&registry, &fom)),
-            alarm
-        );
+        assert_eq!(AlarmMsg::from_values(&fom, &alarm.to_values(&fom)), alarm);
 
         let fault = FaultMsg { instrument: "speedometer".into(), value: 55.0 };
-        assert_eq!(
-            FaultMsg::from_values(&registry, &fom, &fault.to_values(&registry, &fom)),
-            fault
-        );
+        assert_eq!(FaultMsg::from_values(&fom, &fault.to_values(&fom)), fault);
     }
 
     #[test]
     fn missing_attributes_default_to_zero() {
-        let (registry, fom) = CraneFom::standard();
+        let (_, fom) = CraneFom::standard();
         let empty = AttributeValues::new();
-        let msg = CraneStateMsg::from_values(&registry, &fom, &empty);
+        let msg = CraneStateMsg::from_values(&fom, &empty);
         assert_eq!(msg.speed, 0.0);
         assert_eq!(msg.chassis_position, Vec3::ZERO);
     }

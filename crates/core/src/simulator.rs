@@ -333,7 +333,7 @@ impl CraneSimulator {
         let mut cost = Micros::ZERO;
         for _ in 0..frames {
             let record = self.step_frame()?;
-            cost = record.costs.iter().fold(cost, |sum, (_, c)| sum + *c);
+            cost = record.costs.iter().fold(cost, |sum, c| sum + *c);
         }
         Ok(cost)
     }
@@ -753,7 +753,7 @@ mod tests {
             for (sim, cost) in scalar.iter_mut().zip(scalar_costs.iter_mut()) {
                 for _ in 0..frames {
                     let record = sim.step_frame().unwrap();
-                    for (_, c) in &record.costs {
+                    for c in &record.costs {
                         *cost += *c;
                     }
                 }

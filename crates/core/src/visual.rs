@@ -19,7 +19,6 @@ use crate::telemetry::SharedTelemetry;
 /// One display channel of the surround view.
 pub struct VisualDisplayLp {
     name: String,
-    registry: ClassRegistry,
     fom: CraneFom,
     telemetry: SharedTelemetry,
 
@@ -43,9 +42,12 @@ impl VisualDisplayLp {
     /// When `render_pixels` is false the module runs the cost model only,
     /// which is what the frame-rate experiments need; set it to true to
     /// produce real images (screenshots in the examples).
+    ///
+    /// `_registry` is unused (the attribute ids live in `fom`); the parameter
+    /// stays until `benchmark/`, which calls this constructor, is re-bound.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        registry: ClassRegistry,
+        _registry: ClassRegistry,
         fom: CraneFom,
         channel: usize,
         channel_count: usize,
@@ -61,7 +63,6 @@ impl VisualDisplayLp {
         VisualDisplayLp {
             name: format!("visual-{channel}"),
             sync: FrameSyncClient::new(fom.sync, channel as u32),
-            registry,
             fom,
             telemetry,
             channel,
@@ -169,11 +170,9 @@ impl LogicalProcess for VisualDisplayLp {
     fn step(&mut self, cb: &mut dyn CbApi, _dt: f64) -> Result<(), CbError> {
         for reflection in cb.reflections() {
             if reflection.class == self.fom.crane_state {
-                self.crane =
-                    CraneStateMsg::from_values(&self.registry, &self.fom, &reflection.values);
+                self.crane = CraneStateMsg::from_values(&self.fom, &reflection.values);
             } else if reflection.class == self.fom.hook_state {
-                self.hook =
-                    HookStateMsg::from_values(&self.registry, &self.fom, &reflection.values);
+                self.hook = HookStateMsg::from_values(&self.fom, &reflection.values);
             }
         }
 

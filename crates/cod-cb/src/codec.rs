@@ -5,7 +5,7 @@
 //! used — no serialization framework — so the exact wire cost of every message
 //! is visible and is charged faithfully by the simulated LAN's bandwidth model.
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 
 use crate::error::CbError;
 use crate::fom::{AttributeId, AttributeValues, Value};
@@ -17,6 +17,11 @@ pub struct Reader<'a> {
     buf: &'a [u8],
 }
 
+#[cold]
+fn truncated(needed: usize, available: usize) -> CbError {
+    CbError::Codec(format!("truncated message: needed {needed} more bytes, {available} available"))
+}
+
 impl<'a> Reader<'a> {
     /// Wraps a payload for decoding.
     pub fn new(buf: &'a [u8]) -> Reader<'a> {
@@ -25,57 +30,52 @@ impl<'a> Reader<'a> {
 
     /// Remaining bytes.
     pub fn remaining(&self) -> usize {
-        self.buf.remaining()
+        self.buf.len()
     }
 
-    fn need(&self, n: usize) -> Result<(), CbError> {
-        if self.buf.remaining() < n {
-            Err(CbError::Codec(format!(
-                "truncated message: needed {n} more bytes, {} available",
-                self.buf.remaining()
-            )))
-        } else {
-            Ok(())
+    /// Takes the next `N` bytes: the one bounds check a primitive read makes.
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], CbError> {
+        match self.buf.split_first_chunk::<N>() {
+            Some((head, rest)) => {
+                self.buf = rest;
+                Ok(*head)
+            }
+            None => Err(truncated(N, self.buf.len())),
         }
     }
 
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, CbError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
+        self.take::<1>().map(|[v]| v)
     }
 
     /// Reads a big-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, CbError> {
-        self.need(2)?;
-        Ok(self.buf.get_u16())
+        self.take().map(u16::from_be_bytes)
     }
 
     /// Reads a big-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, CbError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32())
+        self.take().map(u32::from_be_bytes)
     }
 
     /// Reads a big-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, CbError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64())
+        self.take().map(u64::from_be_bytes)
     }
 
     /// Reads a big-endian `f64`.
     pub fn f64(&mut self) -> Result<f64, CbError> {
-        self.need(8)?;
-        Ok(self.buf.get_f64())
+        self.u64().map(f64::from_bits)
     }
 
     /// Reads a length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<Vec<u8>, CbError> {
         let len = self.u32()? as usize;
-        self.need(len)?;
-        let mut v = vec![0u8; len];
-        self.buf.copy_to_slice(&mut v);
-        Ok(v)
+        let (head, rest) =
+            self.buf.split_at_checked(len).ok_or_else(|| truncated(len, self.buf.len()))?;
+        self.buf = rest;
+        Ok(head.to_vec())
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -115,7 +115,9 @@ impl<'a> Reader<'a> {
         let count = self.u16()? as usize;
         // The count is the sender's claim: reserve no more than the payload
         // that is actually left could hold.
-        self.need(count * MIN_ATTRIBUTE_BYTES)?;
+        if self.buf.len() < count * MIN_ATTRIBUTE_BYTES {
+            return Err(truncated(count * MIN_ATTRIBUTE_BYTES, self.buf.len()));
+        }
         let mut values = AttributeValues::with_capacity(count);
         for _ in 0..count {
             let id = AttributeId(self.u16()?);

@@ -140,9 +140,18 @@ impl AttributeValues {
         }
     }
 
-    /// The value of `id`, if present.
+    /// The value of `id`, if present. O(1) when the set holds every id below
+    /// `id` — a full update carries all attributes of its class, so id N sits
+    /// at index N — and a binary search otherwise.
     pub fn get(&self, id: &AttributeId) -> Option<&Value> {
-        self.entries.binary_search_by_key(id, |(k, _)| *k).ok().map(|at| &self.entries[at].1)
+        match self.entries.get(id.0 as usize) {
+            Some((at_index, value)) if at_index == id => Some(value),
+            _ => self
+                .entries
+                .binary_search_by_key(id, |(k, _)| *k)
+                .ok()
+                .map(|at| &self.entries[at].1),
+        }
     }
 
     /// Number of attributes in the set.
@@ -404,43 +413,78 @@ mod tests {
         use proptest::prelude::*;
         use std::collections::BTreeMap;
 
+        /// Drives the flat container and a `BTreeMap` oracle with the same
+        /// insert sequence (any order, repeated ids) and compares every
+        /// observable.
+        fn assert_matches_oracle(inserts: &[(u16, u32)]) {
+            let mut flat = AttributeValues::new();
+            let mut oracle = BTreeMap::new();
+            for (id, v) in inserts {
+                let (id, value) = (AttributeId(*id), Value::U32(*v));
+                assert_eq!(flat.insert(id, value.clone()), oracle.insert(id, value));
+            }
+            assert_eq!(flat.len(), oracle.len());
+            assert_eq!(flat.is_empty(), oracle.is_empty());
+            for id in (0..24).map(AttributeId) {
+                assert_eq!(flat.get(&id), oracle.get(&id));
+            }
+            for (id, value) in &oracle {
+                assert_eq!(&flat[id], value);
+            }
+            let in_order: Vec<_> = oracle.iter().collect();
+            assert_eq!(flat.iter().collect::<Vec<_>>(), in_order.clone());
+            assert_eq!((&flat).into_iter().collect::<Vec<_>>(), in_order);
+
+            // Equality does not depend on build order, and `collect()`
+            // keeps the last value of a repeated id.
+            let pairs = || inserts.iter().map(|(id, v)| (AttributeId(*id), Value::U32(*v)));
+            assert_eq!(&pairs().collect::<AttributeValues>(), &flat);
+            let ascending: AttributeValues =
+                oracle.iter().map(|(id, v)| (*id, v.clone())).collect();
+            let descending: AttributeValues =
+                oracle.iter().rev().map(|(id, v)| (*id, v.clone())).collect();
+            assert_eq!(&ascending, &flat);
+            assert_eq!(&descending, &flat);
+        }
+
         proptest! {
-            /// Drives the flat container and a `BTreeMap` oracle with the same
-            /// insert sequence (any order, repeated ids) and compares every
-            /// observable.
             #[test]
             fn prop_matches_a_btreemap_oracle(
                 inserts in proptest::collection::vec((0u16..24, any::<u32>()), 0..40),
             ) {
-                let mut flat = AttributeValues::new();
-                let mut oracle = BTreeMap::new();
-                for (id, v) in &inserts {
-                    let (id, value) = (AttributeId(*id), Value::U32(*v));
-                    prop_assert_eq!(flat.insert(id, value.clone()), oracle.insert(id, value));
-                }
-                prop_assert_eq!(flat.len(), oracle.len());
-                prop_assert_eq!(flat.is_empty(), oracle.is_empty());
-                for id in (0..24).map(AttributeId) {
-                    prop_assert_eq!(flat.get(&id), oracle.get(&id));
-                }
-                for (id, value) in &oracle {
-                    prop_assert_eq!(&flat[id], value);
-                }
-                let in_order: Vec<_> = oracle.iter().collect();
-                prop_assert_eq!(flat.iter().collect::<Vec<_>>(), in_order.clone());
-                prop_assert_eq!((&flat).into_iter().collect::<Vec<_>>(), in_order);
-
-                // Equality does not depend on build order, and `collect()`
-                // keeps the last value of a repeated id.
-                let pairs = || inserts.iter().map(|(id, v)| (AttributeId(*id), Value::U32(*v)));
-                prop_assert_eq!(&pairs().collect::<AttributeValues>(), &flat);
-                let ascending: AttributeValues =
-                    oracle.iter().map(|(id, v)| (*id, v.clone())).collect();
-                let descending: AttributeValues =
-                    oracle.iter().rev().map(|(id, v)| (*id, v.clone())).collect();
-                prop_assert_eq!(&ascending, &flat);
-                prop_assert_eq!(&descending, &flat);
+                assert_matches_oracle(&inserts);
             }
+        }
+
+        /// `get` looks at index `id` first. Random draws almost never produce
+        /// the set that serves: every id of `0..n` present. That set, and the
+        /// same set with one id missing — every id above the hole is present
+        /// but one slot below its index, and the hole's own slot holds another
+        /// id — go through the oracle here, built in both directions.
+        #[test]
+        fn dense_sets_and_dense_sets_with_a_hole_match_the_oracle() {
+            for n in 0..=24u16 {
+                for hole in (0..n).map(Some).chain([None]) {
+                    let ascending: Vec<(u16, u32)> = (0..n)
+                        .filter(|id| Some(*id) != hole)
+                        .map(|id| (id, 1000 + u32::from(id)))
+                        .collect();
+                    let descending: Vec<(u16, u32)> = ascending.iter().rev().copied().collect();
+                    assert_matches_oracle(&ascending);
+                    assert_matches_oracle(&descending);
+                }
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "attribute id not present")]
+        fn indexing_a_missing_id_whose_slot_is_occupied_panics() {
+            let values: AttributeValues = [0u16, 1, 3, 4]
+                .into_iter()
+                .map(|id| (AttributeId(id), Value::Bool(true)))
+                .collect();
+            assert_eq!(values[&AttributeId(3)], Value::Bool(true));
+            let _ = &values[&AttributeId(2)];
         }
 
         #[test]

@@ -15,7 +15,7 @@ use crate::fom::{AttributeValues, ClassRegistry, InteractionClassId, ObjectClass
 use crate::protocol::PendingSubscription;
 use crate::stats::CbStats;
 use crate::tables::{PublicationTable, SubscriptionTable};
-use crate::wire::WireMessage;
+use crate::wire::{self, WireMessage};
 use cod_net::{Addr, Datagram, Destination, Micros, Transport};
 use serde::{Deserialize, Serialize};
 
@@ -109,6 +109,32 @@ struct LocalLp {
     interaction_subscriptions: BTreeSet<InteractionClassId>,
 }
 
+/// Datagrams waiting for the next flush, encoded when they were queued: one
+/// byte arena kept across ticks, and per datagram its destination and the
+/// offset in `bytes` at which it ends, in queueing order.
+#[derive(Debug, Default)]
+struct Outbox {
+    bytes: Vec<u8>,
+    datagrams: Vec<(Destination, usize)>,
+}
+
+impl Outbox {
+    fn push(&mut self, dst: Destination, msg: &WireMessage) {
+        msg.encode_into(&mut self.bytes);
+        self.seal(dst);
+    }
+
+    /// Ends the datagram whose bytes were just appended to `bytes`.
+    fn seal(&mut self, dst: Destination) {
+        self.datagrams.push((dst, self.bytes.len()));
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.datagrams.clear();
+    }
+}
+
 /// The Communication Backbone kernel for one computer of the cluster.
 #[derive(Debug)]
 pub struct CbKernel<T: Transport> {
@@ -128,11 +154,10 @@ pub struct CbKernel<T: Transport> {
     objects: BTreeMap<ObjectId, (LpId, ObjectClassId)>,
     channel_time_bounds: BTreeMap<ChannelId, Micros>,
     connect_last_sent: BTreeMap<ChannelId, Micros>,
-    outbox: Vec<(Destination, WireMessage)>,
-    /// Receive and encode buffers kept across ticks so a steady-state tick
-    /// allocates for neither.
+    outbox: Outbox,
+    /// Receive buffer kept across ticks so a steady-state tick does not
+    /// allocate one.
     inbox: Vec<Datagram>,
-    wire: Vec<u8>,
     stats: CbStats,
 }
 
@@ -162,9 +187,8 @@ impl<T: Transport> CbKernel<T> {
             objects: BTreeMap::new(),
             channel_time_bounds: BTreeMap::new(),
             connect_last_sent: BTreeMap::new(),
-            outbox: Vec::new(),
+            outbox: Outbox::default(),
             inbox: Vec::new(),
-            wire: Vec::new(),
             stats: CbStats::default(),
         }
     }
@@ -282,7 +306,7 @@ impl<T: Transport> CbKernel<T> {
         self.pending.retain(|p| p.lp != lp);
         self.channels.remove_for_lp(lp);
         self.objects.retain(|_, (owner, _)| *owner != lp);
-        self.outbox.push((Destination::Broadcast(self.addr.port), WireMessage::Withdraw { lp }));
+        self.outbox.push(Destination::Broadcast(self.addr.port), &WireMessage::Withdraw { lp });
         Ok(())
     }
 
@@ -385,37 +409,41 @@ impl<T: Transport> CbKernel<T> {
         }
         self.stats.updates_published += 1;
 
+        // Remote routing: push over every established outgoing channel. The
+        // update is encoded for the first one; the others get a copy of those
+        // bytes under their own channel id.
+        let mut encoded: Option<std::ops::Range<usize>> = None;
+        for vc in self.channels.outgoing(lp, class) {
+            let bytes = &mut self.outbox.bytes;
+            match &encoded {
+                Some(update) => wire::append_update_copy(bytes, update.clone(), vc.id),
+                None => {
+                    let start = bytes.len();
+                    wire::append_update(bytes, vc.id, object, class, timestamp, &values);
+                    encoded = Some(start..bytes.len());
+                }
+            }
+            self.outbox.seal(Destination::Unicast(vc.remote_cb));
+            self.stats.updates_sent_remote += 1;
+        }
+
         // Local routing: co-resident subscribers get the reflection without
         // touching the network (paper §2.1: "no matter that the corresponded
         // LP is in the same machine or across network").
-        for sub in self.subscriptions.subscribers_of(class).filter(|s| *s != lp) {
+        let subscribers = self.subscriptions.subscribers_of(class).filter(|s| *s != lp);
+        fan_out(subscribers, values, |sub, values| {
             if let Some(entry) = self.lps.get_mut(&sub) {
                 entry.reflections.push_back(Reflection {
                     object,
                     class,
-                    values: values.clone(),
+                    values,
                     timestamp,
                     channel: None,
                 });
                 self.stats.updates_routed_locally += 1;
                 self.stats.reflections_delivered += 1;
             }
-        }
-
-        // Remote routing: push over every established outgoing channel.
-        for vc in self.channels.outgoing(lp, class) {
-            self.outbox.push((
-                Destination::Unicast(vc.remote_cb),
-                WireMessage::UpdateAttributes {
-                    channel: vc.id,
-                    object,
-                    class,
-                    timestamp,
-                    values: values.clone(),
-                },
-            ));
-            self.stats.updates_sent_remote += 1;
-        }
+        });
         Ok(())
     }
 
@@ -437,18 +465,21 @@ impl<T: Transport> CbKernel<T> {
             return Err(CbError::UnknownInteractionClass(class));
         }
         self.stats.interactions_sent += 1;
-        let message =
-            InteractionMessage { class, sender: lp, parameters: parameters.clone(), timestamp };
-        for (id, entry) in self.lps.iter_mut() {
-            if *id != lp && entry.interaction_subscriptions.contains(&class) {
-                entry.interactions.push_back(message.clone());
-                self.stats.interactions_delivered += 1;
-            }
-        }
-        self.outbox.push((
-            Destination::Broadcast(self.addr.port),
-            WireMessage::Interaction { class, sender_lp: lp, timestamp, parameters },
-        ));
+        wire::append_interaction(&mut self.outbox.bytes, class, lp, timestamp, &parameters);
+        self.outbox.seal(Destination::Broadcast(self.addr.port));
+        let subscribers = self
+            .lps
+            .iter_mut()
+            .filter(|(id, entry)| **id != lp && entry.interaction_subscriptions.contains(&class));
+        fan_out(subscribers, parameters, |(_, entry), parameters| {
+            entry.interactions.push_back(InteractionMessage {
+                class,
+                sender: lp,
+                parameters,
+                timestamp,
+            });
+            self.stats.interactions_delivered += 1;
+        });
         Ok(())
     }
 
@@ -478,10 +509,10 @@ impl<T: Transport> CbKernel<T> {
         self.check_lp(lp)?;
         for vc in self.channels.iter() {
             if vc.established && vc.role == ChannelRole::Publisher && vc.publisher_lp == lp {
-                self.outbox.push((
+                self.outbox.push(
                     Destination::Unicast(vc.remote_cb),
-                    WireMessage::NullMessage { channel: vc.id, time: lower_bound },
-                ));
+                    &WireMessage::NullMessage { channel: vc.id, time: lower_bound },
+                );
             }
         }
         Ok(())
@@ -531,14 +562,14 @@ impl<T: Transport> CbKernel<T> {
             if pending.broadcast_due(now, interval, readvertise) {
                 pending.record_broadcast(now);
                 self.stats.subscription_broadcasts += 1;
-                self.outbox.push((
+                self.outbox.push(
                     Destination::Broadcast(cb_addr.port),
-                    WireMessage::Subscription {
+                    &WireMessage::Subscription {
                         subscriber_cb: cb_addr,
                         subscriber_lp: pending.lp,
                         class: pending.class,
                     },
-                ));
+                );
             }
         }
 
@@ -552,25 +583,29 @@ impl<T: Transport> CbKernel<T> {
             let last = self.connect_last_sent.get(&vc.id).copied().unwrap_or(Micros::ZERO);
             if now.saturating_sub(last) >= interval {
                 self.connect_last_sent.insert(vc.id, now);
-                self.outbox.push((
+                self.outbox.push(
                     Destination::Unicast(vc.remote_cb),
-                    WireMessage::ChannelConnection {
+                    &WireMessage::ChannelConnection {
                         channel: vc.id,
                         subscriber_cb: cb_addr,
                         subscriber_lp: vc.subscriber_lp,
                         publisher_lp: vc.publisher_lp,
                         class: vc.class,
                     },
-                ));
+                );
             }
         }
 
-        // 3. Flush.
-        for (dst, msg) in self.outbox.drain(..) {
-            msg.encode_into(&mut self.wire);
-            self.transport.send(dst, &self.wire)?;
-        }
-        Ok(())
+        // 3. Flush. A failed send takes the rest of this tick's datagrams
+        // with it: nothing stale is left for the next tick.
+        let mut start = 0;
+        let sent = self.outbox.datagrams.iter().try_for_each(|&(dst, end)| {
+            let payload = &self.outbox.bytes[start..end];
+            start = end;
+            self.transport.send(dst, payload)
+        });
+        self.outbox.clear();
+        Ok(sent?)
     }
 
     fn handle_wire_message(&mut self, msg: WireMessage, _from: Addr) {
@@ -584,10 +619,10 @@ impl<T: Transport> CbKernel<T> {
                         continue;
                     }
                     self.stats.acknowledges_sent += 1;
-                    self.outbox.push((
+                    self.outbox.push(
                         Destination::Unicast(subscriber_cb),
-                        WireMessage::Acknowledge { publisher_cb: self.addr, publisher_lp, class },
-                    ));
+                        &WireMessage::Acknowledge { publisher_cb: self.addr, publisher_lp, class },
+                    );
                 }
             }
             WireMessage::Acknowledge { publisher_cb, publisher_lp, class } => {
@@ -614,16 +649,16 @@ impl<T: Transport> CbKernel<T> {
                     });
                 }
                 for vc in new_channels {
-                    self.outbox.push((
+                    self.outbox.push(
                         Destination::Unicast(publisher_cb),
-                        WireMessage::ChannelConnection {
+                        &WireMessage::ChannelConnection {
                             channel: vc.id,
                             subscriber_cb: self.addr,
                             subscriber_lp: vc.subscriber_lp,
                             publisher_lp: vc.publisher_lp,
                             class: vc.class,
                         },
-                    ));
+                    );
                     self.connect_last_sent.insert(vc.id, self.now);
                     self.channels.insert(vc);
                 }
@@ -652,10 +687,10 @@ impl<T: Transport> CbKernel<T> {
                     });
                     self.stats.channels_established += 1;
                 }
-                self.outbox.push((
+                self.outbox.push(
                     Destination::Unicast(subscriber_cb),
-                    WireMessage::ChannelAck { channel },
-                ));
+                    &WireMessage::ChannelAck { channel },
+                );
             }
             WireMessage::ChannelAck { channel } => {
                 self.connect_last_sent.remove(&channel);
@@ -695,14 +730,19 @@ impl<T: Transport> CbKernel<T> {
                 }
             }
             WireMessage::Interaction { class, sender_lp, timestamp, parameters } => {
-                let message =
-                    InteractionMessage { class, sender: sender_lp, parameters, timestamp };
-                for entry in self.lps.values_mut() {
-                    if entry.interaction_subscriptions.contains(&class) {
-                        entry.interactions.push_back(message.clone());
-                        self.stats.interactions_delivered += 1;
-                    }
-                }
+                let subscribers = self
+                    .lps
+                    .values_mut()
+                    .filter(|entry| entry.interaction_subscriptions.contains(&class));
+                fan_out(subscribers, parameters, |entry, parameters| {
+                    entry.interactions.push_back(InteractionMessage {
+                        class,
+                        sender: sender_lp,
+                        parameters,
+                        timestamp,
+                    });
+                    self.stats.interactions_delivered += 1;
+                });
             }
             WireMessage::NullMessage { channel, time } => {
                 let bound = self.channel_time_bounds.entry(channel).or_insert(Micros::ZERO);
@@ -733,11 +773,23 @@ impl<T: Transport> CbKernel<T> {
     }
 }
 
+/// Hands `value` to every target: a clone to each but the last, which takes
+/// `value` itself, so a message with one consumer is never copied.
+fn fan_out<I: Iterator, V: Clone>(targets: I, value: V, mut deliver: impl FnMut(I::Item, V)) {
+    let mut targets = targets.peekable();
+    while let Some(target) = targets.next() {
+        if targets.peek().is_none() {
+            return deliver(target, value);
+        }
+        deliver(target, value.clone());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fom::Value;
-    use cod_net::{LanConfig, SharedLan, SimLan, SimTransport};
+    use crate::fom::{AttributeId, Value};
+    use cod_net::{LanConfig, NetError, NodeId, Port, SharedLan, SimLan, SimTransport};
 
     struct Cluster {
         lan: SharedLan,
@@ -1007,5 +1059,192 @@ mod tests {
             subscriber.established_channel_count() >= 1,
             "channel never established over lossy LAN"
         );
+    }
+
+    // ------------------------------------------------------------------
+    // The outbox arena, observed at the transport
+    // ------------------------------------------------------------------
+
+    /// A transport that records every `send` and can be told to fail one.
+    #[derive(Debug, Default)]
+    struct RecordingTransport {
+        sent: Vec<(Destination, Vec<u8>)>,
+        /// Delivered by the next `poll`.
+        inbound: Vec<Datagram>,
+        /// 1-based index of the `send` call that fails, if any.
+        failing_send: Option<usize>,
+        sends: usize,
+    }
+
+    const RECORDER: Addr = Addr::new(NodeId(1), Port(1));
+
+    impl Transport for RecordingTransport {
+        fn send(&mut self, dst: Destination, payload: &[u8]) -> Result<(), NetError> {
+            self.sends += 1;
+            if self.failing_send == Some(self.sends) {
+                return Err(NetError::Disconnected);
+            }
+            self.sent.push((dst, payload.to_vec()));
+            Ok(())
+        }
+
+        fn poll(&mut self) -> Result<Vec<Datagram>, NetError> {
+            Ok(std::mem::take(&mut self.inbound))
+        }
+
+        fn local_addr(&self) -> Addr {
+            RECORDER
+        }
+    }
+
+    /// A publisher of `CraneState` with one object, `local` co-resident
+    /// subscribers and `remote` established outgoing channels, each to its own
+    /// subscriber CB; nothing sent yet as far as the recorder shows.
+    struct Publisher {
+        kernel: CbKernel<RecordingTransport>,
+        lp: LpId,
+        class: ObjectClassId,
+        collision: InteractionClassId,
+        object: ObjectId,
+        local: Vec<LpId>,
+        channels: Vec<(ChannelId, Addr)>,
+    }
+
+    fn publisher(local: usize, remote: u16) -> Publisher {
+        let (fom, class, collision) = crane_fom();
+        let mut kernel = CbKernel::new(RecordingTransport::default(), fom);
+        let lp = kernel.register_lp("dynamics");
+        kernel.publish_object_class(lp, class).unwrap();
+        let object = kernel.register_object_instance(lp, class).unwrap();
+        let local = (0..local)
+            .map(|i| {
+                let sub = kernel.register_lp(&format!("display-{i}"));
+                kernel.subscribe_object_class(sub, class).unwrap();
+                sub
+            })
+            .collect();
+        let channels: Vec<(ChannelId, Addr)> = (0..remote)
+            .map(|i| (ChannelId::compose(10 + i, 0), Addr::new(NodeId(10 + i), Port(1))))
+            .collect();
+        for (channel, subscriber_cb) in &channels {
+            let connect = WireMessage::ChannelConnection {
+                channel: *channel,
+                subscriber_cb: *subscriber_cb,
+                subscriber_lp: LpId::compose(subscriber_cb.node.0, 0),
+                publisher_lp: lp,
+                class,
+            };
+            kernel.transport.inbound.push(Datagram {
+                src: *subscriber_cb,
+                dst: Destination::Unicast(RECORDER),
+                payload: connect.encode().into(),
+                delivered_at: Micros::ZERO,
+            });
+        }
+        kernel.tick(Micros::ZERO).unwrap();
+        assert_eq!(kernel.established_channel_count(), usize::from(remote));
+        kernel.transport.sent.clear();
+        kernel.transport.sends = 0;
+        Publisher { kernel, lp, class, collision, object, local, channels }
+    }
+
+    fn full_update() -> AttributeValues {
+        [
+            (AttributeId(0), Value::Vec3([1.0, -2.0, 3.5])),
+            (AttributeId(1), Value::F64(0.7)),
+            (AttributeId(2), Value::Text("twelve metres".into())),
+        ]
+        .into()
+    }
+
+    #[test]
+    fn flushed_payloads_equal_each_message_encoded_on_its_own() {
+        for remote in [1, 2, 7] {
+            let Publisher { mut kernel, lp, class, collision, object, channels, .. } =
+                publisher(0, remote);
+            let bystander = kernel.register_lp("bystander");
+            let (values, at) = (full_update(), Micros(40_000));
+            let parameters: AttributeValues = [(AttributeId(0), Value::Bool(true))].into();
+
+            kernel.update_attribute_values(lp, object, values.clone(), at).unwrap();
+            kernel.send_interaction(lp, collision, parameters.clone(), at).unwrap();
+            kernel.send_null_messages(lp, Micros(90_000)).unwrap();
+            kernel.deregister_lp(bystander).unwrap();
+            kernel.tick(at).unwrap();
+
+            let to_all = Destination::Broadcast(RECORDER.port);
+            let mut expected = Vec::new();
+            for (channel, cb) in &channels {
+                let update = WireMessage::UpdateAttributes {
+                    channel: *channel,
+                    object,
+                    class,
+                    timestamp: at,
+                    values: values.clone(),
+                };
+                expected.push((Destination::Unicast(*cb), update.encode()));
+            }
+            let interaction = WireMessage::Interaction {
+                class: collision,
+                sender_lp: lp,
+                timestamp: at,
+                parameters: parameters.clone(),
+            };
+            expected.push((to_all, interaction.encode()));
+            for (channel, cb) in &channels {
+                let null = WireMessage::NullMessage { channel: *channel, time: Micros(90_000) };
+                expected.push((Destination::Unicast(*cb), null.encode()));
+            }
+            expected.push((to_all, WireMessage::Withdraw { lp: bystander }.encode()));
+            assert_eq!(kernel.transport.sent, expected, "{remote} channels");
+            assert_eq!(kernel.stats().updates_sent_remote, u64::from(remote));
+        }
+    }
+
+    #[test]
+    fn a_failed_send_discards_the_rest_of_the_ticks_outbox() {
+        let Publisher { mut kernel, lp, object, .. } = publisher(0, 2);
+        kernel.update_attribute_values(lp, object, full_update(), Micros(1)).unwrap();
+        kernel.send_null_messages(lp, Micros(2)).unwrap();
+        kernel.deregister_lp(lp).unwrap();
+        kernel.transport.failing_send = Some(3);
+        assert!(matches!(kernel.tick(Micros(1)), Err(CbError::Net(NetError::Disconnected))));
+        assert_eq!(kernel.transport.sent.len(), 2, "the two sends before the failure went out");
+
+        // Datagrams four and five died with the third: nothing stale follows.
+        kernel.tick(Micros(2)).unwrap();
+        assert_eq!((kernel.transport.sends, kernel.transport.sent.len()), (3, 2));
+        let late = kernel.register_lp("late");
+        kernel.deregister_lp(late).unwrap();
+        kernel.tick(Micros(3)).unwrap();
+        assert_eq!(kernel.transport.sent.len(), 3);
+        assert_eq!(kernel.transport.sent[2].1, WireMessage::Withdraw { lp: late }.encode());
+    }
+
+    #[test]
+    fn begin_session_empties_the_outbox() {
+        let Publisher { mut kernel, lp, object, .. } = publisher(0, 2);
+        kernel.update_attribute_values(lp, object, full_update(), Micros(1)).unwrap();
+        assert_eq!(kernel.outbox.datagrams.len(), 2);
+        kernel.begin_session(Micros(5));
+        assert!(kernel.outbox.bytes.is_empty() && kernel.outbox.datagrams.is_empty());
+        kernel.tick(Micros(5)).unwrap();
+        assert!(kernel.transport.sent.is_empty());
+    }
+
+    #[test]
+    fn local_subscribers_get_the_same_reflection_with_and_without_channels() {
+        let (values, at) = (full_update(), Micros(7));
+        for remote in [0, 3] {
+            let Publisher { mut kernel, lp, class, object, local, .. } = publisher(2, remote);
+            kernel.update_attribute_values(lp, object, values.clone(), at).unwrap();
+            let expected =
+                Reflection { object, class, values: values.clone(), timestamp: at, channel: None };
+            for sub in local {
+                assert_eq!(kernel.reflections(sub), [expected.clone()], "{remote} channels");
+            }
+            assert_eq!(kernel.stats().updates_routed_locally, 2);
+            assert!(kernel.reflections(lp).is_empty(), "the publisher hears nothing back");
+        }
     }
 }

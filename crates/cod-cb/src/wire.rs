@@ -101,6 +101,60 @@ const TAG_INTERACTION: u8 = 6;
 const TAG_NULL: u8 = 7;
 const TAG_WITHDRAW: u8 = 8;
 
+/// Offset of the big-endian channel id in an encoded
+/// [`WireMessage::UpdateAttributes`] — right after the tag byte. Encodings of
+/// one update for different channels differ in these eight bytes only.
+const UPDATE_CHANNEL_OFFSET: usize = 1;
+
+/// Appends the encoding of an [`WireMessage::UpdateAttributes`] built from
+/// borrowed values, so a publisher encodes without giving its values up.
+pub(crate) fn append_update(
+    payload: &mut Vec<u8>,
+    channel: ChannelId,
+    object: ObjectId,
+    class: ObjectClassId,
+    timestamp: Micros,
+    values: &AttributeValues,
+) {
+    Writer::new(payload)
+        .u8(TAG_UPDATE)
+        .u64(channel.0)
+        .u64(object.0)
+        .u16(class.0)
+        .micros(timestamp)
+        .attribute_values(values);
+}
+
+/// Appends a copy of the update already encoded at `payload[update]`,
+/// readdressed to `channel`: fanning one update out over N channels is one
+/// encode and N - 1 byte copies.
+pub(crate) fn append_update_copy(
+    payload: &mut Vec<u8>,
+    update: std::ops::Range<usize>,
+    channel: ChannelId,
+) {
+    let id_at = payload.len() + UPDATE_CHANNEL_OFFSET;
+    payload.extend_from_within(update);
+    payload[id_at..id_at + 8].copy_from_slice(&channel.0.to_be_bytes());
+}
+
+/// Appends the encoding of an [`WireMessage::Interaction`] built from
+/// borrowed parameters.
+pub(crate) fn append_interaction(
+    payload: &mut Vec<u8>,
+    class: InteractionClassId,
+    sender_lp: LpId,
+    timestamp: Micros,
+    parameters: &AttributeValues,
+) {
+    Writer::new(payload)
+        .u8(TAG_INTERACTION)
+        .u16(class.0)
+        .u64(sender_lp.0)
+        .micros(timestamp)
+        .attribute_values(parameters);
+}
+
 impl WireMessage {
     /// Encodes the message into a datagram payload.
     pub fn encode(&self) -> Vec<u8> {
@@ -109,10 +163,9 @@ impl WireMessage {
         payload
     }
 
-    /// Encodes the message into `payload`, replacing its previous contents, so
-    /// a sender can keep one buffer across messages.
+    /// Appends the encoded message to `payload`, leaving what is already there
+    /// in place, so a sender can queue several datagrams in one buffer.
     pub fn encode_into(&self, payload: &mut Vec<u8>) {
-        payload.clear();
         let mut w = Writer::new(payload);
         match self {
             WireMessage::Subscription { subscriber_cb, subscriber_lp, class } => {
@@ -139,19 +192,10 @@ impl WireMessage {
                 w.u8(TAG_CHANNEL_ACK).u64(channel.0);
             }
             WireMessage::UpdateAttributes { channel, object, class, timestamp, values } => {
-                w.u8(TAG_UPDATE)
-                    .u64(channel.0)
-                    .u64(object.0)
-                    .u16(class.0)
-                    .micros(*timestamp)
-                    .attribute_values(values);
+                append_update(payload, *channel, *object, *class, *timestamp, values);
             }
             WireMessage::Interaction { class, sender_lp, timestamp, parameters } => {
-                w.u8(TAG_INTERACTION)
-                    .u16(class.0)
-                    .u64(sender_lp.0)
-                    .micros(*timestamp)
-                    .attribute_values(parameters);
+                append_interaction(payload, *class, *sender_lp, *timestamp, parameters);
             }
             WireMessage::NullMessage { channel, time } => {
                 w.u8(TAG_NULL).u64(channel.0).micros(*time);
@@ -266,15 +310,40 @@ mod tests {
 
     #[test]
     fn roundtrip_every_variant() {
-        // One buffer reused across every message, dirty on entry.
-        let mut reused = vec![0xEE; 300];
+        // One buffer shared by every message: each encoding is appended
+        // behind the ones before it and nothing already queued is touched.
+        let mut queued = vec![0xEE; 3];
         for msg in all_samples() {
             let encoded = msg.encode();
             let decoded = WireMessage::decode(&encoded).unwrap();
             assert_eq!(decoded, msg);
-            msg.encode_into(&mut reused);
-            assert_eq!(reused, encoded, "encode_into must replace the buffer's contents");
+            let before = queued.clone();
+            msg.encode_into(&mut queued);
+            assert_eq!(queued[..before.len()], before, "encode_into must only append");
+            assert_eq!(queued[before.len()..], encoded);
         }
+    }
+
+    #[test]
+    fn an_update_copy_differs_from_a_fresh_encode_in_the_channel_id_only() {
+        let update = |channel| WireMessage::UpdateAttributes {
+            channel: ChannelId(channel),
+            object: ObjectId(12),
+            class: ObjectClassId(4),
+            timestamp: Micros(123_456),
+            values: sample_values(),
+        };
+        let (a, b) = (update(0x0102_0304_0506_0708).encode(), update(u64::MAX - 9).encode());
+        let differing: Vec<usize> = (0..a.len()).filter(|i| a[*i] != b[*i]).collect();
+        let id_bytes = UPDATE_CHANNEL_OFFSET..UPDATE_CHANNEL_OFFSET + 8;
+        assert_eq!(differing, id_bytes.clone().collect::<Vec<_>>());
+        assert_eq!(a[id_bytes], 0x0102_0304_0506_0708u64.to_be_bytes());
+
+        // Copying `a` behind itself under `b`'s channel id gives `b`.
+        let mut arena = a.clone();
+        append_update_copy(&mut arena, 0..a.len(), ChannelId(u64::MAX - 9));
+        assert_eq!(arena[..a.len()], a);
+        assert_eq!(arena[a.len()..], b);
     }
 
     #[test]
@@ -283,15 +352,61 @@ mod tests {
         assert!(WireMessage::decode(&[99, 1, 2, 3]).is_err());
     }
 
+    /// Width of every read `decode` makes on `sample_values()`; `false` marks
+    /// the attribute-count pre-check, which looks ahead without consuming.
+    fn sample_values_reads() -> Vec<(usize, bool)> {
+        let mut reads = vec![(2, true), (12, false)];
+        for value_bytes in [&[8, 8, 8][..], &[8], &[1]] {
+            reads.extend([(2, true), (1, true)]);
+            reads.extend(value_bytes.iter().map(|n| (*n, true)));
+        }
+        reads
+    }
+
+    /// The reads `decode` makes on each of `all_samples()`, in the same order.
+    fn all_sample_reads() -> Vec<Vec<(usize, bool)>> {
+        let fixed = |widths: &[usize]| widths.iter().map(|n| (*n, true)).collect::<Vec<_>>();
+        let with_values = |widths: &[usize]| [fixed(widths), sample_values_reads()].concat();
+        vec![
+            fixed(&[1, 2, 2, 8, 2]),
+            fixed(&[1, 2, 2, 8, 2]),
+            fixed(&[1, 8, 2, 2, 8, 8, 2]),
+            fixed(&[1, 8]),
+            with_values(&[1, 8, 8, 2, 8]),
+            with_values(&[1, 2, 8, 8]),
+            fixed(&[1, 8, 8]),
+            fixed(&[1, 8]),
+        ]
+    }
+
     #[test]
     fn truncation_is_rejected_for_every_variant() {
-        for msg in all_samples() {
+        for (msg, reads) in all_samples().into_iter().zip(all_sample_reads()) {
             let encoded = msg.encode();
-            for cut in 1..encoded.len() {
-                assert!(
-                    WireMessage::decode(&encoded[..cut]).is_err(),
-                    "truncated {msg:?} at {cut} unexpectedly decoded"
-                );
+            let consumed: usize = reads.iter().filter(|r| r.1).map(|r| r.0).sum();
+            assert_eq!(consumed, encoded.len(), "read table out of date for {msg:?}");
+            for cut in 0..encoded.len() {
+                // The first read the prefix cannot serve names its own width
+                // and what was left for it.
+                let mut left = cut;
+                let (needed, _) = *reads
+                    .iter()
+                    .find(|(width, consumes)| {
+                        let short = *width > left;
+                        if !short && *consumes {
+                            left -= width;
+                        }
+                        short
+                    })
+                    .expect("a strict prefix runs out");
+                match WireMessage::decode(&encoded[..cut]) {
+                    Err(CbError::Codec(text)) => assert_eq!(
+                        text,
+                        format!("truncated message: needed {needed} more bytes, {left} available"),
+                        "{msg:?} cut at {cut}"
+                    ),
+                    other => panic!("truncated {msg:?} at {cut} decoded to {other:?}"),
+                }
             }
         }
     }

@@ -138,9 +138,10 @@ impl SceneGraph {
             .collect()
     }
 
-    /// Total number of polygons referenced by the graph's instances.
+    /// Total number of polygons referenced by the graph's instances. The sum
+    /// needs no world transform, so it does not go through [`Self::instances`].
     pub fn polygon_count(&self) -> usize {
-        self.instances().iter().map(|i| i.mesh.polygon_count()).sum()
+        self.nodes.iter().filter_map(|n| n.mesh).map(|m| self.meshes[m].polygon_count()).sum()
     }
 
     /// World-space bounding box of one instance-bearing node.
@@ -201,6 +202,26 @@ mod tests {
         assert_eq!(instances.len(), 2);
         assert_eq!(g.polygon_count(), 24);
         assert_eq!(g.node_count(), 2);
+    }
+
+    #[test]
+    fn polygon_count_equals_the_sum_over_instances() {
+        let via_instances =
+            |g: &SceneGraph| g.instances().iter().map(|i| i.mesh.polygon_count()).sum::<usize>();
+
+        let world = crate::TrainingWorld::build();
+        assert!(world.scene.polygon_count() > 0);
+        assert_eq!(world.scene.polygon_count(), via_instances(&world.scene));
+
+        // A mesh-less interior node contributes nothing; its mesh-bearing
+        // child and a mesh shared by two nodes are each counted per node.
+        let (mut g, root, _) = simple_graph();
+        let pivot = g.add_node("pivot", Some(root), Transform::identity(), None);
+        g.add_node("hook", Some(pivot), Transform::identity(), Some(0));
+        assert_eq!(g.instances().len(), 3);
+        assert_eq!(g.polygon_count(), 36);
+        assert_eq!(g.polygon_count(), via_instances(&g));
+        assert_eq!(SceneGraph::new().polygon_count(), 0);
     }
 
     #[test]

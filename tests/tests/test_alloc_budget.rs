@@ -10,7 +10,7 @@ use std::cell::Cell;
 use crane_sim::{CraneSimulator, FidelityTier, OperatorKind, SimulatorConfig};
 
 /// Mean heap allocations allowed per steady-state executive frame.
-const BUDGET_PER_FRAME: f64 = 170.0;
+const BUDGET_PER_FRAME: f64 = 84.0;
 const WARM_UP_FRAMES: usize = 500;
 const MEASURED_FRAMES: usize = 1000;
 

@@ -67,7 +67,9 @@ pub fn audit_source(path: &str, source: &str, config: &AuditConfig) -> Vec<Findi
         .collect()
 }
 
-/// Audits every `.rs` file under the config's roots.
+/// Audits every `.rs` file under the config's roots, then the allowlist
+/// itself: every `[[allow]]` entry that suppressed nothing in the walk is
+/// reported as a violation filed against `audit.toml`.
 ///
 /// # Errors
 ///
@@ -80,7 +82,38 @@ pub fn audit_tree(repo_root: &Path, config: &AuditConfig) -> io::Result<AuditRep
         let source = std::fs::read_to_string(repo_root.join(path))?;
         report.findings.extend(audit_source(path, &source, config));
     }
+    let stale = stale_allows(config, &report.findings);
+    report.findings.extend(stale);
     Ok(report)
+}
+
+/// One hard violation, filed against `audit.toml`, per `[[allow]]` entry
+/// that downgraded none of `findings`: its file is gone or no longer trips
+/// the rule, so the escape hatch has outlived the code it excused and would
+/// silently cover whatever next appears at that path.
+fn stale_allows(config: &AuditConfig, findings: &[Finding]) -> Vec<Finding> {
+    let used = |entry: &AllowEntry| {
+        findings.iter().any(|f| {
+            f.rule == entry.rule
+                && f.path == entry.path
+                && matches!(f.disposition, Disposition::Allowlisted { .. })
+        })
+    };
+    config
+        .allows
+        .iter()
+        .filter(|entry| !used(entry))
+        .map(|entry| Finding {
+            path: "audit.toml".to_owned(),
+            line: 0,
+            rule: entry.rule,
+            message: format!(
+                "stale [[allow]] entry for `{}`: it suppressed nothing; remove it",
+                entry.path
+            ),
+            disposition: Disposition::Violation,
+        })
+        .collect()
 }
 
 /// Looks for a well-formed `// audit:allow(<rule>): <reason>` waiver
@@ -153,7 +186,7 @@ mod tests {
 
     #[test]
     fn line_above_waiver_suppresses() {
-        let src = "// audit:allow(R5): loopback smoke test needs a second thread.\n\
+        let src = "// audit:allow(R5): hand-off smoke test needs a second thread.\n\
                    let h = std::thread::spawn(f);\n";
         let found = audit_source("x.rs", src, &bare_config());
         assert!(matches!(found[0].disposition, Disposition::Waived { .. }));
@@ -203,6 +236,37 @@ mod tests {
         // The entry is path-exact: another file still violates.
         let other = audit_source("crates/x/src/other.rs", "let t = Instant::now();\n", &config);
         assert_eq!(other[0].disposition, Disposition::Violation);
+    }
+
+    #[test]
+    fn an_allow_entry_that_suppressed_nothing_is_a_violation() {
+        let allow = |rule, path: &str| AllowEntry {
+            rule,
+            path: path.to_owned(),
+            reason: "wall half".to_owned(),
+        };
+        let config = AuditConfig {
+            roots: vec![],
+            fingerprint_paths: vec![],
+            allows: vec![
+                allow(Rule::WallClock, "crates/x/src/lib.rs"),
+                allow(Rule::ThreadSpawn, "crates/x/src/lib.rs"),
+                allow(Rule::WallClock, "crates/x/src/deleted.rs"),
+            ],
+        };
+        // The file trips R1 once through the allowlist and R5 only through
+        // an inline waiver, so its R5 entry is as unused as the entry of the
+        // file that no longer exists.
+        let src = "let t = Instant::now();\n\
+                   let h = std::thread::spawn(f); // audit:allow(R5): fixture.\n";
+        let findings = audit_source("crates/x/src/lib.rs", src, &config);
+        let stale = stale_allows(&config, &findings);
+        assert_eq!(stale.len(), 2);
+        assert!(stale.iter().all(|f| f.disposition == Disposition::Violation));
+        assert!(stale.iter().all(|f| f.path == "audit.toml"));
+        assert_eq!((stale[0].rule, stale[1].rule), (Rule::ThreadSpawn, Rule::WallClock));
+        assert!(stale[0].message.contains("crates/x/src/lib.rs"));
+        assert!(stale[1].message.contains("crates/x/src/deleted.rs"));
     }
 
     #[test]

@@ -51,7 +51,8 @@ pub struct Finding {
 /// The whole audit's outcome.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AuditReport {
-    /// Every finding, in (path, line, rule) order.
+    /// Every finding, in (path, line, rule) order, then one violation per
+    /// stale `[[allow]]` entry (path `audit.toml`, line 0).
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_checked: usize,

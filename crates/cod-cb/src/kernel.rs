@@ -152,7 +152,6 @@ pub struct CbKernel<T: Transport> {
     pending: Vec<PendingSubscription>,
     channels: ChannelTable,
     objects: BTreeMap<ObjectId, (LpId, ObjectClassId)>,
-    channel_time_bounds: BTreeMap<ChannelId, Micros>,
     connect_last_sent: BTreeMap<ChannelId, Micros>,
     outbox: Outbox,
     /// Receive buffer kept across ticks so a steady-state tick does not
@@ -185,7 +184,6 @@ impl<T: Transport> CbKernel<T> {
             pending: Vec::new(),
             channels: ChannelTable::new(),
             objects: BTreeMap::new(),
-            channel_time_bounds: BTreeMap::new(),
             connect_last_sent: BTreeMap::new(),
             outbox: Outbox::default(),
             inbox: Vec::new(),
@@ -224,25 +222,10 @@ impl<T: Transport> CbKernel<T> {
         &self.channels
     }
 
-    /// The conservative lower bound on future message timestamps for a channel,
-    /// derived from data messages and Chandy–Misra null messages received on it.
-    pub fn channel_time_bound(&self, channel: ChannelId) -> Option<Micros> {
-        self.channel_time_bounds.get(&channel).copied()
-    }
-
-    /// Ids of established subscriber-side channels feeding a local LP.
-    pub fn incoming_channels(&self, lp: LpId) -> Vec<ChannelId> {
-        self.channels
-            .iter()
-            .filter(|c| c.established && c.role == ChannelRole::Subscriber && c.subscriber_lp == lp)
-            .map(|c| c.id)
-            .collect()
-    }
-
     /// Resets the kernel's session-evolving state to the canonical session
-    /// epoch: pending reflections/interactions are discarded, channel time
-    /// bounds and connection-retry timers are cleared, the protocol broadcast
-    /// timers are re-anchored at `epoch` and the counters are zeroed. The
+    /// epoch: pending reflections/interactions are discarded, the
+    /// connection-retry timers are cleared, the protocol broadcast timers are
+    /// re-anchored at `epoch` and the counters are zeroed. The
     /// long-lived topology — registered LPs, publications, subscriptions,
     /// object instances and established virtual channels — is kept, which is
     /// what makes recycling a simulator cheap: the initialization protocol
@@ -257,7 +240,6 @@ impl<T: Transport> CbKernel<T> {
             lp.reflections.clear();
             lp.interactions.clear();
         }
-        self.channel_time_bounds.clear();
         self.connect_last_sent.clear();
         self.outbox.clear();
         for pending in self.pending.iter_mut() {
@@ -499,25 +481,6 @@ impl<T: Transport> CbKernel<T> {
         }
     }
 
-    /// Sends a Chandy–Misra null message on every established outgoing channel
-    /// of `lp`, promising that no update earlier than `lower_bound` will follow.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the LP is unknown.
-    pub fn send_null_messages(&mut self, lp: LpId, lower_bound: Micros) -> Result<(), CbError> {
-        self.check_lp(lp)?;
-        for vc in self.channels.iter() {
-            if vc.established && vc.role == ChannelRole::Publisher && vc.publisher_lp == lp {
-                self.outbox.push(
-                    Destination::Unicast(vc.remote_cb),
-                    &WireMessage::NullMessage { channel: vc.id, time: lower_bound },
-                );
-            }
-        }
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // The kernel pump
     // ------------------------------------------------------------------
@@ -540,7 +503,7 @@ impl<T: Transport> CbKernel<T> {
             match WireMessage::decode(&dgram.payload) {
                 Ok(msg) => {
                     self.stats.wire_messages_received += 1;
-                    self.handle_wire_message(msg, dgram.src);
+                    self.handle_wire_message(msg);
                 }
                 Err(_) => {
                     self.stats.decode_errors += 1;
@@ -608,7 +571,7 @@ impl<T: Transport> CbKernel<T> {
         Ok(sent?)
     }
 
-    fn handle_wire_message(&mut self, msg: WireMessage, _from: Addr) {
+    fn handle_wire_message(&mut self, msg: WireMessage) {
         match msg {
             WireMessage::Subscription { subscriber_cb, subscriber_lp, class } => {
                 if subscriber_cb == self.addr {
@@ -710,10 +673,6 @@ impl<T: Transport> CbKernel<T> {
                 }
             }
             WireMessage::UpdateAttributes { channel, object, class, timestamp, values } => {
-                let bound = self.channel_time_bounds.entry(channel).or_insert(Micros::ZERO);
-                if timestamp > *bound {
-                    *bound = timestamp;
-                }
                 let subscriber = match self.channels.get(channel) {
                     Some(vc) if vc.role == ChannelRole::Subscriber => vc.subscriber_lp,
                     _ => return,
@@ -744,14 +703,16 @@ impl<T: Transport> CbKernel<T> {
                     self.stats.interactions_delivered += 1;
                 });
             }
-            WireMessage::NullMessage { channel, time } => {
-                let bound = self.channel_time_bounds.entry(channel).or_insert(Micros::ZERO);
-                if time > *bound {
-                    *bound = time;
-                }
-            }
             WireMessage::Withdraw { lp } => {
-                self.channels.remove_for_lp(lp);
+                // Forget the torn-down channels' setup records too, or a
+                // subscription left with no channel still counts as satisfied
+                // and looks for a replacement at the re-advertisement pace.
+                for vc in self.channels.remove_for_lp(lp) {
+                    self.connect_last_sent.remove(&vc.id);
+                    for pending in self.pending.iter_mut() {
+                        pending.channels.remove(&vc.id);
+                    }
+                }
             }
         }
     }
@@ -844,7 +805,10 @@ mod tests {
         assert_eq!(subscriber.established_channel_count(), 1);
         assert_eq!(subscriber.stats().setup_latencies.len(), 1);
         assert!(publisher.stats().acknowledges_sent >= 1);
-        assert_eq!(subscriber.incoming_channels(visual).len(), 1);
+        let incoming: Vec<&VirtualChannel> = subscriber.channels().iter().collect();
+        assert_eq!(incoming.len(), 1);
+        assert!(incoming[0].established && incoming[0].role == ChannelRole::Subscriber);
+        assert_eq!((incoming[0].publisher_lp, incoming[0].subscriber_lp), (dynamics, visual));
     }
 
     #[test]
@@ -1025,21 +989,33 @@ mod tests {
     }
 
     #[test]
-    fn null_messages_advance_channel_time_bounds() {
+    fn a_withdrawn_publisher_is_replaced_at_the_discovery_pace() {
         let (fom, crane, _) = crane_fom();
         let mut cluster = Cluster::new(8);
-        let mut publisher = cluster.kernel("dynamics-pc", &fom);
+        let mut primary = cluster.kernel("dynamics-pc", &fom);
+        let mut standby = cluster.kernel("standby-pc", &fom);
         let mut subscriber = cluster.kernel("visual-pc", &fom);
-        let dynamics = publisher.register_lp("dynamics");
+        let dynamics = primary.register_lp("dynamics");
         let visual = subscriber.register_lp("visual");
-        publisher.publish_object_class(dynamics, crane).unwrap();
+        primary.publish_object_class(dynamics, crane).unwrap();
         subscriber.subscribe_object_class(visual, crane).unwrap();
-        cluster.run(&mut [&mut publisher, &mut subscriber], 20);
+        cluster.run(&mut [&mut primary, &mut standby, &mut subscriber], 20);
+        assert_eq!(subscriber.established_channel_count(), 1);
 
-        publisher.send_null_messages(dynamics, Micros(500_000)).unwrap();
-        cluster.run(&mut [&mut publisher, &mut subscriber], 5);
-        let channel = subscriber.incoming_channels(visual)[0];
-        assert_eq!(subscriber.channel_time_bound(channel), Some(Micros(500_000)));
+        // The publisher leaves and a standby on a third computer takes over.
+        // With no channel left the subscription is unsatisfied again, so it is
+        // broadcast every 50 ms, not at the 2 s re-advertisement pace.
+        primary.deregister_lp(dynamics).unwrap();
+        let spare = standby.register_lp("dynamics-standby");
+        standby.publish_object_class(spare, crane).unwrap();
+        let mut rounds = 0;
+        while !subscriber.channels().iter().any(|c| c.established && c.publisher_lp == spare) {
+            assert!(rounds < 20, "no channel to the standby after {rounds} rounds of 10 ms");
+            cluster.run(&mut [&mut primary, &mut standby, &mut subscriber], 1);
+            rounds += 1;
+        }
+        assert_eq!(subscriber.channels().len(), 1, "the withdrawn publisher's channel is gone");
+        assert_eq!(subscriber.pending[0].channels.len(), 1, "and so is its setup record");
     }
 
     #[test]
@@ -1069,7 +1045,7 @@ mod tests {
     #[derive(Debug, Default)]
     struct RecordingTransport {
         sent: Vec<(Destination, Vec<u8>)>,
-        /// Delivered by the next `poll`.
+        /// Delivered by the next `poll_into`.
         inbound: Vec<Datagram>,
         /// 1-based index of the `send` call that fails, if any.
         failing_send: Option<usize>,
@@ -1077,6 +1053,18 @@ mod tests {
     }
 
     const RECORDER: Addr = Addr::new(NodeId(1), Port(1));
+
+    impl RecordingTransport {
+        /// Queues `payload` as a datagram from `src` for the next `poll_into`.
+        fn inject(&mut self, src: Addr, payload: Vec<u8>) {
+            self.inbound.push(Datagram {
+                src,
+                dst: Destination::Unicast(RECORDER),
+                payload: payload.into(),
+                delivered_at: Micros::ZERO,
+            });
+        }
+    }
 
     impl Transport for RecordingTransport {
         fn send(&mut self, dst: Destination, payload: &[u8]) -> Result<(), NetError> {
@@ -1088,8 +1076,9 @@ mod tests {
             Ok(())
         }
 
-        fn poll(&mut self) -> Result<Vec<Datagram>, NetError> {
-            Ok(std::mem::take(&mut self.inbound))
+        fn poll_into(&mut self, out: &mut Vec<Datagram>) -> Result<(), NetError> {
+            out.append(&mut self.inbound);
+            Ok(())
         }
 
         fn local_addr(&self) -> Addr {
@@ -1134,12 +1123,7 @@ mod tests {
                 publisher_lp: lp,
                 class,
             };
-            kernel.transport.inbound.push(Datagram {
-                src: *subscriber_cb,
-                dst: Destination::Unicast(RECORDER),
-                payload: connect.encode().into(),
-                delivered_at: Micros::ZERO,
-            });
+            kernel.transport.inject(*subscriber_cb, connect.encode());
         }
         kernel.tick(Micros::ZERO).unwrap();
         assert_eq!(kernel.established_channel_count(), usize::from(remote));
@@ -1168,7 +1152,6 @@ mod tests {
 
             kernel.update_attribute_values(lp, object, values.clone(), at).unwrap();
             kernel.send_interaction(lp, collision, parameters.clone(), at).unwrap();
-            kernel.send_null_messages(lp, Micros(90_000)).unwrap();
             kernel.deregister_lp(bystander).unwrap();
             kernel.tick(at).unwrap();
 
@@ -1191,10 +1174,6 @@ mod tests {
                 parameters: parameters.clone(),
             };
             expected.push((to_all, interaction.encode()));
-            for (channel, cb) in &channels {
-                let null = WireMessage::NullMessage { channel: *channel, time: Micros(90_000) };
-                expected.push((Destination::Unicast(*cb), null.encode()));
-            }
             expected.push((to_all, WireMessage::Withdraw { lp: bystander }.encode()));
             assert_eq!(kernel.transport.sent, expected, "{remote} channels");
             assert_eq!(kernel.stats().updates_sent_remote, u64::from(remote));
@@ -1205,7 +1184,7 @@ mod tests {
     fn a_failed_send_discards_the_rest_of_the_ticks_outbox() {
         let Publisher { mut kernel, lp, object, .. } = publisher(0, 2);
         kernel.update_attribute_values(lp, object, full_update(), Micros(1)).unwrap();
-        kernel.send_null_messages(lp, Micros(2)).unwrap();
+        kernel.update_attribute_values(lp, object, full_update(), Micros(2)).unwrap();
         kernel.deregister_lp(lp).unwrap();
         kernel.transport.failing_send = Some(3);
         assert!(matches!(kernel.tick(Micros(1)), Err(CbError::Net(NetError::Disconnected))));
@@ -1219,6 +1198,56 @@ mod tests {
         kernel.tick(Micros(3)).unwrap();
         assert_eq!(kernel.transport.sent.len(), 3);
         assert_eq!(kernel.transport.sent[2].1, WireMessage::Withdraw { lp: late }.encode());
+    }
+
+    #[test]
+    fn malformed_datagrams_are_counted_and_the_tick_carries_on() {
+        // A display LP beside the publisher, fed over an established
+        // subscriber-side channel from a publisher on another computer.
+        let Publisher { mut kernel, lp, class, object, local, .. } = publisher(1, 0);
+        let (far_cb, far_lp) = (Addr::new(NodeId(20), Port(1)), LpId::compose(20, 0));
+        let channel = ChannelId::compose(RECORDER.node.0, 0);
+        let ack = WireMessage::Acknowledge { publisher_cb: far_cb, publisher_lp: far_lp, class };
+        kernel.transport.inject(far_cb, ack.encode());
+        kernel.transport.inject(far_cb, WireMessage::ChannelAck { channel }.encode());
+        kernel.tick(Micros::ZERO).unwrap();
+        assert!(kernel.channels().get(channel).is_some_and(|vc| vc.established));
+        let received = kernel.stats().wire_messages_received;
+
+        let mut truncated = WireMessage::UpdateAttributes {
+            channel,
+            object,
+            class,
+            timestamp: Micros(5),
+            values: full_update(),
+        }
+        .encode();
+        truncated.truncate(truncated.len() - 3);
+        // Tag 7, `channel`, time 90 000: a whole null message as it was
+        // encoded while the tag was in use.
+        let retired = vec![7, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0x5f, 0x90];
+        let newcomer = Addr::new(NodeId(21), Port(1));
+        let connect = WireMessage::ChannelConnection {
+            channel: ChannelId::compose(21, 0),
+            subscriber_cb: newcomer,
+            subscriber_lp: LpId::compose(21, 0),
+            publisher_lp: lp,
+            class,
+        };
+        let random = vec![0xc3, 0x5a, 0x01, 0xff, 0x10, 0x9e, 0x77];
+        for payload in [vec![], random, truncated, retired, connect.encode()] {
+            kernel.transport.inject(newcomer, payload);
+        }
+        kernel.transport.sent.clear();
+        kernel.tick(Micros(10)).unwrap();
+
+        assert_eq!(kernel.stats().decode_errors, 4);
+        assert_eq!(kernel.stats().wire_messages_received, received + 1);
+        assert_eq!(kernel.established_channel_count(), 2, "the valid datagram got through");
+        let confirm = WireMessage::ChannelAck { channel: ChannelId::compose(21, 0) }.encode();
+        assert_eq!(kernel.transport.sent, [(Destination::Unicast(newcomer), confirm)]);
+        assert!(kernel.reflections(local[0]).is_empty());
+        assert_eq!(kernel.stats().reflections_delivered, 0);
     }
 
     #[test]

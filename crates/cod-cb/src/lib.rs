@@ -22,9 +22,10 @@
 //! * **Push/pull routing** ([`kernel`]): publishers push updates into their CB;
 //!   the CB routes them over the virtual channels; subscribers pull reflections
 //!   out of their CB at their own pace.
-//! * **Conservative time management** ([`timesync`]): the asynchronous
-//!   distributed-simulation scheme of Chandy & Misra referenced by the paper,
-//!   implemented as lookahead plus null messages.
+//!
+//! The CB itself carries no time management: the rack's lock-step is the
+//! frame synchronization server of paper §4, which lives above it in
+//! `cod_cluster::framesync` and speaks over ordinary CB interactions.
 //!
 //! # A two-computer quickstart
 //!
@@ -81,7 +82,6 @@ pub mod kernel;
 pub mod protocol;
 pub mod stats;
 pub mod tables;
-pub mod timesync;
 pub mod wire;
 
 pub use api::{CbApi, LpContext};
@@ -94,5 +94,4 @@ pub use kernel::{CbConfig, CbKernel, InteractionMessage, LpId, ObjectId, Reflect
 pub use protocol::{ChannelSetupState, PendingSubscription};
 pub use stats::CbStats;
 pub use tables::{PublicationTable, SubscriptionTable};
-pub use timesync::{LookaheadClock, TimeManager};
 pub use wire::WireMessage;

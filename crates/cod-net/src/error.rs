@@ -1,17 +1,15 @@
 //! Error type for the network substrate.
 
-use crate::addr::{Addr, NodeId};
+use crate::addr::Addr;
 use std::fmt;
 
 /// Errors produced by the network substrate.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum NetError {
-    /// The destination node is not attached to the LAN.
-    UnknownNode(NodeId),
     /// The destination endpoint does not exist on the node.
     UnknownEndpoint(Addr),
-    /// The transport has been shut down or its peer hub dropped.
+    /// The transport has been disconnected from its medium.
     Disconnected,
     /// The payload exceeds the maximum transmission unit of the transport.
     PayloadTooLarge {
@@ -20,38 +18,21 @@ pub enum NetError {
         /// Maximum allowed size.
         max: usize,
     },
-    /// An operating-system level I/O error (UDP transport only).
-    Io(std::io::Error),
 }
 
 impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetError::UnknownNode(n) => write!(f, "unknown node {n}"),
             NetError::UnknownEndpoint(a) => write!(f, "unknown endpoint {a}"),
             NetError::Disconnected => write!(f, "transport disconnected"),
             NetError::PayloadTooLarge { size, max } => {
                 write!(f, "payload of {size} bytes exceeds transport maximum of {max} bytes")
             }
-            NetError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
 }
 
-impl std::error::Error for NetError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            NetError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for NetError {
-    fn from(e: std::io::Error) -> Self {
-        NetError::Io(e)
-    }
-}
+impl std::error::Error for NetError {}
 
 #[cfg(test)]
 mod tests {

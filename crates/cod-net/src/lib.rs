@@ -2,16 +2,13 @@
 //!
 //! The original system (Huang et al., ICDCS 2001) ran its Communication
 //! Backbone over a 100 Mbit Ethernet LAN connecting eight desktop PCs. This
-//! crate provides the equivalent substrate in three interchangeable flavours,
-//! all implementing the [`Transport`] trait the CB is written against:
-//!
-//! * [`SimLan`] / [`SimTransport`] — a deterministic discrete-event LAN model
-//!   with configurable latency, jitter, bandwidth and loss. All protocol tests
-//!   and benches run on this, so results are reproducible.
-//! * [`LoopbackHub`] / [`LoopbackTransport`] — zero-latency in-process channels
-//!   (crossbeam) for threaded, real-time examples.
-//! * [`UdpTransport`] — real UDP datagrams on the local host, demonstrating
-//!   that the same CB code runs over genuine sockets.
+//! crate provides the equivalent substrate: [`SimLan`] / [`SimTransport`], a
+//! deterministic discrete-event LAN model with configurable latency, jitter,
+//! bandwidth, loss and seeded fault plans ([`FaultPlan`]). Every rack, test,
+//! experiment and benchmark workload runs on it, so results are reproducible.
+//! The CB is written against the [`Transport`] trait, which `SimTransport` is
+//! the one production implementor of; the trait stays so that a test can put a
+//! recording fake under a `CbKernel`.
 //!
 //! # Example
 //!
@@ -35,23 +32,19 @@ pub mod datagram;
 pub mod error;
 pub mod fault;
 pub mod link;
-pub mod loopback;
 pub mod plans;
 pub mod simnet;
 pub mod stats;
 pub mod time;
 pub mod transport;
-pub mod udp;
 
 pub use addr::{Addr, NodeId, Port};
 pub use datagram::{Datagram, Destination};
 pub use error::NetError;
 pub use fault::{FaultPlan, LatencySpike, LinkFaultRule, PartitionWindow};
 pub use link::{LanConfig, LinkModel};
-pub use loopback::{LoopbackHub, LoopbackTransport};
 pub use plans::NamedPlan;
 pub use simnet::{SharedLan, SimLan, SimTransport};
 pub use stats::{LanStats, NodeStats};
 pub use time::{Micros, SimClock};
 pub use transport::Transport;
-pub use udp::{UdpPeerTable, UdpTransport};

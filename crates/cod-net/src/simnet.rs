@@ -139,11 +139,6 @@ impl SimLan {
         l.clock.now()
     }
 
-    /// Current LAN time.
-    pub fn now(lan: &SharedLan) -> Micros {
-        lan.lock().clock.now()
-    }
-
     /// Snapshot of the traffic counters.
     pub fn stats(lan: &SharedLan) -> LanStats {
         lan.lock().stats.clone()
@@ -325,22 +320,12 @@ impl Transport for SimTransport {
         self.lan.lock().send_from(self.addr, dst, payload)
     }
 
-    fn poll(&mut self) -> Result<Vec<Datagram>, NetError> {
-        let mut out = Vec::new();
-        self.poll_into(&mut out)?;
-        Ok(out)
-    }
-
     fn poll_into(&mut self, out: &mut Vec<Datagram>) -> Result<(), NetError> {
         self.lan.lock().poll_endpoint(self.addr, out)
     }
 
     fn local_addr(&self) -> Addr {
         self.addr
-    }
-
-    fn mtu(&self) -> usize {
-        self.lan.lock().config.mtu
     }
 }
 
@@ -365,6 +350,32 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert_eq!(&got[0].payload[..], b"ping");
         assert_eq!(got[0].src, a.local_addr());
+    }
+
+    #[test]
+    fn poll_into_appends_in_delivery_order_what_poll_returns() {
+        // Two LANs of one seed carry the same traffic: one receiver is drained
+        // through the provided `poll`, the other through `poll_into`.
+        let receiver = || {
+            let (lan, mut a, b) = lan_pair(LanConfig::fast_ethernet(9));
+            for i in 0u8..6 {
+                a.send(Destination::Unicast(b.local_addr()), &[i]).unwrap();
+                a.send(Destination::Broadcast(DEFAULT_PORT), &[i, i]).unwrap();
+            }
+            SimLan::run_until_idle(&lan);
+            b
+        };
+        let polled = receiver().poll().unwrap();
+        assert_eq!(polled.len(), 12);
+        assert!(polled.windows(2).all(|w| w[0].delivered_at <= w[1].delivered_at));
+
+        let mut b = receiver();
+        let mut kept = vec![polled[11].clone()];
+        b.poll_into(&mut kept).unwrap();
+        assert_eq!(kept[0], polled[11], "what the buffer held stays in front");
+        assert_eq!(kept[1..], polled[..]);
+        b.poll_into(&mut kept).unwrap();
+        assert_eq!(kept.len(), 13, "nothing new was delivered");
     }
 
     #[test]

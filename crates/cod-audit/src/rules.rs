@@ -34,7 +34,7 @@ pub enum Rule {
     AmbientRandomness,
     /// R4: every `unsafe` block carries a `// SAFETY:` comment.
     UndocumentedUnsafe,
-    /// R5: no thread creation outside the work-stealing executor.
+    /// R5: no thread creation outside the executor pool.
     ThreadSpawn,
     /// R6: no environment or clock reads in fingerprint-feeding modules.
     AmbientEnv,
@@ -114,7 +114,7 @@ impl Rule {
             }
             Rule::ThreadSpawn => {
                 "threads outside cod-fleet's executor bypass the shard-id fold-order proof; \
-                 route work through the work-stealing pool"
+                 route work through the executor pool"
             }
             Rule::AmbientEnv => {
                 "this module feeds a fingerprinted report; environment and clock reads make \

@@ -1,5 +1,5 @@
 //! Experiment E13 (`wallclock`) — modeled vs wall-clock sessions/sec under
-//! the work-stealing executor; see `crates/cod-bench/EXPERIMENTS.md`. Thin
+//! the executor pool; see `crates/cod-bench/EXPERIMENTS.md`. Thin
 //! wrapper over `cod_bench::experiments::wallclock` so `cargo bench` and
 //! `bench_report` report identical statistics. Set `COD_BENCH_QUICK=1` for a
 //! smoke run.

@@ -1,5 +1,5 @@
 //! Experiment E13 — wall-clock execution: modeled versus real sessions/sec
-//! under the work-stealing executor.
+//! under the executor pool.
 //!
 //! Every other fleet experiment accounts throughput in *modeled* time, which
 //! is what keeps their numbers deterministic. E13 is the one experiment that
@@ -92,7 +92,7 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
         id: "E13".into(),
         name: "wallclock".into(),
         bench_target: "wallclock".into(),
-        metric: "serve a 32-session fleet to drain under a 2-thread work-stealing executor".into(),
+        metric: "serve a 32-session fleet to drain under a 2-thread executor pool".into(),
         timing: m.stats,
         iters_per_sample: m.iters_per_sample,
         comparison: None,

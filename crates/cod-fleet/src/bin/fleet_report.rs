@@ -21,14 +21,14 @@
 //!    same rack, same seed, only the tiering policy differs.
 //!
 //! With `--wallclock`, the headline fleet run is additionally served under
-//! the work-stealing executor at 1 and 4 worker threads
+//! the executor pool at 1 and 4 worker threads
 //! ([`cod_fleet::ExecutionMode::WallClock`]): the two runs' reports must be
 //! byte-identical to the headline report (thread scheduling must never leak
 //! into the deterministic output), and — on runners with at least 4 cores —
 //! real sessions/sec must scale by at least [`WALLCLOCK_SCALING_FLOOR`]x
 //! from 1 to 4 threads. On smaller machines the scaling gate downgrades to
-//! an informational line (no amount of work stealing buys real parallelism
-//! without cores); the byte-identity gate always applies.
+//! an informational line (no pool buys real parallelism without cores); the
+//! byte-identity gate always applies.
 //!
 //! Exits non-zero if the homogeneous scaling drops below 2x, if the
 //! speed-weighted heterogeneous run does not strictly beat the
@@ -400,7 +400,7 @@ fn main() -> ExitCode {
         );
     }
 
-    // Wall-clock gates (--wallclock): the work-stealing executor must
+    // Wall-clock gates (--wallclock): the executor pool must
     // reproduce the headline fleet report byte for byte at any thread count,
     // and — given cores to run on — real sessions/sec must scale with worker
     // threads. Byte identity is checked unconditionally; the scaling floor
@@ -437,18 +437,14 @@ fn main() -> ExitCode {
                 stats.ticks,
                 if bytes == reference { "yes" } else { "NO" },
             );
-            // How the race unfolded, worker by worker: tasks run, tasks taken
-            // from outside the local deque, empty-handed scheduling rounds.
-            // Diagnostic only — none of it is in the report bytes above.
-            println!("  worker      tasks     steals  idle-spins");
-            for (i, ((tasks, steals), idle)) in stats
-                .worker_tasks
-                .iter()
-                .zip(&stats.worker_steals)
-                .zip(&stats.worker_idle_spins)
-                .enumerate()
+            // How the race unfolded, worker by worker: tasks run, times
+            // parked with nothing ready. Diagnostic only — none of it is in
+            // the report bytes above.
+            println!("  worker      tasks      parks");
+            for (i, (tasks, parks)) in
+                stats.worker_tasks.iter().zip(&stats.worker_idle_spins).enumerate()
             {
-                println!("  {i:>6} {tasks:>10} {steals:>10} {idle:>11}");
+                println!("  {i:>6} {tasks:>10} {parks:>10}");
             }
             wall_sps.push(sps);
         }

@@ -21,9 +21,9 @@
 //!    report of an untraced run of the same configuration.
 //! 4. **Perfetto export** — the 4-thread wall-clock run must produce a
 //!    non-empty Chrome trace-event file with at least one per-worker lane
-//!    and at least one steal event (every initial task acquisition goes
-//!    through the shared injector, so a 4-thread run that recorded no steal
-//!    means the hook is broken, not that the race was unlucky).
+//!    and at least one `step` span on a worker lane (every shard is stepped
+//!    by some worker every tick, so a run that recorded none means the hook
+//!    is broken, not that the race was unlucky).
 
 use std::process::ExitCode;
 
@@ -175,9 +175,9 @@ fn main() -> ExitCode {
         }
     }
 
-    // Gate 4: the Perfetto export of a 4-thread wall-clock run. Every
-    // initial task acquisition goes through the shared injector, so at least
-    // one steal event is guaranteed, not racy.
+    // Gate 4: the Perfetto export of a 4-thread wall-clock run. Every shard
+    // is stepped by some worker every tick, so a `step` span on a worker
+    // lane is guaranteed, not racy; lane 0's `step-phase` is the driver's.
     let mut wallclock = base.clone();
     wallclock.execution = ExecutionMode::WallClock { threads: 4 };
     wallclock.obs = ObsConfig::Full;
@@ -190,22 +190,22 @@ fn main() -> ExitCode {
     };
     let chrome = trace.to_chrome_json();
     let events = chrome.get("traceEvents").and_then(|e| e.as_arr()).map_or(0, |a| a.len());
-    let steal_events: usize = (0..trace.lanes()).map(|lane| trace.count_of(lane, "steal")).sum();
+    let step_spans: usize = (1..trace.lanes()).map(|lane| trace.count_of(lane, "step")).sum();
     if events == 0 {
         eprintln!("REGRESSION: the wall-clock trace is empty");
         failed = true;
     } else if trace.lanes() < 2 {
         eprintln!("REGRESSION: the wall-clock trace carries no per-worker lane");
         failed = true;
-    } else if steal_events == 0 {
+    } else if step_spans == 0 {
         eprintln!(
-            "REGRESSION: a 4-thread wall-clock run recorded no steal event — the executor \
-             hooks are broken"
+            "REGRESSION: a 4-thread wall-clock run recorded no step span on any worker lane — \
+             the executor hooks are broken"
         );
         failed = true;
     } else {
         println!(
-            "perfetto trace: {events} events across {} lanes, {steal_events} steal events — ok",
+            "perfetto trace: {events} events across {} lanes, {step_spans} worker step spans — ok",
             trace.lanes(),
         );
     }

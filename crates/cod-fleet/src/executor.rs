@@ -1,43 +1,43 @@
-//! The wall-clock execution engine: a work-stealing pool of pinned worker
-//! threads stepping shard batches in real time.
+//! The wall-clock execution engine: a fixed pool of worker threads stepping
+//! shard batches in real time.
 //!
 //! The modeled-time path ([`crate::fleet::ExecutionMode::Modeled`]) answers
 //! "how much CPU would this tick cost"; this module answers "how fast does
 //! the hardware actually serve it" — and is the only place in the workspace
 //! that creates a thread (audit rule R5 holds everything else to that). A
-//! [`WallClockExecutor`] spawns its workers **once per fleet run** —
-//! each worker is pinned to its index for the lifetime of the run, so the
-//! per-tick cost is a task hand-off, not a thread spawn — and every tick the
-//! fleet driver injects one *shard-batch task* per shard:
+//! [`WallClockExecutor`] spawns its workers **once per fleet run**, so the
+//! per-tick cost is a task hand-off, not a thread spawn, and every tick the
+//! fleet driver hands over one *shard-batch task* per shard:
 //!
-//! * tasks enter through a lock-free [`crossbeam::deque::Injector`] (the
-//!   admission-to-shard hand-off);
-//! * each worker drains its own [`crossbeam::deque::Worker`] deque first,
-//!   then batch-steals from the injector, then steals from sibling
-//!   [`crossbeam::deque::Stealer`]s — the classic work-stealing loop, so a
-//!   worker that finishes its shard early takes load off a slower sibling
-//!   instead of idling;
-//! * results return over a `crossbeam::channel` and are **merged in shard-id
-//!   order**, which is what keeps a wall-clock run bit-identical to a
-//!   modeled run of the same configuration at *any* thread count: threads
-//!   decide only who executes a shard's batch, never what the batch computes
-//!   or the order its results are folded in.
+//! * there is one queue — a `Mutex` around the shards ready to step, the
+//!   results stepped so far and the pool's counters — and two `Condvar`s;
+//! * the driver pushes the tick's shards, wakes the workers and waits until
+//!   every shard has reported back;
+//! * a worker pops a shard, steps it *outside* the lock, pushes the result
+//!   and wakes the driver; when it finds nothing ready it parks on the
+//!   condvar (the check and the park happen under the lock, so no wake-up is
+//!   lost) and costs no CPU until the next tick;
+//! * results are **merged in shard-id order**, which is what keeps a
+//!   wall-clock run bit-identical to a modeled run of the same configuration
+//!   at *any* thread count: threads decide only who executes a shard's
+//!   batch, never what the batch computes or the order its results are
+//!   folded in.
+//!
+//! A tick is one task per shard — a handful — so one lock is never the
+//! bottleneck and there is nothing to steal.
 //!
 //! Wall-clock timings live beside the deterministic outcome (see
 //! [`crate::fleet::WallClockStats`]), never inside it: `FLEET_cod.json`
 //! carries no wall numbers and stays byte-identical per seed whether a run
 //! took one thread or eight.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cod_cb::CbError;
 use cod_net::Micros;
 use cod_trace::WallTrace;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 
 use crate::shard::{Completed, Shard};
 
@@ -71,95 +71,86 @@ impl WallStopwatch {
 /// time.
 pub(crate) type TickResult = (Vec<Completed>, Micros);
 
-/// A shard-batch task: the shard is moved into the pool for the duration of
-/// its step and handed back with the result.
-type Task = Shard;
+/// What a worker reports back for one task: the shard (home again for the
+/// next tick) with its step's result — which may itself be a session error —
+/// or, if the step panicked, the payload `catch_unwind` caught; the shard is
+/// then lost with the worker's stack.
+type TaskDone = std::thread::Result<(Shard, Result<TickResult, CbError>)>;
 
-/// What a worker sends back for one task.
-enum TaskDone {
-    /// The shard stepped its batch (the step itself may still carry a
-    /// session error); the shard comes back for the next tick.
-    Stepped(Box<Shard>, Result<TickResult, CbError>),
-    /// The task panicked; the shard is lost with the worker's stack.
-    Panicked,
+/// Everything the driver and the workers share, under the pool's one lock.
+struct Queue {
+    /// Shards handed over for this tick and not yet taken by a worker.
+    ready: Vec<Shard>,
+    /// Results of this tick so far, in the order the workers finished.
+    done: Vec<TaskDone>,
+    /// Cleared on drop: a worker that finds nothing ready exits instead of
+    /// parking.
+    live: bool,
+    /// Shard-batch tasks run, per worker. Purely diagnostic, like `parks`:
+    /// they describe how the race unfolded, never what was computed, and are
+    /// never serialized into `FLEET_cod.json`.
+    tasks: Vec<u64>,
+    /// Times each worker found nothing ready and parked.
+    parks: Vec<u64>,
 }
 
-/// Per-worker observability counters. Purely diagnostic: they describe how
-/// the race unfolded (who stole what, who idled how long), never what was
-/// computed, and are never serialized into `FLEET_cod.json`.
-#[derive(Debug, Default)]
-struct WorkerCounters {
-    /// Tasks this worker took from outside its local deque — injector
-    /// batch-takes plus sibling steals.
-    steals: AtomicU64,
-    /// Times this worker came up empty-handed and backed off.
-    idle_spins: AtomicU64,
-    /// Total shard-batch tasks this worker ran, whatever their source.
-    tasks: AtomicU64,
+/// The queue and the two conditions threads wait for on it.
+struct Pool {
+    queue: Mutex<Queue>,
+    /// Workers park here until shards are ready or the pool shuts down.
+    work: Condvar,
+    /// The driver waits here until every shard of the tick has reported.
+    finished: Condvar,
 }
 
-/// A pool of long-lived worker threads stepping shard batches via work
-/// stealing. Create one per fleet run; submit one tick at a time through
-/// the crate-private `step_shards`.
+impl Pool {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        // Shards are stepped outside the lock, so only a failed allocation
+        // in a push can poison it.
+        self.queue.lock().expect("executor queue poisoned")
+    }
+}
+
+/// A pool of long-lived worker threads stepping shard batches off one shared
+/// queue. Create one per fleet run; submit one tick at a time through the
+/// crate-private `step_shards`.
 pub struct WallClockExecutor {
-    injector: Arc<Injector<Task>>,
-    done_rx: Receiver<TaskDone>,
-    live: Arc<AtomicBool>,
+    pool: Arc<Pool>,
     workers: Vec<JoinHandle<()>>,
-    counters: Arc<Vec<WorkerCounters>>,
 }
 
 impl WallClockExecutor {
-    /// Spawns `threads` workers (clamped to at least one). Workers are
-    /// pinned to their index for the lifetime of the executor: worker `i`
-    /// keeps its own deque and its name (`fleet-worker-i`) from first tick
-    /// to shutdown, so the per-tick cost is a queue hand-off, not a thread
-    /// spawn.
+    /// Spawns `threads` workers (clamped to at least one). Worker `i` keeps
+    /// its name (`fleet-worker-i`) from first tick to shutdown, so the
+    /// per-tick cost is a queue hand-off, not a thread spawn.
     ///
-    /// When `wall` is `Some`, every worker records per-task spans, steal
-    /// instants and idle gaps into its own trace lane
-    /// ([`WallTrace::worker_lane`]); when `None` the loop is exactly the
-    /// untraced hot path.
+    /// When `wall` is `Some`, every worker records per-task spans and idle
+    /// gaps into its own trace lane ([`WallTrace::worker_lane`]); when `None`
+    /// the loop is exactly the untraced hot path.
     pub fn new(threads: usize, wall: Option<Arc<WallTrace>>) -> WallClockExecutor {
         let threads = threads.max(1);
-        let injector = Arc::new(Injector::new());
-        let (done_tx, done_rx) = unbounded();
-        let live = Arc::new(AtomicBool::new(true));
-
-        let counters: Arc<Vec<WorkerCounters>> =
-            Arc::new((0..threads).map(|_| WorkerCounters::default()).collect());
-
-        let deques: Vec<Worker<Task>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-        let stealers: Vec<Stealer<Task>> = deques.iter().map(Worker::stealer).collect();
-        let workers = deques
-            .into_iter()
-            .enumerate()
-            .map(|(index, local)| {
-                let injector = Arc::clone(&injector);
-                let live = Arc::clone(&live);
-                let stealers = stealers.clone();
-                let done_tx = done_tx.clone();
-                let counters = Arc::clone(&counters);
+        let pool = Arc::new(Pool {
+            queue: Mutex::new(Queue {
+                ready: Vec::new(),
+                done: Vec::new(),
+                live: true,
+                tasks: vec![0; threads],
+                parks: vec![0; threads],
+            }),
+            work: Condvar::new(),
+            finished: Condvar::new(),
+        });
+        let workers = (0..threads)
+            .map(|index| {
+                let pool = Arc::clone(&pool);
                 let wall = wall.clone();
                 std::thread::Builder::new()
                     .name(format!("fleet-worker-{index}"))
-                    .spawn(move || {
-                        worker_loop(
-                            index,
-                            &local,
-                            &injector,
-                            &stealers,
-                            &done_tx,
-                            &live,
-                            &counters,
-                            wall.as_deref(),
-                        )
-                    })
+                    .spawn(move || worker_loop(index, &pool, wall.as_deref()))
                     .expect("spawn fleet worker")
             })
             .collect();
-
-        WallClockExecutor { injector, done_rx, live, workers, counters }
+        WallClockExecutor { pool, workers }
     }
 
     /// Number of worker threads in the pool.
@@ -167,29 +158,22 @@ impl WallClockExecutor {
         self.workers.len()
     }
 
-    /// Per-worker count of tasks taken from outside the worker's own deque
-    /// (injector batch-takes plus sibling steals), indexed by worker.
-    /// Diagnostic only — the values depend on the race and are never part of
-    /// the deterministic outcome.
-    pub fn worker_steals(&self) -> Vec<u64> {
-        self.counters.iter().map(|c| c.steals.load(Ordering::Relaxed)).collect()
-    }
-
-    /// Per-worker count of empty-handed scheduling rounds (yield or sleep),
-    /// indexed by worker. Diagnostic only.
+    /// Per-worker count of times the worker found nothing ready and parked,
+    /// indexed by worker. Diagnostic only — the values depend on the race and
+    /// are never part of the deterministic outcome.
     pub fn worker_idle_spins(&self) -> Vec<u64> {
-        self.counters.iter().map(|c| c.idle_spins.load(Ordering::Relaxed)).collect()
+        self.pool.lock().parks.clone()
     }
 
-    /// Per-worker count of shard-batch tasks run (from any source), indexed
-    /// by worker. Diagnostic only.
+    /// Per-worker count of shard-batch tasks run, indexed by worker.
+    /// Diagnostic only.
     pub fn worker_tasks(&self) -> Vec<u64> {
-        self.counters.iter().map(|c| c.tasks.load(Ordering::Relaxed)).collect()
+        self.pool.lock().tasks.clone()
     }
 
     /// Steps every shard's batch once across the pool and merges the results
     /// **in shard-id order**, so the outcome is independent of which worker
-    /// ran what and of how the steals interleaved. The shards are moved into
+    /// ran what and of the order they finished in. The shards are moved into
     /// the pool for the duration of the tick and handed back in id order.
     ///
     /// # Errors
@@ -201,26 +185,32 @@ impl WallClockExecutor {
     /// # Panics
     ///
     /// Panics with "shard thread panicked" if a worker thread panicked while
-    /// stepping a shard, like a failed join would.
+    /// stepping a shard, like a failed join would — after every other shard
+    /// of the tick has reported, so the pool is left idle and reusable.
     pub(crate) fn step_shards(&self, shards: &mut Vec<Shard>) -> Result<Vec<TickResult>, CbError> {
         let expected = shards.len();
-        // Hand every shard to the pool. Shard ids are fleet indices, so id
-        // order and vector order agree; the injector serves them FIFO but
-        // nothing below depends on that.
-        for shard in shards.drain(..) {
-            self.injector.push(shard);
-        }
+        let done = {
+            // Pushed in reverse so that workers, popping from the back, take
+            // shards in id order. The outcome does not depend on it; the
+            // makespan can: a heterogeneous rack lists its fastest — and so
+            // fullest — shard first, and the longest task should start first.
+            let mut queue = self.pool.lock();
+            queue.ready.extend(shards.drain(..).rev());
+            self.pool.work.notify_all();
+            while queue.done.len() < expected {
+                queue = self.pool.finished.wait(queue).expect("executor queue poisoned");
+            }
+            std::mem::take(&mut queue.done)
+        };
+        // The lock is released and every shard has reported, so a panic
+        // raised here leaves the pool idle and reusable.
         let mut slots: Vec<Option<(Shard, Result<TickResult, CbError>)>> = Vec::new();
         slots.resize_with(expected, || None);
-        for _ in 0..expected {
-            match self.done_rx.recv().expect("fleet workers are alive") {
-                TaskDone::Stepped(shard, result) => {
-                    let id = shard.id;
-                    debug_assert!(slots[id].is_none(), "shard {id} stepped twice in one tick");
-                    slots[id] = Some((*shard, result));
-                }
-                TaskDone::Panicked => panic!("shard thread panicked"),
-            }
+        for done in done {
+            let Ok((shard, result)) = done else { panic!("shard thread panicked") };
+            let id = shard.id;
+            debug_assert!(slots[id].is_none(), "shard {id} stepped twice in one tick");
+            slots[id] = Some((shard, result));
         }
         // Reassemble in shard-id order: the merge order — and therefore the
         // whole outcome — is a function of the configuration, not the race.
@@ -236,132 +226,60 @@ impl WallClockExecutor {
 
 impl Drop for WallClockExecutor {
     fn drop(&mut self) {
-        self.live.store(false, Ordering::Release);
+        // `live` is valid whatever a panicking thread left half-done, and a
+        // drop must not panic: recover the guard from a poisoned lock.
+        self.pool.queue.lock().unwrap_or_else(PoisonError::into_inner).live = false;
+        self.pool.work.notify_all();
         for worker in self.workers.drain(..) {
-            // A worker that panicked outside a task already delivered its
-            // verdict through the channel; nothing useful left to propagate.
+            // A task's panic already surfaced through `step_shards`; nothing
+            // useful left to propagate.
             let _ = worker.join();
         }
     }
 }
 
-/// Where [`find_task`] got its task from — the label each steal instant
-/// carries in the wall-clock trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TaskSource {
-    /// The worker's own deque: not a steal.
-    Local,
-    /// A batch-take off the shared injector.
-    Injector,
-    /// A single task stolen from a sibling's deque.
-    Sibling,
-}
-
-/// One worker's life: drain the local deque, else batch-steal from the
-/// injector, else steal from a sibling, else back off until shutdown.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    index: usize,
-    local: &Worker<Task>,
-    injector: &Injector<Task>,
-    stealers: &[Stealer<Task>],
-    done_tx: &Sender<TaskDone>,
-    live: &AtomicBool,
-    counters: &[WorkerCounters],
-    wall: Option<&WallTrace>,
-) {
+/// One worker's life: take a ready shard, step it outside the lock, report
+/// it; park while nothing is ready; exit once the pool is no longer live.
+fn worker_loop(index: usize, pool: &Pool, wall: Option<&WallTrace>) {
     let lane = WallTrace::worker_lane(index);
-    let mut idle_spins = 0u32;
-    // Wall-clock µs at which the current idle gap started, if one is open.
-    let mut idle_since: Option<u64> = None;
     loop {
-        match find_task(index, local, injector, stealers) {
-            Some((mut shard, source)) => {
-                if source != TaskSource::Local {
-                    counters[index].steals.fetch_add(1, Ordering::Relaxed);
+        // Wall-clock µs at which this worker first found nothing ready.
+        let mut idle_since: Option<u64> = None;
+        let task = {
+            let mut queue = pool.lock();
+            loop {
+                if let Some(shard) = queue.ready.pop() {
+                    queue.tasks[index] += 1;
+                    break Some(shard);
                 }
-                counters[index].tasks.fetch_add(1, Ordering::Relaxed);
-                idle_spins = 0;
-                let start = wall.map(|w| {
-                    if let Some(since) = idle_since.take() {
-                        w.complete(lane, "idle".to_string(), "idle", since);
-                    }
-                    match source {
-                        TaskSource::Local => {}
-                        TaskSource::Injector => w.instant(lane, "injector-take", "steal"),
-                        TaskSource::Sibling => w.instant(lane, "sibling-steal", "steal"),
-                    }
-                    w.now_us()
-                });
-                let shard_id = shard.id;
-                shard.set_wall_lane(lane);
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let result = shard.step_batch();
-                    (shard, result)
-                }));
-                if let (Some(w), Some(start)) = (wall, start) {
-                    w.complete(lane, format!("shard{shard_id}"), "step", start);
+                if !queue.live {
+                    break None;
                 }
-                let done = match result {
-                    Ok((shard, result)) => TaskDone::Stepped(Box::new(shard), result),
-                    Err(_) => TaskDone::Panicked,
-                };
-                if done_tx.send(done).is_err() {
-                    return; // Executor dropped mid-tick; nobody is listening.
+                queue.parks[index] += 1;
+                if idle_since.is_none() {
+                    idle_since = wall.map(WallTrace::now_us);
                 }
+                queue = pool.work.wait(queue).expect("executor queue poisoned");
             }
-            None => {
-                if !live.load(Ordering::Acquire) {
-                    if let (Some(w), Some(since)) = (wall, idle_since.take()) {
-                        w.complete(lane, "idle".to_string(), "idle", since);
-                    }
-                    return;
-                }
-                if let Some(w) = wall {
-                    if idle_since.is_none() {
-                        idle_since = Some(w.now_us());
-                    }
-                }
-                // Briefly spin-yield for the next tick's tasks, then sleep:
-                // ticks are milliseconds apart, so the pool must not burn a
-                // core per worker while the fleet driver places sessions.
-                counters[index].idle_spins.fetch_add(1, Ordering::Relaxed);
-                idle_spins = idle_spins.saturating_add(1);
-                if idle_spins < 64 {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                }
-            }
+        };
+        // Recorded with the queue released: the trace lane has its own lock.
+        if let (Some(w), Some(since)) = (wall, idle_since) {
+            w.complete(lane, "idle".to_string(), "idle", since);
         }
-    }
-}
-
-/// The steal policy: local work first, then a batch off the injector (moving
-/// up to half the queue into the local deque so siblings contend less), then
-/// a single task off the first non-empty sibling. The source says where the
-/// task came from (for the steal counters and the trace's steal instants).
-fn find_task(
-    index: usize,
-    local: &Worker<Task>,
-    injector: &Injector<Task>,
-    stealers: &[Stealer<Task>],
-) -> Option<(Task, TaskSource)> {
-    if let Some(task) = local.pop() {
-        return Some((task, TaskSource::Local));
-    }
-    if let Steal::Success(task) = injector.steal_batch_and_pop(local) {
-        return Some((task, TaskSource::Injector));
-    }
-    for (i, stealer) in stealers.iter().enumerate() {
-        if i == index {
-            continue;
+        let Some(mut shard) = task else { return };
+        let start = wall.map(WallTrace::now_us);
+        let shard_id = shard.id;
+        shard.set_wall_lane(lane);
+        let done: TaskDone = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let result = shard.step_batch();
+            (shard, result)
+        }));
+        if let (Some(w), Some(start)) = (wall, start) {
+            w.complete(lane, format!("shard{shard_id}"), "step", start);
         }
-        if let Steal::Success(task) = stealer.steal() {
-            return Some((task, TaskSource::Sibling));
-        }
+        pool.lock().done.push(done);
+        pool.finished.notify_one();
     }
-    None
 }
 
 #[cfg(test)]
@@ -371,9 +289,13 @@ mod tests {
     use crate::workload::{generate, WorkloadConfig};
 
     fn shard_with_session(id: usize, seed: u64, frames: usize) -> Shard {
+        shard_with_batch(id, seed, frames, 4)
+    }
+
+    fn shard_with_batch(id: usize, seed: u64, frames: usize, batch_frames: usize) -> Shard {
         let mut shard = Shard::new(
             id,
-            ShardConfig { slots: 2, batch_frames: 4, pool_per_shape: 1, ..ShardConfig::default() },
+            ShardConfig { slots: 2, batch_frames, pool_per_shape: 1, ..ShardConfig::default() },
             1.0,
         );
         let mut arrivals = generate(&WorkloadConfig {
@@ -454,5 +376,56 @@ mod tests {
         .expect_err("a poisoned shard must panic the tick");
         let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(message, "shard thread panicked");
+    }
+
+    #[test]
+    fn a_parked_pool_does_not_spin() {
+        let executor = WallClockExecutor::new(1, None);
+        let mut shards: Vec<Shard> = (0..2).map(|i| shard_with_batch(i, 3, 50, 1)).collect();
+        for _ in 0..50 {
+            executor.step_shards(&mut shards).unwrap();
+        }
+        assert_eq!(executor.worker_tasks(), [100]);
+        // One park per tick plus the one before the first tick; the slack is
+        // for spurious wake-ups. A polling pool reads in the thousands here.
+        let parks = executor.worker_idle_spins()[0];
+        assert!(parks <= 2 * (50 + 1), "a worker with nothing ready must park, not poll: {parks}");
+    }
+
+    #[test]
+    fn no_wakeup_is_lost_with_more_workers_than_shards() {
+        let executor = WallClockExecutor::new(8, None);
+        let mut shards = vec![shard_with_batch(0, 11, 300, 1)];
+        for tick in 0..300 {
+            let results = executor.step_shards(&mut shards).unwrap();
+            assert_eq!(results.len(), 1);
+            assert_eq!(shards.len(), 1, "the shard must come home at tick {tick}");
+        }
+        assert_eq!(executor.worker_tasks().iter().sum::<u64>(), 300);
+    }
+
+    #[test]
+    fn dropping_a_pool_of_parked_workers_returns() {
+        drop(WallClockExecutor::new(4, None));
+    }
+
+    #[test]
+    fn a_panic_mid_tick_does_not_strand_the_pool() {
+        let executor = WallClockExecutor::new(2, None);
+        let mut shards: Vec<Shard> = (0..2).map(|i| shard_with_session(i, 9, 8)).collect();
+        shards[0].poison_for_test = true;
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            executor.step_shards(&mut shards)
+        }))
+        .expect_err("a poisoned shard must panic the tick");
+        // Both shards were taken and the survivor's result discarded with the
+        // tick: nothing of it is left to leak into the next one.
+        assert_eq!(executor.worker_tasks().iter().sum::<u64>(), 2);
+        let mut fresh: Vec<Shard> = (0..2).map(|i| shard_with_session(i, 9, 8)).collect();
+        let results = executor.step_shards(&mut fresh).unwrap();
+        assert_eq!(results.len(), 2);
+        assert_eq!(fresh.iter().map(|s| s.id).collect::<Vec<_>>(), [0, 1]);
+        // Dropping joins every worker; a stranded one would hang here.
+        drop(executor);
     }
 }

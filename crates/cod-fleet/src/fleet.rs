@@ -7,7 +7,7 @@
 //! least-loaded shards with free slots, and every shard then advances each of
 //! its resident sessions by one batch of executive frames. Shards are
 //! independent, so the stepping runs under the configured [`ExecutionMode`]:
-//! sequentially on the caller's thread, or on the work-stealing pool of
+//! sequentially on the caller's thread, or on the worker pool of
 //! [`crate::executor::WallClockExecutor`] — the only code that creates
 //! threads. Results are folded back in shard order either way, which keeps
 //! the outcome bit-identical across both modes and every thread count.
@@ -65,9 +65,9 @@ pub enum ExecutionMode {
     /// reproduce bit for bit.
     #[default]
     Modeled,
-    /// The wall-clock engine: a work-stealing pool of `threads` pinned worker
-    /// threads (spawned once per run) pulling shard-batch tasks through a
-    /// lock-free injector. The mode to measure real sessions/sec under.
+    /// The wall-clock engine: a pool of `threads` worker threads (spawned
+    /// once per run) taking shard-batch tasks off one mutex-guarded queue and
+    /// parking between ticks. The mode to measure real sessions/sec under.
     WallClock {
         /// Worker threads in the pool (clamped to at least one).
         threads: usize,
@@ -408,15 +408,16 @@ pub struct WallClockStats {
     pub threads: usize,
     /// Fleet ticks executed.
     pub ticks: u64,
-    /// Per-worker count of shard tasks taken from outside the worker's own
-    /// deque (injector batch-takes plus sibling steals). Empty for the
-    /// modeled mode; diagnostic only, never serialized into `FLEET_cod.json`.
+    /// One zero per worker: the pool has a single queue and nothing to steal
+    /// from. Kept only because `benchmark/` reads it. Empty for the modeled
+    /// mode.
     pub worker_steals: Vec<u64>,
-    /// Per-worker count of empty-handed scheduling rounds. Empty for the
-    /// modeled mode; diagnostic only, never serialized.
+    /// Per-worker count of times the worker found nothing ready and parked.
+    /// Empty for the modeled mode; diagnostic only, never serialized into
+    /// `FLEET_cod.json`.
     pub worker_idle_spins: Vec<u64>,
-    /// Per-worker count of shard-batch tasks run (from any source). Empty
-    /// for the modeled mode; diagnostic only, never serialized.
+    /// Per-worker count of shard-batch tasks run. Empty for the modeled
+    /// mode; diagnostic only, never serialized.
     pub worker_tasks: Vec<u64>,
 }
 
@@ -717,7 +718,7 @@ pub fn run_fleet_traced(
         stepping_wall,
         threads: config.execution.threads_for(config.shards),
         ticks: tick,
-        worker_steals: executor.as_ref().map(WallClockExecutor::worker_steals).unwrap_or_default(),
+        worker_steals: executor.as_ref().map(|e| vec![0; e.threads()]).unwrap_or_default(),
         worker_idle_spins: executor
             .as_ref()
             .map(WallClockExecutor::worker_idle_spins)
@@ -874,7 +875,7 @@ fn session_outcome(done: Completed, tick: u64, shard: usize) -> SessionOutcome {
     }
 }
 
-/// Steps every shard once: across the work-stealing pool when the run carries
+/// Steps every shard once: across the executor pool when the run carries
 /// an executor, else sequentially on the caller's thread. Results come back in
 /// shard order either way.
 fn step_all(
@@ -1222,7 +1223,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(6))]
         /// Whatever the schedule — random seeds, thread counts, shard counts,
         /// arrival pacing, preemption on or off — interleaving admission
-        /// hand-off with shard stepping under the work-stealing executor
+        /// hand-off with shard stepping under the wall-clock executor
         /// preserves the conservation ledger and reproduces the modeled run
         /// bit for bit.
         #[test]

@@ -23,8 +23,9 @@
 //!   speed-weighted), preempt, migrate, batch-step all shards under the
 //!   configured [`fleet::ExecutionMode`], retire; deterministic by
 //!   construction, accounted in modeled time.
-//! * [`executor`] — the wall-clock engine: a work-stealing pool of pinned
-//!   worker threads stepping shard batches in real time, with the results
+//! * [`executor`] — the wall-clock engine: a fixed pool of worker threads
+//!   taking shard batches off one queue and stepping them in real time
+//!   (parked, not polling, between ticks), with the results
 //!   merged in shard order so any thread count reproduces the modeled run
 //!   bit for bit. [`fleet::run_fleet_timed`] reports the real elapsed time
 //!   beside (never inside) the deterministic outcome.

@@ -14,7 +14,7 @@
 //!   any thread count and under any execution mode, and the bytes are never
 //!   mixed into `FLEET_cod.json`'s fingerprint.
 //! * **Sink B, wall-clock** — [`WallTrace`]: real-time span records from the
-//!   work-stealing executor and the fleet tick loop, exported as Chrome
+//!   fleet's executor pool and the fleet tick loop, exported as Chrome
 //!   trace-event JSON ([`WallTrace::to_chrome_json`]) loadable in Perfetto or
 //!   `about://tracing`, one lane per fleet-worker thread plus a driver lane.
 //!

@@ -158,10 +158,10 @@ mod tests {
         assert_eq!(wall.lanes(), 3);
         let t0 = wall.now_us();
         wall.complete(DRIVER_LANE, "tick 0".into(), "tick", t0);
-        wall.instant(WallTrace::worker_lane(0), "injector-take", "steal");
+        wall.instant(WallTrace::worker_lane(0), "mark", "note");
         wall.complete(WallTrace::worker_lane(1), "shard1".into(), "step", t0);
         assert_eq!(wall.event_count(), 3);
-        assert_eq!(wall.count_of(WallTrace::worker_lane(0), "steal"), 1);
+        assert_eq!(wall.count_of(WallTrace::worker_lane(0), "note"), 1);
         let text = wall.to_chrome_json().to_pretty();
         let parsed = Json::parse(&text).expect("valid JSON");
         let events = parsed.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
@@ -170,7 +170,7 @@ mod tests {
         let names: Vec<&str> =
             events.iter().filter_map(|e| e.get("name").and_then(Json::as_str)).collect();
         assert!(names.contains(&"thread_name"));
-        assert!(names.contains(&"injector-take"));
+        assert!(names.contains(&"mark"));
         let phases: Vec<&str> =
             events.iter().filter_map(|e| e.get("ph").and_then(Json::as_str)).collect();
         assert!(phases.contains(&"X") && phases.contains(&"i") && phases.contains(&"M"));
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn out_of_range_lane_records_are_dropped_not_panicking() {
         let wall = WallTrace::new(1);
-        wall.instant(99, "nowhere", "steal");
+        wall.instant(99, "nowhere", "note");
         assert_eq!(wall.event_count(), 0);
     }
 }

@@ -286,7 +286,9 @@ impl<T: Transport> CbKernel<T> {
         self.publications.remove_lp(lp);
         self.subscriptions.remove_lp(lp);
         self.pending.retain(|p| p.lp != lp);
-        self.channels.remove_for_lp(lp);
+        for vc in self.channels.remove_for_lp(lp) {
+            self.connect_last_sent.remove(&vc.id);
+        }
         self.objects.retain(|_, (owner, _)| *owner != lp);
         self.outbox.push(Destination::Broadcast(self.addr.port), &WireMessage::Withdraw { lp });
         Ok(())
@@ -1248,6 +1250,28 @@ mod tests {
         assert_eq!(kernel.transport.sent, [(Destination::Unicast(newcomer), confirm)]);
         assert!(kernel.reflections(local[0]).is_empty());
         assert_eq!(kernel.stats().reflections_delivered, 0);
+    }
+
+    #[test]
+    fn deregister_forgets_the_retry_timers_of_half_open_channels() {
+        // A display LP subscribes; a publisher elsewhere acknowledges, so the
+        // CB opens a subscriber-side channel and starts its retry timer, but
+        // the confirming CHANNEL ACK never arrives.
+        let (fom, class, _) = crane_fom();
+        let mut kernel = CbKernel::new(RecordingTransport::default(), fom);
+        let display = kernel.register_lp("display");
+        kernel.subscribe_object_class(display, class).unwrap();
+        let (far_cb, far_lp) = (Addr::new(NodeId(20), Port(1)), LpId::compose(20, 0));
+        let ack = WireMessage::Acknowledge { publisher_cb: far_cb, publisher_lp: far_lp, class };
+        kernel.transport.inject(far_cb, ack.encode());
+        kernel.tick(Micros::ZERO).unwrap();
+        let channel = ChannelId::compose(RECORDER.node.0, 0);
+        assert!(kernel.channels().get(channel).is_some_and(|vc| !vc.established));
+        assert!(kernel.connect_last_sent.contains_key(&channel));
+
+        kernel.deregister_lp(display).unwrap();
+        assert!(kernel.channels().get(channel).is_none());
+        assert!(!kernel.connect_last_sent.contains_key(&channel), "the timer left with it");
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl DynamicsLp {
         cargo_mass: f64,
         telemetry: SharedTelemetry,
     ) -> DynamicsLp {
-        let world = TrainingWorld::build();
+        let world = TrainingWorld::shared();
         let course = &world.course;
         let start = course.start_position;
         let vehicle = CraneVehicle::new(VehicleParams::default(), start, course.start_heading);

@@ -1,10 +1,13 @@
 //! One visual display channel (paper §3.7, §4) as a Logical Process.
 //!
 //! Each of the three display computers runs one instance of this module. It
-//! keeps a local copy of the training world, animates the crane nodes from the
-//! reflected state, renders (or cost-models) its view, and participates in the
-//! swap-lock protocol run by the synchronization server so the three monitors
-//! present a consistent surround view.
+//! shares the process's training world (a pixel-rendering channel copies it
+//! on first render), animates the crane nodes from the reflected state when
+//! it renders pixels, renders (or cost-models) its view, and participates in
+//! the swap-lock protocol run by the synchronization server so the three
+//! monitors present a consistent surround view.
+
+use std::sync::Arc;
 
 use cod_cb::{CbApi, CbError, ClassRegistry};
 use cod_cluster::{FrameSyncClient, LogicalProcess};
@@ -24,7 +27,12 @@ pub struct VisualDisplayLp {
 
     channel: usize,
     yaw_offset: f64,
-    world: TrainingWorld,
+    /// The process's shared training world; a pixel-rendering channel copies
+    /// it on first render and animates its own copy from then on.
+    world: Arc<TrainingWorld>,
+    /// Polygons in `world`, read once: the count does not depend on where the
+    /// crane nodes are, so the cost model never needs the animated scene.
+    polygon_count: usize,
     renderer: Option<Renderer>,
     cost_model: GpuCostModel,
     sync: FrameSyncClient,
@@ -60,6 +68,7 @@ impl VisualDisplayLp {
         assert!(channel < channel_count, "channel index out of range");
         let per_channel = 120f64.to_radians() / channel_count as f64;
         let yaw_offset = (channel as f64 - (channel_count as f64 - 1.0) / 2.0) * per_channel;
+        let world = TrainingWorld::shared();
         VisualDisplayLp {
             name: format!("visual-{channel}"),
             sync: FrameSyncClient::new(fom.sync, channel as u32),
@@ -67,7 +76,8 @@ impl VisualDisplayLp {
             telemetry,
             channel,
             yaw_offset,
-            world: TrainingWorld::build(),
+            polygon_count: world.polygon_count(),
+            world,
             renderer: if render_pixels { Some(Renderer::new(width, height)) } else { None },
             cost_model,
             crane: CraneStateMsg::default(),
@@ -95,43 +105,13 @@ impl VisualDisplayLp {
         camera
     }
 
-    /// Updates the local scene graph from the reflected crane and hook state.
-    fn animate_scene(&mut self) {
-        let crane_nodes = self.world.crane;
-        let chassis_rotation = Quat::from_yaw_pitch_roll(
-            self.crane.chassis_yaw,
-            self.crane.chassis_pitch,
-            self.crane.chassis_roll,
-        );
-        self.world.scene.set_local_transform(
-            crane_nodes.chassis,
-            Transform::new(self.crane.chassis_position, chassis_rotation),
-        );
-        self.world.scene.set_local_transform(
-            crane_nodes.superstructure,
-            Transform::new(
-                Vec3::new(0.0, 1.7, -1.0),
-                Quat::from_axis_angle(Vec3::unit_y(), self.crane.slew_angle),
-            ),
-        );
-        self.world.scene.set_local_transform(
-            crane_nodes.boom,
-            Transform::new(
-                Vec3::new(0.0, 1.2, 0.5),
-                Quat::from_axis_angle(Vec3::unit_x(), -self.crane.luff_angle),
-            ),
-        );
-        // The cargo is a root-level node: place it from the reflected state.
-        self.world.scene.set_local_transform(
-            crane_nodes.cargo,
-            Transform::from_translation(self.hook.cargo_position),
-        );
-    }
-
     fn render_frame(&mut self) -> Micros {
-        self.animate_scene();
         let frame_time = match self.renderer.as_mut() {
             Some(renderer) => {
+                // The first call copies the shared world; later ones animate
+                // this channel's own copy in place.
+                let world = Arc::make_mut(&mut self.world);
+                animate_scene(world, &self.crane, &self.hook);
                 let camera = {
                     let eye = self.crane.chassis_position + Vec3::new(0.0, 3.2, 1.5);
                     Camera {
@@ -141,10 +121,10 @@ impl VisualDisplayLp {
                         ..Camera::default()
                     }
                 };
-                let stats = renderer.render(&self.world.scene, &camera);
+                let stats = renderer.render(&world.scene, &camera);
                 stats.frame_time(&self.cost_model)
             }
-            None => self.cost_model.frame_time_for_scene(self.world.scene.polygon_count()),
+            None => self.cost_model.frame_time_for_scene(self.polygon_count),
         };
         self.frames_rendered += 1;
         frame_time
@@ -154,6 +134,34 @@ impl VisualDisplayLp {
     pub fn screenshot_ppm(&self) -> Option<Vec<u8>> {
         self.renderer.as_ref().map(|r| r.framebuffer().to_ppm())
     }
+}
+
+/// Poses the crane and cargo nodes of `world` from the reflected crane and
+/// hook state.
+fn animate_scene(world: &mut TrainingWorld, crane: &CraneStateMsg, hook: &HookStateMsg) {
+    let nodes = world.crane;
+    let chassis_rotation =
+        Quat::from_yaw_pitch_roll(crane.chassis_yaw, crane.chassis_pitch, crane.chassis_roll);
+    world.scene.set_local_transform(
+        nodes.chassis,
+        Transform::new(crane.chassis_position, chassis_rotation),
+    );
+    world.scene.set_local_transform(
+        nodes.superstructure,
+        Transform::new(
+            Vec3::new(0.0, 1.7, -1.0),
+            Quat::from_axis_angle(Vec3::unit_y(), crane.slew_angle),
+        ),
+    );
+    world.scene.set_local_transform(
+        nodes.boom,
+        Transform::new(
+            Vec3::new(0.0, 1.2, 0.5),
+            Quat::from_axis_angle(Vec3::unit_x(), -crane.luff_angle),
+        ),
+    );
+    // The cargo is a root-level node: place it from the reflected state.
+    world.scene.set_local_transform(nodes.cargo, Transform::from_translation(hook.cargo_position));
 }
 
 impl LogicalProcess for VisualDisplayLp {
@@ -212,9 +220,10 @@ impl LogicalProcess for VisualDisplayLp {
     }
 
     fn begin_session(&mut self, _cb: &mut dyn CbApi, _seed: u64) -> Result<(), CbError> {
-        // The scene graph and renderer are the expensive reusable assets;
-        // their transforms are overwritten from the reflected state on every
-        // step, so only the reflected copies and the barrier state reset.
+        // The scene graph and renderer are the expensive reusable assets; a
+        // rendering channel overwrites its copy's transforms from the
+        // reflected state on every frame, so only the reflected copies and
+        // the barrier state reset.
         self.sync.reset_session();
         self.crane = CraneStateMsg::default();
         self.hook = HookStateMsg::default();
@@ -260,6 +269,25 @@ mod tests {
         let ppm = lp.screenshot_ppm().expect("renderer enabled");
         assert!(ppm.starts_with(b"P6"));
         assert!(ppm.len() > 80 * 60);
+    }
+
+    #[test]
+    fn channels_share_the_world_until_one_renders_pixels() {
+        let (mut left, right) = (display(false), display(false));
+        let mut pixels = display(true);
+        left.render_frame();
+        assert!(Arc::ptr_eq(&left.world, &right.world), "cost-model channels share one world");
+        assert!(Arc::ptr_eq(&pixels.world, &left.world), "nothing is copied before a frame");
+
+        pixels.crane.chassis_position = Vec3::new(4.0, 0.0, -20.0);
+        pixels.crane.chassis_yaw = 0.3;
+        pixels.render_frame();
+        assert!(!Arc::ptr_eq(&pixels.world, &left.world), "the rendering channel has its own");
+
+        let chassis = left.world.crane.chassis;
+        let built = TrainingWorld::build().scene.world_transform(chassis);
+        assert_eq!(TrainingWorld::shared().scene.world_transform(chassis), built);
+        assert_ne!(pixels.world.scene.world_transform(chassis), built);
     }
 
     #[test]

@@ -7,10 +7,15 @@
 //! itself, and the licensing-exam course of Figure 9 (driving path, lift zone,
 //! barred trajectory).
 //!
+//! In the paper every display PC held its own copy of the world. Here many
+//! racks run in one process, so the world is built once per process and
+//! shared: [`TrainingWorld::shared`] hands out one immutable world, and a
+//! display that animates the crane copies it first.
+//!
 //! ```
 //! use crane_scene::world::TrainingWorld;
 //!
-//! let world = TrainingWorld::build();
+//! let world = TrainingWorld::shared();
 //! // The scene stays close to the polygon budget reported in the paper.
 //! let polys = world.scene.polygon_count();
 //! assert!(polys > 2_500 && polys < 4_500, "polygon count {polys}");

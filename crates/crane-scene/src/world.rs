@@ -5,6 +5,8 @@
 //! buildings and trees, and the articulated mobile crane itself. The polygon
 //! budget tracks the 3 235 polygons reported in the paper's §4.
 
+use std::sync::{Arc, OnceLock};
+
 use serde::{Deserialize, Serialize};
 use sim_math::{Transform, Vec3};
 
@@ -306,6 +308,21 @@ impl TrainingWorld {
         TrainingWorld { scene, course, crane, obstacles }
     }
 
+    /// The process's one training world, built by [`TrainingWorld::build`] on
+    /// first use and shared by every rack after that.
+    ///
+    /// This is a constant computed once, not a cache: `build` takes no input
+    /// and reads no seed, clock or environment, so every call in every process
+    /// would produce the same world, and nothing can invalidate or replace
+    /// it. Sharing it therefore cannot make a session depend on which racks
+    /// were built before it, which is what the determinism contract needs.
+    /// Holders never write through the `Arc`; a display that animates the
+    /// crane takes its own copy with [`Arc::make_mut`].
+    pub fn shared() -> Arc<TrainingWorld> {
+        static WORLD: OnceLock<Arc<TrainingWorld>> = OnceLock::new();
+        Arc::clone(WORLD.get_or_init(|| Arc::new(TrainingWorld::build())))
+    }
+
     /// Total number of polygons in the world (the paper's scene had 3 235).
     pub fn polygon_count(&self) -> usize {
         self.scene.polygon_count()
@@ -365,6 +382,16 @@ mod tests {
         let world = TrainingWorld::build();
         let cargo = world.scene.world_transform(world.crane.cargo).translation;
         assert!(world.course.in_pickup_zone(cargo));
+    }
+
+    #[test]
+    fn shared_world_is_one_allocation_equal_to_a_fresh_build() {
+        let (first, second) = (TrainingWorld::shared(), TrainingWorld::shared());
+        assert!(Arc::ptr_eq(&first, &second), "every caller gets the same world");
+        let built = TrainingWorld::build();
+        assert_eq!(first.polygon_count(), built.polygon_count());
+        assert_eq!(first.obstacles, built.obstacles);
+        assert_eq!(first.course, built.course);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The executive's heap traffic is part of its wall cost (ROADMAP open
-//! item 2): a steady-state frame of the paper's rig must stay inside a fixed
-//! allocation budget, counted by a `#[global_allocator]` that wraps the system
-//! allocator. The budget is the number the follow-up work drives toward zero;
-//! raise it only with a measurement that says why.
+//! item 2): a steady-state frame of the paper's rig and the build of a rack
+//! must each stay inside a fixed allocation budget, counted by a
+//! `#[global_allocator]` that wraps the system allocator. The budgets are the
+//! numbers the follow-up work drives toward zero; raise one only with a
+//! measurement that says why.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,6 +14,12 @@ use crane_sim::{CraneSimulator, FidelityTier, OperatorKind, SimulatorConfig};
 const BUDGET_PER_FRAME: f64 = 84.0;
 const WARM_UP_FRAMES: usize = 500;
 const MEASURED_FRAMES: usize = 1000;
+
+/// Heap allocations allowed to build one rack once the process's training
+/// world exists, per tier (1 593 and 1 262 measured; 6 381 and 3 656 while
+/// every rack built its own worlds).
+const BUDGET_PER_BUILD: [(FidelityTier, u64); 2] =
+    [(FidelityTier::Full, 2_000), (FidelityTier::Coarse, 1_600)];
 
 thread_local! {
     // Per thread, so the test harness's own threads never leak into the count.
@@ -70,4 +77,27 @@ fn steady_state_frame_stays_inside_the_allocation_budget() {
         "a steady-state frame made {per_frame:.1} heap allocations, budget {BUDGET_PER_FRAME}"
     );
     println!("allocations per steady-state frame: {per_frame:.1}");
+}
+
+#[test]
+fn rack_build_stays_inside_the_allocation_budget() {
+    for (tier, budget) in BUDGET_PER_BUILD {
+        let config = SimulatorConfig {
+            tier,
+            operator: OperatorKind::Exam,
+            display_width: 64,
+            display_height: 48,
+            ..SimulatorConfig::default()
+        };
+        // The first build also builds the process's shared training world.
+        drop(CraneSimulator::new(config).unwrap());
+        let before = allocations_on_this_thread();
+        let _rack = CraneSimulator::new(config).unwrap();
+        let allocations = allocations_on_this_thread() - before;
+        assert!(
+            allocations <= budget,
+            "building a {tier:?} rack made {allocations} heap allocations, budget {budget}"
+        );
+        println!("allocations per {tier:?} rack build: {allocations}");
+    }
 }

@@ -2,7 +2,9 @@
 //! (experiments E1/E3/E12) and the cluster-vs-single-PC comparison (E6).
 
 use cod_net::Micros;
-use crane_sim::{CraneSimulator, GpuGeneration, OperatorKind, SimulatorConfig};
+use crane_sim::{
+    CraneSimulator, FrameDigest, GpuGeneration, OperatorKind, SimulatorConfig, TelemetryTrace,
+};
 
 fn base_config() -> SimulatorConfig {
     SimulatorConfig {
@@ -12,6 +14,38 @@ fn base_config() -> SimulatorConfig {
         display_height: 48,
         ..SimulatorConfig::default()
     }
+}
+
+/// Runs `frames` frames, recording the bit-exact per-frame digest trace.
+fn trace_frames(sim: &mut CraneSimulator, frames: usize) -> TelemetryTrace {
+    let mut trace = TelemetryTrace::new();
+    for _ in 0..frames {
+        let record = sim.step_frame().unwrap();
+        let lan = sim.cluster().lan_stats();
+        trace.record(FrameDigest::capture(record.frame, record.now, &sim.snapshot(), &lan));
+    }
+    trace
+}
+
+#[test]
+fn a_pixel_rendering_rack_does_not_disturb_racks_built_after_it() {
+    // Every rack in the process shares one training world; a channel that
+    // renders pixels animates a copy of its own, never the shared one.
+    let cost_model = SimulatorConfig { operator: OperatorKind::Exam, ..base_config() };
+    let mut before = CraneSimulator::new(cost_model).unwrap();
+    let pixels = SimulatorConfig {
+        render_pixels: true,
+        display_width: 32,
+        display_height: 24,
+        ..cost_model
+    };
+    let mut rendering = CraneSimulator::new(pixels).unwrap();
+    rendering.run_frames(20).unwrap();
+    let mut after = CraneSimulator::new(cost_model).unwrap();
+
+    let (expected, replayed) = (trace_frames(&mut before, 40), trace_frames(&mut after, 40));
+    assert_eq!(expected.first_divergence(&replayed), None);
+    assert_eq!(expected.fingerprint(), replayed.fingerprint());
 }
 
 #[test]

@@ -21,14 +21,16 @@
 //!    same rack, same seed, only the tiering policy differs.
 //!
 //! With `--wallclock`, the headline fleet run is additionally served under
-//! the executor pool at 1 and 4 worker threads
-//! ([`cod_fleet::ExecutionMode::WallClock`]): the two runs' reports must be
-//! byte-identical to the headline report (thread scheduling must never leak
-//! into the deterministic output), and — on runners with at least 4 cores —
-//! real sessions/sec must scale by at least [`WALLCLOCK_SCALING_FLOOR`]x
-//! from 1 to 4 threads. On smaller machines the scaling gate downgrades to
-//! an informational line (no pool buys real parallelism without cores); the
-//! byte-identity gate always applies.
+//! the executor pool at 1 thread (the driver alone, no thread spawned) and 4
+//! (the driver plus 3 workers) ([`cod_fleet::ExecutionMode::WallClock`]):
+//! the two runs' reports must be byte-identical to the headline report
+//! (thread scheduling must never leak into the deterministic output), and —
+//! on runners with at least 4 cores — real sessions/sec must scale by at
+//! least [`WALLCLOCK_SCALING_FLOOR`]x from 1 to 4 threads. On smaller
+//! machines the scaling gate downgrades to an informational line (no pool
+//! buys real parallelism without cores); the byte-identity gate always
+//! applies. An ungated line prints the 1-thread run's wall time over a
+//! modeled run's: what the pool itself costs.
 //!
 //! Exits non-zero if the homogeneous scaling drops below 2x, if the
 //! speed-weighted heterogeneous run does not strictly beat the
@@ -408,7 +410,7 @@ fn main() -> ExitCode {
     // parallel speedup out of a single core.
     if args.wallclock {
         let reference = fleet.to_json().to_pretty();
-        let mut wall_sps = Vec::new();
+        let (mut wall_sps, mut walls) = (Vec::new(), Vec::new());
         for threads in [1usize, 4] {
             let config = FleetConfig {
                 execution: ExecutionMode::WallClock { threads },
@@ -437,17 +439,32 @@ fn main() -> ExitCode {
                 stats.ticks,
                 if bytes == reference { "yes" } else { "NO" },
             );
-            // How the race unfolded, worker by worker: tasks run, times
-            // parked with nothing ready. Diagnostic only — none of it is in
-            // the report bytes above.
-            println!("  worker      tasks      parks");
+            // How the race unfolded, thread by thread: tasks run, times
+            // parked with nothing ready. Worker 0 is the driver itself.
+            // Diagnostic only — none of it is in the report bytes above.
+            println!("      worker      tasks      parks");
             for (i, (tasks, parks)) in
                 stats.worker_tasks.iter().zip(&stats.worker_idle_spins).enumerate()
             {
-                println!("  {i:>6} {tasks:>10} {parks:>10}");
+                let worker = if i == 0 { "0 (driver)".to_string() } else { i.to_string() };
+                println!("  {worker:>10} {tasks:>10} {parks:>10}");
             }
             wall_sps.push(sps);
+            walls.push(stats.wall);
         }
+        // The pool's own cost, shown and not gated: a 1-thread pool steps on
+        // the driver alone, so its wall over a modeled drain of the same
+        // config is what the executor adds.
+        let modeled_wall = match run_fleet_timed(&make_config(args.shards)) {
+            Ok((_, stats)) => stats.wall,
+            Err(err) => return die(&format!("modeled reference run failed: {err}")),
+        };
+        let single_wall = walls[0];
+        println!(
+            "executor overhead: 1-thread wall {single_wall:.2?} / modeled wall \
+             {modeled_wall:.2?} = {:.2}x (informational)",
+            single_wall.as_secs_f64() / modeled_wall.as_secs_f64().max(1e-12),
+        );
         let scaling = wall_sps[1] / wall_sps[0].max(1e-12);
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         if cores >= 4 {

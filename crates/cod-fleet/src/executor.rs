@@ -1,5 +1,5 @@
-//! The wall-clock execution engine: a fixed pool of worker threads stepping
-//! shard batches in real time.
+//! The wall-clock execution engine: a fixed pool of stepping threads — the
+//! fleet driver plus spawned workers — stepping shard batches in real time.
 //!
 //! The modeled-time path ([`crate::fleet::ExecutionMode::Modeled`]) answers
 //! "how much CPU would this tick cost"; this module answers "how fast does
@@ -11,8 +11,12 @@
 //!
 //! * there is one queue — a `Mutex` around the shards ready to step, the
 //!   results stepped so far and the pool's counters — and two `Condvar`s;
-//! * the driver pushes the tick's shards, wakes the workers and waits until
-//!   every shard has reported back;
+//! * the driver is worker 0 of its own pool: it pushes the tick's shards,
+//!   wakes the spawned workers and then steps shards off the same queue
+//!   itself, exactly as a worker does; only when nothing is left to take
+//!   does it wait for the shards still out on other threads — so a
+//!   `threads`-thread pool spawns `threads - 1` workers, and a 1-thread
+//!   pool spawns none and hands nothing off;
 //! * a worker pops a shard, steps it *outside* the lock, pushes the result
 //!   and wakes the driver; when it finds nothing ready it parks on the
 //!   condvar (the check and the park happen under the lock, so no wake-up is
@@ -71,26 +75,27 @@ impl WallStopwatch {
 /// time.
 pub(crate) type TickResult = (Vec<Completed>, Micros);
 
-/// What a worker reports back for one task: the shard (home again for the
-/// next tick) with its step's result — which may itself be a session error —
-/// or, if the step panicked, the payload `catch_unwind` caught; the shard is
-/// then lost with the worker's stack.
+/// What a task reports back: the shard (home again for the next tick) with
+/// its step's result — which may itself be a session error — or, if the
+/// step panicked, the payload `catch_unwind` caught; the shard is then lost
+/// with the task's stack.
 type TaskDone = std::thread::Result<(Shard, Result<TickResult, CbError>)>;
 
 /// Everything the driver and the workers share, under the pool's one lock.
 struct Queue {
-    /// Shards handed over for this tick and not yet taken by a worker.
+    /// Shards handed over for this tick and not yet taken by any thread.
     ready: Vec<Shard>,
-    /// Results of this tick so far, in the order the workers finished.
+    /// Results of this tick so far, in the order the tasks finished.
     done: Vec<TaskDone>,
     /// Cleared on drop: a worker that finds nothing ready exits instead of
     /// parking.
     live: bool,
-    /// Shard-batch tasks run, per worker. Purely diagnostic, like `parks`:
-    /// they describe how the race unfolded, never what was computed, and are
-    /// never serialized into `FLEET_cod.json`.
+    /// Shard-batch tasks run, per stepping thread (0 is the driver). Purely
+    /// diagnostic, like `parks`: they describe how the race unfolded, never
+    /// what was computed, and are never serialized into `FLEET_cod.json`.
     tasks: Vec<u64>,
-    /// Times each worker found nothing ready and parked.
+    /// Times each stepping thread found nothing ready and parked — for the
+    /// driver, times it waited on shards still out on a worker.
     parks: Vec<u64>,
 }
 
@@ -99,7 +104,8 @@ struct Pool {
     queue: Mutex<Queue>,
     /// Workers park here until shards are ready or the pool shuts down.
     work: Condvar,
-    /// The driver waits here until every shard of the tick has reported.
+    /// The driver waits here, once it has nothing left to take, until every
+    /// shard of the tick has reported.
     finished: Condvar,
 }
 
@@ -111,22 +117,28 @@ impl Pool {
     }
 }
 
-/// A pool of long-lived worker threads stepping shard batches off one shared
-/// queue. Create one per fleet run; submit one tick at a time through the
-/// crate-private `step_shards`.
+/// A pool of stepping threads taking shard batches off one shared queue:
+/// the thread that calls the crate-private `step_shards` is worker 0, and
+/// long-lived spawned threads are the rest. Create one per fleet run; submit
+/// one tick at a time.
 pub struct WallClockExecutor {
     pool: Arc<Pool>,
+    /// Workers `1..threads`; worker 0 is whoever calls `step_shards`.
     workers: Vec<JoinHandle<()>>,
+    wall: Option<Arc<WallTrace>>,
 }
 
 impl WallClockExecutor {
-    /// Spawns `threads` workers (clamped to at least one). Worker `i` keeps
-    /// its name (`fleet-worker-i`) from first tick to shutdown, so the
+    /// A pool of `threads` stepping threads (clamped to at least one): the
+    /// caller of `step_shards` plus `threads - 1` spawned workers, so a
+    /// 1-thread pool spawns nothing. Spawned worker `i` keeps its name
+    /// (`fleet-worker-i`, from 1) from first tick to shutdown, so the
     /// per-tick cost is a queue hand-off, not a thread spawn.
     ///
-    /// When `wall` is `Some`, every worker records per-task spans and idle
-    /// gaps into its own trace lane ([`WallTrace::worker_lane`]); when `None`
-    /// the loop is exactly the untraced hot path.
+    /// When `wall` is `Some`, every stepping thread records per-task spans
+    /// and idle gaps into its own trace lane ([`WallTrace::worker_lane`]) —
+    /// the caller into worker 0's; when `None` the loop is exactly the
+    /// untraced hot path.
     pub fn new(threads: usize, wall: Option<Arc<WallTrace>>) -> WallClockExecutor {
         let threads = threads.max(1);
         let pool = Arc::new(Pool {
@@ -140,7 +152,7 @@ impl WallClockExecutor {
             work: Condvar::new(),
             finished: Condvar::new(),
         });
-        let workers = (0..threads)
+        let workers = (1..threads)
             .map(|index| {
                 let pool = Arc::clone(&pool);
                 let wall = wall.clone();
@@ -150,31 +162,33 @@ impl WallClockExecutor {
                     .expect("spawn fleet worker")
             })
             .collect();
-        WallClockExecutor { pool, workers }
+        WallClockExecutor { pool, workers, wall }
     }
 
-    /// Number of worker threads in the pool.
+    /// Number of stepping threads: the caller plus the spawned workers.
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.workers.len() + 1
     }
 
-    /// Per-worker count of times the worker found nothing ready and parked,
-    /// indexed by worker. Diagnostic only — the values depend on the race and
-    /// are never part of the deterministic outcome.
+    /// Per-thread count of times the thread found nothing ready and parked,
+    /// indexed by worker (0 is the caller, which parks only to wait for
+    /// shards still out on a worker). Diagnostic only — the values depend on
+    /// the race and are never part of the deterministic outcome.
     pub fn worker_idle_spins(&self) -> Vec<u64> {
         self.pool.lock().parks.clone()
     }
 
-    /// Per-worker count of shard-batch tasks run, indexed by worker.
-    /// Diagnostic only.
+    /// Per-thread count of shard-batch tasks run, indexed by worker (0 is
+    /// the caller). Diagnostic only.
     pub fn worker_tasks(&self) -> Vec<u64> {
         self.pool.lock().tasks.clone()
     }
 
-    /// Steps every shard's batch once across the pool and merges the results
-    /// **in shard-id order**, so the outcome is independent of which worker
-    /// ran what and of the order they finished in. The shards are moved into
-    /// the pool for the duration of the tick and handed back in id order.
+    /// Steps every shard's batch once across the pool — the calling thread
+    /// included — and merges the results **in shard-id order**, so the
+    /// outcome is independent of which thread ran what and of the order they
+    /// finished in. The shards are moved into the pool for the duration of
+    /// the tick and handed back in id order.
     ///
     /// # Errors
     ///
@@ -184,24 +198,46 @@ impl WallClockExecutor {
     ///
     /// # Panics
     ///
-    /// Panics with "shard thread panicked" if a worker thread panicked while
-    /// stepping a shard, like a failed join would — after every other shard
-    /// of the tick has reported, so the pool is left idle and reusable.
+    /// Panics with "shard thread panicked" if stepping a shard panicked —
+    /// on a worker or on the caller alike, like a failed join would — after
+    /// every other shard of the tick has reported, so the pool is left idle
+    /// and reusable.
     pub(crate) fn step_shards(&self, shards: &mut Vec<Shard>) -> Result<Vec<TickResult>, CbError> {
         let expected = shards.len();
+        let wall = self.wall.as_deref();
+        // Wall-clock µs at which the caller ran out of shards to take.
+        let mut idle_since: Option<u64> = None;
         let done = {
-            // Pushed in reverse so that workers, popping from the back, take
+            // Pushed in reverse so that threads, popping from the back, take
             // shards in id order. The outcome does not depend on it; the
             // makespan can: a heterogeneous rack lists its fastest — and so
             // fullest — shard first, and the longest task should start first.
+            // The caller pops before it lets go of the lock, so it always
+            // runs the first task of a tick.
             let mut queue = self.pool.lock();
             queue.ready.extend(shards.drain(..).rev());
             self.pool.work.notify_all();
-            while queue.done.len() < expected {
-                queue = self.pool.finished.wait(queue).expect("executor queue poisoned");
+            loop {
+                if let Some(shard) = queue.ready.pop() {
+                    queue.tasks[0] += 1;
+                    drop(queue);
+                    let done = run_task(0, shard, wall);
+                    queue = self.pool.lock();
+                    queue.done.push(done);
+                } else if queue.done.len() < expected {
+                    queue.parks[0] += 1;
+                    if idle_since.is_none() {
+                        idle_since = wall.map(WallTrace::now_us);
+                    }
+                    queue = self.pool.finished.wait(queue).expect("executor queue poisoned");
+                } else {
+                    break std::mem::take(&mut queue.done);
+                }
             }
-            std::mem::take(&mut queue.done)
         };
+        if let (Some(w), Some(since)) = (wall, idle_since) {
+            w.complete(WallTrace::worker_lane(0), "idle".to_string(), "idle", since);
+        }
         // The lock is released and every shard has reported, so a panic
         // raised here leaves the pool idle and reusable.
         let mut slots: Vec<Option<(Shard, Result<TickResult, CbError>)>> = Vec::new();
@@ -238,10 +274,10 @@ impl Drop for WallClockExecutor {
     }
 }
 
-/// One worker's life: take a ready shard, step it outside the lock, report
-/// it; park while nothing is ready; exit once the pool is no longer live.
+/// One spawned worker's life: take a ready shard, step it outside the lock,
+/// report it; park while nothing is ready; exit once the pool is no longer
+/// live.
 fn worker_loop(index: usize, pool: &Pool, wall: Option<&WallTrace>) {
-    let lane = WallTrace::worker_lane(index);
     loop {
         // Wall-clock µs at which this worker first found nothing ready.
         let mut idle_since: Option<u64> = None;
@@ -264,22 +300,32 @@ fn worker_loop(index: usize, pool: &Pool, wall: Option<&WallTrace>) {
         };
         // Recorded with the queue released: the trace lane has its own lock.
         if let (Some(w), Some(since)) = (wall, idle_since) {
-            w.complete(lane, "idle".to_string(), "idle", since);
+            w.complete(WallTrace::worker_lane(index), "idle".to_string(), "idle", since);
         }
-        let Some(mut shard) = task else { return };
-        let start = wall.map(WallTrace::now_us);
-        let shard_id = shard.id;
-        shard.set_wall_lane(lane);
-        let done: TaskDone = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let result = shard.step_batch();
-            (shard, result)
-        }));
-        if let (Some(w), Some(start)) = (wall, start) {
-            w.complete(lane, format!("shard{shard_id}"), "step", start);
-        }
+        let Some(shard) = task else { return };
+        let done = run_task(index, shard, wall);
         pool.lock().done.push(done);
         pool.finished.notify_one();
     }
+}
+
+/// One shard-batch task, on whichever stepping thread took it: step the
+/// shard on worker `index`'s trace lane, catching a panic so that it
+/// surfaces through `step_shards` as a failed join instead of unwinding
+/// through the pool.
+fn run_task(index: usize, mut shard: Shard, wall: Option<&WallTrace>) -> TaskDone {
+    let lane = WallTrace::worker_lane(index);
+    let start = wall.map(WallTrace::now_us);
+    let shard_id = shard.id;
+    shard.set_wall_lane(lane);
+    let done: TaskDone = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let result = shard.step_batch();
+        (shard, result)
+    }));
+    if let (Some(w), Some(start)) = (wall, start) {
+        w.complete(lane, format!("shard{shard_id}"), "step", start);
+    }
+    done
 }
 
 #[cfg(test)]
@@ -386,10 +432,89 @@ mod tests {
             executor.step_shards(&mut shards).unwrap();
         }
         assert_eq!(executor.worker_tasks(), [100]);
-        // One park per tick plus the one before the first tick; the slack is
-        // for spurious wake-ups. A polling pool reads in the thousands here.
+        // A 1-thread pool is the caller alone, which steps every shard itself
+        // and so never waits; the bound (one park per tick plus one before the
+        // first, with slack for spurious wake-ups) is what a spawned worker is
+        // held to below. A polling pool reads in the thousands here.
         let parks = executor.worker_idle_spins()[0];
         assert!(parks <= 2 * (50 + 1), "a worker with nothing ready must park, not poll: {parks}");
+    }
+
+    #[test]
+    fn a_one_thread_pool_is_the_caller_alone() {
+        let executor = WallClockExecutor::new(1, None);
+        assert!(executor.workers.is_empty(), "a 1-thread pool must spawn no thread");
+        assert_eq!(executor.threads(), 1);
+        let mut shards: Vec<Shard> = (0..2).map(|i| shard_with_batch(i, 3, 20, 1)).collect();
+        for _ in 0..20 {
+            executor.step_shards(&mut shards).unwrap();
+        }
+        assert_eq!(executor.worker_tasks(), [40], "the caller stepped every shard every tick");
+        assert_eq!(executor.worker_idle_spins(), [0], "with nobody to wait for, it never parks");
+    }
+
+    #[test]
+    fn the_caller_takes_the_first_task_of_every_tick() {
+        let executor = WallClockExecutor::new(2, None);
+        assert_eq!(executor.workers.len(), 1);
+        let ticks = 50;
+        let mut shards: Vec<Shard> = (0..2).map(|i| shard_with_batch(i, 3, ticks, 1)).collect();
+        for _ in 0..ticks {
+            executor.step_shards(&mut shards).unwrap();
+        }
+        let tasks = executor.worker_tasks();
+        assert_eq!(tasks.iter().sum::<u64>(), 2 * ticks as u64);
+        // The caller pushes and pops under one lock, so it cannot lose the
+        // first task of a tick to the worker — whatever the race does next.
+        assert!(tasks[0] >= ticks as u64, "the caller must step every tick: {tasks:?}");
+        // The spawned worker parks between ticks instead of polling: one park
+        // per tick plus one before the first, with slack for spurious wake-ups.
+        let parks = executor.worker_idle_spins()[1];
+        assert!(parks <= 2 * (ticks as u64 + 1), "a worker must park, not poll: {parks}");
+    }
+
+    #[test]
+    fn a_panic_on_the_caller_surfaces_like_a_failed_join() {
+        let executor = WallClockExecutor::new(1, None);
+        let mut shards: Vec<Shard> = (0..2).map(|i| shard_with_session(i, 9, 8)).collect();
+        shards[1].poison_for_test = true;
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            executor.step_shards(&mut shards)
+        }))
+        .expect_err("a poisoned shard must panic the tick");
+        let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(message, "shard thread panicked");
+        // The task ran on the caller and its panic was caught there: the
+        // same pool steps a fresh set of shards.
+        let mut fresh: Vec<Shard> = (0..2).map(|i| shard_with_session(i, 9, 8)).collect();
+        assert_eq!(executor.step_shards(&mut fresh).unwrap().len(), 2);
+        assert_eq!(fresh.iter().map(|s| s.id).collect::<Vec<_>>(), [0, 1]);
+    }
+
+    #[test]
+    fn a_mid_tick_error_reports_the_lowest_failing_shard_and_brings_every_shard_home() {
+        for threads in [1usize, 2] {
+            let executor = WallClockExecutor::new(threads, None);
+            let mut shards: Vec<Shard> = (0..4).map(|i| shard_with_session(i, 5, 8)).collect();
+            shards[3].fail_for_test = true;
+            shards[1].fail_for_test = true;
+            match executor.step_shards(&mut shards) {
+                Err(CbError::Codec(message)) => {
+                    assert_eq!(message, "shard 1 failed for an error test", "at {threads} threads")
+                }
+                other => panic!("expected shard 1's error at {threads} threads, got {other:?}"),
+            }
+            assert_eq!(
+                shards.iter().map(|s| s.id).collect::<Vec<_>>(),
+                [0, 1, 2, 3],
+                "every shard must come home in id order at {threads} threads"
+            );
+            for shard in shards.iter_mut() {
+                shard.fail_for_test = false;
+            }
+            let results = executor.step_shards(&mut shards).unwrap();
+            assert_eq!(results.len(), 4, "the tick after an error steps at {threads} threads");
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! least-loaded shards with free slots, and every shard then advances each of
 //! its resident sessions by one batch of executive frames. Shards are
 //! independent, so the stepping runs under the configured [`ExecutionMode`]:
-//! sequentially on the caller's thread, or on the worker pool of
-//! [`crate::executor::WallClockExecutor`] — the only code that creates
-//! threads. Results are folded back in shard order either way, which keeps
+//! sequentially on the caller's thread, or on the pool of
+//! [`crate::executor::WallClockExecutor`] — the caller plus spawned workers,
+//! and the only code that creates threads. Results are folded back in shard
+//! order either way, which keeps
 //! the outcome bit-identical across both modes and every thread count.
 //!
 //! Three optional mechanisms make the fleet heterogeneity- and
@@ -65,17 +66,19 @@ pub enum ExecutionMode {
     /// reproduce bit for bit.
     #[default]
     Modeled,
-    /// The wall-clock engine: a pool of `threads` worker threads (spawned
-    /// once per run) taking shard-batch tasks off one mutex-guarded queue and
-    /// parking between ticks. The mode to measure real sessions/sec under.
+    /// The wall-clock engine: `threads` stepping threads — the caller plus
+    /// `threads - 1` workers spawned once per run — taking shard-batch tasks
+    /// off one mutex-guarded queue; spawned workers park between ticks. The
+    /// mode to measure real sessions/sec under.
     WallClock {
-        /// Worker threads in the pool (clamped to at least one).
+        /// Stepping threads, the caller included (clamped to at least one).
         threads: usize,
     },
 }
 
 impl ExecutionMode {
-    /// Worker threads this mode steps shards with, whatever their number.
+    /// Threads this mode steps shards with, the caller included, whatever
+    /// the number of shards.
     pub fn threads_for(&self, _shards: usize) -> usize {
         match *self {
             ExecutionMode::Modeled => 1,
@@ -404,7 +407,7 @@ pub struct WallClockStats {
     /// Real time spent inside shard batch stepping (the part the execution
     /// mode parallelizes).
     pub stepping_wall: Duration,
-    /// Worker threads the execution mode stepped shards with.
+    /// Threads the execution mode stepped shards with, the caller included.
     pub threads: usize,
     /// Fleet ticks executed.
     pub ticks: u64,
@@ -412,12 +415,13 @@ pub struct WallClockStats {
     /// from. Kept only because `benchmark/` reads it. Empty for the modeled
     /// mode.
     pub worker_steals: Vec<u64>,
-    /// Per-worker count of times the worker found nothing ready and parked.
-    /// Empty for the modeled mode; diagnostic only, never serialized into
-    /// `FLEET_cod.json`.
+    /// Per-thread count of times the thread found nothing ready and parked;
+    /// entry 0 is the driver, which parks only to wait for shards still out
+    /// on a worker. Empty for the modeled mode; diagnostic only, never
+    /// serialized into `FLEET_cod.json`.
     pub worker_idle_spins: Vec<u64>,
-    /// Per-worker count of shard-batch tasks run. Empty for the modeled
-    /// mode; diagnostic only, never serialized.
+    /// Per-thread count of shard-batch tasks run, the driver's at entry 0.
+    /// Empty for the modeled mode; diagnostic only, never serialized.
     pub worker_tasks: Vec<u64>,
 }
 

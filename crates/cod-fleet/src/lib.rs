@@ -23,9 +23,10 @@
 //!   speed-weighted), preempt, migrate, batch-step all shards under the
 //!   configured [`fleet::ExecutionMode`], retire; deterministic by
 //!   construction, accounted in modeled time.
-//! * [`executor`] — the wall-clock engine: a fixed pool of worker threads
-//!   taking shard batches off one queue and stepping them in real time
-//!   (parked, not polling, between ticks), with the results
+//! * [`executor`] — the wall-clock engine: a fixed pool of stepping threads
+//!   (the driver itself plus spawned workers) taking shard batches off one
+//!   queue and stepping them in real time (workers parked, not polling,
+//!   between ticks), with the results
 //!   merged in shard order so any thread count reproduces the modeled run
 //!   bit for bit. [`fleet::run_fleet_timed`] reports the real elapsed time
 //!   beside (never inside) the deterministic outcome.

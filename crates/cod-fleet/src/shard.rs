@@ -280,6 +280,12 @@ pub struct Shard {
     /// surface a worker panic as a failed join.
     #[cfg(test)]
     pub(crate) poison_for_test: bool,
+    /// Test-only error injection: a failing shard returns a
+    /// [`CbError::Codec`] from its next [`Shard::step_batch`] without
+    /// stepping, exercising the executor paths that must bring every shard
+    /// home when one errors mid-tick.
+    #[cfg(test)]
+    pub(crate) fail_for_test: bool,
 }
 
 impl Shard {
@@ -300,6 +306,8 @@ impl Shard {
             trace: None,
             #[cfg(test)]
             poison_for_test: false,
+            #[cfg(test)]
+            fail_for_test: false,
         }
     }
 
@@ -604,6 +612,10 @@ impl Shard {
     pub fn step_batch(&mut self) -> Result<(Vec<Completed>, Micros), CbError> {
         #[cfg(test)]
         assert!(!self.poison_for_test, "shard {} was poisoned for a panic test", self.id);
+        #[cfg(test)]
+        if self.fail_for_test {
+            return Err(CbError::Codec(format!("shard {} failed for an error test", self.id)));
+        }
         let batch_frames = self.config.batch_frames;
         let mut tick_busy = Micros::ZERO;
         match self.config.stepping {

@@ -129,12 +129,14 @@ impl Json {
     }
 
     /// Parses a JSON document, requiring it to span the whole input.
+    /// Arrays and objects may nest at most 128 levels deep; deeper input is
+    /// an error, not a stack overflow.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut parser = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut parser = Parser { text: input, pos: 0, depth: 0 };
         parser.skip_whitespace();
         let value = parser.parse_value()?;
         parser.skip_whitespace();
-        if parser.pos != parser.bytes.len() {
+        if parser.pos != parser.text.len() {
             return Err(parser.error("trailing characters after the document"));
         }
         Ok(value)
@@ -192,9 +194,20 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deep arrays and objects may nest in a parsed document. The parser
+/// recurses once per level, so the bound is what keeps hostile input from
+/// overflowing the stack; every report in the workspace nests a handful of
+/// levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    /// The document. `pos` only ever stops on a char boundary: everything
+    /// the parser steps over one byte at a time is ASCII, and a string's
+    /// unescaped run is taken whole.
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -203,7 +216,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_whitespace(&mut self) {
@@ -227,15 +240,30 @@ impl Parser<'_> {
             Some(b't') => self.parse_keyword("true", Json::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(self.error("expected a JSON value")),
         }
     }
 
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
     fn parse_keyword(&mut self, keyword: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(keyword.as_bytes()) {
+        if self.text[self.pos..].starts_with(keyword) {
             self.pos += keyword.len();
             Ok(value)
         } else {
@@ -248,7 +276,7 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| JsonError { offset: start, message: format!("invalid number '{text}'") })
@@ -277,7 +305,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.error("truncated \\u escape"))?;
                             let hex = std::str::from_utf8(hex)
@@ -295,12 +324,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar, not one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty rest");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole unescaped run in one go. It ends at an
+                    // ASCII `"` or `\` (or the end), so on a char boundary.
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -402,5 +431,48 @@ mod tests {
         assert!(Json::parse("{} x").is_err());
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn long_multi_byte_strings_round_trip_byte_for_byte() {
+        // Long runs of 2- and 3-byte scalars between escapes: the parser
+        // copies each unescaped run whole and must not split a scalar.
+        let long = |unit: &str| unit.repeat(4_000);
+        let doc = Json::Obj(vec![
+            ("µs".into(), Json::Str(long("µs"))),
+            ("cjk".into(), Json::Str(long("起重机模拟器"))),
+            ("mixed".into(), Json::Arr(vec![Json::Str(long("a\"µ\\起\n")), Json::Str(long("é"))])),
+        ]);
+        let text = doc.to_pretty();
+        assert!(text.len() > 100_000, "the document must be long: {} bytes", text.len());
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed, doc);
+        assert_eq!(parsed.to_pretty(), text);
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        let err = Json::parse(&"{\"k\":".repeat(1_000_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        // The limit itself still parses; one level more does not.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&past).is_err());
+    }
+
+    #[test]
+    fn a_hundred_deep_document_round_trips() {
+        let mut doc = Json::Num(1.0);
+        for level in 0..100 {
+            doc = if level % 2 == 0 {
+                Json::Arr(vec![doc])
+            } else {
+                Json::Obj(vec![("k".into(), doc)])
+            };
+        }
+        assert_eq!(Json::parse(&doc.to_pretty()).unwrap(), doc);
     }
 }

@@ -26,7 +26,8 @@ struct WallEvent {
 
 /// The wall-clock sink: per-lane real-time span records, exported as Chrome
 /// trace-event JSON for Perfetto / `about://tracing`. Lane 0 is the fleet
-/// driver; lanes `1..=workers` are the executor's worker threads. Lanes are
+/// driver's tick loop; lanes `1..=workers` are the executor's stepping
+/// threads, worker 0 being the driver thread itself while it steps. Lanes are
 /// independently locked so workers never contend with each other on the hot
 /// path.
 ///

@@ -97,7 +97,7 @@ fn main() {
         outcome.elapsed_modeled.as_secs_f64()
     );
     println!(
-        "wall clock: {:.2} sessions/s over {:.2} s real on {} worker threads \
+        "wall clock: {:.2} sessions/s over {:.2} s real on {} stepping threads \
          (outcome identical at any thread count)",
         wall.sessions_per_wall_sec(outcome.completed),
         wall.wall.as_secs_f64(),

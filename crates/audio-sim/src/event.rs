@@ -1,10 +1,9 @@
 //! Simulation events that trigger dynamic sound effects.
 
-use serde::{Deserialize, Serialize};
 use sim_math::Vec3;
 
 /// A sound-triggering event received from the other simulator modules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SoundEvent {
     /// The engine was started or its load changed; `intensity` is in `[0, 1]`.
     EngineLoad {

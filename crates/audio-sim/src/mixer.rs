@@ -1,6 +1,5 @@
 //! The software mixer standing in for DirectSound.
 
-use serde::{Deserialize, Serialize};
 use sim_math::Vec3;
 use std::collections::BTreeMap;
 
@@ -8,7 +7,7 @@ use crate::event::SoundEvent;
 use crate::source::{SoundSource, SourceId, SourceKind, Waveform};
 
 /// One rendered block of mono samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RenderedBlock {
     /// Sample rate in hertz.
     pub sample_rate: u32,
@@ -33,7 +32,7 @@ impl RenderedBlock {
 }
 
 /// The audio mixer: sources in, attenuated mixed samples out.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mixer {
     sample_rate: u32,
     listener: Vec3,

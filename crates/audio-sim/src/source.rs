@@ -1,14 +1,13 @@
 //! Sound sources and their synthesized waveforms.
 
-use serde::{Deserialize, Serialize};
 use sim_math::Vec3;
 
 /// Identifies a source registered with the mixer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SourceId(pub u32);
 
 /// How the source behaves over time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SourceKind {
     /// A looping, continuous sound (engine, ambient construction-site noise).
     Continuous,
@@ -21,7 +20,7 @@ pub enum SourceKind {
 }
 
 /// The synthesized waveform of a source.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Waveform {
     /// Pure tone at a frequency in hertz.
     Sine {
@@ -169,7 +168,7 @@ impl Waveform {
 }
 
 /// A sound source registered with the mixer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SoundSource {
     /// Behaviour over time.
     pub kind: SourceKind,

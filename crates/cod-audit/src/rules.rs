@@ -106,7 +106,7 @@ impl Rule {
             }
             Rule::AmbientRandomness => {
                 "OS-entropy seeding breaks replay; every RNG must be seeded from the run's \
-                 seed (SeedableRng::seed_from_u64 or a derived stream)"
+                 seed (sim_math::SplitMix64::new or a derived stream)"
             }
             Rule::UndocumentedUnsafe => {
                 "every unsafe block must state its proof obligation in a `// SAFETY:` \

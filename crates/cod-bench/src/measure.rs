@@ -3,22 +3,20 @@
 //! A small but real measurement pipeline: warm-up, calibrated per-sample
 //! iteration counts, robust summary statistics (median / p95 / p99), MAD-based
 //! outlier rejection, and a bootstrap confidence interval for the mean driven
-//! by the vendored deterministic [`rand`] generator. Every number the harness
+//! by a seeded [`SplitMix64`] stream. Every number the harness
 //! publishes flows through [`Stats::from_samples`], so a bench target and the
 //! `bench_report` runner binary report the same statistics.
 
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use sim_math::SplitMix64;
 
 /// Scale factor turning a median absolute deviation into a consistent
 /// estimator of the standard deviation under normality.
 const MAD_NORMAL_CONSISTENCY: f64 = 1.4826;
 
 /// Configuration of one measurement run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasureConfig {
     /// Un-timed iterations executed before any sample is taken.
     pub warmup_iters: u64,
@@ -81,7 +79,7 @@ impl MeasureConfig {
 
 /// Robust summary of a set of samples. For timing measurements the unit is
 /// nanoseconds per iteration; the struct itself is unit-agnostic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stats {
     /// Samples collected before outlier rejection.
     pub samples: usize,
@@ -328,18 +326,18 @@ pub fn reject_outliers_mad(xs: &[f64], sigmas: f64) -> (Vec<f64>, usize) {
 }
 
 /// Percentile-bootstrap confidence interval for the mean of `xs`, computed
-/// from `resamples` deterministic resamples (seeded splitmix64 from the
-/// vendored `rand`). Degenerates to a point interval when `n < 2`.
+/// from `resamples` deterministic resamples (a [`SplitMix64`] stream seeded
+/// with `seed`). Degenerates to a point interval when `n < 2`.
 pub fn bootstrap_ci(xs: &[f64], resamples: usize, confidence: f64, seed: u64) -> (f64, f64) {
     assert!((0.0..1.0).contains(&confidence) && confidence > 0.0, "confidence must be in (0, 1)");
     if xs.len() < 2 {
         let point = xs.first().copied().unwrap_or(0.0);
         return (point, point);
     }
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut means = Vec::with_capacity(resamples.max(1));
     for _ in 0..resamples.max(1) {
-        let sum: f64 = (0..xs.len()).map(|_| xs[rng.gen_range(0..xs.len())]).sum();
+        let sum: f64 = (0..xs.len()).map(|_| xs[rng.below(xs.len())]).sum();
         means.push(sum / xs.len() as f64);
     }
     let alpha = (1.0 - confidence) / 2.0 * 100.0;

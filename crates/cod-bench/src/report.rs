@@ -12,8 +12,6 @@
 use std::io;
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
-
 use crate::measure::Stats;
 use cod_json::Json;
 
@@ -22,7 +20,7 @@ pub const SCHEMA_VERSION: u32 = 1;
 
 /// A secondary quantity derived from an experiment (a rate, a ratio, a
 /// simulated-time latency, ...).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DerivedMetric {
     /// Metric name, e.g. `"cluster_fps"`.
     pub name: String,
@@ -40,7 +38,7 @@ impl DerivedMetric {
 }
 
 /// A measured quantity next to the value the paper reports for it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
     /// What is being compared, e.g. `"synchronized surround-view frame rate"`.
     pub quantity: String,
@@ -53,7 +51,7 @@ pub struct Comparison {
 }
 
 /// Result of one experiment (`"E1"`–`"E9"`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentResult {
     /// Experiment id, `"E1"` .. `"E9"`.
     pub id: String,
@@ -173,7 +171,7 @@ impl ExperimentResult {
 }
 
 /// The aggregate report written to `BENCH_cod.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
     /// Schema version ([`SCHEMA_VERSION`]).
     pub schema_version: u32,

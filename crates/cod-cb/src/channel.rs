@@ -9,16 +9,13 @@
 use crate::fom::ObjectClassId;
 use crate::kernel::LpId;
 use cod_net::Addr;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifies a virtual channel cluster-wide.
 ///
 /// Channel ids are allocated by the subscribing CB: the high 32 bits are its
 /// node id, the low 32 bits a local counter, so ids never collide between CBs.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ChannelId(pub u64);
 
 impl ChannelId {
@@ -34,7 +31,7 @@ impl ChannelId {
 }
 
 /// The role a CB plays on a channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelRole {
     /// This CB hosts the publishing LP and pushes updates into the channel.
     Publisher,
@@ -43,7 +40,7 @@ pub enum ChannelRole {
 }
 
 /// One established (or half-established) virtual channel as seen by one CB.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VirtualChannel {
     /// The channel id.
     pub id: ChannelId,
@@ -62,7 +59,7 @@ pub struct VirtualChannel {
 }
 
 /// All channels known to one CB, indexed by id.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChannelTable {
     channels: BTreeMap<ChannelId, VirtualChannel>,
 }

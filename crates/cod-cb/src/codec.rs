@@ -1,11 +1,9 @@
 //! Compact binary codec for Communication Backbone wire messages.
 //!
 //! The original CB spoke raw datagrams on the LAN; this module provides the
-//! equivalent hand-rolled binary encoding. Only the approved `bytes` crate is
-//! used — no serialization framework — so the exact wire cost of every message
-//! is visible and is charged faithfully by the simulated LAN's bandwidth model.
-
-use bytes::BufMut;
+//! equivalent hand-rolled big-endian encoding on `std` alone — no
+//! serialization framework — so the exact wire cost of every message is
+//! visible and is charged faithfully by the simulated LAN's bandwidth model.
 
 use crate::error::CbError;
 use crate::fom::{AttributeId, AttributeValues, Value};
@@ -145,38 +143,37 @@ impl<'a> Writer<'a> {
 
     /// Writes one byte.
     pub fn u8(&mut self, v: u8) -> &mut Self {
-        self.buf.put_u8(v);
+        self.buf.push(v);
         self
     }
 
     /// Writes a big-endian `u16`.
     pub fn u16(&mut self, v: u16) -> &mut Self {
-        self.buf.put_u16(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
         self
     }
 
     /// Writes a big-endian `u32`.
     pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.buf.put_u32(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
         self
     }
 
     /// Writes a big-endian `u64`.
     pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.buf.put_u64(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
         self
     }
 
     /// Writes a big-endian `f64`.
     pub fn f64(&mut self, v: f64) -> &mut Self {
-        self.buf.put_f64(v);
-        self
+        self.u64(v.to_bits())
     }
 
     /// Writes a length-prefixed byte string.
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
-        self.buf.put_u32(v.len() as u32);
-        self.buf.put_slice(v);
+        self.u32(v.len() as u32);
+        self.buf.extend_from_slice(v);
         self
     }
 
@@ -255,6 +252,15 @@ mod tests {
         assert_eq!(r.string().unwrap(), "crane");
         assert_eq!(r.addr().unwrap(), Addr::new(NodeId(3), Port(9)));
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn writer_lays_out_big_endian_bytes() {
+        let mut buf = Vec::new();
+        Writer::new(&mut buf).u8(7).u16(0x0102).u32(0x0304_0506).f64(1.0).bytes(b"ok");
+        let expected: [u8; 21] =
+            [7, 1, 2, 3, 4, 5, 6, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, b'o', b'k'];
+        assert_eq!(buf, expected);
     }
 
     #[test]

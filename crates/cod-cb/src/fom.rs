@@ -7,29 +7,22 @@
 //! HLA federation shares the same FOM file.
 
 use crate::error::CbError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies an object class declared in the FOM.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ObjectClassId(pub u16);
 
 /// Identifies an interaction class declared in the FOM.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct InteractionClassId(pub u16);
 
 /// Identifies an attribute within an object class.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AttributeId(pub u16);
 
 /// A typed attribute or parameter value carried over the Communication Backbone.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Boolean flag (e.g. an alarm state).
     Bool(bool),
@@ -108,7 +101,7 @@ impl fmt::Display for Value {
 /// decoded per delivery and read once, so one contiguous allocation serves it
 /// better than a tree node. Iteration is in ascending id order and two sets
 /// compare equal whatever order they were built in.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AttributeValues {
     entries: Vec<(AttributeId, Value)>,
 }
@@ -212,7 +205,7 @@ impl<const N: usize> From<[(AttributeId, Value); N]> for AttributeValues {
 }
 
 /// Declaration of one object class.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectClassDef {
     /// Class name, unique within the FOM.
     pub name: String,
@@ -221,7 +214,7 @@ pub struct ObjectClassDef {
 }
 
 /// Declaration of one interaction class.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InteractionClassDef {
     /// Class name, unique within the FOM.
     pub name: String,
@@ -230,7 +223,7 @@ pub struct InteractionClassDef {
 }
 
 /// The shared declaration of every object and interaction class in the federation.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClassRegistry {
     object_classes: Vec<ObjectClassDef>,
     interaction_classes: Vec<InteractionClassDef>,

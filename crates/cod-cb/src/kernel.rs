@@ -17,15 +17,12 @@ use crate::stats::CbStats;
 use crate::tables::{PublicationTable, SubscriptionTable};
 use crate::wire::{self, WireMessage};
 use cod_net::{Addr, Datagram, Destination, Micros, Transport};
-use serde::{Deserialize, Serialize};
 
 /// Identifies a Logical Process cluster-wide.
 ///
 /// The high 32 bits carry the node id of the CB the LP registered with, the low
 /// 32 bits a per-CB counter, so ids are globally unique without coordination.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LpId(pub u64);
 
 impl LpId {
@@ -41,9 +38,7 @@ impl LpId {
 }
 
 /// Identifies an object instance cluster-wide (same composition scheme as [`LpId`]).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ObjectId(pub u64);
 
 impl ObjectId {
@@ -83,7 +78,7 @@ pub struct InteractionMessage {
 }
 
 /// Tunable parameters of the initialization protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CbConfig {
     /// Interval between SUBSCRIPTION broadcasts while unmatched (paper: "a constant time interval").
     pub subscription_broadcast_interval: Micros,

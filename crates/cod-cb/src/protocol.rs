@@ -12,11 +12,10 @@ use crate::channel::ChannelId;
 use crate::fom::ObjectClassId;
 use crate::kernel::LpId;
 use cod_net::Micros;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Setup progress of one subscriber-side channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelSetupState {
     /// CHANNEL CONNECTION sent, waiting for the publisher's channel acknowledgement.
     Connecting,
@@ -25,7 +24,7 @@ pub enum ChannelSetupState {
 }
 
 /// Subscriber-side bookkeeping for one (LP, class) subscription.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PendingSubscription {
     /// The subscribing local LP.
     pub lp: LpId,

@@ -1,10 +1,9 @@
 //! Per-CB counters used by the evaluation harness.
 
 use cod_net::Micros;
-use serde::{Deserialize, Serialize};
 
 /// Counters accumulated by one Communication Backbone instance.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CbStats {
     /// SUBSCRIPTION broadcasts sent.
     pub subscription_broadcasts: u64,

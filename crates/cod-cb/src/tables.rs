@@ -7,11 +7,10 @@
 
 use crate::fom::ObjectClassId;
 use crate::kernel::LpId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One row of the publication table: a local LP publishes an object class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PublicationEntry {
     /// The publishing LP (always local to this CB).
     pub lp: LpId,
@@ -20,7 +19,7 @@ pub struct PublicationEntry {
 }
 
 /// One row of the subscription table: a local LP subscribes to an object class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SubscriptionEntry {
     /// The subscribing LP (always local to this CB).
     pub lp: LpId,
@@ -29,7 +28,7 @@ pub struct SubscriptionEntry {
 }
 
 /// The publication table of one CB.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PublicationTable {
     entries: BTreeSet<PublicationEntry>,
 }
@@ -79,7 +78,7 @@ impl PublicationTable {
 }
 
 /// The subscription table of one CB.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SubscriptionTable {
     entries: BTreeSet<SubscriptionEntry>,
 }

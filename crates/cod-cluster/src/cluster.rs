@@ -2,18 +2,17 @@
 
 use cod_cb::{CbError, ClassRegistry, LpId};
 use cod_net::{FaultPlan, LanConfig, LanStats, Micros, SharedLan, SimLan};
-use serde::{Deserialize, Serialize};
 
 use crate::computer::Computer;
 use crate::lp::LogicalProcess;
 use crate::metrics::ClusterMetrics;
 
 /// Index of a computer within a [`Cluster`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ComputerId(pub usize);
 
 /// Configuration of the cluster executive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// LAN model connecting the computers.
     pub lan: LanConfig,
@@ -49,7 +48,7 @@ pub fn frame_period_for_fps(fps: f64) -> Micros {
 /// the executive did, for trace recorders and invariant checkers. The testkit
 /// pulls one of these per frame instead of installing callback hooks, which
 /// keeps replays deterministic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrameRecord {
     /// Zero-based index of the executed frame.
     pub frame: u64,

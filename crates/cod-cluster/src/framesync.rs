@@ -16,12 +16,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use cod_cb::{AttributeId, CbApi, CbError, ClassRegistry, InteractionClassId, Value};
 use cod_net::Micros;
-use serde::{Deserialize, Serialize};
 
 use crate::lp::LogicalProcess;
 
 /// Interaction classes used by the frame-synchronization protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameSyncFom {
     /// "FrameReady" interaction: a display channel finished rendering a frame.
     pub frame_ready: InteractionClassId,
@@ -326,7 +325,7 @@ impl FrameSyncClient {
 }
 
 /// Analytic model of the swap-lock barrier overhead (experiment E3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyncBarrierModel {
     /// Round-trip time between a display computer and the synchronization server.
     pub round_trip: Micros,

@@ -80,7 +80,4 @@ pub use framesync::{FrameSyncClient, FrameSyncFom, FrameSyncServer, SyncBarrierM
 pub use lp::LogicalProcess;
 pub use metrics::{ClusterMetrics, ComputerFrameRecord};
 pub use pipeline::{PipelineModel, StageCost};
-pub use placement::{
-    balance_load, balance_load_weighted, least_loaded, nominal_sequential_frame_cost, LpLoad,
-    Placement,
-};
+pub use placement::{balance_load, least_loaded, nominal_sequential_frame_cost, LpLoad, Placement};

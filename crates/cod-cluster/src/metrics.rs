@@ -1,10 +1,9 @@
 //! Execution metrics recorded by the cluster executive.
 
 use cod_net::Micros;
-use serde::{Deserialize, Serialize};
 
 /// Per-computer accounting for one executed frame.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ComputerFrameRecord {
     /// Sum of the modeled step costs of the LPs resident on the computer,
     /// scaled by the computer's CPU speed factor.
@@ -12,7 +11,7 @@ pub struct ComputerFrameRecord {
 }
 
 /// Metrics accumulated over a cluster run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterMetrics {
     /// Number of frames executed.
     pub frames_run: u64,

@@ -8,12 +8,11 @@
 //! experiment (E6) can compare the measured cluster against the ideal.
 
 use cod_net::Micros;
-use serde::{Deserialize, Serialize};
 
 use crate::placement::{balance_load, LpLoad};
 
 /// Per-frame cost of one pipeline stage (one simulator module).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageCost {
     /// Stage name.
     pub name: String,
@@ -29,7 +28,7 @@ impl StageCost {
 }
 
 /// Throughput/latency model of a module pipeline.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineModel {
     stages: Vec<StageCost>,
     /// One-way LAN latency added between stages that live on different computers.

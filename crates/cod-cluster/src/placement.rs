@@ -7,10 +7,9 @@
 //! to decide how many computers a configuration really needs.
 
 use cod_net::Micros;
-use serde::{Deserialize, Serialize};
 
 /// The modeled per-frame CPU load of one Logical Process.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LpLoad {
     /// Module name.
     pub name: String,
@@ -39,7 +38,7 @@ pub fn nominal_sequential_frame_cost(display_channels: usize) -> Micros {
 }
 
 /// The result of packing LP loads onto computers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     /// For each computer, the indices (into the input load list) of the LPs placed on it.
     pub assignments: Vec<Vec<usize>>,
@@ -78,34 +77,6 @@ pub fn balance_load(loads: &[LpLoad], computers: usize) -> Placement {
         let target = least_loaded(&totals).expect("at least one computer");
         assignments[target].push(lp_index);
         totals[target] += loads[lp_index].cost;
-    }
-    let makespan = totals.iter().copied().max().unwrap_or(Micros::ZERO);
-    Placement { assignments, loads: totals, makespan }
-}
-
-/// Packs `loads` onto heterogeneous machines: `speeds[m]` is machine `m`'s
-/// relative CPU speed (1.0 = the reference PC), so an item of cost `c` takes
-/// `c / speeds[m]` on it. Longest-processing-time order, each item placed on
-/// the machine that finishes the *resulting* load earliest (ties break toward
-/// the lowest index). [`balance_load`] is the homogeneous special case.
-///
-/// # Panics
-///
-/// Panics if `speeds` is empty or any speed is not positive.
-pub fn balance_load_weighted(loads: &[LpLoad], speeds: &[f64]) -> Placement {
-    assert!(!speeds.is_empty(), "at least one computer is required");
-    assert!(speeds.iter().all(|s| *s > 0.0), "cpu speeds must be positive");
-    let mut order: Vec<usize> = (0..loads.len()).collect();
-    order.sort_by(|a, b| loads[*b].cost.cmp(&loads[*a].cost).then(a.cmp(b)));
-
-    let mut assignments = vec![Vec::new(); speeds.len()];
-    let mut totals = vec![Micros::ZERO; speeds.len()];
-    for lp_index in order {
-        let scaled = |m: usize| Micros((loads[lp_index].cost.0 as f64 / speeds[m]).round() as u64);
-        let candidates: Vec<Micros> = (0..speeds.len()).map(|m| totals[m] + scaled(m)).collect();
-        let target = least_loaded(&candidates).expect("at least one computer");
-        assignments[target].push(lp_index);
-        totals[target] += scaled(target);
     }
     let makespan = totals.iter().copied().max().unwrap_or(Micros::ZERO);
     Placement { assignments, loads: totals, makespan }
@@ -196,57 +167,6 @@ mod tests {
         assert_eq!(least_loaded(&tied_tail), Some(1));
         assert_eq!(least_loaded(&[]), None);
         assert_eq!(least_loaded(&[Micros(u64::MAX)]), Some(0));
-    }
-
-    #[test]
-    fn weighted_balance_matches_plain_balance_on_homogeneous_speeds() {
-        let loads = crane_loads();
-        for n in 1..6 {
-            let plain = balance_load(&loads, n);
-            let weighted = balance_load_weighted(&loads, &vec![1.0; n]);
-            assert_eq!(plain, weighted, "speeds of 1.0 must reduce to balance_load ({n} PCs)");
-        }
-    }
-
-    #[test]
-    fn weighted_balance_prefers_fast_computers() {
-        let loads = crane_loads();
-        // One 2x machine plus three half-speed machines: the heavy display
-        // channels should gravitate toward the fast machine, beating the
-        // homogeneous four-PC split run on the slow machines alone.
-        let hetero = balance_load_weighted(&loads, &[2.0, 0.5, 0.5, 0.5]);
-        let slow_only = balance_load_weighted(&loads, &[0.5, 0.5, 0.5, 0.5]);
-        assert!(
-            hetero.makespan < slow_only.makespan,
-            "a fast machine must shrink the makespan: {:?} vs {:?}",
-            hetero.makespan,
-            slow_only.makespan
-        );
-        assert!(
-            !hetero.assignments[0].is_empty(),
-            "the fast machine must receive work: {:?}",
-            hetero.assignments
-        );
-        // Every LP still placed exactly once.
-        let placed: usize = hetero.assignments.iter().map(Vec::len).sum();
-        assert_eq!(placed, loads.len());
-    }
-
-    #[test]
-    fn weighted_balance_accounts_loads_in_machine_local_time() {
-        let loads = vec![LpLoad::new("only", Micros::from_millis(10))];
-        let p = balance_load_weighted(&loads, &[0.5, 0.25]);
-        // 10 ms on a half-speed machine is 20 ms of local time, and the
-        // quarter-speed machine (40 ms) must lose the placement.
-        assert_eq!(p.assignments[0], vec![0]);
-        assert_eq!(p.loads[0], Micros::from_millis(20));
-        assert_eq!(p.makespan, Micros::from_millis(20));
-    }
-
-    #[test]
-    #[should_panic]
-    fn non_positive_speed_rejected() {
-        let _ = balance_load_weighted(&crane_loads(), &[1.0, 0.0]);
     }
 
     proptest! {

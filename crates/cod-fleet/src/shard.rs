@@ -422,8 +422,9 @@ impl Shard {
     /// The hint the fleet's speed-weighted *placement* policy weighs shards
     /// by: the per-tick rate this shard would run at **if it also took the
     /// arriving session** — its current [`Shard::next_tick_cost`] plus the
-    /// nominal batch cost of one more session on this machine (the same
-    /// resulting-load greedy as [`cod_cluster::balance_load_weighted`]).
+    /// nominal batch cost of one more session on this machine. Of the shards
+    /// with a free slot, the session goes to the one whose resulting load is
+    /// lowest, ties to the lowest shard id.
     /// Minimizing the current rate alone would always prefer an idle slow
     /// shard over a busy fast one, even when the fast shard could absorb the
     /// session at a quarter of the cost.

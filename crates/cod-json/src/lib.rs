@@ -1,13 +1,10 @@
 //! Minimal JSON tree, emitter and parser shared by the workspace's report
 //! writers (`BENCH_cod.json`, `SCENARIOS_cod.json`, `FLEET_cod.json`).
 //!
-//! The vendored `serde` is a marker-trait stub (the build environment cannot
-//! reach crates.io), so the machine-readable artifacts are produced by this
-//! hand-rolled crate instead: a small value tree with a pretty printer and a
-//! recursive descent parser, enough for the report schemas and their
-//! round-trip tests. When registry access exists the report types already
-//! derive the serde markers, so swapping this crate for `serde_json` is
-//! mechanical.
+//! The workspace builds on `std` alone, so the machine-readable artifacts are
+//! produced by this hand-rolled crate: a small value tree with a pretty
+//! printer and a recursive descent parser, enough for the report schemas and
+//! their round-trip tests. Each report type builds its own [`Json`] tree.
 //!
 //! Conventions shared by every report: objects keep member order, numbers are
 //! `f64` (so `u64` quantities that may exceed 2^53 — seeds, fingerprints —

@@ -1,12 +1,9 @@
 //! Cluster addressing: nodes (computers) and ports (services on a computer).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies one computer of the cluster.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u16);
 
 impl fmt::Display for NodeId {
@@ -16,9 +13,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Identifies a service endpoint on a computer (the CB listens on a well-known port).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Port(pub u16);
 
 impl fmt::Display for Port {
@@ -28,9 +23,7 @@ impl fmt::Display for Port {
 }
 
 /// A full endpoint address on the cluster LAN.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr {
     /// The computer.
     pub node: NodeId,

@@ -2,7 +2,7 @@
 
 use crate::addr::{Addr, Port};
 use crate::time::Micros;
-use bytes::Bytes;
+use std::sync::Arc;
 
 /// Where a datagram is going.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,8 +23,8 @@ pub struct Datagram {
     pub src: Addr,
     /// Destination the sender used (unicast address or broadcast port).
     pub dst: Destination,
-    /// Payload bytes.
-    pub payload: Bytes,
+    /// Payload bytes, shared by every copy of a broadcast.
+    pub payload: Arc<[u8]>,
     /// Simulated time at which the datagram was delivered to the receiver
     /// (zero for transports without a simulated clock).
     pub delivered_at: Micros,
@@ -50,7 +50,7 @@ mod tests {
         let d = Datagram {
             src: Addr::new(NodeId(0), Port(1)),
             dst: Destination::Broadcast(Port(1)),
-            payload: Bytes::from_static(b"abcd"),
+            payload: Arc::from(&b"abcd"[..]),
             delivered_at: Micros::ZERO,
         };
         assert_eq!(d.wire_size(), 4 + Datagram::HEADER_BYTES);

@@ -12,12 +12,11 @@
 
 use crate::addr::NodeId;
 use crate::time::Micros;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Stochastic fault parameters of one (directed) link, or of every link when
 /// used as the plan's default rule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFaultRule {
     /// Probability in `[0, 1]` that a datagram is dropped (on top of the link
     /// model's own loss probability).
@@ -59,7 +58,7 @@ impl Default for LinkFaultRule {
 /// A latency spike: every datagram sent during `[start, end)` suffers
 /// `extra_latency_us` of additional one-way delay (a congested or
 /// garbage-collecting switch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencySpike {
     /// Start of the spike window (inclusive).
     pub start: Micros,
@@ -72,7 +71,7 @@ pub struct LatencySpike {
 /// A partition window: during `[start, end)` the `isolated` nodes cannot
 /// exchange datagrams with the rest of the cluster (traffic *among* the
 /// isolated nodes still flows — they form their own segment).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionWindow {
     /// Start of the partition (inclusive).
     pub start: Micros,
@@ -105,7 +104,7 @@ impl PartitionWindow {
 /// let lan = SimLan::shared(LanConfig::fast_ethernet(1));
 /// SimLan::set_fault_plan(&lan, FaultPlan::seeded(7).with_drop_probability(0.05));
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed of the dedicated fault RNG stream.
     pub seed: u64,

@@ -2,11 +2,10 @@
 
 use crate::datagram::Datagram;
 use crate::time::Micros;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+use sim_math::SplitMix64;
 
 /// Parameters of a shared-medium LAN link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// One-way propagation plus protocol-stack latency in microseconds.
     pub base_latency_us: u64,
@@ -58,20 +57,20 @@ impl LinkModel {
         Micros(bits * 1_000_000 / self.bandwidth_bps)
     }
 
-    /// Draws the total one-way delay for a datagram using the supplied RNG.
-    pub fn sample_delay<R: Rng>(&self, dgram: &Datagram, rng: &mut R) -> Micros {
-        let jitter = if self.jitter_us == 0 { 0 } else { rng.gen_range(0..=self.jitter_us) };
+    /// Draws the total one-way delay for a datagram from the supplied stream.
+    pub fn sample_delay(&self, dgram: &Datagram, rng: &mut SplitMix64) -> Micros {
+        let jitter = if self.jitter_us == 0 { 0 } else { rng.up_to(self.jitter_us) };
         Micros(self.base_latency_us + jitter) + self.serialization_delay(dgram.wire_size())
     }
 
     /// Draws whether the datagram is lost.
-    pub fn sample_loss<R: Rng>(&self, rng: &mut R) -> bool {
-        self.loss_probability > 0.0 && rng.gen_bool(self.loss_probability.clamp(0.0, 1.0))
+    pub fn sample_loss(&self, rng: &mut SplitMix64) -> bool {
+        self.loss_probability > 0.0 && rng.chance(self.loss_probability.clamp(0.0, 1.0))
     }
 }
 
 /// Complete configuration for a simulated LAN.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LanConfig {
     /// The shared link model.
     pub link: LinkModel,
@@ -102,12 +101,6 @@ impl LanConfig {
         self.link.loss_probability = p;
         self
     }
-
-    /// Returns a copy with the base latency replaced.
-    pub fn with_latency_us(mut self, us: u64) -> LanConfig {
-        self.link.base_latency_us = us;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -115,15 +108,12 @@ mod tests {
     use super::*;
     use crate::addr::{Addr, NodeId, Port};
     use crate::datagram::Destination;
-    use bytes::Bytes;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn dgram(payload_len: usize) -> Datagram {
         Datagram {
             src: Addr::new(NodeId(0), Port(1)),
             dst: Destination::Broadcast(Port(1)),
-            payload: Bytes::from(vec![0u8; payload_len]),
+            payload: vec![0u8; payload_len].into(),
             delivered_at: Micros::ZERO,
         }
     }
@@ -141,7 +131,7 @@ mod tests {
     #[test]
     fn ideal_link_has_zero_delay() {
         let link = LinkModel::ideal();
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::new(1);
         assert_eq!(link.sample_delay(&dgram(1000), &mut rng), Micros::ZERO);
         assert!(!link.sample_loss(&mut rng));
     }
@@ -149,7 +139,7 @@ mod tests {
     #[test]
     fn sampled_delay_within_bounds() {
         let link = LinkModel::fast_ethernet();
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SplitMix64::new(7);
         let d = dgram(458);
         for _ in 0..1000 {
             let delay = link.sample_delay(&d, &mut rng);
@@ -161,18 +151,28 @@ mod tests {
     }
 
     #[test]
+    fn sampled_delays_at_seed_7_are_pinned() {
+        // The LAN's jitter stream feeds every fleet and scenario fingerprint.
+        let link = LinkModel::fast_ethernet();
+        let mut rng = SplitMix64::new(7);
+        let d = dgram(458);
+        let delays: Vec<Micros> = (0..4).map(|_| link.sample_delay(&d, &mut rng)).collect();
+        assert_eq!(delays, [Micros(197), Micros(219), Micros(187), Micros(171)]);
+    }
+
+    #[test]
     fn loss_probability_respected_statistically() {
         let mut link = LinkModel::fast_ethernet();
         link.loss_probability = 0.25;
-        let mut rng = StdRng::seed_from_u64(99);
+        let mut rng = SplitMix64::new(99);
         let losses = (0..10_000).filter(|_| link.sample_loss(&mut rng)).count();
         assert!((2_000..3_000).contains(&losses), "losses = {losses}");
     }
 
     #[test]
     fn config_builders() {
-        let c = LanConfig::fast_ethernet(1).with_loss(0.5).with_latency_us(10);
+        let c = LanConfig::fast_ethernet(1).with_loss(0.5);
         assert_eq!(c.link.loss_probability, 0.5);
-        assert_eq!(c.link.base_latency_us, 10);
+        assert_eq!(c.link.base_latency_us, LinkModel::fast_ethernet().base_latency_us);
     }
 }

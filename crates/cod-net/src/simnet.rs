@@ -2,12 +2,9 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use bytes::Bytes;
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use sim_math::SplitMix64;
 
 use crate::addr::{Addr, NodeId, Port};
 use crate::datagram::{Datagram, Destination};
@@ -23,6 +20,12 @@ pub const DEFAULT_PORT: Port = Port(1);
 
 /// A LAN shared between transports; clone the `Arc` freely.
 pub type SharedLan = Arc<Mutex<SimLan>>;
+
+/// Locks the LAN. A panic while it is held fails the whole tick, so no caller
+/// ever sees a poisoned LAN.
+fn lock(lan: &SharedLan) -> MutexGuard<'_, SimLan> {
+    lan.lock().expect("simulated LAN poisoned")
+}
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ScheduledDelivery {
@@ -54,9 +57,9 @@ impl PartialOrd for ScheduledDelivery {
 pub struct SimLan {
     config: LanConfig,
     clock: SimClock,
-    rng: StdRng,
+    rng: SplitMix64,
     faults: FaultPlan,
-    fault_rng: StdRng,
+    fault_rng: SplitMix64,
     next_seq: u64,
     next_node: u16,
     queue: BinaryHeap<Reverse<ScheduledDelivery>>,
@@ -71,9 +74,9 @@ impl SimLan {
         SimLan {
             config,
             clock: SimClock::new(),
-            rng: StdRng::seed_from_u64(config.seed),
+            rng: SplitMix64::new(config.seed),
             faults: FaultPlan::none(),
-            fault_rng: StdRng::seed_from_u64(0),
+            fault_rng: SplitMix64::new(0),
             next_seq: 0,
             next_node: 0,
             queue: BinaryHeap::new(),
@@ -92,7 +95,7 @@ impl SimLan {
     /// to its default CB port.
     pub fn attach(lan: &SharedLan, name: &str) -> SimTransport {
         let addr = {
-            let mut l = lan.lock();
+            let mut l = lock(lan);
             let node = NodeId(l.next_node);
             l.next_node += 1;
             l.node_names.insert(node, name.to_owned());
@@ -103,36 +106,21 @@ impl SimLan {
         SimTransport { lan: Arc::clone(lan), addr }
     }
 
-    /// Attaches an additional endpoint (port) on an existing node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the endpoint already exists.
-    pub fn attach_port(lan: &SharedLan, node: NodeId, port: Port) -> SimTransport {
-        let addr = Addr::new(node, port);
-        {
-            let mut l = lan.lock();
-            assert!(!l.inboxes.contains_key(&addr), "endpoint {addr} already attached");
-            l.inboxes.insert(addr, VecDeque::new());
-        }
-        SimTransport { lan: Arc::clone(lan), addr }
-    }
-
     /// Advances the LAN clock by `dt`, performing any deliveries that fall due.
     pub fn advance(lan: &SharedLan, dt: Micros) {
-        let mut l = lan.lock();
+        let mut l = lock(lan);
         let target = l.clock.now() + dt;
         l.advance_to_inner(target);
     }
 
     /// Advances the LAN clock to the absolute time `t`.
     pub fn advance_to(lan: &SharedLan, t: Micros) {
-        lan.lock().advance_to_inner(t);
+        lock(lan).advance_to_inner(t);
     }
 
     /// Runs the LAN until no scheduled deliveries remain, returning the final time.
     pub fn run_until_idle(lan: &SharedLan) -> Micros {
-        let mut l = lan.lock();
+        let mut l = lock(lan);
         while let Some(at) = l.queue.peek().map(|Reverse(next)| next.at) {
             l.advance_to_inner(at);
         }
@@ -141,7 +129,7 @@ impl SimLan {
 
     /// Snapshot of the traffic counters.
     pub fn stats(lan: &SharedLan) -> LanStats {
-        lan.lock().stats.clone()
+        lock(lan).stats.clone()
     }
 
     /// Rewinds the LAN to a canonical session start: the clock is reset to
@@ -154,11 +142,11 @@ impl SimLan {
     /// reset, so a recycled cluster and a freshly built one start each session
     /// from bit-identical LAN state.
     pub fn begin_session(lan: &SharedLan, epoch: Micros, seed: u64) {
-        let mut l = lan.lock();
+        let mut l = lock(lan);
         l.clock.reset_to(epoch);
-        l.rng = StdRng::seed_from_u64(seed);
+        l.rng = SplitMix64::new(seed);
         l.faults = FaultPlan::none();
-        l.fault_rng = StdRng::seed_from_u64(0);
+        l.fault_rng = SplitMix64::new(0);
         l.next_seq = 0;
         l.queue.clear();
         for inbox in l.inboxes.values_mut() {
@@ -171,24 +159,14 @@ impl SimLan {
     /// stream seeded from [`FaultPlan::seed`], so the same plan and seed
     /// reproduce the same fault schedule bit for bit.
     pub fn set_fault_plan(lan: &SharedLan, plan: FaultPlan) {
-        let mut l = lan.lock();
-        l.fault_rng = StdRng::seed_from_u64(plan.seed);
+        let mut l = lock(lan);
+        l.fault_rng = SplitMix64::new(plan.seed);
         l.faults = plan;
     }
 
     /// The currently installed fault plan.
     pub fn fault_plan(lan: &SharedLan) -> FaultPlan {
-        lan.lock().faults.clone()
-    }
-
-    /// Human-readable name of a node, if any.
-    pub fn node_name(lan: &SharedLan, node: NodeId) -> Option<String> {
-        lan.lock().node_names.get(&node).cloned()
-    }
-
-    /// Number of endpoints attached to the LAN.
-    pub fn endpoint_count(lan: &SharedLan) -> usize {
-        lan.lock().inboxes.len()
+        lock(lan).faults.clone()
     }
 
     fn advance_to_inner(&mut self, t: Micros) {
@@ -217,7 +195,7 @@ impl SimLan {
                 return Err(NetError::UnknownEndpoint(addr));
             }
         }
-        let payload = Bytes::copy_from_slice(payload);
+        let payload: Arc<[u8]> = Arc::from(payload);
         self.stats.record_send(src.node, payload.len());
         let now = self.clock.now();
         let inject = !self.faults.is_none();
@@ -235,11 +213,11 @@ impl SimLan {
             let (fault_dropped, reordered, duplicated) = if inject {
                 let rule = self.faults.rule_for(src.node, to.node);
                 let dropped = rule.drop_probability > 0.0
-                    && self.fault_rng.gen_bool(rule.drop_probability.clamp(0.0, 1.0));
+                    && self.fault_rng.chance(rule.drop_probability.clamp(0.0, 1.0));
                 let reordered = rule.reorder_probability > 0.0
-                    && self.fault_rng.gen_bool(rule.reorder_probability.clamp(0.0, 1.0));
+                    && self.fault_rng.chance(rule.reorder_probability.clamp(0.0, 1.0));
                 let duplicated = rule.duplicate_probability > 0.0
-                    && self.fault_rng.gen_bool(rule.duplicate_probability.clamp(0.0, 1.0));
+                    && self.fault_rng.chance(rule.duplicate_probability.clamp(0.0, 1.0));
                 (dropped, reordered, duplicated)
             } else {
                 (false, false, false)
@@ -317,11 +295,11 @@ impl SimTransport {
 
 impl Transport for SimTransport {
     fn send(&mut self, dst: Destination, payload: &[u8]) -> Result<(), NetError> {
-        self.lan.lock().send_from(self.addr, dst, payload)
+        lock(&self.lan).send_from(self.addr, dst, payload)
     }
 
     fn poll_into(&mut self, out: &mut Vec<Datagram>) -> Result<(), NetError> {
-        self.lan.lock().poll_endpoint(self.addr, out)
+        lock(&self.lan).poll_endpoint(self.addr, out)
     }
 
     fn local_addr(&self) -> Addr {
@@ -468,22 +446,10 @@ mod tests {
     }
 
     #[test]
-    fn attach_port_creates_second_endpoint_on_same_node() {
-        let lan = SimLan::shared(LanConfig::fast_ethernet(1));
-        let a = SimLan::attach(&lan, "a");
-        let mut extra = SimLan::attach_port(&lan, a.local_addr().node, Port(9));
-        let mut b = SimLan::attach(&lan, "b");
-        b.send(Destination::Unicast(extra.local_addr()), b"to-port-9").unwrap();
-        SimLan::run_until_idle(&lan);
-        assert_eq!(extra.poll().unwrap().len(), 1);
-        assert_eq!(SimLan::endpoint_count(&lan), 3);
-    }
-
-    #[test]
     fn node_names_are_recorded() {
         let lan = SimLan::shared(LanConfig::fast_ethernet(1));
         let a = SimLan::attach(&lan, "display-left");
-        assert_eq!(SimLan::node_name(&lan, a.local_addr().node).unwrap(), "display-left");
+        assert_eq!(lock(&lan).node_names[&a.local_addr().node], "display-left");
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Traffic counters for the simulated LAN.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::addr::NodeId;
 
 /// Per-node traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Datagrams sent by the node.
     pub datagrams_sent: u64,
@@ -19,7 +18,7 @@ pub struct NodeStats {
 }
 
 /// Whole-LAN traffic counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LanStats {
     /// Datagrams accepted by the LAN for delivery.
     pub datagrams_sent: u64,

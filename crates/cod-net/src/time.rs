@@ -1,6 +1,5 @@
 //! Simulated time base.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -9,9 +8,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// Microsecond resolution comfortably resolves both frame periods (tens of
 /// milliseconds) and per-datagram serialization delays (tens of microseconds
 /// on fast Ethernet).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Micros(pub u64);
 
 impl Micros {
@@ -81,7 +78,7 @@ impl fmt::Display for Micros {
 }
 
 /// A monotonically advancing simulated clock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimClock {
     now: Micros,
 }

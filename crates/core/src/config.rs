@@ -1,9 +1,7 @@
 //! Simulator configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Which graphics-hardware generation the cost model emulates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GpuGeneration {
     /// The TNT2-class cards of the original rack (paper §4).
     Tnt2,
@@ -12,7 +10,7 @@ pub enum GpuGeneration {
 }
 
 /// Which operator model drives the session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OperatorKind {
     /// A competent trainee following the licensing-exam course.
     Exam,
@@ -36,7 +34,7 @@ pub const SCORE_DRIFT_TOLERANCE: f64 = 25.0;
 /// one rack behind [`crate::CraneSimulator`]; both tiers run the same physics
 /// from the same seed, so a session can move between them by deterministic
 /// replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FidelityTier {
     /// The paper's eight-PC rack: every display channel, every module, full
     /// integrator rate.
@@ -95,7 +93,7 @@ impl Default for FidelityTier {
 }
 
 /// Configuration of a simulator session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulatorConfig {
     /// Number of surround-view display channels (the paper used three).
     pub display_channels: usize,

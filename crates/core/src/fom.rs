@@ -8,7 +8,6 @@ use cod_cb::{
     AttributeId, AttributeValues, CbError, ClassRegistry, InteractionClassId, ObjectClassId, Value,
 };
 use cod_cluster::FrameSyncFom;
-use serde::{Deserialize, Serialize};
 use sim_math::Vec3;
 
 /// Declares the attribute-id table of one class: a struct with one
@@ -17,7 +16,7 @@ use sim_math::Vec3;
 /// typed messages below address attributes by id, never by name.
 macro_rules! attribute_ids {
     ($table:ident { $($attribute:ident),+ $(,)? }) => {
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         struct $table {
             $($attribute: AttributeId),+
         }
@@ -70,7 +69,7 @@ attribute_ids!(AlarmIds { code, active, message });
 attribute_ids!(FaultIds { instrument, value });
 
 /// Handles to every class the crane simulator declares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CraneFom {
     /// Crane chassis + superstructure state published by the dynamics module.
     pub crane_state: ObjectClassId,
@@ -169,7 +168,7 @@ fn u32_of(v: Option<&Value>) -> u32 {
 }
 
 /// Crane state as published by the dynamics module.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CraneStateMsg {
     pub chassis_position: Vec3,
     pub chassis_yaw: f64,
@@ -229,7 +228,7 @@ impl CraneStateMsg {
 }
 
 /// Hook and cargo state as published by the dynamics module.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HookStateMsg {
     pub hook_position: Vec3,
     pub cargo_position: Vec3,
@@ -265,7 +264,7 @@ impl HookStateMsg {
 }
 
 /// Operator inputs as published by the dashboard module.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OperatorInputMsg {
     pub steering: f64,
     pub throttle: f64,
@@ -310,7 +309,7 @@ impl OperatorInputMsg {
 }
 
 /// Scenario phase and score as published by the scenario module.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScenarioStateMsg {
     pub phase: String,
     pub score: f64,
@@ -349,7 +348,7 @@ impl ScenarioStateMsg {
 }
 
 /// A collision event sent by the dynamics module.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CollisionMsg {
     pub location: Vec3,
     pub impulse: f64,
@@ -382,7 +381,7 @@ impl CollisionMsg {
 }
 
 /// An alarm raised (or cleared) by the instructor monitor.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AlarmMsg {
     pub code: u32,
     pub active: bool,
@@ -424,7 +423,7 @@ impl AlarmMsg {
 }
 
 /// A fault injected by the instructor into a dashboard instrument.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultMsg {
     /// Name of the instrument (e.g. "speedometer").
     pub instrument: String,

@@ -7,12 +7,11 @@
 //! inject instrument faults for trouble-shooting training.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use cod_cb::{CbApi, CbError, ClassRegistry};
 use cod_cluster::LogicalProcess;
 use cod_net::Micros;
-use parking_lot::Mutex;
 
 use crate::fom::{
     alarm_codes, AlarmMsg, CollisionMsg, CraneFom, CraneStateMsg, FaultMsg, HookStateMsg,
@@ -30,11 +29,11 @@ pub struct FaultInjector {
 impl FaultInjector {
     /// Queues a fault to be sent on the instructor module's next step.
     pub fn inject(&self, fault: FaultMsg) {
-        self.queue.lock().push(fault);
+        self.queue.lock().expect("fault queue poisoned").push(fault);
     }
 
     fn drain(&self) -> Vec<FaultMsg> {
-        self.queue.lock().drain(..).collect()
+        self.queue.lock().expect("fault queue poisoned").drain(..).collect()
     }
 }
 

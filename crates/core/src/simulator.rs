@@ -20,7 +20,6 @@ use cod_cluster::{
 };
 use cod_net::{FaultPlan, LanConfig, LanStats, Micros};
 use render_sim::GpuCostModel;
-use serde::{Deserialize, Serialize};
 
 use crate::audio::AudioLp;
 use crate::config::{FidelityTier, GpuGeneration, OperatorKind, SimulatorConfig};
@@ -41,7 +40,7 @@ use crane_scene::course::Course;
 const BARRIER_OVERHEAD: Micros = Micros::from_millis(3);
 
 /// Summary of a completed (or interrupted) training session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionReport {
     /// Session frames executed (equals cluster frames on the Full tier).
     pub frames_run: u64,

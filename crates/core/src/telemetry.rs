@@ -6,18 +6,16 @@
 //! the LPs directly.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use cod_net::{LanStats, Micros};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use sim_math::Fnv1a;
 
 use crate::fom::{CollisionMsg, CraneStateMsg, HookStateMsg, ScenarioStateMsg};
 
 /// The instructor's Status window (paper Figure 5): the quantities displayed
 /// on the four sub-windows plus the dialogue boxes and alarm lamps.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StatusWindow {
     /// Current swinging (slew) angle of the derrick boom, degrees.
     pub boom_swing_deg: f64,
@@ -37,7 +35,7 @@ pub struct StatusWindow {
 
 /// The instructor's Dashboard window (paper Figure 6): the mirror of the
 /// instruments inside the mockup.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DashboardWindow {
     /// Speedometer reading in km/h.
     pub speed_kmh: f64,
@@ -52,7 +50,7 @@ pub struct DashboardWindow {
 }
 
 /// Everything the telemetry sink accumulates over a session.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySnapshot {
     /// Frames the visual channels have completed.
     pub frames: u64,
@@ -100,27 +98,31 @@ impl SharedTelemetry {
         SharedTelemetry::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, TelemetrySnapshot> {
+        self.inner.lock().expect("telemetry sink poisoned")
+    }
+
     /// Takes a consistent copy of everything recorded so far.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        self.inner.lock().clone()
+        self.lock().clone()
     }
 
     /// Runs a closure with mutable access to the telemetry data.
     pub fn update<R>(&self, f: impl FnOnce(&mut TelemetrySnapshot) -> R) -> R {
-        f(&mut self.inner.lock())
+        f(&mut self.lock())
     }
 
     /// Clears everything recorded so far (session recycling); all clones of
     /// the handle observe the reset.
     pub fn reset(&self) {
-        *self.inner.lock() = TelemetrySnapshot::default();
+        *self.lock() = TelemetrySnapshot::default();
     }
 }
 
 /// A bit-exact digest of one executive frame, derived from the telemetry and
 /// LAN counters. Floating-point fields are stored as raw IEEE-754 bits so two
 /// digests compare equal exactly when the underlying runs were bit-identical.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameDigest {
     /// Zero-based frame index.
     pub frame: u64,
@@ -196,7 +198,7 @@ impl FrameDigest {
 /// A frame-by-frame trace of a session: one [`FrameDigest`] per executive
 /// frame. Two runs of the same seeded scenario must produce equal traces; when
 /// they do not, [`TelemetryTrace::first_divergence`] pins the first bad frame.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetryTrace {
     /// The recorded digests in frame order.
     pub digests: Vec<FrameDigest>,

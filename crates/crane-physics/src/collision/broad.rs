@@ -1,12 +1,11 @@
 //! Uniform-grid broad phase over the ground plane.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crane_scene::bounds::Aabb;
 
 /// A uniform grid over the XZ plane mapping cells to obstacle indices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpatialGrid {
     cell_size: f64,
     cells: BTreeMap<(i64, i64), Vec<usize>>,

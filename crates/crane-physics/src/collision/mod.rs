@@ -19,7 +19,6 @@
 pub mod broad;
 pub mod response;
 
-use serde::{Deserialize, Serialize};
 use sim_math::Vec3;
 
 use crane_scene::bounds::Aabb;
@@ -28,7 +27,7 @@ use crane_scene::world::Obstacle;
 use self::broad::SpatialGrid;
 
 /// Which level of the hierarchy confirmed a contact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DetectionLevel {
     /// Bounding-sphere overlap only (used for statistics, never reported as a contact).
     BoundingSphere,
@@ -39,7 +38,7 @@ pub enum DetectionLevel {
 }
 
 /// A confirmed contact against a static obstacle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Contact {
     /// Index of the obstacle within the collision world.
     pub obstacle: usize,
@@ -56,7 +55,7 @@ pub struct Contact {
 }
 
 /// Counters describing how much work each level performed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CollisionStats {
     /// Level-1 bounding-sphere tests executed.
     pub sphere_tests: u64,
@@ -68,7 +67,7 @@ pub struct CollisionStats {
     pub contacts: u64,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct StaticShape {
     name: String,
     aabb: Aabb,
@@ -78,7 +77,7 @@ struct StaticShape {
 }
 
 /// The set of static obstacles collision queries run against.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CollisionWorld {
     statics: Vec<StaticShape>,
     grid: Option<SpatialGrid>,

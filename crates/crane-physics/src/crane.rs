@@ -1,10 +1,9 @@
 //! The articulated mobile crane: slew, luff, telescope and hoist kinematics.
 
-use serde::{Deserialize, Serialize};
 use sim_math::{clamp, Quat, Transform, Vec3};
 
 /// Mechanical limits and rates of the crane's actuators.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CraneLimits {
     /// Minimum boom luffing (elevation) angle in radians.
     pub min_luff: f64,
@@ -50,7 +49,7 @@ impl Default for CraneLimits {
 }
 
 /// Operator inputs to the crane superstructure (the two joysticks of §3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CraneControls {
     /// Slew command in `[-1, 1]` (left joystick X).
     pub slew: f64,
@@ -75,7 +74,7 @@ impl CraneControls {
 }
 
 /// Kinematic state of the crane superstructure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CraneState {
     /// Slew (swing) angle of the superstructure about +Y, in radians.
     pub slew_angle: f64,
@@ -99,7 +98,7 @@ impl Default for CraneState {
 }
 
 /// The crane rig: state plus limits, plus the geometry needed for kinematics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CraneRig {
     /// Current actuator state.
     pub state: CraneState,

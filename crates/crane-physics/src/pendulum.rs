@@ -12,13 +12,12 @@
 //! into the bob; aerodynamic and structural damping make the oscillation decay
 //! to a full stop once the boom is stationary.
 
-use serde::{Deserialize, Serialize};
 use sim_math::Vec3;
 
 use crate::GRAVITY;
 
 /// The hook-and-cargo pendulum.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CablePendulum {
     /// World position of the bob (hook + cargo).
     pub position: Vec3,

@@ -7,12 +7,10 @@
 //! load-moment utilization and a tip-over verdict; the instructor monitor turns
 //! them into the alarm lights of Figure 5.
 
-use serde::{Deserialize, Serialize};
-
 use crate::GRAVITY;
 
 /// Static properties of the crane used for stability computation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StabilityModel {
     /// Mass of the crane itself, in kilograms.
     pub crane_mass: f64,
@@ -36,7 +34,7 @@ impl Default for StabilityModel {
 }
 
 /// The stability verdict for one instant of the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StabilityReport {
     /// Overturning moment produced by the suspended load, in newton-metres.
     pub load_moment: f64,

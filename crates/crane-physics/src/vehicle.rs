@@ -1,12 +1,11 @@
 //! Driving model of the mobile crane with terrain following (paper §3.6).
 
-use serde::{Deserialize, Serialize};
 use sim_math::{clamp, Quat, Transform, Vec3};
 
 use crate::terrain::Terrain;
 
 /// Parameters of the crane carrier vehicle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VehicleParams {
     /// Total vehicle mass in kilograms.
     pub mass: f64,
@@ -42,7 +41,7 @@ impl Default for VehicleParams {
 }
 
 /// Driver inputs from the dashboard mockup (steering wheel, gas pedal, brake).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DriveControls {
     /// Steering wheel position in `[-1, 1]` (positive steers left).
     pub steering: f64,
@@ -67,7 +66,7 @@ impl DriveControls {
 }
 
 /// The crane carrier: a bicycle-model vehicle that follows the terrain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CraneVehicle {
     /// Vehicle parameters.
     pub params: VehicleParams,

@@ -1,10 +1,9 @@
 //! Axis-aligned bounding boxes.
 
-use serde::{Deserialize, Serialize};
 use sim_math::Vec3;
 
 /// An axis-aligned bounding box.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     /// Minimum corner.
     pub min: Vec3,

@@ -5,11 +5,10 @@
 //! a cargo located in a circular zone, moves it along a trajectory obstructed
 //! by bars to the far end and back, and is penalized for every bar collision.
 
-use serde::{Deserialize, Serialize};
 use sim_math::Vec3;
 
 /// One obstacle bar placed across the cargo trajectory (Figure 9).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bar {
     /// One end of the bar.
     pub from: Vec3,
@@ -38,7 +37,7 @@ impl Bar {
 }
 
 /// Phases of the licensing exam, in order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CoursePhase {
     /// Drive the crane from the start point to the testing ground.
     Driving,
@@ -65,7 +64,7 @@ impl CoursePhase {
 }
 
 /// The full course layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Course {
     /// Where the crane starts (parking area).
     pub start_position: Vec3,

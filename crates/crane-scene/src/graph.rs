@@ -1,16 +1,15 @@
 //! A small scene graph with hierarchical transforms.
 
-use serde::{Deserialize, Serialize};
 use sim_math::Transform;
 
 use crate::bounds::Aabb;
 use crate::mesh::Mesh;
 
 /// Index of a node within a [`SceneGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Node {
     name: String,
     local: Transform,
@@ -20,7 +19,7 @@ struct Node {
 }
 
 /// A scene graph: named nodes with local transforms, optionally referencing meshes.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SceneGraph {
     nodes: Vec<Node>,
     meshes: Vec<Mesh>,

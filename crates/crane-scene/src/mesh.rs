@@ -1,12 +1,11 @@
 //! Triangle meshes.
 
-use serde::{Deserialize, Serialize};
 use sim_math::{Transform, Vec3};
 
 use crate::bounds::Aabb;
 
 /// An RGB color with 8-bit channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Color {
     pub r: u8,
     pub g: u8,
@@ -44,7 +43,7 @@ impl Color {
 }
 
 /// A triangle mesh with one flat color.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Mesh {
     /// Vertex positions.
     pub vertices: Vec<Vec3>,

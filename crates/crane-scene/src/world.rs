@@ -7,7 +7,6 @@
 
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
 use sim_math::{Transform, Vec3};
 
 use crate::bounds::Aabb;
@@ -33,7 +32,7 @@ pub fn training_ground_height(x: f64, z: f64) -> f64 {
 }
 
 /// Handles to the scene-graph nodes that the simulator animates every frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CraneNodes {
     /// Crane chassis (root of the crane hierarchy).
     pub chassis: NodeId,
@@ -51,7 +50,7 @@ pub struct CraneNodes {
 
 /// One static obstacle with a precomputed world-space bound (used by the
 /// multi-level collision detection of the dynamics module).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Obstacle {
     /// Scene node of the obstacle.
     pub node: NodeId,

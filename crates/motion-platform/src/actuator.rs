@@ -1,10 +1,9 @@
 //! Actuator stroke and rate limits.
 
-use serde::{Deserialize, Serialize};
 use sim_math::interp::move_toward;
 
 /// Stroke and rate limits of one hydraulic actuator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActuatorLimits {
     /// Minimum leg length in metres.
     pub min_length: f64,
@@ -28,7 +27,7 @@ impl ActuatorLimits {
 }
 
 /// One actuator with its current length.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Actuator {
     /// Stroke and rate limits.
     pub limits: ActuatorLimits,

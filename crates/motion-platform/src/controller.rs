@@ -4,7 +4,6 @@
 //! vibration and actuator limiting into the single object the simulator's
 //! motion-platform module (an LP on the cluster) drives every frame.
 
-use serde::{Deserialize, Serialize};
 use sim_math::Vec3;
 
 use crate::actuator::{Actuator, ActuatorLimits};
@@ -15,7 +14,7 @@ use crate::vibration::VibrationGenerator;
 use crate::washout::WashoutFilter;
 
 /// One motion cue produced by the dynamics module, one per visual frame.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MotionCue {
     /// Vehicle body acceleration in m/s^2 (body frame: x right, y up, z forward).
     pub acceleration: Vec3,
@@ -30,7 +29,7 @@ pub struct MotionCue {
 }
 
 /// The full motion-platform controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MotionController {
     geometry: StewartGeometry,
     washout: WashoutFilter,

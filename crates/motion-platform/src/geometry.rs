@@ -1,10 +1,9 @@
 //! Stewart-platform geometry: where the six joints sit on the base and the platform.
 
-use serde::{Deserialize, Serialize};
 use sim_math::{Quat, Vec3};
 
 /// The pose of the moving platform relative to its neutral position.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PlatformPose {
     /// Translation of the platform centre (metres; surge, heave, sway).
     pub translation: Vec3,
@@ -39,7 +38,7 @@ impl PlatformPose {
 }
 
 /// Joint layout of a six-legged Stewart platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StewartGeometry {
     /// Base joint positions in base coordinates (Y up, origin at base centre).
     pub base_joints: [Vec3; 6],

@@ -7,12 +7,10 @@
 //! at the visual frame rate (16–30 Hz) while the platform servo loop runs much
 //! faster; this interpolator fills the gap.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::PlatformPose;
 
 /// Interpolates between the last two received motion cues.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoseInterpolator {
     previous: PlatformPose,
     target: PlatformPose,

@@ -5,13 +5,12 @@
 //! controller constantly generates a random up-and-down vibration to
 //! realistically simulate this situation" (paper §3.4).
 
-use serde::{Deserialize, Serialize};
 use sim_math::{ValueNoise, Vec3};
 
 use crate::geometry::PlatformPose;
 
 /// Deterministic engine-rumble generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VibrationGenerator {
     noise: ValueNoise,
     /// Peak vertical displacement at full intensity, in metres.

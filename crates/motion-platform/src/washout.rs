@@ -7,13 +7,12 @@
 //! cannot distinguish from it (tilt-coordination, low-pass path), and the
 //! platform always creeps back to neutral.
 
-use serde::{Deserialize, Serialize};
 use sim_math::{HighPass, LowPass, Vec3};
 
 use crate::geometry::PlatformPose;
 
 /// The classical washout filter producing platform poses from vehicle motion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WashoutFilter {
     /// Scale from vehicle acceleration to platform displacement (m per m/s^2).
     pub translation_gain: f64,

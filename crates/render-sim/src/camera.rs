@@ -1,10 +1,9 @@
 //! The viewing camera.
 
-use serde::{Deserialize, Serialize};
 use sim_math::{Mat4, Vec3};
 
 /// A perspective camera.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Camera {
     /// Eye position in world space.
     pub position: Vec3,

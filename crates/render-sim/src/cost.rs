@@ -9,10 +9,9 @@
 //! view comes out at roughly 16 fps.
 
 use cod_net::Micros;
-use serde::{Deserialize, Serialize};
 
 /// Cost coefficients of one display channel (CPU + AGP + GPU of one desktop PC).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuCostModel {
     /// Fixed per-frame overhead (scene traversal, state changes, buffer swap), microseconds.
     pub frame_overhead_us: f64,

@@ -3,7 +3,6 @@
 use cod_net::Micros;
 use crane_scene::graph::SceneGraph;
 use crane_scene::mesh::Color;
-use serde::{Deserialize, Serialize};
 use sim_math::Vec3;
 
 use crate::camera::Camera;
@@ -13,7 +12,7 @@ use crate::frustum::Frustum;
 use crate::raster::rasterize_triangle;
 
 /// Statistics of one rendered frame.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RenderStats {
     /// Triangles in the scene graph.
     pub triangles_in_scene: usize,

@@ -8,14 +8,13 @@
 
 use cod_net::Micros;
 use crane_scene::graph::SceneGraph;
-use serde::{Deserialize, Serialize};
 
 use crate::camera::Camera;
 use crate::cost::GpuCostModel;
 use crate::pipeline::{RenderStats, Renderer};
 
 /// Per-frame statistics of the whole surround view.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SurroundStats {
     /// Per-channel render statistics (left to right).
     pub channels: Vec<RenderStats>,

@@ -4,16 +4,15 @@
 //! and raise angle in degrees while the dynamics module works in radians; the
 //! [`Deg`] / [`Rad`] newtypes keep the two from being mixed up.
 
-use serde::{Deserialize, Serialize};
 use std::f64::consts::{PI, TAU};
 use std::fmt;
 
 /// An angle expressed in degrees.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Deg(pub f64);
 
 /// An angle expressed in radians.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Rad(pub f64);
 
 impl Deg {

@@ -4,10 +4,8 @@
 //! high-pass and low-pass stages defined here; the dashboard module uses the
 //! rate limiter to model the finite slew rate of analog meters.
 
-use serde::{Deserialize, Serialize};
-
 /// First-order low-pass filter (exponential smoothing).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LowPass {
     cutoff_hz: f64,
     state: f64,
@@ -52,7 +50,7 @@ impl LowPass {
 }
 
 /// First-order high-pass filter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HighPass {
     cutoff_hz: f64,
     prev_input: f64,
@@ -101,7 +99,7 @@ impl HighPass {
 }
 
 /// Limits the rate of change of a signal to `max_rate` units per second.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateLimiter {
     max_rate: f64,
     state: f64,

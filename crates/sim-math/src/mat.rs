@@ -1,11 +1,10 @@
 //! Column-major 3x3 and 4x4 matrices.
 
 use crate::vec::Vec3;
-use serde::{Deserialize, Serialize};
 use std::ops::Mul;
 
 /// A 3x3 matrix stored as three columns.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mat3 {
     /// Columns of the matrix.
     pub cols: [Vec3; 3],
@@ -79,7 +78,7 @@ impl Mul for Mat3 {
 }
 
 /// A 4x4 matrix stored row-major as `m[row][col]`, used by the rendering pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mat4 {
     /// Rows of the matrix.
     pub m: [[f64; 4]; 4],

@@ -2,14 +2,14 @@
 //!
 //! The motion-platform vibration generator (paper §3.4: "constantly generates a
 //! random up-and-down vibration") needs a smooth, repeatable noise source; this
-//! module provides one without pulling the `rand` dependency into `sim-math`.
+//! module provides one from a stateless hash of the lattice coordinate.
 
-use serde::{Deserialize, Serialize};
+use crate::hash::{mix64, unit_f64, GOLDEN_GAMMA};
 
 /// Smooth 1D value noise with a deterministic seed.
 ///
 /// Noise values are in `[-1, 1]` and vary smoothly with the input coordinate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ValueNoise {
     seed: u64,
 }
@@ -22,14 +22,8 @@ impl ValueNoise {
 
     /// Hash an integer lattice coordinate into `[-1, 1]`.
     fn lattice(&self, i: i64) -> f64 {
-        // SplitMix64-style integer hash.
-        let mut z = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ self.seed;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        // Map the top 53 bits to [0, 1), then to [-1, 1].
-        let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
-        unit * 2.0 - 1.0
+        let z = mix64((i as u64).wrapping_mul(GOLDEN_GAMMA) ^ self.seed);
+        unit_f64(z) * 2.0 - 1.0
     }
 
     /// Samples the noise at coordinate `x` (smoothly interpolated).

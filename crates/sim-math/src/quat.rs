@@ -2,11 +2,10 @@
 
 use crate::mat::Mat3;
 use crate::vec::Vec3;
-use serde::{Deserialize, Serialize};
 use std::ops::Mul;
 
 /// A quaternion `w + xi + yj + zk`, normally kept at unit length.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quat {
     pub w: f64,
     pub x: f64,

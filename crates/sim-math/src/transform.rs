@@ -3,13 +3,12 @@
 use crate::mat::Mat4;
 use crate::quat::Quat;
 use crate::vec::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A rigid transform: rotation followed by translation.
 ///
 /// Used for scene-graph node poses, the crane chassis pose, and the motion
 /// platform pose.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Transform {
     /// Translation component.
     pub translation: Vec3,

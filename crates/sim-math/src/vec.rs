@@ -1,6 +1,5 @@
 //! 2D and 3D vector types.
 
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Index, Mul, MulAssign, Neg, Sub, SubAssign};
 
@@ -8,7 +7,7 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Index, Mul, MulAssign, Neg, Sub, 
 ///
 /// Used for screen-space coordinates, terrain grid coordinates, and planar
 /// (plan-view) geometry such as the support polygon of the crane outriggers.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     pub x: f64,
     pub y: f64,
@@ -69,7 +68,7 @@ impl Vec2 {
 ///
 /// The workspace convention is a right-handed coordinate system with **Y up**:
 /// `x` east, `y` up, `z` south. Ground-plane logic therefore works on `(x, z)`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     pub x: f64,
     pub y: f64,

@@ -4,7 +4,7 @@
 //! The whole reproduction rests on one contract: same seed ⇒ byte-identical
 //! `FLEET_cod.json` / `OBS_cod.json` under Modeled and WallClock execution
 //! at any thread count. The runtime equivalence gates
-//! (`fleet_report --wallclock`, `trace_report`) catch a violation only
+//! (`fleet_report`, `trace_report`) catch a violation only
 //! *after* it ships as a flaky seed-diff; this crate fences the
 //! nondeterminism off before it compiles into a run, following the paper's
 //! own design (HuangBTG01): node-local wall-clock plumbing is mechanically

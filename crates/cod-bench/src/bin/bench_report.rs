@@ -19,7 +19,7 @@ use std::process::ExitCode;
 
 use cod_bench::experiments::audio_mix::KERNEL_SPEEDUP_FLOOR;
 use cod_bench::experiments::observability::TRACING_OVERHEAD_CEILING_PCT;
-use cod_bench::experiments::{self, ExperimentCtx};
+use cod_bench::experiments::{self, ExperimentCtx, EXPERIMENTS};
 use cod_bench::measure::MeasureConfig;
 use cod_bench::report::BenchReport;
 use crane_sim::SCORE_DRIFT_TOLERANCE;
@@ -110,7 +110,8 @@ fn main() -> ExitCode {
     let measure = if args.quick { MeasureConfig::quick() } else { MeasureConfig::from_env() };
     let ctx = ExperimentCtx { measure, tables: args.tables };
     println!(
-        "running the 14 experiments ({} budget: {} samples/experiment)...",
+        "running the {} experiments ({} budget: {} samples/experiment)...",
+        EXPERIMENTS.len(),
         if args.quick { "quick" } else { "full" },
         measure.samples
     );

@@ -121,7 +121,6 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     ExperimentResult {
         id: "E15".into(),
         name: "audio_mix".into(),
-        bench_target: "audio_mix".into(),
         metric: "render one 689-sample frame of the audio module's steady-state sources".into(),
         timing: m.stats,
         iters_per_sample: m.iters_per_sample,

@@ -101,7 +101,6 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     ExperimentResult {
         id: "E8".into(),
         name: "cluster_speedup".into(),
-        bench_target: "cluster_speedup".into(),
         metric: "one executive frame of the full eight-computer simulator".into(),
         timing: m.stats,
         iters_per_sample: m.iters_per_sample,

@@ -80,7 +80,6 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     ExperimentResult {
         id: "E3".into(),
         name: "collision".into(),
-        bench_target: "collision".into(),
         metric: "hook sweep along the exam trajectory (multi-level queries)".into(),
         timing: m.stats,
         iters_per_sample: m.iters_per_sample,

@@ -74,7 +74,6 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     ExperimentResult {
         id: "E2".into(),
         name: "dynamics".into(),
-        bench_target: "dynamics".into(),
         metric: "one 60 Hz dynamics frame (vehicle + rig + 5 t cable pendulum)".into(),
         timing: m.stats,
         iters_per_sample: m.iters_per_sample,

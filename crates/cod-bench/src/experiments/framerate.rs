@@ -54,7 +54,6 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     ExperimentResult {
         id: "E1".into(),
         name: "framerate".into(),
-        bench_target: "framerate".into(),
         metric: "software-rasterize one 120x90 frame of the training world".into(),
         timing: m.stats,
         iters_per_sample: m.iters_per_sample,

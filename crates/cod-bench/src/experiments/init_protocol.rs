@@ -92,7 +92,6 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     ExperimentResult {
         id: "E6".into(),
         name: "init_protocol".into(),
-        bench_target: "init_protocol".into(),
         metric: "full discovery phase, 8 subscribing computers (wall clock)".into(),
         timing: m.stats,
         iters_per_sample: m.iters_per_sample,

@@ -107,7 +107,6 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     ExperimentResult {
         id: "E14".into(),
         name: "observability".into(),
-        bench_target: "observability".into(),
         metric: "drain a 16-session batched burst fleet with the deterministic sink armed".into(),
         timing: traced.stats,
         iters_per_sample: traced.iters_per_sample,

@@ -69,7 +69,6 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     ExperimentResult {
         id: "E4".into(),
         name: "platform".into(),
-        bench_target: "platform".into(),
         metric: "one 16 Hz visual frame of the motion controller (12 servo steps)".into(),
         timing: m.stats,
         iters_per_sample: m.iters_per_sample,

@@ -100,7 +100,6 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     ExperimentResult {
         id: "E5".into(),
         name: "routing".into(),
-        bench_target: "routing".into(),
         metric: "cross-machine update->deliver round, 1 KiB payload".into(),
         timing: m.stats,
         iters_per_sample: m.iters_per_sample,

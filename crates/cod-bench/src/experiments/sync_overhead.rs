@@ -101,7 +101,6 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     ExperimentResult {
         id: "E7".into(),
         name: "sync_overhead".into(),
-        bench_target: "sync_overhead".into(),
         metric: "10 swap-lock barrier rounds over the CB, 3 display channels".into(),
         timing: m.stats,
         iters_per_sample: m.iters_per_sample,

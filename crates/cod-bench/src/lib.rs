@@ -1,14 +1,16 @@
 //! The measurement layer of the crane-simulator workspace.
 //!
-//! Each bench target under `benches/` regenerates one experiment of
-//! `EXPERIMENTS.md`. The heavy lifting lives here as library code:
+//! The one bench target, `benches/experiments.rs`, regenerates the
+//! experiments of `EXPERIMENTS.md`. The heavy lifting lives here as library
+//! code:
 //!
 //! - [`measure`] — warm-up, calibrated iteration counts, median/p95/p99,
 //!   MAD outlier rejection and bootstrap confidence intervals;
 //! - [`report`] — the `BENCH_cod.json` schema and the measured-vs-paper
 //!   comparison table;
-//! - [`experiments`] — the 14 experiments themselves, shared by the bench
-//!   targets and the `bench_report` runner binary.
+//! - [`experiments`] — the experiments themselves, one row each in
+//!   [`experiments::EXPERIMENTS`], shared by the bench target and the
+//!   `bench_report` runner binary.
 
 pub mod experiments;
 pub mod measure;

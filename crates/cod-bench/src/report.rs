@@ -16,7 +16,7 @@ use crate::measure::Stats;
 use cod_json::Json;
 
 /// Version stamp of the JSON schema; bump on breaking layout changes.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// A secondary quantity derived from an experiment (a rate, a ratio, a
 /// simulated-time latency, ...).
@@ -50,15 +50,13 @@ pub struct Comparison {
     pub paper: f64,
 }
 
-/// Result of one experiment (`"E1"`–`"E9"`).
+/// Result of one experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentResult {
-    /// Experiment id, `"E1"` .. `"E9"`.
+    /// Experiment id, `"E1"` .. `"E15"` (retired ids are absent).
     pub id: String,
-    /// Short experiment name, matching the bench target.
+    /// Short experiment name, as `cargo bench --bench experiments -- <name>` takes it.
     pub name: String,
-    /// The `cargo bench` target that regenerates this experiment.
-    pub bench_target: String,
     /// What the timed routine is.
     pub metric: String,
     /// Timing statistics in nanoseconds per iteration.
@@ -95,7 +93,6 @@ impl ExperimentResult {
         Json::Obj(vec![
             ("id".into(), Json::Str(self.id.clone())),
             ("name".into(), Json::Str(self.name.clone())),
-            ("bench_target".into(), Json::Str(self.bench_target.clone())),
             ("metric".into(), Json::Str(self.metric.clone())),
             ("unit".into(), Json::Str("ns_per_iter".into())),
             ("timing".into(), stats_to_json(&self.timing)),
@@ -157,7 +154,6 @@ impl ExperimentResult {
         Ok(ExperimentResult {
             id: str_field(json, "id")?,
             name: str_field(json, "name")?,
-            bench_target: str_field(json, "bench_target")?,
             metric: str_field(json, "metric")?,
             timing: stats_from_json(
                 json.get("timing").ok_or_else(|| "experiment missing 'timing'".to_owned())?,
@@ -365,7 +361,6 @@ mod tests {
                 ExperimentResult {
                     id: "E1".into(),
                     name: "framerate".into(),
-                    bench_target: "framerate".into(),
                     metric: "render one surround frame".into(),
                     timing: sample_stats(),
                     iters_per_sample: 12,
@@ -381,7 +376,6 @@ mod tests {
                 ExperimentResult {
                     id: "E3".into(),
                     name: "collision".into(),
-                    bench_target: "collision".into(),
                     metric: "trajectory sweep".into(),
                     timing: sample_stats(),
                     iters_per_sample: 1,

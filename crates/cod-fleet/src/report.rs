@@ -444,7 +444,7 @@ pub struct TieredSection {
 /// The whole `FLEET_cod.json` document: the headline run, the one-shard
 /// baseline it is gated against, and — when provided — the heterogeneous pair
 /// (residency-only vs speed-weighted placement on the 1×fast + 3×slow fleet)
-/// behind the E10 gate and the tiered-capacity pair behind the fidelity gate.
+/// behind the placement gate and the tiered-capacity pair behind the fidelity gate.
 pub fn document(
     baseline: &FleetReport,
     fleet: &FleetReport,
@@ -529,7 +529,8 @@ mod tests {
     fn every_execution_mode_serializes_to_identical_bytes() {
         // The report carries no execution-mode or wall-clock field, so the
         // bytes cannot depend on who stepped the shards — the invariant the
-        // `--wallclock` gate and the determinism stress test lean on.
+        // executor gates of `fleet_report` and the determinism stress test
+        // lean on.
         let mut config = outcome().config;
         let modeled = FleetReport::from_outcome(&run_fleet(&config).unwrap());
         let baseline = modeled.to_json().to_pretty();

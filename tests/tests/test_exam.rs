@@ -1,5 +1,5 @@
-//! End-to-end exam scenario tests (experiment E10): the scripted trainee makes
-//! progress through the licensing course and the scoring pipeline reacts.
+//! End-to-end exam scenario tests: the scripted trainee makes progress
+//! through the licensing course and the scoring pipeline reacts.
 
 use crane_sim::{CraneSimulator, OperatorKind, SimulatorConfig};
 

@@ -8,6 +8,7 @@
 
 use crate::error::CbError;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies an object class declared in the FOM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -223,8 +224,18 @@ pub struct InteractionClassDef {
 }
 
 /// The shared declaration of every object and interaction class in the federation.
+///
+/// The class tables sit behind one [`Arc`], so a clone — every kernel, LP
+/// and cluster of a rack holds one — is a reference count, not a copy of
+/// every name. The `register_*` methods copy the tables first if they are
+/// shared ([`Arc::make_mut`]), so a registry still behaves as a value.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClassRegistry {
+    classes: Arc<ClassTables>,
+}
+
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct ClassTables {
     object_classes: Vec<ObjectClassDef>,
     interaction_classes: Vec<InteractionClassDef>,
 }
@@ -246,7 +257,7 @@ impl ClassRegistry {
         name: &str,
         attributes: &[&str],
     ) -> Result<ObjectClassId, CbError> {
-        if self.object_classes.iter().any(|c| c.name == name) {
+        if self.classes.object_classes.iter().any(|c| c.name == name) {
             return Err(CbError::DuplicateName(name.to_owned()));
         }
         let mut seen = std::collections::BTreeSet::new();
@@ -255,8 +266,9 @@ impl ClassRegistry {
                 return Err(CbError::DuplicateName(format!("{name}.{a}")));
             }
         }
-        let id = ObjectClassId(self.object_classes.len() as u16);
-        self.object_classes.push(ObjectClassDef {
+        let tables = Arc::make_mut(&mut self.classes);
+        let id = ObjectClassId(tables.object_classes.len() as u16);
+        tables.object_classes.push(ObjectClassDef {
             name: name.to_owned(),
             attributes: attributes.iter().map(|s| (*s).to_owned()).collect(),
         });
@@ -273,11 +285,12 @@ impl ClassRegistry {
         name: &str,
         parameters: &[&str],
     ) -> Result<InteractionClassId, CbError> {
-        if self.interaction_classes.iter().any(|c| c.name == name) {
+        if self.classes.interaction_classes.iter().any(|c| c.name == name) {
             return Err(CbError::DuplicateName(name.to_owned()));
         }
-        let id = InteractionClassId(self.interaction_classes.len() as u16);
-        self.interaction_classes.push(InteractionClassDef {
+        let tables = Arc::make_mut(&mut self.classes);
+        let id = InteractionClassId(tables.interaction_classes.len() as u16);
+        tables.interaction_classes.push(InteractionClassDef {
             name: name.to_owned(),
             parameters: parameters.iter().map(|s| (*s).to_owned()).collect(),
         });
@@ -286,12 +299,17 @@ impl ClassRegistry {
 
     /// Looks up an object class by name.
     pub fn object_class_by_name(&self, name: &str) -> Option<ObjectClassId> {
-        self.object_classes.iter().position(|c| c.name == name).map(|i| ObjectClassId(i as u16))
+        self.classes
+            .object_classes
+            .iter()
+            .position(|c| c.name == name)
+            .map(|i| ObjectClassId(i as u16))
     }
 
     /// Looks up an interaction class by name.
     pub fn interaction_class_by_name(&self, name: &str) -> Option<InteractionClassId> {
-        self.interaction_classes
+        self.classes
+            .interaction_classes
             .iter()
             .position(|c| c.name == name)
             .map(|i| InteractionClassId(i as u16))
@@ -299,12 +317,12 @@ impl ClassRegistry {
 
     /// The definition of an object class, if it exists.
     pub fn object_class(&self, id: ObjectClassId) -> Option<&ObjectClassDef> {
-        self.object_classes.get(id.0 as usize)
+        self.classes.object_classes.get(id.0 as usize)
     }
 
     /// The definition of an interaction class, if it exists.
     pub fn interaction_class(&self, id: InteractionClassId) -> Option<&InteractionClassDef> {
-        self.interaction_classes.get(id.0 as usize)
+        self.classes.interaction_classes.get(id.0 as usize)
     }
 
     /// The id of an attribute of an object class, looked up by name.
@@ -327,22 +345,22 @@ impl ClassRegistry {
 
     /// Number of declared object classes.
     pub fn object_class_count(&self) -> usize {
-        self.object_classes.len()
+        self.classes.object_classes.len()
     }
 
     /// Number of declared interaction classes.
     pub fn interaction_class_count(&self) -> usize {
-        self.interaction_classes.len()
+        self.classes.interaction_classes.len()
     }
 
     /// True when `id` names a declared object class.
     pub fn contains_object_class(&self, id: ObjectClassId) -> bool {
-        (id.0 as usize) < self.object_classes.len()
+        (id.0 as usize) < self.classes.object_classes.len()
     }
 
     /// True when `id` names a declared interaction class.
     pub fn contains_interaction_class(&self, id: InteractionClassId) -> bool {
-        (id.0 as usize) < self.interaction_classes.len()
+        (id.0 as usize) < self.classes.interaction_classes.len()
     }
 }
 
@@ -380,6 +398,17 @@ mod tests {
             r.register_object_class("CraneState", &["x"]),
             Err(CbError::DuplicateName(_))
         ));
+    }
+
+    #[test]
+    fn clones_share_their_tables_until_one_registers() {
+        let (original, crane, _) = sample();
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.classes, &copy.classes), "a clone copies no table");
+        copy.register_object_class("Extra", &["x"]).unwrap();
+        assert!(!Arc::ptr_eq(&original.classes, &copy.classes));
+        assert_eq!((original.object_class_count(), copy.object_class_count()), (1, 2));
+        assert_eq!(copy.object_class(crane), original.object_class(crane));
     }
 
     #[test]

@@ -9,6 +9,7 @@ use cod_cb::{
 };
 use cod_cluster::FrameSyncFom;
 use sim_math::Vec3;
+use std::sync::OnceLock;
 
 /// Declares the attribute-id table of one class: a struct with one
 /// [`AttributeId`] per attribute, whose field names *are* the attribute names
@@ -139,11 +140,23 @@ impl CraneFom {
         })
     }
 
-    /// Builds the standard registry plus handles in one call.
+    /// The standard registry plus handles in one call.
+    ///
+    /// The registry is built once per process and handed out as clones that
+    /// share its tables, the way [`crane_scene::TrainingWorld::shared`] hands
+    /// out the world. Every build registers the same classes in the same
+    /// order, so sharing one cannot make a rack depend on what was built
+    /// before it; a caller that registers more classes gets its own copy.
     pub fn standard() -> (ClassRegistry, CraneFom) {
-        let mut registry = ClassRegistry::new();
-        let fom = CraneFom::register(&mut registry).expect("fresh registry has no name clashes");
-        (registry, fom)
+        static STANDARD: OnceLock<(ClassRegistry, CraneFom)> = OnceLock::new();
+        STANDARD
+            .get_or_init(|| {
+                let mut registry = ClassRegistry::new();
+                let fom =
+                    CraneFom::register(&mut registry).expect("fresh registry has no name clashes");
+                (registry, fom)
+            })
+            .clone()
     }
 }
 
@@ -462,6 +475,17 @@ mod tests {
         assert!(registry.interaction_class_count() >= 5);
         assert!(registry.contains_object_class(fom.crane_state));
         assert!(registry.contains_interaction_class(fom.collision));
+    }
+
+    #[test]
+    fn standard_fom_equals_a_fresh_registration() {
+        let mut fresh = ClassRegistry::new();
+        let fresh_fom = CraneFom::register(&mut fresh).unwrap();
+        for _ in 0..2 {
+            let (registry, fom) = CraneFom::standard();
+            assert_eq!(registry, fresh);
+            assert_eq!(fom, fresh_fom);
+        }
     }
 
     #[test]

@@ -2,18 +2,20 @@
 //! `crates/cod-bench/EXPERIMENTS.md`.
 //!
 //! ```text
-//! cargo bench                                    # every experiment, E1 first
-//! cargo bench --bench experiments -- E8          # one experiment, by id
-//! cargo bench --bench experiments -- routing     # ... or by name
+//! cargo bench                                        # every experiment, E1 first
+//! cargo bench --bench experiments -- E8              # one experiment, by id
+//! cargo bench --bench experiments -- audio_mix       # ... or by name
 //! ```
 //!
-//! Each experiment runs through the same library code as `bench_report`, so
-//! both report identical statistics. An unknown id or name exits non-zero
-//! and lists the valid ones. Set `COD_BENCH_QUICK=1` for a smoke run.
+//! Each experiment runs through the same library code as `bench_report` and
+//! prints its reproduction table; the measured-vs-paper table of the selected
+//! experiments follows. An unknown id or name exits non-zero and lists the
+//! valid ones.
 
 use std::process::ExitCode;
 
-use cod_bench::experiments::{lookup, Experiment, ExperimentCtx, EXPERIMENTS};
+use cod_bench::experiments::{lookup, Experiment, EXPERIMENTS};
+use cod_bench::report::BenchReport;
 
 fn main() -> ExitCode {
     let mut selected: Vec<&Experiment> = Vec::new();
@@ -30,9 +32,7 @@ fn main() -> ExitCode {
     if selected.is_empty() {
         selected.extend(&EXPERIMENTS);
     }
-    let ctx = ExperimentCtx::from_env();
-    for (_, _, run) in selected {
-        println!("{}", run(&ctx).summary());
-    }
+    let results = selected.iter().map(|(_, _, run)| run()).collect();
+    print!("{}", BenchReport::new(cod_bench::measure::wall_unix_ms(), results).comparison_table());
     ExitCode::SUCCESS
 }

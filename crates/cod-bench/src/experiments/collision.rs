@@ -2,17 +2,13 @@
 //!
 //! The reproduction table compares exact-test counts of the bounding-sphere →
 //! AABB → exact hierarchy (with the uniform-grid broad phase) against the
-//! naive all-exact baseline as the obstacle count grows; the timed routine
-//! sweeps the lift hook along the licensing-exam trajectory through the real
-//! training world.
+//! naive all-exact baseline as the obstacle count grows.
 
 use crane_physics::collision::CollisionWorld;
 use crane_scene::bounds::Aabb;
 use crane_scene::world::TrainingWorld;
 use sim_math::Vec3;
 
-use super::ExperimentCtx;
-use crate::measure::measure;
 use crate::report::{DerivedMetric, ExperimentResult};
 
 fn synthetic_world(obstacles: usize) -> CollisionWorld {
@@ -59,30 +55,12 @@ fn print_table() {
 }
 
 /// Runs E3 and returns its result.
-pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
-    if ctx.tables {
-        print_table();
-    }
-
-    let training = TrainingWorld::build();
-    let mut world = CollisionWorld::from_obstacles(&training.obstacles);
-    world.build_grid(12.0);
-    let path: Vec<Vec3> = training.course.trajectory.clone();
-    let m = measure(&ctx.measure, || {
-        let mut contacts = 0;
-        for p in &path {
-            contacts += world.query_sphere(*p + Vec3::new(0.0, 2.0, 0.0), 0.8).len();
-        }
-        std::hint::black_box(contacts);
-    });
-
+pub fn run() -> ExperimentResult {
+    print_table();
     let (hierarchical, naive) = exact_test_counts(2_000);
     ExperimentResult {
         id: "E3".into(),
         name: "collision".into(),
-        metric: "hook sweep along the exam trajectory (multi-level queries)".into(),
-        timing: m.stats,
-        iters_per_sample: m.iters_per_sample,
         comparison: None,
         derived: vec![
             DerivedMetric::new(
@@ -90,7 +68,11 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
                 "x",
                 naive as f64 / hierarchical.max(1) as f64,
             ),
-            DerivedMetric::new("trajectory_waypoints", "points", path.len() as f64),
+            DerivedMetric::new(
+                "trajectory_waypoints",
+                "points",
+                TrainingWorld::shared().course.trajectory.len() as f64,
+            ),
         ],
         notes: "The paper describes the hierarchy qualitatively; the derived reduction factor \
                 is the quantity its §3.6 argues for."

@@ -1,19 +1,12 @@
-//! Experiment E2 — per-frame cost of the dynamics module and the inertia
-//! oscillation of the lift hook.
+//! Experiment E2 — the inertia oscillation of the lift hook.
 //!
 //! The reproduction table shows the swing-decay series after the boom stops
-//! for several cargo masses; the timed routine is one full dynamics frame
-//! (vehicle, crane rig and cable pendulum at 60 Hz).
+//! for several cargo masses.
 
-use crane_physics::terrain::FlatTerrain;
-use crane_physics::{
-    CablePendulum, CraneControls, CraneRig, CraneVehicle, DriveControls, VehicleParams,
-};
+use crane_physics::CablePendulum;
 use sim_math::Vec3;
 
-use super::ExperimentCtx;
-use crate::measure::measure;
-use crate::report::{DerivedMetric, ExperimentResult};
+use crate::report::ExperimentResult;
 
 const DT: f64 = 1.0 / 60.0;
 
@@ -48,42 +41,15 @@ fn print_table() {
 }
 
 /// Runs E2 and returns its result.
-pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
-    if ctx.tables {
-        print_table();
-    }
-
-    let terrain = FlatTerrain::default();
-    let mut vehicle = CraneVehicle::new(VehicleParams::default(), Vec3::ZERO, 0.0);
-    let mut rig = CraneRig::default();
-    let mut pendulum = CablePendulum::new(Vec3::new(0.0, 15.0, 0.0), 6.0, 120.0);
-    pendulum.attach_cargo(5_000.0);
-    let m = measure(&ctx.measure, || {
-        vehicle.step(
-            DriveControls { throttle: 0.7, steering: 0.2, ..Default::default() },
-            &terrain,
-            DT,
-        );
-        rig.step(CraneControls { slew: 0.4, luff: 0.2, ..Default::default() }, DT);
-        let tip = rig.boom_tip_world(&vehicle.chassis_transform());
-        std::hint::black_box(pendulum.step(tip, 6.0, DT));
-    });
-
-    // How many whole dynamics frames fit into a 60 Hz visual frame budget.
-    let frames_per_budget = (1e9 / 60.0) / m.stats.median.max(1.0);
+pub fn run() -> ExperimentResult {
+    print_table();
     ExperimentResult {
         id: "E2".into(),
         name: "dynamics".into(),
-        metric: "one 60 Hz dynamics frame (vehicle + rig + 5 t cable pendulum)".into(),
-        timing: m.stats,
-        iters_per_sample: m.iters_per_sample,
         comparison: None,
-        derived: vec![
-            DerivedMetric::new("dynamics_frames_per_60hz_budget", "frames", frames_per_budget),
-            DerivedMetric::new("dynamics_frame_median_us", "us", m.stats.median / 1_000.0),
-        ],
-        notes: "The paper gives no per-frame number for the dynamics PC; the derived budget \
-                ratio shows how far the module is from saturating one 60 Hz frame here."
+        derived: vec![],
+        notes: "The paper describes the hook's inertia oscillation qualitatively; the decay \
+                table is the reproduction."
             .into(),
     }
 }

@@ -14,8 +14,6 @@
 use cod_fleet::{generate, WorkloadConfig};
 use crane_sim::{CraneSimulator, FidelityTier, SCORE_DRIFT_TOLERANCE};
 
-use super::ExperimentCtx;
-use crate::measure::measure;
 use crate::report::{DerivedMetric, ExperimentResult};
 
 /// Session specs sampled for the drift table.
@@ -35,20 +33,17 @@ fn run_tier(config: &crane_sim::SimulatorConfig, tier: FidelityTier) -> (f64, f6
 }
 
 /// Runs E12 and returns its result.
-pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
+pub fn run() -> ExperimentResult {
     let sample = generate(&WorkloadConfig {
         sessions: DRIFT_SPECS,
         seed: 0xC0D,
         base_frames: DRIFT_FRAMES,
         mean_interarrival_ticks: 1,
     });
-    if ctx.tables {
-        println!(
-            "\n=== E12: fidelity tiers ({DRIFT_SPECS} specs x {DRIFT_FRAMES} frames, modeled \
-             time) ==="
-        );
-        println!("session spec                             | full  | coarse| drift | cost x");
-    }
+    println!(
+        "\n=== E12: fidelity tiers ({DRIFT_SPECS} specs x {DRIFT_FRAMES} frames, modeled time) ==="
+    );
+    println!("session spec                             | full  | coarse| drift | cost x");
     let mut max_drift: f64 = 0.0;
     let mut cost_multipliers = Vec::new();
     for arrival in &sample {
@@ -58,35 +53,22 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
         let multiplier = full_cost / coarse_cost.max(1.0);
         max_drift = max_drift.max(drift);
         cost_multipliers.push(multiplier);
-        if ctx.tables {
-            println!(
-                "{:<40} | {full_score:>5.1} | {coarse_score:>5.1} | {drift:>5.1} | \
-                 {multiplier:>5.1}x",
-                arrival.spec.name
-            );
-        }
+        println!(
+            "{:<40} | {full_score:>5.1} | {coarse_score:>5.1} | {drift:>5.1} | \
+             {multiplier:>5.1}x",
+            arrival.spec.name
+        );
     }
     let mean_cost_multiplier =
         cost_multipliers.iter().sum::<f64>() / cost_multipliers.len().max(1) as f64;
-    if ctx.tables {
-        println!(
-            "max drift {max_drift:.1} points (tolerance {SCORE_DRIFT_TOLERANCE}); mean \
-             sequential cost multiplier {mean_cost_multiplier:.1}x\n"
-        );
-    }
-
-    // Headline routine: one Coarse-tier drift session of the first spec.
-    let timed_config = &sample[0].spec.config;
-    let m = measure(&ctx.measure, || {
-        run_tier(timed_config, FidelityTier::Coarse);
-    });
+    println!(
+        "max drift {max_drift:.1} points (tolerance {SCORE_DRIFT_TOLERANCE}); mean sequential \
+         cost multiplier {mean_cost_multiplier:.1}x\n"
+    );
 
     ExperimentResult {
         id: "E12".into(),
         name: "fidelity_tiers".into(),
-        metric: format!("run one {DRIFT_FRAMES}-frame Coarse-tier session"),
-        timing: m.stats,
-        iters_per_sample: m.iters_per_sample,
         comparison: None,
         derived: vec![
             DerivedMetric::new("max_score_drift", "points", max_drift),

@@ -2,16 +2,11 @@
 //!
 //! The headline result of the paper's §4: 16 fps at 3 235 polygons with the
 //! synchronized three-channel surround view on TNT2-class hardware. The
-//! reproduction table sweeps the polygon budget through the GPU cost model;
-//! the timed routine renders the training world with the real software
-//! rasterizer.
+//! reproduction table sweeps the polygon budget through the GPU cost model.
 
 use crane_scene::world::TrainingWorld;
-use render_sim::{Camera, GpuCostModel, Renderer, SurroundView};
-use sim_math::Vec3;
+use render_sim::{GpuCostModel, SurroundView};
 
-use super::ExperimentCtx;
-use crate::measure::measure;
 use crate::report::{Comparison, DerivedMetric, ExperimentResult};
 
 /// Polygon count the paper quotes its measured frame rate at.
@@ -38,25 +33,12 @@ fn print_table() {
 }
 
 /// Runs E1 and returns its result.
-pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
-    if ctx.tables {
-        print_table();
-    }
-
-    let world = TrainingWorld::build();
-    let camera = Camera::look_at(Vec3::new(0.0, 5.0, -55.0), Vec3::new(0.0, 2.0, 40.0));
-    let mut renderer = Renderer::new(120, 90);
-    let m = measure(&ctx.measure, || {
-        std::hint::black_box(renderer.render(&world.scene, &camera));
-    });
-
+pub fn run() -> ExperimentResult {
+    print_table();
     let headline = SurroundView::paper_configuration().estimate(PAPER_POLYGONS);
     ExperimentResult {
         id: "E1".into(),
         name: "framerate".into(),
-        metric: "software-rasterize one 120x90 frame of the training world".into(),
-        timing: m.stats,
-        iters_per_sample: m.iters_per_sample,
         comparison: Some(Comparison {
             quantity: "synchronized surround-view fps at 3235 polygons (cost model)".into(),
             unit: "fps".into(),
@@ -65,11 +47,12 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
         }),
         derived: vec![
             DerivedMetric::new("free_running_fps_model", "fps", headline.free_running_fps()),
-            DerivedMetric::new("training_world_polygons", "polygons", world.polygon_count() as f64),
-            DerivedMetric::new("rasterizer_fps_measured", "fps", m.median_rate()),
+            DerivedMetric::new(
+                "training_world_polygons",
+                "polygons",
+                TrainingWorld::shared().polygon_count() as f64,
+            ),
         ],
-        notes: "Rasterizer timing is this machine's software renderer; the fps comparison \
-                comes from the calibrated TNT2-class GPU cost model."
-            .into(),
+        notes: "The fps comparison comes from the calibrated TNT2-class GPU cost model.".into(),
     }
 }

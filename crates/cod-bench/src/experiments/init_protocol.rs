@@ -2,14 +2,11 @@
 //!
 //! The reproduction table shows how long (in simulated time) establishing
 //! virtual channels takes as the subscriber count, the SUBSCRIPTION broadcast
-//! interval and the packet loss change; the timed routine runs the whole
-//! discovery phase for eight subscribing computers.
+//! interval and the packet loss change.
 
 use cod_cb::{CbConfig, CbKernel, ClassRegistry};
 use cod_net::{LanConfig, Micros, SimLan};
 
-use super::ExperimentCtx;
-use crate::measure::measure;
 use crate::report::{DerivedMetric, ExperimentResult};
 
 /// Runs discovery for `subscribers` computers and returns
@@ -79,22 +76,12 @@ fn print_table() {
 }
 
 /// Runs E6 and returns its result.
-pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
-    if ctx.tables {
-        print_table();
-    }
-
-    let m = measure(&ctx.measure, || {
-        std::hint::black_box(establish(8, Micros::from_millis(50), 0.0));
-    });
-
+pub fn run() -> ExperimentResult {
+    print_table();
     let (rounds, latency) = establish(8, Micros::from_millis(50), 0.0);
     ExperimentResult {
         id: "E6".into(),
         name: "init_protocol".into(),
-        metric: "full discovery phase, 8 subscribing computers (wall clock)".into(),
-        timing: m.stats,
-        iters_per_sample: m.iters_per_sample,
         comparison: None,
         derived: vec![
             DerivedMetric::new("mean_setup_latency_sim", "us", latency.0 as f64),

@@ -19,8 +19,7 @@ use cod_fleet::{
     PlacementPolicy, ShardConfig, WorkloadConfig,
 };
 
-use super::ExperimentCtx;
-use crate::measure::{measure_pairs, median, PairedMeasurement};
+use crate::measure::{measure_pairs, median, MeasureConfig, PairedMeasurement};
 use crate::report::{DerivedMetric, ExperimentResult};
 
 /// The ceiling `bench_report` enforces on the traced-over-untraced slowdown.
@@ -56,7 +55,7 @@ fn serving_config(obs: ObsConfig) -> FleetConfig {
 }
 
 /// Runs E14 and returns its result.
-pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
+pub fn run() -> ExperimentResult {
     // Sanity first: the hooks observe the drain, they must never steer it —
     // the fingerprinted report has to come out byte-identical either way.
     let untraced_outcome = run_fleet(&serving_config(ObsConfig::Disabled)).expect("fleet drains");
@@ -72,7 +71,7 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     let untraced_config = serving_config(ObsConfig::Disabled);
     let traced_config = serving_config(ObsConfig::Deterministic);
     let PairedMeasurement { baseline: untraced, candidate: traced, ratios } = measure_pairs(
-        &ctx.measure,
+        &MeasureConfig::default(),
         || {
             run_fleet(&untraced_config).expect("fleet drains");
         },
@@ -82,34 +81,25 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     );
     let overhead_pct = (median(&ratios) - 1.0) * 100.0;
 
-    if ctx.tables {
-        println!("\n=== E14: observability overhead (16-session burst, batched, modeled) ===");
-        println!("sink          | median/drain | events recorded");
-        println!(
-            "disabled      | {:>12} | {:>15}",
-            crate::report::format_ns(untraced.stats.median),
-            0
-        );
-        println!(
-            "deterministic | {:>12} | {:>15}",
-            crate::report::format_ns(traced.stats.median),
-            det.events().len()
-        );
-        println!(
-            "overhead {overhead_pct:+.2}% (ceiling {TRACING_OVERHEAD_CEILING_PCT:.1}%); \
-             {} frames / {} cohorts counted, fingerprint {:#018x}\n",
-            det.counter("frames_stepped"),
-            det.counter("cohorts_stepped"),
-            det.fingerprint(),
-        );
-    }
+    println!("\n=== E14: observability overhead (16-session burst, batched, modeled) ===");
+    println!("sink          | median/drain | events recorded");
+    println!("disabled      | {:>12} | {:>15}", crate::report::format_ns(untraced.stats.median), 0);
+    println!(
+        "deterministic | {:>12} | {:>15}",
+        crate::report::format_ns(traced.stats.median),
+        det.events().len()
+    );
+    println!(
+        "overhead {overhead_pct:+.2}% (ceiling {TRACING_OVERHEAD_CEILING_PCT:.1}%); \
+         {} frames / {} cohorts counted, fingerprint {:#018x}\n",
+        det.counter("frames_stepped"),
+        det.counter("cohorts_stepped"),
+        det.fingerprint(),
+    );
 
     ExperimentResult {
         id: "E14".into(),
         name: "observability".into(),
-        metric: "drain a 16-session batched burst fleet with the deterministic sink armed".into(),
-        timing: traced.stats,
-        iters_per_sample: traced.iters_per_sample,
         comparison: None,
         derived: vec![
             DerivedMetric::new("tracing_overhead_pct", "%", overhead_pct),

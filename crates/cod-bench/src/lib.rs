@@ -4,10 +4,10 @@
 //! experiments of `EXPERIMENTS.md`. The heavy lifting lives here as library
 //! code:
 //!
-//! - [`measure`] — warm-up, calibrated iteration counts, median/p95/p99,
-//!   MAD outlier rejection and bootstrap confidence intervals;
-//! - [`report`] — the `BENCH_cod.json` schema and the measured-vs-paper
-//!   comparison table;
+//! - [`measure`] — the paired timer behind E14's and E15's gated ratios,
+//!   and the calibrated single-routine timer the `benchmark/` probes use;
+//! - [`report`] — the `BENCH_cod.json` schema, the measured-vs-paper
+//!   comparison table and the regression gates;
 //! - [`experiments`] — the experiments themselves, one row each in
 //!   [`experiments::EXPERIMENTS`], shared by the bench target and the
 //!   `bench_report` runner binary.

@@ -1,11 +1,13 @@
-//! Statistical measurement primitives for the benchmark harness.
+//! Statistical measurement primitives.
 //!
-//! A small but real measurement pipeline: warm-up, calibrated per-sample
-//! iteration counts, robust summary statistics (median / p95 / p99), MAD-based
-//! outlier rejection, and a bootstrap confidence interval for the mean driven
-//! by a seeded [`SplitMix64`] stream. Every number the harness
-//! publishes flows through [`Stats::from_samples`], so a bench target and the
-//! `bench_report` runner binary report the same statistics.
+//! Two timers live here. [`measure_pairs`] times two routines in alternation
+//! and is the clock behind the two gated ratios of `bench_report` (E14's
+//! tracing overhead and E15's kernel speedup). [`measure`] — warm-up,
+//! calibrated per-sample iteration counts, MAD outlier rejection,
+//! median / p95 / p99 and a bootstrap confidence interval for the mean driven
+//! by a seeded [`SplitMix64`] stream — is what the `benchmark/` crate's
+//! per-layer probes time through. Every other experiment result is
+//! deterministic and reads no clock.
 
 use std::time::{Duration, Instant};
 
@@ -50,29 +52,6 @@ impl Default for MeasureConfig {
             bootstrap_resamples: 200,
             confidence: 0.95,
             seed: 0xC0D,
-        }
-    }
-}
-
-impl MeasureConfig {
-    /// A reduced budget for CI smoke runs (`bench_report --quick`).
-    pub fn quick() -> Self {
-        MeasureConfig {
-            warmup_iters: 1,
-            samples: 8,
-            target_sample_time: Duration::from_millis(1),
-            max_iters_per_sample: 200,
-            bootstrap_resamples: 50,
-            ..MeasureConfig::default()
-        }
-    }
-
-    /// Default configuration, downgraded to [`MeasureConfig::quick`] when the
-    /// `COD_BENCH_QUICK` environment variable is set to a non-`0` value.
-    pub fn from_env() -> Self {
-        match std::env::var("COD_BENCH_QUICK") {
-            Ok(v) if !v.is_empty() && v != "0" => MeasureConfig::quick(),
-            _ => MeasureConfig::default(),
         }
     }
 }
@@ -155,11 +134,6 @@ impl Measurement {
     /// Median nanoseconds per iteration.
     pub fn median_ns(&self) -> f64 {
         self.stats.median
-    }
-
-    /// Iterations per second at the median.
-    pub fn median_rate(&self) -> f64 {
-        1e9 / self.stats.median.max(f64::MIN_POSITIVE)
     }
 }
 
@@ -448,9 +422,12 @@ mod tests {
     #[test]
     fn measure_times_a_real_routine() {
         let config = MeasureConfig {
+            warmup_iters: 1,
             samples: 5,
             target_sample_time: Duration::from_micros(200),
-            ..MeasureConfig::quick()
+            max_iters_per_sample: 200,
+            bootstrap_resamples: 50,
+            ..MeasureConfig::default()
         };
         let mut acc = 0u64;
         let m = measure(&config, || {
@@ -471,7 +448,7 @@ mod tests {
             warmup_iters: 0,
             samples: 4,
             target_sample_time: Duration::from_nanos(1),
-            ..MeasureConfig::quick()
+            ..MeasureConfig::default()
         };
         let order = std::cell::RefCell::new(String::new());
         let pairs = measure_pairs(

@@ -1,22 +1,27 @@
 //! Machine-readable experiment reports (`BENCH_cod.json`).
 //!
 //! Every experiment of `EXPERIMENTS.md` produces one [`ExperimentResult`]:
-//! the wall-clock timing statistics of its headline routine plus any derived
-//! quantities (frame rates, speedups, latencies) and — where the paper
-//! reports a number — a measured-versus-paper [`Comparison`]. The
+//! its derived quantities (frame rates, speedups, latencies) and — where the
+//! paper reports a number — a measured-versus-paper [`Comparison`]. The
 //! [`BenchReport`] aggregates all of them, renders the paper-style comparison
-//! table, and serializes to a single JSON document so CI and future perf PRs
-//! can diff results mechanically. Schema documentation lives in the README's
+//! table, evaluates the regression gates ([`BenchReport::gate_rows`]), and
+//! serializes to a single JSON document so CI and future perf PRs can diff
+//! results mechanically. Schema documentation lives in the README's
 //! "Measurement & benchmarking" section.
 
+use std::fmt;
 use std::io;
 use std::path::Path;
 
-use crate::measure::Stats;
 use cod_json::Json;
+use crane_sim::SCORE_DRIFT_TOLERANCE;
+
+use crate::experiments::audio_mix::KERNEL_SPEEDUP_FLOOR;
+use crate::experiments::cluster_speedup::SPEEDUP_FLOOR;
+use crate::experiments::observability::TRACING_OVERHEAD_CEILING_PCT;
 
 /// Version stamp of the JSON schema; bump on breaking layout changes.
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// A secondary quantity derived from an experiment (a rate, a ratio, a
 /// simulated-time latency, ...).
@@ -57,12 +62,6 @@ pub struct ExperimentResult {
     pub id: String,
     /// Short experiment name, as `cargo bench --bench experiments -- <name>` takes it.
     pub name: String,
-    /// What the timed routine is.
-    pub metric: String,
-    /// Timing statistics in nanoseconds per iteration.
-    pub timing: Stats,
-    /// Calibrated iterations per timed sample.
-    pub iters_per_sample: u64,
     /// Measured-versus-paper comparison, where the paper gives a number.
     pub comparison: Option<Comparison>,
     /// Derived quantities.
@@ -72,31 +71,10 @@ pub struct ExperimentResult {
 }
 
 impl ExperimentResult {
-    /// One-line human summary of the timing statistics.
-    pub fn summary(&self) -> String {
-        let t = &self.timing;
-        format!(
-            "{} {}: {} median {} p95 {} p99 {} ({} samples, {} kept, {} iters/sample)",
-            self.id,
-            self.name,
-            self.metric,
-            format_ns(t.median),
-            format_ns(t.p95),
-            format_ns(t.p99),
-            t.samples,
-            t.kept,
-            self.iters_per_sample,
-        )
-    }
-
     fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("id".into(), Json::Str(self.id.clone())),
             ("name".into(), Json::Str(self.name.clone())),
-            ("metric".into(), Json::Str(self.metric.clone())),
-            ("unit".into(), Json::Str("ns_per_iter".into())),
-            ("timing".into(), stats_to_json(&self.timing)),
-            ("iters_per_sample".into(), Json::Num(self.iters_per_sample as f64)),
             (
                 "comparison".into(),
                 match &self.comparison {
@@ -154,11 +132,6 @@ impl ExperimentResult {
         Ok(ExperimentResult {
             id: str_field(json, "id")?,
             name: str_field(json, "name")?,
-            metric: str_field(json, "metric")?,
-            timing: stats_from_json(
-                json.get("timing").ok_or_else(|| "experiment missing 'timing'".to_owned())?,
-            )?,
-            iters_per_sample: num_field(json, "iters_per_sample")? as u64,
             comparison,
             derived,
             notes: str_field(json, "notes")?,
@@ -171,8 +144,6 @@ impl ExperimentResult {
 pub struct BenchReport {
     /// Schema version ([`SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// Whether the reduced `--quick` measurement budget was used.
-    pub quick: bool,
     /// Wall-clock generation time, milliseconds since the Unix epoch.
     pub generated_unix_ms: u64,
     /// One entry per experiment, E1 first.
@@ -185,12 +156,8 @@ impl BenchReport {
     /// clock read lives with the rest of the measurement layer's wall-clock
     /// plumbing, not here: this module's output is diffed mechanically by
     /// CI, so `cod_audit` holds it to the ambient-env rule.
-    pub fn new(
-        quick: bool,
-        generated_unix_ms: u64,
-        experiments: Vec<ExperimentResult>,
-    ) -> BenchReport {
-        BenchReport { schema_version: SCHEMA_VERSION, quick, generated_unix_ms, experiments }
+    pub fn new(generated_unix_ms: u64, experiments: Vec<ExperimentResult>) -> BenchReport {
+        BenchReport { schema_version: SCHEMA_VERSION, generated_unix_ms, experiments }
     }
 
     /// Looks up an experiment by id (`"E8"`).
@@ -202,7 +169,6 @@ impl BenchReport {
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("schema_version".into(), Json::Num(self.schema_version as f64)),
-            ("quick".into(), Json::Bool(self.quick)),
             ("generated_unix_ms".into(), Json::Num(self.generated_unix_ms as f64)),
             (
                 "experiments".into(),
@@ -222,10 +188,6 @@ impl BenchReport {
             .collect::<Result<Vec<_>, String>>()?;
         Ok(BenchReport {
             schema_version: num_field(json, "schema_version")? as u32,
-            quick: json
-                .get("quick")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| "report missing 'quick'".to_owned())?,
             generated_unix_ms: num_field(json, "generated_unix_ms")? as u64,
             experiments,
         })
@@ -247,16 +209,11 @@ impl BenchReport {
         std::fs::write(path, self.to_json_string())
     }
 
-    /// The paper-style comparison table: timing summary per experiment plus
-    /// the measured-versus-paper column where a paper value exists.
+    /// The paper-style comparison table: the measured-versus-paper column of
+    /// every experiment, `—` where the paper gives no number.
     pub fn comparison_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "experiment         | median    | p95       | p99       | n  | measured vs paper\n",
-        );
-        out.push_str(
-            "-------------------+-----------+-----------+-----------+----+------------------\n",
-        );
+        let mut out = String::from("experiment         | measured vs paper\n");
+        out.push_str("-------------------+------------------\n");
         for e in &self.experiments {
             let compared = match &e.comparison {
                 Some(c) => {
@@ -264,56 +221,127 @@ impl BenchReport {
                 }
                 None => "—".to_owned(),
             };
-            out.push_str(&format!(
-                "{:<18} | {:>9} | {:>9} | {:>9} | {:>2} | {}\n",
-                format!("{} {}", e.id, e.name),
-                format_ns(e.timing.median),
-                format_ns(e.timing.p95),
-                format_ns(e.timing.p99),
-                e.timing.kept,
-                compared,
-            ));
+            out.push_str(&format!("{:<18} | {compared}\n", format!("{} {}", e.id, e.name)));
         }
         out
     }
+
+    /// Evaluates every gate of [`GATES`] against this report, in order.
+    pub fn gate_rows(&self) -> Vec<GateRow> {
+        GATES
+            .iter()
+            .map(|gate| {
+                let experiment = self.experiment(gate.experiment);
+                let value = match gate.metric {
+                    Some(name) => experiment
+                        .and_then(|e| e.derived.iter().find(|d| d.name == name))
+                        .map(|d| d.value),
+                    None => experiment.and_then(|e| e.comparison.as_ref()).map(|c| c.measured),
+                };
+                GateRow { gate, value }
+            })
+            .collect()
+    }
 }
 
-fn stats_to_json(stats: &Stats) -> Json {
-    Json::Obj(vec![
-        ("samples".into(), Json::Num(stats.samples as f64)),
-        ("kept".into(), Json::Num(stats.kept as f64)),
-        ("outliers_rejected".into(), Json::Num(stats.outliers_rejected as f64)),
-        ("mean".into(), Json::Num(stats.mean)),
-        ("median".into(), Json::Num(stats.median)),
-        ("p95".into(), Json::Num(stats.p95)),
-        ("p99".into(), Json::Num(stats.p99)),
-        ("min".into(), Json::Num(stats.min)),
-        ("max".into(), Json::Num(stats.max)),
-        ("std_dev".into(), Json::Num(stats.std_dev)),
-        ("mad".into(), Json::Num(stats.mad)),
-        ("ci_low".into(), Json::Num(stats.ci_low)),
-        ("ci_high".into(), Json::Num(stats.ci_high)),
-        ("confidence".into(), Json::Num(stats.confidence)),
-    ])
+/// Which side of its bound a gated metric must stay on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// The value must be at least the bound.
+    Floor,
+    /// The value must be at most the bound.
+    Ceiling,
 }
 
-fn stats_from_json(json: &Json) -> Result<Stats, String> {
-    Ok(Stats {
-        samples: num_field(json, "samples")? as usize,
-        kept: num_field(json, "kept")? as usize,
-        outliers_rejected: num_field(json, "outliers_rejected")? as usize,
-        mean: num_field(json, "mean")?,
-        median: num_field(json, "median")?,
-        p95: num_field(json, "p95")?,
-        p99: num_field(json, "p99")?,
-        min: num_field(json, "min")?,
-        max: num_field(json, "max")?,
-        std_dev: num_field(json, "std_dev")?,
-        mad: num_field(json, "mad")?,
-        ci_low: num_field(json, "ci_low")?,
-        ci_high: num_field(json, "ci_high")?,
-        confidence: num_field(json, "confidence")?,
-    })
+/// One regression gate `bench_report` enforces.
+#[derive(Debug)]
+pub struct Gate {
+    /// Id of the gated experiment.
+    pub experiment: &'static str,
+    /// One of the experiment's derived metrics; `None` reads the measured
+    /// side of its paper comparison.
+    pub metric: Option<&'static str>,
+    /// The bound.
+    pub bound: f64,
+    /// Which side of the bound passes.
+    pub direction: Bound,
+    /// Human label printed with the verdict.
+    pub label: &'static str,
+}
+
+/// The regression gates, in the order `bench_report` prints them.
+pub static GATES: [Gate; 4] = [
+    // The 8-PC COD must keep beating one desktop PC clearly.
+    Gate {
+        experiment: "E8",
+        metric: None,
+        bound: SPEEDUP_FLOOR,
+        direction: Bound::Floor,
+        label: "COD speedup (x)",
+    },
+    // The Coarse tier must stay score-compatible with the full rack.
+    Gate {
+        experiment: "E12",
+        metric: Some("max_score_drift"),
+        bound: SCORE_DRIFT_TOLERANCE,
+        direction: Bound::Ceiling,
+        label: "E12 Coarse-vs-Full score drift (points)",
+    },
+    // Arming the deterministic trace sink must stay cheap enough to leave on.
+    Gate {
+        experiment: "E14",
+        metric: Some("tracing_overhead_pct"),
+        bound: TRACING_OVERHEAD_CEILING_PCT,
+        direction: Bound::Ceiling,
+        label: "E14 tracing overhead on the serving path (%)",
+    },
+    // The render path must stay off per-sample libm: the ratio collapses to
+    // ~1x if it comes back.
+    Gate {
+        experiment: "E15",
+        metric: Some("kernel_speedup_over_pointwise"),
+        bound: KERNEL_SPEEDUP_FLOOR,
+        direction: Bound::Floor,
+        label: "E15 audio kernel over pointwise synthesis (x)",
+    },
+];
+
+/// A gate evaluated against one report.
+#[derive(Debug)]
+pub struct GateRow {
+    /// The gate.
+    pub gate: &'static Gate,
+    /// The gated value, `None` when the experiment did not report it.
+    pub value: Option<f64>,
+}
+
+impl GateRow {
+    /// Whether the value was reported and stays on the passing side.
+    pub fn passed(&self) -> bool {
+        self.value.is_some_and(|v| match self.gate.direction {
+            Bound::Floor => v >= self.gate.bound,
+            Bound::Ceiling => v <= self.gate.bound,
+        })
+    }
+}
+
+impl fmt::Display for GateRow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Gate { experiment, metric, bound, direction, label } = self.gate;
+        let side = match direction {
+            Bound::Floor => "floor",
+            Bound::Ceiling => "ceiling",
+        };
+        match self.value {
+            None => write!(
+                f,
+                "REGRESSION: {label}: {experiment} reported no `{}`, gate not evaluated",
+                metric.unwrap_or("paper comparison")
+            ),
+            Some(v) if self.passed() => write!(f, "{label} {v:.2} ({side} {bound:.2}) — ok"),
+            Some(v) => write!(f, "REGRESSION: {label} {v:.2} is past the {bound:.2} {side}"),
+        }
+    }
 }
 
 fn str_field(json: &Json, key: &str) -> Result<String, String> {
@@ -345,25 +373,15 @@ pub fn format_ns(ns: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure::MeasureConfig;
-
-    fn sample_stats() -> Stats {
-        let xs: Vec<f64> = (0..20).map(|i| 1_000.0 + (i % 4) as f64 * 10.0).collect();
-        Stats::from_samples(&xs, &MeasureConfig::default())
-    }
 
     fn sample_report() -> BenchReport {
         BenchReport {
             schema_version: SCHEMA_VERSION,
-            quick: true,
             generated_unix_ms: 1_753_000_000_000,
             experiments: vec![
                 ExperimentResult {
                     id: "E1".into(),
                     name: "framerate".into(),
-                    metric: "render one surround frame".into(),
-                    timing: sample_stats(),
-                    iters_per_sample: 12,
                     comparison: Some(Comparison {
                         quantity: "synchronized fps at 3235 polygons".into(),
                         unit: "fps".into(),
@@ -376,15 +394,45 @@ mod tests {
                 ExperimentResult {
                     id: "E3".into(),
                     name: "collision".into(),
-                    metric: "trajectory sweep".into(),
-                    timing: sample_stats(),
-                    iters_per_sample: 1,
                     comparison: None,
                     derived: vec![],
                     notes: String::new(),
                 },
             ],
         }
+    }
+
+    /// A report carrying each gated experiment with the given gated values.
+    fn gated_report(speedup: f64, with_e15: bool) -> BenchReport {
+        let result = |id: &str, comparison, derived| ExperimentResult {
+            id: id.into(),
+            name: id.to_lowercase(),
+            comparison,
+            derived,
+            notes: String::new(),
+        };
+        let mut experiments = vec![
+            result(
+                "E8",
+                Some(Comparison {
+                    quantity: "COD vs single-PC frame-rate speedup".into(),
+                    unit: "x".into(),
+                    measured: speedup,
+                    paper: 3.4,
+                }),
+                vec![],
+            ),
+            result("E12", None, vec![DerivedMetric::new("max_score_drift", "points", 0.0)]),
+            result("E14", None, vec![DerivedMetric::new("tracing_overhead_pct", "%", 0.4)]),
+        ];
+        if with_e15 {
+            experiments.push(result(
+                "E15",
+                None,
+                vec![DerivedMetric::new("kernel_speedup_over_pointwise", "x", 23.0)],
+            ));
+        }
+        BenchReport::new(0, experiments)
     }
 
     #[test]
@@ -398,10 +446,17 @@ mod tests {
     #[test]
     fn json_document_exposes_required_schema_fields() {
         let json = sample_report().to_json();
-        let e1 = &json.get("experiments").unwrap().as_arr().unwrap()[0];
-        let timing = e1.get("timing").unwrap();
-        for key in ["median", "p95", "p99", "samples", "kept", "ci_low", "ci_high"] {
-            assert!(timing.get(key).and_then(Json::as_f64).is_some(), "timing.{key} missing");
+        let experiments = json.get("experiments").unwrap().as_arr().unwrap();
+        let e1 = &experiments[0];
+        let comparison = e1.get("comparison").unwrap();
+        for key in ["measured", "paper"] {
+            assert!(comparison.get(key).and_then(Json::as_f64).is_some(), "comparison.{key}");
+        }
+        let derived = &e1.get("derived").unwrap().as_arr().unwrap()[0];
+        assert_eq!(derived.get("value").and_then(Json::as_f64), Some(17.1));
+        assert_eq!(experiments[1].get("comparison"), Some(&Json::Null));
+        for e in experiments {
+            assert!(e.get("timing").is_none(), "schema 3 emits no `timing`");
         }
         assert_eq!(e1.get("id").unwrap().as_str(), Some("E1"));
         assert_eq!(json.get("schema_version").unwrap().as_f64(), Some(SCHEMA_VERSION as f64));
@@ -413,6 +468,22 @@ mod tests {
         assert!(table.contains("E1 framerate"));
         assert!(table.contains("E3 collision"));
         assert!(table.contains("16.2 vs 16.0 fps"));
+    }
+
+    #[test]
+    fn gates_fail_a_slow_cod_and_a_missing_experiment() {
+        let slow = gated_report(2.9, true).gate_rows();
+        let failed: Vec<&str> =
+            slow.iter().filter(|row| !row.passed()).map(|row| row.gate.label).collect();
+        assert_eq!(failed, ["COD speedup (x)"]);
+        assert_eq!(slow[0].to_string(), "REGRESSION: COD speedup (x) 2.90 is past the 3.00 floor");
+
+        let missing = gated_report(3.44, false).gate_rows();
+        let e15 = missing.iter().find(|row| row.gate.experiment == "E15").unwrap();
+        assert!(!e15.passed());
+        assert_eq!(e15.value, None);
+        assert!(e15.to_string().contains("E15 reported no `kernel_speedup_over_pointwise`"));
+        assert_eq!(missing.iter().filter(|row| !row.passed()).count(), 1);
     }
 
     #[test]

@@ -94,12 +94,15 @@ enum Section {
     AmbientEnv,
 }
 
+type PendingAllow = (usize, Option<Rule>, Option<String>, Option<String>);
+
 struct Parser<'a> {
     lines: std::iter::Enumerate<std::str::Lines<'a>>,
     section: Section,
     config: AuditConfig,
-    /// The `[[allow]]` entry under construction: (rule, path, reason).
-    pending: Option<(Option<Rule>, Option<String>, Option<String>)>,
+    /// The `[[allow]]` entry under construction: (the 1-based line of its
+    /// header, rule, path, reason).
+    pending: Option<PendingAllow>,
 }
 
 impl<'a> Parser<'a> {
@@ -124,13 +127,13 @@ impl<'a> Parser<'a> {
                 continue;
             }
             if line == "[[allow]]" {
-                self.finish_allow(lineno)?;
+                self.finish_allow()?;
                 self.section = Section::Allow;
-                self.pending = Some((None, None, None));
+                self.pending = Some((lineno, None, None, None));
                 continue;
             }
             if line.starts_with('[') {
-                self.finish_allow(lineno)?;
+                self.finish_allow()?;
                 self.section = match line.as_str() {
                     "[rule.ambient-env]" => Section::AmbientEnv,
                     other => {
@@ -154,44 +157,41 @@ impl<'a> Parser<'a> {
                     let name = parse_string(&value, lineno)?;
                     let rule = Rule::from_name(&name)
                         .ok_or_else(|| err(lineno, &format!("unknown rule `{name}`")))?;
-                    self.pending_mut(lineno)?.0 = Some(rule);
+                    self.pending_mut(lineno)?.1 = Some(rule);
                 }
                 (Section::Allow, "path") => {
                     let path = parse_string(&value, lineno)?;
-                    self.pending_mut(lineno)?.1 = Some(path);
+                    self.pending_mut(lineno)?.2 = Some(path);
                 }
                 (Section::Allow, "reason") => {
                     let reason = parse_string(&value, lineno)?;
                     if reason.trim().is_empty() {
                         return Err(err(lineno, "allow reason must not be empty"));
                     }
-                    self.pending_mut(lineno)?.2 = Some(reason);
+                    self.pending_mut(lineno)?.3 = Some(reason);
                 }
                 _ => return Err(err(lineno, &format!("unexpected key `{key}` here"))),
             }
         }
-        self.finish_allow(usize::MAX)?;
+        self.finish_allow()?;
         Ok(self.config)
     }
 
-    fn pending_mut(
-        &mut self,
-        lineno: usize,
-    ) -> Result<&mut (Option<Rule>, Option<String>, Option<String>), ConfigError> {
+    fn pending_mut(&mut self, lineno: usize) -> Result<&mut PendingAllow, ConfigError> {
         self.pending.as_mut().ok_or_else(|| err(lineno, "key outside an [[allow]] entry"))
     }
 
     /// Seals the `[[allow]]` entry under construction, requiring all three
-    /// keys.
-    fn finish_allow(&mut self, lineno: usize) -> Result<(), ConfigError> {
+    /// keys; an incomplete entry is reported at its own header's line.
+    fn finish_allow(&mut self) -> Result<(), ConfigError> {
         if let Some(entry) = self.pending.take() {
             match entry {
-                (Some(rule), Some(path), Some(reason)) => {
+                (_, Some(rule), Some(path), Some(reason)) => {
                     self.config.allows.push(AllowEntry { rule, path, reason });
                 }
-                _ => {
+                (header, ..) => {
                     return Err(err(
-                        lineno,
+                        header,
                         "incomplete [[allow]] entry: needs rule, path and reason",
                     ));
                 }
@@ -303,6 +303,20 @@ reason = "the one sanctioned thread spawner"
         assert!(AuditConfig::parse(missing_reason).is_err());
         let empty_reason = "[[allow]]\nrule = \"wall-clock\"\npath = \"x.rs\"\nreason = \" \"";
         assert!(AuditConfig::parse(empty_reason).is_err());
+    }
+
+    #[test]
+    fn an_incomplete_allow_is_reported_at_its_own_header() {
+        let entry = "[[allow]]\nrule = \"wall-clock\"\npath = \"x.rs\"\n";
+        let complete = "[[allow]]\nrule = \"wall-clock\"\npath = \"y.rs\"\nreason = \"z\"\n";
+        // The last entry: no later header to blame.
+        let last = format!("roots = [\"crates\"]\n\n{entry}");
+        assert_eq!(AuditConfig::parse(&last).unwrap_err().line, 3);
+        // A middle entry: not the line of the header that follows it.
+        let middle = format!("{complete}\n{entry}\n{complete}");
+        let error = AuditConfig::parse(&middle).unwrap_err();
+        assert_eq!(error.line, 6);
+        assert!(error.to_string().starts_with("audit.toml:6: incomplete [[allow]] entry"));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! The whole reproduction rests on one contract: same seed ⇒ byte-identical
 //! `FLEET_cod.json` / `OBS_cod.json` under Modeled and WallClock execution
-//! at any thread count. The runtime equivalence gates
-//! (`fleet_report`, `trace_report`) catch a violation only
+//! at any thread count. The runtime equivalence gates (the `fleet` and
+//! `trace` rows of the `gates` runner) catch a violation only
 //! *after* it ships as a flaky seed-diff; this crate fences the
 //! nondeterminism off before it compiles into a run, following the paper's
 //! own design (HuangBTG01): node-local wall-clock plumbing is mechanically
@@ -23,10 +23,10 @@
 //! let deadline = Instant::now(); // audit:allow(wall-clock): test timeout only.
 //! ```
 //!
-//! The `cod_audit` binary walks the workspace, prints rustc-style
-//! `file:line: rule [code]: message` diagnostics, writes the
-//! `AUDIT_cod.json` per-rule summary and exits non-zero on any hard
-//! violation — CI runs it beside the other smoke gates.
+//! The `gates` runner of `cod-testkit` walks the workspace with it, prints
+//! rustc-style `file:line: rule [code]: message` diagnostics, writes the
+//! `AUDIT_cod.json` per-rule summary and fails its `audit` row on any hard
+//! violation.
 
 pub mod config;
 pub mod lexer;

@@ -7,7 +7,7 @@
 //! cargo bench --bench experiments -- audio_mix       # ... or by name
 //! ```
 //!
-//! Each experiment runs through the same library code as `bench_report` and
+//! Each experiment runs through the same library code as the `gates` runner and
 //! prints its reproduction table; the measured-vs-paper table of the selected
 //! experiments follows. An unknown id or name exits non-zero and lists the
 //! valid ones.

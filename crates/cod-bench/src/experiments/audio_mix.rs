@@ -9,7 +9,7 @@
 //! rotation in between. E15 times a frame through a pointwise loop over
 //! [`Waveform::sample`] and through [`Mixer::render`] in alternating pairs
 //! ([`measure_pairs`]), and derives the machine-independent ratio
-//! `bench_report` gates: if per-sample libm comes back on the render path,
+//! the `gates` runner gates: if per-sample libm comes back on the render path,
 //! the ratio collapses to ~1x and CI says so. The kernel runs through the
 //! widest entry point the CPU has (AVX-512 or portable, bit-identical); the
 //! headline line names the one that was timed.
@@ -19,7 +19,7 @@ use audio_sim::{Mixer, SoundSource, SourceKind, Waveform};
 use crate::measure::{measure_pairs, median, MeasureConfig, PairedMeasurement};
 use crate::report::{DerivedMetric, ExperimentResult};
 
-/// The floor `bench_report` enforces on pointwise-over-kernel frame time
+/// The floor the `gates` runner enforces on pointwise-over-kernel frame time
 /// (measured ~8x; per-sample libm on the render path reads ~1x).
 pub const KERNEL_SPEEDUP_FLOOR: f64 = 3.0;
 
@@ -83,7 +83,7 @@ pub fn run() -> ExperimentResult {
     let speedup = 1.0 / median(&ratios);
     println!(
         "\n=== E15: audio mixing, one {FRAME_SAMPLES}-sample frame of the audio module ===\n\
-         pointwise {:.1} us, {} kernel {:.1} us — {speedup:.1}x (bench_report gates >= \
+         pointwise {:.1} us, {} kernel {:.1} us — {speedup:.1}x (gated >= \
          {KERNEL_SPEEDUP_FLOOR:.0}x)\n",
         pointwise.stats.median / 1e3,
         audio_sim::source::kernel_tier(),

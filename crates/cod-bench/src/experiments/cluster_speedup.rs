@@ -17,7 +17,7 @@ use crate::report::{Comparison, DerivedMetric, ExperimentResult};
 /// as the regression anchor for perf work (ROADMAP).
 pub const PAPER_SPEEDUP_ANCHOR: f64 = 3.4;
 
-/// The floor `bench_report` enforces on the COD speedup.
+/// The floor the `gates` runner enforces on the COD speedup.
 pub const SPEEDUP_FLOOR: f64 = 3.0;
 
 fn module_costs() -> Vec<StageCost> {

@@ -9,7 +9,7 @@
 //! rack would have reached. E12 measures the per-spec final-score drift
 //! between tiers over a seeded sample of session specs, beside each spec's
 //! sequential-cost multiplier. What the tier buys a fleet — capacity, live
-//! promotion and demotion — is gated by `fleet_report --quick`'s tiered pair.
+//! promotion and demotion — is gated by the `gates` runner's tiered fleet pair.
 
 use cod_fleet::{generate, WorkloadConfig};
 use crane_sim::{CraneSimulator, FidelityTier, SCORE_DRIFT_TOLERANCE};

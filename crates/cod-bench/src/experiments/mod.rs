@@ -6,7 +6,7 @@
 //! comparison and the derived quantities. Every result is deterministic
 //! except the two gated ratios, E14 and E15, which time a pair of routines
 //! in alternation. [`EXPERIMENTS`] lists them once; the `experiments` bench
-//! target and the `bench_report` runner binary both walk it, so
+//! target and the `gates` runner both walk it, so
 //! `cargo bench` output and `BENCH_cod.json` can never disagree.
 
 pub mod audio_mix;

@@ -10,7 +10,7 @@
 //! `ObsConfig::Disabled` (the default null-pointer path) and with
 //! `ObsConfig::Deterministic` (every hook live) in alternation — one untraced
 //! and one traced drain per sample — and derives the relative overhead that
-//! `bench_report` gates at ≤ 5% from the median of the per-pair ratios, so a
+//! the `gates` runner gates at ≤ 5% from the median of the per-pair ratios, so a
 //! shift in machine speed during the run cancels instead of landing between
 //! two blocks of samples.
 
@@ -22,7 +22,7 @@ use cod_fleet::{
 use crate::measure::{measure_pairs, median, MeasureConfig, PairedMeasurement};
 use crate::report::{DerivedMetric, ExperimentResult};
 
-/// The ceiling `bench_report` enforces on the traced-over-untraced slowdown.
+/// The ceiling the `gates` runner enforces on the traced-over-untraced slowdown.
 pub const TRACING_OVERHEAD_CEILING_PCT: f64 = 5.0;
 
 /// The batched serving path under test: a burst of same-epoch arrivals on a

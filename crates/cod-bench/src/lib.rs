@@ -6,11 +6,11 @@
 //!
 //! - [`measure`] — the paired timer behind E14's and E15's gated ratios,
 //!   and the calibrated single-routine timer the `benchmark/` probes use;
-//! - [`report`] — the `BENCH_cod.json` schema, the measured-vs-paper
-//!   comparison table and the regression gates;
+//! - [`report`] — the `BENCH_cod.json` schema and the measured-vs-paper
+//!   comparison table (the `gates` runner of `cod-testkit` gates it);
 //! - [`experiments`] — the experiments themselves, one row each in
 //!   [`experiments::EXPERIMENTS`], shared by the bench target and the
-//!   `bench_report` runner binary.
+//!   `gates` runner.
 
 pub mod experiments;
 pub mod measure;

@@ -1,7 +1,7 @@
 //! Statistical measurement primitives.
 //!
 //! Two timers live here. [`measure_pairs`] times two routines in alternation
-//! and is the clock behind the two gated ratios of `bench_report` (E14's
+//! and is the clock behind the two gated ratios of the `gates` runner (E14's
 //! tracing overhead and E15's kernel speedup). [`measure`] — warm-up,
 //! calibrated per-sample iteration counts, MAD outlier rejection,
 //! median / p95 / p99 and a bootstrap confidence interval for the mean driven

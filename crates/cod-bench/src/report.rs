@@ -4,21 +4,12 @@
 //! its derived quantities (frame rates, speedups, latencies) and — where the
 //! paper reports a number — a measured-versus-paper [`Comparison`]. The
 //! [`BenchReport`] aggregates all of them, renders the paper-style comparison
-//! table, evaluates the regression gates ([`BenchReport::gate_rows`]), and
-//! serializes to a single JSON document so CI and future perf PRs can diff
-//! results mechanically. Schema documentation lives in the README's
+//! table, and serializes to a single JSON document so CI and future perf PRs
+//! can diff results mechanically; the `gates` runner of `cod-testkit` holds
+//! the gated metrics to their bounds. Schema documentation lives in the README's
 //! "Measurement & benchmarking" section.
 
-use std::fmt;
-use std::io;
-use std::path::Path;
-
 use cod_json::Json;
-use crane_sim::SCORE_DRIFT_TOLERANCE;
-
-use crate::experiments::audio_mix::KERNEL_SPEEDUP_FLOOR;
-use crate::experiments::cluster_speedup::SPEEDUP_FLOOR;
-use crate::experiments::observability::TRACING_OVERHEAD_CEILING_PCT;
 
 /// Version stamp of the JSON schema; bump on breaking layout changes.
 pub const SCHEMA_VERSION: u32 = 3;
@@ -204,11 +195,6 @@ impl BenchReport {
         BenchReport::from_json(&json)
     }
 
-    /// Writes the JSON document to `path`.
-    pub fn write_file(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_json_string())
-    }
-
     /// The paper-style comparison table: the measured-versus-paper column of
     /// every experiment, `—` where the paper gives no number.
     pub fn comparison_table(&self) -> String {
@@ -224,123 +210,6 @@ impl BenchReport {
             out.push_str(&format!("{:<18} | {compared}\n", format!("{} {}", e.id, e.name)));
         }
         out
-    }
-
-    /// Evaluates every gate of [`GATES`] against this report, in order.
-    pub fn gate_rows(&self) -> Vec<GateRow> {
-        GATES
-            .iter()
-            .map(|gate| {
-                let experiment = self.experiment(gate.experiment);
-                let value = match gate.metric {
-                    Some(name) => experiment
-                        .and_then(|e| e.derived.iter().find(|d| d.name == name))
-                        .map(|d| d.value),
-                    None => experiment.and_then(|e| e.comparison.as_ref()).map(|c| c.measured),
-                };
-                GateRow { gate, value }
-            })
-            .collect()
-    }
-}
-
-/// Which side of its bound a gated metric must stay on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Bound {
-    /// The value must be at least the bound.
-    Floor,
-    /// The value must be at most the bound.
-    Ceiling,
-}
-
-/// One regression gate `bench_report` enforces.
-#[derive(Debug)]
-pub struct Gate {
-    /// Id of the gated experiment.
-    pub experiment: &'static str,
-    /// One of the experiment's derived metrics; `None` reads the measured
-    /// side of its paper comparison.
-    pub metric: Option<&'static str>,
-    /// The bound.
-    pub bound: f64,
-    /// Which side of the bound passes.
-    pub direction: Bound,
-    /// Human label printed with the verdict.
-    pub label: &'static str,
-}
-
-/// The regression gates, in the order `bench_report` prints them.
-pub static GATES: [Gate; 4] = [
-    // The 8-PC COD must keep beating one desktop PC clearly.
-    Gate {
-        experiment: "E8",
-        metric: None,
-        bound: SPEEDUP_FLOOR,
-        direction: Bound::Floor,
-        label: "COD speedup (x)",
-    },
-    // The Coarse tier must stay score-compatible with the full rack.
-    Gate {
-        experiment: "E12",
-        metric: Some("max_score_drift"),
-        bound: SCORE_DRIFT_TOLERANCE,
-        direction: Bound::Ceiling,
-        label: "E12 Coarse-vs-Full score drift (points)",
-    },
-    // Arming the deterministic trace sink must stay cheap enough to leave on.
-    Gate {
-        experiment: "E14",
-        metric: Some("tracing_overhead_pct"),
-        bound: TRACING_OVERHEAD_CEILING_PCT,
-        direction: Bound::Ceiling,
-        label: "E14 tracing overhead on the serving path (%)",
-    },
-    // The render path must stay off per-sample libm: the ratio collapses to
-    // ~1x if it comes back.
-    Gate {
-        experiment: "E15",
-        metric: Some("kernel_speedup_over_pointwise"),
-        bound: KERNEL_SPEEDUP_FLOOR,
-        direction: Bound::Floor,
-        label: "E15 audio kernel over pointwise synthesis (x)",
-    },
-];
-
-/// A gate evaluated against one report.
-#[derive(Debug)]
-pub struct GateRow {
-    /// The gate.
-    pub gate: &'static Gate,
-    /// The gated value, `None` when the experiment did not report it.
-    pub value: Option<f64>,
-}
-
-impl GateRow {
-    /// Whether the value was reported and stays on the passing side.
-    pub fn passed(&self) -> bool {
-        self.value.is_some_and(|v| match self.gate.direction {
-            Bound::Floor => v >= self.gate.bound,
-            Bound::Ceiling => v <= self.gate.bound,
-        })
-    }
-}
-
-impl fmt::Display for GateRow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let Gate { experiment, metric, bound, direction, label } = self.gate;
-        let side = match direction {
-            Bound::Floor => "floor",
-            Bound::Ceiling => "ceiling",
-        };
-        match self.value {
-            None => write!(
-                f,
-                "REGRESSION: {label}: {experiment} reported no `{}`, gate not evaluated",
-                metric.unwrap_or("paper comparison")
-            ),
-            Some(v) if self.passed() => write!(f, "{label} {v:.2} ({side} {bound:.2}) — ok"),
-            Some(v) => write!(f, "REGRESSION: {label} {v:.2} is past the {bound:.2} {side}"),
-        }
     }
 }
 
@@ -402,39 +271,6 @@ mod tests {
         }
     }
 
-    /// A report carrying each gated experiment with the given gated values.
-    fn gated_report(speedup: f64, with_e15: bool) -> BenchReport {
-        let result = |id: &str, comparison, derived| ExperimentResult {
-            id: id.into(),
-            name: id.to_lowercase(),
-            comparison,
-            derived,
-            notes: String::new(),
-        };
-        let mut experiments = vec![
-            result(
-                "E8",
-                Some(Comparison {
-                    quantity: "COD vs single-PC frame-rate speedup".into(),
-                    unit: "x".into(),
-                    measured: speedup,
-                    paper: 3.4,
-                }),
-                vec![],
-            ),
-            result("E12", None, vec![DerivedMetric::new("max_score_drift", "points", 0.0)]),
-            result("E14", None, vec![DerivedMetric::new("tracing_overhead_pct", "%", 0.4)]),
-        ];
-        if with_e15 {
-            experiments.push(result(
-                "E15",
-                None,
-                vec![DerivedMetric::new("kernel_speedup_over_pointwise", "x", 23.0)],
-            ));
-        }
-        BenchReport::new(0, experiments)
-    }
-
     #[test]
     fn report_round_trips_through_json() {
         let report = sample_report();
@@ -468,22 +304,6 @@ mod tests {
         assert!(table.contains("E1 framerate"));
         assert!(table.contains("E3 collision"));
         assert!(table.contains("16.2 vs 16.0 fps"));
-    }
-
-    #[test]
-    fn gates_fail_a_slow_cod_and_a_missing_experiment() {
-        let slow = gated_report(2.9, true).gate_rows();
-        let failed: Vec<&str> =
-            slow.iter().filter(|row| !row.passed()).map(|row| row.gate.label).collect();
-        assert_eq!(failed, ["COD speedup (x)"]);
-        assert_eq!(slow[0].to_string(), "REGRESSION: COD speedup (x) 2.90 is past the 3.00 floor");
-
-        let missing = gated_report(3.44, false).gate_rows();
-        let e15 = missing.iter().find(|row| row.gate.experiment == "E15").unwrap();
-        assert!(!e15.passed());
-        assert_eq!(e15.value, None);
-        assert!(e15.to_string().contains("E15 reported no `kernel_speedup_over_pointwise`"));
-        assert_eq!(missing.iter().filter(|row| !row.passed()).count(), 1);
     }
 
     #[test]

@@ -442,14 +442,14 @@ pub struct TieredSection {
 }
 
 /// The whole `FLEET_cod.json` document: the headline run, the one-shard
-/// baseline it is gated against, and — when provided — the heterogeneous pair
-/// (residency-only vs speed-weighted placement on the 1×fast + 3×slow fleet)
-/// behind the placement gate and the tiered-capacity pair behind the fidelity gate.
+/// baseline it is gated against, the heterogeneous pair (residency-only vs
+/// speed-weighted placement on the 1×fast + 3×slow fleet) behind the
+/// placement gate and the tiered-capacity pair behind the fidelity gate.
 pub fn document(
     baseline: &FleetReport,
     fleet: &FleetReport,
-    hetero: Option<(&FleetReport, &FleetReport)>,
-    tiered: Option<&TieredSection>,
+    (residency, weighted): (&FleetReport, &FleetReport),
+    tiered: &TieredSection,
     quick: bool,
 ) -> Json {
     let ratio = |num: &FleetReport, den: &FleetReport| {
@@ -459,36 +459,31 @@ pub fn document(
             0.0
         }
     };
-    let mut members = vec![
+    Json::Obj(vec![
         ("schema".into(), Json::Str(SCHEMA.into())),
         ("quick".into(), Json::Bool(quick)),
         ("scaling_sessions_per_sec".into(), Json::Num(ratio(fleet, baseline))),
         ("baseline_1_shard".into(), baseline.to_json()),
         ("fleet".into(), fleet.to_json()),
-    ];
-    if let Some((residency, weighted)) = hetero {
-        members.push((
+        (
             "hetero".into(),
             Json::Obj(vec![
                 ("speedup_speed_weighted".into(), Json::Num(ratio(weighted, residency))),
                 ("least_resident".into(), residency.to_json()),
                 ("speed_weighted".into(), weighted.to_json()),
             ]),
-        ));
-    }
-    if let Some(t) = tiered {
-        members.push((
+        ),
+        (
             "tiered".into(),
             Json::Obj(vec![
-                ("capacity_multiplier".into(), Json::Num(ratio(&t.tiered, &t.all_full))),
-                ("max_score_drift".into(), Json::Num(t.max_score_drift)),
+                ("capacity_multiplier".into(), Json::Num(ratio(&tiered.tiered, &tiered.all_full))),
+                ("max_score_drift".into(), Json::Num(tiered.max_score_drift)),
                 ("score_drift_tolerance".into(), Json::Num(SCORE_DRIFT_TOLERANCE)),
-                ("all_full".into(), t.all_full.to_json()),
-                ("tiered".into(), t.tiered.to_json()),
+                ("all_full".into(), tiered.all_full.to_json()),
+                ("tiered".into(), tiered.tiered.to_json()),
             ]),
-        ));
-    }
-    Json::Obj(members)
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -529,7 +524,7 @@ mod tests {
     fn every_execution_mode_serializes_to_identical_bytes() {
         // The report carries no execution-mode or wall-clock field, so the
         // bytes cannot depend on who stepped the shards — the invariant the
-        // executor gates of `fleet_report` and the determinism stress test
+        // executor gates of the `gates` runner and the determinism stress test
         // lean on.
         let mut config = outcome().config;
         let modeled = FleetReport::from_outcome(&run_fleet(&config).unwrap());
@@ -544,16 +539,21 @@ mod tests {
         }
     }
 
+    /// The document with `report` in every slot and the given tiered drift,
+    /// parsed back through the shared parser.
+    fn parsed_document(report: &FleetReport, max_score_drift: f64) -> Json {
+        let tiered =
+            TieredSection { all_full: report.clone(), tiered: report.clone(), max_score_drift };
+        let doc = document(report, report, (report, report), &tiered, true);
+        Json::parse(&doc.to_pretty()).expect("valid JSON")
+    }
+
     #[test]
     fn report_serializes_and_round_trips_through_the_shared_parser() {
-        let report = FleetReport::from_outcome(&outcome());
-        let doc = document(&report, &report, None, None, true);
-        let text = doc.to_pretty();
-        let parsed = Json::parse(&text).expect("valid JSON");
+        let parsed = parsed_document(&FleetReport::from_outcome(&outcome()), 0.0);
         assert_eq!(parsed.get("schema").and_then(Json::as_str), Some(SCHEMA));
+        assert_eq!(parsed.get("quick").and_then(Json::as_bool), Some(true));
         assert_eq!(parsed.get("scaling_sessions_per_sec").and_then(Json::as_f64), Some(1.0));
-        assert!(parsed.get("hetero").is_none(), "no hetero section unless provided");
-        assert!(parsed.get("tiered").is_none(), "no tiered section unless provided");
         let fleet = parsed.get("fleet").unwrap();
         assert_eq!(fleet.get("offered").and_then(Json::as_f64), Some(4.0));
         assert_eq!(fleet.get("placement").and_then(Json::as_str), Some("speed-weighted"));
@@ -575,9 +575,7 @@ mod tests {
 
     #[test]
     fn hetero_section_carries_both_policies() {
-        let report = FleetReport::from_outcome(&outcome());
-        let doc = document(&report, &report, Some((&report, &report)), None, true);
-        let parsed = Json::parse(&doc.to_pretty()).expect("valid JSON");
+        let parsed = parsed_document(&FleetReport::from_outcome(&outcome()), 0.0);
         let hetero = parsed.get("hetero").expect("hetero section present");
         assert_eq!(hetero.get("speedup_speed_weighted").and_then(Json::as_f64), Some(1.0));
         assert!(hetero.get("least_resident").is_some());
@@ -586,14 +584,7 @@ mod tests {
 
     #[test]
     fn tiered_section_carries_both_runs_and_the_pinned_tolerance() {
-        let report = FleetReport::from_outcome(&outcome());
-        let section = TieredSection {
-            all_full: report.clone(),
-            tiered: report.clone(),
-            max_score_drift: 1.25,
-        };
-        let doc = document(&report, &report, None, Some(&section), true);
-        let parsed = Json::parse(&doc.to_pretty()).expect("valid JSON");
+        let parsed = parsed_document(&FleetReport::from_outcome(&outcome()), 1.25);
         let tiered = parsed.get("tiered").expect("tiered section present");
         assert_eq!(tiered.get("capacity_multiplier").and_then(Json::as_f64), Some(1.0));
         assert_eq!(tiered.get("max_score_drift").and_then(Json::as_f64), Some(1.25));

@@ -18,11 +18,13 @@
 //!   outcome, and [`crane_sim::TelemetryTrace::first_divergence`] pins the
 //!   first differing frame when not;
 //! * [`matrix`] — the operator x GPU x fault-plan x cluster-size sweep and its
-//!   machine-readable `SCENARIOS_cod.json` summary (run by the
-//!   `scenario_matrix` binary; `--quick` in CI);
+//!   machine-readable `SCENARIOS_cod.json` summary;
 //! * [`fleet_invariants`] — the same idea one level up, for the `cod-fleet`
 //!   serving layer: session conservation, shard capacity, no starvation, and
-//!   bit-exact `FLEET_cod.json` replay from a fixed seed.
+//!   bit-exact `FLEET_cod.json` replay from a fixed seed;
+//! * [`gates`] — the registry of every standing gate of the workspace (bench,
+//!   audit, scenario matrix, fleet, trace), one row each at one size, run by
+//!   the `gates` binary.
 //!
 //! Reproducing a failure is always the same recipe: take the `(sim_seed,
 //! fault_seed)` pair printed with the scenario, rebuild the spec, re-run.
@@ -46,6 +48,7 @@
 //! ```
 
 pub mod fleet_invariants;
+pub mod gates;
 pub mod harness;
 pub mod invariants;
 pub mod matrix;

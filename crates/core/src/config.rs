@@ -23,7 +23,7 @@ pub enum OperatorKind {
 /// Largest final-score deviation a Coarse session may show against the Full
 /// run of the same (config, seed), in score points. Pinned by experiment E12
 /// and enforced by the testkit tier-transparency invariant and the
-/// `fleet_report --quick` score-drift gate.
+/// tiered-fleet score-drift gate of the `gates` runner.
 pub const SCORE_DRIFT_TOLERANCE: f64 = 25.0;
 
 /// How much of the rack serves the session, and how often it steps.

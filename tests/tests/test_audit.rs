@@ -7,8 +7,8 @@
 //!    once with the right id.
 //! 2. **The workspace itself** — parses the checked-in `audit.toml` and
 //!    audits the real tree, asserting it is audit-clean. This makes
-//!    `cargo test` a standing witness of the gate CI enforces with
-//!    `cod_audit --quick`.
+//!    `cargo test` a standing witness of the `audit` row CI enforces with
+//!    the `gates` runner.
 
 use std::path::Path;
 

@@ -3,13 +3,17 @@
 //! Like the lexer, the parser is hand-rolled in the `cod-json` house style:
 //! no TOML crate is reachable offline, so this module accepts exactly the
 //! subset the config uses — comments, string values, (multi-line) string
-//! arrays, `[[allow]]` entry tables and the `[rule.ambient-env]` section:
+//! arrays, `[[allow]]` entry tables and the `[rule.ambient-env]` and
+//! `[rule.dead-surface]` sections:
 //!
 //! ```toml
 //! roots = ["crates", "tests", "examples", "vendor"]
 //!
 //! [rule.ambient-env]
 //! paths = ["crates/cod-bench/src/report.rs"]
+//!
+//! [rule.dead-surface]
+//! reference_roots = ["benchmark/src"]
 //!
 //! [[allow]]
 //! rule = "wall-clock"
@@ -43,6 +47,9 @@ pub struct AuditConfig {
     /// Repo-relative files R6 (`ambient-env`) applies to: the modules whose
     /// output feeds a fingerprinted report.
     pub fingerprint_paths: Vec<String>,
+    /// Repo-relative directories whose `.rs` files R7 (`dead-surface`)
+    /// reads for references only: they are never audited.
+    pub reference_roots: Vec<String>,
     /// Checked-in per-file waivers.
     pub allows: Vec<AllowEntry>,
 }
@@ -92,6 +99,7 @@ enum Section {
     Top,
     Allow,
     AmbientEnv,
+    DeadSurface,
 }
 
 type PendingAllow = (usize, Option<Rule>, Option<String>, Option<String>);
@@ -113,6 +121,7 @@ impl<'a> Parser<'a> {
             config: AuditConfig {
                 roots: Vec::new(),
                 fingerprint_paths: Vec::new(),
+                reference_roots: Vec::new(),
                 allows: Vec::new(),
             },
             pending: None,
@@ -136,6 +145,7 @@ impl<'a> Parser<'a> {
                 self.finish_allow()?;
                 self.section = match line.as_str() {
                     "[rule.ambient-env]" => Section::AmbientEnv,
+                    "[rule.dead-surface]" => Section::DeadSurface,
                     other => {
                         return Err(err(lineno, &format!("unknown section `{other}`")));
                     }
@@ -152,6 +162,9 @@ impl<'a> Parser<'a> {
                 }
                 (Section::AmbientEnv, "paths") => {
                     self.config.fingerprint_paths = self.parse_array(&value, lineno)?;
+                }
+                (Section::DeadSurface, "reference_roots") => {
+                    self.config.reference_roots = self.parse_array(&value, lineno)?;
                 }
                 (Section::Allow, "rule") => {
                     let name = parse_string(&value, lineno)?;
@@ -317,6 +330,34 @@ reason = "the one sanctioned thread spawner"
         let error = AuditConfig::parse(&middle).unwrap_err();
         assert_eq!(error.line, 6);
         assert!(error.to_string().starts_with("audit.toml:6: incomplete [[allow]] entry"));
+    }
+
+    /// Parses `text`, which must not panic and must either succeed or name
+    /// a line inside the input.
+    fn parses_or_names_a_line(text: &str) {
+        if let Err(error) = AuditConfig::parse(text) {
+            let lines = text.lines().count().max(1);
+            assert!((1..=lines).contains(&error.line), "{error} on a {lines}-line input:\n{text}");
+        }
+    }
+
+    #[test]
+    fn hostile_edits_of_the_checked_in_config_never_panic() {
+        let text = include_str!("../../../audit.toml");
+        AuditConfig::parse(text).expect("the checked-in audit.toml parses");
+        for (at, _) in text.char_indices() {
+            parses_or_names_a_line(&text[..at]);
+        }
+        let mut edited = String::with_capacity(text.len() + 4);
+        for replacement in ['"', '[', ']', '=', '\n', 0xFF as char] {
+            for (at, old) in text.char_indices() {
+                edited.clear();
+                edited.push_str(&text[..at]);
+                edited.push(replacement);
+                edited.push_str(&text[at + old.len_utf8()..]);
+                parses_or_names_a_line(&edited);
+            }
+        }
     }
 
     #[test]

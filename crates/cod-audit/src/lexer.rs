@@ -69,10 +69,9 @@ pub fn split_lines(source: &str) -> Vec<Line> {
                 b'/' if bytes.get(i + 1) == Some(&b'/') => {
                     // Line comment: consume to end of line into the
                     // comment channel.
-                    while i < bytes.len() && bytes[i] != b'\n' {
-                        line.comment.push(bytes[i] as char);
-                        i += 1;
-                    }
+                    let end = source[i..].find('\n').map_or(source.len(), |n| i + n);
+                    line.comment.push_str(&source[i..end]);
+                    i = end;
                 }
                 b'/' if bytes.get(i + 1) == Some(&b'*') => {
                     line.comment.push_str("/*");
@@ -110,10 +109,7 @@ pub fn split_lines(source: &str) -> Vec<Line> {
                 b'\'' => {
                     i = lex_quote(bytes, i, &mut line.code);
                 }
-                _ => {
-                    line.code.push(b as char);
-                    i += 1;
-                }
+                _ => i = push_scalar(&mut line.code, source, i),
             },
             State::BlockComment { depth } => {
                 if b == b'*' && bytes.get(i + 1) == Some(&b'/') {
@@ -129,8 +125,7 @@ pub fn split_lines(source: &str) -> Vec<Line> {
                     state = State::BlockComment { depth: depth + 1 };
                     i += 2;
                 } else {
-                    line.comment.push(b as char);
-                    i += 1;
+                    i = push_scalar(&mut line.comment, source, i);
                 }
             }
             State::Str { raw_hashes, escaped } => {
@@ -164,6 +159,15 @@ pub fn split_lines(source: &str) -> Vec<Line> {
     }
     lines.push(line);
     lines
+}
+
+/// Appends the whole UTF-8 scalar starting at byte `i` of `source` to
+/// `out`, so non-ASCII text reads back unchanged. Returns the index of the
+/// byte after it.
+fn push_scalar(out: &mut String, source: &str, i: usize) -> usize {
+    let end = i + utf8_len(source.as_bytes()[i]);
+    out.push_str(&source[i..end]);
+    end
 }
 
 /// Whether the last byte pushed to the code channel is an identifier char —
@@ -339,6 +343,14 @@ mod tests {
     fn string_quotes_inside_comments_are_inert() {
         let lines = split_lines("// \"open\nlet x = 1;");
         assert_eq!(lines[1].code, "let x = 1;");
+    }
+
+    #[test]
+    fn non_ascii_text_reads_back_unchanged() {
+        let lines = split_lines("let x = 1; // audit:allow(R5): item 4b — 5 µs\n/* é */ fn µ() {}");
+        assert_eq!(lines[0].comment, "// audit:allow(R5): item 4b — 5 µs");
+        assert_eq!(lines[1].comment, "/* é */");
+        assert_eq!(lines[1].code, " fn µ() {}");
     }
 
     #[test]

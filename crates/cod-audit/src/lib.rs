@@ -14,7 +14,7 @@
 //! hand-rolled [`lexer`] splits every source line into code and comment
 //! channels (nested block comments, raw-string fences and char/lifetime
 //! disambiguation included), and the [`rules`] engine pattern-matches the
-//! code channel only. Rules R1..R6 are documented in [`rules::Rule`]; the
+//! code channel only. Rules R1..R7 are documented in [`rules::Rule`]; the
 //! checked-in `audit.toml` ([`config::AuditConfig`]) carries the per-file
 //! allowlists with their justifications, and any single line can be waived
 //! with an auditable escape:
@@ -27,11 +27,16 @@
 //! rustc-style `file:line: rule [code]: message` diagnostics, writes the
 //! `AUDIT_cod.json` per-rule summary and fails its `audit` row on any hard
 //! violation.
+//!
+//! One rule is not about determinism: R7 ([`surface`]) flags a `pub` item
+//! that nothing outside its own file's tests names, since rustc's
+//! `dead_code` lint exempts public items.
 
 pub mod config;
 pub mod lexer;
 pub mod report;
 pub mod rules;
+pub mod surface;
 pub mod walk;
 
 use std::io;
@@ -40,51 +45,63 @@ use std::path::Path;
 pub use config::{AllowEntry, AuditConfig, ConfigError};
 pub use report::{AuditReport, Disposition, Finding, AUDIT_SCHEMA};
 pub use rules::Rule;
+use rules::Violation;
 
-/// Audits one file's source text. `path` must be repo-relative (it selects
-/// the allowlist entries and R6 scope that apply).
-pub fn audit_source(path: &str, source: &str, config: &AuditConfig) -> Vec<Finding> {
-    let lines = lexer::split_lines(source);
-    let fingerprint_module = config.is_fingerprint_module(path);
-    rules::scan(&lines, fingerprint_module)
-        .into_iter()
-        .map(|v| {
-            let disposition = if let Some(reason) = waiver_reason(&lines, v.line, v.rule) {
-                Disposition::Waived { reason }
-            } else if let Some(reason) = config.allow_reason(v.rule, path) {
-                Disposition::Allowlisted { reason: reason.to_owned() }
-            } else {
-                Disposition::Violation
-            };
-            Finding {
-                path: path.to_owned(),
-                line: v.line,
-                rule: v.rule,
-                message: v.message,
-                disposition,
-            }
-        })
-        .collect()
-}
-
-/// Audits every `.rs` file under the config's roots, then the allowlist
-/// itself: every `[[allow]]` entry that suppressed nothing in the walk is
-/// reported as a violation filed against `audit.toml`.
+/// Audits every `.rs` file under the config's roots with the per-file
+/// rules, then the whole tree with R7 (reading the reference roots for
+/// references only), then the allowlist itself: every `[[allow]]` entry
+/// that suppressed nothing is reported as a violation filed against
+/// `audit.toml`.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors from the walk or from reading a source
 /// file.
 pub fn audit_tree(repo_root: &Path, config: &AuditConfig) -> io::Result<AuditReport> {
-    let files = walk::rust_files(repo_root, &config.roots)?;
-    let mut report = AuditReport { findings: Vec::new(), files_checked: files.len() };
-    for path in &files {
-        let source = std::fs::read_to_string(repo_root.join(path))?;
-        report.findings.extend(audit_source(path, &source, config));
+    let read = |path: &String| {
+        std::fs::read_to_string(repo_root.join(path)).map(|source| lexer::split_lines(&source))
+    };
+    let audited = walk::rust_files(repo_root, &config.roots)?
+        .into_iter()
+        .map(|path| read(&path).map(|lines| (path, lines)))
+        .collect::<io::Result<Vec<_>>>()?;
+    let references = walk::rust_files(repo_root, &config.reference_roots)?
+        .iter()
+        .map(read)
+        .collect::<io::Result<Vec<_>>>()?;
+    let mut findings: Vec<Finding> =
+        audited.iter().flat_map(|(path, lines)| audit_lines(path, lines, config)).collect();
+    for (index, violation) in surface::scan(&audited, &references) {
+        let (path, lines) = &audited[index];
+        findings.push(resolve(path, lines, violation, config));
     }
-    let stale = stale_allows(config, &report.findings);
-    report.findings.extend(stale);
-    Ok(report)
+    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    let stale = stale_allows(config, &findings);
+    findings.extend(stale);
+    Ok(AuditReport { findings, files_checked: audited.len() })
+}
+
+/// Runs the per-file rules R1–R6 over one lexed file. `path` must be
+/// repo-relative (it selects the allowlist entries and R6 scope that
+/// apply).
+fn audit_lines(path: &str, lines: &[lexer::Line], config: &AuditConfig) -> Vec<Finding> {
+    rules::scan(lines, config.is_fingerprint_module(path))
+        .into_iter()
+        .map(|v| resolve(path, lines, v, config))
+        .collect()
+}
+
+/// Resolves one raw hit in `path` to a finding: waived inline, allowlisted
+/// in `audit.toml`, or a hard violation.
+fn resolve(path: &str, lines: &[lexer::Line], v: Violation, config: &AuditConfig) -> Finding {
+    let disposition = if let Some(reason) = waiver_reason(lines, v.line, v.rule) {
+        Disposition::Waived { reason }
+    } else if let Some(reason) = config.allow_reason(v.rule, path) {
+        Disposition::Allowlisted { reason: reason.to_owned() }
+    } else {
+        Disposition::Violation
+    };
+    Finding { path: path.to_owned(), line: v.line, rule: v.rule, message: v.message, disposition }
 }
 
 /// One hard violation, filed against `audit.toml`, per `[[allow]]` entry
@@ -157,7 +174,17 @@ mod tests {
     use super::*;
 
     fn bare_config() -> AuditConfig {
-        AuditConfig { roots: vec![], fingerprint_paths: vec![], allows: vec![] }
+        AuditConfig {
+            roots: vec![],
+            fingerprint_paths: vec![],
+            reference_roots: vec![],
+            allows: vec![],
+        }
+    }
+
+    /// Audits one file's source text with the per-file rules.
+    fn audit_source(path: &str, source: &str, config: &AuditConfig) -> Vec<Finding> {
+        audit_lines(path, &lexer::split_lines(source), config)
     }
 
     fn dispositions(source: &str, config: &AuditConfig) -> Vec<(usize, Rule, bool)> {
@@ -175,12 +202,13 @@ mod tests {
 
     #[test]
     fn same_line_waiver_suppresses_with_reason() {
-        let src = "let t = Instant::now(); // audit:allow(wall-clock): test deadline only.\n";
+        // Non-ASCII text in the reason reads back unchanged.
+        let src = "let t = Instant::now(); // audit:allow(wall-clock): test deadline — 5 µs.\n";
         let found = audit_source("x.rs", src, &bare_config());
         assert_eq!(found.len(), 1);
         assert_eq!(
             found[0].disposition,
-            Disposition::Waived { reason: "test deadline only.".to_owned() }
+            Disposition::Waived { reason: "test deadline — 5 µs.".to_owned() }
         );
     }
 
@@ -225,6 +253,7 @@ mod tests {
         let config = AuditConfig {
             roots: vec![],
             fingerprint_paths: vec![],
+            reference_roots: vec![],
             allows: vec![AllowEntry {
                 rule: Rule::WallClock,
                 path: "crates/x/src/lib.rs".to_owned(),
@@ -248,6 +277,7 @@ mod tests {
         let config = AuditConfig {
             roots: vec![],
             fingerprint_paths: vec![],
+            reference_roots: vec![],
             allows: vec![
                 allow(Rule::WallClock, "crates/x/src/lib.rs"),
                 allow(Rule::ThreadSpawn, "crates/x/src/lib.rs"),
@@ -274,6 +304,7 @@ mod tests {
         let config = AuditConfig {
             roots: vec![],
             fingerprint_paths: vec!["crates/x/src/report.rs".to_owned()],
+            reference_roots: vec![],
             allows: vec![],
         };
         let src = "let home = std::env::var(\"HOME\");\n";

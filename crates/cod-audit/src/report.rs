@@ -69,9 +69,9 @@ impl AuditReport {
         self.violations().next().is_none()
     }
 
-    /// Per-rule (violations, waived, allowlisted) counts, in R1..R6 order.
-    pub fn per_rule(&self) -> [(Rule, u64, u64, u64); 6] {
-        let mut rows = [(Rule::WallClock, 0, 0, 0); 6];
+    /// Per-rule (violations, waived, allowlisted) counts, in R1..R7 order.
+    pub fn per_rule(&self) -> [(Rule, u64, u64, u64); Rule::ALL.len()] {
+        let mut rows = [(Rule::WallClock, 0, 0, 0); Rule::ALL.len()];
         for (row, rule) in rows.iter_mut().zip(Rule::ALL) {
             row.0 = rule;
             for finding in self.findings.iter().filter(|f| f.rule == rule) {

@@ -15,15 +15,18 @@
 //! | R5   | `thread-spawn`          | threads outside the executor pool         |
 //! | R6   | `ambient-env`           | `std::env` / `std::time` in fingerprint   |
 //! |      |                         | modules                                   |
+//! | R7   | `dead-surface`          | a `pub` item under `crates/` whose name   |
+//! |      |                         | nothing else in the tree mentions         |
 //!
 //! R1–R5 run on every audited file (R1 and R5 have checked-in allowlists in
 //! `audit.toml`); R6 runs only on the fingerprint-feeding modules the config
 //! names. Matching is word-bounded, so `InstantLike` or `elapsed_frames`
-//! never false-positive.
+//! never false-positive. R7 is not a line pattern but one cross-file pass
+//! after the others; [`crate::surface`] documents it.
 
 use crate::lexer::Line;
 
-/// One determinism rule. The order here is the R1..R6 numbering.
+/// One audit rule. The order here is the R1..R7 numbering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// R1: no wall-clock reads outside the allowlisted wall half.
@@ -38,17 +41,20 @@ pub enum Rule {
     ThreadSpawn,
     /// R6: no environment or clock reads in fingerprint-feeding modules.
     AmbientEnv,
+    /// R7: no `pub` item that nothing outside its own tests names.
+    DeadSurface,
 }
 
 impl Rule {
-    /// Every rule, in R1..R6 order.
-    pub const ALL: [Rule; 6] = [
+    /// Every rule, in R1..R7 order.
+    pub const ALL: [Rule; 7] = [
         Rule::WallClock,
         Rule::UnorderedCollections,
         Rule::AmbientRandomness,
         Rule::UndocumentedUnsafe,
         Rule::ThreadSpawn,
         Rule::AmbientEnv,
+        Rule::DeadSurface,
     ];
 
     /// The stable kebab-case id used in `audit:allow(...)` and `audit.toml`.
@@ -60,6 +66,7 @@ impl Rule {
             Rule::UndocumentedUnsafe => "undocumented-unsafe",
             Rule::ThreadSpawn => "thread-spawn",
             Rule::AmbientEnv => "ambient-env",
+            Rule::DeadSurface => "dead-surface",
         }
     }
 
@@ -72,6 +79,7 @@ impl Rule {
             Rule::UndocumentedUnsafe => "R4",
             Rule::ThreadSpawn => "R5",
             Rule::AmbientEnv => "R6",
+            Rule::DeadSurface => "R7",
         }
     }
 
@@ -80,8 +88,8 @@ impl Rule {
         Rule::ALL.iter().copied().find(|r| r.id() == name || r.code() == name)
     }
 
-    /// The word-bounded patterns the rule bans in code text. Empty for R4,
-    /// whose check is structural rather than a pattern match.
+    /// The word-bounded patterns the rule bans in code text. Empty for R4
+    /// and R7, whose checks are structural rather than a pattern match.
     fn patterns(&self) -> &'static [&'static str] {
         match self {
             Rule::WallClock => &["Instant", "SystemTime", "elapsed("],
@@ -90,11 +98,12 @@ impl Rule {
             Rule::UndocumentedUnsafe => &[],
             Rule::ThreadSpawn => &["thread::spawn", "thread::scope", "thread::Builder"],
             Rule::AmbientEnv => &["std::env", "std::time"],
+            Rule::DeadSurface => &[],
         }
     }
 
-    /// Why the matched text violates the determinism contract.
-    fn rationale(&self) -> &'static str {
+    /// Why the matched text violates the rule.
+    pub(crate) fn rationale(&self) -> &'static str {
         match self {
             Rule::WallClock => {
                 "wall-clock reads vary run to run; deterministic code uses modeled time \
@@ -119,6 +128,10 @@ impl Rule {
             Rule::AmbientEnv => {
                 "this module feeds a fingerprinted report; environment and clock reads make \
                  its bytes depend on who ran it and when"
+            }
+            Rule::DeadSurface => {
+                "no code outside this file's tests names it, a `use` line aside; delete it, \
+                 or move a test-only helper into the test module"
             }
         }
     }

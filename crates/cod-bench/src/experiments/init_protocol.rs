@@ -20,7 +20,7 @@ fn establish(subscribers: usize, broadcast_interval: Micros, loss: f64) -> (usiz
 
     let mut publisher =
         CbKernel::with_config(SimLan::attach(&lan, "publisher"), registry.clone(), config);
-    let p = publisher.register_lp("dynamics");
+    let p = publisher.register_lp();
     publisher.publish_object_class(p, class).unwrap();
 
     let mut subs: Vec<_> = (0..subscribers)
@@ -30,7 +30,7 @@ fn establish(subscribers: usize, broadcast_interval: Micros, loss: f64) -> (usiz
                 registry.clone(),
                 config,
             );
-            let lp = kernel.register_lp(&format!("sub-{i}"));
+            let lp = kernel.register_lp();
             kernel.subscribe_object_class(lp, class).unwrap();
             kernel
         })

@@ -46,8 +46,8 @@ impl EstablishedPair {
         let lan = SimLan::shared(config);
         let mut publisher = CbKernel::new(SimLan::attach(&lan, "publisher"), registry.clone());
         let mut subscriber = CbKernel::new(SimLan::attach(&lan, "subscriber"), registry);
-        let publisher_lp = publisher.register_lp("publisher");
-        let subscriber_lp = subscriber.register_lp("subscriber");
+        let publisher_lp = publisher.register_lp();
+        let subscriber_lp = subscriber.register_lp();
         publisher.publish_object_class(publisher_lp, class).unwrap();
         subscriber.subscribe_object_class(subscriber_lp, class).unwrap();
         let mut now = Micros::ZERO;

@@ -163,8 +163,8 @@ mod tests {
         let alarm = fom.register_interaction_class("Alarm", &["code"]).unwrap();
         let lan = SimLan::shared(LanConfig::ideal(1));
         let mut kernel = CbKernel::new(SimLan::attach(&lan, "pc"), fom.clone());
-        let producer = kernel.register_lp("producer");
-        let consumer = kernel.register_lp("consumer");
+        let producer = kernel.register_lp();
+        let consumer = kernel.register_lp();
 
         {
             let mut ctx = LpContext::new(&mut kernel, consumer);

@@ -306,15 +306,6 @@ impl ClassRegistry {
             .map(|i| ObjectClassId(i as u16))
     }
 
-    /// Looks up an interaction class by name.
-    pub fn interaction_class_by_name(&self, name: &str) -> Option<InteractionClassId> {
-        self.classes
-            .interaction_classes
-            .iter()
-            .position(|c| c.name == name)
-            .map(|i| InteractionClassId(i as u16))
-    }
-
     /// The definition of an object class, if it exists.
     pub fn object_class(&self, id: ObjectClassId) -> Option<&ObjectClassDef> {
         self.classes.object_classes.get(id.0 as usize)
@@ -382,7 +373,6 @@ mod tests {
     fn lookup_by_name_and_id() {
         let (r, crane, collision) = sample();
         assert_eq!(r.object_class_by_name("CraneState"), Some(crane));
-        assert_eq!(r.interaction_class_by_name("CollisionEvent"), Some(collision));
         assert_eq!(r.object_class(crane).unwrap().attributes.len(), 3);
         assert_eq!(r.attribute_id(crane, "boom_angle"), Some(AttributeId(1)));
         assert_eq!(r.parameter_id(collision, "impulse"), Some(AttributeId(1)));

@@ -98,7 +98,6 @@ impl Default for CbConfig {
 
 #[derive(Debug)]
 struct LocalLp {
-    name: String,
     reflections: VecDeque<Reflection>,
     interactions: VecDeque<InteractionMessage>,
     interaction_subscriptions: BTreeSet<InteractionClassId>,
@@ -248,24 +247,18 @@ impl<T: Transport> CbKernel<T> {
     // ------------------------------------------------------------------
 
     /// Registers a Logical Process with this CB and returns its id.
-    pub fn register_lp(&mut self, name: &str) -> LpId {
+    pub fn register_lp(&mut self) -> LpId {
         let id = LpId::compose(self.addr.node.0, self.next_lp_seq);
         self.next_lp_seq += 1;
         self.lps.insert(
             id,
             LocalLp {
-                name: name.to_owned(),
                 reflections: VecDeque::new(),
                 interactions: VecDeque::new(),
                 interaction_subscriptions: BTreeSet::new(),
             },
         );
         id
-    }
-
-    /// Name of a locally registered LP.
-    pub fn lp_name(&self, lp: LpId) -> Option<&str> {
-        self.lps.get(&lp).map(|l| l.name.as_str())
     }
 
     /// Removes an LP: its publications, subscriptions and channels are torn
@@ -791,8 +784,8 @@ mod tests {
         let mut publisher = cluster.kernel("dynamics-pc", &fom);
         let mut subscriber = cluster.kernel("visual-pc", &fom);
 
-        let dynamics = publisher.register_lp("dynamics");
-        let visual = subscriber.register_lp("visual");
+        let dynamics = publisher.register_lp();
+        let visual = subscriber.register_lp();
         publisher.publish_object_class(dynamics, crane).unwrap();
         subscriber.subscribe_object_class(visual, crane).unwrap();
 
@@ -814,8 +807,8 @@ mod tests {
         let mut cluster = Cluster::new(2);
         let mut publisher = cluster.kernel("dynamics-pc", &fom);
         let mut subscriber = cluster.kernel("visual-pc", &fom);
-        let dynamics = publisher.register_lp("dynamics");
-        let visual = subscriber.register_lp("visual");
+        let dynamics = publisher.register_lp();
+        let visual = subscriber.register_lp();
         publisher.publish_object_class(dynamics, crane).unwrap();
         subscriber.subscribe_object_class(visual, crane).unwrap();
         cluster.run(&mut [&mut publisher, &mut subscriber], 20);
@@ -846,8 +839,8 @@ mod tests {
         let (fom, crane, _) = crane_fom();
         let cluster = Cluster::new(3);
         let mut kernel = cluster.kernel("single-pc", &fom);
-        let dynamics = kernel.register_lp("dynamics");
-        let visual = kernel.register_lp("visual");
+        let dynamics = kernel.register_lp();
+        let visual = kernel.register_lp();
         kernel.publish_object_class(dynamics, crane).unwrap();
         kernel.subscribe_object_class(visual, crane).unwrap();
 
@@ -871,8 +864,8 @@ mod tests {
         let mut cluster = Cluster::new(4);
         let mut publisher = cluster.kernel("dynamics-pc", &fom);
         let mut display1 = cluster.kernel("display-1", &fom);
-        let dynamics = publisher.register_lp("dynamics");
-        let d1 = display1.register_lp("display-1");
+        let dynamics = publisher.register_lp();
+        let d1 = display1.register_lp();
         publisher.publish_object_class(dynamics, crane).unwrap();
         display1.subscribe_object_class(d1, crane).unwrap();
         cluster.run(&mut [&mut publisher, &mut display1], 20);
@@ -880,7 +873,7 @@ mod tests {
 
         // A new display computer joins the running system (paper §2.3).
         let mut display2 = cluster.kernel("display-2", &fom);
-        let d2 = display2.register_lp("display-2");
+        let d2 = display2.register_lp();
         display2.subscribe_object_class(d2, crane).unwrap();
         cluster.run(&mut [&mut publisher, &mut display1, &mut display2], 30);
         assert_eq!(publisher.established_channel_count(), 2);
@@ -906,9 +899,9 @@ mod tests {
         let mut cluster = Cluster::new(5);
         let mut a = cluster.kernel("dynamics-pc", &fom);
         let mut b = cluster.kernel("audio-pc", &fom);
-        let dynamics = a.register_lp("dynamics");
-        let local_audio = a.register_lp("local-audio");
-        let audio = b.register_lp("audio");
+        let dynamics = a.register_lp();
+        let local_audio = a.register_lp();
+        let audio = b.register_lp();
         a.publish_object_class(dynamics, crane).unwrap();
         a.subscribe_interaction_class(local_audio, collision).unwrap();
         b.subscribe_interaction_class(audio, collision).unwrap();
@@ -937,7 +930,7 @@ mod tests {
         let (fom, crane, collision) = crane_fom();
         let cluster = Cluster::new(6);
         let mut kernel = cluster.kernel("pc", &fom);
-        let lp = kernel.register_lp("lp");
+        let lp = kernel.register_lp();
         let ghost = LpId(0xdead_beef);
 
         assert!(matches!(kernel.publish_object_class(ghost, crane), Err(CbError::UnknownLp(_))));
@@ -955,7 +948,7 @@ mod tests {
         ));
         kernel.publish_object_class(lp, crane).unwrap();
         let object = kernel.register_object_instance(lp, crane).unwrap();
-        let other = kernel.register_lp("other");
+        let other = kernel.register_lp();
         assert!(matches!(
             kernel.update_attribute_values(other, object, AttributeValues::new(), Micros::ZERO),
             Err(CbError::NotPublished { .. })
@@ -972,8 +965,8 @@ mod tests {
         let mut cluster = Cluster::new(7);
         let mut publisher = cluster.kernel("dynamics-pc", &fom);
         let mut subscriber = cluster.kernel("visual-pc", &fom);
-        let dynamics = publisher.register_lp("dynamics");
-        let visual = subscriber.register_lp("visual");
+        let dynamics = publisher.register_lp();
+        let visual = subscriber.register_lp();
         publisher.publish_object_class(dynamics, crane).unwrap();
         subscriber.subscribe_object_class(visual, crane).unwrap();
         cluster.run(&mut [&mut publisher, &mut subscriber], 20);
@@ -992,8 +985,8 @@ mod tests {
         let mut primary = cluster.kernel("dynamics-pc", &fom);
         let mut standby = cluster.kernel("standby-pc", &fom);
         let mut subscriber = cluster.kernel("visual-pc", &fom);
-        let dynamics = primary.register_lp("dynamics");
-        let visual = subscriber.register_lp("visual");
+        let dynamics = primary.register_lp();
+        let visual = subscriber.register_lp();
         primary.publish_object_class(dynamics, crane).unwrap();
         subscriber.subscribe_object_class(visual, crane).unwrap();
         cluster.run(&mut [&mut primary, &mut standby, &mut subscriber], 20);
@@ -1003,7 +996,7 @@ mod tests {
         // With no channel left the subscription is unsatisfied again, so it is
         // broadcast every 50 ms, not at the 2 s re-advertisement pace.
         primary.deregister_lp(dynamics).unwrap();
-        let spare = standby.register_lp("dynamics-standby");
+        let spare = standby.register_lp();
         standby.publish_object_class(spare, crane).unwrap();
         let mut rounds = 0;
         while !subscriber.channels().iter().any(|c| c.established && c.publisher_lp == spare) {
@@ -1022,8 +1015,8 @@ mod tests {
         let mut cluster = Cluster { lan, now: Micros::ZERO };
         let mut publisher = cluster.kernel("dynamics-pc", &fom);
         let mut subscriber = cluster.kernel("visual-pc", &fom);
-        let dynamics = publisher.register_lp("dynamics");
-        let visual = subscriber.register_lp("visual");
+        let dynamics = publisher.register_lp();
+        let visual = subscriber.register_lp();
         publisher.publish_object_class(dynamics, crane).unwrap();
         subscriber.subscribe_object_class(visual, crane).unwrap();
         // Lossy network: allow plenty of protocol rounds.
@@ -1099,12 +1092,12 @@ mod tests {
     fn publisher(local: usize, remote: u16) -> Publisher {
         let (fom, class, collision) = crane_fom();
         let mut kernel = CbKernel::new(RecordingTransport::default(), fom);
-        let lp = kernel.register_lp("dynamics");
+        let lp = kernel.register_lp();
         kernel.publish_object_class(lp, class).unwrap();
         let object = kernel.register_object_instance(lp, class).unwrap();
         let local = (0..local)
-            .map(|i| {
-                let sub = kernel.register_lp(&format!("display-{i}"));
+            .map(|_| {
+                let sub = kernel.register_lp();
                 kernel.subscribe_object_class(sub, class).unwrap();
                 sub
             })
@@ -1143,7 +1136,7 @@ mod tests {
         for remote in [1, 2, 7] {
             let Publisher { mut kernel, lp, class, collision, object, channels, .. } =
                 publisher(0, remote);
-            let bystander = kernel.register_lp("bystander");
+            let bystander = kernel.register_lp();
             let (values, at) = (full_update(), Micros(40_000));
             let parameters: AttributeValues = [(AttributeId(0), Value::Bool(true))].into();
 
@@ -1190,7 +1183,7 @@ mod tests {
         // Datagrams four and five died with the third: nothing stale follows.
         kernel.tick(Micros(2)).unwrap();
         assert_eq!((kernel.transport.sends, kernel.transport.sent.len()), (3, 2));
-        let late = kernel.register_lp("late");
+        let late = kernel.register_lp();
         kernel.deregister_lp(late).unwrap();
         kernel.tick(Micros(3)).unwrap();
         assert_eq!(kernel.transport.sent.len(), 3);
@@ -1254,7 +1247,7 @@ mod tests {
         // the confirming CHANNEL ACK never arrives.
         let (fom, class, _) = crane_fom();
         let mut kernel = CbKernel::new(RecordingTransport::default(), fom);
-        let display = kernel.register_lp("display");
+        let display = kernel.register_lp();
         kernel.subscribe_object_class(display, class).unwrap();
         let (far_cb, far_lp) = (Addr::new(NodeId(20), Port(1)), LpId::compose(20, 0));
         let ack = WireMessage::Acknowledge { publisher_cb: far_cb, publisher_lp: far_lp, class };

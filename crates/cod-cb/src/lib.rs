@@ -43,8 +43,8 @@
 //! let mut cb_vis = CbKernel::new(SimLan::attach(&lan, "visual-pc"), fom.clone());
 //!
 //! // One LP per computer.
-//! let dynamics = cb_dyn.register_lp("dynamics");
-//! let visual = cb_vis.register_lp("visual");
+//! let dynamics = cb_dyn.register_lp();
+//! let visual = cb_vis.register_lp();
 //! cb_dyn.publish_object_class(dynamics, crane_state).unwrap();
 //! cb_vis.subscribe_object_class(visual, crane_state).unwrap();
 //!

@@ -101,11 +101,6 @@ impl SubscriptionTable {
         before - self.entries.len()
     }
 
-    /// Whether `lp` subscribes to `class`.
-    pub fn subscribes(&self, lp: LpId, class: ObjectClassId) -> bool {
-        self.entries.contains(&SubscriptionEntry { lp, class })
-    }
-
     /// Every local LP subscribed to `class`.
     pub fn subscribers_of(&self, class: ObjectClassId) -> impl Iterator<Item = LpId> + '_ {
         self.entries.iter().filter(move |e| e.class == class).map(|e| e.lp)
@@ -153,7 +148,7 @@ mod tests {
         t.insert(LpId(2), ObjectClassId(0));
         assert_eq!(t.remove_lp(LpId(1)), 2);
         assert_eq!(t.len(), 1);
-        assert!(t.subscribes(LpId(2), ObjectClassId(0)));
+        assert!(t.subscribers_of(ObjectClassId(0)).eq([LpId(2)]));
         assert_eq!(t.subscribers_of(ObjectClassId(1)).count(), 0);
     }
 }

@@ -137,11 +137,6 @@ impl Cluster {
         &self.computers[id.0]
     }
 
-    /// Mutable access to a computer.
-    pub fn computer_mut(&mut self, id: ComputerId) -> &mut Computer {
-        &mut self.computers[id.0]
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> Micros {
         self.now
@@ -249,19 +244,6 @@ impl Cluster {
     /// Returns the first error raised by an LP step or kernel tick.
     pub fn run_frames(&mut self, frames: usize) -> Result<(), CbError> {
         for _ in 0..frames {
-            self.run_frame()?;
-        }
-        Ok(())
-    }
-
-    /// Runs frames until `duration` of simulated time has elapsed.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error raised by an LP step or kernel tick.
-    pub fn run_for(&mut self, duration: Micros) -> Result<(), CbError> {
-        let deadline = self.now + duration;
-        while self.now < deadline {
             self.run_frame()?;
         }
         Ok(())
@@ -437,16 +419,5 @@ mod tests {
         assert!(stats.fault_drops > 0, "no fault drops recorded");
         // The exchange still makes progress despite the injected loss.
         assert!(received.load(std::sync::atomic::Ordering::Relaxed) > 5);
-    }
-
-    #[test]
-    fn run_for_advances_to_deadline() {
-        let (fom, _class) = sample_fom();
-        let mut cluster = Cluster::new(ClusterConfig::default(), fom);
-        cluster.add_computer("idle-pc");
-        cluster.initialize().unwrap();
-        let start = cluster.now();
-        cluster.run_for(Micros::from_secs(1)).unwrap();
-        assert!(cluster.now() >= start + Micros::from_secs(1));
     }
 }

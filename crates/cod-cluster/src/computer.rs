@@ -71,11 +71,6 @@ impl Computer {
         self.lps.iter().map(|(_, lp)| lp.name()).collect()
     }
 
-    /// Number of resident LPs.
-    pub fn lp_count(&self) -> usize {
-        self.lps.len()
-    }
-
     /// Plugs a Logical Process into this computer: registers it with the CB
     /// and runs its `init` so it can declare publications and subscriptions.
     ///
@@ -83,7 +78,7 @@ impl Computer {
     ///
     /// Returns an error if the LP's `init` fails.
     pub fn add_lp(&mut self, mut lp: Box<dyn LogicalProcess>) -> Result<LpId, CbError> {
-        let id = self.kernel.register_lp(lp.name());
+        let id = self.kernel.register_lp();
         {
             let mut ctx = LpContext::new(&mut self.kernel, id);
             lp.init(&mut ctx)?;
@@ -181,7 +176,7 @@ mod tests {
         pc.set_cpu_speed(2.0);
         let cost = pc.step_frame(Micros::from_millis(16), 1.0 / 60.0).unwrap();
         assert_eq!(cost, Micros::from_millis(15));
-        assert_eq!(pc.lp_count(), 2);
+        assert_eq!(pc.lps.len(), 2);
         assert_eq!(pc.lp_names(), vec!["counter", "counter"]);
     }
 
@@ -190,9 +185,9 @@ mod tests {
         let lan = SimLan::shared(LanConfig::ideal(2));
         let mut pc = Computer::new("pc", SimLan::attach(&lan, "pc"), ClassRegistry::new());
         let id = pc.add_lp(Box::new(Counter { steps: 0, cost: Micros::ZERO })).unwrap();
-        assert_eq!(pc.lp_count(), 1);
+        assert_eq!(pc.lps.len(), 1);
         pc.remove_lp(id).unwrap();
-        assert_eq!(pc.lp_count(), 0);
+        assert_eq!(pc.lps.len(), 0);
         assert!(pc.remove_lp(id).is_err());
     }
 

@@ -78,6 +78,6 @@ pub use cluster::{frame_period_for_fps, Cluster, ClusterConfig, ComputerId, Fram
 pub use computer::Computer;
 pub use framesync::{FrameSyncClient, FrameSyncFom, FrameSyncServer, SyncBarrierModel};
 pub use lp::LogicalProcess;
-pub use metrics::{ClusterMetrics, ComputerFrameRecord};
+pub use metrics::ClusterMetrics;
 pub use pipeline::{PipelineModel, StageCost};
 pub use placement::{balance_load, least_loaded, nominal_sequential_frame_cost, LpLoad, Placement};

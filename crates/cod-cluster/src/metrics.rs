@@ -2,14 +2,6 @@
 
 use cod_net::Micros;
 
-/// Per-computer accounting for one executed frame.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ComputerFrameRecord {
-    /// Sum of the modeled step costs of the LPs resident on the computer,
-    /// scaled by the computer's CPU speed factor.
-    pub frame_cost: Micros,
-}
-
 /// Metrics accumulated over a cluster run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterMetrics {
@@ -51,18 +43,6 @@ impl ClusterMetrics {
             self.max_sequential_frame_cost = sequential;
         }
         self.total_sequential_cost += sequential;
-    }
-
-    /// Mean whole-cluster cost of one frame — the per-frame cost hint a
-    /// serving layer needs to predict how expensive keeping this session
-    /// resident is on a shard that hosts the virtual cluster in-process.
-    /// Zero before any frame has run.
-    pub fn mean_sequential_frame_cost(&self) -> Micros {
-        if self.frames_run == 0 {
-            Micros::ZERO
-        } else {
-            Micros(self.total_sequential_cost.0 / self.frames_run)
-        }
     }
 
     /// The frame rate the pipelined cluster can sustain given the observed

@@ -9,8 +9,6 @@
 
 use cod_net::Micros;
 
-use crate::placement::{balance_load, LpLoad};
-
 /// Per-frame cost of one pipeline stage (one simulator module).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageCost {
@@ -63,17 +61,6 @@ impl PipelineModel {
     pub fn pipeline_latency(&self) -> Micros {
         let hops = self.stages.len().saturating_sub(1) as u64;
         Micros(self.stages.iter().map(|s| s.cost.0).sum::<u64>() + hops * self.hop_latency.0)
-    }
-
-    /// Frame period when the stages are packed onto `computers` machines with
-    /// the load balancer; equals the resulting makespan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `computers` is zero.
-    pub fn period_with_computers(&self, computers: usize) -> Micros {
-        let loads: Vec<LpLoad> = self.stages.iter().map(|s| LpLoad::new(&s.name, s.cost)).collect();
-        balance_load(&loads, computers).makespan
     }
 
     /// Throughput speedup of the fully pipelined cluster over the sequential baseline.
@@ -132,16 +119,6 @@ mod tests {
     fn latency_includes_hops() {
         let m = crane_pipeline();
         assert_eq!(m.pipeline_latency(), Micros(78_000 + 5 * 200));
-    }
-
-    #[test]
-    fn packing_interpolates_between_extremes() {
-        let m = crane_pipeline();
-        assert_eq!(m.period_with_computers(1), m.sequential_period());
-        let eight = m.period_with_computers(8);
-        assert_eq!(eight, m.fully_pipelined_period());
-        let two = m.period_with_computers(2);
-        assert!(two <= m.sequential_period() && two >= eight);
     }
 
     #[test]

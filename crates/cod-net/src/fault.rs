@@ -148,12 +148,6 @@ impl FaultPlan {
         self
     }
 
-    /// Overrides the rule of one directed link.
-    pub fn with_link_rule(mut self, src: NodeId, dst: NodeId, rule: LinkFaultRule) -> FaultPlan {
-        self.link_rules.insert((src, dst), rule);
-        self
-    }
-
     /// Schedules a latency spike.
     pub fn with_spike(mut self, start: Micros, end: Micros, extra_latency_us: u64) -> FaultPlan {
         self.spikes.push(LatencySpike { start, end, extra_latency_us });
@@ -209,11 +203,8 @@ mod tests {
     #[test]
     fn link_rule_override_wins_over_default() {
         let lossy = LinkFaultRule { drop_probability: 0.5, ..LinkFaultRule::none() };
-        let plan = FaultPlan::none().with_drop_probability(0.01).with_link_rule(
-            NodeId(1),
-            NodeId(2),
-            lossy,
-        );
+        let mut plan = FaultPlan::none().with_drop_probability(0.01);
+        plan.link_rules.insert((NodeId(1), NodeId(2)), lossy);
         assert_eq!(plan.rule_for(NodeId(1), NodeId(2)).drop_probability, 0.5);
         assert_eq!(plan.rule_for(NodeId(2), NodeId(1)).drop_probability, 0.01);
         assert_eq!(plan.rule_for(NodeId(0), NodeId(3)).drop_probability, 0.01);

@@ -118,15 +118,6 @@ impl SimLan {
         lock(lan).advance_to_inner(t);
     }
 
-    /// Runs the LAN until no scheduled deliveries remain, returning the final time.
-    pub fn run_until_idle(lan: &SharedLan) -> Micros {
-        let mut l = lock(lan);
-        while let Some(at) = l.queue.peek().map(|Reverse(next)| next.at) {
-            l.advance_to_inner(at);
-        }
-        l.clock.now()
-    }
-
     /// Snapshot of the traffic counters.
     pub fn stats(lan: &SharedLan) -> LanStats {
         lock(lan).stats.clone()
@@ -311,6 +302,14 @@ impl Transport for SimTransport {
 mod tests {
     use super::*;
 
+    /// Runs the LAN until no scheduled deliveries remain.
+    fn run_until_idle(lan: &SharedLan) {
+        let mut l = lock(lan);
+        while let Some(at) = l.queue.peek().map(|Reverse(next)| next.at) {
+            l.advance_to_inner(at);
+        }
+    }
+
     fn lan_pair(config: LanConfig) -> (SharedLan, SimTransport, SimTransport) {
         let lan = SimLan::shared(config);
         let a = SimLan::attach(&lan, "a");
@@ -340,7 +339,7 @@ mod tests {
                 a.send(Destination::Unicast(b.local_addr()), &[i]).unwrap();
                 a.send(Destination::Broadcast(DEFAULT_PORT), &[i, i]).unwrap();
             }
-            SimLan::run_until_idle(&lan);
+            run_until_idle(&lan);
             b
         };
         let polled = receiver().poll().unwrap();
@@ -363,7 +362,7 @@ mod tests {
         let mut b = SimLan::attach(&lan, "b");
         let mut c = SimLan::attach(&lan, "c");
         a.send(Destination::Broadcast(DEFAULT_PORT), b"hello").unwrap();
-        SimLan::run_until_idle(&lan);
+        run_until_idle(&lan);
         assert_eq!(a.poll().unwrap().len(), 0);
         assert_eq!(b.poll().unwrap().len(), 1);
         assert_eq!(c.poll().unwrap().len(), 1);
@@ -400,7 +399,7 @@ mod tests {
         for i in 0u8..10 {
             a.send(Destination::Unicast(b.local_addr()), &[i]).unwrap();
         }
-        SimLan::run_until_idle(&lan);
+        run_until_idle(&lan);
         let got = b.poll().unwrap();
         let order: Vec<u8> = got.iter().map(|d| d.payload[0]).collect();
         assert_eq!(order, (0..10).collect::<Vec<u8>>());
@@ -413,7 +412,7 @@ mod tests {
             for i in 0u8..50 {
                 a.send(Destination::Unicast(b.local_addr()), &[i]).unwrap();
             }
-            SimLan::run_until_idle(&lan);
+            run_until_idle(&lan);
             b.poll().unwrap().iter().map(|d| (d.delivered_at, d.payload[0])).collect::<Vec<_>>()
         };
         assert_eq!(run(42), run(42));
@@ -427,7 +426,7 @@ mod tests {
         for _ in 0..200 {
             a.send(Destination::Unicast(b.local_addr()), b"d").unwrap();
         }
-        SimLan::run_until_idle(&lan);
+        run_until_idle(&lan);
         let delivered = b.poll().unwrap().len();
         assert!(delivered < 160 && delivered > 40, "delivered = {delivered}");
         let stats = SimLan::stats(&lan);
@@ -438,7 +437,7 @@ mod tests {
     fn stats_track_bytes() {
         let (lan, mut a, mut b) = lan_pair(LanConfig::fast_ethernet(1));
         a.send(Destination::Unicast(b.local_addr()), &[0u8; 128]).unwrap();
-        SimLan::run_until_idle(&lan);
+        run_until_idle(&lan);
         b.poll().unwrap();
         let stats = SimLan::stats(&lan);
         assert_eq!(stats.bytes_sent, 128);
@@ -459,7 +458,7 @@ mod tests {
         for _ in 0..200 {
             a.send(Destination::Unicast(b.local_addr()), b"d").unwrap();
         }
-        SimLan::run_until_idle(&lan);
+        run_until_idle(&lan);
         let delivered = b.poll().unwrap().len();
         let stats = SimLan::stats(&lan);
         assert!(stats.fault_drops > 40 && stats.fault_drops < 160, "{}", stats.fault_drops);
@@ -474,7 +473,7 @@ mod tests {
         for _ in 0..10 {
             a.send(Destination::Unicast(b.local_addr()), b"d").unwrap();
         }
-        SimLan::run_until_idle(&lan);
+        run_until_idle(&lan);
         assert_eq!(b.poll().unwrap().len(), 20);
         assert_eq!(SimLan::stats(&lan).fault_duplicates, 10);
     }
@@ -495,7 +494,7 @@ mod tests {
         a.send(Destination::Unicast(b.local_addr()), &[0u8]).unwrap();
         SimLan::set_fault_plan(&lan, FaultPlan::none());
         a.send(Destination::Unicast(b.local_addr()), &[1u8]).unwrap();
-        SimLan::run_until_idle(&lan);
+        run_until_idle(&lan);
         let order: Vec<u8> = b.poll().unwrap().iter().map(|d| d.payload[0]).collect();
         assert_eq!(order, vec![1, 0]);
     }
@@ -514,7 +513,7 @@ mod tests {
         assert_eq!(SimLan::stats(&lan).partition_drops, 1);
         // After the window closes traffic flows again.
         a.send(Destination::Unicast(b.local_addr()), b"heals").unwrap();
-        SimLan::run_until_idle(&lan);
+        run_until_idle(&lan);
         assert_eq!(b.poll().unwrap().len(), 1);
     }
 
@@ -541,7 +540,7 @@ mod tests {
             for _ in 0..100 {
                 a.send(Destination::Unicast(b.local_addr()), b"x").unwrap();
             }
-            SimLan::run_until_idle(&lan);
+            run_until_idle(&lan);
             b.poll().unwrap().len()
         };
         // Same fault seed, different jitter seed: identical drop pattern (the
@@ -560,7 +559,7 @@ mod tests {
             for _ in 0..300 {
                 a.send(Destination::Unicast(b.local_addr()), b"x").unwrap();
             }
-            SimLan::run_until_idle(&lan);
+            run_until_idle(&lan);
             b.poll().unwrap();
             SimLan::stats(&lan)
         };

@@ -2,212 +2,13 @@
 //! [`crate::invariants`] one level up: whatever the workload does, the
 //! serving layer must conserve sessions (preemptions and migrations
 //! re-accounted), respect shard capacity, respect priority order, starve
-//! nobody, and replay bit-exactly from its seed.
-
-use std::collections::BTreeMap;
+//! nobody, and replay bit-exactly from its seed. The checks the workspace
+//! tests call are public; those only this module's tests run live in its
+//! test module.
 
 use cod_cb::CbError;
-use cod_fleet::{
-    initial_tier, run_fleet, ExecutionMode, FleetConfig, FleetOutcome, FleetReport, Priority,
-    SessionShape, SteppingMode,
-};
-use crane_sim::{
-    step_frames_batch_traced, CraneSimulator, FidelityTier, SimulatorConfig, SCORE_DRIFT_TOLERANCE,
-};
-
-use crate::matrix::{scenario_specs, MatrixConfig};
-
-/// Checks every fleet-level safety property on a drained outcome; returns a
-/// description of each violated property (empty ⇒ all held).
-pub fn check_fleet_outcome(outcome: &FleetOutcome) -> Vec<String> {
-    let mut violations = Vec::new();
-
-    // Conservation: after drain no session may be pending or resident, so
-    // every offered arrival is either completed or rejected, and the
-    // completion list matches the ledger. Preempted sessions were re-placed
-    // and re-counted in `admitted`, so the placement ledger closes as
-    // admitted = completed + preempted.
-    if outcome.offered != outcome.completed + outcome.rejected {
-        violations.push(format!(
-            "conservation: offered {} != completed {} + rejected {}",
-            outcome.offered, outcome.completed, outcome.rejected
-        ));
-    }
-    if outcome.sessions.len() as u64 != outcome.completed {
-        violations.push(format!(
-            "conservation: {} session outcomes vs {} completions",
-            outcome.sessions.len(),
-            outcome.completed
-        ));
-    }
-    if outcome.admitted != outcome.completed + outcome.preempted {
-        violations.push(format!(
-            "drain: admitted {} != completed {} + preempted {} (a session is still resident)",
-            outcome.admitted, outcome.completed, outcome.preempted
-        ));
-    }
-    // Preemption/migration conservation: the fleet totals must equal the
-    // per-session counters, both ways of counting the same events.
-    let session_preemptions: u64 = outcome.sessions.iter().map(|s| u64::from(s.preempted)).sum();
-    if session_preemptions != outcome.preempted {
-        violations.push(format!(
-            "preemption ledger: per-session preemptions {} != fleet total {}",
-            session_preemptions, outcome.preempted
-        ));
-    }
-    let session_migrations: u64 = outcome.sessions.iter().map(|s| u64::from(s.migrated)).sum();
-    if session_migrations != outcome.migrated {
-        violations.push(format!(
-            "migration ledger: per-session migrations {} != fleet total {}",
-            session_migrations, outcome.migrated
-        ));
-    }
-    let shard_preempted: u64 = outcome.shard_stats.iter().map(|s| s.preempted_out).sum();
-    if shard_preempted != outcome.preempted {
-        violations.push(format!(
-            "preemption ledger: shard extractions {} != fleet total {}",
-            shard_preempted, outcome.preempted
-        ));
-    }
-    let migrated_out: u64 = outcome.shard_stats.iter().map(|s| s.migrated_out).sum();
-    let migrated_in: u64 = outcome.shard_stats.iter().map(|s| s.migrated_in).sum();
-    if migrated_out != outcome.migrated || migrated_in != outcome.migrated {
-        violations.push(format!(
-            "migration ledger: {migrated_out} out / {migrated_in} in vs fleet total {}",
-            outcome.migrated
-        ));
-    }
-    // Retier ledger: promotions and demotions are counted three ways — per
-    // session, per shard, and as fleet totals — and all three must agree.
-    let session_promotions: u64 = outcome.sessions.iter().map(|s| u64::from(s.promoted)).sum();
-    let session_demotions: u64 = outcome.sessions.iter().map(|s| u64::from(s.demoted)).sum();
-    let shard_promotions: u64 = outcome.shard_stats.iter().map(|s| s.promoted).sum();
-    let shard_demotions: u64 = outcome.shard_stats.iter().map(|s| s.demoted).sum();
-    if session_promotions != outcome.promoted || shard_promotions != outcome.promoted {
-        violations.push(format!(
-            "retier ledger: per-session promotions {session_promotions} / shard promotions \
-             {shard_promotions} vs fleet total {}",
-            outcome.promoted
-        ));
-    }
-    if session_demotions != outcome.demoted || shard_demotions != outcome.demoted {
-        violations.push(format!(
-            "retier ledger: per-session demotions {session_demotions} / shard demotions \
-             {shard_demotions} vs fleet total {}",
-            outcome.demoted
-        ));
-    }
-    if !outcome.config.tiering && outcome.promoted + outcome.demoted > 0 {
-        violations.push(format!(
-            "retier ledger: {} promotions / {} demotions with tiering off",
-            outcome.promoted, outcome.demoted
-        ));
-    }
-    // Tier policy: an Interactive session never leaves the full rack, and a
-    // Batch session (admitted Coarse) is never promoted above its home tier.
-    for s in &outcome.sessions {
-        if s.priority == Priority::Interactive
-            && (s.tier != FidelityTier::Full || s.promoted + s.demoted > 0)
-        {
-            violations.push(format!(
-                "tier policy: interactive session {} finished {:?} with {} promotions / {} \
-                 demotions",
-                s.id, s.tier, s.promoted, s.demoted
-            ));
-        }
-        if initial_tier(s.priority) == FidelityTier::Coarse && s.promoted > 0 {
-            violations.push(format!(
-                "tier policy: {:?} session {} was promoted above its Coarse home tier",
-                s.priority, s.id
-            ));
-        }
-    }
-
-    // Capacity: no shard may ever have hosted more sessions than it has
-    // slots, and nothing may have been rejected while a slot was free.
-    for (i, stats) in outcome.shard_stats.iter().enumerate() {
-        if stats.peak_residents > outcome.config.shard.slots {
-            violations.push(format!(
-                "capacity: shard {i} peaked at {} residents, capacity {}",
-                stats.peak_residents, outcome.config.shard.slots
-            ));
-        }
-    }
-    if outcome.rejected_with_free_slot > 0 {
-        violations.push(format!(
-            "backpressure: {} arrivals rejected while a slot was free",
-            outcome.rejected_with_free_slot
-        ));
-    }
-    if outcome.peak_pending > outcome.config.max_pending {
-        violations.push(format!(
-            "backpressure: queue peaked at {} over the bound {}",
-            outcome.peak_pending, outcome.config.max_pending
-        ));
-    }
-
-    // Priority ordering: a more urgent session never waits in the queue
-    // while a less urgent one is placed. Witness from the outcomes: session
-    // `a` (more urgent) already arrived strictly before `b`'s first
-    // placement, yet was itself first placed only after it — the driver
-    // would have had to pop `a` first.
-    for a in &outcome.sessions {
-        for b in &outcome.sessions {
-            if a.priority > b.priority
-                && a.arrived_tick < b.admitted_tick
-                && a.admitted_tick > b.admitted_tick
-            {
-                violations.push(format!(
-                    "priority: {:?} session {} (arrived t{}, admitted t{}) waited while {:?} \
-                     session {} was placed at t{}",
-                    a.priority,
-                    a.id,
-                    a.arrived_tick,
-                    a.admitted_tick,
-                    b.priority,
-                    b.id,
-                    b.admitted_tick
-                ));
-            }
-        }
-    }
-
-    // No starvation: a session can wait in the queue at most as long as the
-    // whole population ahead of it takes to drain through the fleet —
-    // bounded by the queue depth plus total slots, times the longest
-    // session's tick count. Every preemption can send a session back for
-    // another round of the same wait.
-    let ticks_per_session = outcome
-        .sessions
-        .iter()
-        .map(|s| (s.frames as u64).div_ceil(outcome.config.shard.batch_frames as u64) + 1)
-        .max()
-        .unwrap_or(1);
-    let ahead =
-        (outcome.config.max_pending + outcome.config.shards * outcome.config.shard.slots) as u64;
-    let wait_bound = ahead * ticks_per_session;
-    for s in &outcome.sessions {
-        let waited = s.admitted_tick - s.arrived_tick;
-        if waited > wait_bound {
-            violations.push(format!(
-                "starvation: session {} ({}) queued for {waited} ticks (bound {wait_bound})",
-                s.id, s.name
-            ));
-        }
-        let running = s.completed_tick - s.admitted_tick;
-        let run_bound =
-            ticks_per_session + u64::from(s.preempted) * (wait_bound + ticks_per_session);
-        if running > run_bound {
-            violations.push(format!(
-                "starvation: session {} ({}) took {running} ticks after first placement \
-                 (bound {run_bound}, preempted {}x)",
-                s.id, s.name, s.preempted
-            ));
-        }
-    }
-
-    violations
-}
+use cod_fleet::{run_fleet, ExecutionMode, FleetConfig, FleetOutcome, FleetReport};
+use crane_sim::{FidelityTier, SCORE_DRIFT_TOLERANCE};
 
 /// Index of the first byte at which two serialized reports differ (the shorter
 /// length when one is a prefix of the other), `None` when they are identical.
@@ -216,23 +17,6 @@ fn first_divergence(a: &str, b: &str) -> Option<usize> {
         return None;
     }
     Some(a.bytes().zip(b.bytes()).position(|(x, y)| x != y).unwrap_or(a.len().min(b.len())))
-}
-
-/// Runs the fleet twice from the same configuration and returns both reports
-/// plus the first difference between their serialized forms (`None` proves
-/// the run replays byte for byte).
-///
-/// # Errors
-///
-/// Returns the first hard error raised by either run.
-pub fn fleet_replay_check(
-    config: &FleetConfig,
-) -> Result<(FleetReport, FleetReport, Option<usize>), CbError> {
-    let first = FleetReport::from_outcome(&run_fleet(config)?);
-    let second = FleetReport::from_outcome(&run_fleet(config)?);
-    let a = first.to_json().to_pretty();
-    let b = second.to_json().to_pretty();
-    Ok((first, second, first_divergence(&a, &b)))
 }
 
 /// Proves wall-clock equivalence: the same configuration served under
@@ -297,161 +81,6 @@ pub fn obs_equivalence_check(
     Ok((reference, divergences))
 }
 
-/// Proves batched-stepping equivalence: the same configuration served with
-/// [`SteppingMode::Scalar`] (the reference hot loop, modeled execution) and
-/// with [`SteppingMode::Batched`] under [`ExecutionMode::Modeled`] and
-/// [`ExecutionMode::WallClock`] at each requested thread count must produce
-/// byte-identical serialized reports **and** identical per-session telemetry
-/// digests — grouping same-shape residents into cohorts may change
-/// how fast sessions are served, never what they compute. Returns the scalar
-/// reference report plus a description of every divergence (empty ⇒
-/// equivalent).
-///
-/// # Errors
-///
-/// Returns the first hard error raised by any run.
-pub fn batch_equivalence_check(
-    config: &FleetConfig,
-    thread_counts: &[usize],
-) -> Result<(FleetReport, Vec<String>), CbError> {
-    let mut scalar_config = config.clone();
-    scalar_config.shard.stepping = SteppingMode::Scalar;
-    scalar_config.execution = ExecutionMode::Modeled;
-    let scalar_outcome = run_fleet(&scalar_config)?;
-    let reference = FleetReport::from_outcome(&scalar_outcome);
-    let reference_bytes = reference.to_json().to_pretty();
-    let reference_telemetry: BTreeMap<u64, u64> =
-        scalar_outcome.sessions.iter().map(|s| (s.id, s.telemetry)).collect();
-
-    let mut modes = vec![("modeled".to_owned(), ExecutionMode::Modeled)];
-    for &threads in thread_counts {
-        modes.push((format!("wallclock-{threads}"), ExecutionMode::WallClock { threads }));
-    }
-
-    let mut violations = Vec::new();
-    for (label, execution) in modes {
-        let mut batched_config = config.clone();
-        batched_config.shard.stepping = SteppingMode::Batched;
-        batched_config.execution = execution;
-        let outcome = run_fleet(&batched_config)?;
-        let telemetry: BTreeMap<u64, u64> =
-            outcome.sessions.iter().map(|s| (s.id, s.telemetry)).collect();
-        if telemetry != reference_telemetry {
-            violations.push(format!(
-                "batched ({label}): per-session telemetry digests diverged from scalar"
-            ));
-        }
-        let bytes = FleetReport::from_outcome(&outcome).to_json().to_pretty();
-        if let Some(at) = first_divergence(&reference_bytes, &bytes) {
-            violations.push(format!(
-                "batched ({label}): serialized report diverged from scalar at byte {at}"
-            ));
-        }
-    }
-    Ok((reference, violations))
-}
-
-/// Proves batched-stepping equivalence across every [`SessionShape`] of the
-/// scenario matrix: each distinct shape the sweep exercises (deduplicated —
-/// fault plans do not change a shape) gets a small same-shape cohort of
-/// divergent seeds run both scalar (one [`CraneSimulator::step_frame`] loop
-/// per session) and batched (one [`step_frames_batch_traced`] call), and every
-/// member's telemetry digest must match bit for bit. Returns a description of
-/// every divergence (empty ⇒ equivalent).
-///
-/// # Errors
-///
-/// Returns the first hard error raised by any simulator.
-pub fn batch_shape_coverage_check(
-    matrix: &MatrixConfig,
-    cohort: usize,
-    frames: usize,
-) -> Result<Vec<String>, CbError> {
-    let mut shapes: BTreeMap<SessionShape, SimulatorConfig> = BTreeMap::new();
-    for spec in scenario_specs(matrix) {
-        let mut config = spec.config.clone();
-        config.exam_frames = frames;
-        shapes.entry(SessionShape::of(&config)).or_insert(config);
-    }
-
-    let mut violations = Vec::new();
-    for (index, base) in shapes.values().enumerate() {
-        let cohort_config = |k: usize| {
-            let mut config = base.clone();
-            config.seed ^= (k as u64) * 0x9E37_79B9;
-            config
-        };
-        // Scalar reference: each member stepped alone, frame by frame.
-        let mut scalar_digests = Vec::with_capacity(cohort);
-        for k in 0..cohort {
-            let mut sim = CraneSimulator::new(cohort_config(k))?;
-            for _ in 0..frames {
-                sim.step_frame()?;
-            }
-            scalar_digests.push(sim.telemetry_digest());
-        }
-        // Batched run: the same cohort handed to one batch call.
-        let mut sims = (0..cohort)
-            .map(|k| CraneSimulator::new(cohort_config(k)))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut batch: Vec<(&mut CraneSimulator, usize)> =
-            sims.iter_mut().map(|sim| (sim, frames)).collect();
-        step_frames_batch_traced(&mut batch, None)?;
-        for (k, (sim, scalar)) in sims.iter().zip(&scalar_digests).enumerate() {
-            if sim.telemetry_digest() != *scalar {
-                violations.push(format!(
-                    "matrix shape {index}: cohort member {k} diverged from its scalar twin \
-                     (operator {:?}, gpu {:?}, {} channels)",
-                    base.operator, base.gpu, base.display_channels
-                ));
-            }
-        }
-    }
-    Ok(violations)
-}
-
-/// Proves migration transparency: the same workload served with live
-/// migration on and off must produce identical physics for every session —
-/// same score, same verdict, same frame count. (Modeled *costs* legitimately
-/// differ: a migrated session is charged on a different machine.) Returns
-/// the migrating outcome plus any per-session divergence.
-///
-/// # Errors
-///
-/// Returns the first hard error raised by either run.
-pub fn migration_transparency_check(
-    config: &FleetConfig,
-) -> Result<(FleetOutcome, Vec<String>), CbError> {
-    let mut pinned_config = config.clone();
-    pinned_config.migration = false;
-    let pinned = run_fleet(&pinned_config)?;
-    let mut migrating_config = config.clone();
-    migrating_config.migration = true;
-    let migrating = run_fleet(&migrating_config)?;
-
-    let mut violations = Vec::new();
-    if pinned.completed != migrating.completed {
-        violations.push(format!(
-            "migration changed the completion count: {} vs {}",
-            pinned.completed, migrating.completed
-        ));
-    }
-    for s in &migrating.sessions {
-        let Some(twin) = pinned.sessions.iter().find(|p| p.id == s.id) else {
-            violations.push(format!("session {} completed only under migration", s.id));
-            continue;
-        };
-        if twin.score != s.score || twin.passed != s.passed || twin.frames != s.frames {
-            violations.push(format!(
-                "session {} diverged under migration: score {} vs {}, passed {} vs {}, frames \
-                 {} vs {}",
-                s.id, twin.score, s.score, twin.passed, s.passed, twin.frames, s.frames
-            ));
-        }
-    }
-    Ok((migrating, violations))
-}
-
 /// Proves fidelity-tiering transparency: the same workload served all-Full
 /// and with live tiering must complete the *same* sessions (tick-granularity
 /// dynamics are tier-independent), any session finishing on the Full tier
@@ -463,6 +92,7 @@ pub fn migration_transparency_check(
 /// # Errors
 ///
 /// Returns the first hard error raised by either run.
+// audit:allow(dead-surface): ROADMAP item 6(d) turns it into the retier drift bound.
 pub fn tier_transparency_check(
     config: &FleetConfig,
 ) -> Result<(FleetOutcome, Vec<String>), CbError> {
@@ -511,8 +141,381 @@ pub fn tier_transparency_check(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use cod_fleet::{
+        initial_tier, PlacementPolicy, Priority, SessionShape, ShardConfig, SteppingMode,
+        WorkloadConfig,
+    };
+    use crane_sim::{step_frames_batch_traced, CraneSimulator, SimulatorConfig};
+
     use super::*;
-    use cod_fleet::{PlacementPolicy, Priority, ShardConfig, WorkloadConfig};
+    use crate::matrix::{scenario_specs, MatrixConfig};
+
+    /// Checks every fleet-level safety property on a drained outcome; returns a
+    /// description of each violated property (empty ⇒ all held).
+    fn check_fleet_outcome(outcome: &FleetOutcome) -> Vec<String> {
+        let mut violations = Vec::new();
+
+        // Conservation: after drain no session may be pending or resident, so
+        // every offered arrival is either completed or rejected, and the
+        // completion list matches the ledger. Preempted sessions were re-placed
+        // and re-counted in `admitted`, so the placement ledger closes as
+        // admitted = completed + preempted.
+        if outcome.offered != outcome.completed + outcome.rejected {
+            violations.push(format!(
+                "conservation: offered {} != completed {} + rejected {}",
+                outcome.offered, outcome.completed, outcome.rejected
+            ));
+        }
+        if outcome.sessions.len() as u64 != outcome.completed {
+            violations.push(format!(
+                "conservation: {} session outcomes vs {} completions",
+                outcome.sessions.len(),
+                outcome.completed
+            ));
+        }
+        if outcome.admitted != outcome.completed + outcome.preempted {
+            violations.push(format!(
+                "drain: admitted {} != completed {} + preempted {} (a session is still resident)",
+                outcome.admitted, outcome.completed, outcome.preempted
+            ));
+        }
+        // Preemption/migration conservation: the fleet totals must equal the
+        // per-session counters, both ways of counting the same events.
+        let session_preemptions: u64 =
+            outcome.sessions.iter().map(|s| u64::from(s.preempted)).sum();
+        if session_preemptions != outcome.preempted {
+            violations.push(format!(
+                "preemption ledger: per-session preemptions {} != fleet total {}",
+                session_preemptions, outcome.preempted
+            ));
+        }
+        let session_migrations: u64 = outcome.sessions.iter().map(|s| u64::from(s.migrated)).sum();
+        if session_migrations != outcome.migrated {
+            violations.push(format!(
+                "migration ledger: per-session migrations {} != fleet total {}",
+                session_migrations, outcome.migrated
+            ));
+        }
+        let shard_preempted: u64 = outcome.shard_stats.iter().map(|s| s.preempted_out).sum();
+        if shard_preempted != outcome.preempted {
+            violations.push(format!(
+                "preemption ledger: shard extractions {} != fleet total {}",
+                shard_preempted, outcome.preempted
+            ));
+        }
+        let migrated_out: u64 = outcome.shard_stats.iter().map(|s| s.migrated_out).sum();
+        let migrated_in: u64 = outcome.shard_stats.iter().map(|s| s.migrated_in).sum();
+        if migrated_out != outcome.migrated || migrated_in != outcome.migrated {
+            violations.push(format!(
+                "migration ledger: {migrated_out} out / {migrated_in} in vs fleet total {}",
+                outcome.migrated
+            ));
+        }
+        // Retier ledger: promotions and demotions are counted three ways — per
+        // session, per shard, and as fleet totals — and all three must agree.
+        let session_promotions: u64 = outcome.sessions.iter().map(|s| u64::from(s.promoted)).sum();
+        let session_demotions: u64 = outcome.sessions.iter().map(|s| u64::from(s.demoted)).sum();
+        let shard_promotions: u64 = outcome.shard_stats.iter().map(|s| s.promoted).sum();
+        let shard_demotions: u64 = outcome.shard_stats.iter().map(|s| s.demoted).sum();
+        if session_promotions != outcome.promoted || shard_promotions != outcome.promoted {
+            violations.push(format!(
+                "retier ledger: per-session promotions {session_promotions} / shard promotions \
+                 {shard_promotions} vs fleet total {}",
+                outcome.promoted
+            ));
+        }
+        if session_demotions != outcome.demoted || shard_demotions != outcome.demoted {
+            violations.push(format!(
+                "retier ledger: per-session demotions {session_demotions} / shard demotions \
+                 {shard_demotions} vs fleet total {}",
+                outcome.demoted
+            ));
+        }
+        if !outcome.config.tiering && outcome.promoted + outcome.demoted > 0 {
+            violations.push(format!(
+                "retier ledger: {} promotions / {} demotions with tiering off",
+                outcome.promoted, outcome.demoted
+            ));
+        }
+        // Tier policy: an Interactive session never leaves the full rack, and a
+        // Batch session (admitted Coarse) is never promoted above its home tier.
+        for s in &outcome.sessions {
+            if s.priority == Priority::Interactive
+                && (s.tier != FidelityTier::Full || s.promoted + s.demoted > 0)
+            {
+                violations.push(format!(
+                    "tier policy: interactive session {} finished {:?} with {} promotions / {} \
+                     demotions",
+                    s.id, s.tier, s.promoted, s.demoted
+                ));
+            }
+            if initial_tier(s.priority) == FidelityTier::Coarse && s.promoted > 0 {
+                violations.push(format!(
+                    "tier policy: {:?} session {} was promoted above its Coarse home tier",
+                    s.priority, s.id
+                ));
+            }
+        }
+
+        // Capacity: no shard may ever have hosted more sessions than it has
+        // slots, and nothing may have been rejected while a slot was free.
+        for (i, stats) in outcome.shard_stats.iter().enumerate() {
+            if stats.peak_residents > outcome.config.shard.slots {
+                violations.push(format!(
+                    "capacity: shard {i} peaked at {} residents, capacity {}",
+                    stats.peak_residents, outcome.config.shard.slots
+                ));
+            }
+        }
+        if outcome.rejected_with_free_slot > 0 {
+            violations.push(format!(
+                "backpressure: {} arrivals rejected while a slot was free",
+                outcome.rejected_with_free_slot
+            ));
+        }
+        if outcome.peak_pending > outcome.config.max_pending {
+            violations.push(format!(
+                "backpressure: queue peaked at {} over the bound {}",
+                outcome.peak_pending, outcome.config.max_pending
+            ));
+        }
+
+        // Priority ordering: a more urgent session never waits in the queue
+        // while a less urgent one is placed. Witness from the outcomes: session
+        // `a` (more urgent) already arrived strictly before `b`'s first
+        // placement, yet was itself first placed only after it — the driver
+        // would have had to pop `a` first.
+        for a in &outcome.sessions {
+            for b in &outcome.sessions {
+                if a.priority > b.priority
+                    && a.arrived_tick < b.admitted_tick
+                    && a.admitted_tick > b.admitted_tick
+                {
+                    violations.push(format!(
+                        "priority: {:?} session {} (arrived t{}, admitted t{}) waited while {:?} \
+                         session {} was placed at t{}",
+                        a.priority,
+                        a.id,
+                        a.arrived_tick,
+                        a.admitted_tick,
+                        b.priority,
+                        b.id,
+                        b.admitted_tick
+                    ));
+                }
+            }
+        }
+
+        // No starvation: a session can wait in the queue at most as long as the
+        // whole population ahead of it takes to drain through the fleet —
+        // bounded by the queue depth plus total slots, times the longest
+        // session's tick count. Every preemption can send a session back for
+        // another round of the same wait.
+        let ticks_per_session = outcome
+            .sessions
+            .iter()
+            .map(|s| (s.frames as u64).div_ceil(outcome.config.shard.batch_frames as u64) + 1)
+            .max()
+            .unwrap_or(1);
+        let ahead = (outcome.config.max_pending
+            + outcome.config.shards * outcome.config.shard.slots) as u64;
+        let wait_bound = ahead * ticks_per_session;
+        for s in &outcome.sessions {
+            let waited = s.admitted_tick - s.arrived_tick;
+            if waited > wait_bound {
+                violations.push(format!(
+                    "starvation: session {} ({}) queued for {waited} ticks (bound {wait_bound})",
+                    s.id, s.name
+                ));
+            }
+            let running = s.completed_tick - s.admitted_tick;
+            let run_bound =
+                ticks_per_session + u64::from(s.preempted) * (wait_bound + ticks_per_session);
+            if running > run_bound {
+                violations.push(format!(
+                    "starvation: session {} ({}) took {running} ticks after first placement \
+                     (bound {run_bound}, preempted {}x)",
+                    s.id, s.name, s.preempted
+                ));
+            }
+        }
+
+        violations
+    }
+
+    /// Runs the fleet twice from the same configuration and returns both reports
+    /// plus the first difference between their serialized forms (`None` proves
+    /// the run replays byte for byte).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first hard error raised by either run.
+    fn fleet_replay_check(
+        config: &FleetConfig,
+    ) -> Result<(FleetReport, FleetReport, Option<usize>), CbError> {
+        let first = FleetReport::from_outcome(&run_fleet(config)?);
+        let second = FleetReport::from_outcome(&run_fleet(config)?);
+        let a = first.to_json().to_pretty();
+        let b = second.to_json().to_pretty();
+        Ok((first, second, first_divergence(&a, &b)))
+    }
+
+    /// Proves batched-stepping equivalence: the same configuration served with
+    /// [`SteppingMode::Scalar`] (the reference hot loop, modeled execution) and
+    /// with [`SteppingMode::Batched`] under [`ExecutionMode::Modeled`] and
+    /// [`ExecutionMode::WallClock`] at each requested thread count must produce
+    /// byte-identical serialized reports **and** identical per-session telemetry
+    /// digests — grouping same-shape residents into cohorts may change
+    /// how fast sessions are served, never what they compute. Returns the scalar
+    /// reference report plus a description of every divergence (empty ⇒
+    /// equivalent).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first hard error raised by any run.
+    fn batch_equivalence_check(
+        config: &FleetConfig,
+        thread_counts: &[usize],
+    ) -> Result<(FleetReport, Vec<String>), CbError> {
+        let mut scalar_config = config.clone();
+        scalar_config.shard.stepping = SteppingMode::Scalar;
+        scalar_config.execution = ExecutionMode::Modeled;
+        let scalar_outcome = run_fleet(&scalar_config)?;
+        let reference = FleetReport::from_outcome(&scalar_outcome);
+        let reference_bytes = reference.to_json().to_pretty();
+        let reference_telemetry: BTreeMap<u64, u64> =
+            scalar_outcome.sessions.iter().map(|s| (s.id, s.telemetry)).collect();
+
+        let mut modes = vec![("modeled".to_owned(), ExecutionMode::Modeled)];
+        for &threads in thread_counts {
+            modes.push((format!("wallclock-{threads}"), ExecutionMode::WallClock { threads }));
+        }
+
+        let mut violations = Vec::new();
+        for (label, execution) in modes {
+            let mut batched_config = config.clone();
+            batched_config.shard.stepping = SteppingMode::Batched;
+            batched_config.execution = execution;
+            let outcome = run_fleet(&batched_config)?;
+            let telemetry: BTreeMap<u64, u64> =
+                outcome.sessions.iter().map(|s| (s.id, s.telemetry)).collect();
+            if telemetry != reference_telemetry {
+                violations.push(format!(
+                    "batched ({label}): per-session telemetry digests diverged from scalar"
+                ));
+            }
+            let bytes = FleetReport::from_outcome(&outcome).to_json().to_pretty();
+            if let Some(at) = first_divergence(&reference_bytes, &bytes) {
+                violations.push(format!(
+                    "batched ({label}): serialized report diverged from scalar at byte {at}"
+                ));
+            }
+        }
+        Ok((reference, violations))
+    }
+
+    /// Proves batched-stepping equivalence across every [`SessionShape`] of the
+    /// scenario matrix: each distinct shape the sweep exercises (deduplicated —
+    /// fault plans do not change a shape) gets a small same-shape cohort of
+    /// divergent seeds run both scalar (one [`CraneSimulator::step_frame`] loop
+    /// per session) and batched (one [`step_frames_batch_traced`] call), and every
+    /// member's telemetry digest must match bit for bit. Returns a description of
+    /// every divergence (empty ⇒ equivalent).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first hard error raised by any simulator.
+    fn batch_shape_coverage_check(
+        matrix: &MatrixConfig,
+        cohort: usize,
+        frames: usize,
+    ) -> Result<Vec<String>, CbError> {
+        let mut shapes: BTreeMap<SessionShape, SimulatorConfig> = BTreeMap::new();
+        for spec in scenario_specs(matrix) {
+            let mut config = spec.config.clone();
+            config.exam_frames = frames;
+            shapes.entry(SessionShape::of(&config)).or_insert(config);
+        }
+
+        let mut violations = Vec::new();
+        for (index, base) in shapes.values().enumerate() {
+            let cohort_config = |k: usize| {
+                let mut config = base.clone();
+                config.seed ^= (k as u64) * 0x9E37_79B9;
+                config
+            };
+            // Scalar reference: each member stepped alone, frame by frame.
+            let mut scalar_digests = Vec::with_capacity(cohort);
+            for k in 0..cohort {
+                let mut sim = CraneSimulator::new(cohort_config(k))?;
+                for _ in 0..frames {
+                    sim.step_frame()?;
+                }
+                scalar_digests.push(sim.telemetry_digest());
+            }
+            // Batched run: the same cohort handed to one batch call.
+            let mut sims = (0..cohort)
+                .map(|k| CraneSimulator::new(cohort_config(k)))
+                .collect::<Result<Vec<_>, _>>()?;
+            let mut batch: Vec<(&mut CraneSimulator, usize)> =
+                sims.iter_mut().map(|sim| (sim, frames)).collect();
+            step_frames_batch_traced(&mut batch, None)?;
+            for (k, (sim, scalar)) in sims.iter().zip(&scalar_digests).enumerate() {
+                if sim.telemetry_digest() != *scalar {
+                    violations.push(format!(
+                        "matrix shape {index}: cohort member {k} diverged from its scalar twin \
+                         (operator {:?}, gpu {:?}, {} channels)",
+                        base.operator, base.gpu, base.display_channels
+                    ));
+                }
+            }
+        }
+        Ok(violations)
+    }
+
+    /// Proves migration transparency: the same workload served with live
+    /// migration on and off must produce identical physics for every session —
+    /// same score, same verdict, same frame count. (Modeled *costs* legitimately
+    /// differ: a migrated session is charged on a different machine.) Returns
+    /// the migrating outcome plus any per-session divergence.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first hard error raised by either run.
+    fn migration_transparency_check(
+        config: &FleetConfig,
+    ) -> Result<(FleetOutcome, Vec<String>), CbError> {
+        let mut pinned_config = config.clone();
+        pinned_config.migration = false;
+        let pinned = run_fleet(&pinned_config)?;
+        let mut migrating_config = config.clone();
+        migrating_config.migration = true;
+        let migrating = run_fleet(&migrating_config)?;
+
+        let mut violations = Vec::new();
+        if pinned.completed != migrating.completed {
+            violations.push(format!(
+                "migration changed the completion count: {} vs {}",
+                pinned.completed, migrating.completed
+            ));
+        }
+        for s in &migrating.sessions {
+            let Some(twin) = pinned.sessions.iter().find(|p| p.id == s.id) else {
+                violations.push(format!("session {} completed only under migration", s.id));
+                continue;
+            };
+            if twin.score != s.score || twin.passed != s.passed || twin.frames != s.frames {
+                violations.push(format!(
+                    "session {} diverged under migration: score {} vs {}, passed {} vs {}, frames \
+                     {} vs {}",
+                    s.id, twin.score, s.score, twin.passed, s.passed, twin.frames, s.frames
+                ));
+            }
+        }
+        Ok((migrating, violations))
+    }
 
     fn small_config(shards: usize, seed: u64) -> FleetConfig {
         FleetConfig {

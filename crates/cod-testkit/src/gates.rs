@@ -262,7 +262,7 @@ fn run_bench() -> Result<Vec<GateRow>, String> {
     Ok(bench_rows(&report))
 }
 
-/// The workspace is audit-clean: no hard violation of rules R1–R6, a stale
+/// The workspace is audit-clean: no hard violation of rules R1–R7, a stale
 /// `[[allow]]` entry included.
 pub fn audit_rows(report: &AuditReport) -> Vec<GateRow> {
     let violations = report.violations().count() as f64;
@@ -727,18 +727,27 @@ mod tests {
 
     #[test]
     fn audit_gate_fails_on_a_hard_violation() {
-        let finding = |disposition| Finding {
+        let finding = |rule, disposition| Finding {
             path: "crates/x/src/lib.rs".into(),
             line: 3,
-            rule: Rule::WallClock,
+            rule,
             message: "Instant".into(),
             disposition,
         };
         let waived = Disposition::Waived { reason: "test timeout".into() };
-        let mut report = AuditReport { findings: vec![finding(waived)], files_checked: 1 };
+        let report = AuditReport {
+            findings: vec![
+                finding(Rule::WallClock, waived.clone()),
+                finding(Rule::DeadSurface, waived),
+            ],
+            files_checked: 1,
+        };
         assert_eq!(failed(&audit_rows(&report)), Vec::<&str>::new());
-        report.findings.push(finding(Disposition::Violation));
-        assert_eq!(failed(&audit_rows(&report)), ["hard determinism-audit violations"]);
+        for rule in [Rule::WallClock, Rule::DeadSurface] {
+            let mut report = report.clone();
+            report.findings.push(finding(rule, Disposition::Violation));
+            assert_eq!(failed(&audit_rows(&report)), ["hard determinism-audit violations"]);
+        }
     }
 
     #[test]

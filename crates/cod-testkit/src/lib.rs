@@ -53,10 +53,7 @@ pub mod harness;
 pub mod invariants;
 pub mod matrix;
 
-pub use fleet_invariants::{
-    batch_equivalence_check, batch_shape_coverage_check, check_fleet_outcome, fleet_replay_check,
-    migration_transparency_check, obs_equivalence_check, wallclock_equivalence_check,
-};
+pub use fleet_invariants::{obs_equivalence_check, wallclock_equivalence_check};
 pub use harness::{replay_check, run_scenario, run_scenario_with, ScenarioOutcome, ScenarioSpec};
 pub use invariants::{standard_invariants, FrameContext, Invariant, InvariantViolation};
 pub use matrix::{run_matrix, scenario_specs, MatrixConfig, MatrixSummary, ScenarioResult};

@@ -129,11 +129,6 @@ impl VisualDisplayLp {
         self.frames_rendered += 1;
         frame_time
     }
-
-    /// A PPM screenshot of the last rendered frame, if pixel rendering is enabled.
-    pub fn screenshot_ppm(&self) -> Option<Vec<u8>> {
-        self.renderer.as_ref().map(|r| r.framebuffer().to_ppm())
-    }
 }
 
 /// Poses the crane and cargo nodes of `world` from the reflected crane and
@@ -237,6 +232,11 @@ impl LogicalProcess for VisualDisplayLp {
 mod tests {
     use super::*;
 
+    /// A PPM screenshot of the last rendered frame, if pixel rendering is enabled.
+    fn screenshot_ppm(lp: &VisualDisplayLp) -> Option<Vec<u8>> {
+        lp.renderer.as_ref().map(|r| r.framebuffer().to_ppm())
+    }
+
     fn display(render_pixels: bool) -> VisualDisplayLp {
         let (registry, fom) = CraneFom::standard();
         VisualDisplayLp::new(
@@ -258,7 +258,7 @@ mod tests {
         let t = lp.render_frame();
         assert!(t.as_millis() > 30 && t.as_millis() < 90, "frame time {t}");
         assert_eq!(lp.frames_rendered(), 1);
-        assert!(lp.screenshot_ppm().is_none());
+        assert!(screenshot_ppm(&lp).is_none());
     }
 
     #[test]
@@ -266,7 +266,7 @@ mod tests {
         let mut lp = display(true);
         lp.crane.chassis_position = Vec3::new(0.0, 0.0, -40.0);
         lp.render_frame();
-        let ppm = lp.screenshot_ppm().expect("renderer enabled");
+        let ppm = screenshot_ppm(&lp).expect("renderer enabled");
         assert!(ppm.starts_with(b"P6"));
         assert!(ppm.len() > 80 * 60);
     }

@@ -60,11 +60,6 @@ impl SpatialGrid {
         out.dedup();
         out
     }
-
-    /// Number of non-empty cells.
-    pub fn occupied_cells(&self) -> usize {
-        self.cells.len()
-    }
 }
 
 #[cfg(test)]
@@ -100,7 +95,7 @@ mod tests {
     fn empty_query_yields_no_candidates() {
         let (grid, _) = grid_of_blocks();
         assert!(grid.candidates(&Aabb::empty()).is_empty());
-        assert!(grid.occupied_cells() > 0);
+        assert!(!grid.cells.is_empty());
     }
 
     #[test]
@@ -108,7 +103,7 @@ mod tests {
         let big =
             Aabb::from_center_half_extents(Vec3::new(0.0, 0.0, 0.0), Vec3::new(25.0, 1.0, 25.0));
         let grid = SpatialGrid::build(10.0, &[big]);
-        assert!(grid.occupied_cells() >= 25);
+        assert!(grid.cells.len() >= 25);
         let probe = Aabb::from_center_half_extents(Vec3::new(20.0, 0.0, -20.0), Vec3::splat(1.0));
         assert_eq!(grid.candidates(&probe), vec![0]);
     }

@@ -26,17 +26,6 @@ use crane_scene::world::Obstacle;
 
 use self::broad::SpatialGrid;
 
-/// Which level of the hierarchy confirmed a contact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DetectionLevel {
-    /// Bounding-sphere overlap only (used for statistics, never reported as a contact).
-    BoundingSphere,
-    /// AABB overlap only.
-    Aabb,
-    /// Exact narrow-phase contact.
-    Exact,
-}
-
 /// A confirmed contact against a static obstacle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Contact {

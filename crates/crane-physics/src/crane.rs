@@ -151,11 +151,6 @@ impl CraneRig {
         Quat::from_axis_angle(Vec3::unit_y(), self.state.slew_angle)
     }
 
-    /// Position of the boom pivot in chassis space.
-    pub fn boom_pivot(&self) -> Vec3 {
-        self.pivot_offset
-    }
-
     /// Position of the boom tip in chassis space.
     pub fn boom_tip(&self) -> Vec3 {
         let along = Vec3::new(0.0, self.state.luff_angle.sin(), -self.state.luff_angle.cos())
@@ -168,12 +163,6 @@ impl CraneRig {
         chassis.apply(self.boom_tip())
     }
 
-    /// Where the hook would hang at rest (straight below the boom tip by the
-    /// cable length), in world space.
-    pub fn hook_rest_position(&self, chassis: &Transform) -> Vec3 {
-        self.boom_tip_world(chassis) - Vec3::new(0.0, self.state.cable_length, 0.0)
-    }
-
     /// Horizontal working radius: distance from the slew axis to the boom tip,
     /// measured on the ground plane (the quantity the load-moment alarm uses).
     pub fn working_radius(&self) -> f64 {
@@ -183,6 +172,7 @@ impl CraneRig {
 
     /// Whether the boom is outside the safe working envelope (the "derrick boom
     /// overshoots the safety zone" alarm of Figure 5).
+    // audit:allow(dead-surface): ROADMAP item 4b — wire it into exam scoring or delete it.
     pub fn outside_safety_zone(&self) -> bool {
         self.working_radius() > self.limits.max_working_radius
             || self.state.luff_angle <= self.limits.min_luff + 1e-9
@@ -191,13 +181,6 @@ impl CraneRig {
     /// Fraction of the maximum working radius currently in use, in `[0, ...)`.
     pub fn radius_utilization(&self) -> f64 {
         self.working_radius() / self.limits.max_working_radius
-    }
-
-    /// Boom elongation as a fraction of the telescoping range, in `[0, 1]`
-    /// (one of the Status-window gauges of Figure 5).
-    pub fn boom_extension_fraction(&self) -> f64 {
-        let l = &self.limits;
-        (self.state.boom_length - l.min_boom_length) / (l.max_boom_length - l.min_boom_length)
     }
 }
 
@@ -269,17 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn hook_rest_position_hangs_straight_down() {
-        let rig = CraneRig::default();
-        let chassis = Transform::from_translation(Vec3::new(5.0, 0.0, 7.0));
-        let tip = rig.boom_tip_world(&chassis);
-        let hook = rig.hook_rest_position(&chassis);
-        assert!((tip.x - hook.x).abs() < 1e-12);
-        assert!((tip.z - hook.z).abs() < 1e-12);
-        assert!((tip.y - hook.y - rig.state.cable_length).abs() < 1e-12);
-    }
-
-    #[test]
     fn safety_zone_alarm_trips_at_long_radius_and_low_boom() {
         let mut rig = CraneRig::default();
         rig.state.luff_angle = 45f64.to_radians();
@@ -290,15 +262,6 @@ mod tests {
         rig.state.boom_length = rig.limits.max_boom_length;
         assert!(rig.outside_safety_zone());
         assert!(rig.radius_utilization() > 1.0);
-    }
-
-    #[test]
-    fn extension_fraction_spans_unit_interval() {
-        let mut rig = CraneRig::default();
-        rig.state.boom_length = rig.limits.min_boom_length;
-        assert!(rig.boom_extension_fraction().abs() < 1e-12);
-        rig.state.boom_length = rig.limits.max_boom_length;
-        assert!((rig.boom_extension_fraction() - 1.0).abs() < 1e-12);
     }
 
     proptest! {

@@ -25,7 +25,7 @@ pub mod stability;
 pub mod terrain;
 pub mod vehicle;
 
-pub use collision::{CollisionWorld, Contact, DetectionLevel};
+pub use collision::{CollisionWorld, Contact};
 pub use crane::{CraneControls, CraneLimits, CraneRig, CraneState};
 pub use pendulum::CablePendulum;
 pub use stability::{StabilityModel, StabilityReport};

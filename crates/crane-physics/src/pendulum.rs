@@ -71,6 +71,7 @@ impl CablePendulum {
     }
 
     /// Releases the cargo.
+    // audit:allow(dead-surface): ROADMAP item 4b — wire it into exam scoring or delete it.
     pub fn release_cargo(&mut self) {
         self.cargo_mass = 0.0;
     }
@@ -153,15 +154,8 @@ impl CablePendulum {
         self.velocity.length() < 0.02 && self.swing_amplitude(suspension) < 0.05
     }
 
-    /// Kinetic plus potential energy relative to the suspension point (joules).
-    pub fn energy(&self, suspension: Vec3) -> f64 {
-        let m = self.total_mass();
-        0.5 * m * self.velocity.length_squared()
-            + m * GRAVITY
-                * (self.position.y - (suspension.y - (self.position - suspension).length()))
-    }
-
     /// The tension currently carried by the cable (newtons, zero when slack).
+    // audit:allow(dead-surface): ROADMAP item 4b — wire it into exam scoring or delete it.
     pub fn cable_tension(&self, suspension: Vec3, cable_length: f64) -> f64 {
         let stretch = (self.position - suspension).length() - cable_length;
         if stretch <= 0.0 {

@@ -58,11 +58,6 @@ impl Aabb {
         self.max = self.max.max(p);
     }
 
-    /// The union of two boxes.
-    pub fn union(&self, other: &Aabb) -> Aabb {
-        Aabb { min: self.min.min(other.min), max: self.max.max(other.max) }
-    }
-
     /// Grows the box by `margin` on every side.
     pub fn inflated(&self, margin: f64) -> Aabb {
         Aabb { min: self.min - Vec3::splat(margin), max: self.max + Vec3::splat(margin) }
@@ -118,7 +113,6 @@ impl Aabb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn empty_box_unions_correctly() {
@@ -159,18 +153,5 @@ mod tests {
     #[should_panic]
     fn inverted_new_rejected() {
         let _ = Aabb::new(Vec3::splat(1.0), Vec3::ZERO);
-    }
-
-    proptest! {
-        #[test]
-        fn prop_union_contains_both(ax in -10.0..10.0f64, ay in -10.0..10.0f64, az in -10.0..10.0f64,
-                                    bx in -10.0..10.0f64, by in -10.0..10.0f64, bz in -10.0..10.0f64) {
-            let a = Aabb::from_points([Vec3::new(ax, ay, az), Vec3::ZERO]);
-            let b = Aabb::from_points([Vec3::new(bx, by, bz), Vec3::splat(1.0)]);
-            let u = a.union(&b);
-            prop_assert!(u.contains(a.center()));
-            prop_assert!(u.contains(b.center()));
-            prop_assert!(u.intersects(&a) && u.intersects(&b));
-        }
     }
 }

@@ -156,6 +156,7 @@ impl Course {
     }
 
     /// Distance from `p` to the nearest point of the cargo trajectory polyline.
+    // audit:allow(dead-surface): ROADMAP item 4b — wire it into exam scoring or delete it.
     pub fn distance_to_trajectory(&self, p: Vec3) -> f64 {
         self.trajectory
             .windows(2)
@@ -167,6 +168,7 @@ impl Course {
     }
 
     /// The index and distance of the closest bar to `p`, if any bars exist.
+    // audit:allow(dead-surface): ROADMAP item 4b — wire it into exam scoring or delete it.
     pub fn closest_bar(&self, p: Vec3) -> Option<(usize, f64)> {
         self.bars
             .iter()

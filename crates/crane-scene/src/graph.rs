@@ -81,11 +81,6 @@ impl SceneGraph {
         id
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Name of a node.
     pub fn name(&self, node: NodeId) -> &str {
         &self.nodes[node.0].name
@@ -94,11 +89,6 @@ impl SceneGraph {
     /// Finds the first node with the given name.
     pub fn find(&self, name: &str) -> Option<NodeId> {
         self.nodes.iter().position(|n| n.name == name).map(NodeId)
-    }
-
-    /// The local transform of a node.
-    pub fn local_transform(&self, node: NodeId) -> Transform {
-        self.nodes[node.0].local
     }
 
     /// Replaces the local transform of a node (used to animate the crane, the
@@ -149,17 +139,6 @@ impl SceneGraph {
         let world = self.world_transform(node);
         Some(Aabb::from_points(self.meshes[mesh_index].vertices.iter().map(|v| world.apply(*v))))
     }
-
-    /// World-space bounding box of the whole scene.
-    pub fn scene_aabb(&self) -> Aabb {
-        let mut aabb = Aabb::empty();
-        for i in 0..self.nodes.len() {
-            if let Some(node_aabb) = self.instance_aabb(NodeId(i)) {
-                aabb = aabb.union(&node_aabb);
-            }
-        }
-        aabb
-    }
 }
 
 #[cfg(test)]
@@ -200,7 +179,7 @@ mod tests {
         let instances = g.instances();
         assert_eq!(instances.len(), 2);
         assert_eq!(g.polygon_count(), 24);
-        assert_eq!(g.node_count(), 2);
+        assert_eq!(g.nodes.len(), 2);
     }
 
     #[test]
@@ -237,14 +216,6 @@ mod tests {
         );
         let world = g.world_transform(child);
         assert!(world.translation.distance(Vec3::new(20.0, 2.0, 0.0)) < 1e-9);
-    }
-
-    #[test]
-    fn scene_bounds_cover_all_instances() {
-        let (g, root, child) = simple_graph();
-        let bounds = g.scene_aabb();
-        assert!(bounds.contains(g.world_transform(root).translation));
-        assert!(bounds.contains(g.world_transform(child).translation));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Triangle meshes.
 
-use sim_math::{Transform, Vec3};
+use sim_math::Vec3;
 
 use crate::bounds::Aabb;
 
@@ -102,15 +102,6 @@ impl Mesh {
         Aabb::from_points(self.vertices.iter().copied())
     }
 
-    /// Returns a copy of the mesh with every vertex transformed.
-    pub fn transformed(&self, transform: &Transform) -> Mesh {
-        Mesh {
-            vertices: self.vertices.iter().map(|v| transform.apply(*v)).collect(),
-            triangles: self.triangles.clone(),
-            color: self.color,
-        }
-    }
-
     /// Appends another mesh (its color is discarded in favour of `self`'s).
     pub fn merge(&mut self, other: &Mesh) {
         let base = self.vertices.len() as u32;
@@ -174,15 +165,6 @@ mod tests {
         assert_eq!(a.polygon_count(), 2);
         assert_eq!(a.triangles[1], [3, 4, 5]);
         assert_eq!(a.vertices.len(), 6);
-    }
-
-    #[test]
-    fn transform_moves_bounds() {
-        let m = unit_triangle();
-        let moved = m.transformed(&Transform::from_translation(Vec3::new(10.0, 0.0, 0.0)));
-        let aabb = moved.aabb();
-        assert!((aabb.min.x - 10.0).abs() < 1e-12);
-        assert!((aabb.max.x - 11.0).abs() < 1e-12);
     }
 
     #[test]

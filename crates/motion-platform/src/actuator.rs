@@ -19,13 +19,6 @@ impl Default for ActuatorLimits {
     }
 }
 
-impl ActuatorLimits {
-    /// Whether `length` is within the stroke.
-    pub fn within_stroke(&self, length: f64) -> bool {
-        length >= self.min_length && length <= self.max_length
-    }
-}
-
 /// One actuator with its current length.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Actuator {
@@ -93,6 +86,5 @@ mod tests {
     fn construction_clamps_into_stroke() {
         let a = Actuator::new(ActuatorLimits::default(), 0.2);
         assert_eq!(a.length, a.limits.min_length);
-        assert!(a.limits.within_stroke(a.length));
     }
 }

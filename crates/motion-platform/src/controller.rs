@@ -67,18 +67,6 @@ impl MotionController {
         }
     }
 
-    /// Re-synchronizes the interpolation with a new visual frame rate
-    /// (paper §3.4: the interpolation frequency must follow the display).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `visual_fps` is not positive.
-    pub fn set_visual_fps(&mut self, visual_fps: f64) {
-        assert!(visual_fps > 0.0, "visual frame rate must be positive");
-        self.cue_interval = 1.0 / visual_fps;
-        self.interpolator.set_cue_interval(self.cue_interval);
-    }
-
     /// Feeds one motion cue (called once per visual frame by the dynamics LP).
     pub fn push_cue(&mut self, cue: MotionCue) {
         let pose = self.washout.update(
@@ -197,16 +185,6 @@ mod tests {
             assert!(pose.distance(&previous) < 0.03, "pose jumped");
             previous = pose;
         }
-    }
-
-    #[test]
-    fn changing_visual_fps_keeps_working() {
-        let mut c = MotionController::new(16.0, 1);
-        c.push_cue(MotionCue::default());
-        c.set_visual_fps(30.0);
-        c.push_cue(MotionCue { acceleration: Vec3::new(0.0, 0.0, 1.0), ..Default::default() });
-        let (pose, _) = c.servo_step(1.0 / 192.0);
-        assert!(pose.translation.is_finite());
     }
 
     #[test]

@@ -36,16 +36,6 @@ impl PoseInterpolator {
         }
     }
 
-    /// Updates the expected cue interval (the visual frame rate changed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cue_interval` is not positive.
-    pub fn set_cue_interval(&mut self, cue_interval: f64) {
-        assert!(cue_interval > 0.0, "cue interval must be positive");
-        self.cue_interval = cue_interval;
-    }
-
     /// Feeds a new motion cue (called once per visual frame).
     pub fn push_cue(&mut self, pose: PlatformPose) {
         self.previous = self.sample_at(self.elapsed);

@@ -1,7 +1,6 @@
-//! Inverse and forward kinematics of the Stewart platform.
+//! Inverse kinematics of the Stewart platform.
 
 use crate::geometry::{PlatformPose, StewartGeometry};
-use sim_math::Vec3;
 
 /// Inverse kinematics: the six leg lengths that realize `pose`.
 ///
@@ -15,59 +14,65 @@ pub fn inverse_kinematics(geometry: &StewartGeometry, pose: &PlatformPose) -> [f
     lengths
 }
 
-/// Forward kinematics: estimates the pose that produces the given leg lengths.
-///
-/// There is no closed form for the forward problem; this uses damped numerical
-/// coordinate descent from the neutral pose, which is ample for the small
-/// excursions of a training platform. Returns the estimated pose and the final
-/// root-mean-square leg-length error in metres.
-pub fn forward_kinematics(
-    geometry: &StewartGeometry,
-    target_lengths: &[f64; 6],
-) -> (PlatformPose, f64) {
-    let mut state = [0.0f64; 6]; // x, y, z, yaw, pitch, roll
-    let mut step = 0.02;
-    let mut error = rms_error(geometry, &state, target_lengths);
-    for _ in 0..400 {
-        let mut improved = false;
-        for axis in 0..6 {
-            for direction in [1.0, -1.0] {
-                let mut candidate = state;
-                candidate[axis] += direction * step;
-                let candidate_error = rms_error(geometry, &candidate, target_lengths);
-                if candidate_error < error {
-                    state = candidate;
-                    error = candidate_error;
-                    improved = true;
-                }
-            }
-        }
-        if !improved {
-            step *= 0.5;
-            if step < 1e-6 {
-                break;
-            }
-        }
-    }
-    (pose_from_state(&state), error)
-}
-
-fn pose_from_state(state: &[f64; 6]) -> PlatformPose {
-    PlatformPose::from_euler(Vec3::new(state[0], state[1], state[2]), state[3], state[4], state[5])
-}
-
-fn rms_error(geometry: &StewartGeometry, state: &[f64; 6], target: &[f64; 6]) -> f64 {
-    let pose = pose_from_state(state);
-    let lengths = inverse_kinematics(geometry, &pose);
-    let sum: f64 = lengths.iter().zip(target).map(|(a, b)| (a - b) * (a - b)).sum();
-    (sum / 6.0).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::StewartGeometry;
     use proptest::prelude::*;
+    use sim_math::Vec3;
+
+    /// Forward kinematics, the oracle that checks the inverse: estimates the
+    /// pose that produces the given leg lengths.
+    ///
+    /// There is no closed form for the forward problem; this uses damped numerical
+    /// coordinate descent from the neutral pose, which is ample for the small
+    /// excursions of a training platform. Returns the estimated pose and the final
+    /// root-mean-square leg-length error in metres.
+    fn forward_kinematics(
+        geometry: &StewartGeometry,
+        target_lengths: &[f64; 6],
+    ) -> (PlatformPose, f64) {
+        let mut state = [0.0f64; 6]; // x, y, z, yaw, pitch, roll
+        let mut step = 0.02;
+        let mut error = rms_error(geometry, &state, target_lengths);
+        for _ in 0..400 {
+            let mut improved = false;
+            for axis in 0..6 {
+                for direction in [1.0, -1.0] {
+                    let mut candidate = state;
+                    candidate[axis] += direction * step;
+                    let candidate_error = rms_error(geometry, &candidate, target_lengths);
+                    if candidate_error < error {
+                        state = candidate;
+                        error = candidate_error;
+                        improved = true;
+                    }
+                }
+            }
+            if !improved {
+                step *= 0.5;
+                if step < 1e-6 {
+                    break;
+                }
+            }
+        }
+        (pose_from_state(&state), error)
+    }
+
+    fn pose_from_state(state: &[f64; 6]) -> PlatformPose {
+        PlatformPose::from_euler(
+            Vec3::new(state[0], state[1], state[2]),
+            state[3],
+            state[4],
+            state[5],
+        )
+    }
+
+    fn rms_error(geometry: &StewartGeometry, state: &[f64; 6], target: &[f64; 6]) -> f64 {
+        let pose = pose_from_state(state);
+        let lengths = inverse_kinematics(geometry, &pose);
+        let sum: f64 = lengths.iter().zip(target).map(|(a, b)| (a - b) * (a - b)).sum();
+        (sum / 6.0).sqrt()
+    }
 
     #[test]
     fn inverse_then_forward_recovers_the_pose() {

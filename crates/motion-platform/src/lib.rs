@@ -31,6 +31,6 @@ pub use actuator::{Actuator, ActuatorLimits};
 pub use controller::{MotionController, MotionCue};
 pub use geometry::{PlatformPose, StewartGeometry};
 pub use interpolate::PoseInterpolator;
-pub use kinematics::{forward_kinematics, inverse_kinematics};
+pub use kinematics::inverse_kinematics;
 pub use vibration::VibrationGenerator;
 pub use washout::WashoutFilter;

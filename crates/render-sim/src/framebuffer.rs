@@ -69,16 +69,6 @@ impl Framebuffer {
         self.color[y * self.width + x]
     }
 
-    /// Reads a pixel's depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinates are out of range.
-    pub fn pixel_depth(&self, x: usize, y: usize) -> f32 {
-        assert!(x < self.width && y < self.height, "pixel out of range");
-        self.depth[y * self.width + x]
-    }
-
     /// Number of pixels whose color differs from `background` (a cheap measure
     /// of how much of the frame was covered by geometry).
     pub fn covered_pixels(&self, background: Color) -> usize {
@@ -113,6 +103,11 @@ impl Framebuffer {
 mod tests {
     use super::*;
 
+    /// Reads a pixel's depth.
+    fn pixel_depth(fb: &Framebuffer, x: usize, y: usize) -> f32 {
+        fb.depth[y * fb.width + x]
+    }
+
     #[test]
     fn depth_test_keeps_the_nearest_fragment() {
         let mut fb = Framebuffer::new(4, 4);
@@ -120,7 +115,7 @@ mod tests {
         assert!(!fb.set_pixel(1, 1, 9.0, Color::new(0, 10, 0)), "farther fragment must lose");
         assert!(fb.set_pixel(1, 1, 2.0, Color::new(0, 0, 10)));
         assert_eq!(fb.pixel(1, 1), Color::new(0, 0, 10));
-        assert_eq!(fb.pixel_depth(1, 1), 2.0);
+        assert_eq!(pixel_depth(&fb, 1, 1), 2.0);
     }
 
     #[test]
@@ -135,7 +130,7 @@ mod tests {
         fb.set_pixel(0, 0, 1.0, Color::new(9, 9, 9));
         fb.clear(Color::SKY);
         assert_eq!(fb.pixel(0, 0), Color::SKY);
-        assert_eq!(fb.pixel_depth(0, 0), f32::INFINITY);
+        assert_eq!(pixel_depth(&fb, 0, 0), f32::INFINITY);
         assert_eq!(fb.covered_pixels(Color::SKY), 0);
     }
 

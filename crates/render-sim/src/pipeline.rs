@@ -56,11 +56,6 @@ impl Renderer {
         &self.framebuffer
     }
 
-    /// Sets the background (sky) color.
-    pub fn set_background(&mut self, color: Color) {
-        self.background = color;
-    }
-
     /// Renders the scene from `camera` and returns the frame statistics.
     pub fn render(&mut self, scene: &SceneGraph, camera: &Camera) -> RenderStats {
         let mut stats =

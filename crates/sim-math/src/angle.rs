@@ -37,11 +37,6 @@ impl Rad {
     pub fn value(self) -> f64 {
         self.0
     }
-
-    /// Returns the angle wrapped into `(-pi, pi]`.
-    pub fn wrapped(self) -> Rad {
-        Rad(wrap_to_pi(self.0))
-    }
 }
 
 impl From<Deg> for Rad {
@@ -83,20 +78,6 @@ pub fn wrap_to_pi(angle: f64) -> f64 {
     a - PI
 }
 
-/// Normalizes an angle in radians into `[0, 2*pi)`.
-pub fn normalize_angle(angle: f64) -> f64 {
-    let mut a = angle % TAU;
-    if a < 0.0 {
-        a += TAU;
-    }
-    a
-}
-
-/// Shortest signed angular difference `b - a`, wrapped into `(-pi, pi]`.
-pub fn angle_diff(a: f64, b: f64) -> f64 {
-    wrap_to_pi(b - a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,20 +96,6 @@ mod tests {
             let a = wrap_to_pi(k as f64 * 1.3);
             assert!(a > -PI - 1e-12 && a <= PI + 1e-12);
         }
-    }
-
-    #[test]
-    fn normalize_angle_range() {
-        for k in -20..20 {
-            let a = normalize_angle(k as f64 * 2.1);
-            assert!((0.0..TAU + 1e-12).contains(&a));
-        }
-    }
-
-    #[test]
-    fn angle_diff_shortest_path() {
-        let d = angle_diff(0.1, TAU - 0.1);
-        assert!(approx_eq(d, -0.2, 1e-9));
     }
 
     #[test]

@@ -11,30 +11,6 @@
 
 use crate::integrate::rk4_step;
 
-/// One semi-implicit (symplectic) Euler step across every lane.
-///
-/// Lane `i` updates `(xs[i], vs[i])` exactly like
-/// [`crate::integrate::semi_implicit_euler_step`] with acceleration
-/// `accel(i, x, v)`: the velocity integrates first, the position uses the new
-/// velocity.
-///
-/// # Panics
-///
-/// Panics if `xs` and `vs` differ in length.
-pub fn semi_implicit_euler_step_batch<F>(xs: &mut [f64], vs: &mut [f64], accel: F, dt: f64)
-where
-    F: Fn(usize, f64, f64) -> f64,
-{
-    assert_eq!(xs.len(), vs.len(), "lockstep lanes need matching lengths");
-    for i in 0..xs.len() {
-        let a = accel(i, xs[i], vs[i]);
-        let v_new = vs[i] + a * dt;
-        let x_new = xs[i] + v_new * dt;
-        xs[i] = x_new;
-        vs[i] = v_new;
-    }
-}
-
 /// One classical RK4 step across every lane, in place.
 ///
 /// Lane `i` advances `states[i]` exactly like [`rk4_step`] with derivative
@@ -51,39 +27,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::integrate::semi_implicit_euler_step;
-
-    #[test]
-    fn euler_batch_is_bit_identical_to_scalar_lanes() {
-        // Spring-mass lanes with lane-dependent stiffness.
-        let mut xs: Vec<f64> = (0..16).map(|i| 0.1 * i as f64 - 0.7).collect();
-        let mut vs: Vec<f64> = (0..16).map(|i| 0.03 * i as f64).collect();
-        let mut xs_ref = xs.clone();
-        let mut vs_ref = vs.clone();
-        let dt = 1.0 / 240.0;
-        for _ in 0..1_000 {
-            semi_implicit_euler_step_batch(
-                &mut xs,
-                &mut vs,
-                |i, x, v| -(1.0 + i as f64) * x - 0.05 * v,
-                dt,
-            );
-            for i in 0..xs_ref.len() {
-                let (x, v) = semi_implicit_euler_step(
-                    xs_ref[i],
-                    vs_ref[i],
-                    |x, v| -(1.0 + i as f64) * x - 0.05 * v,
-                    dt,
-                );
-                xs_ref[i] = x;
-                vs_ref[i] = v;
-            }
-        }
-        for i in 0..xs.len() {
-            assert_eq!(xs[i].to_bits(), xs_ref[i].to_bits(), "lane {i} position diverged");
-            assert_eq!(vs[i].to_bits(), vs_ref[i].to_bits(), "lane {i} velocity diverged");
-        }
-    }
 
     #[test]
     fn rk4_batch_is_bit_identical_to_scalar_lanes() {
@@ -102,13 +45,5 @@ mod tests {
             assert_eq!(a[0].to_bits(), b[0].to_bits(), "lane {i} diverged");
             assert_eq!(a[1].to_bits(), b[1].to_bits(), "lane {i} diverged");
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn mismatched_lane_lengths_rejected() {
-        let mut xs = vec![0.0; 3];
-        let mut vs = vec![0.0; 2];
-        semi_implicit_euler_step_batch(&mut xs, &mut vs, |_, _, _| 0.0, 0.01);
     }
 }

@@ -38,21 +38,6 @@ where
     out
 }
 
-/// One semi-implicit (symplectic) Euler step for a second-order system with
-/// position `x`, velocity `v` and acceleration `a(x, v)`.
-///
-/// Returns the updated `(x, v)`. Used for the vehicle model where energy
-/// behaviour matters more than per-step accuracy.
-pub fn semi_implicit_euler_step<F>(x: f64, v: f64, accel: F, dt: f64) -> (f64, f64)
-where
-    F: Fn(f64, f64) -> f64,
-{
-    let a = accel(x, v);
-    let v_new = v + a * dt;
-    let x_new = x + v_new * dt;
-    (x_new, v_new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,21 +67,6 @@ mod tests {
         assert!((next[0] - 3.5).abs() < 1e-12);
     }
 
-    #[test]
-    fn semi_implicit_euler_bounded_energy() {
-        // Spring-mass: a = -x. Symplectic Euler should keep the orbit bounded.
-        let (mut x, mut v) = (1.0, 0.0);
-        let dt = 0.01;
-        let mut max_energy: f64 = 0.0;
-        for _ in 0..100_000 {
-            let (nx, nv) = semi_implicit_euler_step(x, v, |x, _| -x, dt);
-            x = nx;
-            v = nv;
-            max_energy = max_energy.max(0.5 * (x * x + v * v));
-        }
-        assert!(max_energy < 0.6, "energy drifted: {max_energy}");
-    }
-
     use proptest::prelude::*;
 
     proptest! {
@@ -113,25 +83,6 @@ mod tests {
                 let e = 0.5 * (state[0] * state[0] + state[1] * state[1]);
                 prop_assert!(e <= e0 * 1.000_001 + 1e-12, "energy grew: {e} > {e0}");
                 prop_assert!(e >= e0 * 0.99 - 1e-12, "energy collapsed: {e} < {e0}");
-            }
-        }
-
-        #[test]
-        fn prop_symplectic_euler_energy_bounded_across_1k_steps(x0 in -2.0..2.0f64,
-                                                                v0 in -2.0..2.0f64,
-                                                                omega in 0.5..2.0f64) {
-            // Spring with random stiffness: the symplectic integrator's energy
-            // oscillates but stays bounded (no secular drift).
-            let dt = 0.01;
-            let (mut x, mut v) = (x0, v0);
-            let k = omega * omega;
-            let e0 = 0.5 * (k * x0 * x0 + v0 * v0);
-            for _ in 0..1_000 {
-                let (nx, nv) = semi_implicit_euler_step(x, v, |x, _| -k * x, dt);
-                x = nx;
-                v = nv;
-                let e = 0.5 * (k * x * x + v * v);
-                prop_assert!(e <= e0 * 1.05 + 1e-9, "energy drifted: {e} vs {e0}");
             }
         }
 

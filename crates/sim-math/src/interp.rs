@@ -9,38 +9,6 @@ pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
     a + (b - a) * t
 }
 
-/// Smooth Hermite step: 0 below `edge0`, 1 above `edge1`, smooth in between.
-///
-/// # Panics
-///
-/// Panics if `edge0 >= edge1`.
-pub fn smoothstep(edge0: f64, edge1: f64, x: f64) -> f64 {
-    assert!(edge0 < edge1, "smoothstep requires edge0 < edge1");
-    let t = ((x - edge0) / (edge1 - edge0)).clamp(0.0, 1.0);
-    t * t * (3.0 - 2.0 * t)
-}
-
-/// Cubic Hermite interpolation between `p0` (with outgoing tangent `m0`) and
-/// `p1` (with incoming tangent `m1`) at parameter `t` in `[0, 1]`.
-pub fn hermite(p0: f64, m0: f64, p1: f64, m1: f64, t: f64) -> f64 {
-    let t2 = t * t;
-    let t3 = t2 * t;
-    (2.0 * t3 - 3.0 * t2 + 1.0) * p0
-        + (t3 - 2.0 * t2 + t) * m0
-        + (-2.0 * t3 + 3.0 * t2) * p1
-        + (t3 - t2) * m1
-}
-
-/// Catmull–Rom spline through `p1`..`p2` with neighbouring control points
-/// `p0` and `p3`, evaluated at `t` in `[0, 1]`.
-///
-/// Used by the scenario course to lay out the driving path between waypoints.
-pub fn catmull_rom(p0: f64, p1: f64, p2: f64, p3: f64, t: f64) -> f64 {
-    let m1 = (p2 - p0) * 0.5;
-    let m2 = (p3 - p1) * 0.5;
-    hermite(p1, m1, p2, m2, t)
-}
-
 /// Moves `current` toward `target` by at most `max_delta`, never overshooting.
 pub fn move_toward(current: f64, target: f64, max_delta: f64) -> f64 {
     debug_assert!(max_delta >= 0.0);
@@ -61,30 +29,6 @@ mod tests {
     fn lerp_endpoints() {
         assert_eq!(lerp(2.0, 4.0, 0.0), 2.0);
         assert_eq!(lerp(2.0, 4.0, 1.0), 4.0);
-    }
-
-    #[test]
-    fn smoothstep_is_monotone_and_bounded() {
-        let mut prev = -1.0;
-        for i in 0..=100 {
-            let x = i as f64 / 100.0;
-            let v = smoothstep(0.0, 1.0, x);
-            assert!(v >= prev);
-            assert!((0.0..=1.0).contains(&v));
-            prev = v;
-        }
-    }
-
-    #[test]
-    fn hermite_hits_endpoints() {
-        assert_eq!(hermite(1.0, 0.5, 3.0, -0.5, 0.0), 1.0);
-        assert_eq!(hermite(1.0, 0.5, 3.0, -0.5, 1.0), 3.0);
-    }
-
-    #[test]
-    fn catmull_rom_interpolates_control_points() {
-        assert_eq!(catmull_rom(0.0, 1.0, 2.0, 3.0, 0.0), 1.0);
-        assert_eq!(catmull_rom(0.0, 1.0, 2.0, 3.0, 1.0), 2.0);
     }
 
     #[test]

@@ -28,12 +28,12 @@ pub mod quat;
 pub mod transform;
 pub mod vec;
 
-pub use angle::{normalize_angle, wrap_to_pi, Deg, Rad};
-pub use batch::{rk4_step_batch, semi_implicit_euler_step_batch};
+pub use angle::{wrap_to_pi, Deg, Rad};
+pub use batch::rk4_step_batch;
 pub use filter::{HighPass, LowPass, RateLimiter};
 pub use hash::{mix64, Fnv1a, SplitMix64};
-pub use integrate::{rk4_step, semi_implicit_euler_step};
-pub use interp::{catmull_rom, hermite, lerp, smoothstep};
+pub use integrate::rk4_step;
+pub use interp::lerp;
 pub use mat::{Mat3, Mat4};
 pub use noise::ValueNoise;
 pub use quat::Quat;

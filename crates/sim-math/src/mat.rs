@@ -27,38 +27,6 @@ impl Mat3 {
         Mat3 { cols: [c0, c1, c2] }
     }
 
-    /// Rotation about the X axis by `angle` radians.
-    pub fn rotation_x(angle: f64) -> Mat3 {
-        let (s, c) = angle.sin_cos();
-        Mat3::from_cols(Vec3::new(1.0, 0.0, 0.0), Vec3::new(0.0, c, s), Vec3::new(0.0, -s, c))
-    }
-
-    /// Rotation about the Y axis by `angle` radians.
-    pub fn rotation_y(angle: f64) -> Mat3 {
-        let (s, c) = angle.sin_cos();
-        Mat3::from_cols(Vec3::new(c, 0.0, -s), Vec3::new(0.0, 1.0, 0.0), Vec3::new(s, 0.0, c))
-    }
-
-    /// Rotation about the Z axis by `angle` radians.
-    pub fn rotation_z(angle: f64) -> Mat3 {
-        let (s, c) = angle.sin_cos();
-        Mat3::from_cols(Vec3::new(c, s, 0.0), Vec3::new(-s, c, 0.0), Vec3::new(0.0, 0.0, 1.0))
-    }
-
-    /// Transposed matrix.
-    pub fn transposed(&self) -> Mat3 {
-        Mat3::from_cols(
-            Vec3::new(self.cols[0].x, self.cols[1].x, self.cols[2].x),
-            Vec3::new(self.cols[0].y, self.cols[1].y, self.cols[2].y),
-            Vec3::new(self.cols[0].z, self.cols[1].z, self.cols[2].z),
-        )
-    }
-
-    /// Determinant of the matrix.
-    pub fn determinant(&self) -> f64 {
-        self.cols[0].dot(self.cols[1].cross(self.cols[2]))
-    }
-
     /// Transforms a vector.
     pub fn transform(&self, v: Vec3) -> Vec3 {
         self.cols[0] * v.x + self.cols[1] * v.y + self.cols[2] * v.z
@@ -106,26 +74,6 @@ impl Mat4 {
         m.m[0][3] = t.x;
         m.m[1][3] = t.y;
         m.m[2][3] = t.z;
-        m
-    }
-
-    /// Uniform or per-axis scale matrix.
-    pub fn scale(s: Vec3) -> Mat4 {
-        let mut m = Mat4::identity();
-        m.m[0][0] = s.x;
-        m.m[1][1] = s.y;
-        m.m[2][2] = s.z;
-        m
-    }
-
-    /// Embeds a 3x3 rotation into a 4x4 matrix.
-    pub fn from_mat3(r: &Mat3) -> Mat4 {
-        let mut m = Mat4::identity();
-        for col in 0..3 {
-            m.m[0][col] = r.cols[col].x;
-            m.m[1][col] = r.cols[col].y;
-            m.m[2][col] = r.cols[col].z;
-        }
         m
     }
 
@@ -179,15 +127,6 @@ impl Mat4 {
         let w = self.m[3][0] * p.x + self.m[3][1] * p.y + self.m[3][2] * p.z + self.m[3][3];
         (Vec3::new(x, y, z), w)
     }
-
-    /// Transforms a direction (w = 0); translation is ignored.
-    pub fn transform_direction(&self, d: Vec3) -> Vec3 {
-        Vec3::new(
-            self.m[0][0] * d.x + self.m[0][1] * d.y + self.m[0][2] * d.z,
-            self.m[1][0] * d.x + self.m[1][1] * d.y + self.m[1][2] * d.z,
-            self.m[2][0] * d.x + self.m[2][1] * d.y + self.m[2][2] * d.z,
-        )
-    }
 }
 
 impl Mul for Mat4 {
@@ -217,25 +156,9 @@ mod tests {
     }
 
     #[test]
-    fn mat3_rotation_y_quarter_turn() {
-        let v = Mat3::rotation_y(FRAC_PI_2).transform(Vec3::unit_x());
-        assert!(approx_eq(v.x, 0.0, 1e-12));
-        assert!(approx_eq(v.z, -1.0, 1e-12));
-    }
-
-    #[test]
-    fn mat3_rotation_determinant_is_one() {
-        for a in [0.1, 0.7, 2.3] {
-            assert!(approx_eq(Mat3::rotation_x(a).determinant(), 1.0, 1e-12));
-            assert!(approx_eq(Mat3::rotation_z(a).determinant(), 1.0, 1e-12));
-        }
-    }
-
-    #[test]
     fn mat4_translation_moves_points_not_directions() {
         let t = Mat4::translation(Vec3::new(1.0, 2.0, 3.0));
         assert_eq!(t.transform_point(Vec3::ZERO), Vec3::new(1.0, 2.0, 3.0));
-        assert_eq!(t.transform_direction(Vec3::unit_x()), Vec3::unit_x());
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl Quat {
         }
     }
 
-    /// The conjugate (inverse for unit quaternions).
-    pub fn conjugate(&self) -> Quat {
-        Quat::new(self.w, -self.x, -self.y, -self.z)
-    }
-
     /// Rotates a vector by this quaternion.
     pub fn rotate(&self, v: Vec3) -> Vec3 {
         let u = Vec3::new(self.x, self.y, self.z);
@@ -203,14 +198,6 @@ mod tests {
     fn zero_axis_gives_identity() {
         let q = Quat::from_axis_angle(Vec3::ZERO, 1.0);
         assert_eq!(q, Quat::identity());
-    }
-
-    #[test]
-    fn conjugate_inverts_rotation() {
-        let q = Quat::from_axis_angle(Vec3::new(1.0, 1.0, 0.0), 0.73);
-        let v = Vec3::new(0.3, -0.7, 2.0);
-        let back = q.conjugate().rotate(q.rotate(v));
-        assert!(back.distance(v) < 1e-9);
     }
 
     #[test]

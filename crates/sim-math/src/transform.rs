@@ -1,6 +1,5 @@
 //! Rigid-body transform (translation + rotation).
 
-use crate::mat::Mat4;
 use crate::quat::Quat;
 use crate::vec::Vec3;
 
@@ -32,11 +31,6 @@ impl Transform {
         Transform { translation, rotation: Quat::identity() }
     }
 
-    /// Creates a pure rotation.
-    pub fn from_rotation(rotation: Quat) -> Transform {
-        Transform { translation: Vec3::ZERO, rotation }
-    }
-
     /// Applies the transform to a point.
     pub fn apply(&self, p: Vec3) -> Vec3 {
         self.rotation.rotate(p) + self.translation
@@ -56,12 +50,6 @@ impl Transform {
         }
     }
 
-    /// The inverse transform.
-    pub fn inverse(&self) -> Transform {
-        let inv_rot = self.rotation.conjugate();
-        Transform { translation: inv_rot.rotate(-self.translation), rotation: inv_rot }
-    }
-
     /// Interpolates between two rigid transforms (lerp for translation, slerp
     /// for rotation). `t` outside `[0, 1]` extrapolates linearly for the
     /// translation and clamps along the arc for the rotation.
@@ -70,11 +58,6 @@ impl Transform {
             translation: self.translation.lerp(other.translation, t),
             rotation: self.rotation.slerp(&other.rotation, t),
         }
-    }
-
-    /// Converts the transform into a 4x4 matrix.
-    pub fn to_mat4(&self) -> Mat4 {
-        Mat4::translation(self.translation) * Mat4::from_mat3(&self.rotation.to_mat3())
     }
 }
 
@@ -92,13 +75,6 @@ mod tests {
         let p = t.apply(Vec3::unit_x());
         assert!((p.x - 10.0).abs() < 1e-9);
         assert!((p.z + 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn inverse_undoes_transform() {
-        let t = Transform::new(Vec3::new(1.0, 2.0, 3.0), Quat::from_yaw_pitch_roll(0.3, -0.8, 1.2));
-        let p = Vec3::new(-4.0, 5.0, 0.5);
-        assert!(t.inverse().apply(t.apply(p)).distance(p) < 1e-9);
     }
 
     #[test]
@@ -120,13 +96,5 @@ mod tests {
         assert!(a.interpolate(&b, 1.0).translation.distance(b.translation) < 1e-12);
         let mid = a.interpolate(&b, 0.5);
         assert!((mid.translation.x - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn to_mat4_matches_apply() {
-        let t =
-            Transform::new(Vec3::new(3.0, -1.0, 2.0), Quat::from_yaw_pitch_roll(1.1, 0.2, -0.4));
-        let p = Vec3::new(0.5, 0.6, 0.7);
-        assert!(t.to_mat4().transform_point(p).distance(t.apply(p)) < 1e-9);
     }
 }

@@ -27,11 +27,6 @@ impl Vec2 {
         self.x * rhs.x + self.y * rhs.y
     }
 
-    /// Z component of the 3D cross product of the two vectors embedded in the plane.
-    pub fn perp_dot(self, rhs: Vec2) -> f64 {
-        self.x * rhs.y - self.y * rhs.x
-    }
-
     /// Euclidean length.
     pub fn length(self) -> f64 {
         self.dot(self).sqrt()
@@ -56,12 +51,6 @@ impl Vec2 {
             Some(self / len)
         }
     }
-
-    /// Rotates the vector counter-clockwise by `angle` radians.
-    pub fn rotated(self, angle: f64) -> Vec2 {
-        let (s, c) = angle.sin_cos();
-        Vec2::new(self.x * c - self.y * s, self.x * s + self.y * c)
-    }
 }
 
 /// A three-dimensional vector of `f64` components.
@@ -78,8 +67,6 @@ pub struct Vec3 {
 impl Vec3 {
     /// The zero vector.
     pub const ZERO: Vec3 = Vec3 { x: 0.0, y: 0.0, z: 0.0 };
-    /// The all-ones vector.
-    pub const ONE: Vec3 = Vec3 { x: 1.0, y: 1.0, z: 1.0 };
 
     /// Creates a new vector from components.
     pub const fn new(x: f64, y: f64, z: f64) -> Self {
@@ -135,11 +122,6 @@ impl Vec3 {
         (self - rhs).length()
     }
 
-    /// Squared distance between two points.
-    pub fn distance_squared(self, rhs: Vec3) -> f64 {
-        (self - rhs).length_squared()
-    }
-
     /// Returns the vector scaled to unit length, or `None` if it is (nearly) zero.
     pub fn normalized(self) -> Option<Vec3> {
         let len = self.length();
@@ -156,11 +138,6 @@ impl Vec3 {
         self.normalized().unwrap_or(fallback)
     }
 
-    /// Component-wise multiplication.
-    pub fn component_mul(self, rhs: Vec3) -> Vec3 {
-        Vec3::new(self.x * rhs.x, self.y * rhs.y, self.z * rhs.z)
-    }
-
     /// Component-wise minimum.
     pub fn min(self, rhs: Vec3) -> Vec3 {
         Vec3::new(self.x.min(rhs.x), self.y.min(rhs.y), self.z.min(rhs.z))
@@ -171,34 +148,14 @@ impl Vec3 {
         Vec3::new(self.x.max(rhs.x), self.y.max(rhs.y), self.z.max(rhs.z))
     }
 
-    /// The largest component.
-    pub fn max_component(self) -> f64 {
-        self.x.max(self.y).max(self.z)
-    }
-
     /// Linear interpolation from `self` to `rhs` by `t` (not clamped).
     pub fn lerp(self, rhs: Vec3, t: f64) -> Vec3 {
         self + (rhs - self) * t
     }
 
-    /// Projects `self` onto `onto`. Returns the zero vector when `onto` is zero.
-    pub fn project_onto(self, onto: Vec3) -> Vec3 {
-        let d = onto.length_squared();
-        if d <= crate::EPSILON {
-            Vec3::ZERO
-        } else {
-            onto * (self.dot(onto) / d)
-        }
-    }
-
     /// Horizontal (ground-plane) projection, i.e. the vector with the Y component zeroed.
     pub fn horizontal(self) -> Vec3 {
         Vec3::new(self.x, 0.0, self.z)
-    }
-
-    /// The `(x, z)` ground-plane coordinates as a [`Vec2`].
-    pub fn xz(self) -> Vec2 {
-        Vec2::new(self.x, self.z)
     }
 
     /// Returns true when every component is finite.
@@ -317,21 +274,6 @@ mod tests {
     fn normalized_zero_is_none() {
         assert!(Vec3::ZERO.normalized().is_none());
         assert_eq!(Vec3::ZERO.normalized_or(Vec3::unit_y()), Vec3::unit_y());
-    }
-
-    #[test]
-    fn projection_recovers_component() {
-        let v = Vec3::new(3.0, 4.0, 0.0);
-        let p = v.project_onto(Vec3::unit_x());
-        assert!(approx_eq(p.x, 3.0, 1e-12));
-        assert!(approx_eq(p.y, 0.0, 1e-12));
-    }
-
-    #[test]
-    fn vec2_rotation_quarter_turn() {
-        let v = Vec2::new(1.0, 0.0).rotated(std::f64::consts::FRAC_PI_2);
-        assert!(approx_eq(v.x, 0.0, 1e-12));
-        assert!(approx_eq(v.y, 1.0, 1e-12));
     }
 
     #[test]

@@ -17,11 +17,12 @@ const WARM_UP_FRAMES: usize = 500;
 const MEASURED_FRAMES: usize = 1000;
 
 /// Heap allocations allowed to build one rack once the process's training
-/// world and class registry exist, per tier (370 and 295 measured; 1 593 and
-/// 1 262 while every rack copied the registry's class tables, 6 381 and
-/// 3 656 while every rack also built its own worlds).
+/// world and class registry exist, per tier (360 and 287 measured; 370 and
+/// 295 while the CB kernel stored each LP's name, 1 593 and 1 262 while
+/// every rack copied the registry's class tables, 6 381 and 3 656 while
+/// every rack also built its own worlds).
 const BUDGET_PER_BUILD: [(FidelityTier, u64); 2] =
-    [(FidelityTier::Full, 370), (FidelityTier::Coarse, 295)];
+    [(FidelityTier::Full, 360), (FidelityTier::Coarse, 287)];
 
 thread_local! {
     // Per thread, so the test harness's own threads never leak into the count.

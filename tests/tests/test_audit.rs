@@ -1,10 +1,11 @@
 //! Self-audit of the determinism linter, two ways.
 //!
 //! 1. **Fixture tree** — a synthetic crate containing *exactly one*
-//!    violation per rule (R1..R6), each wrapped in decoys that must NOT
+//!    violation per rule (R1..R7), each wrapped in decoys that must NOT
 //!    fire: the same banned text inside string literals, comments and a
 //!    waived line. Proves every rule is detectable and reported exactly
-//!    once with the right id.
+//!    once with the right id. Small trees of their own then show each
+//!    case of the cross-file rule R7 (`dead-surface`).
 //! 2. **The workspace itself** — parses the checked-in `audit.toml` and
 //!    audits the real tree, asserting it is audit-clean. This makes
 //!    `cargo test` a standing witness of the `audit` row CI enforces with
@@ -12,14 +13,14 @@
 
 use std::path::Path;
 
-use cod_audit::{audit_tree, AuditConfig, Rule};
+use cod_audit::{audit_tree, AuditConfig, Disposition, Rule};
 
 /// One fixture file per rule. Each source embeds decoys (strings, comments,
 /// waived lines) that the lexer must keep inert, leaving exactly one hard
 /// violation at a known line.
 const FIXTURES: &[(&str, Rule, &str)] = &[
     (
-        "src/clock.rs",
+        "crates/fixture/src/clock.rs",
         Rule::WallClock,
         r#"//! Decoy: Instant::now() and SystemTime in a doc comment.
 pub fn banned() -> std::time::Instant {
@@ -32,7 +33,7 @@ pub fn banned() -> std::time::Instant {
 "#,
     ),
     (
-        "src/map.rs",
+        "crates/fixture/src/map.rs",
         Rule::UnorderedCollections,
         r#"/* Decoy: HashMap in a block comment
    /* nested: HashSet */
@@ -44,7 +45,7 @@ pub fn banned(m: &std::collections::HashMap<u32, u32>) -> usize {
 "#,
     ),
     (
-        "src/rng.rs",
+        "crates/fixture/src/rng.rs",
         Rule::AmbientRandomness,
         r##"pub fn banned() {
     let decoy = r#"thread_rng() from_entropy inside a raw string "fence" "#;
@@ -54,18 +55,18 @@ pub fn banned(m: &std::collections::HashMap<u32, u32>) -> usize {
 "##,
     ),
     (
-        "src/raw.rs",
+        "crates/fixture/src/raw.rs",
         Rule::UndocumentedUnsafe,
-        r#"pub fn documented(p: *const u8) -> u8 {
+        r#"pub fn banned(p: *const u8) -> u8 {
     // SAFETY: fixture — caller guarantees p is valid; this one must pass.
     let fine = unsafe { *p };
-    let banned = unsafe { *p };
-    fine + banned
+    let bare = unsafe { *p };
+    fine + bare
 }
 "#,
     ),
     (
-        "src/spawn.rs",
+        "crates/fixture/src/spawn.rs",
         Rule::ThreadSpawn,
         r#"pub fn banned() {
     let not_a_spawn = "std::thread::spawn in a string";
@@ -76,12 +77,27 @@ pub fn banned(m: &std::collections::HashMap<u32, u32>) -> usize {
 "#,
     ),
     (
-        "src/report.rs",
+        "crates/fixture/src/report.rs",
         Rule::AmbientEnv,
         r#"pub fn banned() -> String {
     let decoy = 'e'; // A char literal, then std::env in this comment only.
     let _ = decoy;
     std::env::var("HOME").unwrap_or_default()
+}
+"#,
+    ),
+    (
+        "crates/fixture/src/surface.rs",
+        Rule::DeadSurface,
+        r#"//! Decoy: `pub fn unreferenced() {}` here neither defines nor references.
+pub fn live_in_its_own_file() {}
+pub fn unreferenced() {}
+// audit:allow(dead-surface): fixture waiver.
+pub fn waived() {}
+pub(crate) fn restricted() {}
+fn caller() {
+    live_in_its_own_file();
+    let _ = "pub fn unreferenced() {}";
 }
 "#,
     ),
@@ -96,19 +112,29 @@ fn expected_line(rule: Rule) -> usize {
         Rule::UndocumentedUnsafe => 4,
         Rule::ThreadSpawn => 4,
         Rule::AmbientEnv => 4,
+        Rule::DeadSurface => 3,
     }
 }
 
 fn write_fixture_tree(root: &Path) {
-    std::fs::create_dir_all(root.join("src")).expect("mkdir fixture src");
-    for (path, _, source) in FIXTURES {
-        std::fs::write(root.join(path), source).expect("write fixture");
+    write_tree(root, FIXTURES.iter().map(|(path, _, source)| (*path, *source)));
+}
+
+/// Writes `files` (repo-relative path, source) under a fresh `root`.
+fn write_tree<'a>(root: &Path, files: impl IntoIterator<Item = (&'a str, &'a str)>) {
+    let _ = std::fs::remove_dir_all(root);
+    for (path, source) in files {
+        let path = root.join(path);
+        std::fs::create_dir_all(path.parent().expect("fixture parent")).expect("mkdir fixture");
+        std::fs::write(path, source).expect("write fixture");
     }
 }
 
 fn fixture_config() -> AuditConfig {
-    AuditConfig::parse("roots = [\"src\"]\n[rule.ambient-env]\npaths = [\"src/report.rs\"]\n")
-        .expect("fixture config parses")
+    AuditConfig::parse(
+        "roots = [\"crates\"]\n[rule.ambient-env]\npaths = [\"crates/fixture/src/report.rs\"]\n",
+    )
+    .expect("fixture config parses")
 }
 
 #[test]
@@ -136,6 +162,86 @@ fn every_rule_fires_exactly_once_on_the_fixture_tree() {
     assert_eq!(per_rule[0].2, 1, "one waived wall-clock hit expected");
     // Likewise the R5 fixture's scoped fan-out: detected, then waived.
     assert_eq!(per_rule[4].2, 1, "one waived thread-spawn hit expected");
+    assert_eq!(per_rule[6].2, 1, "one waived dead-surface hit expected");
+}
+
+/// Audits a fresh tree of `files` with `crates` as the audited root and
+/// `bench` as R7's reference-only root. Returns the R7 findings as (path,
+/// line, hard) and the number of files audited.
+fn dead_surface(name: &str, files: &[(&str, &str)]) -> (Vec<(String, usize, bool)>, usize) {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    write_tree(&root, files.iter().copied());
+    std::fs::create_dir_all(root.join("bench")).expect("mkdir reference root");
+    let config = AuditConfig::parse(
+        "roots = [\"crates\"]\n[rule.dead-surface]\nreference_roots = [\"bench\"]\n",
+    )
+    .expect("config parses");
+    let report = audit_tree(&root, &config).expect("audit runs");
+    let findings = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == Rule::DeadSurface)
+        .map(|f| (f.path.clone(), f.line, f.disposition == Disposition::Violation))
+        .collect();
+    (findings, report.files_checked)
+}
+
+#[test]
+fn dead_surface_flags_an_unreferenced_pub_fn() {
+    let (found, _) = dead_surface(
+        "r7_unreferenced",
+        &[
+            ("crates/a/src/lib.rs", "pub fn orphan() {}\npub fn called() {}\n"),
+            ("crates/b/src/lib.rs", "fn user() {\n    a::called();\n}\n"),
+        ],
+    );
+    assert_eq!(found, [("crates/a/src/lib.rs".to_owned(), 1, true)]);
+}
+
+#[test]
+fn dead_surface_flags_a_pub_fn_only_its_own_tests_call() {
+    // The test module ends at its closing brace: the item after it is
+    // checked again, and its caller there counts.
+    let lib =
+        "pub fn helper() -> u8 {\n    1\n}\n\n#[cfg(test)]\nmod tests {\n    use super::*;\n\n\
+               #[test]\n    fn calls_it() {\n        assert_eq!(helper(), 1);\n    }\n}\n\n\
+               pub fn after_the_tests() {}\n\nfn caller() {\n    after_the_tests();\n}\n";
+    let (found, _) = dead_surface("r7_own_tests", &[("crates/a/src/lib.rs", lib)]);
+    assert_eq!(found, [("crates/a/src/lib.rs".to_owned(), 1, true)]);
+}
+
+#[test]
+fn dead_surface_flags_a_pub_fn_named_only_in_use_lines() {
+    let (found, _) = dead_surface(
+        "r7_use_only",
+        &[
+            ("crates/a/src/lib.rs", "pub fn reexported() {}\n"),
+            ("crates/b/src/lib.rs", "pub use a::reexported;\nuse a::{\n    reexported,\n};\n"),
+        ],
+    );
+    assert_eq!(found, [("crates/a/src/lib.rs".to_owned(), 1, true)]);
+}
+
+#[test]
+fn dead_surface_counts_the_reference_root_as_live_but_never_audits_it() {
+    let files = [
+        ("crates/a/src/lib.rs", "pub fn bench_only() {}\n"),
+        ("bench/main.rs", "pub fn unaudited() {}\nfn main() {\n    a::bench_only();\n}\n"),
+    ];
+    let (found, files_checked) = dead_surface("r7_reference_root", &files);
+    assert_eq!(found, []);
+    assert_eq!(files_checked, 1, "the reference root is read, not audited");
+    // Without the reference root the same item is dead.
+    let (found, _) = dead_surface("r7_no_reference_root", &files[..1]);
+    assert_eq!(found, [("crates/a/src/lib.rs".to_owned(), 1, true)]);
+}
+
+#[test]
+fn dead_surface_inline_waiver_downgrades_the_finding() {
+    let lib = "/// Kept for a planned caller.\n// audit:allow(dead-surface): fixture reason.\n\
+               pub fn planned() {}\n";
+    let (found, _) = dead_surface("r7_waiver", &[("crates/a/src/lib.rs", lib)]);
+    assert_eq!(found, [("crates/a/src/lib.rs".to_owned(), 3, false)]);
 }
 
 #[test]

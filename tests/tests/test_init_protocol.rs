@@ -27,14 +27,14 @@ fn one_publisher_serves_many_subscriber_computers() {
     let mut now = Micros::ZERO;
 
     let mut publisher = CbKernel::new(SimLan::attach(&lan, "dynamics"), fom.clone());
-    let dynamics = publisher.register_lp("dynamics");
+    let dynamics = publisher.register_lp();
     publisher.publish_object_class(dynamics, class).unwrap();
 
     let mut subscribers: Vec<_> = (0..12)
         .map(|i| {
             let mut kernel =
                 CbKernel::new(SimLan::attach(&lan, &format!("display-{i}")), fom.clone());
-            let lp = kernel.register_lp(&format!("display-{i}"));
+            let lp = kernel.register_lp();
             kernel.subscribe_object_class(lp, class).unwrap();
             (kernel, lp)
         })
@@ -80,10 +80,10 @@ fn setup_latency_is_reported_and_bounded_by_the_broadcast_interval() {
     let lan = SimLan::shared(LanConfig::fast_ethernet(5));
     let mut now = Micros::ZERO;
     let mut publisher = CbKernel::new(SimLan::attach(&lan, "pub"), fom.clone());
-    let p = publisher.register_lp("pub");
+    let p = publisher.register_lp();
     publisher.publish_object_class(p, class).unwrap();
     let mut subscriber = CbKernel::new(SimLan::attach(&lan, "sub"), fom.clone());
-    let s = subscriber.register_lp("sub");
+    let s = subscriber.register_lp();
     subscriber.subscribe_object_class(s, class).unwrap();
 
     let mut kernels = [publisher, subscriber];
@@ -105,10 +105,10 @@ fn protocol_converges_even_on_a_very_lossy_lan() {
     let lan = SimLan::shared(LanConfig::fast_ethernet(77).with_loss(0.4));
     let mut now = Micros::ZERO;
     let mut publisher = CbKernel::new(SimLan::attach(&lan, "pub"), fom.clone());
-    let p = publisher.register_lp("pub");
+    let p = publisher.register_lp();
     publisher.publish_object_class(p, class).unwrap();
     let mut subscriber = CbKernel::new(SimLan::attach(&lan, "sub"), fom.clone());
-    let s = subscriber.register_lp("sub");
+    let s = subscriber.register_lp();
     subscriber.subscribe_object_class(s, class).unwrap();
 
     let mut kernels = [publisher, subscriber];
@@ -126,7 +126,7 @@ fn late_joining_publisher_is_discovered_by_readvertisement() {
     let lan = SimLan::shared(LanConfig::fast_ethernet(9));
     let mut now = Micros::ZERO;
     let mut subscriber = CbKernel::new(SimLan::attach(&lan, "sub"), fom.clone());
-    let s = subscriber.register_lp("sub");
+    let s = subscriber.register_lp();
     subscriber.subscribe_object_class(s, class).unwrap();
 
     // The subscriber runs alone for a while: no channel can exist yet.
@@ -138,7 +138,7 @@ fn late_joining_publisher_is_discovered_by_readvertisement() {
 
     // A publisher computer is switched on later.
     let mut publisher = CbKernel::new(SimLan::attach(&lan, "pub"), fom.clone());
-    let p = publisher.register_lp("pub");
+    let p = publisher.register_lp();
     publisher.publish_object_class(p, class).unwrap();
     kernels.push(publisher);
     for _ in 0..60 {

@@ -14,37 +14,31 @@ use crate::report::{DerivedMetric, ExperimentResult};
 fn establish(subscribers: usize, broadcast_interval: Micros, loss: f64) -> (usize, Micros) {
     let mut registry = ClassRegistry::new();
     let class = registry.register_object_class("CraneState", &["x"]).unwrap();
-    let lan = SimLan::shared(LanConfig::fast_ethernet(17).with_loss(loss));
+    let mut lan = SimLan::new(LanConfig::fast_ethernet(17).with_loss(loss));
     let config =
         CbConfig { subscription_broadcast_interval: broadcast_interval, ..CbConfig::default() };
 
-    let mut publisher =
-        CbKernel::with_config(SimLan::attach(&lan, "publisher"), registry.clone(), config);
+    let mut publisher = CbKernel::with_config(lan.attach(), registry.clone(), config);
     let p = publisher.register_lp();
     publisher.publish_object_class(p, class).unwrap();
 
     let mut subs: Vec<_> = (0..subscribers)
-        .map(|i| {
-            let mut kernel = CbKernel::with_config(
-                SimLan::attach(&lan, &format!("sub-{i}")),
-                registry.clone(),
-                config,
-            );
+        .map(|_| {
+            let mut kernel = CbKernel::with_config(lan.attach(), registry.clone(), config);
             let lp = kernel.register_lp();
             kernel.subscribe_object_class(lp, class).unwrap();
             kernel
         })
         .collect();
 
-    let mut now = Micros::ZERO;
     let mut rounds = 0;
     while publisher.established_channel_count() < subscribers && rounds < 2_000 {
-        publisher.tick(now).unwrap();
+        let now = lan.now();
+        publisher.tick(now, &mut lan).unwrap();
         for s in subs.iter_mut() {
-            s.tick(now).unwrap();
+            s.tick(now, &mut lan).unwrap();
         }
-        now += Micros::from_millis(5);
-        SimLan::advance_to(&lan, now);
+        lan.advance_to(now + Micros::from_millis(5));
         rounds += 1;
     }
     let latencies: Vec<Micros> =

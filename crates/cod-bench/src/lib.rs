@@ -17,17 +17,17 @@ pub mod measure;
 pub mod report;
 
 use cod_cb::{CbKernel, ClassRegistry, ObjectClassId};
-use cod_net::{LanConfig, Micros, SharedLan, SimLan, SimTransport};
+use cod_net::{LanConfig, Micros, SimLan};
 
 /// A publisher/subscriber pair of CB kernels with an established virtual
 /// channel over the given LAN configuration, ready for data-plane benchmarks.
 pub struct EstablishedPair {
-    /// The shared LAN.
-    pub lan: SharedLan,
+    /// The LAN both kernels are attached to.
+    pub lan: SimLan,
     /// Publisher-side kernel.
-    pub publisher: CbKernel<SimTransport>,
+    pub publisher: CbKernel,
     /// Subscriber-side kernel.
-    pub subscriber: CbKernel<SimTransport>,
+    pub subscriber: CbKernel,
     /// The publishing LP.
     pub publisher_lp: cod_cb::LpId,
     /// The subscribing LP.
@@ -43,33 +43,38 @@ impl EstablishedPair {
     pub fn new(config: LanConfig) -> EstablishedPair {
         let mut registry = ClassRegistry::new();
         let class = registry.register_object_class("Bench", &["payload"]).unwrap();
-        let lan = SimLan::shared(config);
-        let mut publisher = CbKernel::new(SimLan::attach(&lan, "publisher"), registry.clone());
-        let mut subscriber = CbKernel::new(SimLan::attach(&lan, "subscriber"), registry);
+        let mut lan = SimLan::new(config);
+        let mut publisher = CbKernel::new(lan.attach(), registry.clone());
+        let mut subscriber = CbKernel::new(lan.attach(), registry);
         let publisher_lp = publisher.register_lp();
         let subscriber_lp = subscriber.register_lp();
         publisher.publish_object_class(publisher_lp, class).unwrap();
         subscriber.subscribe_object_class(subscriber_lp, class).unwrap();
-        let mut now = Micros::ZERO;
+        let mut pair = EstablishedPair {
+            lan,
+            publisher,
+            subscriber,
+            publisher_lp,
+            subscriber_lp,
+            class,
+            now: Micros::ZERO,
+        };
         for _ in 0..50 {
-            publisher.tick(now).unwrap();
-            subscriber.tick(now).unwrap();
-            now += Micros::from_millis(10);
-            SimLan::advance_to(&lan, now);
+            pair.round();
         }
         assert!(
-            publisher.established_channel_count() >= 1,
+            pair.publisher.established_channel_count() >= 1,
             "bench setup failed to establish a channel"
         );
-        EstablishedPair { lan, publisher, subscriber, publisher_lp, subscriber_lp, class, now }
+        pair
     }
 
     /// Advances both kernels and the LAN by one 10 ms round.
     pub fn round(&mut self) {
-        self.publisher.tick(self.now).unwrap();
-        self.subscriber.tick(self.now).unwrap();
+        self.publisher.tick(self.now, &mut self.lan).unwrap();
+        self.subscriber.tick(self.now, &mut self.lan).unwrap();
         self.now += Micros::from_millis(10);
-        SimLan::advance_to(&self.lan, self.now);
+        self.lan.advance_to(self.now);
     }
 }
 

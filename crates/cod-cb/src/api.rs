@@ -2,14 +2,13 @@
 //!
 //! Simulator modules (dashboard, dynamics, visual display, ...) are written
 //! against the object-safe [`CbApi`] trait, so the same module code runs no
-//! matter which transport the resident CB uses or which computer it has been
-//! placed on. [`LpContext`] is the concrete implementation that borrows the
-//! kernel for the duration of one module step.
+//! matter which computer it has been placed on. [`LpContext`] is the concrete
+//! implementation that borrows the kernel for the duration of one module step.
 
 use crate::error::CbError;
 use crate::fom::{AttributeValues, ClassRegistry, InteractionClassId, ObjectClassId};
 use crate::kernel::{CbKernel, InteractionMessage, LpId, ObjectId, Reflection};
-use cod_net::{Micros, Transport};
+use cod_net::Micros;
 
 /// The HLA-flavoured services a Logical Process may call on its resident CB.
 pub trait CbApi {
@@ -82,19 +81,19 @@ pub trait CbApi {
 
 /// A borrow of the resident CB kernel scoped to one LP.
 #[derive(Debug)]
-pub struct LpContext<'a, T: Transport> {
-    kernel: &'a mut CbKernel<T>,
+pub struct LpContext<'a> {
+    kernel: &'a mut CbKernel,
     lp: LpId,
 }
 
-impl<'a, T: Transport> LpContext<'a, T> {
+impl<'a> LpContext<'a> {
     /// Creates a context for `lp` backed by `kernel`.
-    pub fn new(kernel: &'a mut CbKernel<T>, lp: LpId) -> LpContext<'a, T> {
+    pub fn new(kernel: &'a mut CbKernel, lp: LpId) -> LpContext<'a> {
         LpContext { kernel, lp }
     }
 }
 
-impl<'a, T: Transport> CbApi for LpContext<'a, T> {
+impl CbApi for LpContext<'_> {
     fn now(&self) -> Micros {
         self.kernel.now()
     }
@@ -154,15 +153,14 @@ impl<'a, T: Transport> CbApi for LpContext<'a, T> {
 mod tests {
     use super::*;
     use crate::fom::Value;
-    use cod_net::{LanConfig, SimLan};
+    use cod_net::{Addr, NodeId, Port};
 
     #[test]
     fn context_delegates_to_kernel() {
         let mut fom = ClassRegistry::new();
         let crane = fom.register_object_class("CraneState", &["boom_angle"]).unwrap();
         let alarm = fom.register_interaction_class("Alarm", &["code"]).unwrap();
-        let lan = SimLan::shared(LanConfig::ideal(1));
-        let mut kernel = CbKernel::new(SimLan::attach(&lan, "pc"), fom.clone());
+        let mut kernel = CbKernel::new(Addr::new(NodeId(0), Port(1)), fom.clone());
         let producer = kernel.register_lp();
         let consumer = kernel.register_lp();
 

@@ -131,8 +131,7 @@ impl Outbox {
 
 /// The Communication Backbone kernel for one computer of the cluster.
 #[derive(Debug)]
-pub struct CbKernel<T: Transport> {
-    transport: T,
+pub struct CbKernel {
     addr: Addr,
     fom: ClassRegistry,
     config: CbConfig,
@@ -154,17 +153,17 @@ pub struct CbKernel<T: Transport> {
     stats: CbStats,
 }
 
-impl<T: Transport> CbKernel<T> {
-    /// Creates a kernel with the default protocol configuration.
-    pub fn new(transport: T, fom: ClassRegistry) -> CbKernel<T> {
-        CbKernel::with_config(transport, fom, CbConfig::default())
+impl CbKernel {
+    /// Creates a kernel for the endpoint `addr` with the default protocol
+    /// configuration.
+    pub fn new(addr: Addr, fom: ClassRegistry) -> CbKernel {
+        CbKernel::with_config(addr, fom, CbConfig::default())
     }
 
-    /// Creates a kernel with an explicit protocol configuration.
-    pub fn with_config(transport: T, fom: ClassRegistry, config: CbConfig) -> CbKernel<T> {
-        let addr = transport.local_addr();
+    /// Creates a kernel for the endpoint `addr` with an explicit protocol
+    /// configuration.
+    pub fn with_config(addr: Addr, fom: ClassRegistry, config: CbConfig) -> CbKernel {
         CbKernel {
-            transport,
             addr,
             fom,
             config,
@@ -183,11 +182,6 @@ impl<T: Transport> CbKernel<T> {
             inbox: Vec::new(),
             stats: CbStats::default(),
         }
-    }
-
-    /// Address of this CB on the cluster network.
-    pub fn local_addr(&self) -> Addr {
-        self.addr
     }
 
     /// The federation object model this CB was created with.
@@ -259,27 +253,6 @@ impl<T: Transport> CbKernel<T> {
             },
         );
         id
-    }
-
-    /// Removes an LP: its publications, subscriptions and channels are torn
-    /// down and a withdrawal notice is broadcast to the other CBs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CbError::UnknownLp`] if the LP is not registered here.
-    pub fn deregister_lp(&mut self, lp: LpId) -> Result<(), CbError> {
-        if self.lps.remove(&lp).is_none() {
-            return Err(CbError::UnknownLp(lp.0));
-        }
-        self.publications.remove_lp(lp);
-        self.subscriptions.remove_lp(lp);
-        self.pending.retain(|p| p.lp != lp);
-        for vc in self.channels.remove_for_lp(lp) {
-            self.connect_last_sent.remove(&vc.id);
-        }
-        self.objects.retain(|_, (owner, _)| *owner != lp);
-        self.outbox.push(Destination::Broadcast(self.addr.port), &WireMessage::Withdraw { lp });
-        Ok(())
     }
 
     /// *Publish Object Class*: declares that `lp` will produce updates of `class`.
@@ -475,20 +448,21 @@ impl<T: Transport> CbKernel<T> {
     // The kernel pump
     // ------------------------------------------------------------------
 
-    /// Advances the kernel to simulation time `now`: receives and processes
-    /// wire messages, runs the initialization-protocol timers, and flushes
-    /// queued outgoing messages onto the transport.
+    /// Advances the kernel to simulation time `now`: receives this CB's
+    /// datagrams from `net`, processes the wire messages, runs the
+    /// initialization-protocol timers, and flushes queued outgoing messages
+    /// onto `net`.
     ///
     /// # Errors
     ///
-    /// Returns an error if the transport fails. Malformed datagrams are counted
+    /// Returns an error if the network fails. Malformed datagrams are counted
     /// in the statistics but do not abort the tick.
-    pub fn tick(&mut self, now: Micros) -> Result<(), CbError> {
+    pub fn tick(&mut self, now: Micros, net: &mut impl Transport) -> Result<(), CbError> {
         self.now = now;
 
         // 1. Receive.
         let mut inbox = std::mem::take(&mut self.inbox);
-        self.transport.poll_into(&mut inbox)?;
+        net.poll_into(self.addr, &mut inbox)?;
         for dgram in inbox.drain(..) {
             match WireMessage::decode(&dgram.payload) {
                 Ok(msg) => {
@@ -555,7 +529,7 @@ impl<T: Transport> CbKernel<T> {
         let sent = self.outbox.datagrams.iter().try_for_each(|&(dst, end)| {
             let payload = &self.outbox.bytes[start..end];
             start = end;
-            self.transport.send(dst, payload)
+            net.send(cb_addr, dst, payload)
         });
         self.outbox.clear();
         Ok(sent?)
@@ -740,31 +714,54 @@ fn fan_out<I: Iterator, V: Clone>(targets: I, value: V, mut deliver: impl FnMut(
 mod tests {
     use super::*;
     use crate::fom::{AttributeId, Value};
-    use cod_net::{LanConfig, NetError, NodeId, Port, SharedLan, SimLan, SimTransport};
+    use cod_net::{LanConfig, NetError, NodeId, Port, SimLan};
 
     struct Cluster {
-        lan: SharedLan,
-        now: Micros,
+        lan: SimLan,
     }
 
     impl Cluster {
         fn new(seed: u64) -> Cluster {
-            Cluster { lan: SimLan::shared(LanConfig::fast_ethernet(seed)), now: Micros::ZERO }
+            Cluster { lan: SimLan::new(LanConfig::fast_ethernet(seed)) }
         }
 
-        fn kernel(&self, name: &str, fom: &ClassRegistry) -> CbKernel<SimTransport> {
-            CbKernel::new(SimLan::attach(&self.lan, name), fom.clone())
+        fn kernel(&mut self, fom: &ClassRegistry) -> CbKernel {
+            CbKernel::new(self.lan.attach(), fom.clone())
+        }
+
+        fn now(&self) -> Micros {
+            self.lan.now()
         }
 
         /// Runs `steps` rounds of 10 ms, ticking every kernel each round.
-        fn run(&mut self, kernels: &mut [&mut CbKernel<SimTransport>], steps: usize) {
+        fn run(&mut self, kernels: &mut [&mut CbKernel], steps: usize) {
             for _ in 0..steps {
+                let now = self.now();
                 for k in kernels.iter_mut() {
-                    k.tick(self.now).unwrap();
+                    k.tick(now, &mut self.lan).unwrap();
                 }
-                self.now += Micros::from_millis(10);
-                SimLan::advance_to(&self.lan, self.now);
+                self.lan.advance_to(now + Micros::from_millis(10));
             }
+        }
+    }
+
+    impl CbKernel {
+        /// Removes an LP: its publications, subscriptions and channels are torn
+        /// down and a withdrawal notice is broadcast to the other CBs. No rack
+        /// unplugs an LP, so only these tests send the WITHDRAW the kernel serves.
+        fn deregister_lp(&mut self, lp: LpId) -> Result<(), CbError> {
+            if self.lps.remove(&lp).is_none() {
+                return Err(CbError::UnknownLp(lp.0));
+            }
+            self.publications.remove_lp(lp);
+            self.subscriptions.remove_lp(lp);
+            self.pending.retain(|p| p.lp != lp);
+            for vc in self.channels.remove_for_lp(lp) {
+                self.connect_last_sent.remove(&vc.id);
+            }
+            self.objects.retain(|_, (owner, _)| *owner != lp);
+            self.outbox.push(Destination::Broadcast(self.addr.port), &WireMessage::Withdraw { lp });
+            Ok(())
         }
     }
 
@@ -781,8 +778,8 @@ mod tests {
     fn channel_established_between_two_computers() {
         let (fom, crane, _) = crane_fom();
         let mut cluster = Cluster::new(1);
-        let mut publisher = cluster.kernel("dynamics-pc", &fom);
-        let mut subscriber = cluster.kernel("visual-pc", &fom);
+        let mut publisher = cluster.kernel(&fom);
+        let mut subscriber = cluster.kernel(&fom);
 
         let dynamics = publisher.register_lp();
         let visual = subscriber.register_lp();
@@ -805,8 +802,8 @@ mod tests {
     fn update_flows_from_publisher_to_remote_subscriber() {
         let (fom, crane, _) = crane_fom();
         let mut cluster = Cluster::new(2);
-        let mut publisher = cluster.kernel("dynamics-pc", &fom);
-        let mut subscriber = cluster.kernel("visual-pc", &fom);
+        let mut publisher = cluster.kernel(&fom);
+        let mut subscriber = cluster.kernel(&fom);
         let dynamics = publisher.register_lp();
         let visual = subscriber.register_lp();
         publisher.publish_object_class(dynamics, crane).unwrap();
@@ -820,7 +817,7 @@ mod tests {
                 dynamics,
                 object,
                 [(angle, Value::F64(0.7))].into(),
-                cluster.now,
+                cluster.now(),
             )
             .unwrap();
         cluster.run(&mut [&mut publisher, &mut subscriber], 5);
@@ -837,8 +834,8 @@ mod tests {
     #[test]
     fn co_resident_lps_are_routed_locally_without_network() {
         let (fom, crane, _) = crane_fom();
-        let cluster = Cluster::new(3);
-        let mut kernel = cluster.kernel("single-pc", &fom);
+        let mut cluster = Cluster::new(3);
+        let mut kernel = cluster.kernel(&fom);
         let dynamics = kernel.register_lp();
         let visual = kernel.register_lp();
         kernel.publish_object_class(dynamics, crane).unwrap();
@@ -862,8 +859,8 @@ mod tests {
     fn dynamic_join_of_an_extra_display_without_restart() {
         let (fom, crane, _) = crane_fom();
         let mut cluster = Cluster::new(4);
-        let mut publisher = cluster.kernel("dynamics-pc", &fom);
-        let mut display1 = cluster.kernel("display-1", &fom);
+        let mut publisher = cluster.kernel(&fom);
+        let mut display1 = cluster.kernel(&fom);
         let dynamics = publisher.register_lp();
         let d1 = display1.register_lp();
         publisher.publish_object_class(dynamics, crane).unwrap();
@@ -872,7 +869,7 @@ mod tests {
         assert_eq!(publisher.established_channel_count(), 1);
 
         // A new display computer joins the running system (paper §2.3).
-        let mut display2 = cluster.kernel("display-2", &fom);
+        let mut display2 = cluster.kernel(&fom);
         let d2 = display2.register_lp();
         display2.subscribe_object_class(d2, crane).unwrap();
         cluster.run(&mut [&mut publisher, &mut display1, &mut display2], 30);
@@ -885,7 +882,7 @@ mod tests {
                 dynamics,
                 object,
                 [(angle, Value::F64(0.2))].into(),
-                cluster.now,
+                cluster.now(),
             )
             .unwrap();
         cluster.run(&mut [&mut publisher, &mut display1, &mut display2], 5);
@@ -897,8 +894,8 @@ mod tests {
     fn interactions_are_broadcast_to_subscribed_lps_everywhere() {
         let (fom, crane, collision) = crane_fom();
         let mut cluster = Cluster::new(5);
-        let mut a = cluster.kernel("dynamics-pc", &fom);
-        let mut b = cluster.kernel("audio-pc", &fom);
+        let mut a = cluster.kernel(&fom);
+        let mut b = cluster.kernel(&fom);
         let dynamics = a.register_lp();
         let local_audio = a.register_lp();
         let audio = b.register_lp();
@@ -912,7 +909,7 @@ mod tests {
             dynamics,
             collision,
             [(location, Value::Vec3([1.0, 0.0, 2.0]))].into(),
-            cluster.now,
+            cluster.now(),
         )
         .unwrap();
         cluster.run(&mut [&mut a, &mut b], 5);
@@ -928,8 +925,8 @@ mod tests {
     #[test]
     fn service_calls_validate_their_arguments() {
         let (fom, crane, collision) = crane_fom();
-        let cluster = Cluster::new(6);
-        let mut kernel = cluster.kernel("pc", &fom);
+        let mut cluster = Cluster::new(6);
+        let mut kernel = cluster.kernel(&fom);
         let lp = kernel.register_lp();
         let ghost = LpId(0xdead_beef);
 
@@ -963,8 +960,8 @@ mod tests {
     fn withdraw_tears_down_remote_channels() {
         let (fom, crane, _) = crane_fom();
         let mut cluster = Cluster::new(7);
-        let mut publisher = cluster.kernel("dynamics-pc", &fom);
-        let mut subscriber = cluster.kernel("visual-pc", &fom);
+        let mut publisher = cluster.kernel(&fom);
+        let mut subscriber = cluster.kernel(&fom);
         let dynamics = publisher.register_lp();
         let visual = subscriber.register_lp();
         publisher.publish_object_class(dynamics, crane).unwrap();
@@ -982,9 +979,9 @@ mod tests {
     fn a_withdrawn_publisher_is_replaced_at_the_discovery_pace() {
         let (fom, crane, _) = crane_fom();
         let mut cluster = Cluster::new(8);
-        let mut primary = cluster.kernel("dynamics-pc", &fom);
-        let mut standby = cluster.kernel("standby-pc", &fom);
-        let mut subscriber = cluster.kernel("visual-pc", &fom);
+        let mut primary = cluster.kernel(&fom);
+        let mut standby = cluster.kernel(&fom);
+        let mut subscriber = cluster.kernel(&fom);
         let dynamics = primary.register_lp();
         let visual = subscriber.register_lp();
         primary.publish_object_class(dynamics, crane).unwrap();
@@ -1011,10 +1008,9 @@ mod tests {
     #[test]
     fn lossy_lan_still_converges_thanks_to_rebroadcast() {
         let (fom, crane, _) = crane_fom();
-        let lan = SimLan::shared(LanConfig::fast_ethernet(11).with_loss(0.3));
-        let mut cluster = Cluster { lan, now: Micros::ZERO };
-        let mut publisher = cluster.kernel("dynamics-pc", &fom);
-        let mut subscriber = cluster.kernel("visual-pc", &fom);
+        let mut cluster = Cluster { lan: SimLan::new(LanConfig::fast_ethernet(11).with_loss(0.3)) };
+        let mut publisher = cluster.kernel(&fom);
+        let mut subscriber = cluster.kernel(&fom);
         let dynamics = publisher.register_lp();
         let visual = subscriber.register_lp();
         publisher.publish_object_class(dynamics, crane).unwrap();
@@ -1031,7 +1027,8 @@ mod tests {
     // The outbox arena, observed at the transport
     // ------------------------------------------------------------------
 
-    /// A transport that records every `send` and can be told to fail one.
+    /// A network that records every `send` from the one CB at `RECORDER` and
+    /// can be told to fail one.
     #[derive(Debug, Default)]
     struct RecordingTransport {
         sent: Vec<(Destination, Vec<u8>)>,
@@ -1057,7 +1054,8 @@ mod tests {
     }
 
     impl Transport for RecordingTransport {
-        fn send(&mut self, dst: Destination, payload: &[u8]) -> Result<(), NetError> {
+        fn send(&mut self, src: Addr, dst: Destination, payload: &[u8]) -> Result<(), NetError> {
+            assert_eq!(src, RECORDER);
             self.sends += 1;
             if self.failing_send == Some(self.sends) {
                 return Err(NetError::Disconnected);
@@ -1066,13 +1064,10 @@ mod tests {
             Ok(())
         }
 
-        fn poll_into(&mut self, out: &mut Vec<Datagram>) -> Result<(), NetError> {
+        fn poll_into(&mut self, addr: Addr, out: &mut Vec<Datagram>) -> Result<(), NetError> {
+            assert_eq!(addr, RECORDER);
             out.append(&mut self.inbound);
             Ok(())
-        }
-
-        fn local_addr(&self) -> Addr {
-            RECORDER
         }
     }
 
@@ -1080,7 +1075,8 @@ mod tests {
     /// subscribers and `remote` established outgoing channels, each to its own
     /// subscriber CB; nothing sent yet as far as the recorder shows.
     struct Publisher {
-        kernel: CbKernel<RecordingTransport>,
+        kernel: CbKernel,
+        net: RecordingTransport,
         lp: LpId,
         class: ObjectClassId,
         collision: InteractionClassId,
@@ -1091,7 +1087,8 @@ mod tests {
 
     fn publisher(local: usize, remote: u16) -> Publisher {
         let (fom, class, collision) = crane_fom();
-        let mut kernel = CbKernel::new(RecordingTransport::default(), fom);
+        let mut kernel = CbKernel::new(RECORDER, fom);
+        let mut net = RecordingTransport::default();
         let lp = kernel.register_lp();
         kernel.publish_object_class(lp, class).unwrap();
         let object = kernel.register_object_instance(lp, class).unwrap();
@@ -1113,13 +1110,13 @@ mod tests {
                 publisher_lp: lp,
                 class,
             };
-            kernel.transport.inject(*subscriber_cb, connect.encode());
+            net.inject(*subscriber_cb, connect.encode());
         }
-        kernel.tick(Micros::ZERO).unwrap();
+        kernel.tick(Micros::ZERO, &mut net).unwrap();
         assert_eq!(kernel.established_channel_count(), usize::from(remote));
-        kernel.transport.sent.clear();
-        kernel.transport.sends = 0;
-        Publisher { kernel, lp, class, collision, object, local, channels }
+        net.sent.clear();
+        net.sends = 0;
+        Publisher { kernel, net, lp, class, collision, object, local, channels }
     }
 
     fn full_update() -> AttributeValues {
@@ -1134,7 +1131,7 @@ mod tests {
     #[test]
     fn flushed_payloads_equal_each_message_encoded_on_its_own() {
         for remote in [1, 2, 7] {
-            let Publisher { mut kernel, lp, class, collision, object, channels, .. } =
+            let Publisher { mut kernel, mut net, lp, class, collision, object, channels, .. } =
                 publisher(0, remote);
             let bystander = kernel.register_lp();
             let (values, at) = (full_update(), Micros(40_000));
@@ -1143,7 +1140,7 @@ mod tests {
             kernel.update_attribute_values(lp, object, values.clone(), at).unwrap();
             kernel.send_interaction(lp, collision, parameters.clone(), at).unwrap();
             kernel.deregister_lp(bystander).unwrap();
-            kernel.tick(at).unwrap();
+            kernel.tick(at, &mut net).unwrap();
 
             let to_all = Destination::Broadcast(RECORDER.port);
             let mut expected = Vec::new();
@@ -1165,42 +1162,45 @@ mod tests {
             };
             expected.push((to_all, interaction.encode()));
             expected.push((to_all, WireMessage::Withdraw { lp: bystander }.encode()));
-            assert_eq!(kernel.transport.sent, expected, "{remote} channels");
+            assert_eq!(net.sent, expected, "{remote} channels");
             assert_eq!(kernel.stats().updates_sent_remote, u64::from(remote));
         }
     }
 
     #[test]
     fn a_failed_send_discards_the_rest_of_the_ticks_outbox() {
-        let Publisher { mut kernel, lp, object, .. } = publisher(0, 2);
+        let Publisher { mut kernel, mut net, lp, object, .. } = publisher(0, 2);
         kernel.update_attribute_values(lp, object, full_update(), Micros(1)).unwrap();
         kernel.update_attribute_values(lp, object, full_update(), Micros(2)).unwrap();
         kernel.deregister_lp(lp).unwrap();
-        kernel.transport.failing_send = Some(3);
-        assert!(matches!(kernel.tick(Micros(1)), Err(CbError::Net(NetError::Disconnected))));
-        assert_eq!(kernel.transport.sent.len(), 2, "the two sends before the failure went out");
+        net.failing_send = Some(3);
+        assert!(matches!(
+            kernel.tick(Micros(1), &mut net),
+            Err(CbError::Net(NetError::Disconnected))
+        ));
+        assert_eq!(net.sent.len(), 2, "the two sends before the failure went out");
 
         // Datagrams four and five died with the third: nothing stale follows.
-        kernel.tick(Micros(2)).unwrap();
-        assert_eq!((kernel.transport.sends, kernel.transport.sent.len()), (3, 2));
+        kernel.tick(Micros(2), &mut net).unwrap();
+        assert_eq!((net.sends, net.sent.len()), (3, 2));
         let late = kernel.register_lp();
         kernel.deregister_lp(late).unwrap();
-        kernel.tick(Micros(3)).unwrap();
-        assert_eq!(kernel.transport.sent.len(), 3);
-        assert_eq!(kernel.transport.sent[2].1, WireMessage::Withdraw { lp: late }.encode());
+        kernel.tick(Micros(3), &mut net).unwrap();
+        assert_eq!(net.sent.len(), 3);
+        assert_eq!(net.sent[2].1, WireMessage::Withdraw { lp: late }.encode());
     }
 
     #[test]
     fn malformed_datagrams_are_counted_and_the_tick_carries_on() {
         // A display LP beside the publisher, fed over an established
         // subscriber-side channel from a publisher on another computer.
-        let Publisher { mut kernel, lp, class, object, local, .. } = publisher(1, 0);
+        let Publisher { mut kernel, mut net, lp, class, object, local, .. } = publisher(1, 0);
         let (far_cb, far_lp) = (Addr::new(NodeId(20), Port(1)), LpId::compose(20, 0));
         let channel = ChannelId::compose(RECORDER.node.0, 0);
         let ack = WireMessage::Acknowledge { publisher_cb: far_cb, publisher_lp: far_lp, class };
-        kernel.transport.inject(far_cb, ack.encode());
-        kernel.transport.inject(far_cb, WireMessage::ChannelAck { channel }.encode());
-        kernel.tick(Micros::ZERO).unwrap();
+        net.inject(far_cb, ack.encode());
+        net.inject(far_cb, WireMessage::ChannelAck { channel }.encode());
+        kernel.tick(Micros::ZERO, &mut net).unwrap();
         assert!(kernel.channels().get(channel).is_some_and(|vc| vc.established));
         let received = kernel.stats().wire_messages_received;
 
@@ -1226,18 +1226,41 @@ mod tests {
         };
         let random = vec![0xc3, 0x5a, 0x01, 0xff, 0x10, 0x9e, 0x77];
         for payload in [vec![], random, truncated, retired, connect.encode()] {
-            kernel.transport.inject(newcomer, payload);
+            net.inject(newcomer, payload);
         }
-        kernel.transport.sent.clear();
-        kernel.tick(Micros(10)).unwrap();
+        net.sent.clear();
+        kernel.tick(Micros(10), &mut net).unwrap();
 
         assert_eq!(kernel.stats().decode_errors, 4);
         assert_eq!(kernel.stats().wire_messages_received, received + 1);
         assert_eq!(kernel.established_channel_count(), 2, "the valid datagram got through");
         let confirm = WireMessage::ChannelAck { channel: ChannelId::compose(21, 0) }.encode();
-        assert_eq!(kernel.transport.sent, [(Destination::Unicast(newcomer), confirm)]);
+        assert_eq!(net.sent, [(Destination::Unicast(newcomer), confirm)]);
         assert!(kernel.reflections(local[0]).is_empty());
         assert_eq!(kernel.stats().reflections_delivered, 0);
+    }
+
+    #[test]
+    fn every_hostile_datagram_is_counted_or_served_and_the_tick_carries_on() {
+        // A publisher with a display LP beside it and two remote channels, so
+        // a mangled datagram that still decodes reaches every handler arm.
+        let Publisher { mut kernel, mut net, .. } = publisher(1, 2);
+        let stranger = Addr::new(NodeId(30), Port(1));
+        let (bad, decodable): (Vec<_>, Vec<_>) = crate::wire::tests::hostile_payloads()
+            .into_iter()
+            .partition(|(_, payload)| WireMessage::decode(payload).is_err());
+        for (case, payload) in bad {
+            let errors = kernel.stats().decode_errors;
+            net.inject(stranger, payload);
+            kernel.tick(Micros(10), &mut net).unwrap_or_else(|e| panic!("{case}: {e}"));
+            assert_eq!(kernel.stats().decode_errors, errors + 1, "{case}");
+        }
+        let received = kernel.stats().wire_messages_received;
+        for (_, payload) in &decodable {
+            net.inject(stranger, payload.clone());
+        }
+        kernel.tick(Micros(20), &mut net).unwrap();
+        assert_eq!(kernel.stats().wire_messages_received, received + decodable.len() as u64);
     }
 
     #[test]
@@ -1246,13 +1269,14 @@ mod tests {
         // CB opens a subscriber-side channel and starts its retry timer, but
         // the confirming CHANNEL ACK never arrives.
         let (fom, class, _) = crane_fom();
-        let mut kernel = CbKernel::new(RecordingTransport::default(), fom);
+        let mut kernel = CbKernel::new(RECORDER, fom);
+        let mut net = RecordingTransport::default();
         let display = kernel.register_lp();
         kernel.subscribe_object_class(display, class).unwrap();
         let (far_cb, far_lp) = (Addr::new(NodeId(20), Port(1)), LpId::compose(20, 0));
         let ack = WireMessage::Acknowledge { publisher_cb: far_cb, publisher_lp: far_lp, class };
-        kernel.transport.inject(far_cb, ack.encode());
-        kernel.tick(Micros::ZERO).unwrap();
+        net.inject(far_cb, ack.encode());
+        kernel.tick(Micros::ZERO, &mut net).unwrap();
         let channel = ChannelId::compose(RECORDER.node.0, 0);
         assert!(kernel.channels().get(channel).is_some_and(|vc| !vc.established));
         assert!(kernel.connect_last_sent.contains_key(&channel));
@@ -1264,13 +1288,13 @@ mod tests {
 
     #[test]
     fn begin_session_empties_the_outbox() {
-        let Publisher { mut kernel, lp, object, .. } = publisher(0, 2);
+        let Publisher { mut kernel, mut net, lp, object, .. } = publisher(0, 2);
         kernel.update_attribute_values(lp, object, full_update(), Micros(1)).unwrap();
         assert_eq!(kernel.outbox.datagrams.len(), 2);
         kernel.begin_session(Micros(5));
         assert!(kernel.outbox.bytes.is_empty() && kernel.outbox.datagrams.is_empty());
-        kernel.tick(Micros(5)).unwrap();
-        assert!(kernel.transport.sent.is_empty());
+        kernel.tick(Micros(5), &mut net).unwrap();
+        assert!(net.sent.is_empty());
     }
 
     #[test]

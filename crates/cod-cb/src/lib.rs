@@ -31,16 +31,16 @@
 //!
 //! ```
 //! use cod_cb::{CbKernel, ClassRegistry, Value};
-//! use cod_net::{LanConfig, SimLan, Micros};
+//! use cod_net::{LanConfig, Micros, SimLan};
 //!
 //! // A tiny FOM shared by every computer of the cluster.
 //! let mut fom = ClassRegistry::new();
 //! let crane_state = fom.register_object_class("CraneState", &["boom_angle"]).unwrap();
 //!
-//! // Two computers on the simulated LAN, each running a CB.
-//! let lan = SimLan::shared(LanConfig::fast_ethernet(7));
-//! let mut cb_dyn = CbKernel::new(SimLan::attach(&lan, "dynamics-pc"), fom.clone());
-//! let mut cb_vis = CbKernel::new(SimLan::attach(&lan, "visual-pc"), fom.clone());
+//! // Two computers on the simulated LAN, each running a CB at its own address.
+//! let mut lan = SimLan::new(LanConfig::fast_ethernet(7));
+//! let mut cb_dyn = CbKernel::new(lan.attach(), fom.clone());
+//! let mut cb_vis = CbKernel::new(lan.attach(), fom.clone());
 //!
 //! // One LP per computer.
 //! let dynamics = cb_dyn.register_lp();
@@ -48,13 +48,14 @@
 //! cb_dyn.publish_object_class(dynamics, crane_state).unwrap();
 //! cb_vis.subscribe_object_class(visual, crane_state).unwrap();
 //!
-//! // Let the initialization protocol build the virtual channel.
+//! // Let the initialization protocol build the virtual channel. Each 10 ms
+//! // round lends the LAN to each CB for its tick, then advances the LAN.
 //! let mut now = Micros::ZERO;
 //! for _ in 0..20 {
-//!     cb_dyn.tick(now).unwrap();
-//!     cb_vis.tick(now).unwrap();
+//!     cb_dyn.tick(now, &mut lan).unwrap();
+//!     cb_vis.tick(now, &mut lan).unwrap();
 //!     now += Micros::from_millis(10);
-//!     SimLan::advance_to(&lan, now);
+//!     lan.advance_to(now);
 //! }
 //! assert!(cb_dyn.established_channel_count() >= 1);
 //!
@@ -63,10 +64,10 @@
 //! let attr = fom.attribute_id(crane_state, "boom_angle").unwrap();
 //! cb_dyn.update_attribute_values(dynamics, object, [(attr, Value::F64(42.5))].into(), now).unwrap();
 //! for _ in 0..4 {
-//!     cb_dyn.tick(now).unwrap();
-//!     cb_vis.tick(now).unwrap();
+//!     cb_dyn.tick(now, &mut lan).unwrap();
+//!     cb_vis.tick(now, &mut lan).unwrap();
 //!     now += Micros::from_millis(10);
-//!     SimLan::advance_to(&lan, now);
+//!     lan.advance_to(now);
 //! }
 //! let reflections = cb_vis.reflections(visual);
 //! assert_eq!(reflections.len(), 1);

@@ -242,7 +242,7 @@ impl WireMessage {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fom::{AttributeId, Value};
     use cod_net::{NodeId, Port};
@@ -402,6 +402,65 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `all_samples()` with the two attribute-carrying messages holding one
+    /// value of every kind, so hostile bytes reach every value decoder.
+    fn sweep_samples() -> Vec<WireMessage> {
+        let every_kind: AttributeValues = [
+            (AttributeId(0), Value::Bool(true)),
+            (AttributeId(1), Value::U32(7)),
+            (AttributeId(2), Value::F64(-0.5)),
+            (AttributeId(3), Value::Vec3([1.0, 2.0, 3.0])),
+            (AttributeId(4), Value::Text("jib".into())),
+            (AttributeId(5), Value::Bytes(vec![0xAB, 0xCD])),
+        ]
+        .into();
+        let mut samples = all_samples();
+        for msg in samples.iter_mut() {
+            match msg {
+                WireMessage::UpdateAttributes { values, .. } => *values = every_kind.clone(),
+                WireMessage::Interaction { parameters, .. } => *parameters = every_kind.clone(),
+                _ => {}
+            }
+        }
+        samples
+    }
+
+    /// Every strict prefix and every single-byte replacement of one encoding
+    /// of each variant, named for the failure message.
+    pub(crate) fn hostile_payloads() -> Vec<(String, Vec<u8>)> {
+        let mut payloads = Vec::new();
+        for encoded in sweep_samples().iter().map(WireMessage::encode) {
+            let variant = encoded[0];
+            for cut in 0..encoded.len() {
+                payloads.push((format!("tag {variant} cut at {cut}"), encoded[..cut].to_vec()));
+            }
+            for at in 0..encoded.len() {
+                for byte in (0..=u8::MAX).filter(|b| *b != encoded[at]) {
+                    let mut bad = encoded.clone();
+                    bad[at] = byte;
+                    payloads.push((format!("tag {variant} byte {at} = {byte:#04x}"), bad));
+                }
+            }
+        }
+        payloads
+    }
+
+    #[test]
+    fn every_prefix_and_byte_replacement_decodes_without_panicking() {
+        let payloads = hostile_payloads();
+        let encoded_len: usize = sweep_samples().iter().map(|msg| msg.encode().len()).sum();
+        assert_eq!(payloads.len(), encoded_len * 256, "a prefix and 255 replacements per byte");
+        let mut decoded = 0;
+        for (case, payload) in &payloads {
+            match std::panic::catch_unwind(|| WireMessage::decode(payload)) {
+                Ok(result) => decoded += usize::from(result.is_ok()),
+                Err(_) => panic!("decode panicked on {case}"),
+            }
+        }
+        // A replaced payload byte still decodes; a prefix never does.
+        assert!(decoded > 0 && decoded < payloads.len(), "{decoded} of {}", payloads.len());
     }
 
     proptest! {

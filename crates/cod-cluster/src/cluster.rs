@@ -1,7 +1,7 @@
 //! The cluster executive: a deterministic frame-driven driver for the COD.
 
 use cod_cb::{CbError, ClassRegistry, LpId};
-use cod_net::{FaultPlan, LanConfig, LanStats, Micros, SharedLan, SimLan};
+use cod_net::{FaultPlan, LanConfig, LanStats, Micros, SimLan};
 
 use crate::computer::Computer;
 use crate::lp::LogicalProcess;
@@ -60,13 +60,15 @@ pub struct FrameRecord {
 }
 
 /// The Cluster Of Desktop computers: computers + LAN + executive loop.
+///
+/// The cluster owns its LAN and lends it to each computer's CB for that CB's
+/// tick; the LAN's clock is the cluster's simulation time.
 #[derive(Debug)]
 pub struct Cluster {
     config: ClusterConfig,
     fom: ClassRegistry,
-    lan: SharedLan,
+    lan: SimLan,
     computers: Vec<Computer>,
-    now: Micros,
     metrics: ClusterMetrics,
 }
 
@@ -76,17 +78,16 @@ impl Cluster {
         Cluster {
             config,
             fom,
-            lan: SimLan::shared(config.lan),
+            lan: SimLan::new(config.lan),
             computers: Vec::new(),
-            now: Micros::ZERO,
             metrics: ClusterMetrics::default(),
         }
     }
 
     /// Adds a computer (rack slot) to the cluster and returns its id.
     pub fn add_computer(&mut self, name: &str) -> ComputerId {
-        let transport = SimLan::attach(&self.lan, name);
-        self.computers.push(Computer::new(name, transport, self.fom.clone()));
+        let addr = self.lan.attach();
+        self.computers.push(Computer::new(name, addr, self.fom.clone()));
         ComputerId(self.computers.len() - 1)
     }
 
@@ -114,19 +115,6 @@ impl Cluster {
         self.computers[computer.0].add_lp(lp)
     }
 
-    /// Unplugs an LP from a computer.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the LP is not resident on that computer.
-    pub fn remove_lp(
-        &mut self,
-        computer: ComputerId,
-        lp: LpId,
-    ) -> Result<Box<dyn LogicalProcess>, CbError> {
-        self.computers[computer.0].remove_lp(lp)
-    }
-
     /// Number of computers in the cluster.
     pub fn computer_count(&self) -> usize {
         self.computers.len()
@@ -137,9 +125,9 @@ impl Cluster {
         &self.computers[id.0]
     }
 
-    /// Current simulation time.
+    /// Current simulation time: the LAN clock.
     pub fn now(&self) -> Micros {
-        self.now
+        self.lan.now()
     }
 
     /// The executive metrics accumulated so far.
@@ -156,14 +144,14 @@ impl Cluster {
 
     /// Traffic counters of the cluster LAN.
     pub fn lan_stats(&self) -> LanStats {
-        SimLan::stats(&self.lan)
+        self.lan.stats().clone()
     }
 
     /// Installs a fault-injection plan on the cluster LAN (see
     /// [`cod_net::FaultPlan`]); faults apply to every datagram sent after this
     /// call, drawn from the plan's own seeded RNG stream.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        SimLan::set_fault_plan(&self.lan, plan);
+        self.lan.set_fault_plan(plan);
     }
 
     /// The configured frame period.
@@ -186,20 +174,20 @@ impl Cluster {
         // Protocol rounds are shorter than a frame so discovery converges fast.
         let round = Micros::from_millis(10);
         for _ in 0..self.config.init_rounds {
+            let now = self.lan.now();
             for computer in self.computers.iter_mut() {
-                computer.kernel_mut().tick(self.now)?;
+                computer.kernel.tick(now, &mut self.lan)?;
             }
-            self.now += round;
-            SimLan::advance_to(&self.lan, self.now);
+            self.lan.advance_to(now + round);
         }
         Ok(())
     }
 
-    /// Rewinds the whole cluster — LAN, CB kernels, resident LPs, executive
-    /// clock and metrics — to the canonical session start at `epoch`, keeping
-    /// the topology (computers, channels, registered objects) intact. Any
-    /// installed fault plan is removed; install the next session's plan after
-    /// this call.
+    /// Rewinds the whole cluster — LAN (and with it the cluster clock), CB
+    /// kernels, resident LPs and metrics — to the canonical session start at
+    /// `epoch`, keeping the topology (computers, channels, registered objects)
+    /// intact. Any installed fault plan is removed; install the next session's
+    /// plan after this call.
     ///
     /// Called once at the end of [`crate::Cluster::initialize`]-driven
     /// construction and on every session reset, so recycled and freshly built
@@ -209,11 +197,10 @@ impl Cluster {
     ///
     /// Returns the first error raised by an LP's session reset.
     pub fn begin_session(&mut self, epoch: Micros, seed: u64) -> Result<(), CbError> {
-        SimLan::begin_session(&self.lan, epoch, seed);
+        self.lan.begin_session(epoch, seed);
         for computer in self.computers.iter_mut() {
             computer.begin_session(epoch, seed)?;
         }
-        self.now = epoch;
         self.metrics = ClusterMetrics::default();
         Ok(())
     }
@@ -227,14 +214,15 @@ impl Cluster {
     pub fn run_frame(&mut self) -> Result<FrameRecord, CbError> {
         let frame = self.metrics.frames_run;
         let dt = self.config.frame_period.as_secs_f64();
+        let start = self.lan.now();
         let mut costs = Vec::with_capacity(self.computers.len());
         for computer in self.computers.iter_mut() {
-            costs.push(computer.step_frame(self.now, dt)?);
+            costs.push(computer.step_frame(start, dt, &mut self.lan)?);
         }
-        self.now += self.config.frame_period;
-        SimLan::advance_to(&self.lan, self.now);
+        let now = start + self.config.frame_period;
+        self.lan.advance_to(now);
         self.metrics.record_frame(self.config.frame_period, &costs);
-        Ok(FrameRecord { frame, now: self.now, costs })
+        Ok(FrameRecord { frame, now, costs })
     }
 
     /// Runs `frames` simulation frames.

@@ -1,7 +1,7 @@
 //! One desktop computer of the cluster.
 
 use cod_cb::{CbError, CbKernel, ClassRegistry, LpContext, LpId};
-use cod_net::{Micros, SimTransport};
+use cod_net::{Addr, Micros, SimLan};
 
 use crate::lp::LogicalProcess;
 
@@ -13,7 +13,7 @@ use crate::lp::LogicalProcess;
 #[derive(Debug)]
 pub struct Computer {
     name: String,
-    kernel: CbKernel<SimTransport>,
+    pub(crate) kernel: CbKernel,
     lps: Vec<(LpId, Box<dyn LogicalProcess>)>,
     /// Relative CPU speed: 1.0 is the reference desktop PC; larger is faster.
     cpu_speed: f64,
@@ -26,11 +26,12 @@ impl std::fmt::Debug for dyn LogicalProcess {
 }
 
 impl Computer {
-    /// Creates a computer around a transport already attached to the cluster LAN.
-    pub fn new(name: &str, transport: SimTransport, fom: ClassRegistry) -> Computer {
+    /// Creates a computer whose CB listens at `addr`, an address already
+    /// attached to the cluster LAN.
+    pub fn new(name: &str, addr: Addr, fom: ClassRegistry) -> Computer {
         Computer {
             name: name.to_owned(),
-            kernel: CbKernel::new(transport, fom),
+            kernel: CbKernel::new(addr, fom),
             lps: Vec::new(),
             cpu_speed: 1.0,
         }
@@ -57,13 +58,8 @@ impl Computer {
     }
 
     /// The resident CB kernel.
-    pub fn kernel(&self) -> &CbKernel<SimTransport> {
+    pub fn kernel(&self) -> &CbKernel {
         &self.kernel
-    }
-
-    /// Mutable access to the resident CB kernel.
-    pub fn kernel_mut(&mut self) -> &mut CbKernel<SimTransport> {
-        &mut self.kernel
     }
 
     /// Names of the LPs resident on this computer.
@@ -87,19 +83,6 @@ impl Computer {
         Ok(id)
     }
 
-    /// Removes an LP from this computer (e.g. to unplug a display channel).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the LP is not resident here.
-    pub fn remove_lp(&mut self, id: LpId) -> Result<Box<dyn LogicalProcess>, CbError> {
-        let index =
-            self.lps.iter().position(|(lp_id, _)| *lp_id == id).ok_or(CbError::UnknownLp(id.0))?;
-        self.kernel.deregister_lp(id)?;
-        let (_, lp) = self.lps.remove(index);
-        Ok(lp)
-    }
-
     /// Resets this computer for a new session: the CB kernel's session state
     /// is rewound to `epoch` and every resident LP gets its
     /// [`LogicalProcess::begin_session`] call.
@@ -117,7 +100,7 @@ impl Computer {
     }
 
     /// Runs one simulation frame on this computer: every resident LP steps
-    /// once, then the CB kernel is pumped at time `now`.
+    /// once, then the CB kernel is pumped at time `now` over `lan`.
     ///
     /// Returns the modeled CPU cost of the frame (sum of LP step costs divided
     /// by the CPU speed factor).
@@ -125,14 +108,19 @@ impl Computer {
     /// # Errors
     ///
     /// Returns the first error raised by an LP step or the kernel tick.
-    pub fn step_frame(&mut self, now: Micros, dt: f64) -> Result<Micros, CbError> {
+    pub fn step_frame(
+        &mut self,
+        now: Micros,
+        dt: f64,
+        lan: &mut SimLan,
+    ) -> Result<Micros, CbError> {
         let mut cost_us = 0.0;
         for (id, lp) in self.lps.iter_mut() {
             let mut ctx = LpContext::new(&mut self.kernel, *id);
             lp.step(&mut ctx, dt)?;
             cost_us += lp.last_step_cost().0 as f64;
         }
-        self.kernel.tick(now)?;
+        self.kernel.tick(now, lan)?;
         Ok(Micros((cost_us / self.cpu_speed).round() as u64))
     }
 }
@@ -141,7 +129,7 @@ impl Computer {
 mod tests {
     use super::*;
     use cod_cb::CbApi;
-    use cod_net::{LanConfig, SimLan};
+    use cod_net::LanConfig;
 
     struct Counter {
         steps: u32,
@@ -166,36 +154,25 @@ mod tests {
 
     #[test]
     fn frame_cost_scales_with_cpu_speed() {
-        let lan = SimLan::shared(LanConfig::ideal(1));
-        let mut pc = Computer::new("pc", SimLan::attach(&lan, "pc"), ClassRegistry::new());
+        let mut lan = SimLan::new(LanConfig::ideal(1));
+        let mut pc = Computer::new("pc", lan.attach(), ClassRegistry::new());
         pc.add_lp(Box::new(Counter { steps: 0, cost: Micros::from_millis(10) })).unwrap();
         pc.add_lp(Box::new(Counter { steps: 0, cost: Micros::from_millis(20) })).unwrap();
-        let cost = pc.step_frame(Micros::ZERO, 1.0 / 60.0).unwrap();
+        let cost = pc.step_frame(Micros::ZERO, 1.0 / 60.0, &mut lan).unwrap();
         assert_eq!(cost, Micros::from_millis(30));
 
         pc.set_cpu_speed(2.0);
-        let cost = pc.step_frame(Micros::from_millis(16), 1.0 / 60.0).unwrap();
+        let cost = pc.step_frame(Micros::from_millis(16), 1.0 / 60.0, &mut lan).unwrap();
         assert_eq!(cost, Micros::from_millis(15));
         assert_eq!(pc.lps.len(), 2);
         assert_eq!(pc.lp_names(), vec!["counter", "counter"]);
     }
 
     #[test]
-    fn remove_lp_unplugs_module() {
-        let lan = SimLan::shared(LanConfig::ideal(2));
-        let mut pc = Computer::new("pc", SimLan::attach(&lan, "pc"), ClassRegistry::new());
-        let id = pc.add_lp(Box::new(Counter { steps: 0, cost: Micros::ZERO })).unwrap();
-        assert_eq!(pc.lps.len(), 1);
-        pc.remove_lp(id).unwrap();
-        assert_eq!(pc.lps.len(), 0);
-        assert!(pc.remove_lp(id).is_err());
-    }
-
-    #[test]
     #[should_panic]
     fn cpu_speed_must_be_positive() {
-        let lan = SimLan::shared(LanConfig::ideal(3));
-        let mut pc = Computer::new("pc", SimLan::attach(&lan, "pc"), ClassRegistry::new());
+        let mut lan = SimLan::new(LanConfig::ideal(3));
+        let mut pc = Computer::new("pc", lan.attach(), ClassRegistry::new());
         pc.set_cpu_speed(0.0);
     }
 }

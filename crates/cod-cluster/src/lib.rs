@@ -11,7 +11,9 @@
 //!   relative CPU speed (the rack of Figure 11 was not perfectly homogeneous).
 //! * [`Cluster`] — the whole COD: a simulated LAN, a set of computers, and a
 //!   deterministic frame-driven executive that interleaves module steps, CB
-//!   ticks and LAN delivery.
+//!   ticks and LAN delivery. The cluster owns the LAN, lends it to each
+//!   computer's CB for that CB's tick, and reads its simulation time off the
+//!   LAN clock.
 //! * [`framesync`] — the synchronization server used by the three display
 //!   channels to swap in lock-step (paper §4: the fourth computer).
 //! * [`pipeline`] — analytic model of pipelined vs sequential execution used by

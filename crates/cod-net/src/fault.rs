@@ -12,10 +12,8 @@
 
 use crate::addr::NodeId;
 use crate::time::Micros;
-use std::collections::BTreeMap;
 
-/// Stochastic fault parameters of one (directed) link, or of every link when
-/// used as the plan's default rule.
+/// Stochastic fault parameters, applied by a [`FaultPlan`] to every link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFaultRule {
     /// Probability in `[0, 1]` that a datagram is dropped (on top of the link
@@ -101,17 +99,15 @@ impl PartitionWindow {
 /// ```
 /// use cod_net::{FaultPlan, LanConfig, SimLan};
 ///
-/// let lan = SimLan::shared(LanConfig::fast_ethernet(1));
-/// SimLan::set_fault_plan(&lan, FaultPlan::seeded(7).with_drop_probability(0.05));
+/// let mut lan = SimLan::new(LanConfig::fast_ethernet(1));
+/// lan.set_fault_plan(FaultPlan::seeded(7).with_drop_probability(0.05));
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed of the dedicated fault RNG stream.
     pub seed: u64,
-    /// Rule applied to every link without a specific override.
+    /// Rule applied to every link.
     pub default_rule: LinkFaultRule,
-    /// Per-directed-link overrides, keyed by `(src, dst)` node.
-    pub link_rules: BTreeMap<(NodeId, NodeId), LinkFaultRule>,
     /// Scheduled latency spikes.
     pub spikes: Vec<LatencySpike>,
     /// Scheduled partition windows.
@@ -160,11 +156,6 @@ impl FaultPlan {
         self
     }
 
-    /// The rule governing the directed link `src -> dst`.
-    pub fn rule_for(&self, src: NodeId, dst: NodeId) -> LinkFaultRule {
-        self.link_rules.get(&(src, dst)).copied().unwrap_or(self.default_rule)
-    }
-
     /// Total extra latency from spikes active at `now`, in microseconds.
     pub fn spike_extra_us(&self, now: Micros) -> u64 {
         self.spikes
@@ -181,10 +172,7 @@ impl FaultPlan {
 
     /// Whether the plan can never inject anything (fast-path check).
     pub fn is_none(&self) -> bool {
-        self.default_rule.is_none()
-            && self.link_rules.values().all(LinkFaultRule::is_none)
-            && self.spikes.is_empty()
-            && self.partitions.is_empty()
+        self.default_rule.is_none() && self.spikes.is_empty() && self.partitions.is_empty()
     }
 }
 
@@ -198,16 +186,6 @@ mod tests {
         assert!(FaultPlan::seeded(9).is_none());
         assert!(!FaultPlan::none().with_drop_probability(0.1).is_none());
         assert!(!FaultPlan::none().with_spike(Micros(0), Micros(10), 5).is_none());
-    }
-
-    #[test]
-    fn link_rule_override_wins_over_default() {
-        let lossy = LinkFaultRule { drop_probability: 0.5, ..LinkFaultRule::none() };
-        let mut plan = FaultPlan::none().with_drop_probability(0.01);
-        plan.link_rules.insert((NodeId(1), NodeId(2)), lossy);
-        assert_eq!(plan.rule_for(NodeId(1), NodeId(2)).drop_probability, 0.5);
-        assert_eq!(plan.rule_for(NodeId(2), NodeId(1)).drop_probability, 0.01);
-        assert_eq!(plan.rule_for(NodeId(0), NodeId(3)).drop_probability, 0.01);
     }
 
     #[test]

@@ -94,11 +94,6 @@ impl SimClock {
         self.now
     }
 
-    /// Advances the clock by `dt`.
-    pub fn advance(&mut self, dt: Micros) {
-        self.now += dt;
-    }
-
     /// Advances the clock to `t`.
     ///
     /// # Panics
@@ -142,7 +137,7 @@ mod tests {
     #[test]
     fn clock_is_monotone() {
         let mut c = SimClock::new();
-        c.advance(Micros(10));
+        c.advance_to(Micros(10));
         c.advance_to(Micros(20));
         assert_eq!(c.now(), Micros(20));
     }

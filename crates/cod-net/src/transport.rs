@@ -4,44 +4,31 @@ use crate::addr::Addr;
 use crate::datagram::{Datagram, Destination};
 use crate::error::NetError;
 
-/// A datagram transport endpoint attached to the cluster network.
+/// The cluster network as a CB sees it for the length of one tick.
 ///
-/// The Communication Backbone only ever needs three operations — send a
-/// datagram (unicast or broadcast), poll for received datagrams, and learn its
-/// own address. [`crate::SimTransport`] is the production implementor; the
-/// trait is what lets a kernel test run the same CB code over a fake that
-/// records sends and injects datagrams.
-pub trait Transport: Send {
-    /// Sends `payload` to `dst`.
+/// The Communication Backbone only ever needs two operations — send a
+/// datagram (unicast or broadcast) from its own address, and drain the
+/// datagrams delivered to that address. [`crate::SimLan`] is the production
+/// implementor; the trait is what lets a kernel test run the same CB code over
+/// a fake that records sends and injects datagrams.
+pub trait Transport {
+    /// Sends `payload` from the endpoint `src` to `dst`.
     ///
     /// # Errors
     ///
     /// Returns an error if the payload exceeds the medium's MTU, the
     /// destination is unknown, or the underlying medium failed.
-    fn send(&mut self, dst: Destination, payload: &[u8]) -> Result<(), NetError>;
+    fn send(&mut self, src: Addr, dst: Destination, payload: &[u8]) -> Result<(), NetError>;
 
-    /// Drains every datagram delivered to this endpoint since the previous
-    /// call, appending them to `out` in delivery order behind whatever `out`
-    /// already holds, so a caller that polls every tick can keep one buffer.
+    /// Drains every datagram delivered to the endpoint `addr` since the
+    /// previous call, appending them to `out` in delivery order behind
+    /// whatever `out` already holds, so a caller that polls every tick can
+    /// keep one buffer.
     ///
     /// # Errors
     ///
-    /// Returns an error if the transport has been disconnected from its medium.
-    fn poll_into(&mut self, out: &mut Vec<Datagram>) -> Result<(), NetError>;
-
-    /// [`Transport::poll_into`] a fresh vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the transport has been disconnected from its medium.
-    fn poll(&mut self) -> Result<Vec<Datagram>, NetError> {
-        let mut out = Vec::new();
-        self.poll_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// The address of this endpoint on the cluster network.
-    fn local_addr(&self) -> Addr;
+    /// Returns an error if `addr` is not attached to the medium.
+    fn poll_into(&mut self, addr: Addr, out: &mut Vec<Datagram>) -> Result<(), NetError>;
 }
 
 #[cfg(test)]
@@ -51,7 +38,7 @@ mod tests {
     #[test]
     fn transport_is_object_safe() {
         // Compile-time check that `dyn Transport` stays expressible. The CB
-        // itself holds no trait object: `CbKernel<T: Transport>` is generic.
+        // itself holds no trait object: `CbKernel::tick` is generic over it.
         fn _takes_boxed(_t: Box<dyn Transport>) {}
     }
 }

@@ -17,12 +17,13 @@ const WARM_UP_FRAMES: usize = 500;
 const MEASURED_FRAMES: usize = 1000;
 
 /// Heap allocations allowed to build one rack once the process's training
-/// world and class registry exist, per tier (360 and 287 measured; 370 and
-/// 295 while the CB kernel stored each LP's name, 1 593 and 1 262 while
-/// every rack copied the registry's class tables, 6 381 and 3 656 while
-/// every rack also built its own worlds).
+/// world and class registry exist, per tier (350 and 279 measured; 360 and
+/// 287 while the LAN sat behind a shared lock and kept each computer's name,
+/// 370 and 295 while the CB kernel stored each LP's name, 1 593 and 1 262
+/// while every rack copied the registry's class tables, 6 381 and 3 656
+/// while every rack also built its own worlds).
 const BUDGET_PER_BUILD: [(FidelityTier, u64); 2] =
-    [(FidelityTier::Full, 360), (FidelityTier::Coarse, 287)];
+    [(FidelityTier::Full, 350), (FidelityTier::Coarse, 279)];
 
 thread_local! {
     // Per thread, so the test harness's own threads never leak into the count.

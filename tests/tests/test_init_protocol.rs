@@ -3,7 +3,7 @@
 //! establishment, dynamic join, and behaviour over a lossy LAN.
 
 use cod_cb::{CbKernel, ClassRegistry, Value};
-use cod_net::{LanConfig, Micros, SimLan, SimTransport};
+use cod_net::{LanConfig, Micros, SimLan};
 
 fn crane_fom() -> ClassRegistry {
     let mut fom = ClassRegistry::new();
@@ -11,29 +11,28 @@ fn crane_fom() -> ClassRegistry {
     fom
 }
 
-fn run_round(kernels: &mut [CbKernel<SimTransport>], lan: &cod_net::SharedLan, now: &mut Micros) {
-    for k in kernels.iter_mut() {
-        k.tick(*now).unwrap();
+/// Lends the LAN to every kernel for one tick, then advances it 10 ms.
+fn run_round<'a>(kernels: impl IntoIterator<Item = &'a mut CbKernel>, lan: &mut SimLan) {
+    let now = lan.now();
+    for k in kernels {
+        k.tick(now, lan).unwrap();
     }
-    *now += Micros::from_millis(10);
-    SimLan::advance_to(lan, *now);
+    lan.advance_to(now + Micros::from_millis(10));
 }
 
 #[test]
 fn one_publisher_serves_many_subscriber_computers() {
     let fom = crane_fom();
     let class = fom.object_class_by_name("CraneState").unwrap();
-    let lan = SimLan::shared(LanConfig::fast_ethernet(21));
-    let mut now = Micros::ZERO;
+    let mut lan = SimLan::new(LanConfig::fast_ethernet(21));
 
-    let mut publisher = CbKernel::new(SimLan::attach(&lan, "dynamics"), fom.clone());
+    let mut publisher = CbKernel::new(lan.attach(), fom.clone());
     let dynamics = publisher.register_lp();
     publisher.publish_object_class(dynamics, class).unwrap();
 
     let mut subscribers: Vec<_> = (0..12)
-        .map(|i| {
-            let mut kernel =
-                CbKernel::new(SimLan::attach(&lan, &format!("display-{i}")), fom.clone());
+        .map(|_| {
+            let mut kernel = CbKernel::new(lan.attach(), fom.clone());
             let lp = kernel.register_lp();
             kernel.subscribe_object_class(lp, class).unwrap();
             (kernel, lp)
@@ -41,12 +40,8 @@ fn one_publisher_serves_many_subscriber_computers() {
         .collect();
 
     for _ in 0..40 {
-        publisher.tick(now).unwrap();
-        for (kernel, _) in subscribers.iter_mut() {
-            kernel.tick(now).unwrap();
-        }
-        now += Micros::from_millis(10);
-        SimLan::advance_to(&lan, now);
+        let displays = subscribers.iter_mut().map(|(kernel, _)| kernel);
+        run_round(std::iter::once(&mut publisher).chain(displays), &mut lan);
     }
 
     assert_eq!(publisher.established_channel_count(), 12);
@@ -58,15 +53,11 @@ fn one_publisher_serves_many_subscriber_computers() {
     let object = publisher.register_object_instance(dynamics, class).unwrap();
     let attr = fom.attribute_id(class, "boom_angle").unwrap();
     publisher
-        .update_attribute_values(dynamics, object, [(attr, Value::F64(1.0))].into(), now)
+        .update_attribute_values(dynamics, object, [(attr, Value::F64(1.0))].into(), lan.now())
         .unwrap();
     for _ in 0..5 {
-        publisher.tick(now).unwrap();
-        for (kernel, _) in subscribers.iter_mut() {
-            kernel.tick(now).unwrap();
-        }
-        now += Micros::from_millis(10);
-        SimLan::advance_to(&lan, now);
+        let displays = subscribers.iter_mut().map(|(kernel, _)| kernel);
+        run_round(std::iter::once(&mut publisher).chain(displays), &mut lan);
     }
     for (kernel, lp) in subscribers.iter_mut() {
         assert_eq!(kernel.reflections(*lp).len(), 1);
@@ -77,18 +68,17 @@ fn one_publisher_serves_many_subscriber_computers() {
 fn setup_latency_is_reported_and_bounded_by_the_broadcast_interval() {
     let fom = crane_fom();
     let class = fom.object_class_by_name("CraneState").unwrap();
-    let lan = SimLan::shared(LanConfig::fast_ethernet(5));
-    let mut now = Micros::ZERO;
-    let mut publisher = CbKernel::new(SimLan::attach(&lan, "pub"), fom.clone());
+    let mut lan = SimLan::new(LanConfig::fast_ethernet(5));
+    let mut publisher = CbKernel::new(lan.attach(), fom.clone());
     let p = publisher.register_lp();
     publisher.publish_object_class(p, class).unwrap();
-    let mut subscriber = CbKernel::new(SimLan::attach(&lan, "sub"), fom.clone());
+    let mut subscriber = CbKernel::new(lan.attach(), fom.clone());
     let s = subscriber.register_lp();
     subscriber.subscribe_object_class(s, class).unwrap();
 
     let mut kernels = [publisher, subscriber];
     for _ in 0..30 {
-        run_round(&mut kernels, &lan, &mut now);
+        run_round(&mut kernels, &mut lan);
     }
     let stats = kernels[1].stats();
     assert_eq!(stats.setup_latencies.len(), 1);
@@ -102,18 +92,17 @@ fn setup_latency_is_reported_and_bounded_by_the_broadcast_interval() {
 fn protocol_converges_even_on_a_very_lossy_lan() {
     let fom = crane_fom();
     let class = fom.object_class_by_name("CraneState").unwrap();
-    let lan = SimLan::shared(LanConfig::fast_ethernet(77).with_loss(0.4));
-    let mut now = Micros::ZERO;
-    let mut publisher = CbKernel::new(SimLan::attach(&lan, "pub"), fom.clone());
+    let mut lan = SimLan::new(LanConfig::fast_ethernet(77).with_loss(0.4));
+    let mut publisher = CbKernel::new(lan.attach(), fom.clone());
     let p = publisher.register_lp();
     publisher.publish_object_class(p, class).unwrap();
-    let mut subscriber = CbKernel::new(SimLan::attach(&lan, "sub"), fom.clone());
+    let mut subscriber = CbKernel::new(lan.attach(), fom.clone());
     let s = subscriber.register_lp();
     subscriber.subscribe_object_class(s, class).unwrap();
 
     let mut kernels = [publisher, subscriber];
     for _ in 0..500 {
-        run_round(&mut kernels, &lan, &mut now);
+        run_round(&mut kernels, &mut lan);
     }
     assert!(kernels[0].established_channel_count() >= 1);
     assert!(kernels[1].established_channel_count() >= 1);
@@ -123,26 +112,25 @@ fn protocol_converges_even_on_a_very_lossy_lan() {
 fn late_joining_publisher_is_discovered_by_readvertisement() {
     let fom = crane_fom();
     let class = fom.object_class_by_name("CraneState").unwrap();
-    let lan = SimLan::shared(LanConfig::fast_ethernet(9));
-    let mut now = Micros::ZERO;
-    let mut subscriber = CbKernel::new(SimLan::attach(&lan, "sub"), fom.clone());
+    let mut lan = SimLan::new(LanConfig::fast_ethernet(9));
+    let mut subscriber = CbKernel::new(lan.attach(), fom.clone());
     let s = subscriber.register_lp();
     subscriber.subscribe_object_class(s, class).unwrap();
 
     // The subscriber runs alone for a while: no channel can exist yet.
     let mut kernels = vec![subscriber];
     for _ in 0..50 {
-        run_round(&mut kernels, &lan, &mut now);
+        run_round(&mut kernels, &mut lan);
     }
     assert_eq!(kernels[0].established_channel_count(), 0);
 
     // A publisher computer is switched on later.
-    let mut publisher = CbKernel::new(SimLan::attach(&lan, "pub"), fom.clone());
+    let mut publisher = CbKernel::new(lan.attach(), fom.clone());
     let p = publisher.register_lp();
     publisher.publish_object_class(p, class).unwrap();
     kernels.push(publisher);
     for _ in 0..60 {
-        run_round(&mut kernels, &lan, &mut now);
+        run_round(&mut kernels, &mut lan);
     }
     assert_eq!(kernels[0].established_channel_count(), 1);
     assert_eq!(kernels[1].established_channel_count(), 1);

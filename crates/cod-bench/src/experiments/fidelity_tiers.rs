@@ -25,7 +25,7 @@ const DRIFT_FRAMES: usize = 400;
 /// Runs one sampled spec to completion on one tier; returns the final score
 /// and the modeled sequential cost per session frame in microseconds.
 fn run_tier(config: &crane_sim::SimulatorConfig, tier: FidelityTier) -> (f64, f64) {
-    let mut tiered = config.clone();
+    let mut tiered = *config;
     tiered.tier = tier;
     let mut sim = CraneSimulator::new(tiered).expect("simulator builds");
     sim.run_frames(DRIFT_FRAMES).expect("session runs");

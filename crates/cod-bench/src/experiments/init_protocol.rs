@@ -4,27 +4,26 @@
 //! virtual channels takes as the subscriber count, the SUBSCRIPTION broadcast
 //! interval and the packet loss change.
 
-use cod_cb::{CbConfig, CbKernel, ClassRegistry};
+use cod_cb::{CbKernel, ClassRegistry};
 use cod_net::{LanConfig, Micros, SimLan};
 
 use crate::report::{DerivedMetric, ExperimentResult};
 
 /// Runs discovery for `subscribers` computers and returns
 /// `(rounds, mean setup latency in simulated time)`.
-fn establish(subscribers: usize, broadcast_interval: Micros, loss: f64) -> (usize, Micros) {
+fn establish(subscribers: usize, interval: Micros, loss: f64) -> (usize, Micros) {
     let mut registry = ClassRegistry::new();
     let class = registry.register_object_class("CraneState", &["x"]).unwrap();
     let mut lan = SimLan::new(LanConfig::fast_ethernet(17).with_loss(loss));
-    let config =
-        CbConfig { subscription_broadcast_interval: broadcast_interval, ..CbConfig::default() };
 
-    let mut publisher = CbKernel::with_config(lan.attach(), registry.clone(), config);
+    let mut publisher = CbKernel::with_broadcast_interval(lan.attach(), registry.clone(), interval);
     let p = publisher.register_lp();
     publisher.publish_object_class(p, class).unwrap();
 
     let mut subs: Vec<_> = (0..subscribers)
         .map(|_| {
-            let mut kernel = CbKernel::with_config(lan.attach(), registry.clone(), config);
+            let mut kernel =
+                CbKernel::with_broadcast_interval(lan.attach(), registry.clone(), interval);
             let lp = kernel.register_lp();
             kernel.subscribe_object_class(lp, class).unwrap();
             kernel

@@ -8,8 +8,7 @@
 
 use crate::fom::ObjectClassId;
 use crate::kernel::LpId;
-use cod_net::Addr;
-use std::collections::BTreeMap;
+use cod_net::{Addr, Micros};
 
 /// Identifies a virtual channel cluster-wide.
 ///
@@ -22,11 +21,6 @@ impl ChannelId {
     /// Composes a channel id from the allocating node and a local sequence number.
     pub fn compose(node: u16, seq: u32) -> ChannelId {
         ChannelId(((node as u64) << 32) | seq as u64)
-    }
-
-    /// The node that allocated this channel id.
-    pub fn node(self) -> u16 {
-        (self.0 >> 32) as u16
     }
 }
 
@@ -54,14 +48,20 @@ pub struct VirtualChannel {
     pub remote_cb: Addr,
     /// Role this CB plays.
     pub role: ChannelRole,
-    /// Whether the connection handshake has completed.
+    /// Whether the connection handshake has completed. The channel table is
+    /// the only record of it: a subscription is served by its established
+    /// subscriber-side channels.
     pub established: bool,
+    /// The retry timer of a subscriber-side channel: when this CB last sent
+    /// its CHANNEL CONNECTION. `Micros::ZERO` on the publisher side and after
+    /// a session reset.
+    pub connect_sent_at: Micros,
 }
 
-/// All channels known to one CB, indexed by id.
+/// All channels known to one CB, in id order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChannelTable {
-    channels: BTreeMap<ChannelId, VirtualChannel>,
+    channels: Vec<VirtualChannel>,
 }
 
 impl ChannelTable {
@@ -70,40 +70,42 @@ impl ChannelTable {
         ChannelTable::default()
     }
 
+    /// Where `id` is in the table, or where it would go.
+    fn position(&self, id: ChannelId) -> Result<usize, usize> {
+        self.channels.binary_search_by_key(&id, |c| c.id)
+    }
+
     /// Inserts or replaces a channel entry.
     pub fn insert(&mut self, channel: VirtualChannel) {
-        self.channels.insert(channel.id, channel);
+        match self.position(channel.id) {
+            Ok(at) => self.channels[at] = channel,
+            Err(at) => self.channels.insert(at, channel),
+        }
     }
 
     /// Looks up a channel by id.
     pub fn get(&self, id: ChannelId) -> Option<&VirtualChannel> {
-        self.channels.get(&id)
+        self.position(id).ok().map(|at| &self.channels[at])
     }
 
     /// Mutable lookup by id.
     pub fn get_mut(&mut self, id: ChannelId) -> Option<&mut VirtualChannel> {
-        self.channels.get_mut(&id)
+        self.position(id).ok().map(|at| &mut self.channels[at])
     }
 
-    /// Removes a channel.
-    pub fn remove(&mut self, id: ChannelId) -> Option<VirtualChannel> {
-        self.channels.remove(&id)
+    /// Removes every channel whose publisher or subscriber is `lp`.
+    pub fn remove_for_lp(&mut self, lp: LpId) {
+        self.channels.retain(|c| c.publisher_lp != lp && c.subscriber_lp != lp);
     }
 
-    /// Removes every channel whose publisher or subscriber is `lp`, returning them.
-    pub fn remove_for_lp(&mut self, lp: LpId) -> Vec<VirtualChannel> {
-        let doomed: Vec<ChannelId> = self
-            .channels
-            .values()
-            .filter(|c| c.publisher_lp == lp || c.subscriber_lp == lp)
-            .map(|c| c.id)
-            .collect();
-        doomed.into_iter().filter_map(|id| self.channels.remove(&id)).collect()
-    }
-
-    /// Iterates over all channels.
+    /// Iterates over all channels, in id order.
     pub fn iter(&self) -> impl Iterator<Item = &VirtualChannel> {
-        self.channels.values()
+        self.channels.iter()
+    }
+
+    /// Iterates mutably over all channels, in id order.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut VirtualChannel> {
+        self.channels.iter_mut()
     }
 
     /// Established channels where the given local LP is the publisher of `class`.
@@ -112,7 +114,7 @@ impl ChannelTable {
         publisher_lp: LpId,
         class: ObjectClassId,
     ) -> impl Iterator<Item = &VirtualChannel> {
-        self.channels.values().filter(move |c| {
+        self.channels.iter().filter(move |c| {
             c.established
                 && c.role == ChannelRole::Publisher
                 && c.publisher_lp == publisher_lp
@@ -128,7 +130,7 @@ impl ChannelTable {
         subscriber_lp: LpId,
         class: ObjectClassId,
     ) -> bool {
-        self.channels.values().any(|c| {
+        self.channels.iter().any(|c| {
             c.publisher_lp == publisher_lp && c.subscriber_lp == subscriber_lp && c.class == class
         })
     }
@@ -145,7 +147,7 @@ impl ChannelTable {
 
     /// Number of fully established channels.
     pub fn established_count(&self) -> usize {
-        self.channels.values().filter(|c| c.established).count()
+        self.channels.iter().filter(|c| c.established).count()
     }
 }
 
@@ -169,14 +171,13 @@ mod tests {
             remote_cb: Addr::new(NodeId(1), Port(1)),
             role: ChannelRole::Publisher,
             established,
+            connect_sent_at: Micros::ZERO,
         }
     }
 
     #[test]
     fn compose_packs_node_and_sequence() {
-        let id = ChannelId::compose(3, 17);
-        assert_eq!(id.node(), 3);
-        assert_eq!(id.0 & 0xffff_ffff, 17);
+        assert_eq!(ChannelId::compose(3, 17), ChannelId((3 << 32) | 17));
     }
 
     #[test]
@@ -198,9 +199,8 @@ mod tests {
         t.insert(channel(1, 10, 20, 0, true));
         t.insert(channel(2, 30, 10, 0, true));
         t.insert(channel(3, 40, 50, 0, true));
-        let removed = t.remove_for_lp(LpId(10));
-        assert_eq!(removed.len(), 2);
-        assert_eq!(t.len(), 1);
+        t.remove_for_lp(LpId(10));
+        assert_eq!(t.iter().map(|c| c.id).collect::<Vec<_>>(), [ChannelId(3)]);
     }
 
     #[test]

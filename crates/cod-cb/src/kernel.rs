@@ -12,9 +12,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use crate::channel::{ChannelId, ChannelRole, ChannelTable, VirtualChannel};
 use crate::error::CbError;
 use crate::fom::{AttributeValues, ClassRegistry, InteractionClassId, ObjectClassId};
-use crate::protocol::PendingSubscription;
 use crate::stats::CbStats;
-use crate::tables::{PublicationTable, SubscriptionTable};
 use crate::wire::{self, WireMessage};
 use cod_net::{Addr, Datagram, Destination, Micros, Transport};
 
@@ -29,11 +27,6 @@ impl LpId {
     /// Composes an LP id from its home node and local sequence number.
     pub fn compose(node: u16, seq: u32) -> LpId {
         LpId(((node as u64) << 32) | seq as u64)
-    }
-
-    /// The node the LP registered on.
-    pub fn node(self) -> u16 {
-        (self.0 >> 32) as u16
     }
 }
 
@@ -77,22 +70,42 @@ pub struct InteractionMessage {
     pub timestamp: Micros,
 }
 
-/// Tunable parameters of the initialization protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CbConfig {
-    /// Interval between SUBSCRIPTION broadcasts while unmatched (paper: "a constant time interval").
-    pub subscription_broadcast_interval: Micros,
-    /// Interval between re-advertisements once at least one channel exists,
-    /// allowing late-joining publishers to be discovered.
-    pub readvertise_interval: Micros,
+/// Interval between the SUBSCRIPTION broadcasts of a served subscription, so
+/// that late-joining publishers are still discovered (paper §2.3).
+const READVERTISE_INTERVAL: Micros = Micros::from_secs(2);
+
+/// One row of the subscription table (paper §2.2): a local LP subscribes an
+/// object class. The row also keeps the subscription's initialization
+/// protocol clock (paper §2.3): its SUBSCRIPTION is broadcast every broadcast
+/// interval until it is served, then at the re-advertisement pace.
+#[derive(Debug)]
+struct Subscription {
+    lp: LpId,
+    class: ObjectClassId,
+    /// When the subscription was issued, or the last session epoch since.
+    issued_at: Micros,
+    /// Time of the most recent SUBSCRIPTION broadcast.
+    last_broadcast: Option<Micros>,
+    /// When its first channel became established: the setup latency is
+    /// reported once, then.
+    first_established_at: Option<Micros>,
 }
 
-impl Default for CbConfig {
-    fn default() -> Self {
-        CbConfig {
-            subscription_broadcast_interval: Micros::from_millis(50),
-            readvertise_interval: Micros::from_secs(2),
-        }
+impl Subscription {
+    /// Whether the subscription is served: by a co-resident publisher of its
+    /// class, or by an established subscriber-side channel of its own.
+    fn is_served(
+        &self,
+        publications: &BTreeSet<(LpId, ObjectClassId)>,
+        channels: &ChannelTable,
+    ) -> bool {
+        publications.iter().any(|&(lp, class)| class == self.class && lp != self.lp)
+            || channels.iter().any(|vc| {
+                vc.established
+                    && vc.role == ChannelRole::Subscriber
+                    && vc.subscriber_lp == self.lp
+                    && vc.class == self.class
+            })
     }
 }
 
@@ -134,18 +147,18 @@ impl Outbox {
 pub struct CbKernel {
     addr: Addr,
     fom: ClassRegistry,
-    config: CbConfig,
+    broadcast_interval: Micros,
     now: Micros,
     lps: BTreeMap<LpId, LocalLp>,
     next_lp_seq: u32,
     next_object_seq: u32,
     next_channel_seq: u32,
-    publications: PublicationTable,
-    subscriptions: SubscriptionTable,
-    pending: Vec<PendingSubscription>,
+    /// The publication table (paper §2.2): which local LP publishes which class.
+    publications: BTreeSet<(LpId, ObjectClassId)>,
+    /// The subscription table (paper §2.2), in subscription order.
+    subscriptions: Vec<Subscription>,
     channels: ChannelTable,
     objects: BTreeMap<ObjectId, (LpId, ObjectClassId)>,
-    connect_last_sent: BTreeMap<ChannelId, Micros>,
     outbox: Outbox,
     /// Receive buffer kept across ticks so a steady-state tick does not
     /// allocate one.
@@ -154,30 +167,29 @@ pub struct CbKernel {
 }
 
 impl CbKernel {
-    /// Creates a kernel for the endpoint `addr` with the default protocol
-    /// configuration.
+    /// Creates a kernel for the endpoint `addr` that broadcasts an unserved
+    /// subscription every 50 ms.
     pub fn new(addr: Addr, fom: ClassRegistry) -> CbKernel {
-        CbKernel::with_config(addr, fom, CbConfig::default())
+        CbKernel::with_broadcast_interval(addr, fom, Micros::from_millis(50))
     }
 
-    /// Creates a kernel for the endpoint `addr` with an explicit protocol
-    /// configuration.
-    pub fn with_config(addr: Addr, fom: ClassRegistry, config: CbConfig) -> CbKernel {
+    /// Creates a kernel for the endpoint `addr` that broadcasts an unserved
+    /// subscription, and retries an unanswered CHANNEL CONNECTION, every
+    /// `interval` (paper §2.3: "a constant time interval").
+    pub fn with_broadcast_interval(addr: Addr, fom: ClassRegistry, interval: Micros) -> CbKernel {
         CbKernel {
             addr,
             fom,
-            config,
+            broadcast_interval: interval,
             now: Micros::ZERO,
             lps: BTreeMap::new(),
             next_lp_seq: 0,
             next_object_seq: 0,
             next_channel_seq: 0,
-            publications: PublicationTable::new(),
-            subscriptions: SubscriptionTable::new(),
-            pending: Vec::new(),
+            publications: BTreeSet::new(),
+            subscriptions: Vec::new(),
             channels: ChannelTable::new(),
             objects: BTreeMap::new(),
-            connect_last_sent: BTreeMap::new(),
             outbox: Outbox::default(),
             inbox: Vec::new(),
             stats: CbStats::default(),
@@ -228,10 +240,13 @@ impl CbKernel {
             lp.reflections.clear();
             lp.interactions.clear();
         }
-        self.connect_last_sent.clear();
+        for vc in self.channels.iter_mut() {
+            vc.connect_sent_at = Micros::ZERO;
+        }
         self.outbox.clear();
-        for pending in self.pending.iter_mut() {
-            pending.begin_session(epoch);
+        for sub in self.subscriptions.iter_mut() {
+            sub.issued_at = epoch;
+            sub.last_broadcast = Some(epoch);
         }
         self.stats = CbStats::default();
     }
@@ -263,7 +278,7 @@ impl CbKernel {
     pub fn publish_object_class(&mut self, lp: LpId, class: ObjectClassId) -> Result<(), CbError> {
         self.check_lp(lp)?;
         self.check_object_class(class)?;
-        self.publications.insert(lp, class);
+        self.publications.insert((lp, class));
         Ok(())
     }
 
@@ -281,8 +296,14 @@ impl CbKernel {
     ) -> Result<(), CbError> {
         self.check_lp(lp)?;
         self.check_object_class(class)?;
-        if self.subscriptions.insert(lp, class) {
-            self.pending.push(PendingSubscription::new(lp, class, self.now));
+        if !self.subscriptions.iter().any(|s| s.lp == lp && s.class == class) {
+            self.subscriptions.push(Subscription {
+                lp,
+                class,
+                issued_at: self.now,
+                last_broadcast: None,
+                first_established_at: None,
+            });
         }
         Ok(())
     }
@@ -317,7 +338,7 @@ impl CbKernel {
     ) -> Result<ObjectId, CbError> {
         self.check_lp(lp)?;
         self.check_object_class(class)?;
-        if !self.publications.publishes(lp, class) {
+        if !self.publications.contains(&(lp, class)) {
             return Err(CbError::NotPublished { class });
         }
         let id = ObjectId::compose(self.addr.node.0, self.next_object_seq);
@@ -375,7 +396,8 @@ impl CbKernel {
         // Local routing: co-resident subscribers get the reflection without
         // touching the network (paper §2.1: "no matter that the corresponded
         // LP is in the same machine or across network").
-        let subscribers = self.subscriptions.subscribers_of(class).filter(|s| *s != lp);
+        let subscribers =
+            self.subscriptions.iter().filter(|s| s.class == class && s.lp != lp).map(|s| s.lp);
         fan_out(subscribers, values, |sub, values| {
             if let Some(entry) = self.lps.get_mut(&sub) {
                 entry.reflections.push_back(Reflection {
@@ -476,51 +498,44 @@ impl CbKernel {
         }
         self.inbox = inbox;
 
-        // 2. Initialization-protocol timers: broadcast due subscriptions.
-        let interval = self.config.subscription_broadcast_interval;
-        let readvertise = self.config.readvertise_interval;
+        // 2. Initialization-protocol timers: broadcast due subscriptions. A
+        // served subscription is re-advertised only at the slow pace, so late
+        // remote publishers can still be discovered.
+        let interval = self.broadcast_interval;
         let cb_addr = self.addr;
-        for pending in self.pending.iter_mut() {
-            // A co-resident publisher already serves the subscription; keep the
-            // broadcast only at the slow re-advertisement pace so late remote
-            // publishers can still be discovered.
-            pending.locally_matched =
-                self.publications.publishers_of(pending.class).any(|p| p != pending.lp);
-            if pending.broadcast_due(now, interval, readvertise) {
-                pending.record_broadcast(now);
-                self.stats.subscription_broadcasts += 1;
-                self.outbox.push(
-                    Destination::Broadcast(cb_addr.port),
-                    &WireMessage::Subscription {
-                        subscriber_cb: cb_addr,
-                        subscriber_lp: pending.lp,
-                        class: pending.class,
-                    },
-                );
+        for sub in self.subscriptions.iter_mut() {
+            let period = if sub.is_served(&self.publications, &self.channels) {
+                READVERTISE_INTERVAL
+            } else {
+                interval
+            };
+            if sub.last_broadcast.is_some_and(|last| now.saturating_sub(last) < period) {
+                continue;
             }
+            sub.last_broadcast = Some(now);
+            self.stats.subscription_broadcasts += 1;
+            self.outbox.push(
+                Destination::Broadcast(cb_addr.port),
+                &WireMessage::Subscription {
+                    subscriber_cb: cb_addr,
+                    subscriber_lp: sub.lp,
+                    class: sub.class,
+                },
+            );
         }
 
         // 2b. Retransmit CHANNEL CONNECTION for half-open subscriber-side
         // channels (the LAN may have lost either the connection request or the
         // confirming acknowledgement).
-        for vc in self.channels.iter() {
-            if vc.role != ChannelRole::Subscriber || vc.established {
+        for vc in self.channels.iter_mut() {
+            if vc.role != ChannelRole::Subscriber
+                || vc.established
+                || now.saturating_sub(vc.connect_sent_at) < interval
+            {
                 continue;
             }
-            let last = self.connect_last_sent.get(&vc.id).copied().unwrap_or(Micros::ZERO);
-            if now.saturating_sub(last) >= interval {
-                self.connect_last_sent.insert(vc.id, now);
-                self.outbox.push(
-                    Destination::Unicast(vc.remote_cb),
-                    &WireMessage::ChannelConnection {
-                        channel: vc.id,
-                        subscriber_cb: cb_addr,
-                        subscriber_lp: vc.subscriber_lp,
-                        publisher_lp: vc.publisher_lp,
-                        class: vc.class,
-                    },
-                );
-            }
+            vc.connect_sent_at = now;
+            self.outbox.push(Destination::Unicast(vc.remote_cb), &channel_connection(vc, cb_addr));
         }
 
         // 3. Flush. A failed send takes the rest of this tick's datagrams
@@ -541,7 +556,7 @@ impl CbKernel {
                 if subscriber_cb == self.addr {
                     return;
                 }
-                for publisher_lp in self.publications.publishers_of(class) {
+                for &(publisher_lp, _) in self.publications.iter().filter(|p| p.1 == class) {
                     if self.channels.has_equivalent(publisher_lp, subscriber_lp, class) {
                         continue;
                     }
@@ -553,40 +568,23 @@ impl CbKernel {
                 }
             }
             WireMessage::Acknowledge { publisher_cb, publisher_lp, class } => {
-                let node = self.addr.node.0;
-                let mut new_channels = Vec::new();
-                for pending in self.pending.iter_mut() {
-                    if pending.class != class {
+                for sub in self.subscriptions.iter().filter(|s| s.class == class) {
+                    if self.channels.has_equivalent(publisher_lp, sub.lp, class) {
                         continue;
                     }
-                    if self.channels.has_equivalent(publisher_lp, pending.lp, class) {
-                        continue;
-                    }
-                    let channel = ChannelId::compose(node, self.next_channel_seq);
-                    self.next_channel_seq += 1;
-                    pending.record_connecting(channel);
-                    new_channels.push(VirtualChannel {
-                        id: channel,
+                    let vc = VirtualChannel {
+                        id: ChannelId::compose(self.addr.node.0, self.next_channel_seq),
                         class,
                         publisher_lp,
-                        subscriber_lp: pending.lp,
+                        subscriber_lp: sub.lp,
                         remote_cb: publisher_cb,
                         role: ChannelRole::Subscriber,
                         established: false,
-                    });
-                }
-                for vc in new_channels {
-                    self.outbox.push(
-                        Destination::Unicast(publisher_cb),
-                        &WireMessage::ChannelConnection {
-                            channel: vc.id,
-                            subscriber_cb: self.addr,
-                            subscriber_lp: vc.subscriber_lp,
-                            publisher_lp: vc.publisher_lp,
-                            class: vc.class,
-                        },
-                    );
-                    self.connect_last_sent.insert(vc.id, self.now);
+                        connect_sent_at: self.now,
+                    };
+                    self.next_channel_seq += 1;
+                    let connect = channel_connection(&vc, self.addr);
+                    self.outbox.push(Destination::Unicast(publisher_cb), &connect);
                     self.channels.insert(vc);
                 }
             }
@@ -597,7 +595,7 @@ impl CbKernel {
                 publisher_lp,
                 class,
             } => {
-                if !self.publications.publishes(publisher_lp, class) {
+                if !self.publications.contains(&(publisher_lp, class)) {
                     return;
                 }
                 // Idempotent: a retransmitted CHANNEL CONNECTION (lost ack)
@@ -611,6 +609,7 @@ impl CbKernel {
                         remote_cb: subscriber_cb,
                         role: ChannelRole::Publisher,
                         established: true,
+                        connect_sent_at: Micros::ZERO,
                     });
                     self.stats.channels_established += 1;
                 }
@@ -620,20 +619,18 @@ impl CbKernel {
                 );
             }
             WireMessage::ChannelAck { channel } => {
-                self.connect_last_sent.remove(&channel);
-                if let Some(vc) = self.channels.get_mut(channel) {
-                    if !vc.established {
-                        vc.established = true;
-                        self.stats.channels_established += 1;
-                    }
-                }
-                let now = self.now;
-                for pending in self.pending.iter_mut() {
-                    if pending.channels.contains_key(&channel) {
-                        if let Some(latency) = pending.record_established(channel, now) {
-                            self.stats.setup_latencies.push(latency);
-                        }
-                    }
+                // A repeated acknowledgement, or one for a channel torn down
+                // since, changes nothing.
+                let Some(vc) = self.channels.get_mut(channel).filter(|vc| !vc.established) else {
+                    return;
+                };
+                vc.established = true;
+                self.stats.channels_established += 1;
+                let (lp, class, now) = (vc.subscriber_lp, vc.class, self.now);
+                let sub = self.subscriptions.iter_mut().find(|s| s.lp == lp && s.class == class);
+                if let Some(sub) = sub.filter(|s| s.first_established_at.is_none()) {
+                    sub.first_established_at = Some(now);
+                    self.stats.setup_latencies.push(now.saturating_sub(sub.issued_at));
                 }
             }
             WireMessage::UpdateAttributes { channel, object, class, timestamp, values } => {
@@ -667,17 +664,7 @@ impl CbKernel {
                     self.stats.interactions_delivered += 1;
                 });
             }
-            WireMessage::Withdraw { lp } => {
-                // Forget the torn-down channels' setup records too, or a
-                // subscription left with no channel still counts as satisfied
-                // and looks for a replacement at the re-advertisement pace.
-                for vc in self.channels.remove_for_lp(lp) {
-                    self.connect_last_sent.remove(&vc.id);
-                    for pending in self.pending.iter_mut() {
-                        pending.channels.remove(&vc.id);
-                    }
-                }
-            }
+            WireMessage::Withdraw { lp } => self.channels.remove_for_lp(lp),
         }
     }
 
@@ -695,6 +682,18 @@ impl CbKernel {
         } else {
             Err(CbError::UnknownObjectClass(class))
         }
+    }
+}
+
+/// The CHANNEL CONNECTION request for the subscriber-side channel `vc` of the
+/// CB at `subscriber_cb`.
+fn channel_connection(vc: &VirtualChannel, subscriber_cb: Addr) -> WireMessage {
+    WireMessage::ChannelConnection {
+        channel: vc.id,
+        subscriber_cb,
+        subscriber_lp: vc.subscriber_lp,
+        publisher_lp: vc.publisher_lp,
+        class: vc.class,
     }
 }
 
@@ -753,12 +752,9 @@ mod tests {
             if self.lps.remove(&lp).is_none() {
                 return Err(CbError::UnknownLp(lp.0));
             }
-            self.publications.remove_lp(lp);
-            self.subscriptions.remove_lp(lp);
-            self.pending.retain(|p| p.lp != lp);
-            for vc in self.channels.remove_for_lp(lp) {
-                self.connect_last_sent.remove(&vc.id);
-            }
+            self.publications.retain(|&(publisher, _)| publisher != lp);
+            self.subscriptions.retain(|s| s.lp != lp);
+            self.channels.remove_for_lp(lp);
             self.objects.retain(|_, (owner, _)| *owner != lp);
             self.outbox.push(Destination::Broadcast(self.addr.port), &WireMessage::Withdraw { lp });
             Ok(())
@@ -976,36 +972,6 @@ mod tests {
     }
 
     #[test]
-    fn a_withdrawn_publisher_is_replaced_at_the_discovery_pace() {
-        let (fom, crane, _) = crane_fom();
-        let mut cluster = Cluster::new(8);
-        let mut primary = cluster.kernel(&fom);
-        let mut standby = cluster.kernel(&fom);
-        let mut subscriber = cluster.kernel(&fom);
-        let dynamics = primary.register_lp();
-        let visual = subscriber.register_lp();
-        primary.publish_object_class(dynamics, crane).unwrap();
-        subscriber.subscribe_object_class(visual, crane).unwrap();
-        cluster.run(&mut [&mut primary, &mut standby, &mut subscriber], 20);
-        assert_eq!(subscriber.established_channel_count(), 1);
-
-        // The publisher leaves and a standby on a third computer takes over.
-        // With no channel left the subscription is unsatisfied again, so it is
-        // broadcast every 50 ms, not at the 2 s re-advertisement pace.
-        primary.deregister_lp(dynamics).unwrap();
-        let spare = standby.register_lp();
-        standby.publish_object_class(spare, crane).unwrap();
-        let mut rounds = 0;
-        while !subscriber.channels().iter().any(|c| c.established && c.publisher_lp == spare) {
-            assert!(rounds < 20, "no channel to the standby after {rounds} rounds of 10 ms");
-            cluster.run(&mut [&mut primary, &mut standby, &mut subscriber], 1);
-            rounds += 1;
-        }
-        assert_eq!(subscriber.channels().len(), 1, "the withdrawn publisher's channel is gone");
-        assert_eq!(subscriber.pending[0].channels.len(), 1, "and so is its setup record");
-    }
-
-    #[test]
     fn lossy_lan_still_converges_thanks_to_rebroadcast() {
         let (fom, crane, _) = crane_fom();
         let mut cluster = Cluster { lan: SimLan::new(LanConfig::fast_ethernet(11).with_loss(0.3)) };
@@ -1050,6 +1016,12 @@ mod tests {
                 payload: payload.into(),
                 delivered_at: Micros::ZERO,
             });
+        }
+
+        /// Drains what was sent so far, decoded.
+        fn take_sent(&mut self) -> Vec<(Destination, WireMessage)> {
+            let sent = self.sent.drain(..);
+            sent.map(|(dst, payload)| (dst, WireMessage::decode(&payload).unwrap())).collect()
         }
     }
 
@@ -1264,29 +1236,6 @@ mod tests {
     }
 
     #[test]
-    fn deregister_forgets_the_retry_timers_of_half_open_channels() {
-        // A display LP subscribes; a publisher elsewhere acknowledges, so the
-        // CB opens a subscriber-side channel and starts its retry timer, but
-        // the confirming CHANNEL ACK never arrives.
-        let (fom, class, _) = crane_fom();
-        let mut kernel = CbKernel::new(RECORDER, fom);
-        let mut net = RecordingTransport::default();
-        let display = kernel.register_lp();
-        kernel.subscribe_object_class(display, class).unwrap();
-        let (far_cb, far_lp) = (Addr::new(NodeId(20), Port(1)), LpId::compose(20, 0));
-        let ack = WireMessage::Acknowledge { publisher_cb: far_cb, publisher_lp: far_lp, class };
-        net.inject(far_cb, ack.encode());
-        kernel.tick(Micros::ZERO, &mut net).unwrap();
-        let channel = ChannelId::compose(RECORDER.node.0, 0);
-        assert!(kernel.channels().get(channel).is_some_and(|vc| !vc.established));
-        assert!(kernel.connect_last_sent.contains_key(&channel));
-
-        kernel.deregister_lp(display).unwrap();
-        assert!(kernel.channels().get(channel).is_none());
-        assert!(!kernel.connect_last_sent.contains_key(&channel), "the timer left with it");
-    }
-
-    #[test]
     fn begin_session_empties_the_outbox() {
         let Publisher { mut kernel, mut net, lp, object, .. } = publisher(0, 2);
         kernel.update_attribute_values(lp, object, full_update(), Micros(1)).unwrap();
@@ -1306,10 +1255,224 @@ mod tests {
             let expected =
                 Reflection { object, class, values: values.clone(), timestamp: at, channel: None };
             for sub in local {
-                assert_eq!(kernel.reflections(sub), [expected.clone()], "{remote} channels");
+                assert_eq!(
+                    kernel.reflections(sub),
+                    std::slice::from_ref(&expected),
+                    "{remote} channels"
+                );
             }
             assert_eq!(kernel.stats().updates_routed_locally, 2);
             assert!(kernel.reflections(lp).is_empty(), "the publisher hears nothing back");
         }
+    }
+
+    // ------------------------------------------------------------------
+    // The initialization protocol, observed at the transport
+    // ------------------------------------------------------------------
+
+    /// The CB and first LP of another computer.
+    fn far(node: u16) -> (Addr, LpId) {
+        (Addr::new(NodeId(node), Port(1)), LpId::compose(node, 0))
+    }
+
+    fn acknowledge(node: u16, class: ObjectClassId) -> Vec<u8> {
+        let (publisher_cb, publisher_lp) = far(node);
+        WireMessage::Acknowledge { publisher_cb, publisher_lp, class }.encode()
+    }
+
+    /// The `seq`-th channel the CB at `RECORDER` opens.
+    fn own_channel(seq: u32) -> ChannelId {
+        ChannelId::compose(RECORDER.node.0, seq)
+    }
+
+    /// A CB at `RECORDER` whose one display LP subscribes `CraneState`.
+    fn subscriber() -> (CbKernel, RecordingTransport, LpId, ObjectClassId) {
+        let (fom, class, _) = crane_fom();
+        let mut kernel = CbKernel::new(RECORDER, fom);
+        let display = kernel.register_lp();
+        kernel.subscribe_object_class(display, class).unwrap();
+        (kernel, RecordingTransport::default(), display, class)
+    }
+
+    #[test]
+    fn subscribing_or_publishing_twice_yields_one_broadcast_stream_and_one_channel() {
+        let (mut kernel, mut net, display, class) = subscriber();
+        let dynamics = kernel.register_lp();
+        for _ in 0..2 {
+            kernel.subscribe_object_class(display, class).unwrap();
+            kernel.publish_object_class(dynamics, class).unwrap();
+        }
+        let (viewer_cb, viewer_lp) = far(30);
+        let subscription =
+            WireMessage::Subscription { subscriber_cb: viewer_cb, subscriber_lp: viewer_lp, class };
+        net.inject(viewer_cb, subscription.encode());
+        net.inject(far(20).0, acknowledge(20, class));
+        kernel.tick(Micros::ZERO, &mut net).unwrap();
+
+        let connect = WireMessage::ChannelConnection {
+            channel: own_channel(0),
+            subscriber_cb: RECORDER,
+            subscriber_lp: display,
+            publisher_lp: far(20).1,
+            class,
+        };
+        let expected = [
+            (
+                Destination::Unicast(viewer_cb),
+                WireMessage::Acknowledge { publisher_cb: RECORDER, publisher_lp: dynamics, class },
+            ),
+            (Destination::Unicast(far(20).0), connect),
+            (
+                Destination::Broadcast(RECORDER.port),
+                WireMessage::Subscription {
+                    subscriber_cb: RECORDER,
+                    subscriber_lp: display,
+                    class,
+                },
+            ),
+        ];
+        assert_eq!(net.take_sent(), expected);
+        assert_eq!(kernel.channels().len(), 1);
+
+        let object = kernel.register_object_instance(dynamics, class).unwrap();
+        kernel.update_attribute_values(dynamics, object, full_update(), Micros(1)).unwrap();
+        assert_eq!(kernel.reflections(display).len(), 1, "one reflection per update");
+    }
+
+    #[test]
+    fn an_unserved_subscription_is_broadcast_at_the_discovery_interval() {
+        // With no publisher answering, the SUBSCRIPTION goes out on the first
+        // tick and then every 50 ms, never in between.
+        let (mut kernel, mut net, display, class) = subscriber();
+        let mut broadcasts = Vec::new();
+        for ms in (0..=300).step_by(10) {
+            kernel.tick(Micros::from_millis(ms), &mut net).unwrap();
+            for (destination, msg) in net.take_sent() {
+                assert_eq!(destination, Destination::Broadcast(RECORDER.port));
+                assert_eq!(
+                    msg,
+                    WireMessage::Subscription {
+                        subscriber_cb: RECORDER,
+                        subscriber_lp: display,
+                        class
+                    }
+                );
+                broadcasts.push(ms);
+            }
+        }
+        assert_eq!(broadcasts, [0, 50, 100, 150, 200, 250, 300]);
+    }
+
+    #[test]
+    fn a_served_subscription_is_broadcast_at_the_readvertisement_pace() {
+        // Unserved, the SUBSCRIPTION repeats every 50 ms; served, by a remote
+        // channel established at 230 ms or by a co-resident publisher, every
+        // 2 s. The channel half open since 160 ms does not serve it yet.
+        for co_resident_publisher in [false, true] {
+            let (mut kernel, mut net, _, class) = subscriber();
+            if co_resident_publisher {
+                let dynamics = kernel.register_lp();
+                kernel.publish_object_class(dynamics, class).unwrap();
+            }
+            let mut broadcasts = Vec::new();
+            for ms in (0..=2_250).step_by(10) {
+                if !co_resident_publisher && ms == 160 {
+                    net.inject(far(20).0, acknowledge(20, class));
+                }
+                if !co_resident_publisher && ms == 230 {
+                    net.inject(
+                        far(20).0,
+                        WireMessage::ChannelAck { channel: own_channel(0) }.encode(),
+                    );
+                }
+                kernel.tick(Micros::from_millis(ms), &mut net).unwrap();
+                let sent = net.take_sent();
+                if sent.iter().any(|(_, msg)| matches!(msg, WireMessage::Subscription { .. })) {
+                    broadcasts.push(ms);
+                }
+            }
+            let expected: &[u64] =
+                if co_resident_publisher { &[0, 2_000] } else { &[0, 50, 100, 150, 200, 2_200] };
+            assert_eq!(broadcasts, expected, "co-resident publisher: {co_resident_publisher}");
+        }
+    }
+
+    #[test]
+    fn only_the_first_establishment_reports_a_latency() {
+        let (fom, class, _) = crane_fom();
+        let mut kernel = CbKernel::new(RECORDER, fom);
+        let mut net = RecordingTransport::default();
+        kernel.tick(Micros(10), &mut net).unwrap();
+        let display = kernel.register_lp();
+        kernel.subscribe_object_class(display, class).unwrap();
+        net.inject(far(20).0, acknowledge(20, class));
+        net.inject(far(21).0, acknowledge(21, class));
+        kernel.tick(Micros(15), &mut net).unwrap();
+        assert_eq!(kernel.channels().len(), 2);
+
+        let ack = |seq| WireMessage::ChannelAck { channel: own_channel(seq) }.encode();
+        net.inject(far(20).0, ack(0));
+        kernel.tick(Micros(20), &mut net).unwrap();
+        net.inject(far(21).0, ack(1));
+        net.inject(far(20).0, ack(0));
+        kernel.tick(Micros(30), &mut net).unwrap();
+
+        assert_eq!(kernel.established_channel_count(), 2);
+        assert_eq!(kernel.stats().channels_established, 2);
+        assert_eq!(kernel.stats().setup_latencies, [Micros(10)], "issued at 10, served at 20");
+    }
+
+    #[test]
+    fn a_withdrawn_publisher_is_replaced_at_the_discovery_pace() {
+        let (mut kernel, mut net, display, class) = subscriber();
+        net.inject(far(20).0, acknowledge(20, class));
+        kernel.tick(Micros::ZERO, &mut net).unwrap();
+        net.inject(far(20).0, WireMessage::ChannelAck { channel: own_channel(0) }.encode());
+        kernel.tick(Micros::from_millis(10), &mut net).unwrap();
+        assert_eq!(kernel.established_channel_count(), 1);
+
+        // The publisher leaves and a standby on a third computer takes over.
+        // With no channel left the subscription is unserved again, so it is
+        // broadcast 50 ms after the last one, not at the 2 s pace.
+        net.inject(far(20).0, WireMessage::Withdraw { lp: far(20).1 }.encode());
+        kernel.tick(Micros::from_millis(20), &mut net).unwrap();
+        assert!(kernel.channels().is_empty(), "the withdrawn publisher's channel is gone");
+        net.take_sent();
+        kernel.tick(Micros::from_millis(40), &mut net).unwrap();
+        assert_eq!(net.take_sent(), []);
+        kernel.tick(Micros::from_millis(50), &mut net).unwrap();
+        let rediscover =
+            WireMessage::Subscription { subscriber_cb: RECORDER, subscriber_lp: display, class };
+        assert_eq!(net.take_sent(), [(Destination::Broadcast(RECORDER.port), rediscover)]);
+
+        net.inject(far(21).0, acknowledge(21, class));
+        kernel.tick(Micros::from_millis(60), &mut net).unwrap();
+        net.inject(far(21).0, WireMessage::ChannelAck { channel: own_channel(1) }.encode());
+        kernel.tick(Micros::from_millis(70), &mut net).unwrap();
+        let standby: Vec<_> =
+            kernel.channels().iter().map(|c| (c.publisher_lp, c.established)).collect();
+        assert_eq!(standby, [(far(21).1, true)]);
+    }
+
+    #[test]
+    fn deregister_forgets_the_retry_timers_of_half_open_channels() {
+        // A display LP subscribes; a publisher elsewhere acknowledges, so the
+        // CB opens a subscriber-side channel, but the confirming CHANNEL ACK
+        // never arrives: the CHANNEL CONNECTION is retried every 50 ms.
+        let (mut kernel, mut net, display, class) = subscriber();
+        net.inject(far(20).0, acknowledge(20, class));
+        let connections = |sent: Vec<(Destination, WireMessage)>| {
+            sent.iter().filter(|(_, m)| matches!(m, WireMessage::ChannelConnection { .. })).count()
+        };
+        kernel.tick(Micros::ZERO, &mut net).unwrap();
+        kernel.tick(Micros::from_millis(50), &mut net).unwrap();
+        assert_eq!(connections(net.take_sent()), 2, "sent, then retried");
+
+        kernel.deregister_lp(display).unwrap();
+        for ms in [100, 150, 200] {
+            kernel.tick(Micros::from_millis(ms), &mut net).unwrap();
+        }
+        let withdraw = WireMessage::Withdraw { lp: display };
+        assert_eq!(net.take_sent(), [(Destination::Broadcast(RECORDER.port), withdraw)]);
     }
 }

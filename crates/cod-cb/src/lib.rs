@@ -11,14 +11,18 @@
 //! * **HLA-flavoured services** ([`fom`], [`api`]): LPs *publish* and
 //!   *subscribe* object classes, register object instances, push state with
 //!   *Update Attribute Values* and pull it with *Reflect Attribute Values*.
-//! * **Initialization protocol** ([`protocol`], [`kernel`]): a subscribing CB
+//! * **Initialization protocol** ([`kernel`]): a subscribing CB
 //!   broadcasts a SUBSCRIPTION message at a constant interval until a
 //!   publishing CB answers with ACKNOWLEDGE; a CHANNEL CONNECTION exchange then
 //!   establishes a *virtual channel* between the two backbone instances
 //!   (paper §2.3). Because every CB keeps listening while it runs, an LP (for
 //!   example an extra display channel) can join the running system at any time.
+//! * **Publication and subscription tables** ([`kernel`]): each CB records which
+//!   of its LPs publish and subscribe which class, one row per declaration
+//!   (paper §2.2); a subscription row also keeps its broadcast clock.
 //! * **Virtual channels** ([`channel`]): entry mappings between the publication
 //!   table of one CB and the subscription table of another (paper §2.2, Fig. 2).
+//!   The channel table is the one record of whether a channel is established.
 //! * **Push/pull routing** ([`kernel`]): publishers push updates into their CB;
 //!   the CB routes them over the virtual channels; subscribers pull reflections
 //!   out of their CB at their own pace.
@@ -80,9 +84,7 @@ pub mod codec;
 pub mod error;
 pub mod fom;
 pub mod kernel;
-pub mod protocol;
 pub mod stats;
-pub mod tables;
 pub mod wire;
 
 pub use api::{CbApi, LpContext};
@@ -91,8 +93,6 @@ pub use error::CbError;
 pub use fom::{
     AttributeId, AttributeValues, ClassRegistry, InteractionClassId, ObjectClassId, Value,
 };
-pub use kernel::{CbConfig, CbKernel, InteractionMessage, LpId, ObjectId, Reflection};
-pub use protocol::{ChannelSetupState, PendingSubscription};
+pub use kernel::{CbKernel, InteractionMessage, LpId, ObjectId, Reflection};
 pub use stats::CbStats;
-pub use tables::{PublicationTable, SubscriptionTable};
 pub use wire::WireMessage;

@@ -308,7 +308,7 @@ impl FleetOutcome {
         let mut latencies: Vec<f64> = self
             .sessions
             .iter()
-            .filter(|s| class.map_or(true, |c| s.priority == c))
+            .filter(|s| class.is_none_or(|c| s.priority == c))
             .map(|s| s.latency_ticks() as f64)
             .collect();
         latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));

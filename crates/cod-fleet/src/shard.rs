@@ -986,9 +986,9 @@ mod tests {
             // The Coarse decimation phase survives an arbitrary split — the
             // bookkeeping a retier replay relies on when it re-runs a session
             // whose frame count is not a multiple of the decimation factor.
-            let mut coarse_config = spec.config.clone();
+            let mut coarse_config = spec.config;
             coarse_config.tier = FidelityTier::Coarse;
-            let mut straight = CraneSimulator::new(coarse_config.clone()).unwrap();
+            let mut straight = CraneSimulator::new(coarse_config).unwrap();
             straight.run_frames(frames).unwrap();
             let mut chunked = CraneSimulator::new(coarse_config).unwrap();
             chunked.run_frames(split).unwrap();

@@ -10,6 +10,9 @@ use cod_cb::CbError;
 use cod_fleet::{run_fleet, ExecutionMode, FleetConfig, FleetOutcome, FleetReport};
 use crane_sim::{FidelityTier, SCORE_DRIFT_TOLERANCE};
 
+/// Per run, its label and [`first_divergence`] from the reference report.
+type Divergences<Label> = Vec<(Label, Option<usize>)>;
+
 /// Index of the first byte at which two serialized reports differ (the shorter
 /// length when one is a prefix of the other), `None` when they are identical.
 fn first_divergence(a: &str, b: &str) -> Option<usize> {
@@ -32,7 +35,7 @@ fn first_divergence(a: &str, b: &str) -> Option<usize> {
 pub fn wallclock_equivalence_check(
     config: &FleetConfig,
     thread_counts: &[usize],
-) -> Result<(FleetReport, Vec<(usize, Option<usize>)>), CbError> {
+) -> Result<(FleetReport, Divergences<usize>), CbError> {
     let mut modeled_config = config.clone();
     modeled_config.execution = ExecutionMode::Modeled;
     let modeled = FleetReport::from_outcome(&run_fleet(&modeled_config)?);
@@ -63,7 +66,7 @@ pub fn wallclock_equivalence_check(
 pub fn obs_equivalence_check(
     config: &FleetConfig,
     thread_counts: &[usize],
-) -> Result<(String, Vec<(String, Option<usize>)>), CbError> {
+) -> Result<(String, Divergences<String>), CbError> {
     let obs_bytes = |execution: ExecutionMode| -> Result<String, CbError> {
         let mut traced = config.clone();
         traced.execution = execution;
@@ -434,7 +437,7 @@ mod tests {
     ) -> Result<Vec<String>, CbError> {
         let mut shapes: BTreeMap<SessionShape, SimulatorConfig> = BTreeMap::new();
         for spec in scenario_specs(matrix) {
-            let mut config = spec.config.clone();
+            let mut config = spec.config;
             config.exam_frames = frames;
             shapes.entry(SessionShape::of(&config)).or_insert(config);
         }
@@ -442,7 +445,7 @@ mod tests {
         let mut violations = Vec::new();
         for (index, base) in shapes.values().enumerate() {
             let cohort_config = |k: usize| {
-                let mut config = base.clone();
+                let mut config = *base;
                 config.seed ^= (k as u64) * 0x9E37_79B9;
                 config
             };

@@ -34,10 +34,11 @@ pub const SCORE_DRIFT_TOLERANCE: f64 = 25.0;
 /// one rack behind [`crate::CraneSimulator`]; both tiers run the same physics
 /// from the same seed, so a session can move between them by deterministic
 /// replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FidelityTier {
     /// The paper's eight-PC rack: every display channel, every module, full
-    /// integrator rate.
+    /// integrator rate. The default.
+    #[default]
     Full,
     /// A decimated rack: one display channel and one cluster frame per
     /// [`FidelityTier::decimation`] session frames, order(s) of magnitude
@@ -83,12 +84,6 @@ impl FidelityTier {
             FidelityTier::Full => configured,
             FidelityTier::Coarse => 1,
         }
-    }
-}
-
-impl Default for FidelityTier {
-    fn default() -> Self {
-        FidelityTier::Full
     }
 }
 
@@ -152,6 +147,10 @@ impl SimulatorConfig {
     /// # Errors
     ///
     /// Returns a description of the first invalid field.
+    #[allow(
+        clippy::neg_cmp_op_on_partial_ord,
+        reason = "`!(x > 0.0)` also rejects NaN, which `x <= 0.0` would let through"
+    )]
     pub fn validate(&self) -> Result<(), String> {
         if self.display_channels == 0 {
             return Err("at least one display channel is required".to_owned());

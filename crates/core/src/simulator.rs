@@ -347,7 +347,7 @@ impl CraneSimulator {
     /// Returns the first error raised by a module or the backbone.
     pub fn step_frame(&mut self) -> Result<FrameRecord, CbError> {
         let frame = self.session_frames;
-        let record = if frame % self.decimation == 0 {
+        let record = if frame.is_multiple_of(self.decimation) {
             // One real cluster frame absorbs this batch of session frames.
             FrameRecord { frame, ..self.cluster.run_frame()? }
         } else {
@@ -457,11 +457,8 @@ impl CraneSimulator {
     /// cost nothing, which is exactly what makes the Coarse tier cheap to
     /// keep resident.
     pub fn session_cost_hint(&self) -> Micros {
-        if self.session_frames == 0 {
-            Micros::ZERO
-        } else {
-            Micros(self.cluster.metrics().total_sequential_cost.0 / self.session_frames)
-        }
+        let total = self.cluster.metrics().total_sequential_cost.0;
+        Micros(total.checked_div(self.session_frames).unwrap_or(0))
     }
 }
 
@@ -785,7 +782,7 @@ mod tests {
             }
         }
         let mut batch: Vec<(&mut CraneSimulator, usize)> =
-            batched.iter_mut().zip(budgets).map(|(sim, budget)| (sim, budget)).collect();
+            batched.iter_mut().zip(budgets).collect();
         step_frames_batch_traced(&mut batch, None).unwrap();
 
         for ((a, b), budget) in scalar.iter().zip(batched.iter()).zip(budgets) {

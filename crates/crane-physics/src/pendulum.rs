@@ -238,20 +238,64 @@ mod tests {
         }
     }
 
+    /// The swing period of `p` released 1 m to the side under a fixed
+    /// suspension: twice the mean time between the first five zero crossings
+    /// of its horizontal offset, each crossing interpolated within its frame.
+    fn measured_period(mut p: CablePendulum, suspension: Vec3, cable_length: f64) -> f64 {
+        p.position += Vec3::new(1.0, 0.0, 0.0);
+        let mut crossings = Vec::new();
+        let (mut t, mut x) = (0.0, p.position.x - suspension.x);
+        while crossings.len() < 5 {
+            p.step(suspension, cable_length, DT);
+            let next = p.position.x - suspension.x;
+            if x != 0.0 && next.signum() != x.signum() {
+                crossings.push(t + DT * x / (x - next));
+            }
+            (t, x) = (t + DT, next);
+            assert!(t < 120.0, "fewer than five zero crossings in two minutes");
+        }
+        2.0 * (crossings[4] - crossings[0]) / 4.0
+    }
+
     #[test]
     fn heavier_cargo_swings_with_same_period_but_more_tension() {
-        let suspension = Vec3::new(0.0, 20.0, 0.0);
-        let mut light = CablePendulum::new(suspension, 8.0, 100.0);
-        let mut heavy = CablePendulum::new(suspension, 8.0, 100.0);
-        heavy.attach_cargo(5_000.0);
-        light.position += Vec3::new(1.0, 0.0, 0.0);
-        heavy.position += Vec3::new(1.0, 0.0, 0.0);
-        for _ in 0..120 {
-            light.step(suspension, 8.0, DT);
-            heavy.step(suspension, 8.0, DT);
+        for cable_length in [8.0, 20.0] {
+            for damping in [0.55, 0.0] {
+                let suspension = Vec3::new(0.0, cable_length + 12.0, 0.0);
+                let mut light = CablePendulum::new(suspension, cable_length, 100.0);
+                light.damping = damping;
+                let mut heavy = light;
+                heavy.attach_cargo(5_000.0);
+
+                // Closed form of the damped small-angle pendulum x'' + c x' + (g/L) x = 0.
+                let omega = (GRAVITY / cable_length - (damping / 2.0).powi(2)).sqrt();
+                let closed_form = 2.0 * std::f64::consts::PI / omega;
+                let (light_period, heavy_period) = (
+                    measured_period(light, suspension, cable_length),
+                    measured_period(heavy, suspension, cable_length),
+                );
+                let case = format!("L = {cable_length} m, c = {damping}");
+                assert!(
+                    (heavy_period / light_period - 1.0).abs() < 0.005,
+                    "{case}: light {light_period:.3} s, heavy {heavy_period:.3} s"
+                );
+                for period in [light_period, heavy_period] {
+                    assert!(
+                        (period / closed_form - 1.0).abs() < 0.005,
+                        "{case}: measured {period:.3} s, closed form {closed_form:.3} s"
+                    );
+                }
+
+                light.position += Vec3::new(1.0, 0.0, 0.0);
+                heavy.position += Vec3::new(1.0, 0.0, 0.0);
+                for _ in 0..120 {
+                    light.step(suspension, cable_length, DT);
+                    heavy.step(suspension, cable_length, DT);
+                }
+                let tension = |p: &CablePendulum| p.cable_tension(suspension, cable_length);
+                assert!(tension(&heavy) > tension(&light), "{case}");
+            }
         }
-        assert!(heavy.cable_tension(suspension, 8.0) > light.cable_tension(suspension, 8.0));
-        assert!(heavy.total_mass() > light.total_mass());
     }
 
     #[test]

@@ -11,6 +11,10 @@ use crate::mesh::{Color, Mesh};
 /// # Panics
 ///
 /// Panics if `nx` or `nz` is zero or an extent is not positive.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the centre, extents and cell counts are plain numbers named at the one call site"
+)]
 pub fn heightfield_mesh<F>(
     center_x: f64,
     center_z: f64,

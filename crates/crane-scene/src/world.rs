@@ -337,7 +337,7 @@ mod tests {
         let world = TrainingWorld::build();
         let polys = world.polygon_count();
         // The paper reports 3 235 polygons; stay within a reasonable band of it.
-        assert!(polys >= 2_600 && polys <= 4_200, "polygon count {polys} is out of band");
+        assert!((2_600..=4_200).contains(&polys), "polygon count {polys} is out of band");
     }
 
     #[test]

@@ -130,8 +130,8 @@ mod tests {
         let g = StewartGeometry::training_platform();
         let up = PlatformPose { translation: Vec3::new(0.0, 0.15, 0.0), ..Default::default() };
         let neutral = g.neutral_leg_lengths();
-        for i in 0..6 {
-            assert!(g.leg_length(&up, i) > neutral[i]);
+        for (i, &length) in neutral.iter().enumerate() {
+            assert!(g.leg_length(&up, i) > length);
         }
     }
 

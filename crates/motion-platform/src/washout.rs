@@ -66,7 +66,7 @@ impl WashoutFilter {
         let mut translation = Vec3::new(tx, ty, tz);
         let len = translation.length();
         if len > self.max_translation {
-            translation = translation * (self.max_translation / len);
+            translation *= self.max_translation / len;
         }
 
         // Sustained cues: low-passed acceleration becomes tilt coordination,

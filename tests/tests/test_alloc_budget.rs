@@ -17,13 +17,15 @@ const WARM_UP_FRAMES: usize = 500;
 const MEASURED_FRAMES: usize = 1000;
 
 /// Heap allocations allowed to build one rack once the process's training
-/// world and class registry exist, per tier (350 and 279 measured; 360 and
-/// 287 while the LAN sat behind a shared lock and kept each computer's name,
-/// 370 and 295 while the CB kernel stored each LP's name, 1 593 and 1 262
-/// while every rack copied the registry's class tables, 6 381 and 3 656
-/// while every rack also built its own worlds).
+/// world and class registry exist, per tier (307 and 250 measured; 350 and
+/// 279 while each CB kept a second subscription table, a setup map per
+/// subscription and a map of retry timers, and its channels in a B-tree; 360
+/// and 287 while the LAN sat behind a shared lock and kept each computer's
+/// name, 370 and 295 while the CB kernel stored each LP's name, 1 593 and
+/// 1 262 while every rack copied the registry's class tables, 6 381 and
+/// 3 656 while every rack also built its own worlds).
 const BUDGET_PER_BUILD: [(FidelityTier, u64); 2] =
-    [(FidelityTier::Full, 350), (FidelityTier::Coarse, 279)];
+    [(FidelityTier::Full, 307), (FidelityTier::Coarse, 250)];
 
 thread_local! {
     // Per thread, so the test harness's own threads never leak into the count.

@@ -5,21 +5,21 @@
 //! The vendored toolchain has no `syn` (the build environment cannot reach
 //! crates.io), so — in the house style of `cod-json` — the lexer is a small
 //! byte-level state machine instead of a parser. It understands exactly the
-//! token classes that can hide rule text from a naive `grep`:
+//! token classes that can hide an identifier from a naive `grep`:
 //!
 //! * line comments (`//`, incl. doc comments) and block comments
 //!   (`/* ... */`) **with nesting**, both routed to the comment channel;
 //! * string literals (`"..."` with escapes), byte strings (`b"..."`), raw
 //!   strings (`r"..."`, `r#"..."#`, any number of `#` fence characters) and
 //!   raw byte strings (`br#"..."#`) — interiors are dropped from the code
-//!   channel, so `"Instant"` inside a literal never triggers a rule;
+//!   channel, so `"Instant"` inside a literal is never a reference;
 //! * char literals (`'x'`, `'\n'`, `'\u{2603}'`) versus lifetimes (`'a`,
 //!   `'static`), disambiguated by lookahead;
 //! * raw identifiers (`r#fn`), which must *not* open a raw string.
 //!
 //! Multi-line tokens (block comments, multi-line strings) carry their state
-//! across lines; the per-line split is what the rule engine consumes, since
-//! every rule and every `audit:allow` waiver is line-addressed.
+//! across lines; R7 tokenizes the code channel and reads its
+//! `audit:allow` waivers from the comment channel, line by line.
 
 /// One source line, split into its two channels. Either channel may be
 /// empty; literal interiors appear in neither.
@@ -59,7 +59,7 @@ pub fn split_lines(source: &str) -> Vec<Line> {
             // with it, block comments and strings persist.
             // Strings (raw or not) stay open across the newline: rustc
             // would reject an illegally-split literal anyway, and masking
-            // more can only *hide* rule text, never invent it.
+            // more can only *hide* an identifier, never invent it.
             lines.push(std::mem::take(&mut line));
             i += 1;
             continue;

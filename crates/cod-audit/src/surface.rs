@@ -1,19 +1,18 @@
-//! R7 `dead-surface`: the one cross-file rule.
+//! R7 `dead-surface`: the audit's one rule.
 //!
 //! `pub` items are exempt from rustc's `dead_code` lint, so a public item
-//! that nothing calls survives every build. After the per-file rules,
-//! [`scan`] makes one pass over the code channel of every audited file. It
-//! flags a `pub` item (`fn`, `struct`, `enum`, `trait`, `type`, `const`,
-//! `static` or `union`, inherent methods included) defined under `crates/`
-//! outside a `#[cfg(test)]` item when its name appears nowhere else: not in
-//! its own file's non-test code beyond the definition, and not in any other
-//! audited file, tests included.
+//! that nothing calls survives every build. [`scan`] makes one pass over the
+//! code channel of every audited file. It flags a `pub` item (`fn`,
+//! `struct`, `enum`, `trait`, `type`, `const`, `static` or `union`, inherent
+//! methods included) defined under `crates/` outside a `#[cfg(test)]` item
+//! when its name appears nowhere else: not in its own file's non-test code
+//! beyond the definition, and not in any other audited file, tests included.
 //!
 //! Identifiers inside a `use` declaration are not references, or every
 //! re-exported item would read as live. The one exception is a name renamed
 //! with `as`: its uses go by the alias, so the name itself counts. Files
-//! under the config's reference roots (`benchmark/src`) are read for
-//! references only and never audited.
+//! under [`REFERENCE_ROOTS`] (`benchmark/src`) are read for references only
+//! and never audited.
 //!
 //! Matching is by name, not by resolved path. A dead item that shares its
 //! name with a live one (`new`, `len`) is missed, and so is one whose name
@@ -24,7 +23,19 @@
 use std::collections::BTreeMap;
 
 use crate::lexer::Line;
-use crate::rules::{Rule, Violation};
+
+/// The repo-relative directories whose `.rs` files are audited: every
+/// workspace member's sources.
+pub const ROOTS: [&str; 4] = ["crates", "tests", "examples", "vendor"];
+
+/// The repo-relative directories read for references only. The benchmark
+/// binds the crates' public items but is its own package, so it is never
+/// audited.
+pub const REFERENCE_ROOTS: [&str; 1] = ["benchmark/src"];
+
+/// Why a flagged item fails the audit, and what to do about it.
+const RATIONALE: &str = "no code outside this file's tests names it, a `use` line aside; \
+                         delete it, or move a test-only helper into the test module";
 
 /// The item keywords whose `pub` definitions R7 checks.
 const ITEM_KINDS: [&str; 8] = ["fn", "struct", "enum", "trait", "type", "const", "static", "union"];
@@ -53,9 +64,13 @@ struct Counts<'a> {
 }
 
 /// Runs R7 over `audited` (repo-relative path, lexed lines) and the
-/// reference-only files. Returns each finding with the index of its file
-/// in `audited`.
-pub fn scan(audited: &[(String, Vec<Line>)], references: &[Vec<Line>]) -> Vec<(usize, Violation)> {
+/// reference-only files. Returns each finding as (index of its file in
+/// `audited`, 1-based line, message), in (path, line) order when
+/// `audited` is sorted by path.
+pub fn scan(
+    audited: &[(String, Vec<Line>)],
+    references: &[Vec<Line>],
+) -> Vec<(usize, usize, String)> {
     let files: Vec<Tokens> = audited.iter().map(|(_, lines)| Tokens::new(lines)).collect();
     let counts: Vec<Counts> = files.iter().map(Tokens::counts).collect();
     let mut global = BTreeMap::new();
@@ -76,8 +91,7 @@ pub fn scan(audited: &[(String, Vec<Line>)], references: &[Vec<Line>]) -> Vec<(u
             let own = |map: &BTreeMap<&str, usize>| map.get(name).copied().unwrap_or(0);
             let elsewhere = global[name] - own(&counts[index].all);
             if elsewhere == 0 && own(&counts[index].non_test) <= 1 {
-                let message = format!("`pub {kind} {name}`: {}", Rule::DeadSurface.rationale());
-                out.push((index, Violation { line, rule: Rule::DeadSurface, message }));
+                out.push((index, line, format!("`pub {kind} {name}`: {RATIONALE}")));
             }
         }
     }
@@ -225,7 +239,7 @@ mod tests {
             files.iter().map(|(path, src)| (path.to_string(), split_lines(src))).collect();
         scan(&audited, &[])
             .into_iter()
-            .map(|(index, v)| format!("{}:{}", audited[index].0, v.line))
+            .map(|(index, line, _)| format!("{}:{line}", audited[index].0))
             .collect()
     }
 

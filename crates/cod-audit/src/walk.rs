@@ -1,5 +1,5 @@
-//! Deterministic workspace walk: every `.rs` file under the configured
-//! roots, in sorted repo-relative order.
+//! Deterministic workspace walk: every `.rs` file under the given roots,
+//! in sorted repo-relative order.
 //!
 //! Sorted order matters twice: diagnostics print in a stable order run to
 //! run, and `AUDIT_cod.json` — like every other machine-readable artifact in
@@ -8,16 +8,15 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Collects every `.rs` file under `repo_root/<root>` for each configured
-/// root, returning *repo-relative* paths with `/` separators, sorted.
+/// Collects every `.rs` file under `repo_root/<root>` for each root, returning *repo-relative* paths with `/` separators, sorted.
 /// Build output (`target/`) and hidden directories are skipped.
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors; a configured root that does not exist is
+/// Propagates filesystem errors; a root that does not exist is
 /// reported rather than silently skipped (an audit that quietly scans
 /// nothing would pass vacuously).
-pub fn rust_files(repo_root: &Path, roots: &[String]) -> io::Result<Vec<String>> {
+pub fn rust_files(repo_root: &Path, roots: &[&str]) -> io::Result<Vec<String>> {
     let mut files = Vec::new();
     for root in roots {
         let dir = repo_root.join(root);
@@ -70,7 +69,7 @@ mod tests {
     #[test]
     fn walks_this_crate_sorted_and_relative() {
         let repo_root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap();
-        let files = rust_files(repo_root, &["crates/cod-audit".to_owned()]).expect("walk succeeds");
+        let files = rust_files(repo_root, &["crates/cod-audit"]).expect("walk succeeds");
         assert!(files.iter().any(|f| f == "crates/cod-audit/src/walk.rs"));
         assert!(files.iter().all(|f| f.ends_with(".rs") && !f.contains('\\')));
         let mut sorted = files.clone();
@@ -81,6 +80,6 @@ mod tests {
     #[test]
     fn missing_root_is_an_error_not_a_silent_pass() {
         let repo_root = Path::new(env!("CARGO_MANIFEST_DIR"));
-        assert!(rust_files(repo_root, &["no-such-dir".to_owned()]).is_err());
+        assert!(rust_files(repo_root, &["no-such-dir"]).is_err());
     }
 }

@@ -20,6 +20,7 @@ use cod_bench::report::BenchReport;
 fn main() -> ExitCode {
     let mut selected: Vec<&Experiment> = Vec::new();
     // Cargo passes `--bench` to every bench target; it selects nothing here.
+    #[allow(clippy::disallowed_methods, reason = "a binary reads its arguments at its entry point")]
     for key in std::env::args().skip(1).filter(|arg| arg != "--bench") {
         let Some(experiment) = lookup(&key) else {
             let valid: Vec<String> =

@@ -146,7 +146,7 @@ impl BenchReport {
     /// the Unix epoch — [`crate::measure::wall_unix_ms`] supplies it). The
     /// clock read lives with the rest of the measurement layer's wall-clock
     /// plumbing, not here: this module's output is diffed mechanically by
-    /// CI, so `cod_audit` holds it to the ambient-env rule.
+    /// CI, so it reads no clock (`clippy.toml` bans `SystemTime` here).
     pub fn new(generated_unix_ms: u64, experiments: Vec<ExperimentResult>) -> BenchReport {
         BenchReport { schema_version: SCHEMA_VERSION, generated_unix_ms, experiments }
     }

@@ -4,7 +4,7 @@
 //! The modeled-time path ([`crate::fleet::ExecutionMode::Modeled`]) answers
 //! "how much CPU would this tick cost"; this module answers "how fast does
 //! the hardware actually serve it" — and is the only place in the workspace
-//! that creates a thread (audit rule R5 holds everything else to that). A
+//! that creates a thread (`clippy.toml` bans it everywhere else). A
 //! [`WallClockExecutor`] spawns its workers **once per fleet run**, so the
 //! per-tick cost is a task hand-off, not a thread spawn, and every tick the
 //! fleet driver hands over one *shard-batch task* per shard:
@@ -35,6 +35,18 @@
 //! carries no wall numbers and stays byte-identical per seed whether a run
 //! took one thread or eight.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "WallStopwatch and the per-task worker spans live here by design; timings are \
+              returned beside the FleetOutcome (WallClockStats) and never serialized into \
+              FLEET_cod.json"
+)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the executor pool is the workspace's only thread spawner; its fold order is \
+              proved scheduling-independent by the wallclock equivalence gates"
+)]
+
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -48,9 +60,9 @@ use crate::shard::{Completed, Shard};
 /// A wall-clock stopwatch: started once, read as a [`Duration`] since.
 ///
 /// This is the only sanctioned way for fleet code outside this module to
-/// measure real time. `cod_audit` bans `Instant`/`elapsed(` everywhere but
-/// the explicit wall-clock allowlist (this file is on it), so routing every
-/// fleet timing through here keeps the fence mechanical: a stray clock read
+/// measure real time. `clippy.toml` bans `Instant` everywhere but the three
+/// files that allow it (this is one), so routing every fleet timing through
+/// here keeps the fence mechanical: a stray clock read
 /// in the deterministic tick loop is a lint error, not a seed hunt. The
 /// reading deliberately lands in a [`Duration`] — a value, not a clock — so
 /// the borrow ends at the fence.

@@ -27,6 +27,7 @@ fn usage() -> String {
 }
 
 fn main() -> ExitCode {
+    #[allow(clippy::disallowed_methods, reason = "a binary reads its arguments at its entry point")]
     if let Some(arg) = std::env::args().nth(1) {
         if arg == "--help" || arg == "-h" {
             print!("{}", usage());

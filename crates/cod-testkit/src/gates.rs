@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use cod_audit::{audit_tree, AuditConfig, AuditReport};
+use cod_audit::{audit_tree, AuditReport};
 use cod_bench::experiments::audio_mix::KERNEL_SPEEDUP_FLOOR;
 use cod_bench::experiments::cluster_speedup::SPEEDUP_FLOOR;
 use cod_bench::experiments::observability::TRACING_OVERHEAD_CEILING_PCT;
@@ -262,28 +262,27 @@ fn run_bench() -> Result<Vec<GateRow>, String> {
     Ok(bench_rows(&report))
 }
 
-/// The workspace is audit-clean: no hard violation of rules R1–R7, a stale
-/// `[[allow]]` entry included.
+/// The workspace is audit-clean: no `pub` item that nothing outside its own
+/// file's tests names (R7) is left unwaived.
 pub fn audit_rows(report: &AuditReport) -> Vec<GateRow> {
     let violations = report.violations().count() as f64;
-    vec![GateRow::new("hard determinism-audit violations", Ok(violations), Bound::Ceiling(0.0))
+    vec![GateRow::new("unwaived dead pub items (R7)", Ok(violations), Bound::Ceiling(0.0))
         .detail(format!("{} files", report.files_checked))]
 }
 
 /// Audits the workspace holding the working directory: the nearest
-/// ancestor with an `audit.toml`.
+/// ancestor whose `Cargo.toml` declares a `[workspace]`.
 fn run_audit() -> Result<Vec<GateRow>, String> {
     let cwd = std::env::current_dir().map_err(|err| format!("no working directory: {err}"))?;
     let root = cwd
         .ancestors()
-        .find(|dir| dir.join("audit.toml").is_file())
-        .ok_or("no audit.toml in the working directory or above")?;
-    let config_path = root.join("audit.toml");
-    let text = std::fs::read_to_string(&config_path)
-        .map_err(|err| format!("cannot read {}: {err}", config_path.display()))?;
-    let config = AuditConfig::parse(&text).map_err(|err| err.to_string())?;
-    let report = audit_tree(root, &config).map_err(|err| format!("audit walk failed: {err}"))?;
-    print!("{}", report.render_text(true));
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|manifest| manifest.lines().any(|line| line.trim() == "[workspace]"))
+        })
+        .ok_or("no workspace Cargo.toml in the working directory or above")?;
+    let report = audit_tree(root).map_err(|err| format!("audit walk failed: {err}"))?;
+    print!("{}", report.render_text());
     write("AUDIT_cod.json", &report.to_json().to_pretty())?;
     Ok(audit_rows(&report))
 }
@@ -667,7 +666,7 @@ fn run_trace() -> Result<Vec<GateRow>, String> {
 mod tests {
     use std::sync::OnceLock;
 
-    use cod_audit::{Disposition, Finding, Rule};
+    use cod_audit::Finding;
     use cod_bench::report::{Comparison, DerivedMetric, ExperimentResult};
     use cod_fleet::ShardConfig;
 
@@ -727,27 +726,17 @@ mod tests {
 
     #[test]
     fn audit_gate_fails_on_a_hard_violation() {
-        let finding = |rule, disposition| Finding {
+        let finding = |waiver: Option<&str>| Finding {
             path: "crates/x/src/lib.rs".into(),
             line: 3,
-            rule,
-            message: "Instant".into(),
-            disposition,
+            message: "`pub fn f`".into(),
+            waiver: waiver.map(str::to_owned),
         };
-        let waived = Disposition::Waived { reason: "test timeout".into() };
-        let report = AuditReport {
-            findings: vec![
-                finding(Rule::WallClock, waived.clone()),
-                finding(Rule::DeadSurface, waived),
-            ],
-            files_checked: 1,
-        };
+        let mut report =
+            AuditReport { findings: vec![finding(Some("planned caller"))], files_checked: 1 };
         assert_eq!(failed(&audit_rows(&report)), Vec::<&str>::new());
-        for rule in [Rule::WallClock, Rule::DeadSurface] {
-            let mut report = report.clone();
-            report.findings.push(finding(rule, Disposition::Violation));
-            assert_eq!(failed(&audit_rows(&report)), ["hard determinism-audit violations"]);
-        }
+        report.findings.push(finding(None));
+        assert_eq!(failed(&audit_rows(&report)), ["unwaived dead pub items (R7)"]);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! Everything in this module is a pure function of modeled time and seeded
 //! identifiers: counters, log2 histograms and discrete scheduling events,
 //! drained into `OBS_cod.json` with its own FNV-1a fingerprint. Nothing
-//! here may read a clock or the environment — this file is listed in
-//! `audit.toml` as a fingerprint module, so the `cod_audit` R6 rule
-//! (`ambient-env`) enforces that split mechanically; the wall-clock half
-//! lives in [`crate::wall`], behind the R1 allowlist instead.
+//! here may read a clock or the environment — `clippy.toml` bans
+//! `Instant`, `SystemTime` and the `std::env` reads workspace-wide, so
+//! clippy enforces that split mechanically; the wall-clock half lives in
+//! [`crate::wall`], the one file of the crate that allows the clock.
 
 use std::collections::BTreeMap;
 

@@ -243,8 +243,8 @@ impl LogicalProcess for DynamicsLp {
         self.telemetry.update(|t| {
             t.crane = crane_msg;
             t.hook = hook_msg;
-            t.swing_history.push(swing);
-            t.crane_track.push([self.vehicle.position.x, self.vehicle.position.z]);
+            t.max_swing = t.max_swing.max(swing);
+            t.last_swing = swing;
         });
         Ok(())
     }
@@ -293,7 +293,11 @@ mod tests {
         cluster.initialize().unwrap();
         cluster.run_frames(30).unwrap();
         let snap = telemetry.snapshot();
-        assert_eq!(snap.crane_track.len(), 30);
+        // The published chassis is the idle crane at the course start, not
+        // the message default at the origin 40 m away.
+        let start = TrainingWorld::shared().course.start_position;
+        let offset = snap.crane.chassis_position.horizontal().distance(start.horizontal());
+        assert!(offset < 1.0, "idle chassis published {offset:.2} m from the start");
         assert!(snap.crane.cable_length > 0.0);
         assert!(snap.hook.hook_position.y > 0.0);
         assert!(!snap.hook.cargo_attached, "nothing should attach while idle at the start");

@@ -9,6 +9,7 @@
 use cod_cb::{CbApi, CbError, ClassRegistry, ObjectId};
 use cod_cluster::LogicalProcess;
 use cod_net::Micros;
+use crane_physics::CraneLimits;
 use crane_scene::course::{Course, CoursePhase};
 
 use crate::fom::{CollisionMsg, CraneFom, CraneStateMsg, HookStateMsg, ScenarioStateMsg};
@@ -82,13 +83,15 @@ impl ScenarioLp {
         let cargo = self.hook.cargo_position;
         match self.phase {
             CoursePhase::Driving => {
-                let at_ground = self
+                // The crane has arrived once it stands still with the pickup
+                // within its working radius.
+                let in_reach = self
                     .crane
                     .chassis_position
                     .horizontal()
                     .distance(self.course.pickup_center.horizontal())
-                    < 14.0;
-                if at_ground && self.crane.speed.abs() < 0.5 {
+                    < CraneLimits::default().max_working_radius;
+                if in_reach && self.crane.speed.abs() < 0.5 {
                     self.phase = CoursePhase::Lifting;
                 }
             }
@@ -230,6 +233,19 @@ mod tests {
         s.advance_phase();
         assert_eq!(s.phase(), CoursePhase::Complete);
         assert!(s.message().passed);
+    }
+
+    #[test]
+    fn the_course_s_driving_leg_ends_with_the_pickup_in_reach() {
+        let mut s = scenario();
+        let last = *s.course.driving_waypoints.last().expect("the driving leg has waypoints");
+        s.crane.chassis_position = last;
+        s.crane.speed = 0.6;
+        s.advance_phase();
+        assert_eq!(s.phase(), CoursePhase::Driving, "a moving crane has not arrived");
+        s.crane.speed = 0.0;
+        s.advance_phase();
+        assert_eq!(s.phase(), CoursePhase::Lifting);
     }
 
     #[test]

@@ -76,14 +76,15 @@ pub struct TelemetrySnapshot {
     pub channel_frames_swapped: Vec<u64>,
     /// Latest synchronized frame period of the surround view.
     pub synchronized_period: Micros,
-    /// History of hook swing amplitude samples (metres).
-    pub swing_history: Vec<f64>,
+    /// Largest hook swing amplitude sampled so far (metres; zero before the
+    /// first sample).
+    pub max_swing: f64,
+    /// Latest hook swing amplitude sample (metres; zero before the first).
+    pub last_swing: f64,
     /// Latest audio output level (RMS of the last rendered block).
     pub audio_rms: f64,
     /// Whether any motion-platform actuator saturated during the session.
     pub platform_saturated: bool,
-    /// Ground track of the chassis (sampled every frame by the dynamics module).
-    pub crane_track: Vec<[f64; 2]>,
 }
 
 /// A cloneable handle to the shared telemetry sink.
@@ -161,7 +162,7 @@ impl FrameDigest {
                 snap.crane.chassis_position.y.to_bits(),
                 snap.crane.chassis_position.z.to_bits(),
             ],
-            swing_bits: snap.swing_history.last().copied().unwrap_or(0.0).to_bits(),
+            swing_bits: snap.last_swing.to_bits(),
             collisions: snap.collisions.len() as u64,
             alarm_events: snap.alarm_events.len() as u64,
             channel_swaps: snap.channel_frames_swapped.clone(),

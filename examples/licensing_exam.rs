@@ -1,13 +1,16 @@
 //! The licensing exam of Figure 9: a scripted trainee drives the crane to the
 //! testing ground, lifts the cargo and carries it along the barred trajectory.
+//! Exits non-zero unless the exam completes with a pass.
 //!
 //! ```text
 //! cargo run --release --example licensing_exam
 //! ```
 
+use std::process::ExitCode;
+
 use crane_sim::{CraneSimulator, OperatorKind, SimulatorConfig};
 
-fn main() {
+fn main() -> ExitCode {
     let config = SimulatorConfig {
         operator: OperatorKind::Exam,
         exam_frames: 0, // driven manually below
@@ -54,4 +57,9 @@ fn main() {
     println!("passed      : {}", if report.passed { "YES" } else { "no" });
     println!("hook swing  : {:.2} m (max)", report.max_hook_swing);
     println!("collisions  : {}", report.collisions);
+    if report.passed {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

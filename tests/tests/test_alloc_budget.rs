@@ -1,5 +1,5 @@
 //! The executive's heap traffic is part of its wall cost (ROADMAP open
-//! item 2): a steady-state frame of the paper's rig and the build of a rack
+//! item 5): a steady-state frame of the paper's rig and the build of a rack
 //! must each stay inside a fixed allocation budget, counted by a
 //! `#[global_allocator]` that wraps the system allocator. The budgets are the
 //! numbers the follow-up work drives toward zero; raise one only with a
@@ -10,9 +10,11 @@ use std::cell::Cell;
 
 use crane_sim::{CraneSimulator, FidelityTier, OperatorKind, SimulatorConfig};
 
-/// Mean heap allocations allowed per steady-state executive frame (75.2
-/// measured since the audio LP renders into a buffer it keeps; 76.2 before).
-const BUDGET_PER_FRAME: f64 = 75.2;
+/// Mean heap allocations allowed per steady-state executive frame (75.1
+/// measured since the telemetry keeps the largest and latest hook swing
+/// instead of every sample and no chassis track; 75.2 since the audio LP
+/// renders into a buffer it keeps; 76.2 before).
+const BUDGET_PER_FRAME: f64 = 75.1;
 const WARM_UP_FRAMES: usize = 500;
 const MEASURED_FRAMES: usize = 1000;
 

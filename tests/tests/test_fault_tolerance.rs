@@ -76,8 +76,8 @@ fn exam_completes_under_five_percent_datagram_loss_with_all_invariants() {
         snap_swaps.iter().all(|s| *s > 60),
         "displays barely progressed under loss: {snap_swaps:?}"
     );
-    // The operator still drove the exam forward.
-    assert_eq!(outcome.report.phase, "Driving");
+    // The operator still drove to the testing ground and began the lift.
+    assert_eq!(outcome.report.phase, "Lifting");
     assert!(outcome.report.lan.fault_drops > 100, "loss plan barely fired");
 }
 

@@ -9,9 +9,11 @@ use crate::error::CbError;
 use crate::fom::{AttributeId, AttributeValues, Value};
 use cod_net::{Addr, Micros, NodeId, Port};
 
-/// A bounds-checked reader over a received payload.
+/// A bounds-checked reader over a received payload. Every fixed-size value —
+/// a message's fixed fields, an attribute's id and tag, a scalar or a vector —
+/// costs one bounds check; a length-prefixed string costs two.
 #[derive(Debug)]
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
 }
 
@@ -20,109 +22,132 @@ fn truncated(needed: usize, available: usize) -> CbError {
     CbError::Codec(format!("truncated message: needed {needed} more bytes, {available} available"))
 }
 
+/// An attribute value as it sits in a payload: text and bytes are borrowed, so
+/// a value only validated is never copied.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ValueRef<'a> {
+    Bool(bool),
+    U32(u32),
+    F64(f64),
+    Vec3([f64; 3]),
+    Text(&'a str),
+    Bytes(&'a [u8]),
+}
+
+impl ValueRef<'_> {
+    /// The owned [`Value`].
+    pub(crate) fn to_value(self) -> Value {
+        match self {
+            ValueRef::Bool(v) => Value::Bool(v),
+            ValueRef::U32(v) => Value::U32(v),
+            ValueRef::F64(v) => Value::F64(v),
+            ValueRef::Vec3(v) => Value::Vec3(v),
+            ValueRef::Text(v) => Value::Text(v.to_owned()),
+            ValueRef::Bytes(v) => Value::Bytes(v.to_vec()),
+        }
+    }
+}
+
+/// The big-endian `u16` at `at` in a fixed-size field block.
+#[inline(always)]
+pub(crate) fn be_u16<const N: usize>(block: &[u8; N], at: usize) -> u16 {
+    u16::from_be_bytes([block[at], block[at + 1]])
+}
+
+/// The big-endian `u64` at `at` in a fixed-size field block.
+#[inline(always)]
+pub(crate) fn be_u64<const N: usize>(block: &[u8; N], at: usize) -> u64 {
+    let mut bytes = [0; 8];
+    bytes.copy_from_slice(&block[at..at + 8]);
+    u64::from_be_bytes(bytes)
+}
+
+/// The cluster address at `at` in a fixed-size field block.
+#[inline(always)]
+pub(crate) fn addr_at<const N: usize>(block: &[u8; N], at: usize) -> Addr {
+    Addr::new(NodeId(be_u16(block, at)), Port(be_u16(block, at + 2)))
+}
+
 impl<'a> Reader<'a> {
     /// Wraps a payload for decoding.
-    pub fn new(buf: &'a [u8]) -> Reader<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Reader<'a> {
         Reader { buf }
     }
 
-    /// Remaining bytes.
-    pub fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Takes the next `N` bytes: the one bounds check a primitive read makes.
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], CbError> {
+    /// Takes the next `N` bytes with one bounds check.
+    #[inline(always)]
+    pub(crate) fn take<const N: usize>(&mut self) -> Result<&'a [u8; N], CbError> {
         match self.buf.split_first_chunk::<N>() {
             Some((head, rest)) => {
                 self.buf = rest;
-                Ok(*head)
+                Ok(head)
             }
             None => Err(truncated(N, self.buf.len())),
         }
     }
 
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, CbError> {
-        self.take::<1>().map(|[v]| v)
-    }
-
-    /// Reads a big-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, CbError> {
-        self.take().map(u16::from_be_bytes)
-    }
-
-    /// Reads a big-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, CbError> {
-        self.take().map(u32::from_be_bytes)
-    }
-
-    /// Reads a big-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, CbError> {
-        self.take().map(u64::from_be_bytes)
-    }
-
-    /// Reads a big-endian `f64`.
-    pub fn f64(&mut self) -> Result<f64, CbError> {
-        self.u64().map(f64::from_bits)
-    }
-
-    /// Reads a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, CbError> {
-        let len = self.u32()? as usize;
+    /// Takes a length-prefixed byte string.
+    fn bytes(&mut self) -> Result<&'a [u8], CbError> {
+        let len = u32::from_be_bytes(*self.take()?) as usize;
         let (head, rest) =
             self.buf.split_at_checked(len).ok_or_else(|| truncated(len, self.buf.len()))?;
         self.buf = rest;
-        Ok(head.to_vec())
+        Ok(head)
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Result<String, CbError> {
-        let raw = self.bytes()?;
-        String::from_utf8(raw).map_err(|e| CbError::Codec(format!("invalid utf-8: {e}")))
-    }
-
-    /// Reads a cluster address.
-    pub fn addr(&mut self) -> Result<Addr, CbError> {
-        let node = self.u16()?;
-        let port = self.u16()?;
-        Ok(Addr::new(NodeId(node), Port(port)))
-    }
-
-    /// Reads a simulated timestamp.
-    pub fn micros(&mut self) -> Result<Micros, CbError> {
-        Ok(Micros(self.u64()?))
-    }
-
-    /// Reads one typed [`Value`].
-    pub fn value(&mut self) -> Result<Value, CbError> {
-        match self.u8()? {
-            0 => Ok(Value::Bool(self.u8()? != 0)),
-            1 => Ok(Value::U32(self.u32()?)),
-            2 => Ok(Value::F64(self.f64()?)),
-            3 => Ok(Value::Vec3([self.f64()?, self.f64()?, self.f64()?])),
-            4 => Ok(Value::Text(self.string()?)),
-            5 => Ok(Value::Bytes(self.bytes()?)),
-            tag => Err(CbError::Codec(format!("unknown value tag {tag}"))),
+    /// Reads an attribute-value map's count, refusing one the rest of the
+    /// payload could not hold.
+    pub(crate) fn attribute_count(&mut self) -> Result<usize, CbError> {
+        let count = u16::from_be_bytes(*self.take()?) as usize;
+        // The count is the sender's claim: nothing is reserved for more
+        // attributes than the payload that is actually left could hold.
+        if self.buf.len() < count * MIN_ATTRIBUTE_BYTES {
+            return Err(truncated(count * MIN_ATTRIBUTE_BYTES, self.buf.len()));
         }
+        Ok(count)
+    }
+
+    /// Reads one attribute: its id and tag in one bounds check, then its value.
+    pub(crate) fn attribute(&mut self) -> Result<(AttributeId, ValueRef<'a>), CbError> {
+        let &[hi, lo, tag] = self.take()?;
+        let value = match tag {
+            0 => ValueRef::Bool(self.take::<1>()?[0] != 0),
+            1 => ValueRef::U32(u32::from_be_bytes(*self.take()?)),
+            2 => ValueRef::F64(f64::from_bits(u64::from_be_bytes(*self.take()?))),
+            3 => {
+                let xyz = self.take::<24>()?;
+                let at = |i| f64::from_bits(be_u64(xyz, i));
+                ValueRef::Vec3([at(0), at(8), at(16)])
+            }
+            4 => ValueRef::Text(
+                std::str::from_utf8(self.bytes()?)
+                    .map_err(|e| CbError::Codec(format!("invalid utf-8: {e}")))?,
+            ),
+            5 => ValueRef::Bytes(self.bytes()?),
+            tag => return Err(CbError::Codec(format!("unknown value tag {tag}"))),
+        };
+        Ok((AttributeId(u16::from_be_bytes([hi, lo])), value))
     }
 
     /// Reads an attribute-value map. Ids may arrive in any order; a repeated
     /// id keeps its last value.
-    pub fn attribute_values(&mut self) -> Result<AttributeValues, CbError> {
-        let count = self.u16()? as usize;
-        // The count is the sender's claim: reserve no more than the payload
-        // that is actually left could hold.
-        if self.buf.len() < count * MIN_ATTRIBUTE_BYTES {
-            return Err(truncated(count * MIN_ATTRIBUTE_BYTES, self.buf.len()));
-        }
+    pub(crate) fn attribute_values(&mut self) -> Result<AttributeValues, CbError> {
+        let count = self.attribute_count()?;
         let mut values = AttributeValues::with_capacity(count);
         for _ in 0..count {
-            let id = AttributeId(self.u16()?);
-            let value = self.value()?;
-            values.insert(id, value);
+            let (id, value) = self.attribute()?;
+            values.insert(id, value.to_value());
         }
         Ok(values)
+    }
+
+    /// Walks an attribute-value map as [`Reader::attribute_values`] does,
+    /// failing where it fails, but builds nothing.
+    pub(crate) fn skip_attribute_values(&mut self) -> Result<(), CbError> {
+        for _ in 0..self.attribute_count()? {
+            self.attribute()?;
+        }
+        Ok(())
     }
 }
 
@@ -244,14 +269,14 @@ mod tests {
             .string("crane")
             .addr(Addr::new(NodeId(3), Port(9)));
         let mut r = Reader::new(&buf);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u16().unwrap(), 300);
-        assert_eq!(r.u32().unwrap(), 70_000);
-        assert_eq!(r.u64().unwrap(), 1 << 40);
-        assert_eq!(r.f64().unwrap(), -2.5);
-        assert_eq!(r.string().unwrap(), "crane");
-        assert_eq!(r.addr().unwrap(), Addr::new(NodeId(3), Port(9)));
-        assert_eq!(r.remaining(), 0);
+        assert_eq!(*r.take::<1>().unwrap(), [7]);
+        assert_eq!(u16::from_be_bytes(*r.take().unwrap()), 300);
+        assert_eq!(u32::from_be_bytes(*r.take().unwrap()), 70_000);
+        assert_eq!(be_u64(r.take::<8>().unwrap(), 0), 1 << 40);
+        assert_eq!(f64::from_bits(be_u64(r.take::<8>().unwrap(), 0)), -2.5);
+        assert_eq!(r.bytes().unwrap(), b"crane");
+        assert_eq!(addr_at(r.take::<4>().unwrap(), 0), Addr::new(NodeId(3), Port(9)));
+        assert!(r.buf.is_empty());
     }
 
     #[test]
@@ -265,7 +290,7 @@ mod tests {
 
     #[test]
     fn value_roundtrip_all_variants() {
-        let values = vec![
+        let values = [
             Value::Bool(true),
             Value::U32(42),
             Value::F64(3.125),
@@ -275,13 +300,15 @@ mod tests {
         ];
         let mut buf = Vec::new();
         let mut w = Writer::new(&mut buf);
-        for v in &values {
-            w.value(v);
+        for (id, v) in values.iter().enumerate() {
+            w.u16(id as u16).value(v);
         }
         let mut r = Reader::new(&buf);
-        for v in &values {
-            assert_eq!(&r.value().unwrap(), v);
+        for (id, v) in values.iter().enumerate() {
+            let (read_id, read) = r.attribute().unwrap();
+            assert_eq!((read_id, &read.to_value()), (AttributeId(id as u16), v));
         }
+        assert!(r.buf.is_empty());
     }
 
     #[test]
@@ -346,20 +373,22 @@ mod tests {
         let mut buf = Vec::new();
         Writer::new(&mut buf).u64(99);
         let mut r = Reader::new(&buf[..4]);
-        assert!(matches!(r.u64(), Err(CbError::Codec(_))));
+        assert!(matches!(r.take::<8>(), Err(CbError::Codec(_))));
     }
 
     #[test]
     fn unknown_value_tag_is_an_error() {
-        let buf = [200u8, 0, 0];
+        // Attribute 0 with tag 200.
+        let buf = [0, 0, 200u8, 0, 0];
         let mut r = Reader::new(&buf);
-        assert!(matches!(r.value(), Err(CbError::Codec(_))));
+        assert!(matches!(r.attribute(), Err(CbError::Codec(_))));
     }
 
     #[test]
     fn invalid_utf8_is_an_error() {
+        // Attribute 0 as text whose bytes are not UTF-8.
         let mut buf = Vec::new();
-        Writer::new(&mut buf).bytes(&[0xff, 0xfe]);
-        assert!(matches!(Reader::new(&buf).string(), Err(CbError::Codec(_))));
+        Writer::new(&mut buf).u16(0).u8(4).bytes(&[0xff, 0xfe]);
+        assert!(matches!(Reader::new(&buf).attribute(), Err(CbError::Codec(_))));
     }
 }

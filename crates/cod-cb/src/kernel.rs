@@ -14,7 +14,7 @@ use crate::error::CbError;
 use crate::fom::{AttributeValues, ClassRegistry, InteractionClassId, ObjectClassId};
 use crate::stats::CbStats;
 use crate::wire::{self, WireMessage};
-use cod_net::{Addr, Datagram, Destination, Micros, Transport};
+use cod_net::{Addr, Destination, Micros, Transport};
 
 /// Identifies a Logical Process cluster-wide.
 ///
@@ -109,11 +109,56 @@ impl Subscription {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct LocalLp {
     reflections: VecDeque<Reflection>,
     interactions: VecDeque<InteractionMessage>,
     interaction_subscriptions: BTreeSet<InteractionClassId>,
+}
+
+/// The LPs registered with one CB, indexed by the local sequence number their
+/// id carries, so a lookup is one bounds check. A withdrawn LP leaves its
+/// slot empty; sequence numbers are never reused.
+#[derive(Debug)]
+struct LpTable {
+    node: u16,
+    slots: Vec<Option<LocalLp>>,
+}
+
+impl LpTable {
+    fn register(&mut self) -> LpId {
+        let id = LpId::compose(self.node, self.slots.len() as u32);
+        self.slots.push(Some(LocalLp::default()));
+        id
+    }
+
+    /// The slot `lp` would sit in, if it is an id of this CB's node.
+    fn slot(&self, lp: LpId) -> Option<usize> {
+        (lp.0 >> 32 == u64::from(self.node)).then_some(lp.0 as u32 as usize)
+    }
+
+    fn get(&self, lp: LpId) -> Option<&LocalLp> {
+        self.slots.get(self.slot(lp)?)?.as_ref()
+    }
+
+    fn get_mut(&mut self, lp: LpId) -> Option<&mut LocalLp> {
+        let slot = self.slot(lp)?;
+        self.slots.get_mut(slot)?.as_mut()
+    }
+
+    /// The resident LPs with their ids, in registration order.
+    fn iter_mut(&mut self) -> impl Iterator<Item = (LpId, &mut LocalLp)> {
+        let node = self.node;
+        self.slots
+            .iter_mut()
+            .enumerate()
+            .filter_map(move |(seq, slot)| Some((LpId::compose(node, seq as u32), slot.as_mut()?)))
+    }
+
+    /// Whether a resident LP subscribes interactions of `class`.
+    fn reads(&self, class: InteractionClassId) -> bool {
+        self.slots.iter().flatten().any(|lp| lp.interaction_subscriptions.contains(&class))
+    }
 }
 
 /// Datagrams waiting for the next flush, encoded when they were queued: one
@@ -149,8 +194,7 @@ pub struct CbKernel {
     fom: ClassRegistry,
     broadcast_interval: Micros,
     now: Micros,
-    lps: BTreeMap<LpId, LocalLp>,
-    next_lp_seq: u32,
+    lps: LpTable,
     next_object_seq: u32,
     next_channel_seq: u32,
     /// The publication table (paper §2.2): which local LP publishes which class.
@@ -160,9 +204,6 @@ pub struct CbKernel {
     channels: ChannelTable,
     objects: BTreeMap<ObjectId, (LpId, ObjectClassId)>,
     outbox: Outbox,
-    /// Receive buffer kept across ticks so a steady-state tick does not
-    /// allocate one.
-    inbox: Vec<Datagram>,
     stats: CbStats,
 }
 
@@ -182,8 +223,7 @@ impl CbKernel {
             fom,
             broadcast_interval: interval,
             now: Micros::ZERO,
-            lps: BTreeMap::new(),
-            next_lp_seq: 0,
+            lps: LpTable { node: addr.node.0, slots: Vec::new() },
             next_object_seq: 0,
             next_channel_seq: 0,
             publications: BTreeSet::new(),
@@ -191,7 +231,6 @@ impl CbKernel {
             channels: ChannelTable::new(),
             objects: BTreeMap::new(),
             outbox: Outbox::default(),
-            inbox: Vec::new(),
             stats: CbStats::default(),
         }
     }
@@ -236,7 +275,7 @@ impl CbKernel {
     /// session from bit-identical state.
     pub fn begin_session(&mut self, epoch: Micros) {
         self.now = epoch;
-        for lp in self.lps.values_mut() {
+        for (_, lp) in self.lps.iter_mut() {
             lp.reflections.clear();
             lp.interactions.clear();
         }
@@ -257,17 +296,7 @@ impl CbKernel {
 
     /// Registers a Logical Process with this CB and returns its id.
     pub fn register_lp(&mut self) -> LpId {
-        let id = LpId::compose(self.addr.node.0, self.next_lp_seq);
-        self.next_lp_seq += 1;
-        self.lps.insert(
-            id,
-            LocalLp {
-                reflections: VecDeque::new(),
-                interactions: VecDeque::new(),
-                interaction_subscriptions: BTreeSet::new(),
-            },
-        );
-        id
+        self.lps.register()
     }
 
     /// *Publish Object Class*: declares that `lp` will produce updates of `class`.
@@ -322,7 +351,7 @@ impl CbKernel {
         if !self.fom.contains_interaction_class(class) {
             return Err(CbError::UnknownInteractionClass(class));
         }
-        self.lps.get_mut(&lp).expect("checked above").interaction_subscriptions.insert(class);
+        self.lps.get_mut(lp).expect("checked above").interaction_subscriptions.insert(class);
         Ok(())
     }
 
@@ -399,7 +428,7 @@ impl CbKernel {
         let subscribers =
             self.subscriptions.iter().filter(|s| s.class == class && s.lp != lp).map(|s| s.lp);
         fan_out(subscribers, values, |sub, values| {
-            if let Some(entry) = self.lps.get_mut(&sub) {
+            if let Some(entry) = self.lps.get_mut(sub) {
                 entry.reflections.push_back(Reflection {
                     object,
                     class,
@@ -437,7 +466,7 @@ impl CbKernel {
         let subscribers = self
             .lps
             .iter_mut()
-            .filter(|(id, entry)| **id != lp && entry.interaction_subscriptions.contains(&class));
+            .filter(|(id, entry)| *id != lp && entry.interaction_subscriptions.contains(&class));
         fan_out(subscribers, parameters, |(_, entry), parameters| {
             entry.interactions.push_back(InteractionMessage {
                 class,
@@ -452,7 +481,7 @@ impl CbKernel {
 
     /// *Reflect Attribute Values* (pull side): drains the reflections queued for `lp`.
     pub fn reflections(&mut self, lp: LpId) -> Vec<Reflection> {
-        match self.lps.get_mut(&lp) {
+        match self.lps.get_mut(lp) {
             Some(entry) => entry.reflections.drain(..).collect(),
             None => Vec::new(),
         }
@@ -460,7 +489,7 @@ impl CbKernel {
 
     /// Drains the interactions queued for `lp`.
     pub fn interactions(&mut self, lp: LpId) -> Vec<InteractionMessage> {
-        match self.lps.get_mut(&lp) {
+        match self.lps.get_mut(lp) {
             Some(entry) => entry.interactions.drain(..).collect(),
             None => Vec::new(),
         }
@@ -483,20 +512,7 @@ impl CbKernel {
         self.now = now;
 
         // 1. Receive.
-        let mut inbox = std::mem::take(&mut self.inbox);
-        net.poll_into(self.addr, &mut inbox)?;
-        for dgram in inbox.drain(..) {
-            match WireMessage::decode(&dgram.payload) {
-                Ok(msg) => {
-                    self.stats.wire_messages_received += 1;
-                    self.handle_wire_message(msg);
-                }
-                Err(_) => {
-                    self.stats.decode_errors += 1;
-                }
-            }
-        }
-        self.inbox = inbox;
+        net.receive(self.addr, &mut |dgram| self.receive(dgram.payload))?;
 
         // 2. Initialization-protocol timers: broadcast due subscriptions. A
         // served subscription is re-advertised only at the slow pace, so late
@@ -548,6 +564,20 @@ impl CbKernel {
         });
         self.outbox.clear();
         Ok(sent?)
+    }
+
+    /// Decodes and serves one received payload. An interaction no resident
+    /// LP subscribes is validated and counted, but not built.
+    fn receive(&mut self, payload: &[u8]) {
+        match wire::decode_unless_unread(payload, |class| self.lps.reads(class)) {
+            Ok(msg) => {
+                self.stats.wire_messages_received += 1;
+                if let Some(msg) = msg {
+                    self.handle_wire_message(msg);
+                }
+            }
+            Err(_) => self.stats.decode_errors += 1,
+        }
     }
 
     fn handle_wire_message(&mut self, msg: WireMessage) {
@@ -638,7 +668,7 @@ impl CbKernel {
                     Some(vc) if vc.role == ChannelRole::Subscriber => vc.subscriber_lp,
                     _ => return,
                 };
-                if let Some(entry) = self.lps.get_mut(&subscriber) {
+                if let Some(entry) = self.lps.get_mut(subscriber) {
                     entry.reflections.push_back(Reflection {
                         object,
                         class,
@@ -652,9 +682,9 @@ impl CbKernel {
             WireMessage::Interaction { class, sender_lp, timestamp, parameters } => {
                 let subscribers = self
                     .lps
-                    .values_mut()
-                    .filter(|entry| entry.interaction_subscriptions.contains(&class));
-                fan_out(subscribers, parameters, |entry, parameters| {
+                    .iter_mut()
+                    .filter(|(_, entry)| entry.interaction_subscriptions.contains(&class));
+                fan_out(subscribers, parameters, |(_, entry), parameters| {
                     entry.interactions.push_back(InteractionMessage {
                         class,
                         sender: sender_lp,
@@ -669,7 +699,7 @@ impl CbKernel {
     }
 
     fn check_lp(&self, lp: LpId) -> Result<(), CbError> {
-        if self.lps.contains_key(&lp) {
+        if self.lps.get(lp).is_some() {
             Ok(())
         } else {
             Err(CbError::UnknownLp(lp.0))
@@ -713,7 +743,7 @@ fn fan_out<I: Iterator, V: Clone>(targets: I, value: V, mut deliver: impl FnMut(
 mod tests {
     use super::*;
     use crate::fom::{AttributeId, Value};
-    use cod_net::{LanConfig, NetError, NodeId, Port, SimLan};
+    use cod_net::{Datagram, LanConfig, NetError, NodeId, Port, SimLan};
 
     struct Cluster {
         lan: SimLan,
@@ -749,7 +779,8 @@ mod tests {
         /// down and a withdrawal notice is broadcast to the other CBs. No rack
         /// unplugs an LP, so only these tests send the WITHDRAW the kernel serves.
         fn deregister_lp(&mut self, lp: LpId) -> Result<(), CbError> {
-            if self.lps.remove(&lp).is_none() {
+            let slot = self.lps.slot(lp).and_then(|slot| self.lps.slots.get_mut(slot));
+            if slot.and_then(Option::take).is_none() {
                 return Err(CbError::UnknownLp(lp.0));
             }
             self.publications.retain(|&(publisher, _)| publisher != lp);
@@ -998,8 +1029,8 @@ mod tests {
     #[derive(Debug, Default)]
     struct RecordingTransport {
         sent: Vec<(Destination, Vec<u8>)>,
-        /// Delivered by the next `poll_into`.
-        inbound: Vec<Datagram>,
+        /// Senders and payloads delivered by the next `receive`.
+        inbound: Vec<(Addr, Vec<u8>)>,
         /// 1-based index of the `send` call that fails, if any.
         failing_send: Option<usize>,
         sends: usize,
@@ -1008,14 +1039,9 @@ mod tests {
     const RECORDER: Addr = Addr::new(NodeId(1), Port(1));
 
     impl RecordingTransport {
-        /// Queues `payload` as a datagram from `src` for the next `poll_into`.
+        /// Queues `payload` as a datagram from `src` for the next `receive`.
         fn inject(&mut self, src: Addr, payload: Vec<u8>) {
-            self.inbound.push(Datagram {
-                src,
-                dst: Destination::Unicast(RECORDER),
-                payload: payload.into(),
-                delivered_at: Micros::ZERO,
-            });
+            self.inbound.push((src, payload));
         }
 
         /// Drains what was sent so far, decoded.
@@ -1036,9 +1062,16 @@ mod tests {
             Ok(())
         }
 
-        fn poll_into(&mut self, addr: Addr, out: &mut Vec<Datagram>) -> Result<(), NetError> {
+        fn receive(
+            &mut self,
+            addr: Addr,
+            deliver: &mut dyn FnMut(Datagram<'_>),
+        ) -> Result<(), NetError> {
             assert_eq!(addr, RECORDER);
-            out.append(&mut self.inbound);
+            for (src, payload) in self.inbound.drain(..) {
+                let dst = Destination::Unicast(RECORDER);
+                deliver(Datagram { src, dst, payload: &payload, delivered_at: Micros::ZERO });
+            }
             Ok(())
         }
     }
@@ -1215,24 +1248,52 @@ mod tests {
     #[test]
     fn every_hostile_datagram_is_counted_or_served_and_the_tick_carries_on() {
         // A publisher with a display LP beside it and two remote channels, so
-        // a mangled datagram that still decodes reaches every handler arm.
-        let Publisher { mut kernel, mut net, .. } = publisher(1, 2);
+        // a mangled datagram that still decodes reaches every handler arm. The
+        // display reads collisions. No resident LP reads the sample
+        // interaction's class, so that one is validated but not built; a
+        // mangled class byte can make it a collision, which is built.
+        let Publisher { mut kernel, mut net, collision, local, .. } = publisher(1, 2);
+        kernel.subscribe_interaction_class(local[0], collision).unwrap();
         let stranger = Addr::new(NodeId(30), Port(1));
-        let (bad, decodable): (Vec<_>, Vec<_>) = crate::wire::tests::hostile_payloads()
-            .into_iter()
-            .partition(|(_, payload)| WireMessage::decode(payload).is_err());
-        for (case, payload) in bad {
-            let errors = kernel.stats().decode_errors;
+        let (mut refused, mut unread, mut read) = (0, 0, 0);
+        for (case, payload) in crate::wire::tests::hostile_payloads() {
+            let full = WireMessage::decode(&payload);
+            let before = kernel.stats().clone();
             net.inject(stranger, payload);
             kernel.tick(Micros(10), &mut net).unwrap_or_else(|e| panic!("{case}: {e}"));
-            assert_eq!(kernel.stats().decode_errors, errors + 1, "{case}");
+            let after = kernel.stats().clone();
+            let answers = std::mem::take(&mut net.sent);
+
+            // Counted exactly once, where the full decode says.
+            let counted = (
+                after.decode_errors - before.decode_errors,
+                after.wire_messages_received - before.wire_messages_received,
+            );
+            assert_eq!(counted, if full.is_ok() { (0, 1) } else { (1, 0) }, "{case}");
+            let delivered = after.interactions_delivered - before.interactions_delivered;
+            let interactions = kernel.interactions(local[0]);
+            assert_eq!(interactions.len() as u64, delivered, "{case}");
+            match full {
+                Ok(WireMessage::Interaction { class, .. }) if class == collision => {
+                    assert_eq!(delivered, 1, "{case}: a read interaction is served");
+                    read += 1;
+                    continue;
+                }
+                Ok(WireMessage::Interaction { .. }) => unread += 1,
+                Ok(_) => continue,
+                Err(_) => refused += 1,
+            }
+            // An unread interaction or a refused datagram delivers nothing,
+            // answers nothing and leaves no part of itself in a kernel buffer.
+            // (The LAN frees its payload slot whatever the receiver does with
+            // it: `cod_net`'s simnet tests pin that.)
+            assert_eq!(delivered, 0, "{case}");
+            assert_eq!(after.reflections_delivered, before.reflections_delivered, "{case}");
+            assert!(kernel.reflections(local[0]).is_empty(), "{case}");
+            assert!(answers.is_empty(), "{case}: answered with {answers:?}");
+            assert!(kernel.outbox.bytes.is_empty() && kernel.outbox.datagrams.is_empty());
         }
-        let received = kernel.stats().wire_messages_received;
-        for (_, payload) in &decodable {
-            net.inject(stranger, payload.clone());
-        }
-        kernel.tick(Micros(20), &mut net).unwrap();
-        assert_eq!(kernel.stats().wire_messages_received, received + decodable.len() as u64);
+        assert!(refused > 0 && unread > 0 && read > 0, "{refused} {unread} {read}");
     }
 
     #[test]

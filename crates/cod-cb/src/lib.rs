@@ -26,6 +26,13 @@
 //! * **Push/pull routing** ([`kernel`]): publishers push updates into their CB;
 //!   the CB routes them over the virtual channels; subscribers pull reflections
 //!   out of their CB at their own pace.
+//! * **Receive path** ([`kernel`], [`wire`]): each tick the CB drains the
+//!   datagrams delivered to its address through `cod_net::Transport::receive`,
+//!   which lends each payload for one call. One decoder walks an encoding with
+//!   one bounds check per fixed-size value; an interaction of a class no
+//!   resident LP subscribes is validated and counted by that same walk but
+//!   not built. LPs sit in a table indexed by the sequence number their id
+//!   carries.
 //!
 //! The CB itself carries no time management: the rack's lock-step is the
 //! frame synchronization server of paper §4, which lives above it in

@@ -7,7 +7,7 @@
 //! interactions and LP withdrawal.
 
 use crate::channel::ChannelId;
-use crate::codec::{Reader, Writer};
+use crate::codec::{addr_at, be_u16, be_u64, Reader, Writer};
 use crate::error::CbError;
 use crate::fom::{AttributeValues, InteractionClassId, ObjectClassId};
 use crate::kernel::{LpId, ObjectId};
@@ -201,44 +201,79 @@ impl WireMessage {
     ///
     /// Returns [`CbError::Codec`] when the payload is truncated or malformed.
     pub fn decode(payload: &[u8]) -> Result<WireMessage, CbError> {
-        let mut r = Reader::new(payload);
-        let msg = match r.u8()? {
-            TAG_SUBSCRIPTION => WireMessage::Subscription {
-                subscriber_cb: r.addr()?,
-                subscriber_lp: LpId(r.u64()?),
-                class: ObjectClassId(r.u16()?),
-            },
-            TAG_ACKNOWLEDGE => WireMessage::Acknowledge {
-                publisher_cb: r.addr()?,
-                publisher_lp: LpId(r.u64()?),
-                class: ObjectClassId(r.u16()?),
-            },
-            TAG_CHANNEL_CONNECTION => WireMessage::ChannelConnection {
-                channel: ChannelId(r.u64()?),
-                subscriber_cb: r.addr()?,
-                subscriber_lp: LpId(r.u64()?),
-                publisher_lp: LpId(r.u64()?),
-                class: ObjectClassId(r.u16()?),
-            },
-            TAG_CHANNEL_ACK => WireMessage::ChannelAck { channel: ChannelId(r.u64()?) },
-            TAG_UPDATE => WireMessage::UpdateAttributes {
-                channel: ChannelId(r.u64()?),
-                object: ObjectId(r.u64()?),
-                class: ObjectClassId(r.u16()?),
-                timestamp: r.micros()?,
-                values: r.attribute_values()?,
-            },
-            TAG_INTERACTION => WireMessage::Interaction {
-                class: InteractionClassId(r.u16()?),
-                sender_lp: LpId(r.u64()?),
-                timestamp: r.micros()?,
-                parameters: r.attribute_values()?,
-            },
-            TAG_WITHDRAW => WireMessage::Withdraw { lp: LpId(r.u64()?) },
-            tag => return Err(CbError::Codec(format!("unknown wire message tag {tag}"))),
-        };
-        Ok(msg)
+        Ok(decode_unless_unread(payload, |_| true)?.expect("every message is built"))
     }
+}
+
+/// Decodes `payload` as [`WireMessage::decode`] does, except that an
+/// interaction whose class `reads` answers `false` for is walked and
+/// validated but not built: `Ok(None)` says it is well formed. Building and
+/// validating share this one walk, so both fail on exactly the same payloads.
+pub(crate) fn decode_unless_unread(
+    payload: &[u8],
+    reads: impl FnOnce(InteractionClassId) -> bool,
+) -> Result<Option<WireMessage>, CbError> {
+    let mut r = Reader::new(payload);
+    let &[tag] = r.take()?;
+    // Each message's fixed fields are one block, read with one bounds check.
+    let msg = match tag {
+        TAG_SUBSCRIPTION => {
+            let f = r.take::<14>()?;
+            WireMessage::Subscription {
+                subscriber_cb: addr_at(f, 0),
+                subscriber_lp: LpId(be_u64(f, 4)),
+                class: ObjectClassId(be_u16(f, 12)),
+            }
+        }
+        TAG_ACKNOWLEDGE => {
+            let f = r.take::<14>()?;
+            WireMessage::Acknowledge {
+                publisher_cb: addr_at(f, 0),
+                publisher_lp: LpId(be_u64(f, 4)),
+                class: ObjectClassId(be_u16(f, 12)),
+            }
+        }
+        TAG_CHANNEL_CONNECTION => {
+            let f = r.take::<30>()?;
+            WireMessage::ChannelConnection {
+                channel: ChannelId(be_u64(f, 0)),
+                subscriber_cb: addr_at(f, 8),
+                subscriber_lp: LpId(be_u64(f, 12)),
+                publisher_lp: LpId(be_u64(f, 20)),
+                class: ObjectClassId(be_u16(f, 28)),
+            }
+        }
+        TAG_CHANNEL_ACK => {
+            WireMessage::ChannelAck { channel: ChannelId(be_u64(r.take::<8>()?, 0)) }
+        }
+        TAG_UPDATE => {
+            let f = r.take::<26>()?;
+            WireMessage::UpdateAttributes {
+                channel: ChannelId(be_u64(f, 0)),
+                object: ObjectId(be_u64(f, 8)),
+                class: ObjectClassId(be_u16(f, 16)),
+                timestamp: Micros(be_u64(f, 18)),
+                values: r.attribute_values()?,
+            }
+        }
+        TAG_INTERACTION => {
+            let f = r.take::<18>()?;
+            let class = InteractionClassId(be_u16(f, 0));
+            if !reads(class) {
+                r.skip_attribute_values()?;
+                return Ok(None);
+            }
+            WireMessage::Interaction {
+                class,
+                sender_lp: LpId(be_u64(f, 2)),
+                timestamp: Micros(be_u64(f, 10)),
+                parameters: r.attribute_values()?,
+            }
+        }
+        TAG_WITHDRAW => WireMessage::Withdraw { lp: LpId(be_u64(r.take::<8>()?, 0)) },
+        tag => return Err(CbError::Codec(format!("unknown wire message tag {tag}"))),
+    };
+    Ok(Some(msg))
 }
 
 #[cfg(test)]
@@ -348,26 +383,27 @@ pub(crate) mod tests {
 
     /// Width of every read `decode` makes on `sample_values()`; `false` marks
     /// the attribute-count pre-check, which looks ahead without consuming.
+    /// An attribute's id and tag are one read, its fixed-size value another.
     fn sample_values_reads() -> Vec<(usize, bool)> {
         let mut reads = vec![(2, true), (12, false)];
-        for value_bytes in [&[8, 8, 8][..], &[8], &[1]] {
-            reads.extend([(2, true), (1, true)]);
-            reads.extend(value_bytes.iter().map(|n| (*n, true)));
+        for value_bytes in [24, 8, 1] {
+            reads.extend([(3, true), (value_bytes, true)]);
         }
         reads
     }
 
-    /// The reads `decode` makes on each of `all_samples()`, in the same order.
+    /// The reads `decode` makes on each of `all_samples()`, in the same order:
+    /// the tag, then the message's fixed fields as one block.
     fn all_sample_reads() -> Vec<Vec<(usize, bool)>> {
         let fixed = |widths: &[usize]| widths.iter().map(|n| (*n, true)).collect::<Vec<_>>();
         let with_values = |widths: &[usize]| [fixed(widths), sample_values_reads()].concat();
         vec![
-            fixed(&[1, 2, 2, 8, 2]),
-            fixed(&[1, 2, 2, 8, 2]),
-            fixed(&[1, 8, 2, 2, 8, 8, 2]),
+            fixed(&[1, 14]),
+            fixed(&[1, 14]),
+            fixed(&[1, 30]),
             fixed(&[1, 8]),
-            with_values(&[1, 8, 8, 2, 8]),
-            with_values(&[1, 2, 8, 8]),
+            with_values(&[1, 26]),
+            with_values(&[1, 18]),
             fixed(&[1, 8]),
         ]
     }
@@ -427,11 +463,11 @@ pub(crate) mod tests {
         samples
     }
 
-    /// Every strict prefix and every single-byte replacement of one encoding
-    /// of each variant, named for the failure message.
-    pub(crate) fn hostile_payloads() -> Vec<(String, Vec<u8>)> {
+    /// Every strict prefix and every single-byte replacement of the encoding
+    /// of each of `samples`, named for the failure message.
+    fn mutations(samples: &[WireMessage]) -> Vec<(String, Vec<u8>)> {
         let mut payloads = Vec::new();
-        for encoded in sweep_samples().iter().map(WireMessage::encode) {
+        for encoded in samples.iter().map(WireMessage::encode) {
             let variant = encoded[0];
             for cut in 0..encoded.len() {
                 payloads.push((format!("tag {variant} cut at {cut}"), encoded[..cut].to_vec()));
@@ -445,6 +481,194 @@ pub(crate) mod tests {
             }
         }
         payloads
+    }
+
+    /// Every strict prefix and every single-byte replacement of one encoding
+    /// of each variant, named for the failure message.
+    pub(crate) fn hostile_payloads() -> Vec<(String, Vec<u8>)> {
+        mutations(&sweep_samples())
+    }
+
+    /// The decoder as it was before each fixed-size value became one bounds
+    /// check: one check per primitive read. It is the reference the decoder
+    /// is swept against, and nothing else uses it.
+    mod reference {
+        use super::*;
+        use crate::fom::Value;
+        use cod_net::{NodeId, Port};
+
+        struct Reader<'a> {
+            buf: &'a [u8],
+        }
+
+        fn truncated(needed: usize, available: usize) -> CbError {
+            CbError::Codec(format!(
+                "truncated message: needed {needed} more bytes, {available} available"
+            ))
+        }
+
+        impl Reader<'_> {
+            fn take<const N: usize>(&mut self) -> Result<[u8; N], CbError> {
+                match self.buf.split_first_chunk::<N>() {
+                    Some((head, rest)) => {
+                        self.buf = rest;
+                        Ok(*head)
+                    }
+                    None => Err(truncated(N, self.buf.len())),
+                }
+            }
+
+            fn u8(&mut self) -> Result<u8, CbError> {
+                self.take::<1>().map(|[v]| v)
+            }
+
+            fn u16(&mut self) -> Result<u16, CbError> {
+                self.take().map(u16::from_be_bytes)
+            }
+
+            fn u32(&mut self) -> Result<u32, CbError> {
+                self.take().map(u32::from_be_bytes)
+            }
+
+            fn u64(&mut self) -> Result<u64, CbError> {
+                self.take().map(u64::from_be_bytes)
+            }
+
+            fn f64(&mut self) -> Result<f64, CbError> {
+                self.u64().map(f64::from_bits)
+            }
+
+            fn bytes(&mut self) -> Result<Vec<u8>, CbError> {
+                let len = self.u32()? as usize;
+                let (head, rest) =
+                    self.buf.split_at_checked(len).ok_or_else(|| truncated(len, self.buf.len()))?;
+                self.buf = rest;
+                Ok(head.to_vec())
+            }
+
+            fn string(&mut self) -> Result<String, CbError> {
+                let raw = self.bytes()?;
+                String::from_utf8(raw).map_err(|e| CbError::Codec(format!("invalid utf-8: {e}")))
+            }
+
+            fn addr(&mut self) -> Result<Addr, CbError> {
+                let node = self.u16()?;
+                let port = self.u16()?;
+                Ok(Addr::new(NodeId(node), Port(port)))
+            }
+
+            fn micros(&mut self) -> Result<Micros, CbError> {
+                Ok(Micros(self.u64()?))
+            }
+
+            fn value(&mut self) -> Result<Value, CbError> {
+                match self.u8()? {
+                    0 => Ok(Value::Bool(self.u8()? != 0)),
+                    1 => Ok(Value::U32(self.u32()?)),
+                    2 => Ok(Value::F64(self.f64()?)),
+                    3 => Ok(Value::Vec3([self.f64()?, self.f64()?, self.f64()?])),
+                    4 => Ok(Value::Text(self.string()?)),
+                    5 => Ok(Value::Bytes(self.bytes()?)),
+                    tag => Err(CbError::Codec(format!("unknown value tag {tag}"))),
+                }
+            }
+
+            fn attribute_values(&mut self) -> Result<AttributeValues, CbError> {
+                let count = self.u16()? as usize;
+                if self.buf.len() < count * 4 {
+                    return Err(truncated(count * 4, self.buf.len()));
+                }
+                let mut values = AttributeValues::with_capacity(count);
+                for _ in 0..count {
+                    let id = AttributeId(self.u16()?);
+                    let value = self.value()?;
+                    values.insert(id, value);
+                }
+                Ok(values)
+            }
+        }
+
+        pub(super) fn decode(payload: &[u8]) -> Result<WireMessage, CbError> {
+            let mut r = Reader { buf: payload };
+            let msg = match r.u8()? {
+                TAG_SUBSCRIPTION => WireMessage::Subscription {
+                    subscriber_cb: r.addr()?,
+                    subscriber_lp: LpId(r.u64()?),
+                    class: ObjectClassId(r.u16()?),
+                },
+                TAG_ACKNOWLEDGE => WireMessage::Acknowledge {
+                    publisher_cb: r.addr()?,
+                    publisher_lp: LpId(r.u64()?),
+                    class: ObjectClassId(r.u16()?),
+                },
+                TAG_CHANNEL_CONNECTION => WireMessage::ChannelConnection {
+                    channel: ChannelId(r.u64()?),
+                    subscriber_cb: r.addr()?,
+                    subscriber_lp: LpId(r.u64()?),
+                    publisher_lp: LpId(r.u64()?),
+                    class: ObjectClassId(r.u16()?),
+                },
+                TAG_CHANNEL_ACK => WireMessage::ChannelAck { channel: ChannelId(r.u64()?) },
+                TAG_UPDATE => WireMessage::UpdateAttributes {
+                    channel: ChannelId(r.u64()?),
+                    object: ObjectId(r.u64()?),
+                    class: ObjectClassId(r.u16()?),
+                    timestamp: r.micros()?,
+                    values: r.attribute_values()?,
+                },
+                TAG_INTERACTION => WireMessage::Interaction {
+                    class: InteractionClassId(r.u16()?),
+                    sender_lp: LpId(r.u64()?),
+                    timestamp: r.micros()?,
+                    parameters: r.attribute_values()?,
+                },
+                TAG_WITHDRAW => WireMessage::Withdraw { lp: LpId(r.u64()?) },
+                tag => return Err(CbError::Codec(format!("unknown wire message tag {tag}"))),
+            };
+            Ok(msg)
+        }
+    }
+
+    /// The same message, compared bit for bit: a mangled `F64` may be a NaN,
+    /// which `PartialEq` never calls equal to itself.
+    fn same(a: &WireMessage, b: &WireMessage) -> bool {
+        a.encode() == b.encode() && format!("{a:?}") == format!("{b:?}")
+    }
+
+    #[test]
+    fn the_decoder_agrees_with_the_reference_on_every_prefix_and_byte_replacement() {
+        let (mut built, mut refused) = (0, 0);
+        for (case, payload) in mutations(&all_samples()).iter().chain(&hostile_payloads()) {
+            match (WireMessage::decode(payload), reference::decode(payload)) {
+                (Ok(a), Ok(b)) if same(&a, &b) => built += 1,
+                (Err(CbError::Codec(_)), Err(CbError::Codec(_))) => refused += 1,
+                (new, old) => panic!("{case}: decoded to {new:?}, the reference to {old:?}"),
+            }
+        }
+        assert!(built > 0 && refused > 0, "{built} built, {refused} refused");
+    }
+
+    #[test]
+    fn validating_an_unread_interaction_fails_exactly_where_building_it_fails() {
+        let mut skipped = 0;
+        for (case, payload) in mutations(&all_samples()).iter().chain(&hostile_payloads()) {
+            let full = WireMessage::decode(payload);
+            let built = decode_unless_unread(payload, |_| true);
+            match (&full, &built) {
+                (Ok(a), Ok(Some(b))) if same(a, b) => {}
+                (Err(_), Err(_)) => {}
+                _ => panic!("{case}: decode gave {full:?}, reading everything {built:?}"),
+            }
+            match (&full, decode_unless_unread(payload, |_| false)) {
+                (Ok(WireMessage::Interaction { .. }), Ok(None)) => skipped += 1,
+                (Ok(a), Ok(Some(b))) if same(a, &b) => {
+                    assert!(!matches!(b, WireMessage::Interaction { .. }), "{case}: built")
+                }
+                (Err(_), Err(_)) => {}
+                (_, skipping) => panic!("{case}: decode gave {full:?}, skipping {skipping:?}"),
+            }
+        }
+        assert!(skipped > 0);
     }
 
     #[test]

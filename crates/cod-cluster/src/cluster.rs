@@ -54,9 +54,9 @@ pub struct FrameRecord {
     pub frame: u64,
     /// Simulation time at the *end* of the frame.
     pub now: Micros,
-    /// Modeled CPU cost of the frame on each computer, in rack order (index
-    /// `i` belongs to `ComputerId(i)`).
-    pub costs: Vec<Micros>,
+    /// Modeled CPU cost of the frame summed over every computer (the
+    /// per-computer split accumulates in [`Cluster::metrics`]).
+    pub cost: Micros,
 }
 
 /// The Cluster Of Desktop computers: computers + LAN + executive loop.
@@ -70,6 +70,9 @@ pub struct Cluster {
     lan: SimLan,
     computers: Vec<Computer>,
     metrics: ClusterMetrics,
+    /// The last frame's modeled cost per computer, in rack order: one buffer
+    /// kept across frames.
+    costs: Vec<Micros>,
 }
 
 impl Cluster {
@@ -81,6 +84,7 @@ impl Cluster {
             lan: SimLan::new(config.lan),
             computers: Vec::new(),
             metrics: ClusterMetrics::default(),
+            costs: Vec::new(),
         }
     }
 
@@ -144,7 +148,7 @@ impl Cluster {
 
     /// Traffic counters of the cluster LAN.
     pub fn lan_stats(&self) -> LanStats {
-        self.lan.stats().clone()
+        *self.lan.stats()
     }
 
     /// Installs a fault-injection plan on the cluster LAN (see
@@ -215,14 +219,15 @@ impl Cluster {
         let frame = self.metrics.frames_run;
         let dt = self.config.frame_period.as_secs_f64();
         let start = self.lan.now();
-        let mut costs = Vec::with_capacity(self.computers.len());
+        self.costs.clear();
         for computer in self.computers.iter_mut() {
-            costs.push(computer.step_frame(start, dt, &mut self.lan)?);
+            self.costs.push(computer.step_frame(start, dt, &mut self.lan)?);
         }
         let now = start + self.config.frame_period;
         self.lan.advance_to(now);
-        self.metrics.record_frame(self.config.frame_period, &costs);
-        Ok(FrameRecord { frame, now, costs })
+        self.metrics.record_frame(self.config.frame_period, &self.costs);
+        let cost = self.costs.iter().fold(Micros::ZERO, |sum, c| sum + *c);
+        Ok(FrameRecord { frame, now, cost })
     }
 
     /// Runs `frames` simulation frames.
@@ -379,14 +384,19 @@ mod tests {
         let (fom, class) = sample_fom();
         let mut cluster = Cluster::new(ClusterConfig::default(), fom);
         let a = cluster.add_computer("producer-pc");
+        let b = cluster.add_computer("consumer-pc");
         cluster.add_lp(a, Box::new(Producer { class, object: None, count: 0 })).unwrap();
+        let received = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
+        cluster.add_lp(b, Box::new(Consumer { class, received })).unwrap();
         cluster.initialize().unwrap();
         let first = cluster.run_frame().unwrap();
         assert_eq!(first.frame, 0);
-        assert_eq!(first.costs, [Micros::from_millis(5)]);
+        assert_eq!(first.cost, Micros::from_millis(7), "5 ms and 2 ms, summed");
         let second = cluster.run_frame().unwrap();
         assert_eq!(second.frame, 1);
         assert_eq!(second.now, cluster.now());
+        let per_computer = [Micros::from_millis(10), Micros::from_millis(4)];
+        assert_eq!(cluster.metrics().computer_cost, per_computer, "split in rack order");
     }
 
     #[test]

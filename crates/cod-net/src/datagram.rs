@@ -2,7 +2,6 @@
 
 use crate::addr::{Addr, Port};
 use crate::time::Micros;
-use std::sync::Arc;
 
 /// Where a datagram is going.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -16,21 +15,24 @@ pub enum Destination {
     Broadcast(Port),
 }
 
-/// A single datagram as seen by a receiver.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Datagram {
+/// A single datagram as seen by a receiver, for the length of the
+/// [`crate::Transport::receive`] call that hands it over: the payload is
+/// borrowed from the medium, which keeps one copy per send however many
+/// receivers it has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Datagram<'a> {
     /// Sender endpoint.
     pub src: Addr,
     /// Destination the sender used (unicast address or broadcast port).
     pub dst: Destination,
-    /// Payload bytes, shared by every copy of a broadcast.
-    pub payload: Arc<[u8]>,
+    /// Payload bytes.
+    pub payload: &'a [u8],
     /// Simulated time at which the datagram was delivered to the receiver
     /// (zero for transports without a simulated clock).
     pub delivered_at: Micros,
 }
 
-impl Datagram {
+impl Datagram<'_> {
     /// Total size in bytes charged against the link (payload + UDP/IP-style header).
     pub fn wire_size(&self) -> usize {
         self.payload.len() + Self::HEADER_BYTES
@@ -50,7 +52,7 @@ mod tests {
         let d = Datagram {
             src: Addr::new(NodeId(0), Port(1)),
             dst: Destination::Broadcast(Port(1)),
-            payload: Arc::from(&b"abcd"[..]),
+            payload: b"abcd",
             delivered_at: Micros::ZERO,
         };
         assert_eq!(d.wire_size(), 4 + Datagram::HEADER_BYTES);

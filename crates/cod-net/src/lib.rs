@@ -9,7 +9,9 @@
 //!
 //! A `SimLan` is a plain value with one owner (a rack's cluster executive),
 //! which attaches one address per computer and lends the LAN to each CB for
-//! that CB's tick. The CB is written against the [`Transport`] trait, which
+//! that CB's tick. Its tables are vectors indexed by node, and a send copies
+//! its payload once into a slab the LAN keeps, shared by every receiver of a
+//! broadcast; [`LanStats`] is a plain `Copy` value of whole-LAN counters. The CB is written against the [`Transport`] trait, which
 //! `SimLan` is the one production implementor of; the trait stays so that a
 //! test can put a recording fake under a `CbKernel`.
 //!
@@ -25,10 +27,10 @@
 //! // Addresses handed out by `attach` listen on the default CB port, `Port(1)`.
 //! lan.send(display, Destination::Broadcast(Port(1)), b"hello cluster").unwrap();
 //! lan.advance_to(Micros::from_millis(10));
+//! // A receiver borrows each payload for one call; it copies what it keeps.
 //! let mut received = Vec::new();
-//! lan.poll_into(dynamics, &mut received).unwrap();
-//! assert_eq!(received.len(), 1);
-//! assert_eq!(&received[0].payload[..], b"hello cluster");
+//! lan.receive(dynamics, &mut |d| received.push(d.payload.to_vec())).unwrap();
+//! assert_eq!(received, [b"hello cluster".to_vec()]);
 //! ```
 
 pub mod addr;
@@ -49,6 +51,6 @@ pub use fault::{FaultPlan, LatencySpike, LinkFaultRule, PartitionWindow};
 pub use link::{LanConfig, LinkModel};
 pub use plans::NamedPlan;
 pub use simnet::SimLan;
-pub use stats::{LanStats, NodeStats};
+pub use stats::LanStats;
 pub use time::{Micros, SimClock};
 pub use transport::Transport;

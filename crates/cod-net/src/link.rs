@@ -58,7 +58,7 @@ impl LinkModel {
     }
 
     /// Draws the total one-way delay for a datagram from the supplied stream.
-    pub fn sample_delay(&self, dgram: &Datagram, rng: &mut SplitMix64) -> Micros {
+    pub fn sample_delay(&self, dgram: &Datagram<'_>, rng: &mut SplitMix64) -> Micros {
         let jitter = if self.jitter_us == 0 { 0 } else { rng.up_to(self.jitter_us) };
         Micros(self.base_latency_us + jitter) + self.serialization_delay(dgram.wire_size())
     }
@@ -109,11 +109,11 @@ mod tests {
     use crate::addr::{Addr, NodeId, Port};
     use crate::datagram::Destination;
 
-    fn dgram(payload_len: usize) -> Datagram {
+    fn dgram(payload: &[u8]) -> Datagram<'_> {
         Datagram {
             src: Addr::new(NodeId(0), Port(1)),
             dst: Destination::Broadcast(Port(1)),
-            payload: vec![0u8; payload_len].into(),
+            payload,
             delivered_at: Micros::ZERO,
         }
     }
@@ -132,7 +132,7 @@ mod tests {
     fn ideal_link_has_zero_delay() {
         let link = LinkModel::ideal();
         let mut rng = SplitMix64::new(1);
-        assert_eq!(link.sample_delay(&dgram(1000), &mut rng), Micros::ZERO);
+        assert_eq!(link.sample_delay(&dgram(&[0; 1000]), &mut rng), Micros::ZERO);
         assert!(!link.sample_loss(&mut rng));
     }
 
@@ -140,7 +140,7 @@ mod tests {
     fn sampled_delay_within_bounds() {
         let link = LinkModel::fast_ethernet();
         let mut rng = SplitMix64::new(7);
-        let d = dgram(458);
+        let d = dgram(&[0; 458]);
         for _ in 0..1000 {
             let delay = link.sample_delay(&d, &mut rng);
             let min = Micros(link.base_latency_us) + link.serialization_delay(d.wire_size());
@@ -155,7 +155,7 @@ mod tests {
         // The LAN's jitter stream feeds every fleet and scenario fingerprint.
         let link = LinkModel::fast_ethernet();
         let mut rng = SplitMix64::new(7);
-        let d = dgram(458);
+        let d = dgram(&[0; 458]);
         let delays: Vec<Micros> = (0..4).map(|_| link.sample_delay(&d, &mut rng)).collect();
         assert_eq!(delays, [Micros(197), Micros(219), Micros(187), Micros(171)]);
     }

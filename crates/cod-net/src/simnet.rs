@@ -1,8 +1,7 @@
 //! Deterministic discrete-event simulation of the cluster LAN.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::sync::Arc;
+use std::collections::{BinaryHeap, VecDeque};
 
 use sim_math::SplitMix64;
 
@@ -18,24 +17,25 @@ use crate::transport::Transport;
 /// Default service port assigned to endpoints created with [`SimLan::attach`].
 pub const DEFAULT_PORT: Port = Port(1);
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ScheduledDelivery {
+/// One sent payload, copied in once and read by every delivery scheduled from
+/// it; its slot is reused once the last of them has been received.
+#[derive(Debug)]
+struct Payload {
+    src: Addr,
+    dst: Destination,
+    bytes: Vec<u8>,
+    /// Deliveries of this payload still in flight or waiting in an inbox.
+    readers: u32,
+}
+
+/// A delivery in flight, ordered by due time, then by the order it was
+/// scheduled in (`seq` is unique, so the last two fields never decide).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Scheduled {
     at: Micros,
     seq: u64,
-    to: Addr,
-    dgram: Datagram,
-}
-
-impl Ord for ScheduledDelivery {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl PartialOrd for ScheduledDelivery {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+    to: NodeId,
+    slot: u32,
 }
 
 /// A deterministic discrete-event model of the cluster's local area network.
@@ -46,6 +46,12 @@ impl PartialOrd for ScheduledDelivery {
 /// configured [`LanConfig`] (latency, jitter, serialization delay, loss) and
 /// appear in receiver inboxes once the LAN clock is advanced past their
 /// delivery time.
+///
+/// Nodes are numbered densely by [`SimLan::attach`], and every table is a
+/// vector indexed by node. A send copies its payload once into a slot of a
+/// slab the LAN keeps; every delivery of it — one per receiver of a broadcast,
+/// plus any injected duplicate — refers to that slot, so a steady stream of
+/// traffic allocates nothing.
 #[derive(Debug)]
 pub struct SimLan {
     config: LanConfig,
@@ -54,9 +60,11 @@ pub struct SimLan {
     faults: FaultPlan,
     fault_rng: SplitMix64,
     next_seq: u64,
-    next_node: u16,
-    queue: BinaryHeap<Reverse<ScheduledDelivery>>,
-    inboxes: BTreeMap<Addr, VecDeque<Datagram>>,
+    queue: BinaryHeap<Reverse<Scheduled>>,
+    /// Per node, in delivery order: when each datagram arrived and its slot.
+    inboxes: Vec<VecDeque<(Micros, u32)>>,
+    payloads: Vec<Payload>,
+    free_slots: Vec<u32>,
     stats: LanStats,
 }
 
@@ -70,9 +78,10 @@ impl SimLan {
             faults: FaultPlan::none(),
             fault_rng: SplitMix64::new(0),
             next_seq: 0,
-            next_node: 0,
             queue: BinaryHeap::new(),
-            inboxes: BTreeMap::new(),
+            inboxes: Vec::new(),
+            payloads: Vec::new(),
+            free_slots: Vec::new(),
             stats: LanStats::default(),
         }
     }
@@ -80,10 +89,9 @@ impl SimLan {
     /// Attaches a new computer (node) to the LAN and returns the address of
     /// its endpoint on the default CB port.
     pub fn attach(&mut self) -> Addr {
-        let addr = Addr::new(NodeId(self.next_node), DEFAULT_PORT);
-        self.next_node += 1;
-        self.inboxes.insert(addr, VecDeque::new());
-        addr
+        let node = u16::try_from(self.inboxes.len()).expect("at most 65 536 nodes");
+        self.inboxes.push(VecDeque::new());
+        Addr::new(NodeId(node), DEFAULT_PORT)
     }
 
     /// The LAN clock.
@@ -111,8 +119,13 @@ impl SimLan {
         self.fault_rng = SplitMix64::new(0);
         self.next_seq = 0;
         self.queue.clear();
-        for inbox in self.inboxes.values_mut() {
+        for inbox in self.inboxes.iter_mut() {
             inbox.clear();
+        }
+        self.free_slots.clear();
+        for (slot, payload) in self.payloads.iter_mut().enumerate() {
+            payload.readers = 0;
+            self.free_slots.push(slot as u32);
         }
         self.stats = LanStats::default();
     }
@@ -128,20 +141,94 @@ impl SimLan {
     /// Advances the LAN clock to the absolute time `t`, performing any
     /// deliveries that fall due.
     pub fn advance_to(&mut self, t: Micros) {
-        while let Some(Reverse(next)) = self.queue.peek() {
+        while let Some(&Reverse(next)) = self.queue.peek() {
             if next.at > t {
                 break;
             }
-            let Reverse(delivery) = self.queue.pop().expect("peeked entry present");
-            let mut dgram = delivery.dgram;
-            dgram.delivered_at = delivery.at;
-            let bytes = dgram.payload.len();
-            if let Some(inbox) = self.inboxes.get_mut(&delivery.to) {
-                inbox.push_back(dgram);
-                self.stats.record_delivery(delivery.to.node, bytes);
-            }
+            self.queue.pop();
+            self.inboxes[usize::from(next.to.0)].push_back((next.at, next.slot));
+            self.stats.record_delivery();
         }
         self.clock.advance_to(t);
+    }
+
+    /// The inbox index of `addr`, if it is an attached endpoint.
+    fn node_of(&self, addr: Addr) -> Option<usize> {
+        let node = usize::from(addr.node.0);
+        (addr.port == DEFAULT_PORT && node < self.inboxes.len()).then_some(node)
+    }
+
+    /// Copies `dgram`'s payload into a free slot (or a new one) and returns it.
+    fn store(&mut self, dgram: &Datagram<'_>) -> u32 {
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            let src = dgram.src;
+            self.payloads.push(Payload { src, dst: dgram.dst, bytes: Vec::new(), readers: 0 });
+            (self.payloads.len() - 1) as u32
+        });
+        let payload = &mut self.payloads[slot as usize];
+        payload.src = dgram.src;
+        payload.dst = dgram.dst;
+        payload.bytes.clear();
+        payload.bytes.extend_from_slice(dgram.payload);
+        slot
+    }
+
+    /// Draws the fate of `dgram` on its way to node `to` — partition, fault
+    /// and link loss, delay, injected reordering and duplication — and
+    /// schedules what survives as readers of `slot`.
+    fn schedule(&mut self, dgram: &Datagram<'_>, to: NodeId, slot: u32) {
+        let now = self.clock.now();
+        let inject = !self.faults.is_none();
+        if inject && self.faults.partitioned(now, dgram.src.node, to) {
+            self.stats.record_partition_drop();
+            return;
+        }
+        // Fault decisions are drawn *before* the link-loss draw so the
+        // fault stream consumes its RNG identically whether or not the
+        // link model itself is lossy.
+        let (fault_dropped, reordered, duplicated) = if inject {
+            let rule = self.faults.default_rule;
+            let dropped = rule.drop_probability > 0.0
+                && self.fault_rng.chance(rule.drop_probability.clamp(0.0, 1.0));
+            let reordered = rule.reorder_probability > 0.0
+                && self.fault_rng.chance(rule.reorder_probability.clamp(0.0, 1.0));
+            let duplicated = rule.duplicate_probability > 0.0
+                && self.fault_rng.chance(rule.duplicate_probability.clamp(0.0, 1.0));
+            (dropped, reordered, duplicated)
+        } else {
+            (false, false, false)
+        };
+        if fault_dropped {
+            self.stats.record_fault_drop();
+            return;
+        }
+        if self.config.link.sample_loss(&mut self.rng) {
+            self.stats.record_drop();
+            return;
+        }
+        let mut delay = self.config.link.sample_delay(dgram, &mut self.rng);
+        if inject {
+            delay += Micros(self.faults.spike_extra_us(now));
+            if reordered {
+                // Hold the datagram back so later traffic overtakes it.
+                delay += Micros(self.faults.default_rule.reorder_delay_us);
+                self.stats.record_fault_reorder();
+            }
+            if duplicated {
+                let extra = self.config.link.sample_delay(dgram, &mut self.fault_rng)
+                    + Micros(self.faults.spike_extra_us(now));
+                self.stats.record_fault_duplicate();
+                self.enqueue(now + extra, to, slot);
+            }
+        }
+        self.enqueue(now + delay, to, slot);
+    }
+
+    fn enqueue(&mut self, at: Micros, to: NodeId, slot: u32) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.payloads[slot as usize].readers += 1;
+        self.queue.push(Reverse(Scheduled { at, seq, to, slot }));
     }
 }
 
@@ -150,92 +237,48 @@ impl Transport for SimLan {
         if payload.len() > self.config.mtu {
             return Err(NetError::PayloadTooLarge { size: payload.len(), max: self.config.mtu });
         }
-        if let Destination::Unicast(addr) = dst {
-            if !self.inboxes.contains_key(&addr) {
-                return Err(NetError::UnknownEndpoint(addr));
+        // Receivers in node order, which fixes the order of the RNG draws; a
+        // broadcast skips its sender.
+        let (receivers, sender) = match dst {
+            Destination::Unicast(addr) => {
+                let node = self.node_of(addr).ok_or(NetError::UnknownEndpoint(addr))?;
+                (node..node + 1, None)
             }
-        }
-        let payload: Arc<[u8]> = Arc::from(payload);
-        self.stats.record_send(src.node, payload.len());
-        let now = self.clock.now();
-        let inject = !self.faults.is_none();
-        // Borrows every field but `inboxes`, which the broadcast arm walks
-        // while scheduling.
-        let mut schedule = |to: Addr| {
-            let dgram = Datagram { src, dst, payload: payload.clone(), delivered_at: Micros::ZERO };
-            if inject && self.faults.partitioned(now, src.node, to.node) {
-                self.stats.record_partition_drop();
-                return;
-            }
-            // Fault decisions are drawn *before* the link-loss draw so the
-            // fault stream consumes its RNG identically whether or not the
-            // link model itself is lossy.
-            let (fault_dropped, reordered, duplicated) = if inject {
-                let rule = self.faults.default_rule;
-                let dropped = rule.drop_probability > 0.0
-                    && self.fault_rng.chance(rule.drop_probability.clamp(0.0, 1.0));
-                let reordered = rule.reorder_probability > 0.0
-                    && self.fault_rng.chance(rule.reorder_probability.clamp(0.0, 1.0));
-                let duplicated = rule.duplicate_probability > 0.0
-                    && self.fault_rng.chance(rule.duplicate_probability.clamp(0.0, 1.0));
-                (dropped, reordered, duplicated)
-            } else {
-                (false, false, false)
-            };
-            if fault_dropped {
-                self.stats.record_fault_drop();
-                return;
-            }
-            if self.config.link.sample_loss(&mut self.rng) {
-                self.stats.record_drop();
-                return;
-            }
-            let mut delay = self.config.link.sample_delay(&dgram, &mut self.rng);
-            if inject {
-                delay += Micros(self.faults.spike_extra_us(now));
-                if reordered {
-                    // Hold the datagram back so later traffic overtakes it.
-                    delay += Micros(self.faults.default_rule.reorder_delay_us);
-                    self.stats.record_fault_reorder();
-                }
-                if duplicated {
-                    let extra = self.config.link.sample_delay(&dgram, &mut self.fault_rng)
-                        + Micros(self.faults.spike_extra_us(now));
-                    self.stats.record_fault_duplicate();
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.queue.push(Reverse(ScheduledDelivery {
-                        at: now + extra,
-                        seq,
-                        to,
-                        dgram: dgram.clone(),
-                    }));
-                }
-            }
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.queue.push(Reverse(ScheduledDelivery { at: now + delay, seq, to, dgram }));
+            Destination::Broadcast(DEFAULT_PORT) => (0..self.inboxes.len(), self.node_of(src)),
+            Destination::Broadcast(_) => (0..0, None),
         };
-        match dst {
-            Destination::Unicast(addr) => schedule(addr),
-            Destination::Broadcast(port) => self
-                .inboxes
-                .keys()
-                .copied()
-                .filter(|a| a.port == port && *a != src)
-                .for_each(schedule),
+        self.stats.record_send(payload.len());
+        let dgram = Datagram { src, dst, payload, delivered_at: Micros::ZERO };
+        let slot = self.store(&dgram);
+        for node in receivers.filter(|node| Some(*node) != sender) {
+            self.schedule(&dgram, NodeId(node as u16), slot);
+        }
+        if self.payloads[slot as usize].readers == 0 {
+            self.free_slots.push(slot);
         }
         Ok(())
     }
 
-    fn poll_into(&mut self, addr: Addr, out: &mut Vec<Datagram>) -> Result<(), NetError> {
-        match self.inboxes.get_mut(&addr) {
-            None => Err(NetError::UnknownEndpoint(addr)),
-            Some(inbox) => {
-                out.extend(inbox.drain(..));
-                Ok(())
+    fn receive(
+        &mut self,
+        addr: Addr,
+        deliver: &mut dyn FnMut(Datagram<'_>),
+    ) -> Result<(), NetError> {
+        let node = self.node_of(addr).ok_or(NetError::UnknownEndpoint(addr))?;
+        for (delivered_at, slot) in self.inboxes[node].drain(..) {
+            let payload = &mut self.payloads[slot as usize];
+            deliver(Datagram {
+                src: payload.src,
+                dst: payload.dst,
+                payload: &payload.bytes,
+                delivered_at,
+            });
+            payload.readers -= 1;
+            if payload.readers == 0 {
+                self.free_slots.push(slot);
             }
         }
+        Ok(())
     }
 }
 
@@ -251,17 +294,41 @@ mod tests {
             }
         }
 
+        /// Drains `addr`'s inbox, appending a copy of each datagram to `out`.
+        fn poll_into(&mut self, addr: Addr, out: &mut Vec<Received>) -> Result<(), NetError> {
+            self.receive(addr, &mut |d| {
+                out.push(Received {
+                    src: d.src,
+                    payload: d.payload.to_vec(),
+                    delivered_at: d.delivered_at,
+                })
+            })
+        }
+
         /// Drains `addr`'s inbox into a fresh vector.
-        fn poll(&mut self, addr: Addr) -> Vec<Datagram> {
+        fn poll(&mut self, addr: Addr) -> Vec<Received> {
             let mut out = Vec::new();
             self.poll_into(addr, &mut out).unwrap();
             out
+        }
+
+        /// Payload slots that some delivery still reads.
+        fn slots_in_use(&self) -> usize {
+            self.payloads.len() - self.free_slots.len()
         }
 
         /// Sends `payload` from `src` to the unicast address `dst`.
         fn unicast(&mut self, src: Addr, dst: Addr, payload: &[u8]) -> Result<(), NetError> {
             self.send(src, Destination::Unicast(dst), payload)
         }
+    }
+
+    /// A received datagram, copied out of the LAN.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Received {
+        src: Addr,
+        payload: Vec<u8>,
+        delivered_at: Micros,
     }
 
     fn lan_pair(config: LanConfig) -> (SimLan, Addr, Addr) {
@@ -327,7 +394,7 @@ mod tests {
         let bogus = Addr::new(NodeId(77), Port(9));
         let err = lan.unicast(a, bogus, b"x").unwrap_err();
         assert!(matches!(err, NetError::UnknownEndpoint(_)));
-        let err = lan.poll_into(bogus, &mut Vec::new()).unwrap_err();
+        let err = lan.receive(bogus, &mut |_| {}).unwrap_err();
         assert!(matches!(err, NetError::UnknownEndpoint(_)));
     }
 
@@ -391,9 +458,45 @@ mod tests {
         let (mut lan, a, b) = lan_pair(LanConfig::fast_ethernet(1));
         lan.unicast(a, b, &[0u8; 128]).unwrap();
         lan.run_until_idle();
-        lan.poll(b);
+        assert_eq!(lan.poll(b)[0].payload.len(), 128);
         assert_eq!(lan.stats().bytes_sent, 128);
-        assert_eq!(lan.stats().per_node[&b.node].bytes_received, 128);
+        assert_eq!(lan.stats().deliveries, 1);
+    }
+
+    #[test]
+    fn a_payload_is_stored_once_and_its_slot_freed_by_its_last_reader() {
+        let mut lan = SimLan::new(LanConfig::fast_ethernet(3));
+        let (a, b, c) = (lan.attach(), lan.attach(), lan.attach());
+        lan.send(a, Destination::Broadcast(DEFAULT_PORT), b"to all").unwrap();
+        lan.run_until_idle();
+        assert_eq!((lan.payloads.len(), lan.slots_in_use()), (1, 1), "one copy, two readers");
+        assert_eq!(lan.poll(b)[0].payload, b"to all");
+        assert_eq!(lan.slots_in_use(), 1, "c has not read it yet");
+        lan.receive(c, &mut |_| {}).unwrap();
+        assert_eq!(lan.slots_in_use(), 0, "a receiver that ignores it still releases it");
+
+        // The freed slot carries the next payload; one that every receiver
+        // loses holds none.
+        lan.unicast(a, b, b"next").unwrap();
+        assert_eq!((lan.payloads.len(), lan.slots_in_use()), (1, 1));
+        lan.set_fault_plan(FaultPlan::seeded(2).with_drop_probability(1.0));
+        lan.send(a, Destination::Broadcast(DEFAULT_PORT), b"lost").unwrap();
+        assert_eq!((lan.payloads.len(), lan.slots_in_use()), (2, 1));
+        lan.run_until_idle();
+        assert_eq!(lan.poll(b)[0].payload, b"next");
+        assert_eq!(lan.slots_in_use(), 0);
+
+        // A session start drops what waits in an inbox or is still in flight
+        // and frees every slot.
+        lan.set_fault_plan(FaultPlan::none());
+        lan.send(a, Destination::Broadcast(DEFAULT_PORT), b"waiting").unwrap();
+        lan.run_until_idle();
+        lan.unicast(a, c, b"in flight").unwrap();
+        assert_eq!(lan.slots_in_use(), 2);
+        lan.begin_session(Micros::ZERO, 1);
+        lan.run_until_idle();
+        assert!(lan.poll(b).is_empty() && lan.poll(c).is_empty());
+        assert_eq!((lan.payloads.len(), lan.slots_in_use()), (2, 0));
     }
 
     #[test]
@@ -506,7 +609,7 @@ mod tests {
                 lan.unicast(a, b, b"x").unwrap();
             }
             lan.run_until_idle();
-            lan.stats().clone()
+            *lan.stats()
         };
         let first = run(1);
         let second = run(2);

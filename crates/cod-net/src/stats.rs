@@ -1,24 +1,7 @@
 //! Traffic counters for the simulated LAN.
 
-use std::collections::BTreeMap;
-
-use crate::addr::NodeId;
-
-/// Per-node traffic counters.
+/// Whole-LAN traffic counters: a plain value, copied out whole by readers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStats {
-    /// Datagrams sent by the node.
-    pub datagrams_sent: u64,
-    /// Datagrams delivered to the node.
-    pub datagrams_received: u64,
-    /// Payload bytes sent.
-    pub bytes_sent: u64,
-    /// Payload bytes received.
-    pub bytes_received: u64,
-}
-
-/// Whole-LAN traffic counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LanStats {
     /// Datagrams accepted by the LAN for delivery.
     pub datagrams_sent: u64,
@@ -36,26 +19,18 @@ pub struct LanStats {
     pub partition_drops: u64,
     /// Total payload bytes accepted.
     pub bytes_sent: u64,
-    /// Per-node breakdown.
-    pub per_node: BTreeMap<NodeId, NodeStats>,
 }
 
 impl LanStats {
-    /// Records a send of `bytes` payload bytes from `src`.
-    pub fn record_send(&mut self, src: NodeId, bytes: usize) {
+    /// Records a send of `bytes` payload bytes.
+    pub fn record_send(&mut self, bytes: usize) {
         self.datagrams_sent += 1;
         self.bytes_sent += bytes as u64;
-        let n = self.per_node.entry(src).or_default();
-        n.datagrams_sent += 1;
-        n.bytes_sent += bytes as u64;
     }
 
-    /// Records a delivery of `bytes` payload bytes to `dst`.
-    pub fn record_delivery(&mut self, dst: NodeId, bytes: usize) {
+    /// Records one delivery to one receiver.
+    pub fn record_delivery(&mut self) {
         self.deliveries += 1;
-        let n = self.per_node.entry(dst).or_default();
-        n.datagrams_received += 1;
-        n.bytes_received += bytes as u64;
     }
 
     /// Records a datagram dropped by the loss model.
@@ -103,14 +78,13 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut s = LanStats::default();
-        s.record_send(NodeId(1), 100);
-        s.record_send(NodeId(1), 50);
-        s.record_delivery(NodeId(2), 100);
+        s.record_send(100);
+        s.record_send(50);
+        s.record_delivery();
         s.record_drop();
         assert_eq!(s.datagrams_sent, 2);
         assert_eq!(s.bytes_sent, 150);
-        assert_eq!(s.per_node[&NodeId(1)].datagrams_sent, 2);
-        assert_eq!(s.per_node[&NodeId(2)].bytes_received, 100);
+        assert_eq!(s.deliveries, 1);
         assert!((s.drop_ratio() - 0.5).abs() < 1e-12);
     }
 
@@ -140,8 +114,8 @@ mod tests {
 
         fn apply(s: &mut LanStats, op: u8) {
             match op % 7 {
-                0 => s.record_send(NodeId(op as u16 % 4), op as usize),
-                1 => s.record_delivery(NodeId(op as u16 % 4), op as usize),
+                0 => s.record_send(op as usize),
+                1 => s.record_delivery(),
                 2 => s.record_drop(),
                 3 => s.record_fault_drop(),
                 4 => s.record_fault_duplicate(),
@@ -168,24 +142,13 @@ mod tests {
             fn prop_every_counter_is_monotone(ops in proptest::collection::vec(0u8..255, 1..200)) {
                 let mut s = LanStats::default();
                 let mut last = totals(&s);
-                let mut last_nodes: std::collections::BTreeMap<NodeId, NodeStats> =
-                    std::collections::BTreeMap::new();
                 for op in ops {
                     apply(&mut s, op);
                     let now = totals(&s);
                     for (a, b) in last.iter().zip(&now) {
                         prop_assert!(b >= a, "aggregate counter regressed: {now:?} < {last:?}");
                     }
-                    for (node, stats) in &s.per_node {
-                        if let Some(before) = last_nodes.get(node) {
-                            prop_assert!(stats.datagrams_sent >= before.datagrams_sent);
-                            prop_assert!(stats.datagrams_received >= before.datagrams_received);
-                            prop_assert!(stats.bytes_sent >= before.bytes_sent);
-                            prop_assert!(stats.bytes_received >= before.bytes_received);
-                        }
-                    }
                     last = now;
-                    last_nodes = s.per_node.clone();
                 }
                 // The ratio is always a valid fraction.
                 prop_assert!((0.0..=1.0).contains(&s.drop_ratio()));

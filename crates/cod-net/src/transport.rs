@@ -21,14 +21,18 @@ pub trait Transport {
     fn send(&mut self, src: Addr, dst: Destination, payload: &[u8]) -> Result<(), NetError>;
 
     /// Drains every datagram delivered to the endpoint `addr` since the
-    /// previous call, appending them to `out` in delivery order behind
-    /// whatever `out` already holds, so a caller that polls every tick can
-    /// keep one buffer.
+    /// previous call, handing each to `deliver` in delivery order. A
+    /// datagram's payload is lent for that one call: a receiver that keeps
+    /// anything copies it out.
     ///
     /// # Errors
     ///
     /// Returns an error if `addr` is not attached to the medium.
-    fn poll_into(&mut self, addr: Addr, out: &mut Vec<Datagram>) -> Result<(), NetError>;
+    fn receive(
+        &mut self,
+        addr: Addr,
+        deliver: &mut dyn FnMut(Datagram<'_>),
+    ) -> Result<(), NetError>;
 }
 
 #[cfg(test)]

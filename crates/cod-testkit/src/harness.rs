@@ -98,24 +98,26 @@ pub fn run_scenario_with(
 
     for _ in 0..spec.frames {
         let record = simulator.step_frame()?;
-        let snapshot = simulator.snapshot();
         let lan = simulator.cluster().lan_stats();
-        trace.record(FrameDigest::capture(record.frame, record.now, &snapshot, &lan));
-
-        let ctx = FrameContext { frame: record.frame, simulator: &simulator, snapshot: &snapshot };
-        for (invariant, fired) in invariants.iter_mut().zip(fired.iter_mut()) {
-            if *fired {
-                continue;
+        // The digest and the invariants read the telemetry in place: nothing
+        // is copied per frame but what the digest keeps.
+        simulator.telemetry().read(|snapshot| {
+            trace.record(FrameDigest::capture(record.frame, record.now, snapshot, &lan));
+            let ctx = FrameContext { frame: record.frame, simulator: &simulator, snapshot };
+            for (invariant, fired) in invariants.iter_mut().zip(fired.iter_mut()) {
+                if *fired {
+                    continue;
+                }
+                if let Err(detail) = invariant.check(&ctx) {
+                    *fired = true;
+                    violations.push(InvariantViolation {
+                        frame: record.frame,
+                        invariant: invariant.name(),
+                        detail,
+                    });
+                }
             }
-            if let Err(detail) = invariant.check(&ctx) {
-                *fired = true;
-                violations.push(InvariantViolation {
-                    frame: record.frame,
-                    invariant: invariant.name(),
-                    detail,
-                });
-            }
-        }
+        });
     }
 
     Ok(ScenarioOutcome {

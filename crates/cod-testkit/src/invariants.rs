@@ -15,9 +15,11 @@ use crane_sim::{CraneSimulator, TelemetrySnapshot};
 pub struct FrameContext<'a> {
     /// Zero-based index of the frame that just ran.
     pub frame: u64,
-    /// The simulator (cluster, kernels, metrics) after the frame.
+    /// The simulator (cluster, kernels, metrics) after the frame. The
+    /// harness holds its telemetry sink while the invariants run: read the
+    /// telemetry through `snapshot`, never through the simulator.
     pub simulator: &'a CraneSimulator,
-    /// Telemetry snapshot taken after the frame.
+    /// The telemetry after the frame.
     pub snapshot: &'a TelemetrySnapshot,
 }
 

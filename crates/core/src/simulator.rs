@@ -331,8 +331,7 @@ impl CraneSimulator {
     pub fn run_frames(&mut self, frames: usize) -> Result<Micros, CbError> {
         let mut cost = Micros::ZERO;
         for _ in 0..frames {
-            let record = self.step_frame()?;
-            cost = record.costs.iter().fold(cost, |sum, c| sum + *c);
+            cost += self.step_frame()?.cost;
         }
         Ok(cost)
     }
@@ -353,7 +352,7 @@ impl CraneSimulator {
         } else {
             // A decimated-away frame: no modeled cost, time holds until the
             // next real step advances it by a full decimated period.
-            FrameRecord { frame, now: self.cluster.now(), costs: Vec::new() }
+            FrameRecord { frame, now: self.cluster.now(), cost: Micros::ZERO }
         };
         self.session_frames += 1;
         Ok(record)
@@ -394,12 +393,9 @@ impl CraneSimulator {
     /// A bit-exact digest of the current session state, in session-frame
     /// terms. Equal digests mean bit-identical runs.
     pub fn telemetry_digest(&self) -> FrameDigest {
-        FrameDigest::capture(
-            self.session_frames,
-            self.cluster.now(),
-            &self.telemetry.snapshot(),
-            &self.cluster.lan_stats(),
-        )
+        let (frames, now, lan) =
+            (self.session_frames, self.cluster.now(), self.cluster.lan_stats());
+        self.telemetry.read(|snap| FrameDigest::capture(frames, now, snap, &lan))
     }
 
     /// Builds the session report from the telemetry and cluster metrics.
@@ -712,7 +708,7 @@ mod tests {
         for i in 0..16u64 {
             let record = sim.step_frame().unwrap();
             assert_eq!(record.frame, i, "records are numbered in session frames");
-            if record.costs.is_empty() {
+            if record.cost == Micros::ZERO {
                 continue;
             }
             real += 1;
@@ -747,10 +743,7 @@ mod tests {
             let mut scalar_costs = vec![Micros::ZERO; scalar.len()];
             for (sim, cost) in scalar.iter_mut().zip(scalar_costs.iter_mut()) {
                 for _ in 0..frames {
-                    let record = sim.step_frame().unwrap();
-                    for c in &record.costs {
-                        *cost += *c;
-                    }
+                    *cost += sim.step_frame().unwrap().cost;
                 }
             }
 

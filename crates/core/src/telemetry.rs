@@ -108,6 +108,13 @@ impl SharedTelemetry {
         self.lock().clone()
     }
 
+    /// Runs a closure with read access to everything recorded so far, without
+    /// copying it. The sink stays locked until the closure returns, so the
+    /// closure must not reach the sink again.
+    pub fn read<R>(&self, f: impl FnOnce(&TelemetrySnapshot) -> R) -> R {
+        f(&self.lock())
+    }
+
     /// Runs a closure with mutable access to the telemetry data.
     pub fn update<R>(&self, f: impl FnOnce(&mut TelemetrySnapshot) -> R) -> R {
         f(&mut self.lock())

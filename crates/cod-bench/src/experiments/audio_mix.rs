@@ -102,8 +102,10 @@ pub fn run() -> ExperimentResult {
         notes: "The paper gives the audio module one PC of eight and no timing. The pointwise \
                 loop is the mixer's pre-kernel render (one libm sin per partial per sample) \
                 kept here as the yardstick; the ratio is 1 / the median of the per-pair \
-                kernel-over-pointwise ratios and `bench_report` gates it >= 3x, so \
-                re-introducing per-sample libm on the render path fails CI."
+                kernel-over-pointwise ratios, and the gates runner (`cargo run --release -p \
+                cod-testkit --bin gates`) gates it >= 3x in its `bench` row 'E15 audio kernel \
+                over pointwise synthesis', so re-introducing per-sample libm on the render \
+                path fails CI."
             .into(),
     }
 }

@@ -75,10 +75,12 @@ pub fn run() -> ExperimentResult {
             DerivedMetric::new("score_drift_tolerance", "points", SCORE_DRIFT_TOLERANCE),
             DerivedMetric::new("mean_cost_multiplier", "x", mean_cost_multiplier),
         ],
-        notes: "Scores and costs are modeled, so the drift table is deterministic; bench_report \
-                gates max_score_drift <= the pinned tolerance, and `fleet_report --quick` \
-                gates the fleet-scale capacity multiplier plus at least one live promotion \
-                and demotion per tiered run."
+        notes: "Scores and costs are modeled, so the drift table is deterministic. The gates \
+                runner (`cargo run --release -p cod-testkit --bin gates`) gates \
+                max_score_drift <= the pinned tolerance in its `bench` row 'E12 \
+                Coarse-vs-Full score drift', and the fleet-scale capacity multiplier plus at \
+                least one live promotion and demotion per tiered run in its `fleet` rows \
+                'tiered capacity over all-Full' and 'live retiering in the tiered run'."
             .into(),
     }
 }

@@ -110,9 +110,11 @@ pub fn run() -> ExperimentResult {
             DerivedMetric::new("frames_counted", "frames", det.counter("frames_stepped") as f64),
         ],
         notes: "Overhead is the median traced-over-untraced ratio of back-to-back drain pairs on \
-                the batched serving path; bench_report gates it at the pinned ceiling. The \
-                outcome equality asserted inside the experiment plus trace_report's \
-                byte-identity gates pin the correctness side."
+                the batched serving path; the gates runner (`cargo run --release -p \
+                cod-testkit --bin gates`) gates it at the pinned ceiling in its `bench` row \
+                'E14 tracing overhead on the serving path'. The outcome equality asserted \
+                inside the experiment plus the byte-identity rows of its `trace` source \
+                pin the correctness side."
             .into(),
     }
 }

@@ -10,7 +10,8 @@ use cod_cb::{CbApi, CbError, ClassRegistry};
 use cod_cluster::LogicalProcess;
 use cod_net::Micros;
 
-use crate::fom::{AlarmMsg, CollisionMsg, CraneFom, CraneStateMsg, OperatorInputMsg};
+use crate::fom::{AlarmMsg, CollisionMsg, CraneFom};
+use crate::operator::Observation;
 use crate::telemetry::SharedTelemetry;
 
 /// The audio Logical Process.
@@ -18,8 +19,7 @@ pub struct AudioLp {
     fom: CraneFom,
     telemetry: SharedTelemetry,
     mixer: Mixer,
-    crane: CraneStateMsg,
-    input: OperatorInputMsg,
+    observation: Observation,
     collisions_heard: u64,
     /// The last rendered block, kept for its capacity.
     block: Vec<f32>,
@@ -35,15 +35,14 @@ fn session_start_mixer() -> Mixer {
 impl AudioLp {
     /// Creates the audio module.
     ///
-    /// `_registry` is unused (the attribute ids live in `fom`); the parameter
+    /// `_registry` is unused (an attribute's id is its position); the parameter
     /// stays until `benchmark/`, which calls this constructor, is re-bound.
     pub fn new(_registry: ClassRegistry, fom: CraneFom, telemetry: SharedTelemetry) -> AudioLp {
         AudioLp {
             fom,
             telemetry,
             mixer: session_start_mixer(),
-            crane: CraneStateMsg::default(),
-            input: OperatorInputMsg::default(),
+            observation: Observation::default(),
             collisions_heard: 0,
             block: Vec::new(),
         }
@@ -69,34 +68,29 @@ impl LogicalProcess for AudioLp {
     }
 
     fn step(&mut self, cb: &mut dyn CbApi, dt: f64) -> Result<(), CbError> {
-        for reflection in cb.reflections() {
-            if reflection.class == self.fom.crane_state {
-                self.crane = CraneStateMsg::from_values(&self.fom, &reflection.values);
-            } else if reflection.class == self.fom.operator_input {
-                self.input = OperatorInputMsg::from_values(&self.fom, &reflection.values);
-            }
-        }
+        self.observation.reflect(&self.fom, cb);
         for interaction in cb.interactions() {
             if interaction.class == self.fom.collision {
-                let collision = CollisionMsg::from_values(&self.fom, &interaction.parameters);
+                let collision = CollisionMsg::from_values(&interaction.parameters);
                 self.collisions_heard += 1;
                 self.mixer.handle_event(SoundEvent::Collision {
                     location: collision.location,
                     impulse: collision.impulse,
                 });
             } else if interaction.class == self.fom.alarm {
-                let alarm = AlarmMsg::from_values(&self.fom, &interaction.parameters);
+                let alarm = AlarmMsg::from_values(&interaction.parameters);
                 self.mixer.handle_event(SoundEvent::Alarm { active: alarm.active });
             }
         }
 
         // Continuous sources follow the reflected state.
-        self.mixer.set_listener(self.crane.chassis_position);
-        self.mixer.handle_event(SoundEvent::EngineLoad { intensity: self.crane.engine_intensity });
-        let motor_active = self.input.slew.abs() > 0.05
-            || self.input.luff.abs() > 0.05
-            || self.input.telescope.abs() > 0.05
-            || self.input.hoist.abs() > 0.05;
+        let Observation { crane, input, .. } = &self.observation;
+        self.mixer.set_listener(crane.chassis_position);
+        self.mixer.handle_event(SoundEvent::EngineLoad { intensity: crane.engine_intensity });
+        let motor_active = input.slew.abs() > 0.05
+            || input.luff.abs() > 0.05
+            || input.telescope.abs() > 0.05
+            || input.hoist.abs() > 0.05;
         self.mixer.handle_event(SoundEvent::MotorWorking { active: motor_active });
 
         // A block is capped at 0.25 s to bound its cost (a Coarse frame is
@@ -113,8 +107,7 @@ impl LogicalProcess for AudioLp {
 
     fn begin_session(&mut self, _cb: &mut dyn CbApi, _seed: u64) -> Result<(), CbError> {
         self.mixer = session_start_mixer();
-        self.crane = CraneStateMsg::default();
-        self.input = OperatorInputMsg::default();
+        self.observation = Observation::default();
         self.collisions_heard = 0;
         Ok(())
     }
@@ -163,7 +156,7 @@ mod tests {
                     obstacle: "bar".into(),
                     scored: false,
                 };
-                cb.send_interaction(self.fom.collision, clang.to_values(&self.fom))?;
+                cb.send_interaction(self.fom.collision, clang.to_values())?;
             }
             self.frame += 1;
             Ok(())

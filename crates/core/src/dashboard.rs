@@ -15,9 +15,7 @@ use cod_cluster::LogicalProcess;
 use cod_net::Micros;
 use sim_math::RateLimiter;
 
-use crate::fom::{
-    CraneFom, CraneStateMsg, FaultMsg, HookStateMsg, OperatorInputMsg, ScenarioStateMsg,
-};
+use crate::fom::{CraneFom, FaultMsg, OperatorInputMsg};
 use crate::operator::{Observation, Operator};
 use crate::telemetry::SharedTelemetry;
 
@@ -94,7 +92,7 @@ pub struct DashboardLp {
 impl DashboardLp {
     /// Creates the dashboard module with an operator policy at the controls.
     ///
-    /// `_registry` is unused (the attribute ids live in `fom`); the parameter
+    /// `_registry` is unused (an attribute's id is its position); the parameter
     /// stays until `benchmark/`, which calls this constructor, is re-bound.
     pub fn new(
         _registry: ClassRegistry,
@@ -136,20 +134,11 @@ impl LogicalProcess for DashboardLp {
 
     fn step(&mut self, cb: &mut dyn CbApi, dt: f64) -> Result<(), CbError> {
         // Reflect the world state onto the operator's observation.
-        for reflection in cb.reflections() {
-            if reflection.class == self.fom.crane_state {
-                self.observation.crane = CraneStateMsg::from_values(&self.fom, &reflection.values);
-            } else if reflection.class == self.fom.hook_state {
-                self.observation.hook = HookStateMsg::from_values(&self.fom, &reflection.values);
-            } else if reflection.class == self.fom.scenario_state {
-                self.observation.scenario =
-                    ScenarioStateMsg::from_values(&self.fom, &reflection.values);
-            }
-        }
+        self.observation.reflect(&self.fom, cb);
         // Instructor fault injections drive the meters directly (Figure 6).
         for interaction in cb.interactions() {
             if interaction.class == self.fom.fault {
-                let fault = FaultMsg::from_values(&self.fom, &interaction.parameters);
+                let fault = FaultMsg::from_values(&interaction.parameters);
                 self.panel.inject_fault(&fault);
             }
         }
@@ -159,7 +148,7 @@ impl LogicalProcess for DashboardLp {
         self.last_input = input;
         cb.update_attributes(
             self.input_object.expect("init registered the input object"),
-            input.to_values(&self.fom),
+            input.to_values(),
         )?;
 
         // Drive the instrument needles and mirror them into telemetry (the

@@ -20,7 +20,8 @@ use crane_physics::{
 use crane_scene::world::{training_ground_height, TrainingWorld};
 use sim_math::Vec3;
 
-use crate::fom::{CollisionMsg, CraneFom, CraneStateMsg, HookStateMsg, OperatorInputMsg};
+use crate::fom::{CollisionMsg, CraneFom, CraneStateMsg, HookStateMsg};
+use crate::operator::Observation;
 use crate::telemetry::SharedTelemetry;
 
 /// How close the empty hook must come to the cargo for the rigger to attach it.
@@ -47,7 +48,7 @@ pub struct DynamicsLp {
     cargo_mass: f64,
     cargo_attached: bool,
 
-    input: OperatorInputMsg,
+    observation: Observation,
     crane_object: Option<ObjectId>,
     hook_object: Option<ObjectId>,
     collision_cooldowns: BTreeMap<String, f64>,
@@ -59,7 +60,7 @@ pub struct DynamicsLp {
 impl DynamicsLp {
     /// Creates the dynamics module for the standard training world.
     ///
-    /// `_registry` is unused (the attribute ids live in `fom`); the parameter
+    /// `_registry` is unused (an attribute's id is its position); the parameter
     /// stays until `benchmark/`, which calls this constructor, is re-bound.
     pub fn new(
         _registry: ClassRegistry,
@@ -91,7 +92,7 @@ impl DynamicsLp {
             cargo_rest_position,
             cargo_mass,
             cargo_attached: false,
-            input: OperatorInputMsg::default(),
+            observation: Observation::default(),
             crane_object: None,
             hook_object: None,
             collision_cooldowns: BTreeMap::new(),
@@ -124,7 +125,8 @@ impl DynamicsLp {
             chassis_pitch: self.vehicle.pitch,
             chassis_roll: self.vehicle.roll,
             speed: self.vehicle.speed,
-            engine_intensity: (self.input.throttle.abs() + self.vehicle.speed.abs() / 10.0)
+            engine_intensity: (self.observation.input.throttle.abs()
+                + self.vehicle.speed.abs() / 10.0)
                 .clamp(0.1, 1.0),
             slew_angle: self.rig.state.slew_angle,
             luff_angle: self.rig.state.luff_angle,
@@ -165,26 +167,23 @@ impl LogicalProcess for DynamicsLp {
         self.elapsed += dt;
 
         // 1. Pull the freshest operator input.
-        for reflection in cb.reflections() {
-            if reflection.class == self.fom.operator_input {
-                self.input = OperatorInputMsg::from_values(&self.fom, &reflection.values);
-            }
-        }
+        self.observation.reflect(&self.fom, cb);
 
         // 2. Vehicle and crane rig kinematics.
         self.previous_speed = self.vehicle.speed;
+        let input = &self.observation.input;
         let drive = DriveControls {
-            steering: self.input.steering,
-            throttle: self.input.throttle,
-            brake: self.input.brake,
-            reverse: self.input.reverse,
+            steering: input.steering,
+            throttle: input.throttle,
+            brake: input.brake,
+            reverse: input.reverse,
         };
         self.vehicle.step(drive, &self.terrain, dt);
         let crane_controls = CraneControls {
-            slew: self.input.slew,
-            luff: self.input.luff,
-            telescope: self.input.telescope,
-            hoist: self.input.hoist,
+            slew: input.slew,
+            luff: input.luff,
+            telescope: input.telescope,
+            hoist: input.hoist,
         };
         self.rig.step(crane_controls, dt);
 
@@ -222,7 +221,7 @@ impl LogicalProcess for DynamicsLp {
                     obstacle: contact.name.clone(),
                     scored: contact.scored,
                 };
-                cb.send_interaction(self.fom.collision, msg.to_values(&self.fom))?;
+                cb.send_interaction(self.fom.collision, msg.to_values())?;
             }
         }
 
@@ -231,11 +230,11 @@ impl LogicalProcess for DynamicsLp {
         let hook_msg = self.hook_state_msg(boom_tip);
         cb.update_attributes(
             self.crane_object.expect("init registered the crane object"),
-            crane_msg.to_values(&self.fom),
+            crane_msg.to_values(),
         )?;
         cb.update_attributes(
             self.hook_object.expect("init registered the hook object"),
-            hook_msg.to_values(&self.fom),
+            hook_msg.to_values(),
         )?;
 
         // 7. Telemetry.
@@ -263,7 +262,7 @@ impl LogicalProcess for DynamicsLp {
         let boom_tip = self.rig.boom_tip_world(&self.vehicle.chassis_transform());
         self.pendulum = CablePendulum::new(boom_tip, self.rig.state.cable_length, 120.0);
         self.cargo_attached = false;
-        self.input = OperatorInputMsg::default();
+        self.observation = Observation::default();
         self.collision_cooldowns.clear();
         self.elapsed = 0.0;
         self.previous_speed = 0.0;

@@ -1,8 +1,20 @@
-//! The federation object model of the crane simulator.
+//! The federation object model (FOM) of the crane simulator.
 //!
 //! Every module exchanges state through the object and interaction classes
 //! declared here, mirroring how the original system routed "event messages"
-//! between its seven modules over the Communication Backbone.
+//! between its seven modules over the Communication Backbone. Every computer
+//! of a rack registers these classes in the same order, the way every
+//! federate of an HLA federation shares one FOM file.
+//!
+//! Each class is declared once, as one field list: a field's name is the
+//! attribute name registered with the CB and its position in the list is the
+//! attribute's [`AttributeId`], so the typed messages address attributes by
+//! position and never look a name up. To add an attribute, add one
+//! `name: Type` line to its class's declaration; the type needs a `FomValue`
+//! impl (`f64`, [`Vec3`], `bool`, `u32` and `String` have one). Append the
+//! line at the end of the list: the id is the position, so an attribute
+//! inserted mid-list moves the ids of all that follow it, and with them the
+//! bytes on the wire and every fingerprint taken of a session.
 
 use cod_cb::{
     AttributeId, AttributeValues, CbError, ClassRegistry, InteractionClassId, ObjectClassId, Value,
@@ -11,63 +23,107 @@ use cod_cluster::FrameSyncFom;
 use sim_math::Vec3;
 use std::sync::OnceLock;
 
-/// Declares the attribute-id table of one class: a struct with one
-/// [`AttributeId`] per attribute, whose field names *are* the attribute names
-/// declared in the FOM, resolved once when the class is registered so the
-/// typed messages below address attributes by id, never by name.
-macro_rules! attribute_ids {
-    ($table:ident { $($attribute:ident),+ $(,)? }) => {
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        struct $table {
-            $($attribute: AttributeId),+
+/// Declares the classes: for each, its message struct with one public field
+/// per attribute, the attribute names in id order, and the encoder and
+/// decoder that put each attribute under its position.
+macro_rules! fom_classes {
+    ($(
+        $(#[$meta:meta])*
+        $msg:ident { $($(#[$field_meta:meta])* $field:ident: $ty:ty),+ $(,)? }
+    )+) => {$(
+        $(#[$meta])*
+        pub struct $msg {
+            $($(#[$field_meta])* pub $field: $ty),+
         }
 
-        impl $table {
-            const NAMES: &'static [&'static str] = &[$(stringify!($attribute)),+];
+        impl $msg {
+            /// The attribute names; the index of a name is its id.
+            const NAMES: &'static [&'static str] = &[$(stringify!($field)),+];
 
-            fn resolve(id_of: impl Fn(&str) -> Option<AttributeId>) -> $table {
-                $table { $($attribute: id_of(stringify!($attribute)).expect("declared above")),+ }
+            /// Encodes every attribute under its position.
+            pub fn to_values(&self) -> AttributeValues {
+                [$(self.$field.to_value()),+]
+                    .into_iter()
+                    .enumerate()
+                    .map(|(id, value)| (AttributeId(id as u16), value))
+                    .collect()
+            }
+
+            /// Decodes from attribute values: an attribute that is missing, or
+            /// that carries another kind of value, reads as zero.
+            pub fn from_values(values: &AttributeValues) -> $msg {
+                let mut by_position = (0..).map(|id| values.get(&AttributeId(id)));
+                $msg {
+                    $($field: by_position
+                        .next()
+                        .flatten()
+                        .and_then(FomValue::from_value)
+                        .unwrap_or_default()),+
+                }
             }
         }
-    };
+    )+};
 }
 
-attribute_ids!(CraneStateIds {
-    chassis_position,
-    chassis_yaw,
-    chassis_pitch,
-    chassis_roll,
-    speed,
-    engine_intensity,
-    slew_angle,
-    luff_angle,
-    boom_length,
-    cable_length,
-    boom_tip,
-    radius_utilization,
-    moment_utilization,
-});
-attribute_ids!(HookStateIds {
-    hook_position,
-    cargo_position,
-    swing_angle,
-    cargo_attached,
-    cargo_mass
-});
-attribute_ids!(OperatorInputIds {
-    steering,
-    throttle,
-    brake,
-    reverse,
-    slew,
-    luff,
-    telescope,
-    hoist
-});
-attribute_ids!(ScenarioStateIds { phase, score, elapsed, complete, passed, bar_hits });
-attribute_ids!(CollisionIds { location, impulse, obstacle, scored });
-attribute_ids!(AlarmIds { code, active, message });
-attribute_ids!(FaultIds { instrument, value });
+/// A Rust type an attribute may have, and the one [`Value`] variant it
+/// travels as.
+trait FomValue: Default {
+    /// The value on the wire.
+    fn to_value(&self) -> Value;
+
+    /// The value read back, if `value` is this type's variant.
+    fn from_value(value: &Value) -> Option<Self>;
+}
+
+impl FomValue for f64 {
+    fn to_value(&self) -> Value {
+        Value::F64(*self)
+    }
+
+    fn from_value(value: &Value) -> Option<f64> {
+        value.as_f64()
+    }
+}
+
+impl FomValue for Vec3 {
+    fn to_value(&self) -> Value {
+        Value::Vec3((*self).into())
+    }
+
+    fn from_value(value: &Value) -> Option<Vec3> {
+        value.as_vec3().map(Vec3::from)
+    }
+}
+
+impl FomValue for bool {
+    fn to_value(&self) -> Value {
+        Value::Bool(*self)
+    }
+
+    fn from_value(value: &Value) -> Option<bool> {
+        value.as_bool()
+    }
+}
+
+impl FomValue for u32 {
+    fn to_value(&self) -> Value {
+        Value::U32(*self)
+    }
+
+    fn from_value(value: &Value) -> Option<u32> {
+        value.as_u32()
+    }
+}
+
+impl FomValue for String {
+    fn to_value(&self) -> Value {
+        Value::Text(self.clone())
+    }
+
+    fn from_value(value: &Value) -> Option<String> {
+        value.as_text().map(str::to_owned)
+    }
+}
 
 /// Handles to every class the crane simulator declares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,54 +145,27 @@ pub struct CraneFom {
     pub fault: InteractionClassId,
     /// Frame-synchronization interactions of the surround view.
     pub sync: FrameSyncFom,
-    crane_state_ids: CraneStateIds,
-    hook_state_ids: HookStateIds,
-    operator_input_ids: OperatorInputIds,
-    scenario_state_ids: ScenarioStateIds,
-    collision_ids: CollisionIds,
-    alarm_ids: AlarmIds,
-    fault_ids: FaultIds,
 }
 
 impl CraneFom {
-    /// Declares every class in `registry` and resolves the attribute ids the
-    /// typed messages use.
+    /// Declares every class in `registry`, in the order the wire relies on.
     ///
     /// # Errors
     ///
     /// Returns an error if any class name is already taken.
     pub fn register(registry: &mut ClassRegistry) -> Result<CraneFom, CbError> {
-        let crane_state = registry.register_object_class("CraneState", CraneStateIds::NAMES)?;
-        let hook_state = registry.register_object_class("HookState", HookStateIds::NAMES)?;
-        let operator_input =
-            registry.register_object_class("OperatorInput", OperatorInputIds::NAMES)?;
-        let scenario_state =
-            registry.register_object_class("ScenarioState", ScenarioStateIds::NAMES)?;
-        let collision =
-            registry.register_interaction_class("CollisionEvent", CollisionIds::NAMES)?;
-        let alarm = registry.register_interaction_class("AlarmEvent", AlarmIds::NAMES)?;
-        let fault = registry.register_interaction_class("FaultInjection", FaultIds::NAMES)?;
-        let sync = FrameSyncFom::register(registry)?;
         Ok(CraneFom {
-            crane_state,
-            hook_state,
-            operator_input,
-            scenario_state,
-            collision,
-            alarm,
-            fault,
-            sync,
-            crane_state_ids: CraneStateIds::resolve(|a| registry.attribute_id(crane_state, a)),
-            hook_state_ids: HookStateIds::resolve(|a| registry.attribute_id(hook_state, a)),
-            operator_input_ids: OperatorInputIds::resolve(|a| {
-                registry.attribute_id(operator_input, a)
-            }),
-            scenario_state_ids: ScenarioStateIds::resolve(|a| {
-                registry.attribute_id(scenario_state, a)
-            }),
-            collision_ids: CollisionIds::resolve(|p| registry.parameter_id(collision, p)),
-            alarm_ids: AlarmIds::resolve(|p| registry.parameter_id(alarm, p)),
-            fault_ids: FaultIds::resolve(|p| registry.parameter_id(fault, p)),
+            crane_state: registry.register_object_class("CraneState", CraneStateMsg::NAMES)?,
+            hook_state: registry.register_object_class("HookState", HookStateMsg::NAMES)?,
+            operator_input: registry
+                .register_object_class("OperatorInput", OperatorInputMsg::NAMES)?,
+            scenario_state: registry
+                .register_object_class("ScenarioState", ScenarioStateMsg::NAMES)?,
+            collision: registry
+                .register_interaction_class("CollisionEvent", CollisionMsg::NAMES)?,
+            alarm: registry.register_interaction_class("AlarmEvent", AlarmMsg::NAMES)?,
+            fault: registry.register_interaction_class("FaultInjection", FaultMsg::NAMES)?,
+            sync: FrameSyncFom::register(registry)?,
         })
     }
 
@@ -160,245 +189,84 @@ impl CraneFom {
     }
 }
 
-fn f64_of(v: Option<&Value>) -> f64 {
-    v.and_then(Value::as_f64).unwrap_or(0.0)
-}
-
-fn vec3_of(v: Option<&Value>) -> Vec3 {
-    v.and_then(Value::as_vec3).map(Vec3::from).unwrap_or(Vec3::ZERO)
-}
-
-fn bool_of(v: Option<&Value>) -> bool {
-    v.and_then(Value::as_bool).unwrap_or(false)
-}
-
-fn text_of(v: Option<&Value>) -> String {
-    v.and_then(Value::as_text).map(str::to_owned).unwrap_or_default()
-}
-
-fn u32_of(v: Option<&Value>) -> u32 {
-    v.and_then(Value::as_u32).unwrap_or(0)
-}
-
-/// Crane state as published by the dynamics module.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CraneStateMsg {
-    pub chassis_position: Vec3,
-    pub chassis_yaw: f64,
-    pub chassis_pitch: f64,
-    pub chassis_roll: f64,
-    pub speed: f64,
-    pub engine_intensity: f64,
-    pub slew_angle: f64,
-    pub luff_angle: f64,
-    pub boom_length: f64,
-    pub cable_length: f64,
-    pub boom_tip: Vec3,
-    pub radius_utilization: f64,
-    pub moment_utilization: f64,
-}
-
-impl CraneStateMsg {
-    /// Encodes into attribute values.
-    pub fn to_values(&self, fom: &CraneFom) -> AttributeValues {
-        let a = &fom.crane_state_ids;
-        AttributeValues::from([
-            (a.chassis_position, Value::Vec3(self.chassis_position.into())),
-            (a.chassis_yaw, Value::F64(self.chassis_yaw)),
-            (a.chassis_pitch, Value::F64(self.chassis_pitch)),
-            (a.chassis_roll, Value::F64(self.chassis_roll)),
-            (a.speed, Value::F64(self.speed)),
-            (a.engine_intensity, Value::F64(self.engine_intensity)),
-            (a.slew_angle, Value::F64(self.slew_angle)),
-            (a.luff_angle, Value::F64(self.luff_angle)),
-            (a.boom_length, Value::F64(self.boom_length)),
-            (a.cable_length, Value::F64(self.cable_length)),
-            (a.boom_tip, Value::Vec3(self.boom_tip.into())),
-            (a.radius_utilization, Value::F64(self.radius_utilization)),
-            (a.moment_utilization, Value::F64(self.moment_utilization)),
-        ])
+fom_classes! {
+    /// Crane state as published by the dynamics module.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    CraneStateMsg {
+        chassis_position: Vec3,
+        chassis_yaw: f64,
+        chassis_pitch: f64,
+        chassis_roll: f64,
+        speed: f64,
+        engine_intensity: f64,
+        slew_angle: f64,
+        luff_angle: f64,
+        boom_length: f64,
+        cable_length: f64,
+        boom_tip: Vec3,
+        radius_utilization: f64,
+        moment_utilization: f64,
     }
 
-    /// Decodes from attribute values (missing attributes default to zero).
-    pub fn from_values(fom: &CraneFom, values: &AttributeValues) -> CraneStateMsg {
-        let a = &fom.crane_state_ids;
-        CraneStateMsg {
-            chassis_position: vec3_of(values.get(&a.chassis_position)),
-            chassis_yaw: f64_of(values.get(&a.chassis_yaw)),
-            chassis_pitch: f64_of(values.get(&a.chassis_pitch)),
-            chassis_roll: f64_of(values.get(&a.chassis_roll)),
-            speed: f64_of(values.get(&a.speed)),
-            engine_intensity: f64_of(values.get(&a.engine_intensity)),
-            slew_angle: f64_of(values.get(&a.slew_angle)),
-            luff_angle: f64_of(values.get(&a.luff_angle)),
-            boom_length: f64_of(values.get(&a.boom_length)),
-            cable_length: f64_of(values.get(&a.cable_length)),
-            boom_tip: vec3_of(values.get(&a.boom_tip)),
-            radius_utilization: f64_of(values.get(&a.radius_utilization)),
-            moment_utilization: f64_of(values.get(&a.moment_utilization)),
-        }
-    }
-}
-
-/// Hook and cargo state as published by the dynamics module.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct HookStateMsg {
-    pub hook_position: Vec3,
-    pub cargo_position: Vec3,
-    pub swing_angle: f64,
-    pub cargo_attached: bool,
-    pub cargo_mass: f64,
-}
-
-impl HookStateMsg {
-    /// Encodes into attribute values.
-    pub fn to_values(&self, fom: &CraneFom) -> AttributeValues {
-        let a = &fom.hook_state_ids;
-        AttributeValues::from([
-            (a.hook_position, Value::Vec3(self.hook_position.into())),
-            (a.cargo_position, Value::Vec3(self.cargo_position.into())),
-            (a.swing_angle, Value::F64(self.swing_angle)),
-            (a.cargo_attached, Value::Bool(self.cargo_attached)),
-            (a.cargo_mass, Value::F64(self.cargo_mass)),
-        ])
+    /// Hook and cargo state as published by the dynamics module.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    HookStateMsg {
+        hook_position: Vec3,
+        cargo_position: Vec3,
+        swing_angle: f64,
+        cargo_attached: bool,
+        cargo_mass: f64,
     }
 
-    /// Decodes from attribute values.
-    pub fn from_values(fom: &CraneFom, values: &AttributeValues) -> HookStateMsg {
-        let a = &fom.hook_state_ids;
-        HookStateMsg {
-            hook_position: vec3_of(values.get(&a.hook_position)),
-            cargo_position: vec3_of(values.get(&a.cargo_position)),
-            swing_angle: f64_of(values.get(&a.swing_angle)),
-            cargo_attached: bool_of(values.get(&a.cargo_attached)),
-            cargo_mass: f64_of(values.get(&a.cargo_mass)),
-        }
-    }
-}
-
-/// Operator inputs as published by the dashboard module.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct OperatorInputMsg {
-    pub steering: f64,
-    pub throttle: f64,
-    pub brake: f64,
-    pub reverse: bool,
-    pub slew: f64,
-    pub luff: f64,
-    pub telescope: f64,
-    pub hoist: f64,
-}
-
-impl OperatorInputMsg {
-    /// Encodes into attribute values.
-    pub fn to_values(&self, fom: &CraneFom) -> AttributeValues {
-        let a = &fom.operator_input_ids;
-        AttributeValues::from([
-            (a.steering, Value::F64(self.steering)),
-            (a.throttle, Value::F64(self.throttle)),
-            (a.brake, Value::F64(self.brake)),
-            (a.reverse, Value::Bool(self.reverse)),
-            (a.slew, Value::F64(self.slew)),
-            (a.luff, Value::F64(self.luff)),
-            (a.telescope, Value::F64(self.telescope)),
-            (a.hoist, Value::F64(self.hoist)),
-        ])
+    /// Operator inputs as published by the dashboard module.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    OperatorInputMsg {
+        steering: f64,
+        throttle: f64,
+        brake: f64,
+        reverse: bool,
+        slew: f64,
+        luff: f64,
+        telescope: f64,
+        hoist: f64,
     }
 
-    /// Decodes from attribute values.
-    pub fn from_values(fom: &CraneFom, values: &AttributeValues) -> OperatorInputMsg {
-        let a = &fom.operator_input_ids;
-        OperatorInputMsg {
-            steering: f64_of(values.get(&a.steering)),
-            throttle: f64_of(values.get(&a.throttle)),
-            brake: f64_of(values.get(&a.brake)),
-            reverse: bool_of(values.get(&a.reverse)),
-            slew: f64_of(values.get(&a.slew)),
-            luff: f64_of(values.get(&a.luff)),
-            telescope: f64_of(values.get(&a.telescope)),
-            hoist: f64_of(values.get(&a.hoist)),
-        }
-    }
-}
-
-/// Scenario phase and score as published by the scenario module.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ScenarioStateMsg {
-    pub phase: String,
-    pub score: f64,
-    pub elapsed: f64,
-    pub complete: bool,
-    pub passed: bool,
-    pub bar_hits: u32,
-}
-
-impl ScenarioStateMsg {
-    /// Encodes into attribute values.
-    pub fn to_values(&self, fom: &CraneFom) -> AttributeValues {
-        let a = &fom.scenario_state_ids;
-        AttributeValues::from([
-            (a.phase, Value::Text(self.phase.clone())),
-            (a.score, Value::F64(self.score)),
-            (a.elapsed, Value::F64(self.elapsed)),
-            (a.complete, Value::Bool(self.complete)),
-            (a.passed, Value::Bool(self.passed)),
-            (a.bar_hits, Value::U32(self.bar_hits)),
-        ])
+    /// Scenario phase and score as published by the scenario module.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    ScenarioStateMsg {
+        phase: String,
+        score: f64,
+        elapsed: f64,
+        complete: bool,
+        passed: bool,
+        bar_hits: u32,
     }
 
-    /// Decodes from attribute values.
-    pub fn from_values(fom: &CraneFom, values: &AttributeValues) -> ScenarioStateMsg {
-        let a = &fom.scenario_state_ids;
-        ScenarioStateMsg {
-            phase: text_of(values.get(&a.phase)),
-            score: f64_of(values.get(&a.score)),
-            elapsed: f64_of(values.get(&a.elapsed)),
-            complete: bool_of(values.get(&a.complete)),
-            passed: bool_of(values.get(&a.passed)),
-            bar_hits: u32_of(values.get(&a.bar_hits)),
-        }
-    }
-}
-
-/// A collision event sent by the dynamics module.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CollisionMsg {
-    pub location: Vec3,
-    pub impulse: f64,
-    pub obstacle: String,
-    pub scored: bool,
-}
-
-impl CollisionMsg {
-    /// Encodes into interaction parameters.
-    pub fn to_values(&self, fom: &CraneFom) -> AttributeValues {
-        let p = &fom.collision_ids;
-        AttributeValues::from([
-            (p.location, Value::Vec3(self.location.into())),
-            (p.impulse, Value::F64(self.impulse)),
-            (p.obstacle, Value::Text(self.obstacle.clone())),
-            (p.scored, Value::Bool(self.scored)),
-        ])
+    /// A collision event sent by the dynamics module.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    CollisionMsg {
+        location: Vec3,
+        impulse: f64,
+        obstacle: String,
+        scored: bool,
     }
 
-    /// Decodes from interaction parameters.
-    pub fn from_values(fom: &CraneFom, values: &AttributeValues) -> CollisionMsg {
-        let p = &fom.collision_ids;
-        CollisionMsg {
-            location: vec3_of(values.get(&p.location)),
-            impulse: f64_of(values.get(&p.impulse)),
-            obstacle: text_of(values.get(&p.obstacle)),
-            scored: bool_of(values.get(&p.scored)),
-        }
+    /// An alarm raised (or cleared) by the instructor monitor.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    AlarmMsg {
+        code: u32,
+        active: bool,
+        message: String,
     }
-}
 
-/// An alarm raised (or cleared) by the instructor monitor.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct AlarmMsg {
-    pub code: u32,
-    pub active: bool,
-    pub message: String,
+    /// A fault injected by the instructor into a dashboard instrument.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    FaultMsg {
+        /// Name of the instrument (e.g. "speedometer").
+        instrument: String,
+        /// Value the instrument is forced to display.
+        value: f64,
+    }
 }
 
 /// Well-known alarm codes of the Status window (Figure 5).
@@ -411,57 +279,6 @@ pub mod alarm_codes {
     pub const BAR_COLLISION: u32 = 3;
     /// The chassis roll/pitch indicates a tip-over risk while driving.
     pub const TIP_OVER: u32 = 4;
-}
-
-impl AlarmMsg {
-    /// Encodes into interaction parameters.
-    pub fn to_values(&self, fom: &CraneFom) -> AttributeValues {
-        let p = &fom.alarm_ids;
-        AttributeValues::from([
-            (p.code, Value::U32(self.code)),
-            (p.active, Value::Bool(self.active)),
-            (p.message, Value::Text(self.message.clone())),
-        ])
-    }
-
-    /// Decodes from interaction parameters.
-    pub fn from_values(fom: &CraneFom, values: &AttributeValues) -> AlarmMsg {
-        let p = &fom.alarm_ids;
-        AlarmMsg {
-            code: u32_of(values.get(&p.code)),
-            active: bool_of(values.get(&p.active)),
-            message: text_of(values.get(&p.message)),
-        }
-    }
-}
-
-/// A fault injected by the instructor into a dashboard instrument.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FaultMsg {
-    /// Name of the instrument (e.g. "speedometer").
-    pub instrument: String,
-    /// Value the instrument is forced to display.
-    pub value: f64,
-}
-
-impl FaultMsg {
-    /// Encodes into interaction parameters.
-    pub fn to_values(&self, fom: &CraneFom) -> AttributeValues {
-        let p = &fom.fault_ids;
-        AttributeValues::from([
-            (p.instrument, Value::Text(self.instrument.clone())),
-            (p.value, Value::F64(self.value)),
-        ])
-    }
-
-    /// Decodes from interaction parameters.
-    pub fn from_values(fom: &CraneFom, values: &AttributeValues) -> FaultMsg {
-        let p = &fom.fault_ids;
-        FaultMsg {
-            instrument: text_of(values.get(&p.instrument)),
-            value: f64_of(values.get(&p.value)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -488,9 +305,136 @@ mod tests {
         }
     }
 
+    /// The wire contract: each kind's class names in id order, each with its
+    /// attribute names in id order and the [`Value`] variant each carries.
+    /// Every computer of a rack decodes by these ids, so a renamed, reordered
+    /// or retyped attribute fails here by name.
+    const OBJECT_CLASSES: &[(&str, &[(&str, &str)])] = &[
+        (
+            "CraneState",
+            &[
+                ("chassis_position", "Vec3"),
+                ("chassis_yaw", "F64"),
+                ("chassis_pitch", "F64"),
+                ("chassis_roll", "F64"),
+                ("speed", "F64"),
+                ("engine_intensity", "F64"),
+                ("slew_angle", "F64"),
+                ("luff_angle", "F64"),
+                ("boom_length", "F64"),
+                ("cable_length", "F64"),
+                ("boom_tip", "Vec3"),
+                ("radius_utilization", "F64"),
+                ("moment_utilization", "F64"),
+            ],
+        ),
+        (
+            "HookState",
+            &[
+                ("hook_position", "Vec3"),
+                ("cargo_position", "Vec3"),
+                ("swing_angle", "F64"),
+                ("cargo_attached", "Bool"),
+                ("cargo_mass", "F64"),
+            ],
+        ),
+        (
+            "OperatorInput",
+            &[
+                ("steering", "F64"),
+                ("throttle", "F64"),
+                ("brake", "F64"),
+                ("reverse", "Bool"),
+                ("slew", "F64"),
+                ("luff", "F64"),
+                ("telescope", "F64"),
+                ("hoist", "F64"),
+            ],
+        ),
+        (
+            "ScenarioState",
+            &[
+                ("phase", "Text"),
+                ("score", "F64"),
+                ("elapsed", "F64"),
+                ("complete", "Bool"),
+                ("passed", "Bool"),
+                ("bar_hits", "U32"),
+            ],
+        ),
+    ];
+
+    /// The interaction half of the wire contract; the frame-sync classes come
+    /// last and carry no message type in this module.
+    const INTERACTION_CLASSES: &[(&str, &[(&str, &str)])] = &[
+        (
+            "CollisionEvent",
+            &[("location", "Vec3"), ("impulse", "F64"), ("obstacle", "Text"), ("scored", "Bool")],
+        ),
+        ("AlarmEvent", &[("code", "U32"), ("active", "Bool"), ("message", "Text")]),
+        ("FaultInjection", &[("instrument", "Text"), ("value", "F64")]),
+        ("FrameReady", &[("channel", "U32"), ("frame", "U32")]),
+        ("FrameGo", &[("frame", "U32")]),
+    ];
+
+    fn variant(value: &Value) -> &'static str {
+        match value {
+            Value::Bool(_) => "Bool",
+            Value::U32(_) => "U32",
+            Value::F64(_) => "F64",
+            Value::Vec3(_) => "Vec3",
+            Value::Text(_) => "Text",
+            Value::Bytes(_) => "Bytes",
+        }
+    }
+
+    /// `(id, variant)` of each encoded value, in encoding order.
+    fn layout(values: &AttributeValues) -> Vec<(u16, &'static str)> {
+        values.iter().map(|(id, value)| (id.0, variant(value))).collect()
+    }
+
+    /// What the contract table says a full update of `attributes` encodes to.
+    fn contract_layout(attributes: &[(&str, &'static str)]) -> Vec<(u16, &'static str)> {
+        attributes.iter().enumerate().map(|(id, (_, kind))| (id as u16, *kind)).collect()
+    }
+
+    fn names(attributes: &[(&str, &str)]) -> Vec<String> {
+        attributes.iter().map(|(name, _)| (*name).to_owned()).collect()
+    }
+
+    #[test]
+    fn the_standard_registry_matches_the_wire_contract() {
+        let (registry, _) = CraneFom::standard();
+        assert_eq!(registry.object_class_count(), OBJECT_CLASSES.len());
+        for (id, (name, attributes)) in OBJECT_CLASSES.iter().enumerate() {
+            let class = registry.object_class(ObjectClassId(id as u16)).unwrap();
+            assert_eq!((class.name.as_str(), &class.attributes), (*name, &names(attributes)));
+        }
+        assert_eq!(registry.interaction_class_count(), INTERACTION_CLASSES.len());
+        for (id, (name, parameters)) in INTERACTION_CLASSES.iter().enumerate() {
+            let class = registry.interaction_class(InteractionClassId(id as u16)).unwrap();
+            assert_eq!((class.name.as_str(), &class.parameters), (*name, &names(parameters)));
+        }
+
+        // A default message of each class encodes every attribute, by
+        // position, as the variant the table names.
+        let encoded = [
+            CraneStateMsg::default().to_values(),
+            HookStateMsg::default().to_values(),
+            OperatorInputMsg::default().to_values(),
+            ScenarioStateMsg::default().to_values(),
+            CollisionMsg::default().to_values(),
+            AlarmMsg::default().to_values(),
+            FaultMsg::default().to_values(),
+        ];
+        let contract = OBJECT_CLASSES.iter().chain(INTERACTION_CLASSES);
+        for (values, (name, attributes)) in encoded.iter().zip(contract) {
+            assert_eq!(layout(values), contract_layout(attributes), "{name}");
+        }
+    }
+
     #[test]
     fn crane_state_roundtrips() {
-        let (_, fom) = CraneFom::standard();
         let msg = CraneStateMsg {
             chassis_position: Vec3::new(1.0, 2.0, 3.0),
             chassis_yaw: 0.5,
@@ -506,13 +450,12 @@ mod tests {
             radius_utilization: 0.6,
             moment_utilization: 0.4,
         };
-        let values = msg.to_values(&fom);
-        assert_eq!(CraneStateMsg::from_values(&fom, &values), msg);
+        let values = msg.to_values();
+        assert_eq!(CraneStateMsg::from_values(&values), msg);
     }
 
     #[test]
     fn remaining_messages_roundtrip() {
-        let (_, fom) = CraneFom::standard();
         let hook = HookStateMsg {
             hook_position: Vec3::new(0.0, 5.0, 1.0),
             cargo_position: Vec3::new(0.0, 1.0, 1.0),
@@ -520,7 +463,7 @@ mod tests {
             cargo_attached: true,
             cargo_mass: 1500.0,
         };
-        assert_eq!(HookStateMsg::from_values(&fom, &hook.to_values(&fom)), hook);
+        assert_eq!(HookStateMsg::from_values(&hook.to_values()), hook);
 
         let input = OperatorInputMsg {
             steering: -0.3,
@@ -529,7 +472,7 @@ mod tests {
             hoist: -0.5,
             ..Default::default()
         };
-        assert_eq!(OperatorInputMsg::from_values(&fom, &input.to_values(&fom)), input);
+        assert_eq!(OperatorInputMsg::from_values(&input.to_values()), input);
 
         let scenario = ScenarioStateMsg {
             phase: "Traverse".into(),
@@ -539,7 +482,7 @@ mod tests {
             passed: false,
             bar_hits: 2,
         };
-        assert_eq!(ScenarioStateMsg::from_values(&fom, &scenario.to_values(&fom)), scenario);
+        assert_eq!(ScenarioStateMsg::from_values(&scenario.to_values()), scenario);
 
         let collision = CollisionMsg {
             location: Vec3::unit_x(),
@@ -547,21 +490,20 @@ mod tests {
             obstacle: "bar-1".into(),
             scored: true,
         };
-        assert_eq!(CollisionMsg::from_values(&fom, &collision.to_values(&fom)), collision);
+        assert_eq!(CollisionMsg::from_values(&collision.to_values()), collision);
 
         let alarm =
             AlarmMsg { code: alarm_codes::OVERLOAD, active: true, message: "overload".into() };
-        assert_eq!(AlarmMsg::from_values(&fom, &alarm.to_values(&fom)), alarm);
+        assert_eq!(AlarmMsg::from_values(&alarm.to_values()), alarm);
 
         let fault = FaultMsg { instrument: "speedometer".into(), value: 55.0 };
-        assert_eq!(FaultMsg::from_values(&fom, &fault.to_values(&fom)), fault);
+        assert_eq!(FaultMsg::from_values(&fault.to_values()), fault);
     }
 
     #[test]
     fn missing_attributes_default_to_zero() {
-        let (_, fom) = CraneFom::standard();
         let empty = AttributeValues::new();
-        let msg = CraneStateMsg::from_values(&fom, &empty);
+        let msg = CraneStateMsg::from_values(&empty);
         assert_eq!(msg.speed, 0.0);
         assert_eq!(msg.chassis_position, Vec3::ZERO);
     }

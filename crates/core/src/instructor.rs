@@ -13,10 +13,8 @@ use cod_cb::{CbApi, CbError, ClassRegistry};
 use cod_cluster::LogicalProcess;
 use cod_net::Micros;
 
-use crate::fom::{
-    alarm_codes, AlarmMsg, CollisionMsg, CraneFom, CraneStateMsg, FaultMsg, HookStateMsg,
-    ScenarioStateMsg,
-};
+use crate::fom::{alarm_codes, AlarmMsg, CollisionMsg, CraneFom, FaultMsg};
+use crate::operator::Observation;
 use crate::telemetry::{SharedTelemetry, StatusWindow};
 
 /// A handle the instructor's console uses to inject instrument faults into the
@@ -48,9 +46,7 @@ pub struct InstructorLp {
     telemetry: SharedTelemetry,
     injector: FaultInjector,
 
-    crane: CraneStateMsg,
-    hook: HookStateMsg,
-    scenario: ScenarioStateMsg,
+    observation: Observation,
     alarms: BTreeMap<u32, bool>,
     collision_alarm_timer: f64,
 }
@@ -58,7 +54,7 @@ pub struct InstructorLp {
 impl InstructorLp {
     /// Creates the instructor module and the fault-injection handle for its console.
     ///
-    /// `_registry` is unused (the attribute ids live in `fom`); the parameter
+    /// `_registry` is unused (an attribute's id is its position); the parameter
     /// stays until `benchmark/`, which calls this constructor, is re-bound.
     pub fn new(
         _registry: ClassRegistry,
@@ -71,9 +67,7 @@ impl InstructorLp {
                 fom,
                 telemetry,
                 injector: injector.clone(),
-                crane: CraneStateMsg::default(),
-                hook: HookStateMsg::default(),
-                scenario: ScenarioStateMsg::default(),
+                observation: Observation::default(),
                 alarms: BTreeMap::new(),
                 collision_alarm_timer: 0.0,
             },
@@ -84,26 +78,28 @@ impl InstructorLp {
     /// Computes the desired alarm states from the latest state. Exposed for
     /// unit tests; the LP evaluates it every frame.
     pub fn desired_alarms(&self) -> BTreeMap<u32, bool> {
+        let crane = &self.observation.crane;
         let mut desired = BTreeMap::new();
-        desired.insert(alarm_codes::SAFETY_ZONE, self.crane.radius_utilization > 1.0);
-        desired.insert(alarm_codes::OVERLOAD, self.crane.moment_utilization >= 0.9);
+        desired.insert(alarm_codes::SAFETY_ZONE, crane.radius_utilization > 1.0);
+        desired.insert(alarm_codes::OVERLOAD, crane.moment_utilization >= 0.9);
         desired.insert(
             alarm_codes::TIP_OVER,
-            self.crane.chassis_roll.abs() > TIP_OVER_ATTITUDE
-                || self.crane.chassis_pitch.abs() > TIP_OVER_ATTITUDE,
+            crane.chassis_roll.abs() > TIP_OVER_ATTITUDE
+                || crane.chassis_pitch.abs() > TIP_OVER_ATTITUDE,
         );
         desired.insert(alarm_codes::BAR_COLLISION, self.collision_alarm_timer > 0.0);
         desired
     }
 
     fn status_window(&self) -> StatusWindow {
+        let Observation { crane, scenario, .. } = &self.observation;
         StatusWindow {
-            boom_swing_deg: self.crane.slew_angle.to_degrees(),
-            boom_raise_deg: self.crane.luff_angle.to_degrees(),
-            cable_length_m: self.crane.cable_length,
-            boom_length_m: self.crane.boom_length,
-            score: self.scenario.score,
-            phase: self.scenario.phase.clone(),
+            boom_swing_deg: crane.slew_angle.to_degrees(),
+            boom_raise_deg: crane.luff_angle.to_degrees(),
+            cable_length_m: crane.cable_length,
+            boom_length_m: crane.boom_length,
+            score: scenario.score,
+            phase: scenario.phase.clone(),
             active_alarms: self
                 .alarms
                 .iter()
@@ -128,19 +124,11 @@ impl LogicalProcess for InstructorLp {
     }
 
     fn step(&mut self, cb: &mut dyn CbApi, dt: f64) -> Result<(), CbError> {
-        for reflection in cb.reflections() {
-            if reflection.class == self.fom.crane_state {
-                self.crane = CraneStateMsg::from_values(&self.fom, &reflection.values);
-            } else if reflection.class == self.fom.hook_state {
-                self.hook = HookStateMsg::from_values(&self.fom, &reflection.values);
-            } else if reflection.class == self.fom.scenario_state {
-                self.scenario = ScenarioStateMsg::from_values(&self.fom, &reflection.values);
-            }
-        }
+        self.observation.reflect(&self.fom, cb);
         self.collision_alarm_timer = (self.collision_alarm_timer - dt).max(0.0);
         for interaction in cb.interactions() {
             if interaction.class == self.fom.collision {
-                let collision = CollisionMsg::from_values(&self.fom, &interaction.parameters);
+                let collision = CollisionMsg::from_values(&interaction.parameters);
                 if collision.scored {
                     self.collision_alarm_timer = COLLISION_ALARM_HOLD;
                 }
@@ -160,7 +148,7 @@ impl LogicalProcess for InstructorLp {
                     _ => "alarm",
                 };
                 let alarm = AlarmMsg { code: *code, active: *active, message: message.to_owned() };
-                cb.send_interaction(self.fom.alarm, alarm.to_values(&self.fom))?;
+                cb.send_interaction(self.fom.alarm, alarm.to_values())?;
                 if *active {
                     let code = *code;
                     self.telemetry.update(|t| t.alarm_events.push(code));
@@ -171,7 +159,7 @@ impl LogicalProcess for InstructorLp {
 
         // Forward queued instructor fault injections to the dashboard.
         for fault in self.injector.drain() {
-            cb.send_interaction(self.fom.fault, fault.to_values(&self.fom))?;
+            cb.send_interaction(self.fom.fault, fault.to_values())?;
         }
 
         // Publish the two instructor windows into telemetry.
@@ -190,9 +178,7 @@ impl LogicalProcess for InstructorLp {
     }
 
     fn begin_session(&mut self, _cb: &mut dyn CbApi, _seed: u64) -> Result<(), CbError> {
-        self.crane = CraneStateMsg::default();
-        self.hook = HookStateMsg::default();
-        self.scenario = ScenarioStateMsg::default();
+        self.observation = Observation::default();
         self.alarms.clear();
         self.collision_alarm_timer = 0.0;
         // Faults queued by the previous session's instructor die with it.
@@ -213,8 +199,8 @@ mod tests {
     #[test]
     fn no_alarms_in_a_nominal_state() {
         let (mut lp, _) = instructor();
-        lp.crane.radius_utilization = 0.5;
-        lp.crane.moment_utilization = 0.3;
+        lp.observation.crane.radius_utilization = 0.5;
+        lp.observation.crane.moment_utilization = 0.3;
         let alarms = lp.desired_alarms();
         assert!(alarms.values().all(|a| !a));
     }
@@ -222,8 +208,8 @@ mod tests {
     #[test]
     fn overload_and_safety_zone_alarms_trip_on_thresholds() {
         let (mut lp, _) = instructor();
-        lp.crane.radius_utilization = 1.1;
-        lp.crane.moment_utilization = 0.95;
+        lp.observation.crane.radius_utilization = 1.1;
+        lp.observation.crane.moment_utilization = 0.95;
         let alarms = lp.desired_alarms();
         assert!(alarms[&alarm_codes::SAFETY_ZONE]);
         assert!(alarms[&alarm_codes::OVERLOAD]);
@@ -233,19 +219,19 @@ mod tests {
     #[test]
     fn tip_over_alarm_follows_chassis_attitude() {
         let (mut lp, _) = instructor();
-        lp.crane.chassis_roll = 0.2;
+        lp.observation.crane.chassis_roll = 0.2;
         assert!(lp.desired_alarms()[&alarm_codes::TIP_OVER]);
     }
 
     #[test]
     fn status_window_mirrors_the_state_in_degrees() {
         let (mut lp, _) = instructor();
-        lp.crane.slew_angle = std::f64::consts::FRAC_PI_2;
-        lp.crane.luff_angle = 1.0;
-        lp.crane.cable_length = 7.5;
-        lp.crane.boom_length = 14.0;
-        lp.scenario.score = 80.0;
-        lp.scenario.phase = "Traverse".into();
+        lp.observation.crane.slew_angle = std::f64::consts::FRAC_PI_2;
+        lp.observation.crane.luff_angle = 1.0;
+        lp.observation.crane.cable_length = 7.5;
+        lp.observation.crane.boom_length = 14.0;
+        lp.observation.scenario.score = 80.0;
+        lp.observation.scenario.phase = "Traverse".into();
         let w = lp.status_window();
         assert!((w.boom_swing_deg - 90.0).abs() < 1e-9);
         assert!((w.boom_raise_deg - 57.29578).abs() < 1e-3);

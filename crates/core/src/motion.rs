@@ -11,7 +11,8 @@ use cod_net::Micros;
 use motion_platform::{MotionController, MotionCue};
 use sim_math::Vec3;
 
-use crate::fom::{CraneFom, CraneStateMsg};
+use crate::fom::CraneFom;
+use crate::operator::Observation;
 use crate::telemetry::SharedTelemetry;
 
 /// Servo updates performed per visual frame.
@@ -27,7 +28,7 @@ pub struct MotionPlatformLp {
     telemetry: SharedTelemetry,
     visual_fps: f64,
     controller: MotionController,
-    crane: CraneStateMsg,
+    observation: Observation,
     previous_speed: f64,
     previous_yaw: f64,
     cues_processed: u64,
@@ -38,7 +39,7 @@ impl MotionPlatformLp {
     /// `seed` is the session seed; the module salts it before seeding its
     /// vibration model.
     ///
-    /// `_registry` is unused (the attribute ids live in `fom`); the parameter
+    /// `_registry` is unused (an attribute's id is its position); the parameter
     /// stays until `benchmark/`, which calls this constructor, is re-bound.
     pub fn new(
         _registry: ClassRegistry,
@@ -52,7 +53,7 @@ impl MotionPlatformLp {
             telemetry,
             visual_fps,
             controller: MotionController::new(visual_fps, seed ^ MOTION_SEED_SALT),
-            crane: CraneStateMsg::default(),
+            observation: Observation::default(),
             previous_speed: 0.0,
             previous_yaw: 0.0,
             cues_processed: 0,
@@ -75,29 +76,25 @@ impl LogicalProcess for MotionPlatformLp {
     }
 
     fn step(&mut self, cb: &mut dyn CbApi, dt: f64) -> Result<(), CbError> {
-        for reflection in cb.reflections() {
-            if reflection.class == self.fom.crane_state {
-                self.crane = CraneStateMsg::from_values(&self.fom, &reflection.values);
-            }
-        }
+        self.observation.reflect(&self.fom, cb);
 
         // Derive body-frame cues from the reflected state.
-        let forward_accel =
-            if dt > 0.0 { (self.crane.speed - self.previous_speed) / dt } else { 0.0 };
+        let crane = &self.observation.crane;
+        let forward_accel = if dt > 0.0 { (crane.speed - self.previous_speed) / dt } else { 0.0 };
         let yaw_rate = if dt > 0.0 {
-            sim_math::wrap_to_pi(self.crane.chassis_yaw - self.previous_yaw) / dt
+            sim_math::wrap_to_pi(crane.chassis_yaw - self.previous_yaw) / dt
         } else {
             0.0
         };
-        self.previous_speed = self.crane.speed;
-        self.previous_yaw = self.crane.chassis_yaw;
+        self.previous_speed = crane.speed;
+        self.previous_yaw = crane.chassis_yaw;
 
         let cue = MotionCue {
             acceleration: Vec3::new(0.0, 0.0, forward_accel),
-            pitch: self.crane.chassis_pitch,
-            roll: self.crane.chassis_roll,
+            pitch: crane.chassis_pitch,
+            roll: crane.chassis_roll,
             yaw_rate,
-            engine_intensity: self.crane.engine_intensity,
+            engine_intensity: crane.engine_intensity,
         };
         self.controller.push_cue(cue);
         self.cues_processed += 1;
@@ -119,7 +116,7 @@ impl LogicalProcess for MotionPlatformLp {
 
     fn begin_session(&mut self, _cb: &mut dyn CbApi, seed: u64) -> Result<(), CbError> {
         self.controller = MotionController::new(self.visual_fps, seed ^ MOTION_SEED_SALT);
-        self.crane = CraneStateMsg::default();
+        self.observation = Observation::default();
         self.previous_speed = 0.0;
         self.previous_yaw = 0.0;
         self.cues_processed = 0;
@@ -152,7 +149,7 @@ mod tests {
     fn standalone_step_derives_accelerations() {
         let (registry, fom) = CraneFom::standard();
         let mut lp = MotionPlatformLp::new(registry, fom, 16.0, 2, SharedTelemetry::new());
-        lp.crane.speed = 2.0;
+        lp.observation.crane.speed = 2.0;
         assert_eq!(lp.cues_processed(), 0);
         assert_eq!(lp.previous_speed, 0.0);
     }

@@ -2,15 +2,19 @@
 //!
 //! The physical trainer has a human trainee at the wheel; the reproduction
 //! substitutes scripted operator policies so sessions are deterministic and
-//! the scenario/scoring pipeline can be exercised end to end.
+//! the scenario/scoring pipeline can be exercised end to end. What a policy
+//! sees is an [`Observation`], the reflected world state every module keeps.
 
+use cod_cb::CbApi;
 use crane_scene::course::Course;
 use sim_math::{wrap_to_pi, Vec3};
 
-use crate::fom::{CraneStateMsg, HookStateMsg, OperatorInputMsg, ScenarioStateMsg};
+use crate::fom::{CraneFom, CraneStateMsg, HookStateMsg, OperatorInputMsg, ScenarioStateMsg};
 
-/// What the operator can observe from the cab (mirrors what the dashboard
-/// module reflects from the Communication Backbone).
+/// The latest state of each object class, as reflected to one LP: what a
+/// module knows of the world, and what the operator in the cab observes (the
+/// dashboard reflects it for them). A class the LP does not subscribe to
+/// stays at its default.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Observation {
     /// Latest crane state.
@@ -19,6 +23,27 @@ pub struct Observation {
     pub hook: HookStateMsg,
     /// Latest scenario state (phase and score).
     pub scenario: ScenarioStateMsg,
+    /// Latest operator inputs.
+    pub input: OperatorInputMsg,
+}
+
+impl Observation {
+    /// Folds the reflections queued for the calling LP into the latest state,
+    /// in arrival order.
+    pub fn reflect(&mut self, fom: &CraneFom, cb: &mut dyn CbApi) {
+        for reflection in cb.reflections() {
+            let values = &reflection.values;
+            if reflection.class == fom.crane_state {
+                self.crane = CraneStateMsg::from_values(values);
+            } else if reflection.class == fom.hook_state {
+                self.hook = HookStateMsg::from_values(values);
+            } else if reflection.class == fom.scenario_state {
+                self.scenario = ScenarioStateMsg::from_values(values);
+            } else if reflection.class == fom.operator_input {
+                self.input = OperatorInputMsg::from_values(values);
+            }
+        }
+    }
 }
 
 /// An operator policy.
@@ -230,6 +255,7 @@ mod tests {
                 ..Default::default()
             },
             scenario: ScenarioStateMsg { phase: phase.to_owned(), ..Default::default() },
+            ..Default::default()
         }
     }
 

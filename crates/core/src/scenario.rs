@@ -12,7 +12,8 @@ use cod_net::Micros;
 use crane_physics::CraneLimits;
 use crane_scene::course::{Course, CoursePhase};
 
-use crate::fom::{CollisionMsg, CraneFom, CraneStateMsg, HookStateMsg, ScenarioStateMsg};
+use crate::fom::{CollisionMsg, CraneFom, ScenarioStateMsg};
+use crate::operator::Observation;
 use crate::telemetry::SharedTelemetry;
 
 /// Points deducted for each scored bar collision.
@@ -32,15 +33,14 @@ pub struct ScenarioLp {
     score: f64,
     elapsed: f64,
     bar_hits: u32,
-    crane: CraneStateMsg,
-    hook: HookStateMsg,
+    observation: Observation,
     state_object: Option<ObjectId>,
 }
 
 impl ScenarioLp {
     /// Creates the scenario module for the licensing-exam course.
     ///
-    /// `_registry` is unused (the attribute ids live in `fom`); the parameter
+    /// `_registry` is unused (an attribute's id is its position); the parameter
     /// stays until `benchmark/`, which calls this constructor, is re-bound.
     pub fn new(_registry: ClassRegistry, fom: CraneFom, telemetry: SharedTelemetry) -> ScenarioLp {
         ScenarioLp {
@@ -51,8 +51,7 @@ impl ScenarioLp {
             score: 100.0,
             elapsed: 0.0,
             bar_hits: 0,
-            crane: CraneStateMsg::default(),
-            hook: HookStateMsg::default(),
+            observation: Observation::default(),
             state_object: None,
         }
     }
@@ -80,23 +79,23 @@ impl ScenarioLp {
     /// Evaluates the phase-transition rules against the latest state. Exposed
     /// for unit testing; the LP calls it every frame.
     pub fn advance_phase(&mut self) {
-        let cargo = self.hook.cargo_position;
+        let Observation { crane, hook, .. } = &self.observation;
+        let cargo = hook.cargo_position;
         match self.phase {
             CoursePhase::Driving => {
                 // The crane has arrived once it stands still with the pickup
                 // within its working radius.
-                let in_reach = self
-                    .crane
+                let in_reach = crane
                     .chassis_position
                     .horizontal()
                     .distance(self.course.pickup_center.horizontal())
                     < CraneLimits::default().max_working_radius;
-                if in_reach && self.crane.speed.abs() < 0.5 {
+                if in_reach && crane.speed.abs() < 0.5 {
                     self.phase = CoursePhase::Lifting;
                 }
             }
             CoursePhase::Lifting => {
-                if self.hook.cargo_attached && cargo.y > self.course.carry_height - 1.0 {
+                if hook.cargo_attached && cargo.y > self.course.carry_height - 1.0 {
                     self.phase = CoursePhase::Traverse;
                 }
             }
@@ -146,16 +145,10 @@ impl LogicalProcess for ScenarioLp {
 
     fn step(&mut self, cb: &mut dyn CbApi, dt: f64) -> Result<(), CbError> {
         self.elapsed += dt;
-        for reflection in cb.reflections() {
-            if reflection.class == self.fom.crane_state {
-                self.crane = CraneStateMsg::from_values(&self.fom, &reflection.values);
-            } else if reflection.class == self.fom.hook_state {
-                self.hook = HookStateMsg::from_values(&self.fom, &reflection.values);
-            }
-        }
+        self.observation.reflect(&self.fom, cb);
         for interaction in cb.interactions() {
             if interaction.class == self.fom.collision {
-                let collision = CollisionMsg::from_values(&self.fom, &interaction.parameters);
+                let collision = CollisionMsg::from_values(&interaction.parameters);
                 if collision.scored {
                     self.bar_hits += 1;
                     self.score = (self.score - BAR_COLLISION_PENALTY).max(0.0);
@@ -168,7 +161,7 @@ impl LogicalProcess for ScenarioLp {
         let message = self.message();
         cb.update_attributes(
             self.state_object.expect("init registered the scenario object"),
-            message.to_values(&self.fom),
+            message.to_values(),
         )?;
         self.telemetry.update(|t| t.scenario = message.clone());
         Ok(())
@@ -183,8 +176,7 @@ impl LogicalProcess for ScenarioLp {
         self.score = 100.0;
         self.elapsed = 0.0;
         self.bar_hits = 0;
-        self.crane = CraneStateMsg::default();
-        self.hook = HookStateMsg::default();
+        self.observation = Observation::default();
         Ok(())
     }
 }
@@ -212,24 +204,25 @@ mod tests {
     fn phases_advance_with_the_right_conditions() {
         let mut s = scenario();
         // Arrive at the testing ground and stop.
-        s.crane.chassis_position = s.course.pickup_center + Vec3::new(5.0, 0.0, -5.0);
-        s.crane.speed = 0.1;
+        s.observation.crane.chassis_position = s.course.pickup_center + Vec3::new(5.0, 0.0, -5.0);
+        s.observation.crane.speed = 0.1;
         s.advance_phase();
         assert_eq!(s.phase(), CoursePhase::Lifting);
 
         // Cargo attached and lifted to carry height.
-        s.hook.cargo_attached = true;
-        s.hook.cargo_position = s.course.pickup_center + Vec3::new(0.0, s.course.carry_height, 0.0);
+        s.observation.hook.cargo_attached = true;
+        s.observation.hook.cargo_position =
+            s.course.pickup_center + Vec3::new(0.0, s.course.carry_height, 0.0);
         s.advance_phase();
         assert_eq!(s.phase(), CoursePhase::Traverse);
 
         // Cargo reaches the turn-around zone.
-        s.hook.cargo_position = s.course.turnaround_center + Vec3::new(0.5, 3.0, 0.0);
+        s.observation.hook.cargo_position = s.course.turnaround_center + Vec3::new(0.5, 3.0, 0.0);
         s.advance_phase();
         assert_eq!(s.phase(), CoursePhase::Return);
 
         // Cargo brought back to the pickup circle.
-        s.hook.cargo_position = s.course.pickup_center + Vec3::new(0.2, 0.5, 0.1);
+        s.observation.hook.cargo_position = s.course.pickup_center + Vec3::new(0.2, 0.5, 0.1);
         s.advance_phase();
         assert_eq!(s.phase(), CoursePhase::Complete);
         assert!(s.message().passed);
@@ -239,11 +232,11 @@ mod tests {
     fn the_course_s_driving_leg_ends_with_the_pickup_in_reach() {
         let mut s = scenario();
         let last = *s.course.driving_waypoints.last().expect("the driving leg has waypoints");
-        s.crane.chassis_position = last;
-        s.crane.speed = 0.6;
+        s.observation.crane.chassis_position = last;
+        s.observation.crane.speed = 0.6;
         s.advance_phase();
         assert_eq!(s.phase(), CoursePhase::Driving, "a moving crane has not arrived");
-        s.crane.speed = 0.0;
+        s.observation.crane.speed = 0.0;
         s.advance_phase();
         assert_eq!(s.phase(), CoursePhase::Lifting);
     }

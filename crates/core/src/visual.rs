@@ -17,6 +17,7 @@ use render_sim::{Camera, GpuCostModel, Renderer};
 use sim_math::{Quat, Transform, Vec3};
 
 use crate::fom::{CraneFom, CraneStateMsg, HookStateMsg};
+use crate::operator::Observation;
 use crate::telemetry::SharedTelemetry;
 
 /// One display channel of the surround view.
@@ -37,8 +38,7 @@ pub struct VisualDisplayLp {
     cost_model: GpuCostModel,
     sync: FrameSyncClient,
 
-    crane: CraneStateMsg,
-    hook: HookStateMsg,
+    observation: Observation,
     last_frame_time: Micros,
     frames_rendered: u64,
 }
@@ -51,7 +51,7 @@ impl VisualDisplayLp {
     /// which is what the frame-rate experiments need; set it to true to
     /// produce real images (screenshots in the examples).
     ///
-    /// `_registry` is unused (the attribute ids live in `fom`); the parameter
+    /// `_registry` is unused (an attribute's id is its position); the parameter
     /// stays until `benchmark/`, which calls this constructor, is re-bound.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
@@ -80,8 +80,7 @@ impl VisualDisplayLp {
             world,
             renderer: if render_pixels { Some(Renderer::new(width, height)) } else { None },
             cost_model,
-            crane: CraneStateMsg::default(),
-            hook: HookStateMsg::default(),
+            observation: Observation::default(),
             last_frame_time: Micros::ZERO,
             frames_rendered: 0,
         }
@@ -94,10 +93,10 @@ impl VisualDisplayLp {
 
     /// The camera of this channel: inside the cab, turned by the channel's yaw offset.
     pub fn camera(&self) -> Camera {
-        let eye = self.crane.chassis_position + Vec3::new(0.0, 3.2, 1.5);
+        let eye = self.observation.crane.chassis_position + Vec3::new(0.0, 3.2, 1.5);
         let mut camera = Camera {
             position: eye,
-            yaw: self.crane.chassis_yaw,
+            yaw: self.observation.crane.chassis_yaw,
             pitch: -0.05,
             ..Camera::default()
         };
@@ -111,12 +110,12 @@ impl VisualDisplayLp {
                 // The first call copies the shared world; later ones animate
                 // this channel's own copy in place.
                 let world = Arc::make_mut(&mut self.world);
-                animate_scene(world, &self.crane, &self.hook);
+                animate_scene(world, &self.observation.crane, &self.observation.hook);
                 let camera = {
-                    let eye = self.crane.chassis_position + Vec3::new(0.0, 3.2, 1.5);
+                    let eye = self.observation.crane.chassis_position + Vec3::new(0.0, 3.2, 1.5);
                     Camera {
                         position: eye,
-                        yaw: self.crane.chassis_yaw + self.yaw_offset,
+                        yaw: self.observation.crane.chassis_yaw + self.yaw_offset,
                         pitch: -0.05,
                         ..Camera::default()
                     }
@@ -171,13 +170,7 @@ impl LogicalProcess for VisualDisplayLp {
     }
 
     fn step(&mut self, cb: &mut dyn CbApi, _dt: f64) -> Result<(), CbError> {
-        for reflection in cb.reflections() {
-            if reflection.class == self.fom.crane_state {
-                self.crane = CraneStateMsg::from_values(&self.fom, &reflection.values);
-            } else if reflection.class == self.fom.hook_state {
-                self.hook = HookStateMsg::from_values(&self.fom, &reflection.values);
-            }
-        }
+        self.observation.reflect(&self.fom, cb);
 
         if self.sync.is_waiting() {
             // Blocked on the swap lock: poll for the release, re-reporting
@@ -220,8 +213,7 @@ impl LogicalProcess for VisualDisplayLp {
         // reflected state on every frame, so only the reflected copies and
         // the barrier state reset.
         self.sync.reset_session();
-        self.crane = CraneStateMsg::default();
-        self.hook = HookStateMsg::default();
+        self.observation = Observation::default();
         self.last_frame_time = Micros::ZERO;
         self.frames_rendered = 0;
         Ok(())
@@ -264,7 +256,7 @@ mod tests {
     #[test]
     fn pixel_rendering_channel_produces_a_screenshot() {
         let mut lp = display(true);
-        lp.crane.chassis_position = Vec3::new(0.0, 0.0, -40.0);
+        lp.observation.crane.chassis_position = Vec3::new(0.0, 0.0, -40.0);
         lp.render_frame();
         let ppm = screenshot_ppm(&lp).expect("renderer enabled");
         assert!(ppm.starts_with(b"P6"));
@@ -279,8 +271,8 @@ mod tests {
         assert!(Arc::ptr_eq(&left.world, &right.world), "cost-model channels share one world");
         assert!(Arc::ptr_eq(&pixels.world, &left.world), "nothing is copied before a frame");
 
-        pixels.crane.chassis_position = Vec3::new(4.0, 0.0, -20.0);
-        pixels.crane.chassis_yaw = 0.3;
+        pixels.observation.crane.chassis_position = Vec3::new(4.0, 0.0, -20.0);
+        pixels.observation.crane.chassis_yaw = 0.3;
         pixels.render_frame();
         assert!(!Arc::ptr_eq(&pixels.world, &left.world), "the rendering channel has its own");
 

@@ -7,6 +7,7 @@
 //! HLA federation shares the same FOM file.
 
 use crate::error::CbError;
+use sim_math::Vec3;
 use std::fmt;
 use std::sync::Arc;
 
@@ -92,6 +93,114 @@ impl fmt::Display for Value {
             Value::Bytes(v) => write!(f, "<{} bytes>", v.len()),
         }
     }
+}
+
+/// A Rust type an attribute may have, and the one [`Value`] variant it
+/// travels as. [`fom_classes!`](crate::fom_classes) encodes and decodes
+/// every field through it.
+pub trait FomValue: Default {
+    /// The value on the wire.
+    fn to_value(&self) -> Value;
+
+    /// The value read back, if `value` is this type's variant.
+    fn from_value(value: &Value) -> Option<Self>;
+}
+
+impl FomValue for f64 {
+    fn to_value(&self) -> Value {
+        Value::F64(*self)
+    }
+
+    fn from_value(value: &Value) -> Option<f64> {
+        value.as_f64()
+    }
+}
+
+impl FomValue for Vec3 {
+    fn to_value(&self) -> Value {
+        Value::Vec3((*self).into())
+    }
+
+    fn from_value(value: &Value) -> Option<Vec3> {
+        value.as_vec3().map(Vec3::from)
+    }
+}
+
+impl FomValue for bool {
+    fn to_value(&self) -> Value {
+        Value::Bool(*self)
+    }
+
+    fn from_value(value: &Value) -> Option<bool> {
+        value.as_bool()
+    }
+}
+
+impl FomValue for u32 {
+    fn to_value(&self) -> Value {
+        Value::U32(*self)
+    }
+
+    fn from_value(value: &Value) -> Option<u32> {
+        value.as_u32()
+    }
+}
+
+impl FomValue for String {
+    fn to_value(&self) -> Value {
+        Value::Text(self.clone())
+    }
+
+    fn from_value(value: &Value) -> Option<String> {
+        value.as_text().map(str::to_owned)
+    }
+}
+
+/// Declares FOM classes, each as one field list: for each, its message
+/// struct with one public field per attribute, the attribute names in id
+/// order (`NAMES`, to register the class with), and the encoder and decoder
+/// that put each attribute under its position. A field's type needs a
+/// [`FomValue`] impl.
+#[macro_export]
+macro_rules! fom_classes {
+    ($(
+        $(#[$meta:meta])*
+        $vis:vis struct $msg:ident {
+            $($(#[$field_meta:meta])* $field:ident: $ty:ty),+ $(,)?
+        }
+    )+) => {$(
+        $(#[$meta])*
+        $vis struct $msg {
+            $($(#[$field_meta])* pub $field: $ty),+
+        }
+
+        impl $msg {
+            /// The attribute names; the index of a name is its id.
+            const NAMES: &'static [&'static str] = &[$(stringify!($field)),+];
+
+            /// Encodes every attribute under its position.
+            pub fn to_values(&self) -> $crate::AttributeValues {
+                [$($crate::FomValue::to_value(&self.$field)),+]
+                    .into_iter()
+                    .enumerate()
+                    .map(|(id, value)| ($crate::AttributeId(id as u16), value))
+                    .collect()
+            }
+
+            /// Decodes from attribute values: an attribute that is missing, or
+            /// that carries another kind of value, reads as zero.
+            pub fn from_values(values: &$crate::AttributeValues) -> $msg {
+                let mut by_position = (0..).map(|id| values.get(&$crate::AttributeId(id)));
+                $msg {
+                    $($field: by_position
+                        .next()
+                        .flatten()
+                        .and_then($crate::FomValue::from_value)
+                        .unwrap_or_default()),+
+                }
+            }
+        }
+    )+};
 }
 
 /// A set of attribute values keyed by attribute id — the payload of an

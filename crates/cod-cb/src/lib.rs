@@ -11,6 +11,8 @@
 //! * **HLA-flavoured services** ([`fom`], [`api`]): LPs *publish* and
 //!   *subscribe* object classes, register object instances, push state with
 //!   *Update Attribute Values* and pull it with *Reflect Attribute Values*.
+//!   A module declares each of its classes once, as a field list, with
+//!   [`fom_classes!`]: a field's position is its attribute id.
 //! * **Initialization protocol** ([`kernel`]): a subscribing CB
 //!   broadcasts a SUBSCRIPTION message at a constant interval until a
 //!   publishing CB answers with ACKNOWLEDGE; a CHANNEL CONNECTION exchange then
@@ -98,7 +100,7 @@ pub use api::{CbApi, LpContext};
 pub use channel::{ChannelId, ChannelRole, ChannelTable, VirtualChannel};
 pub use error::CbError;
 pub use fom::{
-    AttributeId, AttributeValues, ClassRegistry, InteractionClassId, ObjectClassId, Value,
+    AttributeId, AttributeValues, ClassRegistry, FomValue, InteractionClassId, ObjectClassId, Value,
 };
 pub use kernel::{CbKernel, InteractionMessage, LpId, ObjectId, Reflection};
 pub use stats::CbStats;

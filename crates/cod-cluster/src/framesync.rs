@@ -3,52 +3,71 @@
 //! In the implemented system (paper §4) the top three computers of the rack
 //! drive the three monitors of the surround view and "the fourth computer from
 //! the top is the synchronization server that synchronizes the frame rate of
-//! the above three graphical computers". This module provides:
+//! the above three graphical computers". This module is the one owner of that
+//! swap lock:
 //!
+//! * [`FrameSyncClasses`] — the `FrameReady` and `FrameGo` interactions the
+//!   protocol speaks, each declared once as a field list.
 //! * [`FrameSyncServer`] — the synchronization-server LP: it waits until every
 //!   display channel has reported that its frame is rendered, then releases the
 //!   swap for that frame.
 //! * [`FrameSyncClient`] — the client half embedded in a display LP.
-//! * [`SyncBarrierModel`] — the analytic overhead model used by experiment E3
-//!   (the cost of lock-step against free-running channels).
+//! * [`synchronized_period`] and [`SWAP_LOCK_BARRIER`] — the frame period the
+//!   lock imposes: the slowest channel plus the barrier. The session report
+//!   and the frame-rate experiments (E1, E7) read the period from here.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use cod_cb::{AttributeId, CbApi, CbError, ClassRegistry, InteractionClassId, Value};
+use cod_cb::{fom_classes, CbApi, CbError, ClassRegistry, InteractionClassId};
 use cod_net::Micros;
 
 use crate::lp::LogicalProcess;
 
-/// Interaction classes used by the frame-synchronization protocol.
+/// The barrier the rack's synchronization server adds to every frame on top
+/// of the slowest display channel: a LAN round trip plus server processing.
+pub const SWAP_LOCK_BARRIER: Micros = Micros::from_millis(3);
+
+/// Frame period of the swap-locked surround view: the slowest channel's
+/// frame time plus `barrier`, or zero while no channel has a frame time yet.
+pub fn synchronized_period(channel_times: &[Micros], barrier: Micros) -> Micros {
+    match channel_times.iter().copied().max() {
+        None | Some(Micros::ZERO) => Micros::ZERO,
+        Some(slowest) => slowest + barrier,
+    }
+}
+
+fom_classes! {
+    /// A display channel finished rendering `frame`.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    struct FrameReady {
+        channel: u32,
+        frame: u32,
+    }
+
+    /// The server releases the swap for `frame`.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    struct FrameGo {
+        frame: u32,
+    }
+}
+
+/// Handles of the frame-synchronization interactions in the shared FOM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameSyncFom {
+pub struct FrameSyncClasses {
     /// "FrameReady" interaction: a display channel finished rendering a frame.
     pub frame_ready: InteractionClassId,
     /// "FrameGo" interaction: the server releases the swap for a frame.
     pub frame_go: InteractionClassId,
-    /// Parameter of `frame_ready`: the reporting channel index.
-    pub ready_channel: AttributeId,
-    /// Parameter of `frame_ready`: the frame number.
-    pub ready_frame: AttributeId,
-    /// Parameter of `frame_go`: the released frame number.
-    pub go_frame: AttributeId,
 }
 
-impl FrameSyncFom {
+impl FrameSyncClasses {
     /// Declares the synchronization interactions in the shared FOM.
     ///
     /// # Errors
     ///
     /// Returns an error if the class names are already taken.
-    pub fn register(fom: &mut ClassRegistry) -> Result<FrameSyncFom, CbError> {
-        let frame_ready = fom.register_interaction_class("FrameReady", &["channel", "frame"])?;
-        let frame_go = fom.register_interaction_class("FrameGo", &["frame"])?;
-        Ok(FrameSyncFom {
-            frame_ready,
-            frame_go,
-            ready_channel: fom.parameter_id(frame_ready, "channel").expect("declared above"),
-            ready_frame: fom.parameter_id(frame_ready, "frame").expect("declared above"),
-            go_frame: fom.parameter_id(frame_go, "frame").expect("declared above"),
+    pub fn register(fom: &mut ClassRegistry) -> Result<FrameSyncClasses, CbError> {
+        Ok(FrameSyncClasses {
+            frame_ready: fom.register_interaction_class("FrameReady", FrameReady::NAMES)?,
+            frame_go: fom.register_interaction_class("FrameGo", FrameGo::NAMES)?,
         })
     }
 }
@@ -56,10 +75,14 @@ impl FrameSyncFom {
 /// The synchronization server LP (the fourth computer of the rack).
 #[derive(Debug)]
 pub struct FrameSyncServer {
-    fom: FrameSyncFom,
+    classes: FrameSyncClasses,
     expected_channels: usize,
     current_frame: u64,
-    pending: BTreeMap<u64, BTreeSet<u32>>,
+    /// The channels that reported `current_frame` rendered, each once.
+    ready: Vec<u32>,
+    /// Already-released frames reported in the latest step, sorted and
+    /// without duplicates; kept between steps only for its capacity.
+    stale: Vec<u64>,
     frames_released: u64,
     go_resends: u64,
     step_cost: Micros,
@@ -71,13 +94,14 @@ impl FrameSyncServer {
     /// # Panics
     ///
     /// Panics if `expected_channels` is zero.
-    pub fn new(fom: FrameSyncFom, expected_channels: usize) -> FrameSyncServer {
+    pub fn new(classes: FrameSyncClasses, expected_channels: usize) -> FrameSyncServer {
         assert!(expected_channels > 0, "at least one display channel is required");
         FrameSyncServer {
-            fom,
+            classes,
             expected_channels,
             current_frame: 0,
-            pending: BTreeMap::new(),
+            ready: Vec::new(),
+            stale: Vec::new(),
             frames_released: 0,
             go_resends: 0,
             step_cost: Micros(500),
@@ -104,9 +128,13 @@ impl FrameSyncServer {
     /// freshly constructed.
     pub fn reset_session(&mut self) {
         self.current_frame = 0;
-        self.pending.clear();
+        self.ready.clear();
         self.frames_released = 0;
         self.go_resends = 0;
+    }
+
+    fn send_go(&self, cb: &mut dyn CbApi, frame: u64) -> Result<(), CbError> {
+        cb.send_interaction(self.classes.frame_go, FrameGo { frame: frame as u32 }.to_values())
     }
 }
 
@@ -116,54 +144,41 @@ impl LogicalProcess for FrameSyncServer {
     }
 
     fn init(&mut self, cb: &mut dyn CbApi) -> Result<(), CbError> {
-        cb.subscribe_interaction_class(self.fom.frame_ready)
+        cb.subscribe_interaction_class(self.classes.frame_ready)
     }
 
     fn step(&mut self, cb: &mut dyn CbApi, _dt: f64) -> Result<(), CbError> {
-        let mut stale_frames = BTreeSet::new();
+        self.stale.clear();
         for interaction in cb.interactions() {
-            if interaction.class != self.fom.frame_ready {
+            if interaction.class != self.classes.frame_ready {
                 continue;
             }
-            let channel = interaction
-                .parameters
-                .get(&self.fom.ready_channel)
-                .and_then(Value::as_u32)
-                .unwrap_or(u32::MAX);
-            let frame = interaction
-                .parameters
-                .get(&self.fom.ready_frame)
-                .and_then(Value::as_u32)
-                .unwrap_or(0) as u64;
+            let FrameReady { channel, frame } = FrameReady::from_values(&interaction.parameters);
+            let frame = u64::from(frame);
+            // A channel reports frame N only after the server released N - 1,
+            // so no report is ever ahead of the frame being collected.
+            debug_assert!(frame <= self.current_frame, "ready for frame {frame} ahead");
             if frame < self.current_frame {
                 // A ready report for an already-released frame means the LAN
                 // lost the FrameGo on the way to that channel; re-release it.
-                stale_frames.insert(frame);
-                continue;
+                self.stale.push(frame);
+            } else if frame == self.current_frame && !self.ready.contains(&channel) {
+                self.ready.push(channel);
             }
-            self.pending.entry(frame).or_default().insert(channel);
         }
-        for frame in stale_frames {
-            cb.send_interaction(
-                self.fom.frame_go,
-                [(self.fom.go_frame, Value::U32(frame as u32))].into(),
-            )?;
+        self.stale.sort_unstable();
+        self.stale.dedup();
+        for &frame in &self.stale {
+            self.send_go(cb, frame)?;
             self.go_resends += 1;
         }
 
         // Release the swap for the current frame once every channel reported.
-        while self
-            .pending
-            .get(&self.current_frame)
-            .map(|set| set.len() >= self.expected_channels)
-            .unwrap_or(false)
-        {
-            let frame = self.current_frame;
-            self.pending.remove(&frame);
-            cb.send_interaction(
-                self.fom.frame_go,
-                [(self.fom.go_frame, Value::U32(frame as u32))].into(),
-            )?;
+        // Reports for the next frame cannot arrive before this release, so
+        // one release per step is all there is.
+        if self.ready.len() >= self.expected_channels {
+            self.send_go(cb, self.current_frame)?;
+            self.ready.clear();
             self.frames_released += 1;
             self.current_frame += 1;
         }
@@ -189,7 +204,7 @@ const READY_RESEND_AFTER_POLLS: u32 = 3;
 /// The client half of the synchronization protocol, embedded in a display LP.
 #[derive(Debug, Clone)]
 pub struct FrameSyncClient {
-    fom: FrameSyncFom,
+    classes: FrameSyncClasses,
     channel_index: u32,
     frame: u64,
     waiting_for_go: bool,
@@ -200,9 +215,9 @@ pub struct FrameSyncClient {
 
 impl FrameSyncClient {
     /// Creates the client for display channel `channel_index`.
-    pub fn new(fom: FrameSyncFom, channel_index: u32) -> FrameSyncClient {
+    pub fn new(classes: FrameSyncClasses, channel_index: u32) -> FrameSyncClient {
         FrameSyncClient {
-            fom,
+            classes,
             channel_index,
             frame: 0,
             waiting_for_go: false,
@@ -218,7 +233,7 @@ impl FrameSyncClient {
     ///
     /// Returns an error if the interaction class is unknown to the CB.
     pub fn init(&self, cb: &mut dyn CbApi) -> Result<(), CbError> {
-        cb.subscribe_interaction_class(self.fom.frame_go)
+        cb.subscribe_interaction_class(self.classes.frame_go)
     }
 
     /// Whether the channel is blocked waiting for the server's release.
@@ -252,6 +267,11 @@ impl FrameSyncClient {
         self.ready_resends = 0;
     }
 
+    fn send_ready(&self, cb: &mut dyn CbApi) -> Result<(), CbError> {
+        let ready = FrameReady { channel: self.channel_index, frame: self.frame as u32 };
+        cb.send_interaction(self.classes.frame_ready, ready.to_values())
+    }
+
     /// Reports that rendering of the current frame finished and blocks the
     /// channel until the server releases the swap.
     ///
@@ -259,14 +279,7 @@ impl FrameSyncClient {
     ///
     /// Returns an error if the CB rejects the interaction.
     pub fn report_ready(&mut self, cb: &mut dyn CbApi) -> Result<(), CbError> {
-        cb.send_interaction(
-            self.fom.frame_ready,
-            [
-                (self.fom.ready_channel, Value::U32(self.channel_index)),
-                (self.fom.ready_frame, Value::U32(self.frame as u32)),
-            ]
-            .into(),
-        )?;
+        self.send_ready(cb)?;
         self.waiting_for_go = true;
         self.stalled_polls = 0;
         Ok(())
@@ -277,13 +290,10 @@ impl FrameSyncClient {
     pub fn poll_release(&mut self, cb: &mut dyn CbApi) -> bool {
         let mut released = false;
         for interaction in cb.interactions() {
-            if interaction.class != self.fom.frame_go {
+            if interaction.class != self.classes.frame_go {
                 continue;
             }
-            let frame =
-                interaction.parameters.get(&self.fom.go_frame).and_then(Value::as_u32).unwrap_or(0)
-                    as u64;
-            if frame >= self.frame {
+            if u64::from(FrameGo::from_values(&interaction.parameters).frame) >= self.frame {
                 released = true;
             }
         }
@@ -310,53 +320,10 @@ impl FrameSyncClient {
         if !self.waiting_for_go || self.stalled_polls < READY_RESEND_AFTER_POLLS {
             return Ok(false);
         }
-        cb.send_interaction(
-            self.fom.frame_ready,
-            [
-                (self.fom.ready_channel, Value::U32(self.channel_index)),
-                (self.fom.ready_frame, Value::U32(self.frame as u32)),
-            ]
-            .into(),
-        )?;
+        self.send_ready(cb)?;
         self.stalled_polls = 0;
         self.ready_resends += 1;
         Ok(true)
-    }
-}
-
-/// Analytic model of the swap-lock barrier overhead (experiment E3).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SyncBarrierModel {
-    /// Round-trip time between a display computer and the synchronization server.
-    pub round_trip: Micros,
-    /// Server processing time per frame.
-    pub server_processing: Micros,
-}
-
-impl SyncBarrierModel {
-    /// Frame period of the synchronized surround view: the slowest channel's
-    /// render time plus one barrier round trip plus server processing.
-    pub fn synchronized_period(&self, channel_render_times: &[Micros]) -> Micros {
-        let slowest = channel_render_times.iter().copied().max().unwrap_or(Micros::ZERO);
-        slowest + self.round_trip + self.server_processing
-    }
-
-    /// Frame period of an unsynchronized (free-running) surround view: each
-    /// channel swaps as soon as it is done, so the view is only as consistent
-    /// as the slowest channel but pays no barrier cost.
-    pub fn unsynchronized_period(channel_render_times: &[Micros]) -> Micros {
-        channel_render_times.iter().copied().max().unwrap_or(Micros::ZERO)
-    }
-
-    /// Fraction of the synchronized frame period spent on synchronization
-    /// rather than rendering.
-    pub fn overhead_fraction(&self, channel_render_times: &[Micros]) -> f64 {
-        let sync = self.synchronized_period(channel_render_times);
-        if sync == Micros::ZERO {
-            return 0.0;
-        }
-        let overhead = self.round_trip + self.server_processing;
-        overhead.as_secs_f64() / sync.as_secs_f64()
     }
 }
 
@@ -364,6 +331,8 @@ impl SyncBarrierModel {
 mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
+    use cod_cb::{CbKernel, LpContext, LpId};
+    use cod_net::{Addr, NodeId, Port};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -402,7 +371,7 @@ mod tests {
     #[test]
     fn three_displays_swap_in_lock_step() {
         let mut fom = ClassRegistry::new();
-        let sync_fom = FrameSyncFom::register(&mut fom).unwrap();
+        let sync_fom = FrameSyncClasses::register(&mut fom).unwrap();
 
         let mut cluster = Cluster::new(ClusterConfig::default(), fom);
         let mut swapped = Vec::new();
@@ -439,7 +408,7 @@ mod tests {
     #[test]
     fn server_releases_only_when_all_channels_report() {
         let mut fom = ClassRegistry::new();
-        let sync_fom = FrameSyncFom::register(&mut fom).unwrap();
+        let sync_fom = FrameSyncClasses::register(&mut fom).unwrap();
         let mut cluster = Cluster::new(ClusterConfig::default(), fom);
         let display_pc = cluster.add_computer("display-0");
         let counter = Arc::new(AtomicU64::new(0));
@@ -465,7 +434,7 @@ mod tests {
     #[test]
     fn lock_step_survives_a_lossy_lan() {
         let mut fom = ClassRegistry::new();
-        let sync_fom = FrameSyncFom::register(&mut fom).unwrap();
+        let sync_fom = FrameSyncClasses::register(&mut fom).unwrap();
         let mut cluster = Cluster::new(ClusterConfig::default(), fom);
         let mut swapped = Vec::new();
         for i in 0..3 {
@@ -503,22 +472,105 @@ mod tests {
 
     #[test]
     fn barrier_model_overhead() {
-        let model =
-            SyncBarrierModel { round_trip: Micros::from_millis(1), server_processing: Micros(500) };
+        let barrier = Micros::from_millis(1) + Micros(500);
         let channels = [Micros::from_millis(45), Micros::from_millis(50), Micros::from_millis(48)];
-        let sync = model.synchronized_period(&channels);
-        let free = SyncBarrierModel::unsynchronized_period(&channels);
-        assert_eq!(free, Micros::from_millis(50));
+        let sync = synchronized_period(&channels, barrier);
         assert_eq!(sync, Micros::from_millis(50) + Micros::from_millis(1) + Micros(500));
-        assert!(model.overhead_fraction(&channels) > 0.0);
-        assert!(model.overhead_fraction(&channels) < 0.1);
+        assert_eq!(
+            synchronized_period(&channels, SWAP_LOCK_BARRIER),
+            Micros::from_millis(50) + Micros::from_millis(3)
+        );
+        // Before any channel has a frame time the period reads zero.
+        assert_eq!(synchronized_period(&[], barrier), Micros::ZERO);
+        assert_eq!(synchronized_period(&[Micros::ZERO; 3], barrier), Micros::ZERO);
+    }
+
+    #[test]
+    fn more_channels_do_not_change_the_synchronized_period_model() {
+        // Channels render in parallel on their own computers, so the period
+        // is set by the slowest channel plus the barrier, whatever the count.
+        let frame = Micros::from_millis(50);
+        let three = synchronized_period(&[frame; 3], SWAP_LOCK_BARRIER);
+        let five = synchronized_period(&[frame; 5], SWAP_LOCK_BARRIER);
+        assert_eq!(three, five);
+        assert_eq!(three, frame + SWAP_LOCK_BARRIER);
+    }
+
+    /// A server waiting for `expected_channels` channels and one display LP
+    /// on one CB kernel, each subscribed as in a rack. The tests send every
+    /// channel's reports from that one LP.
+    fn barrier_on_one_kernel(
+        expected_channels: usize,
+    ) -> (CbKernel, FrameSyncServer, LpId, LpId, FrameSyncClasses) {
+        let mut fom = ClassRegistry::new();
+        let classes = FrameSyncClasses::register(&mut fom).unwrap();
+        let mut kernel = CbKernel::new(Addr::new(NodeId(0), Port(1)), fom);
+        let (server_lp, display_lp) = (kernel.register_lp(), kernel.register_lp());
+        let mut server = FrameSyncServer::new(classes, expected_channels);
+        server.init(&mut LpContext::new(&mut kernel, server_lp)).unwrap();
+        FrameSyncClient::new(classes, 0)
+            .init(&mut LpContext::new(&mut kernel, display_lp))
+            .unwrap();
+        (kernel, server, server_lp, display_lp, classes)
+    }
+
+    /// The frames of the FrameGo releases queued for `lp`.
+    fn releases(kernel: &mut CbKernel, lp: LpId) -> Vec<u32> {
+        let interactions = LpContext::new(kernel, lp).interactions();
+        interactions.iter().map(|i| FrameGo::from_values(&i.parameters).frame).collect()
+    }
+
+    #[test]
+    fn a_duplicated_ready_from_one_channel_does_not_release_a_frame() {
+        let (mut kernel, mut server, server_lp, display_lp, classes) = barrier_on_one_kernel(2);
+        let mut left = FrameSyncClient::new(classes, 0);
+        let mut ctx = LpContext::new(&mut kernel, display_lp);
+        left.report_ready(&mut ctx).unwrap();
+        left.report_ready(&mut ctx).unwrap();
+        server.step(&mut LpContext::new(&mut kernel, server_lp), 0.0).unwrap();
+        assert_eq!(server.frames_released(), 0, "one channel reported twice, not two once");
+        assert!(releases(&mut kernel, display_lp).is_empty());
+
+        FrameSyncClient::new(classes, 1)
+            .report_ready(&mut LpContext::new(&mut kernel, display_lp))
+            .unwrap();
+        server.step(&mut LpContext::new(&mut kernel, server_lp), 0.0).unwrap();
+        assert_eq!((server.frames_released(), server.current_frame()), (1, 1));
+        assert_eq!(releases(&mut kernel, display_lp), [0]);
+    }
+
+    #[test]
+    fn a_stale_ready_re_releases_its_frame_once_in_frame_order() {
+        let (mut kernel, mut server, server_lp, display_lp, classes) = barrier_on_one_kernel(1);
+        let report = |kernel: &mut CbKernel, frame: u32| {
+            let ready = FrameReady { channel: 0, frame }.to_values();
+            LpContext::new(kernel, display_lp)
+                .send_interaction(classes.frame_ready, ready)
+                .unwrap();
+        };
+        for frame in 0..2 {
+            report(&mut kernel, frame);
+            server.step(&mut LpContext::new(&mut kernel, server_lp), 0.0).unwrap();
+            assert_eq!(releases(&mut kernel, display_lp), [frame]);
+        }
+        assert_eq!((server.go_resends(), server.current_frame()), (0, 2));
+
+        // Suppose both releases were lost on the LAN: the channel's reports
+        // for the released frames 1, 0 and 1 again reach the server in one
+        // step. Each frame is released again once, in frame order.
+        for frame in [1, 0, 1] {
+            report(&mut kernel, frame);
+        }
+        server.step(&mut LpContext::new(&mut kernel, server_lp), 0.0).unwrap();
+        assert_eq!(releases(&mut kernel, display_lp), [0, 1]);
+        assert_eq!((server.go_resends(), server.frames_released()), (2, 2));
     }
 
     #[test]
     #[should_panic]
     fn zero_channel_server_rejected() {
         let mut fom = ClassRegistry::new();
-        let sync_fom = FrameSyncFom::register(&mut fom).unwrap();
+        let sync_fom = FrameSyncClasses::register(&mut fom).unwrap();
         let _ = FrameSyncServer::new(sync_fom, 0);
     }
 }

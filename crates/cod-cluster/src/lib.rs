@@ -15,7 +15,8 @@
 //!   computer's CB for that CB's tick, and reads its simulation time off the
 //!   LAN clock.
 //! * [`framesync`] — the synchronization server used by the three display
-//!   channels to swap in lock-step (paper §4: the fourth computer).
+//!   channels to swap in lock-step (paper §4: the fourth computer), and the
+//!   one model of the frame period that swap lock imposes.
 //! * [`pipeline`] — analytic model of pipelined vs sequential execution used by
 //!   the cluster-speedup experiment (E6).
 //! * [`placement`] — load-based assignment of LPs to computers.
@@ -78,7 +79,9 @@ pub mod placement;
 
 pub use cluster::{frame_period_for_fps, Cluster, ClusterConfig, ComputerId, FrameRecord};
 pub use computer::Computer;
-pub use framesync::{FrameSyncClient, FrameSyncFom, FrameSyncServer, SyncBarrierModel};
+pub use framesync::{
+    synchronized_period, FrameSyncClasses, FrameSyncClient, FrameSyncServer, SWAP_LOCK_BARRIER,
+};
 pub use lp::LogicalProcess;
 pub use metrics::ClusterMetrics;
 pub use pipeline::{PipelineModel, StageCost};

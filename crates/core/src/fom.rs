@@ -6,124 +6,22 @@
 //! of a rack registers these classes in the same order, the way every
 //! federate of an HLA federation shares one FOM file.
 //!
-//! Each class is declared once, as one field list: a field's name is the
-//! attribute name registered with the CB and its position in the list is the
-//! attribute's [`AttributeId`], so the typed messages address attributes by
-//! position and never look a name up. To add an attribute, add one
-//! `name: Type` line to its class's declaration; the type needs a `FomValue`
-//! impl (`f64`, [`Vec3`], `bool`, `u32` and `String` have one). Append the
-//! line at the end of the list: the id is the position, so an attribute
-//! inserted mid-list moves the ids of all that follow it, and with them the
-//! bytes on the wire and every fingerprint taken of a session.
+//! Each class is declared once, as one field list in one [`fom_classes!`]
+//! invocation: a field's name is the attribute name registered with the CB
+//! and its position in the list is the attribute's
+//! [`AttributeId`](cod_cb::AttributeId), so the typed messages address
+//! attributes by position and never look a name up. To add an attribute, add
+//! one `name: Type` line to its class's declaration; the type needs a
+//! [`FomValue`](cod_cb::FomValue) impl (`f64`, [`Vec3`], `bool`, `u32` and
+//! `String` have one). Append the line at the end of the list: the id is the
+//! position, so an attribute inserted mid-list moves the ids of all that
+//! follow it, and with them the bytes on the wire and every fingerprint taken
+//! of a session.
 
-use cod_cb::{
-    AttributeId, AttributeValues, CbError, ClassRegistry, InteractionClassId, ObjectClassId, Value,
-};
-use cod_cluster::FrameSyncFom;
+use cod_cb::{fom_classes, CbError, ClassRegistry, InteractionClassId, ObjectClassId};
+use cod_cluster::FrameSyncClasses;
 use sim_math::Vec3;
 use std::sync::OnceLock;
-
-/// Declares the classes: for each, its message struct with one public field
-/// per attribute, the attribute names in id order, and the encoder and
-/// decoder that put each attribute under its position.
-macro_rules! fom_classes {
-    ($(
-        $(#[$meta:meta])*
-        $msg:ident { $($(#[$field_meta:meta])* $field:ident: $ty:ty),+ $(,)? }
-    )+) => {$(
-        $(#[$meta])*
-        pub struct $msg {
-            $($(#[$field_meta])* pub $field: $ty),+
-        }
-
-        impl $msg {
-            /// The attribute names; the index of a name is its id.
-            const NAMES: &'static [&'static str] = &[$(stringify!($field)),+];
-
-            /// Encodes every attribute under its position.
-            pub fn to_values(&self) -> AttributeValues {
-                [$(self.$field.to_value()),+]
-                    .into_iter()
-                    .enumerate()
-                    .map(|(id, value)| (AttributeId(id as u16), value))
-                    .collect()
-            }
-
-            /// Decodes from attribute values: an attribute that is missing, or
-            /// that carries another kind of value, reads as zero.
-            pub fn from_values(values: &AttributeValues) -> $msg {
-                let mut by_position = (0..).map(|id| values.get(&AttributeId(id)));
-                $msg {
-                    $($field: by_position
-                        .next()
-                        .flatten()
-                        .and_then(FomValue::from_value)
-                        .unwrap_or_default()),+
-                }
-            }
-        }
-    )+};
-}
-
-/// A Rust type an attribute may have, and the one [`Value`] variant it
-/// travels as.
-trait FomValue: Default {
-    /// The value on the wire.
-    fn to_value(&self) -> Value;
-
-    /// The value read back, if `value` is this type's variant.
-    fn from_value(value: &Value) -> Option<Self>;
-}
-
-impl FomValue for f64 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self)
-    }
-
-    fn from_value(value: &Value) -> Option<f64> {
-        value.as_f64()
-    }
-}
-
-impl FomValue for Vec3 {
-    fn to_value(&self) -> Value {
-        Value::Vec3((*self).into())
-    }
-
-    fn from_value(value: &Value) -> Option<Vec3> {
-        value.as_vec3().map(Vec3::from)
-    }
-}
-
-impl FomValue for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-
-    fn from_value(value: &Value) -> Option<bool> {
-        value.as_bool()
-    }
-}
-
-impl FomValue for u32 {
-    fn to_value(&self) -> Value {
-        Value::U32(*self)
-    }
-
-    fn from_value(value: &Value) -> Option<u32> {
-        value.as_u32()
-    }
-}
-
-impl FomValue for String {
-    fn to_value(&self) -> Value {
-        Value::Text(self.clone())
-    }
-
-    fn from_value(value: &Value) -> Option<String> {
-        value.as_text().map(str::to_owned)
-    }
-}
 
 /// Handles to every class the crane simulator declares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,7 +42,7 @@ pub struct CraneFom {
     /// "the instrument display may be used for trouble shooting training").
     pub fault: InteractionClassId,
     /// Frame-synchronization interactions of the surround view.
-    pub sync: FrameSyncFom,
+    pub sync: FrameSyncClasses,
 }
 
 impl CraneFom {
@@ -165,7 +63,7 @@ impl CraneFom {
                 .register_interaction_class("CollisionEvent", CollisionMsg::NAMES)?,
             alarm: registry.register_interaction_class("AlarmEvent", AlarmMsg::NAMES)?,
             fault: registry.register_interaction_class("FaultInjection", FaultMsg::NAMES)?,
-            sync: FrameSyncFom::register(registry)?,
+            sync: FrameSyncClasses::register(registry)?,
         })
     }
 
@@ -192,7 +90,7 @@ impl CraneFom {
 fom_classes! {
     /// Crane state as published by the dynamics module.
     #[derive(Debug, Clone, Copy, PartialEq, Default)]
-    CraneStateMsg {
+    pub struct CraneStateMsg {
         chassis_position: Vec3,
         chassis_yaw: f64,
         chassis_pitch: f64,
@@ -210,7 +108,7 @@ fom_classes! {
 
     /// Hook and cargo state as published by the dynamics module.
     #[derive(Debug, Clone, Copy, PartialEq, Default)]
-    HookStateMsg {
+    pub struct HookStateMsg {
         hook_position: Vec3,
         cargo_position: Vec3,
         swing_angle: f64,
@@ -220,7 +118,7 @@ fom_classes! {
 
     /// Operator inputs as published by the dashboard module.
     #[derive(Debug, Clone, Copy, PartialEq, Default)]
-    OperatorInputMsg {
+    pub struct OperatorInputMsg {
         steering: f64,
         throttle: f64,
         brake: f64,
@@ -233,7 +131,7 @@ fom_classes! {
 
     /// Scenario phase and score as published by the scenario module.
     #[derive(Debug, Clone, PartialEq, Default)]
-    ScenarioStateMsg {
+    pub struct ScenarioStateMsg {
         phase: String,
         score: f64,
         elapsed: f64,
@@ -244,7 +142,7 @@ fom_classes! {
 
     /// A collision event sent by the dynamics module.
     #[derive(Debug, Clone, PartialEq, Default)]
-    CollisionMsg {
+    pub struct CollisionMsg {
         location: Vec3,
         impulse: f64,
         obstacle: String,
@@ -253,7 +151,7 @@ fom_classes! {
 
     /// An alarm raised (or cleared) by the instructor monitor.
     #[derive(Debug, Clone, PartialEq, Default)]
-    AlarmMsg {
+    pub struct AlarmMsg {
         code: u32,
         active: bool,
         message: String,
@@ -261,7 +159,7 @@ fom_classes! {
 
     /// A fault injected by the instructor into a dashboard instrument.
     #[derive(Debug, Clone, PartialEq, Default)]
-    FaultMsg {
+    pub struct FaultMsg {
         /// Name of the instrument (e.g. "speedometer").
         instrument: String,
         /// Value the instrument is forced to display.
@@ -284,6 +182,7 @@ pub mod alarm_codes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cod_cb::{AttributeValues, Value};
 
     #[test]
     fn fom_registers_all_classes() {
@@ -365,7 +264,7 @@ mod tests {
     ];
 
     /// The interaction half of the wire contract; the frame-sync classes come
-    /// last and carry no message type in this module.
+    /// last, and `cod_cluster::framesync` declares their messages.
     const INTERACTION_CLASSES: &[(&str, &[(&str, &str)])] = &[
         (
             "CollisionEvent",

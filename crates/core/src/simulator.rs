@@ -16,7 +16,8 @@
 //! the other tier, replay the frames done so far.
 
 use cod_cluster::{
-    frame_period_for_fps, Cluster, ClusterConfig, ComputerId, FrameRecord, FrameSyncServer,
+    frame_period_for_fps, synchronized_period, Cluster, ClusterConfig, ComputerId, FrameRecord,
+    FrameSyncServer, SWAP_LOCK_BARRIER,
 };
 use cod_net::{FaultPlan, LanConfig, LanStats, Micros};
 use render_sim::GpuCostModel;
@@ -34,10 +35,6 @@ use crate::telemetry::{FrameDigest, SharedTelemetry, TelemetrySnapshot};
 use crate::visual::VisualDisplayLp;
 use cod_cb::{CbError, ClassRegistry};
 use crane_scene::course::Course;
-
-/// Swap-lock cost the synchronization server adds on top of the slowest
-/// display channel.
-const BARRIER_OVERHEAD: Micros = Micros::from_millis(3);
 
 /// Summary of a completed (or interrupted) training session.
 #[derive(Debug, Clone, PartialEq)]
@@ -406,11 +403,7 @@ impl CraneSimulator {
 
         let slowest_channel =
             snap.channel_frame_times.iter().copied().max().unwrap_or(Micros::ZERO);
-        let synchronized_period = if slowest_channel == Micros::ZERO {
-            Micros::ZERO
-        } else {
-            slowest_channel + BARRIER_OVERHEAD
-        };
+        let swap_locked_period = synchronized_period(&snap.channel_frame_times, SWAP_LOCK_BARRIER);
         let fps_of = |period: Micros| {
             if period == Micros::ZERO {
                 0.0
@@ -430,7 +423,7 @@ impl CraneSimulator {
             collisions: snap.collisions.len(),
             cluster_fps: metrics.achievable_fps(frame_period),
             sequential_fps: metrics.sequential_fps(frame_period),
-            synchronized_fps: fps_of(synchronized_period),
+            synchronized_fps: fps_of(swap_locked_period),
             free_running_fps: fps_of(slowest_channel),
             channel_frame_times: snap.channel_frame_times.clone(),
             max_hook_swing: snap.max_swing,

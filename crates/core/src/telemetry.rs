@@ -74,8 +74,6 @@ pub struct TelemetrySnapshot {
     pub channel_frame_times: Vec<Micros>,
     /// Per-channel swap counts of the frame-sync protocol (lock-step progress).
     pub channel_frames_swapped: Vec<u64>,
-    /// Latest synchronized frame period of the surround view.
-    pub synchronized_period: Micros,
     /// Largest hook swing amplitude sampled so far (metres; zero before the
     /// first sample).
     pub max_swing: f64,

@@ -13,7 +13,7 @@ use cod_cb::{CbApi, CbError, ClassRegistry};
 use cod_cluster::{FrameSyncClient, LogicalProcess};
 use cod_net::Micros;
 use crane_scene::world::TrainingWorld;
-use render_sim::{Camera, GpuCostModel, Renderer};
+use render_sim::{channel_yaw_offset, Camera, GpuCostModel, Renderer};
 use sim_math::{Quat, Transform, Vec3};
 
 use crate::fom::{CraneFom, CraneStateMsg, HookStateMsg};
@@ -44,8 +44,9 @@ pub struct VisualDisplayLp {
 }
 
 impl VisualDisplayLp {
-    /// Creates display channel `channel` of `channel_count`, spreading the
-    /// channels over roughly 120 degrees of yaw.
+    /// Creates display channel `channel` of `channel_count`, turned by
+    /// [`channel_yaw_offset`] so the channels spread over roughly 120 degrees
+    /// of yaw.
     ///
     /// When `render_pixels` is false the module runs the cost model only,
     /// which is what the frame-rate experiments need; set it to true to
@@ -65,9 +66,7 @@ impl VisualDisplayLp {
         cost_model: GpuCostModel,
         telemetry: SharedTelemetry,
     ) -> VisualDisplayLp {
-        assert!(channel < channel_count, "channel index out of range");
-        let per_channel = 120f64.to_radians() / channel_count as f64;
-        let yaw_offset = (channel as f64 - (channel_count as f64 - 1.0) / 2.0) * per_channel;
+        let yaw_offset = channel_yaw_offset(channel, channel_count);
         let world = TrainingWorld::shared();
         VisualDisplayLp {
             name: format!("visual-{channel}"),
@@ -94,32 +93,23 @@ impl VisualDisplayLp {
     /// The camera of this channel: inside the cab, turned by the channel's yaw offset.
     pub fn camera(&self) -> Camera {
         let eye = self.observation.crane.chassis_position + Vec3::new(0.0, 3.2, 1.5);
-        let mut camera = Camera {
+        let camera = Camera {
             position: eye,
             yaw: self.observation.crane.chassis_yaw,
             pitch: -0.05,
             ..Camera::default()
         };
-        camera = camera.with_yaw_offset(self.yaw_offset);
-        camera
+        camera.with_yaw_offset(self.yaw_offset)
     }
 
     fn render_frame(&mut self) -> Micros {
+        let camera = self.camera();
         let frame_time = match self.renderer.as_mut() {
             Some(renderer) => {
                 // The first call copies the shared world; later ones animate
                 // this channel's own copy in place.
                 let world = Arc::make_mut(&mut self.world);
                 animate_scene(world, &self.observation.crane, &self.observation.hook);
-                let camera = {
-                    let eye = self.observation.crane.chassis_position + Vec3::new(0.0, 3.2, 1.5);
-                    Camera {
-                        position: eye,
-                        yaw: self.observation.crane.chassis_yaw + self.yaw_offset,
-                        pitch: -0.05,
-                        ..Camera::default()
-                    }
-                };
                 let stats = renderer.render(&world.scene, &camera);
                 stats.frame_time(&self.cost_model)
             }

@@ -51,7 +51,8 @@ impl Camera {
         )
     }
 
-    /// A copy with the yaw rotated by `delta` radians (used by the surround view).
+    /// A copy with the yaw rotated by `delta` radians (a surround-view
+    /// channel turns the cab camera by [`channel_yaw_offset`]).
     pub fn with_yaw_offset(&self, delta: f64) -> Camera {
         Camera { yaw: self.yaw + delta, ..*self }
     }
@@ -70,6 +71,19 @@ impl Camera {
     pub fn view_projection(&self) -> Mat4 {
         self.projection_matrix() * self.view_matrix()
     }
+}
+
+/// The yaw offset of display channel `channel` of `channel_count`: the
+/// channels split the surround view's roughly 120 degrees (paper §3.7)
+/// evenly, left to right, centred on the view direction.
+///
+/// # Panics
+///
+/// Panics unless `channel < channel_count`.
+pub fn channel_yaw_offset(channel: usize, channel_count: usize) -> f64 {
+    assert!(channel < channel_count, "channel index out of range");
+    let per_channel = 120f64.to_radians() / channel_count as f64;
+    (channel as f64 - (channel_count as f64 - 1.0) / 2.0) * per_channel
 }
 
 #[cfg(test)]
@@ -101,5 +115,19 @@ mod tests {
         let cam = Camera::look_at(Vec3::ZERO, Vec3::new(0.0, 0.0, 10.0));
         let left = cam.with_yaw_offset(40f64.to_radians());
         assert!((left.forward().dot(cam.forward()) - 40f64.to_radians().cos()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn channel_yaws_split_the_surround_view_evenly() {
+        let three: Vec<f64> = (0..3).map(|c| channel_yaw_offset(c, 3).to_degrees()).collect();
+        assert!((three[0] + 40.0).abs() < 1e-9 && three[1] == 0.0, "{three:?}");
+        assert!((three[2] - 40.0).abs() < 1e-9, "{three:?}");
+        assert_eq!(channel_yaw_offset(0, 1), 0.0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn zero_channels_rejected() {
+        let _ = channel_yaw_offset(0, 0);
     }
 }

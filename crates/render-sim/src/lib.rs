@@ -14,9 +14,10 @@
 //!   frame time so the frame-rate experiments (E1–E3) can be regenerated
 //!   deterministically.
 //!
-//! The [`surround`] module composes three camera channels (roughly 120° of
-//! horizontal view, §3.7) and models the swap-lock synchronization the fourth
-//! computer provided.
+//! A surround-view channel (three of them cover roughly 120° of horizontal
+//! view, §3.7) is a [`Renderer`] whose [`Camera`] is turned by
+//! [`channel_yaw_offset`]. The swap lock that keeps the channels in step, and
+//! the frame period it imposes, belong to `cod_cluster::framesync`.
 
 pub mod camera;
 pub mod cost;
@@ -24,11 +25,9 @@ pub mod framebuffer;
 pub mod frustum;
 pub mod pipeline;
 pub mod raster;
-pub mod surround;
 
-pub use camera::Camera;
+pub use camera::{channel_yaw_offset, Camera};
 pub use cost::GpuCostModel;
 pub use framebuffer::Framebuffer;
 pub use frustum::Frustum;
 pub use pipeline::{RenderStats, Renderer};
-pub use surround::{SurroundStats, SurroundView};

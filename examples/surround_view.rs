@@ -6,8 +6,9 @@
 //! cargo run --release --example surround_view
 //! ```
 
+use cod_cluster::{synchronized_period, SWAP_LOCK_BARRIER};
 use crane_scene::world::TrainingWorld;
-use render_sim::{Camera, GpuCostModel, SurroundView};
+use render_sim::{channel_yaw_offset, Camera, GpuCostModel, Renderer};
 use sim_math::Vec3;
 
 fn main() {
@@ -18,43 +19,49 @@ fn main() {
     // (screenshots are build artifacts, not repository content).
     let out_dir = std::path::Path::new("target").join("surround");
     std::fs::create_dir_all(&out_dir).expect("output directory created");
-    let mut view = SurroundView::new(3, 320, 240, 120f64.to_radians());
+    let gpu = GpuCostModel::tnt2_class();
     let camera = Camera::look_at(Vec3::new(0.0, 5.0, -55.0), Vec3::new(0.0, 2.0, 40.0));
-    let stats = view.render(&world.scene, &camera);
-    for (channel, channel_stats) in stats.channels.iter().enumerate() {
+    let mut channel_times = Vec::new();
+    for channel in 0..3 {
+        let mut renderer = Renderer::new(320, 240);
+        let stats =
+            renderer.render(&world.scene, &camera.with_yaw_offset(channel_yaw_offset(channel, 3)));
         let path = out_dir.join(format!("surround_channel_{channel}.ppm"));
-        std::fs::write(&path, view.renderer(channel).framebuffer().to_ppm())
-            .expect("screenshot written");
+        std::fs::write(&path, renderer.framebuffer().to_ppm()).expect("screenshot written");
+        channel_times.push(stats.frame_time(&gpu));
         println!(
             "channel {channel}: {} triangles submitted, {} drawn, {} px -> {} ({})",
-            channel_stats.triangles_submitted,
-            channel_stats.triangles_drawn,
-            channel_stats.pixels_written,
-            stats.channel_times[channel],
+            stats.triangles_submitted,
+            stats.triangles_drawn,
+            stats.pixels_written,
+            channel_times[channel],
             path.display(),
         );
     }
+    let free = channel_times.iter().copied().max().expect("three channels");
+    let sync = synchronized_period(&channel_times, SWAP_LOCK_BARRIER);
     println!(
         "synchronized: {:.1} fps   free-running: {:.1} fps   sync overhead: {:.1}%",
-        stats.synchronized_fps(),
-        stats.free_running_fps(),
-        stats.sync_overhead_fraction() * 100.0
+        GpuCostModel::fps(sync),
+        GpuCostModel::fps(free),
+        SWAP_LOCK_BARRIER.0 as f64 / sync.0 as f64 * 100.0
     );
 
     // E1/E2: frame rate vs polygon budget, TNT2-class vs next-generation hardware.
+    // Every channel renders the same budget, so one channel's time is the slowest.
+    let sync_fps = |channel: cod_net::Micros| {
+        GpuCostModel::fps(synchronized_period(&[channel], SWAP_LOCK_BARRIER))
+    };
     println!("\n  polygons | TNT2 sync fps | TNT2 free fps | next-gen sync fps");
     println!("  ---------+---------------+---------------+------------------");
     for polygons in [500usize, 1_000, 2_000, 3_235, 5_000, 8_000, 12_000, 20_000] {
-        let old = SurroundView::paper_configuration();
-        let mut new = SurroundView::paper_configuration();
-        new.set_cost_model(GpuCostModel::next_generation());
-        let old_est = old.estimate(polygons);
-        let new_est = new.estimate(polygons);
+        let old = gpu.frame_time_for_scene(polygons);
+        let new = GpuCostModel::next_generation().frame_time_for_scene(polygons);
         println!(
             "  {polygons:>8} | {:>13.1} | {:>13.1} | {:>17.1}",
-            old_est.synchronized_fps(),
-            old_est.free_running_fps(),
-            new_est.synchronized_fps()
+            sync_fps(old),
+            GpuCostModel::fps(old),
+            sync_fps(new)
         );
     }
 }

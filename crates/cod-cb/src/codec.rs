@@ -9,6 +9,14 @@ use crate::error::CbError;
 use crate::fom::{AttributeId, AttributeValues, Value};
 use cod_net::{Addr, Micros, NodeId, Port};
 
+/// The tag each [`Value`] variant is encoded under.
+pub(crate) const TAG_BOOL: u8 = 0;
+pub(crate) const TAG_U32: u8 = 1;
+pub(crate) const TAG_F64: u8 = 2;
+pub(crate) const TAG_VEC3: u8 = 3;
+pub(crate) const TAG_TEXT: u8 = 4;
+pub(crate) const TAG_BYTES: u8 = 5;
+
 /// A bounds-checked reader over a received payload. Every fixed-size value —
 /// a message's fixed fields, an attribute's id and tag, a scalar or a vector —
 /// costs one bounds check; a length-prefixed string costs two.
@@ -22,21 +30,28 @@ fn truncated(needed: usize, available: usize) -> CbError {
     CbError::Codec(format!("truncated message: needed {needed} more bytes, {available} available"))
 }
 
-/// An attribute value as it sits in a payload: text and bytes are borrowed, so
-/// a value only validated is never copied.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ValueRef<'a> {
+/// An attribute value as it sits in an encoding — a payload or an
+/// [`AttributeValues`]: text and bytes are borrowed, so a value only read is
+/// never copied.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ValueRef<'a> {
+    /// See [`Value::Bool`].
     Bool(bool),
+    /// See [`Value::U32`].
     U32(u32),
+    /// See [`Value::F64`].
     F64(f64),
+    /// See [`Value::Vec3`].
     Vec3([f64; 3]),
+    /// See [`Value::Text`].
     Text(&'a str),
+    /// See [`Value::Bytes`].
     Bytes(&'a [u8]),
 }
 
 impl ValueRef<'_> {
     /// The owned [`Value`].
-    pub(crate) fn to_value(self) -> Value {
+    pub fn to_value(self) -> Value {
         match self {
             ValueRef::Bool(v) => Value::Bool(v),
             ValueRef::U32(v) => Value::U32(v),
@@ -72,6 +87,11 @@ impl<'a> Reader<'a> {
     /// Wraps a payload for decoding.
     pub(crate) fn new(buf: &'a [u8]) -> Reader<'a> {
         Reader { buf }
+    }
+
+    /// The bytes not read yet.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        self.buf
     }
 
     /// Takes the next `N` bytes with one bounds check.
@@ -110,32 +130,76 @@ impl<'a> Reader<'a> {
     /// Reads one attribute: its id and tag in one bounds check, then its value.
     pub(crate) fn attribute(&mut self) -> Result<(AttributeId, ValueRef<'a>), CbError> {
         let &[hi, lo, tag] = self.take()?;
-        let value = match tag {
-            0 => ValueRef::Bool(self.take::<1>()?[0] != 0),
-            1 => ValueRef::U32(u32::from_be_bytes(*self.take()?)),
-            2 => ValueRef::F64(f64::from_bits(u64::from_be_bytes(*self.take()?))),
-            3 => {
+        Ok((AttributeId(u16::from_be_bytes([hi, lo])), self.value(tag)?))
+    }
+
+    /// Reads a value encoded under `tag`.
+    fn value(&mut self, tag: u8) -> Result<ValueRef<'a>, CbError> {
+        Ok(match tag {
+            TAG_BOOL => ValueRef::Bool(self.take::<1>()?[0] != 0),
+            TAG_U32 => ValueRef::U32(u32::from_be_bytes(*self.take()?)),
+            TAG_F64 => ValueRef::F64(f64::from_bits(u64::from_be_bytes(*self.take()?))),
+            TAG_VEC3 => {
                 let xyz = self.take::<24>()?;
                 let at = |i| f64::from_bits(be_u64(xyz, i));
                 ValueRef::Vec3([at(0), at(8), at(16)])
             }
-            4 => ValueRef::Text(
+            TAG_TEXT => ValueRef::Text(
                 std::str::from_utf8(self.bytes()?)
                     .map_err(|e| CbError::Codec(format!("invalid utf-8: {e}")))?,
             ),
-            5 => ValueRef::Bytes(self.bytes()?),
+            TAG_BYTES => ValueRef::Bytes(self.bytes()?),
             tag => return Err(CbError::Codec(format!("unknown value tag {tag}"))),
-        };
-        Ok((AttributeId(u16::from_be_bytes([hi, lo])), value))
+        })
     }
 
-    /// Reads an attribute-value map. Ids may arrive in any order; a repeated
-    /// id keeps its last value.
-    pub(crate) fn attribute_values(&mut self) -> Result<AttributeValues, CbError> {
+    /// Walks an attribute-value map, failing exactly where reading each of
+    /// its entries with [`Reader::attribute`] fails, and returns its count,
+    /// the bytes of its entries and whether they are canonical: ids strictly
+    /// ascending and every `Bool` 0 or 1. A fixed-size value costs one bounds
+    /// check and is not decoded; text, bytes and unknown tags are read as
+    /// [`Reader::attribute`] reads them.
+    fn attribute_entries(&mut self) -> Result<(u16, &'a [u8], bool), CbError> {
         let count = self.attribute_count()?;
-        let mut values = AttributeValues::with_capacity(count);
+        let entries = self.buf;
+        let (mut canonical, mut lowest_next_id) = (true, 0);
         for _ in 0..count {
-            let (id, value) = self.attribute()?;
+            let &[hi, lo, tag] = self.take()?;
+            match tag {
+                TAG_BOOL => canonical &= self.take::<1>()?[0] <= 1,
+                TAG_U32 => {
+                    self.take::<4>()?;
+                }
+                TAG_F64 => {
+                    self.take::<8>()?;
+                }
+                TAG_VEC3 => {
+                    self.take::<24>()?;
+                }
+                _ => {
+                    self.value(tag)?;
+                }
+            }
+            let id = u32::from(u16::from_be_bytes([hi, lo]));
+            canonical &= id >= lowest_next_id;
+            lowest_next_id = id + 1;
+        }
+        let len = entries.len() - self.buf.len();
+        Ok((count as u16, &entries[..len], canonical))
+    }
+
+    /// Reads an attribute-value map. A canonical map is copied as it stands;
+    /// any other is normalised through [`AttributeValues::insert`], so ids
+    /// may arrive in any order and a repeated id keeps its last value.
+    pub(crate) fn attribute_values(&mut self) -> Result<AttributeValues, CbError> {
+        let (count, entries, canonical) = self.attribute_entries()?;
+        if canonical {
+            return Ok(AttributeValues { count, entries: entries.to_vec() });
+        }
+        let mut reader = Reader::new(entries);
+        let mut values = AttributeValues::new();
+        for _ in 0..count {
+            let (id, value) = reader.attribute()?;
             values.insert(id, value.to_value());
         }
         Ok(values)
@@ -144,10 +208,7 @@ impl<'a> Reader<'a> {
     /// Walks an attribute-value map as [`Reader::attribute_values`] does,
     /// failing where it fails, but builds nothing.
     pub(crate) fn skip_attribute_values(&mut self) -> Result<(), CbError> {
-        for _ in 0..self.attribute_count()? {
-            self.attribute()?;
-        }
-        Ok(())
+        self.attribute_entries().map(drop)
     }
 }
 
@@ -221,34 +282,32 @@ impl<'a> Writer<'a> {
     pub fn value(&mut self, v: &Value) -> &mut Self {
         match v {
             Value::Bool(b) => {
-                self.u8(0).u8(u8::from(*b));
+                self.u8(TAG_BOOL).u8(u8::from(*b));
             }
             Value::U32(x) => {
-                self.u8(1).u32(*x);
+                self.u8(TAG_U32).u32(*x);
             }
             Value::F64(x) => {
-                self.u8(2).f64(*x);
+                self.u8(TAG_F64).f64(*x);
             }
             Value::Vec3(x) => {
-                self.u8(3).f64(x[0]).f64(x[1]).f64(x[2]);
+                self.u8(TAG_VEC3).f64(x[0]).f64(x[1]).f64(x[2]);
             }
             Value::Text(s) => {
-                self.u8(4).string(s);
+                self.u8(TAG_TEXT).string(s);
             }
             Value::Bytes(b) => {
-                self.u8(5).bytes(b);
+                self.u8(TAG_BYTES).bytes(b);
             }
         }
         self
     }
 
-    /// Writes an attribute-value map.
+    /// Writes an attribute-value map: its count, then a copy of its
+    /// encoded entries.
     pub fn attribute_values(&mut self, values: &AttributeValues) -> &mut Self {
-        self.u16(values.len() as u16);
-        for (id, value) in values {
-            self.u16(id.0);
-            self.value(value);
-        }
+        self.u16(values.count);
+        self.buf.extend_from_slice(&values.entries);
         self
     }
 }
@@ -354,8 +413,8 @@ mod tests {
         let buf = raw_attribute_values(3, &[(4, 10), (1, 20), (4, 30)]);
         let decoded = Reader::new(&buf).attribute_values().unwrap();
         assert_eq!(decoded.len(), 2);
-        assert_eq!(decoded[&AttributeId(4)], Value::U32(30));
-        assert_eq!(decoded[&AttributeId(1)], Value::U32(20));
+        assert_eq!(decoded.get(&AttributeId(4)), Some(ValueRef::U32(30)));
+        assert_eq!(decoded.get(&AttributeId(1)), Some(ValueRef::U32(20)));
     }
 
     #[test]

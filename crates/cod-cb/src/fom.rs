@@ -6,6 +6,7 @@
 //! compiled against the same [`ClassRegistry`], exactly as every federate of an
 //! HLA federation shares the same FOM file.
 
+use crate::codec::{self, Reader, ValueRef, Writer};
 use crate::error::CbError;
 use sim_math::Vec3;
 use std::fmt;
@@ -40,48 +41,6 @@ pub enum Value {
     Bytes(Vec<u8>),
 }
 
-impl Value {
-    /// Returns the scalar if this value is an `F64`.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::F64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Returns the vector if this value is a `Vec3`.
-    pub fn as_vec3(&self) -> Option<[f64; 3]> {
-        match self {
-            Value::Vec3(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Returns the flag if this value is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Returns the integer if this value is a `U32`.
-    pub fn as_u32(&self) -> Option<u32> {
-        match self {
-            Value::U32(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Returns the text if this value is a `Text`.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -96,63 +55,138 @@ impl fmt::Display for Value {
 }
 
 /// A Rust type an attribute may have, and the one [`Value`] variant it
-/// travels as. [`fom_classes!`](crate::fom_classes) encodes and decodes
-/// every field through it.
+/// travels as. [`fom_classes!`](crate::fom_classes) encodes every field
+/// straight into the bytes of an [`AttributeValues`] through it, and reads it
+/// straight back out.
 pub trait FomValue: Default {
-    /// The value on the wire.
-    fn to_value(&self) -> Value;
+    /// The tag the variant is encoded under.
+    const TAG: u8;
 
-    /// The value read back, if `value` is this type's variant.
-    fn from_value(value: &Value) -> Option<Self>;
+    /// Length of the value's encoding, its tag not included.
+    fn encoded_len(&self) -> usize;
+
+    /// Appends the value's encoding, its tag not included.
+    fn encode(&self, out: &mut Vec<u8>);
+
+    /// Reads the value off the front of `bytes`, which hold a well-formed
+    /// encoding of this type's variant, and moves `bytes` past it.
+    fn read(bytes: &mut &[u8]) -> Self;
+}
+
+// The methods below are `#[inline]` because the classes whose fields they
+// read and write are declared in other crates, and an out-of-line call per
+// field doubles the cost of `from_values`.
+
+/// The next `N` bytes of an encoding already validated.
+#[inline]
+fn take<const N: usize>(bytes: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = bytes.split_first_chunk().expect("a set holds whole values");
+    *bytes = rest;
+    *head
 }
 
 impl FomValue for f64 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self)
+    const TAG: u8 = codec::TAG_F64;
+
+    #[inline]
+    fn encoded_len(&self) -> usize {
+        8
     }
 
-    fn from_value(value: &Value) -> Option<f64> {
-        value.as_f64()
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_bits().to_be_bytes());
+    }
+
+    #[inline]
+    fn read(bytes: &mut &[u8]) -> f64 {
+        f64::from_bits(u64::from_be_bytes(take(bytes)))
     }
 }
 
 impl FomValue for Vec3 {
-    fn to_value(&self) -> Value {
-        Value::Vec3((*self).into())
+    const TAG: u8 = codec::TAG_VEC3;
+
+    #[inline]
+    fn encoded_len(&self) -> usize {
+        24
     }
 
-    fn from_value(value: &Value) -> Option<Vec3> {
-        value.as_vec3().map(Vec3::from)
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        let mut xyz = [0; 24];
+        for (bytes, v) in xyz.chunks_exact_mut(8).zip([self.x, self.y, self.z]) {
+            bytes.copy_from_slice(&v.to_bits().to_be_bytes());
+        }
+        out.extend_from_slice(&xyz);
+    }
+
+    #[inline]
+    fn read(bytes: &mut &[u8]) -> Vec3 {
+        let xyz: [u8; 24] = take(bytes);
+        let at = |i| f64::from_bits(codec::be_u64(&xyz, i));
+        Vec3::new(at(0), at(8), at(16))
     }
 }
 
 impl FomValue for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    const TAG: u8 = codec::TAG_BOOL;
+
+    #[inline]
+    fn encoded_len(&self) -> usize {
+        1
     }
 
-    fn from_value(value: &Value) -> Option<bool> {
-        value.as_bool()
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+
+    #[inline]
+    fn read(bytes: &mut &[u8]) -> bool {
+        take::<1>(bytes)[0] != 0
     }
 }
 
 impl FomValue for u32 {
-    fn to_value(&self) -> Value {
-        Value::U32(*self)
+    const TAG: u8 = codec::TAG_U32;
+
+    #[inline]
+    fn encoded_len(&self) -> usize {
+        4
     }
 
-    fn from_value(value: &Value) -> Option<u32> {
-        value.as_u32()
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_be_bytes());
+    }
+
+    #[inline]
+    fn read(bytes: &mut &[u8]) -> u32 {
+        u32::from_be_bytes(take(bytes))
     }
 }
 
 impl FomValue for String {
-    fn to_value(&self) -> Value {
-        Value::Text(self.clone())
+    const TAG: u8 = codec::TAG_TEXT;
+
+    #[inline]
+    fn encoded_len(&self) -> usize {
+        4 + self.len()
     }
 
-    fn from_value(value: &Value) -> Option<String> {
-        value.as_text().map(str::to_owned)
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).encode(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    #[inline]
+    fn read(bytes: &mut &[u8]) -> String {
+        let len = u32::read(bytes) as usize;
+        let (text, rest) = bytes.split_at(len);
+        *bytes = rest;
+        std::str::from_utf8(text).expect("a set holds valid text").to_owned()
     }
 }
 
@@ -161,6 +195,14 @@ impl FomValue for String {
 /// order (`NAMES`, to register the class with), and the encoder and decoder
 /// that put each attribute under its position. A field's type needs a
 /// [`FomValue`] impl.
+///
+/// `to_values` encodes each field straight into the bytes of one
+/// [`AttributeValues`], sized once: no [`Value`] is built. `from_values`
+/// reads the fields back in one pass over those bytes. An update of the
+/// whole class holds ids `0..n`, so each field is the entry the reader
+/// stands at; any other set — a missing attribute, an attribute of another
+/// variant, ids this class does not declare — goes through one general
+/// walk, and a field it does not find with its own variant reads as zero.
 #[macro_export]
 macro_rules! fom_classes {
     ($(
@@ -180,40 +222,145 @@ macro_rules! fom_classes {
 
             /// Encodes every attribute under its position.
             pub fn to_values(&self) -> $crate::AttributeValues {
-                [$($crate::FomValue::to_value(&self.$field)),+]
-                    .into_iter()
-                    .enumerate()
-                    .map(|(id, value)| ($crate::AttributeId(id as u16), value))
-                    .collect()
+                let mut fields = $crate::fom::FieldWriter::for_values(&[
+                    $($crate::FomValue::encoded_len(&self.$field)),+
+                ]);
+                $(fields.write(&self.$field);)+
+                fields.finish()
             }
 
             /// Decodes from attribute values: an attribute that is missing, or
             /// that carries another kind of value, reads as zero.
             pub fn from_values(values: &$crate::AttributeValues) -> $msg {
-                let mut by_position = (0..).map(|id| values.get(&$crate::AttributeId(id)));
-                $msg {
-                    $($field: by_position
-                        .next()
-                        .flatten()
-                        .and_then($crate::FomValue::from_value)
-                        .unwrap_or_default()),+
-                }
+                let mut fields = $crate::fom::FieldReader::new(values);
+                $msg { $($field: fields.read()),+ }
             }
         }
     )+};
 }
 
+/// Builds the [`AttributeValues`] of a whole class, one field after the
+/// other: the n-th field written goes under id n. Only
+/// [`fom_classes!`](crate::fom_classes) uses it.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct FieldWriter {
+    values: AttributeValues,
+}
+
+impl FieldWriter {
+    /// A writer whose set has room for values of exactly these encoded
+    /// lengths, so writing them allocates once.
+    #[inline]
+    pub fn for_values(value_lens: &[usize]) -> FieldWriter {
+        let len = value_lens.iter().map(|len| ENTRY_HEAD_BYTES + len).sum();
+        FieldWriter { values: AttributeValues::with_capacity(len) }
+    }
+
+    /// Appends `value` under the next id.
+    #[inline]
+    pub fn write<T: FomValue>(&mut self, value: &T) {
+        let AttributeValues { count, entries } = &mut self.values;
+        let [hi, lo] = count.to_be_bytes();
+        entries.extend_from_slice(&[hi, lo, T::TAG]);
+        value.encode(entries);
+        *count += 1;
+    }
+
+    /// The set written.
+    #[inline]
+    pub fn finish(self) -> AttributeValues {
+        self.values
+    }
+}
+
+/// Reads the fields of a class out of an [`AttributeValues`] in one pass, by
+/// position: the n-th read is attribute n. Only
+/// [`fom_classes!`](crate::fom_classes) uses it.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct FieldReader<'a> {
+    /// The entries not passed yet.
+    rest: &'a [u8],
+    /// The id of the next field read.
+    id: u16,
+}
+
+impl<'a> FieldReader<'a> {
+    /// A reader at the first entry of `values`.
+    #[inline]
+    pub fn new(values: &'a AttributeValues) -> FieldReader<'a> {
+        FieldReader { rest: &values.entries, id: 0 }
+    }
+
+    /// The next field: the entry with its id, if it carries `T`'s variant,
+    /// else zero. A dense set has that entry first, where the reader stands;
+    /// any other set goes through the general walk.
+    #[inline]
+    pub fn read<T: FomValue>(&mut self) -> T {
+        let id = self.id;
+        self.id += 1;
+        // The value is read off a local, so `self.rest` never has its
+        // address taken and stays in a register across the fields.
+        let (mut rest, found) = match self.rest.split_first_chunk() {
+            Some((&[hi, lo, tag], value))
+                if u16::from_be_bytes([hi, lo]) == id && tag == T::TAG =>
+            {
+                (value, true)
+            }
+            _ => seek(self.rest, id, T::TAG),
+        };
+        let value = if found { T::read(&mut rest) } else { T::default() };
+        self.rest = rest;
+        value
+    }
+}
+
+/// The general walk over the entries `rest` starts with: passes over the
+/// entries below `id`, and over entry `id` itself unless it is encoded under
+/// `tag`. Returns what is left, and whether it starts at the value of entry
+/// `id`.
+#[cold]
+fn seek(mut rest: &[u8], id: u16, tag: u8) -> (&[u8], bool) {
+    while let Some((&[hi, lo, at_tag], value)) = rest.split_first_chunk() {
+        let at = u16::from_be_bytes([hi, lo]);
+        if at > id {
+            break;
+        }
+        if at == id && at_tag == tag {
+            return (value, true);
+        }
+        let mut entry = Reader::new(rest);
+        entry.attribute().expect("a set holds whole, valid entries");
+        rest = entry.rest();
+        if at == id {
+            break;
+        }
+    }
+    (rest, false)
+}
+
+/// Bytes of an entry's id and tag.
+const ENTRY_HEAD_BYTES: usize = 3;
+
 /// A set of attribute values keyed by attribute id — the payload of an
 /// *Update Attribute Values* / *Reflect Attribute Values* exchange.
 ///
-/// A flat vector of `(id, value)` pairs kept sorted by id. An update carries a
-/// handful of attributes, is built once by an LP, cloned per subscriber,
-/// decoded per delivery and read once, so one contiguous allocation serves it
-/// better than a tree node. Iteration is in ascending id order and two sets
-/// compare equal whatever order they were built in.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The set is its own wire encoding: a count, kept beside the bytes, then
+/// the bytes of `count` entries, each an id, a tag and a value, with ids
+/// strictly ascending and each value in its one canonical form (a `Bool` is
+/// 0 or 1). An update is built by an LP, copied per subscriber and per
+/// channel, received and read once, so every hop handles bytes only: writing
+/// a set into a datagram is one copy, a local fan-out clones bytes, and a
+/// received canonical set is validated and copied. No [`Value`] tree is
+/// built on the way: a class's `from_values` reads its fields straight from
+/// the bytes, and [`AttributeValues::get`] and [`AttributeValues::iter`]
+/// borrow values out of them. Equality is bitwise on the encoding: a NaN
+/// equals itself, and `0.0` differs from `-0.0`.
+#[derive(Clone, Default, PartialEq)]
 pub struct AttributeValues {
-    entries: Vec<(AttributeId, Value)>,
+    pub(crate) count: u16,
+    pub(crate) entries: Vec<u8>,
 }
 
 impl AttributeValues {
@@ -222,85 +369,69 @@ impl AttributeValues {
         AttributeValues::default()
     }
 
-    /// Creates an empty set with room for `capacity` attributes.
+    /// Creates an empty set with room for `capacity` bytes of entries.
+    #[inline]
     pub fn with_capacity(capacity: usize) -> AttributeValues {
-        AttributeValues { entries: Vec::with_capacity(capacity) }
+        AttributeValues { count: 0, entries: Vec::with_capacity(capacity) }
     }
 
     /// Sets the value of `id`, returning the value it replaces, if any.
     pub fn insert(&mut self, id: AttributeId, value: Value) -> Option<Value> {
-        // Encoders and the wire decoder insert in ascending id order.
-        if self.entries.last().is_none_or(|(last, _)| *last < id) {
-            self.entries.push((id, value));
-            return None;
-        }
-        match self.entries.binary_search_by_key(&id, |(k, _)| *k) {
-            Ok(at) => Some(std::mem::replace(&mut self.entries[at].1, value)),
-            Err(at) => {
-                self.entries.insert(at, (id, value));
-                None
+        let mut entry = Reader::new(&self.entries);
+        for _ in 0..self.count {
+            let start = self.entries.len() - entry.rest().len();
+            let (at, old) = entry.attribute().expect("a set holds whole, valid entries");
+            if at < id {
+                continue;
             }
+            let end = self.entries.len() - entry.rest().len();
+            let (old, replaced) =
+                if at == id { (Some(old.to_value()), end) } else { (None, start) };
+            let mut encoded = Vec::new();
+            Writer::new(&mut encoded).u16(id.0).value(&value);
+            self.entries.splice(start..replaced, encoded);
+            self.count += u16::from(old.is_none());
+            return old;
         }
+        // Every id in the set is below `id`: the new entry goes last.
+        Writer::new(&mut self.entries).u16(id.0).value(&value);
+        self.count += 1;
+        None
     }
 
-    /// The value of `id`, if present. O(1) when the set holds every id below
-    /// `id` — a full update carries all attributes of its class, so id N sits
-    /// at index N — and a binary search otherwise.
-    pub fn get(&self, id: &AttributeId) -> Option<&Value> {
-        match self.entries.get(id.0 as usize) {
-            Some((at_index, value)) if at_index == id => Some(value),
-            _ => self
-                .entries
-                .binary_search_by_key(id, |(k, _)| *k)
-                .ok()
-                .map(|at| &self.entries[at].1),
-        }
+    /// The value of `id`, if present, borrowed from the encoding.
+    pub fn get(&self, id: &AttributeId) -> Option<ValueRef<'_>> {
+        self.iter().take_while(|(at, _)| at <= id).find(|(at, _)| at == id).map(|(_, v)| v)
     }
 
     /// Number of attributes in the set.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        usize::from(self.count)
     }
 
     /// True when the set holds no attribute.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.count == 0
     }
 
-    /// The `(id, value)` pairs in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = (&AttributeId, &Value)> {
-        self.into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a AttributeValues {
-    type Item = (&'a AttributeId, &'a Value);
-    type IntoIter = std::iter::Map<
-        std::slice::Iter<'a, (AttributeId, Value)>,
-        fn(&'a (AttributeId, Value)) -> (&'a AttributeId, &'a Value),
-    >;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.entries.iter().map(|(id, value)| (id, value))
+    /// The `(id, value)` pairs in ascending id order, each value borrowed
+    /// from the encoding.
+    pub fn iter(&self) -> impl Iterator<Item = (AttributeId, ValueRef<'_>)> {
+        let mut entries = Reader::new(&self.entries);
+        (0..self.count).map(move |_| entries.attribute().expect("a set holds whole, valid entries"))
     }
 }
 
-impl std::ops::Index<&AttributeId> for AttributeValues {
-    type Output = Value;
-
-    /// # Panics
-    ///
-    /// Panics if `id` is not in the set.
-    fn index(&self, id: &AttributeId) -> &Value {
-        self.get(id).expect("attribute id not present in AttributeValues")
+impl fmt::Debug for AttributeValues {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter().map(|(id, value)| (id.0, value))).finish()
     }
 }
 
 impl FromIterator<(AttributeId, Value)> for AttributeValues {
     /// Later pairs replace earlier ones with the same id.
     fn from_iter<I: IntoIterator<Item = (AttributeId, Value)>>(pairs: I) -> AttributeValues {
-        let pairs = pairs.into_iter();
-        let mut values = AttributeValues::with_capacity(pairs.size_hint().0);
+        let mut values = AttributeValues::new();
         for (id, value) in pairs {
             values.insert(id, value);
         }
@@ -519,22 +650,12 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn value_accessors() {
-        assert_eq!(Value::F64(3.5).as_f64(), Some(3.5));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
-        assert_eq!(Value::U32(7).as_u32(), Some(7));
-        assert_eq!(Value::Vec3([1.0, 2.0, 3.0]).as_vec3(), Some([1.0, 2.0, 3.0]));
-        assert_eq!(Value::Text("go".into()).as_text(), Some("go"));
-        assert_eq!(Value::F64(1.0).as_bool(), None);
-    }
-
     mod attribute_values_model {
         use super::*;
         use proptest::prelude::*;
         use std::collections::BTreeMap;
 
-        /// Drives the flat container and a `BTreeMap` oracle with the same
+        /// Drives the encoded set and a `BTreeMap` oracle with the same
         /// insert sequence (any order, repeated ids) and compares every
         /// observable.
         fn assert_matches_oracle(inserts: &[(u16, u32)]) {
@@ -547,16 +668,12 @@ mod tests {
             assert_eq!(flat.len(), oracle.len());
             assert_eq!(flat.is_empty(), oracle.is_empty());
             for id in (0..24).map(AttributeId) {
-                assert_eq!(flat.get(&id), oracle.get(&id));
+                assert_eq!(flat.get(&id).map(ValueRef::to_value).as_ref(), oracle.get(&id));
             }
-            for (id, value) in &oracle {
-                assert_eq!(&flat[id], value);
-            }
-            let in_order: Vec<_> = oracle.iter().collect();
-            assert_eq!(flat.iter().collect::<Vec<_>>(), in_order.clone());
-            assert_eq!((&flat).into_iter().collect::<Vec<_>>(), in_order);
+            let in_order: Vec<_> = oracle.iter().map(|(id, v)| (*id, v.clone())).collect();
+            assert_eq!(flat.iter().map(|(id, v)| (id, v.to_value())).collect::<Vec<_>>(), in_order);
 
-            // Equality does not depend on build order, and `collect()`
+            // The encoding does not depend on build order, and `collect()`
             // keeps the last value of a repeated id.
             let pairs = || inserts.iter().map(|(id, v)| (AttributeId(*id), Value::U32(*v)));
             assert_eq!(&pairs().collect::<AttributeValues>(), &flat);
@@ -566,6 +683,15 @@ mod tests {
                 oracle.iter().rev().map(|(id, v)| (*id, v.clone())).collect();
             assert_eq!(&ascending, &flat);
             assert_eq!(&descending, &flat);
+
+            // The set is the canonical wire encoding of its entries.
+            let mut wire = Vec::new();
+            let mut w = Writer::new(&mut wire);
+            w.u16(oracle.len() as u16);
+            for (id, value) in &oracle {
+                w.u16(id.0).value(value);
+            }
+            assert_eq!((flat.count, flat.entries.as_slice()), (oracle.len() as u16, &wire[2..]));
         }
 
         proptest! {
@@ -577,11 +703,9 @@ mod tests {
             }
         }
 
-        /// `get` looks at index `id` first. Random draws almost never produce
-        /// the set that serves: every id of `0..n` present. That set, and the
-        /// same set with one id missing — every id above the hole is present
-        /// but one slot below its index, and the hole's own slot holds another
-        /// id — go through the oracle here, built in both directions.
+        /// A full update holds every id of `0..n`, which random draws almost
+        /// never produce. That set, and the same set with one id missing, go
+        /// through the oracle here, built in both directions.
         #[test]
         fn dense_sets_and_dense_sets_with_a_hole_match_the_oracle() {
             for n in 0..=24u16 {
@@ -598,14 +722,14 @@ mod tests {
         }
 
         #[test]
-        #[should_panic(expected = "attribute id not present")]
-        fn indexing_a_missing_id_whose_slot_is_occupied_panics() {
+        fn a_missing_id_between_present_ones_reads_as_none() {
             let values: AttributeValues = [0u16, 1, 3, 4]
                 .into_iter()
                 .map(|id| (AttributeId(id), Value::Bool(true)))
                 .collect();
-            assert_eq!(values[&AttributeId(3)], Value::Bool(true));
-            let _ = &values[&AttributeId(2)];
+            assert_eq!(values.get(&AttributeId(3)), Some(ValueRef::Bool(true)));
+            assert_eq!(values.get(&AttributeId(2)), None);
+            assert_eq!(values.get(&AttributeId(5)), None);
         }
 
         #[test]
@@ -618,8 +742,141 @@ mod tests {
             .into();
             let ids: Vec<u16> = values.iter().map(|(id, _)| id.0).collect();
             assert_eq!(ids, [2, 7]);
-            assert_eq!(values[&AttributeId(7)], Value::Bool(false));
+            assert_eq!(values.get(&AttributeId(7)), Some(ValueRef::Bool(false)));
             assert_eq!(AttributeValues::with_capacity(8), AttributeValues::new());
+        }
+
+        #[test]
+        fn equality_is_bitwise_on_the_encoding() {
+            let one = |v: f64| AttributeValues::from([(AttributeId(0), Value::F64(v))]);
+            assert_eq!(one(f64::NAN), one(f64::NAN));
+            assert_ne!(one(0.0), one(-0.0));
+        }
+    }
+
+    /// One field of every type a class may declare, and ids past the end of
+    /// the list, for the decoder's oracle below.
+    mod typed_codec {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        crate::fom_classes! {
+            #[derive(Debug, Clone, PartialEq, Default)]
+            struct EveryType {
+                scalar: f64,
+                vector: Vec3,
+                flag: bool,
+                count: u32,
+                text: String,
+            }
+        }
+
+        /// The `kind`-th variant, its payload drawn from `seed`.
+        fn value(kind: u8, seed: u32) -> Value {
+            let x = f64::from(seed) / 7.0;
+            match kind % 6 {
+                0 => Value::Bool(seed % 2 == 1),
+                1 => Value::U32(seed),
+                2 => Value::F64(x),
+                3 => Value::Vec3([x, -x, 0.5]),
+                4 => Value::Text(format!("t{seed}")),
+                _ => Value::Bytes(seed.to_be_bytes().to_vec()),
+            }
+        }
+
+        /// What `from_values` must read for a set built by `inserts`: per
+        /// field, the last value inserted under its id if it has the field's
+        /// variant, else zero.
+        fn oracle(inserts: &[(u16, Value)]) -> EveryType {
+            let last: BTreeMap<u16, &Value> = inserts.iter().map(|(id, v)| (*id, v)).collect();
+            let mut msg = EveryType::default();
+            if let Some(Value::F64(v)) = last.get(&0) {
+                msg.scalar = *v;
+            }
+            if let Some(Value::Vec3(v)) = last.get(&1) {
+                msg.vector = Vec3::from(*v);
+            }
+            if let Some(Value::Bool(v)) = last.get(&2) {
+                msg.flag = *v;
+            }
+            if let Some(Value::U32(v)) = last.get(&3) {
+                msg.count = *v;
+            }
+            if let Some(Value::Text(v)) = last.get(&4) {
+                msg.text.clone_from(v);
+            }
+            msg
+        }
+
+        proptest! {
+            #[test]
+            fn prop_from_values_reads_the_last_right_variant_value_else_zero(
+                draws in proptest::collection::vec((0u16..8, any::<u8>(), any::<u32>()), 0..16),
+            ) {
+                let inserts: Vec<(u16, Value)> =
+                    draws.iter().map(|(id, kind, seed)| (*id, value(*kind, *seed))).collect();
+                let values: AttributeValues =
+                    inserts.iter().map(|(id, v)| (AttributeId(*id), v.clone())).collect();
+                prop_assert_eq!(EveryType::from_values(&values), oracle(&inserts));
+            }
+        }
+
+        /// The sets the random draws above rarely produce: the whole class in
+        /// id order, the whole class permuted, and each single field missing
+        /// or carrying the wrong variant.
+        #[test]
+        fn dense_permuted_partial_and_wrong_variant_sets_match_the_oracle() {
+            let msg = EveryType {
+                scalar: -2.5,
+                vector: Vec3::new(1.0, 2.0, 3.0),
+                flag: true,
+                count: 7,
+                text: "jib".into(),
+            };
+            let fields: Vec<(u16, Value)> =
+                msg.to_values().iter().map(|(id, v)| (id.0, v.to_value())).collect();
+            let read = |inserts: &[(u16, Value)]| {
+                let values: AttributeValues =
+                    inserts.iter().map(|(id, v)| (AttributeId(*id), v.clone())).collect();
+                EveryType::from_values(&values)
+            };
+            assert_eq!(read(&fields), msg);
+            let reversed: Vec<_> = fields.iter().rev().cloned().collect();
+            assert_eq!(read(&reversed), msg);
+            for hole in 0..fields.len() {
+                let mut partial = fields.clone();
+                partial.remove(hole);
+                assert_eq!(read(&partial), oracle(&partial), "field {hole} missing");
+                let mut wrong = fields.clone();
+                let kind = if matches!(wrong[hole].1, Value::U32(_)) { 2 } else { 1 };
+                wrong[hole].1 = value(kind, 3);
+                assert_eq!(read(&wrong), oracle(&wrong), "field {hole} of another variant");
+            }
+        }
+
+        #[test]
+        fn to_values_encodes_each_field_as_its_value_would_be_inserted() {
+            let msg = EveryType {
+                scalar: f64::NAN,
+                vector: Vec3::new(-0.0, 1e300, 3.0),
+                flag: true,
+                count: u32::MAX,
+                text: "swing".into(),
+            };
+            let inserted: AttributeValues = [
+                (AttributeId(0), Value::F64(f64::NAN)),
+                (AttributeId(1), Value::Vec3([-0.0, 1e300, 3.0])),
+                (AttributeId(2), Value::Bool(true)),
+                (AttributeId(3), Value::U32(u32::MAX)),
+                (AttributeId(4), Value::Text("swing".into())),
+            ]
+            .into();
+            let encoded = msg.to_values();
+            assert_eq!(EveryType::NAMES, ["scalar", "vector", "flag", "count", "text"]);
+            assert_eq!(encoded, inserted);
+            assert_eq!(encoded.entries.capacity(), encoded.entries.len(), "sized once");
+            assert_eq!(EveryType::from_values(&encoded).text, "swing");
         }
     }
 

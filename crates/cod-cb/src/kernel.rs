@@ -852,7 +852,7 @@ mod tests {
         let reflections = subscriber.reflections(visual);
         assert_eq!(reflections.len(), 1);
         assert_eq!(reflections[0].object, object);
-        assert_eq!(reflections[0].values[&angle], Value::F64(0.7));
+        assert_eq!(reflections[0].values.get(&angle), Some(crate::ValueRef::F64(0.7)));
         assert!(reflections[0].channel.is_some());
         assert_eq!(publisher.stats().updates_sent_remote, 1);
         assert_eq!(publisher.stats().updates_routed_locally, 0);

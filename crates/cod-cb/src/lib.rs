@@ -12,7 +12,9 @@
 //!   *subscribe* object classes, register object instances, push state with
 //!   *Update Attribute Values* and pull it with *Reflect Attribute Values*.
 //!   A module declares each of its classes once, as a field list, with
-//!   [`fom_classes!`]: a field's position is its attribute id.
+//!   [`fom_classes!`]: a field's position is its attribute id. An update's
+//!   [`AttributeValues`] is its own wire encoding, so no hop between the
+//!   publisher's fields and the subscriber's builds a value tree.
 //! * **Initialization protocol** ([`kernel`]): a subscribing CB
 //!   broadcasts a SUBSCRIPTION message at a constant interval until a
 //!   publishing CB answers with ACKNOWLEDGE; a CHANNEL CONNECTION exchange then
@@ -31,10 +33,11 @@
 //! * **Receive path** ([`kernel`], [`wire`]): each tick the CB drains the
 //!   datagrams delivered to its address through `cod_net::Transport::receive`,
 //!   which lends each payload for one call. One decoder walks an encoding with
-//!   one bounds check per fixed-size value; an interaction of a class no
-//!   resident LP subscribes is validated and counted by that same walk but
-//!   not built. LPs sit in a table indexed by the sequence number their id
-//!   carries.
+//!   one bounds check per fixed-size value; a received attribute set in
+//!   canonical form is validated by that walk and copied as it stands, and
+//!   an interaction of a class no resident LP subscribes is validated and
+//!   counted by the same walk but not built. LPs sit in a table indexed by
+//!   the sequence number their id carries.
 //!
 //! The CB itself carries no time management: the rack's lock-step is the
 //! frame synchronization server of paper §4, which lives above it in
@@ -43,7 +46,7 @@
 //! # A two-computer quickstart
 //!
 //! ```
-//! use cod_cb::{CbKernel, ClassRegistry, Value};
+//! use cod_cb::{CbKernel, ClassRegistry, Value, ValueRef};
 //! use cod_net::{LanConfig, Micros, SimLan};
 //!
 //! // A tiny FOM shared by every computer of the cluster.
@@ -84,7 +87,7 @@
 //! }
 //! let reflections = cb_vis.reflections(visual);
 //! assert_eq!(reflections.len(), 1);
-//! assert_eq!(reflections[0].values[&attr], Value::F64(42.5));
+//! assert_eq!(reflections[0].values.get(&attr), Some(ValueRef::F64(42.5)));
 //! ```
 
 pub mod api;
@@ -98,6 +101,7 @@ pub mod wire;
 
 pub use api::{CbApi, LpContext};
 pub use channel::{ChannelId, ChannelRole, ChannelTable, VirtualChannel};
+pub use codec::ValueRef;
 pub use error::CbError;
 pub use fom::{
     AttributeId, AttributeValues, ClassRegistry, FomValue, InteractionClassId, ObjectClassId, Value,

@@ -671,6 +671,59 @@ pub(crate) mod tests {
         assert!(skipped > 0);
     }
 
+    /// The attribute-value map that an update or interaction payload carries
+    /// behind its tag and fixed fields, as [`Reader::attribute_values`] reads
+    /// it, as [`Reader::skip_attribute_values`] walks it, and as reading each
+    /// entry with [`Reader::attribute`] and inserting it builds it: all three
+    /// fail on the same payloads with the same error, and otherwise build the
+    /// same set and stop at the same byte.
+    #[test]
+    fn the_attribute_walk_fails_exactly_where_reading_each_attribute_fails() {
+        let (mut copied, mut normalised, mut refused) = (0, 0, 0);
+        for (case, payload) in mutations(&all_samples()).iter().chain(&hostile_payloads()) {
+            let fixed = match payload.first() {
+                Some(&TAG_UPDATE) => 26,
+                Some(&TAG_INTERACTION) => 18,
+                _ => continue,
+            };
+            let Some(map) = payload.get(1 + fixed..) else { continue };
+            let mut by_entry = Reader::new(map);
+            let reference = by_entry.attribute_count().and_then(|count| {
+                let mut values = AttributeValues::new();
+                for _ in 0..count {
+                    let (id, value) = by_entry.attribute()?;
+                    values.insert(id, value.to_value());
+                }
+                Ok(values)
+            });
+            let (mut reading, mut skipping) = (Reader::new(map), Reader::new(map));
+            let (read, skipped) = (reading.attribute_values(), skipping.skip_attribute_values());
+            match (reference, read, skipped) {
+                (Ok(expected), Ok(values), Ok(())) => {
+                    assert_eq!(values, expected, "{case}");
+                    let left = [by_entry.rest(), reading.rest(), skipping.rest()].map(<[u8]>::len);
+                    assert_eq!(left, [left[0]; 3], "{case}");
+                    // A canonical map is copied whole; the others were rebuilt.
+                    let (count, entries) = (&map[..2], &map[2..map.len() - left[0]]);
+                    if count == values.count.to_be_bytes() && entries == values.entries {
+                        copied += 1;
+                    } else {
+                        normalised += 1;
+                    }
+                }
+                (Err(expected), Err(read), Err(skipped)) => {
+                    let errors = [expected, read, skipped].map(|e| e.to_string());
+                    assert_eq!(errors, [errors[0].clone(), errors[0].clone(), errors[0].clone()]);
+                    refused += 1;
+                }
+                (expected, read, skipped) => {
+                    panic!("{case}: {expected:?} by entry, {read:?} read, {skipped:?} skipped")
+                }
+            }
+        }
+        assert!(copied > 0 && normalised > 0 && refused > 0, "{copied} {normalised} {refused}");
+    }
+
     #[test]
     fn every_prefix_and_byte_replacement_decodes_without_panicking() {
         let payloads = hostile_payloads();

@@ -76,6 +76,9 @@ impl FrameSyncClasses {
 #[derive(Debug)]
 pub struct FrameSyncServer {
     classes: FrameSyncClasses,
+    /// The channels a frame waits for: the rack's, plus every channel
+    /// plugged in since, admitted when it first reports the frame being
+    /// collected.
     expected_channels: usize,
     current_frame: u64,
     /// The channels that reported `current_frame` rendered, each once.
@@ -89,7 +92,9 @@ pub struct FrameSyncServer {
 }
 
 impl FrameSyncServer {
-    /// Creates a server that waits for `expected_channels` display channels per frame.
+    /// Creates a server that waits for `expected_channels` display channels
+    /// per frame. A channel whose index is `expected_channels` or above
+    /// joins the lock when it first reports the frame being collected.
     ///
     /// # Panics
     ///
@@ -164,6 +169,8 @@ impl LogicalProcess for FrameSyncServer {
                 self.stale.push(frame);
             } else if frame == self.current_frame && !self.ready.contains(&channel) {
                 self.ready.push(channel);
+                // A display plugged into the running rack joins the lock.
+                self.expected_channels = self.expected_channels.max(channel as usize + 1);
             }
         }
         self.stale.sort_unstable();
@@ -287,25 +294,29 @@ impl FrameSyncClient {
 
     /// Processes any pending release messages; returns `true` if the swap for
     /// the current frame was released (the channel may start the next frame).
+    /// A release of a later frame than this channel's — the first one a
+    /// display plugged into the running rack hears — moves the channel on to
+    /// the frame after it, the frame the other channels work on.
     pub fn poll_release(&mut self, cb: &mut dyn CbApi) -> bool {
-        let mut released = false;
+        let mut released = None;
         for interaction in cb.interactions() {
             if interaction.class != self.classes.frame_go {
                 continue;
             }
-            if u64::from(FrameGo::from_values(&interaction.parameters).frame) >= self.frame {
-                released = true;
+            let go = u64::from(FrameGo::from_values(&interaction.parameters).frame);
+            if go >= self.frame {
+                released = released.max(Some(go));
             }
         }
-        if released && self.waiting_for_go {
+        if let Some(go) = released.filter(|_| self.waiting_for_go) {
             self.waiting_for_go = false;
             self.stalled_polls = 0;
-            self.frame += 1;
+            self.frame = go + 1;
             self.frames_swapped += 1;
         } else if self.waiting_for_go {
             self.stalled_polls += 1;
         }
-        released
+        released.is_some()
     }
 
     /// Re-sends the ready report if the channel has been waiting suspiciously
@@ -331,7 +342,7 @@ impl FrameSyncClient {
 mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
-    use cod_cb::{CbKernel, LpContext, LpId};
+    use cod_cb::{AttributeId, AttributeValues, CbKernel, LpContext, LpId, Value};
     use cod_net::{Addr, NodeId, Port};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -564,6 +575,17 @@ mod tests {
         server.step(&mut LpContext::new(&mut kernel, server_lp), 0.0).unwrap();
         assert_eq!(releases(&mut kernel, display_lp), [0, 1]);
         assert_eq!((server.go_resends(), server.frames_released()), (2, 2));
+    }
+
+    /// `to_values` writes each field straight into the encoding; the bytes
+    /// are the ones inserting each field's `Value` in id order writes.
+    #[test]
+    fn the_sync_messages_encode_as_their_values_inserted_in_id_order() {
+        let ready: AttributeValues =
+            [(AttributeId(0), Value::U32(2)), (AttributeId(1), Value::U32(70_000))].into();
+        assert_eq!(FrameReady { channel: 2, frame: 70_000 }.to_values(), ready);
+        let go: AttributeValues = [(AttributeId(0), Value::U32(9))].into();
+        assert_eq!(FrameGo { frame: 9 }.to_values(), go);
     }
 
     #[test]

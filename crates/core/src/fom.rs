@@ -182,7 +182,7 @@ pub mod alarm_codes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cod_cb::{AttributeValues, Value};
+    use cod_cb::{AttributeId, AttributeValues, Value, ValueRef};
 
     #[test]
     fn fom_registers_all_classes() {
@@ -276,14 +276,14 @@ mod tests {
         ("FrameGo", &[("frame", "U32")]),
     ];
 
-    fn variant(value: &Value) -> &'static str {
+    fn variant(value: ValueRef) -> &'static str {
         match value {
-            Value::Bool(_) => "Bool",
-            Value::U32(_) => "U32",
-            Value::F64(_) => "F64",
-            Value::Vec3(_) => "Vec3",
-            Value::Text(_) => "Text",
-            Value::Bytes(_) => "Bytes",
+            ValueRef::Bool(_) => "Bool",
+            ValueRef::U32(_) => "U32",
+            ValueRef::F64(_) => "F64",
+            ValueRef::Vec3(_) => "Vec3",
+            ValueRef::Text(_) => "Text",
+            ValueRef::Bytes(_) => "Bytes",
         }
     }
 
@@ -332,9 +332,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn crane_state_roundtrips() {
-        let msg = CraneStateMsg {
+    fn sample_crane() -> CraneStateMsg {
+        CraneStateMsg {
             chassis_position: Vec3::new(1.0, 2.0, 3.0),
             chassis_yaw: 0.5,
             chassis_pitch: -0.1,
@@ -348,55 +347,148 @@ mod tests {
             boom_tip: Vec3::new(2.0, 12.0, 5.0),
             radius_utilization: 0.6,
             moment_utilization: 0.4,
-        };
-        let values = msg.to_values();
-        assert_eq!(CraneStateMsg::from_values(&values), msg);
+        }
     }
 
-    #[test]
-    fn remaining_messages_roundtrip() {
-        let hook = HookStateMsg {
+    fn sample_hook() -> HookStateMsg {
+        HookStateMsg {
             hook_position: Vec3::new(0.0, 5.0, 1.0),
             cargo_position: Vec3::new(0.0, 1.0, 1.0),
             swing_angle: 0.2,
             cargo_attached: true,
             cargo_mass: 1500.0,
-        };
-        assert_eq!(HookStateMsg::from_values(&hook.to_values()), hook);
+        }
+    }
 
-        let input = OperatorInputMsg {
+    fn sample_input() -> OperatorInputMsg {
+        OperatorInputMsg {
             steering: -0.3,
             throttle: 0.9,
             reverse: true,
             hoist: -0.5,
             ..Default::default()
-        };
-        assert_eq!(OperatorInputMsg::from_values(&input.to_values()), input);
+        }
+    }
 
-        let scenario = ScenarioStateMsg {
+    fn sample_scenario() -> ScenarioStateMsg {
+        ScenarioStateMsg {
             phase: "Traverse".into(),
             score: 80.0,
             elapsed: 125.0,
             complete: false,
             passed: false,
             bar_hits: 2,
-        };
-        assert_eq!(ScenarioStateMsg::from_values(&scenario.to_values()), scenario);
+        }
+    }
 
-        let collision = CollisionMsg {
+    fn sample_collision() -> CollisionMsg {
+        CollisionMsg {
             location: Vec3::unit_x(),
             impulse: 3.0,
             obstacle: "bar-1".into(),
             scored: true,
-        };
+        }
+    }
+
+    fn sample_alarm() -> AlarmMsg {
+        AlarmMsg { code: alarm_codes::OVERLOAD, active: true, message: "overload".into() }
+    }
+
+    fn sample_fault() -> FaultMsg {
+        FaultMsg { instrument: "speedometer".into(), value: 55.0 }
+    }
+
+    #[test]
+    fn crane_state_roundtrips() {
+        let msg = sample_crane();
+        let values = msg.to_values();
+        assert_eq!(CraneStateMsg::from_values(&values), msg);
+    }
+
+    #[test]
+    fn remaining_messages_roundtrip() {
+        let hook = sample_hook();
+        assert_eq!(HookStateMsg::from_values(&hook.to_values()), hook);
+        let input = sample_input();
+        assert_eq!(OperatorInputMsg::from_values(&input.to_values()), input);
+        let scenario = sample_scenario();
+        assert_eq!(ScenarioStateMsg::from_values(&scenario.to_values()), scenario);
+        let collision = sample_collision();
         assert_eq!(CollisionMsg::from_values(&collision.to_values()), collision);
-
-        let alarm =
-            AlarmMsg { code: alarm_codes::OVERLOAD, active: true, message: "overload".into() };
+        let alarm = sample_alarm();
         assert_eq!(AlarmMsg::from_values(&alarm.to_values()), alarm);
-
-        let fault = FaultMsg { instrument: "speedometer".into(), value: 55.0 };
+        let fault = sample_fault();
         assert_eq!(FaultMsg::from_values(&fault.to_values()), fault);
+    }
+
+    /// The set each field's [`Value`] makes when inserted in id order.
+    fn inserted(values: Vec<Value>) -> AttributeValues {
+        values.into_iter().enumerate().map(|(id, v)| (AttributeId(id as u16), v)).collect()
+    }
+
+    /// `to_values` writes each field straight into the encoding; the bytes
+    /// are the ones inserting each field's [`Value`] in id order writes.
+    #[test]
+    fn each_class_encodes_as_its_values_inserted_in_id_order() {
+        let vec3 = |v: Vec3| Value::Vec3(v.into());
+        let text = |s: &str| Value::Text(s.to_owned());
+        let c = sample_crane();
+        let crane = vec![
+            vec3(c.chassis_position),
+            Value::F64(c.chassis_yaw),
+            Value::F64(c.chassis_pitch),
+            Value::F64(c.chassis_roll),
+            Value::F64(c.speed),
+            Value::F64(c.engine_intensity),
+            Value::F64(c.slew_angle),
+            Value::F64(c.luff_angle),
+            Value::F64(c.boom_length),
+            Value::F64(c.cable_length),
+            vec3(c.boom_tip),
+            Value::F64(c.radius_utilization),
+            Value::F64(c.moment_utilization),
+        ];
+        assert_eq!(c.to_values(), inserted(crane));
+        let h = sample_hook();
+        let hook = vec![
+            vec3(h.hook_position),
+            vec3(h.cargo_position),
+            Value::F64(h.swing_angle),
+            Value::Bool(h.cargo_attached),
+            Value::F64(h.cargo_mass),
+        ];
+        assert_eq!(h.to_values(), inserted(hook));
+        let i = sample_input();
+        let input = vec![
+            Value::F64(i.steering),
+            Value::F64(i.throttle),
+            Value::F64(i.brake),
+            Value::Bool(i.reverse),
+            Value::F64(i.slew),
+            Value::F64(i.luff),
+            Value::F64(i.telescope),
+            Value::F64(i.hoist),
+        ];
+        assert_eq!(i.to_values(), inserted(input));
+        let s = sample_scenario();
+        let scenario = vec![
+            text(&s.phase),
+            Value::F64(s.score),
+            Value::F64(s.elapsed),
+            Value::Bool(s.complete),
+            Value::Bool(s.passed),
+            Value::U32(s.bar_hits),
+        ];
+        assert_eq!(s.to_values(), inserted(scenario));
+        let c = sample_collision();
+        let collision =
+            vec![vec3(c.location), Value::F64(c.impulse), text(&c.obstacle), Value::Bool(c.scored)];
+        assert_eq!(c.to_values(), inserted(collision));
+        let a = sample_alarm();
+        let alarm = vec![Value::U32(a.code), Value::Bool(a.active), text(&a.message)];
+        assert_eq!(a.to_values(), inserted(alarm));
+        let f = sample_fault();
+        assert_eq!(f.to_values(), inserted(vec![text(&f.instrument), Value::F64(f.value)]));
     }
 
     #[test]

@@ -588,6 +588,47 @@ mod tests {
         assert!(report.channel_frame_times[3] > Micros::ZERO);
     }
 
+    /// A display plugged into the running rack joins the swap lock within
+    /// one swap. From then on the rack swaps and releases as a rack without
+    /// it does: every channel, the new one too, swaps the frames the plain
+    /// rack's channels swap, and the server sends no more releases (re-sent
+    /// stale ones included) than the plain rack's server.
+    #[test]
+    fn an_extra_display_joins_the_swap_lock() {
+        let config = quick_config(OperatorKind::Idle, 20);
+        let (mut plain, mut grown) =
+            (CraneSimulator::new(config).unwrap(), CraneSimulator::new(config).unwrap());
+        plain.run_frames(30).unwrap();
+        grown.run_frames(30).unwrap();
+        grown.add_extra_display().unwrap();
+        plain.run_frames(10).unwrap();
+        grown.run_frames(10).unwrap();
+
+        // The swaps each channel gains and the releases the server sends
+        // over the next 50 frames.
+        let window = |sim: &mut CraneSimulator| {
+            let cluster = sim.cluster();
+            let sync_pc = (0..cluster.computer_count())
+                .map(ComputerId)
+                .find(|id| cluster.computer(*id).name() == "sync-server")
+                .unwrap();
+            let releases = |sim: &CraneSimulator| {
+                sim.cluster().computer(sync_pc).kernel().stats().interactions_sent
+            };
+            let before = (sim.snapshot().channel_frames_swapped, releases(sim));
+            sim.run_frames(50).unwrap();
+            let swaps = sim.snapshot().channel_frames_swapped;
+            let gained: Vec<u64> =
+                swaps.iter().zip(&before.0).map(|(now, then)| now - then).collect();
+            (gained, releases(sim) - before.1)
+        };
+        let ((plain_swaps, plain_releases), (grown_swaps, grown_releases)) =
+            (window(&mut plain), window(&mut grown));
+        assert!(plain_swaps[0] > 0);
+        assert_eq!(grown_swaps, [plain_swaps[0]; 4], "swaps gained beside {plain_swaps:?}");
+        assert_eq!(grown_releases, plain_releases, "releases sent");
+    }
+
     #[test]
     fn cpu_speed_scales_modeled_cost_but_not_physics() {
         let base = quick_config(OperatorKind::Exam, 60);

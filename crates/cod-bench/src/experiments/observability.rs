@@ -1,13 +1,14 @@
 //! Experiment E14 — observability overhead: what arming the deterministic
-//! trace sink costs on the batched serving path.
+//! trace sink costs on the serving path.
 //!
-//! The `cod-trace` hooks ride the fleet's hottest loop — every cohort step
-//! bumps the frame and cohort counters, every tick records a makespan
-//! histogram sample, every admission decision appends an event. The sinks
+//! The `cod-trace` hooks ride the fleet's hottest loop — every tick
+//! records a makespan histogram sample, every admission decision appends an
+//! event, and each shard's frame and shape counters are folded in at the
+//! end of the run. The sinks
 //! are only acceptable if a traced drain stays within a few percent of an
 //! untraced one; otherwise nobody arms them in production and the
 //! observability layer observes nothing. E14 times the same burst drain with
-//! `ObsConfig::Disabled` (the default null-pointer path) and with
+//! `ObsConfig::Disabled` (the default, no sink) and with
 //! `ObsConfig::Deterministic` (every hook live) in alternation — one untraced
 //! and one traced drain per sample — and derives the relative overhead that
 //! the `gates` runner gates at ≤ 5% from the median of the per-pair ratios, so a
@@ -25,9 +26,9 @@ use crate::report::{DerivedMetric, ExperimentResult};
 /// The ceiling the `gates` runner enforces on the traced-over-untraced slowdown.
 pub const TRACING_OVERHEAD_CEILING_PCT: f64 = 5.0;
 
-/// The batched serving path under test: a burst of same-epoch arrivals on a
-/// small homogeneous rack, so shards step multi-member cohorts through
-/// `step_frames_batch_traced` every tick — the loop the hooks ride.
+/// The serving path under test: a burst of same-epoch arrivals on a small
+/// homogeneous rack, so every shard steps a full set of residents every
+/// tick — the loop the hooks ride.
 fn serving_config(obs: ObsConfig) -> FleetConfig {
     FleetConfig {
         shards: 2,

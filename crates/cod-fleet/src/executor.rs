@@ -1,10 +1,13 @@
-//! The wall-clock execution engine: a fixed pool of stepping threads — the
-//! fleet driver plus spawned workers — stepping shard batches in real time.
+//! The execution engine: a fixed pool of stepping threads — the fleet driver
+//! plus spawned workers — stepping shard batches in real time.
 //!
-//! The modeled-time path ([`crate::fleet::ExecutionMode::Modeled`]) answers
-//! "how much CPU would this tick cost"; this module answers "how fast does
-//! the hardware actually serve it" — and is the only place in the workspace
-//! that creates a thread (`clippy.toml` bans it everywhere else). A
+//! Every fleet run steps its shards here, on one pool of
+//! [`crate::fleet::ExecutionMode::threads_for`] threads;
+//! [`crate::fleet::ExecutionMode::Modeled`] is the 1-thread pool, the driver
+//! alone. The modeled costs the shards return answer "how much CPU would this
+//! tick cost"; the pool's wall time answers "how fast does the hardware
+//! actually serve it". This is the only place in the workspace that creates
+//! a thread (`clippy.toml` bans it everywhere else). A
 //! [`WallClockExecutor`] spawns its workers **once per fleet run**, so the
 //! per-tick cost is a task hand-off, not a thread spawn, and every tick the
 //! fleet driver hands over one *shard-batch task* per shard:
@@ -21,9 +24,9 @@
 //!   and wakes the driver; when it finds nothing ready it parks on the
 //!   condvar (the check and the park happen under the lock, so no wake-up is
 //!   lost) and costs no CPU until the next tick;
-//! * results are **merged in shard-id order**, which is what keeps a
-//!   wall-clock run bit-identical to a modeled run of the same configuration
-//!   at *any* thread count: threads decide only who executes a shard's
+//! * results are **merged in shard-id order**, which is what keeps a run
+//!   bit-identical to a 1-thread run of the same configuration at *any*
+//!   thread count: threads decide only who executes a shard's
 //!   batch, never what the batch computes or the order its results are
 //!   folded in.
 //!
@@ -85,7 +88,7 @@ impl WallStopwatch {
 
 /// One tick's result for one shard: its retirements plus its modeled busy
 /// time.
-pub(crate) type TickResult = (Vec<Completed>, Micros);
+type TickResult = (Vec<Completed>, Micros);
 
 /// What a task reports back: the shard (home again for the next tick) with
 /// its step's result — which may itself be a session error — or, if the
@@ -322,20 +325,18 @@ fn worker_loop(index: usize, pool: &Pool, wall: Option<&WallTrace>) {
 }
 
 /// One shard-batch task, on whichever stepping thread took it: step the
-/// shard on worker `index`'s trace lane, catching a panic so that it
-/// surfaces through `step_shards` as a failed join instead of unwinding
-/// through the pool.
+/// shard, recording the span on worker `index`'s trace lane, and catch a
+/// panic so that it surfaces through `step_shards` as a failed join instead
+/// of unwinding through the pool.
 fn run_task(index: usize, mut shard: Shard, wall: Option<&WallTrace>) -> TaskDone {
-    let lane = WallTrace::worker_lane(index);
     let start = wall.map(WallTrace::now_us);
     let shard_id = shard.id;
-    shard.set_wall_lane(lane);
     let done: TaskDone = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let result = shard.step_batch();
         (shard, result)
     }));
     if let (Some(w), Some(start)) = (wall, start) {
-        w.complete(lane, format!("shard{shard_id}"), "step", start);
+        w.complete(WallTrace::worker_lane(index), format!("shard{shard_id}"), "step", start);
     }
     done
 }

@@ -6,12 +6,11 @@
 //! backpressure), queued sessions are placed most-urgent-class-first onto the
 //! least-loaded shards with free slots, and every shard then advances each of
 //! its resident sessions by one batch of executive frames. Shards are
-//! independent, so the stepping runs under the configured [`ExecutionMode`]:
-//! sequentially on the caller's thread, or on the pool of
-//! [`crate::executor::WallClockExecutor`] — the caller plus spawned workers,
-//! and the only code that creates threads. Results are folded back in shard
-//! order either way, which keeps
-//! the outcome bit-identical across both modes and every thread count.
+//! independent, so every run steps them on one
+//! [`crate::executor::WallClockExecutor`] sized by the configured
+//! [`ExecutionMode`] — the caller plus spawned workers, and the only code
+//! that creates threads. Results are folded back in shard order, which keeps
+//! the outcome bit-identical at every thread count.
 //!
 //! Three optional mechanisms make the fleet heterogeneity- and
 //! priority-aware:
@@ -49,27 +48,28 @@ use cod_trace::{DetTrace, ObsConfig, WallTrace, DRIVER_LANE};
 use crane_sim::FidelityTier;
 
 use crate::admission::{AdmissionConfig, AdmissionState};
-use crate::executor::{TickResult, WallClockExecutor, WallStopwatch};
+use crate::executor::{WallClockExecutor, WallStopwatch};
 use crate::shard::{Completed, PortableSession, Shard, ShardConfig, ShardStats};
 use crate::workload::{coarse_eligible, generate, initial_tier, Priority, WorkloadConfig};
 
-/// How shard batches are executed each tick.
+/// How many threads step shard batches each tick.
 ///
-/// The mode decides *who* steps the shards and how real time is spent — never
-/// what the shards compute or the order their results are folded in, so the
-/// [`FleetOutcome`] (and therefore `FLEET_cod.json`) is bit-identical across
-/// both modes and every thread count for the same configuration.
+/// Every run steps its shards on one [`crate::executor::WallClockExecutor`]
+/// of [`ExecutionMode::threads_for`] threads; the mode decides only how many
+/// threads that is — never what the shards compute or the order their
+/// results are folded in, so the [`FleetOutcome`] (and therefore
+/// `FLEET_cod.json`) is bit-identical under both variants and every thread
+/// count for the same configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
-    /// Step shards sequentially on the caller's thread. The pure modeled-time
-    /// mode: zero threading overhead, the baseline the wall-clock mode must
-    /// reproduce bit for bit.
+    /// One stepping thread: the caller alone, spawning nothing. The same pool
+    /// as `WallClock { threads: 1 }`; kept as a name for it.
     #[default]
     Modeled,
-    /// The wall-clock engine: `threads` stepping threads — the caller plus
-    /// `threads - 1` workers spawned once per run — taking shard-batch tasks
-    /// off one mutex-guarded queue; spawned workers park between ticks. The
-    /// mode to measure real sessions/sec under.
+    /// `threads` stepping threads — the caller plus `threads - 1` workers
+    /// spawned once per run — taking shard-batch tasks off one mutex-guarded
+    /// queue; spawned workers park between ticks. The mode to measure real
+    /// sessions/sec under.
     WallClock {
         /// Stepping threads, the caller included (clamped to at least one).
         threads: usize,
@@ -126,8 +126,8 @@ pub struct FleetConfig {
     pub tiering: bool,
     /// The session workload.
     pub workload: WorkloadConfig,
-    /// How shard batches are executed (the outcome is identical under every
-    /// mode; only wall-clock time differs).
+    /// How many threads step shard batches (the outcome is identical at
+    /// every count; only wall-clock time differs).
     pub execution: ExecutionMode,
     /// What the run records ([`ObsConfig::Disabled`] by default — no hook
     /// point allocates or records). Never serialized into `FLEET_cod.json`:
@@ -398,30 +398,30 @@ fn next_queued(queue: &[QueueEntry]) -> Option<usize> {
 /// Wall-clock timings of one fleet run, measured with [`WallStopwatch`] and
 /// reported *beside* the deterministic [`FleetOutcome`] — never inside it.
 /// The outcome derives `PartialEq` and is compared byte for byte across
-/// execution modes; real elapsed time legitimately varies run to run, so it
-/// lives here, excluded from every fingerprint by construction.
+/// thread counts; real elapsed time legitimately varies run to run, so it
+/// lives here, excluded from every fingerprint by construction. Each
+/// per-thread vector has one entry per stepping thread, the driver's at
+/// entry 0.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WallClockStats {
     /// Real time of the whole run: admission, placement, stepping, folding.
     pub wall: Duration,
-    /// Real time spent inside shard batch stepping (the part the execution
-    /// mode parallelizes).
+    /// Real time spent inside shard batch stepping (the part the pool
+    /// parallelizes).
     pub stepping_wall: Duration,
-    /// Threads the execution mode stepped shards with, the caller included.
+    /// Threads the pool stepped shards with, the caller included.
     pub threads: usize,
     /// Fleet ticks executed.
     pub ticks: u64,
-    /// One zero per worker: the pool has a single queue and nothing to steal
-    /// from. Kept only because `benchmark/` reads it. Empty for the modeled
-    /// mode.
+    /// One zero per thread: the pool has a single queue and nothing to steal
+    /// from. Kept only because `benchmark/` reads it.
     pub worker_steals: Vec<u64>,
     /// Per-thread count of times the thread found nothing ready and parked;
-    /// entry 0 is the driver, which parks only to wait for shards still out
-    /// on a worker. Empty for the modeled mode; diagnostic only, never
-    /// serialized into `FLEET_cod.json`.
+    /// the driver parks only to wait for shards still out on a worker.
+    /// Diagnostic only, never serialized into `FLEET_cod.json`.
     pub worker_idle_spins: Vec<u64>,
-    /// Per-thread count of shard-batch tasks run, the driver's at entry 0.
-    /// Empty for the modeled mode; diagnostic only, never serialized.
+    /// Per-thread count of shard-batch tasks run. Diagnostic only, never
+    /// serialized.
     pub worker_tasks: Vec<u64>,
 }
 
@@ -488,15 +488,10 @@ pub fn run_fleet_traced(
     let run_started = WallStopwatch::start();
     let mut stepping_wall = Duration::ZERO;
     let mut det = config.obs.deterministic_enabled().then(DetTrace::new);
-    // A wall-clock run gets a pool (and a trace lane per worker); a modeled
-    // run steps in-thread.
-    let pool_threads = match config.execution {
-        ExecutionMode::WallClock { threads } => Some(threads.max(1)),
-        ExecutionMode::Modeled => None,
-    };
-    let wall =
-        config.obs.wall_enabled().then(|| Arc::new(WallTrace::new(pool_threads.unwrap_or(0))));
-    let executor = pool_threads.map(|threads| WallClockExecutor::new(threads, wall.clone()));
+    // One pool per run, with a trace lane per stepping thread.
+    let threads = config.execution.threads_for(config.shards);
+    let wall = config.obs.wall_enabled().then(|| Arc::new(WallTrace::new(threads)));
+    let executor = WallClockExecutor::new(threads, wall.clone());
     let arrivals = generate(&config.workload);
     let mut admission = AdmissionState::new(AdmissionConfig {
         shards: config.shards,
@@ -505,11 +500,6 @@ pub fn run_fleet_traced(
     });
     let mut shards: Vec<Shard> =
         (0..config.shards).map(|i| Shard::new(i, config.shard, config.speed_of(i))).collect();
-    if config.obs.enabled() {
-        for shard in shards.iter_mut() {
-            shard.enable_trace(config.obs.deterministic_enabled(), wall.clone());
-        }
-    }
     let mut queue: Vec<QueueEntry> = Vec::new();
     let mut next_seq = 0u64;
     let mut sessions: Vec<SessionOutcome> = Vec::with_capacity(arrivals.len());
@@ -653,10 +643,10 @@ pub fn run_fleet_traced(
             retier_tick(&admission, &mut shards, &mut resume_busy, &mut det, tick)?;
         }
 
-        // 4. Batch-step every shard under the configured execution mode.
+        // 4. Batch-step every shard on the pool.
         let step_started = WallStopwatch::start();
         let step_start_us = wall.as_ref().map(|w| w.now_us());
-        let results = step_all(&mut shards, executor.as_ref())?;
+        let results = executor.step_shards(&mut shards)?;
         if let (Some(w), Some(start)) = (wall.as_ref(), step_start_us) {
             w.complete(DRIVER_LANE, "step-phase".to_string(), "step", start);
         }
@@ -701,9 +691,9 @@ pub fn run_fleet_traced(
     let promoted = shards.iter().map(|s| s.stats.promoted).sum();
     let demoted = shards.iter().map(|s| s.stats.demoted).sum();
     if let Some(d) = det.as_mut() {
-        // The run-level aggregates, then the per-shard frame counters folded
-        // in shard-id order — every input is modeled/seeded, so the drained
-        // report is a pure function of the configuration.
+        // The run-level aggregates, then the per-shard stepping counters
+        // folded in shard-id order — every input is modeled/seeded, so the
+        // drained report is a pure function of the configuration.
         d.set("ticks_run", tick);
         d.set("offered", admission.offered);
         d.set("admitted", admission.admitted);
@@ -720,14 +710,11 @@ pub fn run_fleet_traced(
     let stats = WallClockStats {
         wall: run_started.read(),
         stepping_wall,
-        threads: config.execution.threads_for(config.shards),
+        threads,
         ticks: tick,
-        worker_steals: executor.as_ref().map(|e| vec![0; e.threads()]).unwrap_or_default(),
-        worker_idle_spins: executor
-            .as_ref()
-            .map(WallClockExecutor::worker_idle_spins)
-            .unwrap_or_default(),
-        worker_tasks: executor.as_ref().map(WallClockExecutor::worker_tasks).unwrap_or_default(),
+        worker_steals: vec![0; threads],
+        worker_idle_spins: executor.worker_idle_spins(),
+        worker_tasks: executor.worker_tasks(),
     };
     let outcome = FleetOutcome {
         config: config.clone(),
@@ -879,19 +866,6 @@ fn session_outcome(done: Completed, tick: u64, shard: usize) -> SessionOutcome {
     }
 }
 
-/// Steps every shard once: across the executor pool when the run carries
-/// an executor, else sequentially on the caller's thread. Results come back in
-/// shard order either way.
-fn step_all(
-    shards: &mut Vec<Shard>,
-    executor: Option<&WallClockExecutor>,
-) -> Result<Vec<TickResult>, CbError> {
-    match executor {
-        Some(executor) => executor.step_shards(shards),
-        None => shards.iter_mut().map(Shard::step_batch).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -980,22 +954,6 @@ mod tests {
         // The timings live beside the outcome, never in it: the outcome of a
         // timed run equals the outcome of an untimed one, field for field.
         assert_eq!(outcome, run_fleet(&config).unwrap());
-    }
-
-    #[test]
-    fn step_all_surfaces_an_executor_worker_panic() {
-        // A worker panic must abort the tick with the failed-join message,
-        // not hang the driver on the result channel or vanish.
-        let mut shards: Vec<Shard> =
-            (0..2).map(|i| Shard::new(i, ShardConfig::default(), 1.0)).collect();
-        shards[1].poison_for_test = true;
-        let executor = WallClockExecutor::new(2, None);
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            step_all(&mut shards, Some(&executor))
-        }))
-        .expect_err("a poisoned shard must panic the tick");
-        let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert!(message.contains("shard thread panicked"), "wrong panic: {message:?}");
     }
 
     #[test]

@@ -20,19 +20,17 @@
 //!   resident can be serialized to a [`shard::PortableSession`] and resumed
 //!   anywhere by deterministic replay.
 //! * [`fleet`] — the tick-driven executive: offer, place (residency- or
-//!   speed-weighted), preempt, migrate, batch-step all shards under the
-//!   configured [`fleet::ExecutionMode`], retire; deterministic by
-//!   construction, accounted in modeled time.
-//! * [`executor`] — the wall-clock engine: a fixed pool of stepping threads
-//!   (the driver itself plus spawned workers) taking shard batches off one
-//!   queue and stepping them in real time (workers parked, not polling,
-//!   between ticks), with the results
-//!   merged in shard order so any thread count reproduces the modeled run
-//!   bit for bit. [`fleet::run_fleet_timed`] reports the real elapsed time
+//!   speed-weighted), preempt, migrate, batch-step all shards on the
+//!   executor pool sized by [`fleet::ExecutionMode`], retire; deterministic
+//!   by construction, accounted in modeled time.
+//! * [`executor`] — the execution engine every run steps on: a fixed pool
+//!   of stepping threads (the driver itself plus spawned workers) taking
+//!   shard batches off one queue and stepping them in real time (workers
+//!   parked, not polling, between ticks), with the results merged in shard
+//!   order so any thread count reproduces the 1-thread run bit for bit. [`fleet::run_fleet_timed`] reports the real elapsed time
 //!   beside (never inside) the deterministic outcome.
 //! * [`report`] — `FLEET_cod.json`, byte-identical across runs of the same
-//!   seed — and, by the merge-order guarantee, across execution modes and
-//!   thread counts too.
+//!   seed — and, by the merge-order guarantee, across thread counts too.
 //!
 //! ```
 //! use cod_fleet::{

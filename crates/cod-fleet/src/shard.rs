@@ -18,32 +18,21 @@
 //! migration.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use cod_cb::CbError;
 use cod_cluster::nominal_sequential_frame_cost;
 use cod_net::Micros;
-use cod_trace::{DetTrace, WallTrace, DRIVER_LANE};
-use crane_sim::{
-    step_frames_batch_traced, BatchStepStats, CraneSimulator, FidelityTier, SessionReport,
-    SimulatorConfig,
-};
+use cod_trace::DetTrace;
+use crane_sim::{CraneSimulator, FidelityTier, SessionReport, SimulatorConfig};
 
 use crate::workload::{Priority, SessionSpec};
 
-/// How a shard groups its residents each tick.
-///
-/// Both modes produce bit-identical sessions — identical telemetry digests,
-/// reports and modeled costs — because cohort members share nothing: every
-/// session runs its own frames through the one frame path either way (see
-/// [`crane_sim::step_frames_batch_traced`]). `Batched` is the default; `Scalar` is
-/// kept as the reference implementation the equivalence checks diff against.
+/// The stepping mode a [`ShardConfig`] names. A shard has one stepping
+/// loop — its residents in residency order — so the mode selects nothing;
+/// the type is kept only because `benchmark/` names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SteppingMode {
-    /// One session at a time, in residency order — the reference hot loop.
-    Scalar,
-    /// Residents sharing a [`SessionShape`] advance as one cohort: the unit
-    /// the `cohorts_stepped` counter and the wall-trace "cohort" span count.
+    /// The only mode: every resident runs its own frames in residency order.
     #[default]
     Batched,
 }
@@ -57,7 +46,8 @@ pub struct ShardConfig {
     pub batch_frames: usize,
     /// Retired simulators kept per session shape for recycling.
     pub pool_per_shape: usize,
-    /// How residents are stepped each tick (never affects results).
+    /// Selects nothing (see [`SteppingMode`]); kept only because
+    /// `benchmark/` sets it.
     pub stepping: SteppingMode,
 }
 
@@ -241,27 +231,6 @@ pub struct ShardStats {
     pub peak_residents: usize,
 }
 
-/// Deterministic per-shard observability counters: a pure function of the
-/// shard's configuration and workload, so they may be folded into the
-/// fingerprinted `OBS_cod.json`. Wall-clock numbers never land here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct DetShardCounters {
-    /// Frame-level counters from the batch stepper (session frames stepped).
-    pub(crate) batch: BatchStepStats,
-    /// Cohorts stepped (one per shape per tick under `Batched`).
-    pub(crate) cohorts: u64,
-}
-
-/// The observability hooks of one shard, boxed so a disabled shard carries a
-/// single null pointer through the hot loop.
-pub(crate) struct ShardTrace {
-    /// Deterministic counters, drained into `OBS_cod.json` in shard-id order.
-    det: Option<DetShardCounters>,
-    /// Wall-clock sink plus the trace lane this shard currently steps on
-    /// (re-pinned by whichever executor worker picks the shard up).
-    wall: Option<(Arc<WallTrace>, usize)>,
-}
-
 /// One worker of the fleet.
 pub struct Shard {
     /// Shard index within the fleet.
@@ -273,8 +242,12 @@ pub struct Shard {
     pool: BTreeMap<SessionShape, Vec<CraneSimulator>>,
     /// Accumulated counters.
     pub stats: ShardStats,
-    /// Observability hooks; `None` (the default) is the untraced hot path.
-    trace: Option<Box<ShardTrace>>,
+    /// Session frames stepped, summed over every tick: the deterministic
+    /// sink's `frames_stepped`.
+    frames_stepped: u64,
+    /// Distinct [`SessionShape`]s among the residents stepped, summed over
+    /// every tick: the deterministic sink's `cohorts_stepped`.
+    shapes_stepped: u64,
     /// Test-only crash injection: a poisoned shard panics on its next
     /// [`Shard::step_batch`], exercising the executor paths that must
     /// surface a worker panic as a failed join.
@@ -303,7 +276,8 @@ impl Shard {
             residents: Vec::new(),
             pool: BTreeMap::new(),
             stats: ShardStats::default(),
-            trace: None,
+            frames_stepped: 0,
+            shapes_stepped: 0,
             #[cfg(test)]
             poison_for_test: false,
             #[cfg(test)]
@@ -311,36 +285,12 @@ impl Shard {
         }
     }
 
-    /// Arms the shard's observability hooks. With `det` false and `wall`
-    /// `None` this is a no-op and the shard keeps its untraced hot path.
-    pub(crate) fn enable_trace(&mut self, det: bool, wall: Option<Arc<WallTrace>>) {
-        if !det && wall.is_none() {
-            return;
-        }
-        self.trace = Some(Box::new(ShardTrace {
-            det: det.then(DetShardCounters::default),
-            wall: wall.map(|w| (w, DRIVER_LANE)),
-        }));
-    }
-
-    /// Re-pins the shard's wall-clock spans to `lane` — called by whichever
-    /// executor worker picks the shard up this tick. No-op when the shard
-    /// carries no wall sink.
-    pub(crate) fn set_wall_lane(&mut self, lane: usize) {
-        if let Some(trace) = self.trace.as_mut() {
-            if let Some((_, l)) = trace.wall.as_mut() {
-                *l = lane;
-            }
-        }
-    }
-
-    /// Folds the shard's deterministic counters into `det`. Called once per
-    /// run, in shard-id order, so the aggregate is seed-stable.
+    /// Folds the shard's stepping counters into `det`. Called once per run,
+    /// in shard-id order and only when the deterministic sink is armed, so
+    /// the aggregate is seed-stable.
     pub(crate) fn fold_det_into(&self, det: &mut DetTrace) {
-        if let Some(c) = self.trace.as_ref().and_then(|t| t.det.as_ref()) {
-            det.add("frames_stepped", c.batch.frames_stepped);
-            det.add("cohorts_stepped", c.cohorts);
-        }
+        det.add("frames_stepped", self.frames_stepped);
+        det.add("cohorts_stepped", self.shapes_stepped);
     }
 
     /// The shard's relative CPU speed.
@@ -598,14 +548,9 @@ impl Shard {
         self.stats.migrated_in += 1;
     }
 
-    /// Advances every resident session by up to one batch of frames, retiring
-    /// the ones that finish. Returns the retirements plus the modeled busy
-    /// time of this tick.
-    ///
-    /// Under [`SteppingMode::Batched`] residents sharing a [`SessionShape`]
-    /// advance as one cohort per shape instead of in residency order; modeled
-    /// costs are `u64` microsecond sums, so regrouping the accumulation is
-    /// exact and the tick total matches the scalar path bit for bit.
+    /// Advances every resident session by up to one batch of frames, in
+    /// residency order, retiring the ones that finish. Returns the
+    /// retirements plus the modeled busy time of this tick.
     ///
     /// # Errors
     ///
@@ -619,52 +564,13 @@ impl Shard {
         }
         let batch_frames = self.config.batch_frames;
         let mut tick_busy = Micros::ZERO;
-        match self.config.stepping {
-            SteppingMode::Scalar => {
-                for r in self.residents.iter_mut() {
-                    let frames = batch_frames.min(r.remaining_frames());
-                    tick_busy += r.sim.run_frames(frames)?;
-                    r.session.frames_done += frames;
-                    if let Some(det) = self.trace.as_mut().and_then(|t| t.det.as_mut()) {
-                        det.batch.frames_stepped += frames as u64;
-                    }
-                }
-            }
-            SteppingMode::Batched => {
-                let mut cohorts: BTreeMap<SessionShape, Vec<&mut Resident>> = BTreeMap::new();
-                for r in self.residents.iter_mut() {
-                    cohorts.entry(SessionShape::of(&r.session.spec.config)).or_default().push(r);
-                }
-                for members in cohorts.values_mut() {
-                    let cohort_start = self
-                        .trace
-                        .as_ref()
-                        .and_then(|t| t.wall.as_ref())
-                        .map(|(w, lane)| (w.now_us(), *lane));
-                    let budgets: Vec<usize> =
-                        members.iter().map(|r| batch_frames.min(r.remaining_frames())).collect();
-                    let mut batch: Vec<(&mut CraneSimulator, usize)> = members
-                        .iter_mut()
-                        .zip(&budgets)
-                        .map(|(r, budget)| (&mut r.sim, *budget))
-                        .collect();
-                    let stats = self.trace.as_mut().and_then(|t| t.det.as_mut()).map(|det| {
-                        det.cohorts += 1;
-                        &mut det.batch
-                    });
-                    let costs = step_frames_batch_traced(&mut batch, stats)?;
-                    for ((r, budget), cost) in members.iter_mut().zip(&budgets).zip(&costs) {
-                        tick_busy += *cost;
-                        r.session.frames_done += *budget;
-                    }
-                    if let Some((start, lane)) = cohort_start {
-                        if let Some((w, _)) = self.trace.as_ref().and_then(|t| t.wall.as_ref()) {
-                            w.complete(lane, format!("cohort x{}", members.len()), "cohort", start);
-                        }
-                    }
-                }
-            }
+        for r in self.residents.iter_mut() {
+            let frames = batch_frames.min(r.remaining_frames());
+            tick_busy += r.sim.run_frames(frames)?;
+            r.session.frames_done += frames;
+            self.frames_stepped += frames as u64;
         }
+        self.shapes_stepped += self.distinct_shapes();
         self.stats.busy += tick_busy;
 
         // Single order-preserving partition pass: survivors keep their
@@ -679,6 +585,15 @@ impl Shard {
             }
         }
         Ok((completed, tick_busy))
+    }
+
+    /// Distinct shapes stepped per tick: the residents whose shape no
+    /// earlier resident shares. A scan over at most `slots` residents, with
+    /// no allocation.
+    fn distinct_shapes(&self) -> u64 {
+        let shapes = || self.residents.iter().map(|r| SessionShape::of(&r.session.spec.config));
+        shapes().enumerate().filter(|(i, shape)| !shapes().take(*i).any(|s| s == *shape)).count()
+            as u64
     }
 
     fn retire(&mut self, r: Resident) -> Completed {
@@ -751,35 +666,62 @@ mod tests {
 
     #[test]
     fn disabled_trace_records_nothing_and_allocates_nothing_on_the_hot_loop() {
-        // The Disabled path is a null pointer through the whole hot loop: a
-        // fresh shard carries no trace, arming it with both sinks off is a
-        // no-op, and the stepping results are bit-identical to a fully traced
-        // shard's — the hooks observe the loop, they never steer it.
+        // A shard's observability is two integers its hot loop bumps: it
+        // holds no sink, so there is nothing to arm and nothing to allocate.
+        // A run with the deterministic sink disarmed never folds them, and
+        // folding observes the loop, never steers it: a twin folded after
+        // every tick steps bit-identically.
         let config =
             ShardConfig { slots: 2, batch_frames: 4, pool_per_shape: 1, ..ShardConfig::default() };
         let mut plain = Shard::new(0, config, 1.0);
-        assert!(plain.trace.is_none(), "a fresh shard allocates no trace");
-        plain.enable_trace(false, None);
-        assert!(plain.trace.is_none(), "disabled obs must not allocate a trace");
         plain.admit(tiny_spec(0, 5, 8), 0, 0).unwrap();
-
-        let mut traced = Shard::new(0, config, 1.0);
-        traced.enable_trace(true, Some(Arc::new(WallTrace::new(0))));
-        traced.admit(tiny_spec(0, 5, 8), 0, 0).unwrap();
-
+        let mut folded = Shard::new(0, config, 1.0);
+        folded.admit(tiny_spec(0, 5, 8), 0, 0).unwrap();
+        let mut det = DetTrace::new();
         for _ in 0..2 {
             let plain_result = plain.step_batch().unwrap();
-            let traced_result = traced.step_batch().unwrap();
-            assert_eq!(plain_result, traced_result, "tracing must never steer the hot loop");
+            let folded_result = folded.step_batch().unwrap();
+            assert_eq!(plain_result, folded_result, "counting must never steer the hot loop");
+            folded.fold_det_into(&mut det);
         }
-        assert!(plain.trace.is_none(), "the hot loop must not arm tracing by itself");
-        let mut det = DetTrace::new();
-        plain.fold_det_into(&mut det);
-        assert_eq!(det.fingerprint(), DetTrace::new().fingerprint(), "nothing was recorded");
-        // The traced twin did record: same results, plus the counters.
-        let counters = traced.trace.as_ref().and_then(|t| t.det.as_ref()).unwrap();
-        assert!(counters.batch.frames_stepped > 0);
-        assert!(counters.cohorts > 0);
+        assert_eq!((plain.frames_stepped, plain.shapes_stepped), (8, 2));
+        assert_eq!((folded.frames_stepped, folded.shapes_stepped), (8, 2));
+        // The fold adds the running totals: 4 + 8 frames over 1 + 2 shapes.
+        assert_eq!((det.counter("frames_stepped"), det.counter("cohorts_stepped")), (12, 3));
+    }
+
+    #[test]
+    fn frames_and_shapes_stepped_are_counted_per_tick() {
+        // Hand-computed counters on a shard of two shapes, 4 frames a tick:
+        // a 4-frame Full session, and two Coarse sessions of 6 and 12 frames.
+        let mut shard = Shard::new(
+            0,
+            ShardConfig { slots: 3, batch_frames: 4, pool_per_shape: 1, ..ShardConfig::default() },
+            1.0,
+        );
+        let mut short_coarse = tiny_spec(1, 5, 6);
+        short_coarse.config.tier = FidelityTier::Coarse;
+        let mut long_coarse = tiny_spec(2, 5, 12);
+        long_coarse.config.tier = FidelityTier::Coarse;
+        long_coarse.config.seed ^= 0xABCD;
+        for spec in [tiny_spec(0, 5, 4), short_coarse, long_coarse] {
+            shard.admit(spec, 0, 0).unwrap();
+        }
+        let counted = |shard: &Shard| {
+            let mut det = DetTrace::new();
+            shard.fold_det_into(&mut det);
+            (det.counter("frames_stepped"), det.counter("cohorts_stepped"))
+        };
+        // Tick 1: 4 + 4 + 4 frames over two shapes; the Full session retires.
+        assert_eq!(shard.step_batch().unwrap().0.len(), 1);
+        assert_eq!(counted(&shard), (12, 2));
+        // Tick 2: the short Coarse session runs its last 2 frames beside the
+        // long one's 4, one shape, and retires.
+        assert_eq!(shard.step_batch().unwrap().0.len(), 1);
+        assert_eq!(counted(&shard), (18, 3));
+        // Tick 3: the long Coarse session alone, 4 frames, one shape.
+        shard.step_batch().unwrap();
+        assert_eq!(counted(&shard), (22, 4));
     }
 
     #[test]
@@ -1000,28 +942,26 @@ mod tests {
 
     #[test]
     fn overshot_resident_retires_instead_of_underflowing() {
-        // Regression: the scalar hot loop computed `spec.frames - frames_done`
+        // Regression: the hot loop once computed `spec.frames - frames_done`
         // unguarded, so a resumed session whose frames_done exceeded its
         // budget (a shrunk spec, or an over-replayed portable) panicked the
         // shard instead of retiring the session.
-        for stepping in [SteppingMode::Scalar, SteppingMode::Batched] {
-            let mut shard = Shard::new(0, ShardConfig { stepping, ..ShardConfig::default() }, 1.0);
-            let spec = tiny_spec(0, 5, 4);
-            let portable = PortableSession {
-                spec,
-                frames_done: 6, // more than the 4-frame budget
-                arrived_tick: 0,
-                admitted_tick: 0,
-                preempted: 0,
-                migrated: 0,
-                promoted: 0,
-                demoted: 0,
-            };
-            shard.resume(portable).unwrap();
-            let (completed, _) = shard.step_batch().unwrap();
-            assert_eq!(completed.len(), 1, "overshot resident must retire ({stepping:?})");
-            assert_eq!(shard.resident_count(), 0);
-        }
+        let mut shard = Shard::new(0, ShardConfig::default(), 1.0);
+        let spec = tiny_spec(0, 5, 4);
+        let portable = PortableSession {
+            spec,
+            frames_done: 6, // more than the 4-frame budget
+            arrived_tick: 0,
+            admitted_tick: 0,
+            preempted: 0,
+            migrated: 0,
+            promoted: 0,
+            demoted: 0,
+        };
+        shard.resume(portable).unwrap();
+        let (completed, _) = shard.step_batch().unwrap();
+        assert_eq!(completed.len(), 1, "overshot resident must retire");
+        assert_eq!(shard.resident_count(), 0);
     }
 
     #[test]
@@ -1040,40 +980,6 @@ mod tests {
         assert_eq!(retired, vec![0, 2, 4], "retirements must keep residency order");
         let survivors: Vec<u64> = shard.residents_overview().iter().map(|v| v.id).collect();
         assert_eq!(survivors, vec![1, 3], "survivors must keep residency order");
-    }
-
-    #[test]
-    fn batched_stepping_matches_scalar_bit_for_bit() {
-        // A mixed cohort — same-shape pairs plus a Coarse odd one out — served
-        // by both stepping modes must retire identical sessions: same reports,
-        // same telemetry fingerprints, same modeled busy time.
-        let run = |stepping: SteppingMode| {
-            let mut shard = Shard::new(
-                0,
-                ShardConfig { slots: 6, batch_frames: 8, pool_per_shape: 2, stepping },
-                1.0,
-            );
-            for id in 0..4u64 {
-                let mut spec = tiny_spec(id, 7, 12);
-                spec.config.seed ^= id; // same shape, divergent sessions
-                shard.admit(spec, 0, 0).unwrap();
-            }
-            let mut coarse = tiny_spec(4, 7, 12);
-            coarse.config.tier = FidelityTier::Coarse;
-            shard.admit(coarse, 0, 0).unwrap();
-            let mut done = Vec::new();
-            while shard.resident_count() > 0 {
-                done.extend(shard.step_batch().unwrap().0);
-            }
-            (done, shard.stats.busy)
-        };
-        let (scalar_done, scalar_busy) = run(SteppingMode::Scalar);
-        let (batched_done, batched_busy) = run(SteppingMode::Batched);
-        assert_eq!(scalar_busy, batched_busy, "modeled busy time must not change");
-        assert_eq!(scalar_done.len(), batched_done.len());
-        for (a, b) in scalar_done.iter().zip(batched_done.iter()) {
-            assert_eq!(a, b, "session {} diverged between stepping modes", a.id);
-        }
     }
 
     #[test]

@@ -147,8 +147,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     use cod_fleet::{
-        initial_tier, PlacementPolicy, Priority, SessionShape, ShardConfig, SteppingMode,
-        WorkloadConfig,
+        initial_tier, PlacementPolicy, Priority, SessionShape, ShardConfig, WorkloadConfig,
     };
     use crane_sim::{step_frames_batch_traced, CraneSimulator, SimulatorConfig};
 
@@ -363,60 +362,6 @@ mod tests {
         let a = first.to_json().to_pretty();
         let b = second.to_json().to_pretty();
         Ok((first, second, first_divergence(&a, &b)))
-    }
-
-    /// Proves batched-stepping equivalence: the same configuration served with
-    /// [`SteppingMode::Scalar`] (the reference hot loop, modeled execution) and
-    /// with [`SteppingMode::Batched`] under [`ExecutionMode::Modeled`] and
-    /// [`ExecutionMode::WallClock`] at each requested thread count must produce
-    /// byte-identical serialized reports **and** identical per-session telemetry
-    /// digests — grouping same-shape residents into cohorts may change
-    /// how fast sessions are served, never what they compute. Returns the scalar
-    /// reference report plus a description of every divergence (empty ⇒
-    /// equivalent).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first hard error raised by any run.
-    fn batch_equivalence_check(
-        config: &FleetConfig,
-        thread_counts: &[usize],
-    ) -> Result<(FleetReport, Vec<String>), CbError> {
-        let mut scalar_config = config.clone();
-        scalar_config.shard.stepping = SteppingMode::Scalar;
-        scalar_config.execution = ExecutionMode::Modeled;
-        let scalar_outcome = run_fleet(&scalar_config)?;
-        let reference = FleetReport::from_outcome(&scalar_outcome);
-        let reference_bytes = reference.to_json().to_pretty();
-        let reference_telemetry: BTreeMap<u64, u64> =
-            scalar_outcome.sessions.iter().map(|s| (s.id, s.telemetry)).collect();
-
-        let mut modes = vec![("modeled".to_owned(), ExecutionMode::Modeled)];
-        for &threads in thread_counts {
-            modes.push((format!("wallclock-{threads}"), ExecutionMode::WallClock { threads }));
-        }
-
-        let mut violations = Vec::new();
-        for (label, execution) in modes {
-            let mut batched_config = config.clone();
-            batched_config.shard.stepping = SteppingMode::Batched;
-            batched_config.execution = execution;
-            let outcome = run_fleet(&batched_config)?;
-            let telemetry: BTreeMap<u64, u64> =
-                outcome.sessions.iter().map(|s| (s.id, s.telemetry)).collect();
-            if telemetry != reference_telemetry {
-                violations.push(format!(
-                    "batched ({label}): per-session telemetry digests diverged from scalar"
-                ));
-            }
-            let bytes = FleetReport::from_outcome(&outcome).to_json().to_pretty();
-            if let Some(at) = first_divergence(&reference_bytes, &bytes) {
-                violations.push(format!(
-                    "batched ({label}): serialized report diverged from scalar at byte {at}"
-                ));
-            }
-        }
-        Ok((reference, violations))
     }
 
     /// Proves batched-stepping equivalence across every [`SessionShape`] of the
@@ -637,31 +582,6 @@ mod tests {
         assert_eq!(first, second);
         assert!(first.demoted > 0, "the replay gate must cover at least one demotion");
         assert!(first.promoted > 0, "the replay gate must cover at least one promotion");
-    }
-
-    #[test]
-    fn batched_stepping_is_equivalent_on_a_mixed_fleet() {
-        // The hardest fleet to keep bit-identical: heterogeneous speeds,
-        // preemption and migration all reshuffling cohorts mid-run, replayed
-        // scalar vs batched under modeled and pooled execution.
-        let (reference, violations) =
-            batch_equivalence_check(&hetero_config(0xC0D), &[1, 4]).unwrap();
-        assert!(
-            reference.preempted > 0 && reference.migrated > 0,
-            "the check must stress the fleet"
-        );
-        assert!(violations.is_empty(), "{violations:?}");
-    }
-
-    #[test]
-    fn batched_stepping_is_equivalent_on_a_tiered_burst() {
-        // Mixed tiers: live demotion puts Coarse and Full residents on the
-        // same shard, so batched cohorts split across decimated and full
-        // racks.
-        let (reference, violations) =
-            batch_equivalence_check(&tiered_burst_config(0xC0D), &[2]).unwrap();
-        assert!(reference.demoted > 0, "the check must cover mixed tiers");
-        assert!(violations.is_empty(), "{violations:?}");
     }
 
     #[test]

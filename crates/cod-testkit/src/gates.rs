@@ -507,9 +507,7 @@ fn run_fleet_gates() -> Result<Vec<GateRow>, String> {
     );
 
     let baseline = report_of(&quick(1))?;
-    let (outcome, modeled) =
-        run_fleet_timed(&quick(SHARDS)).map_err(|err| format!("fleet run failed: {err}"))?;
-    let fleet = FleetReport::from_outcome(&outcome);
+    let fleet = report_of(&quick(SHARDS))?;
     let (naive, aware, pressure) = (report_of(&naive)?, report_of(&aware)?, report_of(&pressure)?);
     let tiered = serve_tiered_pair(quick(SHARDS))?;
     write(
@@ -519,7 +517,6 @@ fn run_fleet_gates() -> Result<Vec<GateRow>, String> {
 
     let mut pool_reports = [String::new(), String::new()];
     let mut pool_sessions_per_wall_sec = [0.0; 2];
-    let mut pool_walls = Vec::new();
     for (i, threads) in [1, 4].into_iter().enumerate() {
         let config =
             FleetConfig { execution: ExecutionMode::WallClock { threads }, ..quick(SHARDS) };
@@ -527,16 +524,7 @@ fn run_fleet_gates() -> Result<Vec<GateRow>, String> {
             .map_err(|err| format!("pool run at {threads} thread(s) failed: {err}"))?;
         pool_reports[i] = FleetReport::from_outcome(&outcome).to_json().to_pretty();
         pool_sessions_per_wall_sec[i] = stats.sessions_per_wall_sec(outcome.completed);
-        pool_walls.push(stats.wall);
     }
-    // The pool's own cost, shown and not gated: a 1-thread pool steps on the
-    // driver alone, so its wall over the modeled drain is what it adds.
-    println!(
-        "executor overhead: 1-thread wall {:.2?} / modeled wall {:.2?} = {:.2}x (informational)",
-        pool_walls[0],
-        modeled.wall,
-        ratio(pool_walls[0].as_secs_f64(), modeled.wall.as_secs_f64()),
-    );
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     Ok(fleet_rows(&FleetRuns {
         baseline,

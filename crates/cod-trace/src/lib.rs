@@ -56,11 +56,6 @@ impl ObsConfig {
     pub fn wall_enabled(&self) -> bool {
         matches!(self, ObsConfig::Wall | ObsConfig::Full)
     }
-
-    /// Whether anything records at all.
-    pub fn enabled(&self) -> bool {
-        !matches!(self, ObsConfig::Disabled)
-    }
 }
 #[cfg(test)]
 mod tests {
@@ -70,7 +65,6 @@ mod tests {
     fn disabled_config_enables_neither_sink() {
         let obs = ObsConfig::default();
         assert_eq!(obs, ObsConfig::Disabled);
-        assert!(!obs.enabled());
         assert!(!obs.deterministic_enabled());
         assert!(!obs.wall_enabled());
         assert!(ObsConfig::Deterministic.deterministic_enabled());

@@ -451,9 +451,9 @@ impl CraneSimulator {
     }
 }
 
-/// Frame-level counters collected by [`step_frames_batch_traced`].
-/// Deterministic — a pure function of the cohort and its budgets — so
-/// observability sinks may fold them into fingerprinted reports.
+/// Frame-level counters collected by [`step_frames_batch_traced`], a pure
+/// function of the cohort and its budgets. Kept only because `benchmark/`
+/// reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStepStats {
     /// Session frames stepped across all members: the sum of their budgets.
@@ -466,9 +466,9 @@ pub struct BatchStepStats {
 
 /// Advances a cohort of simulators: each member runs its own frame budget
 /// through [`CraneSimulator::run_frames`]. Members share nothing, so this is
-/// stepping every member independently; the cohort is the serving layer's
-/// unit of accounting. Returns the summed modeled cost of each member's
-/// frames, in cohort order.
+/// stepping every member independently. Returns the summed modeled cost of
+/// each member's frames, in cohort order. Kept only because `benchmark/`
+/// calls it: a shard steps its residents with `run_frames` directly.
 ///
 /// When `stats` is `Some`, the counters for this batch are *added* into it
 /// (callers keep one accumulator across many cohorts).

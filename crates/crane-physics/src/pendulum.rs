@@ -79,35 +79,11 @@ impl CablePendulum {
     /// Advances the pendulum by `dt` seconds with the suspension point (boom
     /// tip) at `suspension` and the commanded cable length `cable_length`.
     pub fn step(&mut self, suspension: Vec3, cable_length: f64, dt: f64) {
-        CablePendulum::step_batch(&mut [(self, suspension, cable_length)], dt);
-    }
-
-    /// Advances every lane by `dt` seconds in lockstep: one substep sweep
-    /// across all pendulums, then the next substep. Each lane is
-    /// `(pendulum, suspension, cable_length)`. Per lane this performs exactly
-    /// the arithmetic of [`CablePendulum::step`] in exactly its order (the
-    /// substep schedule depends only on `dt` and the shared `substep`), so a
-    /// batch of N lanes is bit-identical to N scalar steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lanes do not all share the same `substep` — lockstep
-    /// needs a common substep schedule.
-    pub fn step_batch(lanes: &mut [(&mut CablePendulum, Vec3, f64)], dt: f64) {
         debug_assert!(dt >= 0.0);
-        let Some(substep) = lanes.first().map(|(p, _, _)| p.substep) else {
-            return;
-        };
-        assert!(
-            lanes.iter().all(|(p, _, _)| p.substep == substep),
-            "lockstep pendulum lanes must share a substep"
-        );
         let mut remaining = dt;
         while remaining > 1e-12 {
-            let h = remaining.min(substep);
-            for (pendulum, suspension, cable_length) in lanes.iter_mut() {
-                pendulum.substep_once(*suspension, *cable_length, h);
-            }
+            let h = remaining.min(self.substep);
+            self.substep_once(suspension, cable_length, h);
             remaining -= h;
         }
     }
@@ -323,52 +299,14 @@ mod tests {
     }
 
     #[test]
-    fn batched_lanes_are_bit_identical_to_scalar_steps() {
-        let make = |k: usize| {
-            let suspension = Vec3::new(0.2 * k as f64, 14.0 + k as f64, -0.1 * k as f64);
-            let mut p = CablePendulum::new(suspension, 5.0 + 0.5 * k as f64, 110.0);
-            p.attach_cargo(400.0 * k as f64);
-            p.position += Vec3::new(0.8, 0.0, 0.3 * k as f64);
-            (p, suspension)
-        };
-        let mut batched: Vec<(CablePendulum, Vec3)> = (0..6).map(make).collect();
-        let mut scalar = batched.clone();
-        for frame in 0..240 {
-            // Moving suspension points keep the cohort's dynamics divergent.
-            let sway = 0.02 * frame as f64;
-            let mut lanes: Vec<(&mut CablePendulum, Vec3, f64)> = batched
-                .iter_mut()
-                .enumerate()
-                .map(|(k, (p, base))| (p, *base + Vec3::new(sway, 0.0, 0.0), 5.0 + 0.5 * k as f64))
-                .collect();
-            CablePendulum::step_batch(&mut lanes, DT);
-            for (k, (p, base)) in scalar.iter_mut().enumerate() {
-                p.step(*base + Vec3::new(sway, 0.0, 0.0), 5.0 + 0.5 * k as f64, DT);
-            }
-        }
-        for (k, ((a, _), (b, _))) in batched.iter().zip(scalar.iter()).enumerate() {
-            assert_eq!(a.position.x.to_bits(), b.position.x.to_bits(), "lane {k} diverged");
-            assert_eq!(a.position.y.to_bits(), b.position.y.to_bits(), "lane {k} diverged");
-            assert_eq!(a.position.z.to_bits(), b.position.z.to_bits(), "lane {k} diverged");
-            assert_eq!(a.velocity.x.to_bits(), b.velocity.x.to_bits(), "lane {k} diverged");
-            assert_eq!(a.velocity.y.to_bits(), b.velocity.y.to_bits(), "lane {k} diverged");
-            assert_eq!(a.velocity.z.to_bits(), b.velocity.z.to_bits(), "lane {k} diverged");
-        }
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        CablePendulum::step_batch(&mut [], DT);
-    }
-
-    #[test]
-    #[should_panic]
-    fn mixed_substep_batch_rejected() {
+    fn a_zero_length_step_is_a_no_op() {
+        // A zero-length step runs no substep: the pendulum is untouched.
         let suspension = Vec3::new(0.0, 10.0, 0.0);
-        let mut a = CablePendulum::new(suspension, 5.0, 100.0);
-        let mut b = CablePendulum::new(suspension, 5.0, 100.0);
-        b.substep = 1.0 / 120.0;
-        CablePendulum::step_batch(&mut [(&mut a, suspension, 5.0), (&mut b, suspension, 5.0)], DT);
+        let mut p = CablePendulum::new(suspension, 5.0, 100.0);
+        p.velocity = Vec3::new(0.3, 0.0, -0.2);
+        let before = p;
+        p.step(suspension, 5.0, 0.0);
+        assert_eq!(p, before);
     }
 
     #[test]

@@ -120,8 +120,8 @@ fn telemetry_digests_are_identical_at_every_thread_count() {
 fn worker_instrumentation_is_present_and_non_degenerate() {
     // The per-worker counters are observability, not outcome: they must be
     // sized to the pool, account for every task the pool ran (and, with more
-    // workers than shards, show somebody parked), and stay empty when no
-    // pool ran.
+    // workers than shards, show somebody parked), and a modeled run is the
+    // 1-thread pool: one entry, the driver's, which stepped every task.
     let mut config = hetero_config(0xC0D);
     config.execution = ExecutionMode::WallClock { threads: 4 };
     let (outcome, stats) = run_fleet_timed(&config).unwrap();
@@ -143,8 +143,10 @@ fn worker_instrumentation_is_present_and_non_degenerate() {
     );
 
     let modeled = run_fleet_timed(&hetero_config(0xC0D)).unwrap().1;
-    assert!(modeled.worker_steals.is_empty(), "no pool, no steal counters");
-    assert!(modeled.worker_idle_spins.is_empty(), "no pool, no idle counters");
+    assert_eq!(modeled.threads, 1);
+    assert_eq!(modeled.worker_steals, [0], "one steal counter, the driver's");
+    assert_eq!(modeled.worker_idle_spins, [0], "the driver alone never waits");
+    assert_eq!(modeled.worker_tasks, [modeled.ticks * config.shards as u64]);
 }
 
 #[test]

@@ -153,13 +153,14 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// Walks an attribute-value map, failing exactly where reading each of
-    /// its entries with [`Reader::attribute`] fails, and returns its count,
-    /// the bytes of its entries and whether they are canonical: ids strictly
-    /// ascending and every `Bool` 0 or 1. A fixed-size value costs one bounds
-    /// check and is not decoded; text, bytes and unknown tags are read as
-    /// [`Reader::attribute`] reads them.
-    fn attribute_entries(&mut self) -> Result<(u16, &'a [u8], bool), CbError> {
+    /// Reads an attribute-value map, failing exactly where reading each of
+    /// its entries with [`Reader::attribute`] fails. One walk checks that
+    /// the entries are canonical — ids strictly ascending and every `Bool` 0
+    /// or 1 — without decoding a fixed-size value; a canonical map is then
+    /// copied as it stands, and any other is normalised through
+    /// [`AttributeValues::insert`], so ids may arrive in any order and a
+    /// repeated id keeps its last value.
+    pub(crate) fn attribute_values(&mut self) -> Result<AttributeValues, CbError> {
         let count = self.attribute_count()?;
         let entries = self.buf;
         let (mut canonical, mut lowest_next_id) = (true, 0);
@@ -184,17 +185,9 @@ impl<'a> Reader<'a> {
             canonical &= id >= lowest_next_id;
             lowest_next_id = id + 1;
         }
-        let len = entries.len() - self.buf.len();
-        Ok((count as u16, &entries[..len], canonical))
-    }
-
-    /// Reads an attribute-value map. A canonical map is copied as it stands;
-    /// any other is normalised through [`AttributeValues::insert`], so ids
-    /// may arrive in any order and a repeated id keeps its last value.
-    pub(crate) fn attribute_values(&mut self) -> Result<AttributeValues, CbError> {
-        let (count, entries, canonical) = self.attribute_entries()?;
+        let entries = &entries[..entries.len() - self.buf.len()];
         if canonical {
-            return Ok(AttributeValues { count, entries: entries.to_vec() });
+            return Ok(AttributeValues { count: count as u16, entries: entries.to_vec() });
         }
         let mut reader = Reader::new(entries);
         let mut values = AttributeValues::new();
@@ -203,12 +196,6 @@ impl<'a> Reader<'a> {
             values.insert(id, value.to_value());
         }
         Ok(values)
-    }
-
-    /// Walks an attribute-value map as [`Reader::attribute_values`] does,
-    /// failing where it fails, but builds nothing.
-    pub(crate) fn skip_attribute_values(&mut self) -> Result<(), CbError> {
-        self.attribute_entries().map(drop)
     }
 }
 

@@ -154,11 +154,6 @@ impl LpTable {
             .enumerate()
             .filter_map(move |(seq, slot)| Some((LpId::compose(node, seq as u32), slot.as_mut()?)))
     }
-
-    /// Whether a resident LP subscribes interactions of `class`.
-    fn reads(&self, class: InteractionClassId) -> bool {
-        self.slots.iter().flatten().any(|lp| lp.interaction_subscriptions.contains(&class))
-    }
 }
 
 /// Datagrams waiting for the next flush, encoded when they were queued: one
@@ -203,6 +198,8 @@ pub struct CbKernel {
     subscriptions: Vec<Subscription>,
     channels: ChannelTable,
     objects: BTreeMap<ObjectId, (LpId, ObjectClassId)>,
+    /// Interaction classes whose multicast groups the next tick joins.
+    unjoined: Vec<InteractionClassId>,
     outbox: Outbox,
     stats: CbStats,
 }
@@ -230,6 +227,7 @@ impl CbKernel {
             subscriptions: Vec::new(),
             channels: ChannelTable::new(),
             objects: BTreeMap::new(),
+            unjoined: Vec::new(),
             outbox: Outbox::default(),
             stats: CbStats::default(),
         }
@@ -338,6 +336,7 @@ impl CbKernel {
     }
 
     /// Subscribes `lp` to an interaction class (collision events, alarms, ...).
+    /// The CB joins the class's multicast group on the next [`CbKernel::tick`].
     ///
     /// # Errors
     ///
@@ -351,7 +350,9 @@ impl CbKernel {
         if !self.fom.contains_interaction_class(class) {
             return Err(CbError::UnknownInteractionClass(class));
         }
-        self.lps.get_mut(lp).expect("checked above").interaction_subscriptions.insert(class);
+        if self.lps.get_mut(lp).expect("checked above").interaction_subscriptions.insert(class) {
+            self.unjoined.push(class);
+        }
         Ok(())
     }
 
@@ -444,7 +445,7 @@ impl CbKernel {
     }
 
     /// Sends an interaction: delivered to co-resident subscribers immediately
-    /// and broadcast to every other CB on the next tick.
+    /// and multicast to the other CBs that subscribe its class on the next tick.
     ///
     /// # Errors
     ///
@@ -462,7 +463,7 @@ impl CbKernel {
         }
         self.stats.interactions_sent += 1;
         wire::append_interaction(&mut self.outbox.bytes, class, lp, timestamp, &parameters);
-        self.outbox.seal(Destination::Broadcast(self.addr.port));
+        self.outbox.seal(Destination::Multicast(class.0));
         let subscribers = self
             .lps
             .iter_mut()
@@ -511,8 +512,11 @@ impl CbKernel {
     pub fn tick(&mut self, now: Micros, net: &mut impl Transport) -> Result<(), CbError> {
         self.now = now;
 
-        // 1. Receive.
+        // 1. Receive; join the groups of newly subscribed interaction classes.
         net.receive(self.addr, &mut |dgram| self.receive(dgram.payload))?;
+        for class in self.unjoined.drain(..) {
+            net.join(self.addr, class.0)?;
+        }
 
         // 2. Initialization-protocol timers: broadcast due subscriptions. A
         // served subscription is re-advertised only at the slow pace, so late
@@ -566,15 +570,12 @@ impl CbKernel {
         Ok(sent?)
     }
 
-    /// Decodes and serves one received payload. An interaction no resident
-    /// LP subscribes is validated and counted, but not built.
+    /// Decodes, counts and serves one received payload.
     fn receive(&mut self, payload: &[u8]) {
-        match wire::decode_unless_unread(payload, |class| self.lps.reads(class)) {
+        match WireMessage::decode(payload) {
             Ok(msg) => {
                 self.stats.wire_messages_received += 1;
-                if let Some(msg) = msg {
-                    self.handle_wire_message(msg);
-                }
+                self.handle_wire_message(msg);
             }
             Err(_) => self.stats.decode_errors += 1,
         }
@@ -680,6 +681,7 @@ impl CbKernel {
                 }
             }
             WireMessage::Interaction { class, sender_lp, timestamp, parameters } => {
+                let delivered = self.stats.interactions_delivered;
                 let subscribers = self
                     .lps
                     .iter_mut()
@@ -693,6 +695,8 @@ impl CbKernel {
                     });
                     self.stats.interactions_delivered += 1;
                 });
+                self.stats.interactions_unread +=
+                    u64::from(self.stats.interactions_delivered == delivered);
             }
             WireMessage::Withdraw { lp } => self.channels.remove_for_lp(lp),
         }
@@ -923,13 +927,14 @@ mod tests {
         let mut cluster = Cluster::new(5);
         let mut a = cluster.kernel(&fom);
         let mut b = cluster.kernel(&fom);
+        let mut c = cluster.kernel(&fom); // subscribes no interaction
         let dynamics = a.register_lp();
         let local_audio = a.register_lp();
         let audio = b.register_lp();
         a.publish_object_class(dynamics, crane).unwrap();
         a.subscribe_interaction_class(local_audio, collision).unwrap();
         b.subscribe_interaction_class(audio, collision).unwrap();
-        cluster.run(&mut [&mut a, &mut b], 5);
+        cluster.run(&mut [&mut a, &mut b, &mut c], 5);
 
         let location = fom.parameter_id(collision, "location").unwrap();
         a.send_interaction(
@@ -939,14 +944,16 @@ mod tests {
             cluster.now(),
         )
         .unwrap();
-        cluster.run(&mut [&mut a, &mut b], 5);
+        cluster.run(&mut [&mut a, &mut b, &mut c], 5);
 
         assert_eq!(a.interactions(local_audio).len(), 1);
         let remote = b.interactions(audio);
         assert_eq!(remote.len(), 1);
         assert_eq!(remote[0].sender, dynamics);
-        // The sender itself does not receive its own interaction.
+        // The sender itself does not receive its own interaction, and only
+        // the CB with a remote subscriber receives the datagram.
         assert!(a.interactions(dynamics).is_empty());
+        assert_eq!([&a, &b, &c].map(|k| k.stats().wire_messages_received), [0, 1, 0]);
     }
 
     #[test]
@@ -1024,11 +1031,12 @@ mod tests {
     // The outbox arena, observed at the transport
     // ------------------------------------------------------------------
 
-    /// A network that records every `send` from the one CB at `RECORDER` and
-    /// can be told to fail one.
+    /// A network that records every `send` and `join` from the one CB at
+    /// `RECORDER` and can be told to fail one send.
     #[derive(Debug, Default)]
     struct RecordingTransport {
         sent: Vec<(Destination, Vec<u8>)>,
+        joined: Vec<u16>,
         /// Senders and payloads delivered by the next `receive`.
         inbound: Vec<(Addr, Vec<u8>)>,
         /// 1-based index of the `send` call that fails, if any.
@@ -1072,6 +1080,12 @@ mod tests {
                 let dst = Destination::Unicast(RECORDER);
                 deliver(Datagram { src, dst, payload: &payload, delivered_at: Micros::ZERO });
             }
+            Ok(())
+        }
+
+        fn join(&mut self, addr: Addr, group: u16) -> Result<(), NetError> {
+            assert_eq!(addr, RECORDER);
+            self.joined.push(group);
             Ok(())
         }
     }
@@ -1148,6 +1162,7 @@ mod tests {
             kernel.tick(at, &mut net).unwrap();
 
             let to_all = Destination::Broadcast(RECORDER.port);
+            let to_readers = Destination::Multicast(collision.0);
             let mut expected = Vec::new();
             for (channel, cb) in &channels {
                 let update = WireMessage::UpdateAttributes {
@@ -1165,7 +1180,7 @@ mod tests {
                 timestamp: at,
                 parameters: parameters.clone(),
             };
-            expected.push((to_all, interaction.encode()));
+            expected.push((to_readers, interaction.encode()));
             expected.push((to_all, WireMessage::Withdraw { lp: bystander }.encode()));
             assert_eq!(net.sent, expected, "{remote} channels");
             assert_eq!(kernel.stats().updates_sent_remote, u64::from(remote));
@@ -1250,8 +1265,8 @@ mod tests {
         // A publisher with a display LP beside it and two remote channels, so
         // a mangled datagram that still decodes reaches every handler arm. The
         // display reads collisions. No resident LP reads the sample
-        // interaction's class, so that one is validated but not built; a
-        // mangled class byte can make it a collision, which is built.
+        // interaction's class, so that one is decoded and delivered to no
+        // one; a mangled class byte can make it a collision, which is served.
         let Publisher { mut kernel, mut net, collision, local, .. } = publisher(1, 2);
         kernel.subscribe_interaction_class(local[0], collision).unwrap();
         let stranger = Addr::new(NodeId(30), Port(1));
@@ -1273,6 +1288,10 @@ mod tests {
             let delivered = after.interactions_delivered - before.interactions_delivered;
             let interactions = kernel.interactions(local[0]);
             assert_eq!(interactions.len() as u64, delivered, "{case}");
+            let is_unread =
+                matches!(full, Ok(WireMessage::Interaction { class, .. }) if class != collision);
+            let unread_counted = after.interactions_unread - before.interactions_unread;
+            assert_eq!(unread_counted, u64::from(is_unread), "{case}");
             match full {
                 Ok(WireMessage::Interaction { class, .. }) if class == collision => {
                     assert_eq!(delivered, 1, "{case}: a read interaction is served");
@@ -1294,6 +1313,7 @@ mod tests {
             assert!(kernel.outbox.bytes.is_empty() && kernel.outbox.datagrams.is_empty());
         }
         assert!(refused > 0 && unread > 0 && read > 0, "{refused} {unread} {read}");
+        assert_eq!(net.joined, [collision.0], "joined once, on the first tick");
     }
 
     #[test]

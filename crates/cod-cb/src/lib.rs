@@ -34,10 +34,10 @@
 //!   datagrams delivered to its address through `cod_net::Transport::receive`,
 //!   which lends each payload for one call. One decoder walks an encoding with
 //!   one bounds check per fixed-size value; a received attribute set in
-//!   canonical form is validated by that walk and copied as it stands, and
-//!   an interaction of a class no resident LP subscribes is validated and
-//!   counted by the same walk but not built. LPs sit in a table indexed by
-//!   the sequence number their id carries.
+//!   canonical form is validated by that walk and copied as it stands. An
+//!   interaction goes to the LAN multicast group of its class, which only CBs
+//!   hosting a subscriber join. LPs sit in a table indexed by the sequence
+//!   number their id carries.
 //!
 //! The CB itself carries no time management: the rack's lock-step is the
 //! frame synchronization server of paper §4, which lives above it in

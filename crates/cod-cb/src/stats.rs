@@ -23,6 +23,8 @@ pub struct CbStats {
     pub interactions_sent: u64,
     /// Interactions delivered to local LPs.
     pub interactions_delivered: u64,
+    /// Interactions received for a class no local LP subscribes (any more).
+    pub interactions_unread: u64,
     /// Wire messages received and decoded.
     pub wire_messages_received: u64,
     /// Wire messages that failed to decode.

@@ -66,7 +66,8 @@ pub enum WireMessage {
         /// Attribute values.
         values: AttributeValues,
     },
-    /// A broadcast interaction (transient event such as a collision).
+    /// An interaction (transient event such as a collision), multicast to the
+    /// group of its class.
     Interaction {
         /// Interaction class.
         class: InteractionClassId,
@@ -201,79 +202,62 @@ impl WireMessage {
     ///
     /// Returns [`CbError::Codec`] when the payload is truncated or malformed.
     pub fn decode(payload: &[u8]) -> Result<WireMessage, CbError> {
-        Ok(decode_unless_unread(payload, |_| true)?.expect("every message is built"))
+        let mut r = Reader::new(payload);
+        let &[tag] = r.take()?;
+        // Each message's fixed fields are one block, read with one bounds check.
+        Ok(match tag {
+            TAG_SUBSCRIPTION => {
+                let f = r.take::<14>()?;
+                WireMessage::Subscription {
+                    subscriber_cb: addr_at(f, 0),
+                    subscriber_lp: LpId(be_u64(f, 4)),
+                    class: ObjectClassId(be_u16(f, 12)),
+                }
+            }
+            TAG_ACKNOWLEDGE => {
+                let f = r.take::<14>()?;
+                WireMessage::Acknowledge {
+                    publisher_cb: addr_at(f, 0),
+                    publisher_lp: LpId(be_u64(f, 4)),
+                    class: ObjectClassId(be_u16(f, 12)),
+                }
+            }
+            TAG_CHANNEL_CONNECTION => {
+                let f = r.take::<30>()?;
+                WireMessage::ChannelConnection {
+                    channel: ChannelId(be_u64(f, 0)),
+                    subscriber_cb: addr_at(f, 8),
+                    subscriber_lp: LpId(be_u64(f, 12)),
+                    publisher_lp: LpId(be_u64(f, 20)),
+                    class: ObjectClassId(be_u16(f, 28)),
+                }
+            }
+            TAG_CHANNEL_ACK => {
+                WireMessage::ChannelAck { channel: ChannelId(be_u64(r.take::<8>()?, 0)) }
+            }
+            TAG_UPDATE => {
+                let f = r.take::<26>()?;
+                WireMessage::UpdateAttributes {
+                    channel: ChannelId(be_u64(f, 0)),
+                    object: ObjectId(be_u64(f, 8)),
+                    class: ObjectClassId(be_u16(f, 16)),
+                    timestamp: Micros(be_u64(f, 18)),
+                    values: r.attribute_values()?,
+                }
+            }
+            TAG_INTERACTION => {
+                let f = r.take::<18>()?;
+                WireMessage::Interaction {
+                    class: InteractionClassId(be_u16(f, 0)),
+                    sender_lp: LpId(be_u64(f, 2)),
+                    timestamp: Micros(be_u64(f, 10)),
+                    parameters: r.attribute_values()?,
+                }
+            }
+            TAG_WITHDRAW => WireMessage::Withdraw { lp: LpId(be_u64(r.take::<8>()?, 0)) },
+            tag => return Err(CbError::Codec(format!("unknown wire message tag {tag}"))),
+        })
     }
-}
-
-/// Decodes `payload` as [`WireMessage::decode`] does, except that an
-/// interaction whose class `reads` answers `false` for is walked and
-/// validated but not built: `Ok(None)` says it is well formed. Building and
-/// validating share this one walk, so both fail on exactly the same payloads.
-pub(crate) fn decode_unless_unread(
-    payload: &[u8],
-    reads: impl FnOnce(InteractionClassId) -> bool,
-) -> Result<Option<WireMessage>, CbError> {
-    let mut r = Reader::new(payload);
-    let &[tag] = r.take()?;
-    // Each message's fixed fields are one block, read with one bounds check.
-    let msg = match tag {
-        TAG_SUBSCRIPTION => {
-            let f = r.take::<14>()?;
-            WireMessage::Subscription {
-                subscriber_cb: addr_at(f, 0),
-                subscriber_lp: LpId(be_u64(f, 4)),
-                class: ObjectClassId(be_u16(f, 12)),
-            }
-        }
-        TAG_ACKNOWLEDGE => {
-            let f = r.take::<14>()?;
-            WireMessage::Acknowledge {
-                publisher_cb: addr_at(f, 0),
-                publisher_lp: LpId(be_u64(f, 4)),
-                class: ObjectClassId(be_u16(f, 12)),
-            }
-        }
-        TAG_CHANNEL_CONNECTION => {
-            let f = r.take::<30>()?;
-            WireMessage::ChannelConnection {
-                channel: ChannelId(be_u64(f, 0)),
-                subscriber_cb: addr_at(f, 8),
-                subscriber_lp: LpId(be_u64(f, 12)),
-                publisher_lp: LpId(be_u64(f, 20)),
-                class: ObjectClassId(be_u16(f, 28)),
-            }
-        }
-        TAG_CHANNEL_ACK => {
-            WireMessage::ChannelAck { channel: ChannelId(be_u64(r.take::<8>()?, 0)) }
-        }
-        TAG_UPDATE => {
-            let f = r.take::<26>()?;
-            WireMessage::UpdateAttributes {
-                channel: ChannelId(be_u64(f, 0)),
-                object: ObjectId(be_u64(f, 8)),
-                class: ObjectClassId(be_u16(f, 16)),
-                timestamp: Micros(be_u64(f, 18)),
-                values: r.attribute_values()?,
-            }
-        }
-        TAG_INTERACTION => {
-            let f = r.take::<18>()?;
-            let class = InteractionClassId(be_u16(f, 0));
-            if !reads(class) {
-                r.skip_attribute_values()?;
-                return Ok(None);
-            }
-            WireMessage::Interaction {
-                class,
-                sender_lp: LpId(be_u64(f, 2)),
-                timestamp: Micros(be_u64(f, 10)),
-                parameters: r.attribute_values()?,
-            }
-        }
-        TAG_WITHDRAW => WireMessage::Withdraw { lp: LpId(be_u64(r.take::<8>()?, 0)) },
-        tag => return Err(CbError::Codec(format!("unknown wire message tag {tag}"))),
-    };
-    Ok(Some(msg))
 }
 
 #[cfg(test)]
@@ -648,35 +632,11 @@ pub(crate) mod tests {
         assert!(built > 0 && refused > 0, "{built} built, {refused} refused");
     }
 
-    #[test]
-    fn validating_an_unread_interaction_fails_exactly_where_building_it_fails() {
-        let mut skipped = 0;
-        for (case, payload) in mutations(&all_samples()).iter().chain(&hostile_payloads()) {
-            let full = WireMessage::decode(payload);
-            let built = decode_unless_unread(payload, |_| true);
-            match (&full, &built) {
-                (Ok(a), Ok(Some(b))) if same(a, b) => {}
-                (Err(_), Err(_)) => {}
-                _ => panic!("{case}: decode gave {full:?}, reading everything {built:?}"),
-            }
-            match (&full, decode_unless_unread(payload, |_| false)) {
-                (Ok(WireMessage::Interaction { .. }), Ok(None)) => skipped += 1,
-                (Ok(a), Ok(Some(b))) if same(a, &b) => {
-                    assert!(!matches!(b, WireMessage::Interaction { .. }), "{case}: built")
-                }
-                (Err(_), Err(_)) => {}
-                (_, skipping) => panic!("{case}: decode gave {full:?}, skipping {skipping:?}"),
-            }
-        }
-        assert!(skipped > 0);
-    }
-
     /// The attribute-value map that an update or interaction payload carries
     /// behind its tag and fixed fields, as [`Reader::attribute_values`] reads
-    /// it, as [`Reader::skip_attribute_values`] walks it, and as reading each
-    /// entry with [`Reader::attribute`] and inserting it builds it: all three
-    /// fail on the same payloads with the same error, and otherwise build the
-    /// same set and stop at the same byte.
+    /// it and as reading each entry with [`Reader::attribute`] and inserting
+    /// it builds it: both fail on the same payloads with the same error, and
+    /// otherwise build the same set and stop at the same byte.
     #[test]
     fn the_attribute_walk_fails_exactly_where_reading_each_attribute_fails() {
         let (mut copied, mut normalised, mut refused) = (0, 0, 0);
@@ -696,29 +656,25 @@ pub(crate) mod tests {
                 }
                 Ok(values)
             });
-            let (mut reading, mut skipping) = (Reader::new(map), Reader::new(map));
-            let (read, skipped) = (reading.attribute_values(), skipping.skip_attribute_values());
-            match (reference, read, skipped) {
-                (Ok(expected), Ok(values), Ok(())) => {
+            let mut reading = Reader::new(map);
+            match (reference, reading.attribute_values()) {
+                (Ok(expected), Ok(values)) => {
                     assert_eq!(values, expected, "{case}");
-                    let left = [by_entry.rest(), reading.rest(), skipping.rest()].map(<[u8]>::len);
-                    assert_eq!(left, [left[0]; 3], "{case}");
+                    let left = by_entry.rest().len();
+                    assert_eq!(reading.rest().len(), left, "{case}");
                     // A canonical map is copied whole; the others were rebuilt.
-                    let (count, entries) = (&map[..2], &map[2..map.len() - left[0]]);
+                    let (count, entries) = (&map[..2], &map[2..map.len() - left]);
                     if count == values.count.to_be_bytes() && entries == values.entries {
                         copied += 1;
                     } else {
                         normalised += 1;
                     }
                 }
-                (Err(expected), Err(read), Err(skipped)) => {
-                    let errors = [expected, read, skipped].map(|e| e.to_string());
-                    assert_eq!(errors, [errors[0].clone(), errors[0].clone(), errors[0].clone()]);
+                (Err(expected), Err(read)) => {
+                    assert_eq!(read.to_string(), expected.to_string(), "{case}");
                     refused += 1;
                 }
-                (expected, read, skipped) => {
-                    panic!("{case}: {expected:?} by entry, {read:?} read, {skipped:?} skipped")
-                }
+                (expected, read) => panic!("{case}: {expected:?} by entry, {read:?} read"),
             }
         }
         assert!(copied > 0 && normalised > 0 && refused > 0, "{copied} {normalised} {refused}");

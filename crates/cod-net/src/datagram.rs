@@ -13,6 +13,8 @@ pub enum Destination {
     /// The CB initialization protocol (paper §2.3) relies on periodic
     /// subscription broadcasts, so broadcast is a first-class operation.
     Broadcast(Port),
+    /// Deliver to every node that joined the group ([`crate::Transport::join`]).
+    Multicast(u16),
 }
 
 /// A single datagram as seen by a receiver, for the length of the
@@ -23,7 +25,7 @@ pub enum Destination {
 pub struct Datagram<'a> {
     /// Sender endpoint.
     pub src: Addr,
-    /// Destination the sender used (unicast address or broadcast port).
+    /// Destination the sender used (unicast address, broadcast port or group).
     pub dst: Destination,
     /// Payload bytes.
     pub payload: &'a [u8],

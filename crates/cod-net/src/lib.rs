@@ -11,9 +11,11 @@
 //! which attaches one address per computer and lends the LAN to each CB for
 //! that CB's tick. Its tables are vectors indexed by node, and a send copies
 //! its payload once into a slab the LAN keeps, shared by every receiver of a
-//! broadcast; [`LanStats`] is a plain `Copy` value of whole-LAN counters. The CB is written against the [`Transport`] trait, which
-//! `SimLan` is the one production implementor of; the trait stays so that a
-//! test can put a recording fake under a `CbKernel`.
+//! broadcast or of a multicast group (one per interaction class; members
+//! outlive a session reset). [`LanStats`] is a plain `Copy` value of whole-LAN
+//! counters. The CB is written against the [`Transport`] trait (`send`,
+//! `receive`, `join`), which `SimLan` is the one production implementor of;
+//! the trait stays so that a test can put a recording fake under a `CbKernel`.
 //!
 //! # Example
 //!

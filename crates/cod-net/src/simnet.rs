@@ -1,7 +1,7 @@
 //! Deterministic discrete-event simulation of the cluster LAN.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use sim_math::SplitMix64;
 
@@ -49,9 +49,9 @@ struct Scheduled {
 ///
 /// Nodes are numbered densely by [`SimLan::attach`], and every table is a
 /// vector indexed by node. A send copies its payload once into a slot of a
-/// slab the LAN keeps; every delivery of it — one per receiver of a broadcast,
-/// plus any injected duplicate — refers to that slot, so a steady stream of
-/// traffic allocates nothing.
+/// slab the LAN keeps; every delivery of it — one per receiver of a broadcast
+/// or multicast, plus any injected duplicate — refers to that slot, so a
+/// steady stream of traffic allocates nothing.
 #[derive(Debug)]
 pub struct SimLan {
     config: LanConfig,
@@ -63,6 +63,8 @@ pub struct SimLan {
     queue: BinaryHeap<Reverse<Scheduled>>,
     /// Per node, in delivery order: when each datagram arrived and its slot.
     inboxes: Vec<VecDeque<(Micros, u32)>>,
+    /// The multicast groups' members, as (group, node).
+    members: BTreeSet<(u16, NodeId)>,
     payloads: Vec<Payload>,
     free_slots: Vec<u32>,
     stats: LanStats,
@@ -80,6 +82,7 @@ impl SimLan {
             next_seq: 0,
             queue: BinaryHeap::new(),
             inboxes: Vec::new(),
+            members: BTreeSet::new(),
             payloads: Vec::new(),
             free_slots: Vec::new(),
             stats: LanStats::default(),
@@ -107,7 +110,7 @@ impl SimLan {
     /// Rewinds the LAN to a canonical session start: the clock is reset to
     /// `epoch`, in-flight and undelivered datagrams are discarded, the jitter
     /// RNG is reseeded from `seed`, any fault plan is removed and the traffic
-    /// counters are zeroed. The attached endpoints are kept.
+    /// counters are zeroed. The attached endpoints and group members are kept.
     ///
     /// Called once at the end of cluster initialization *and* on every session
     /// reset, so a recycled cluster and a freshly built one start each session
@@ -238,20 +241,24 @@ impl Transport for SimLan {
             return Err(NetError::PayloadTooLarge { size: payload.len(), max: self.config.mtu });
         }
         // Receivers in node order, which fixes the order of the RNG draws; a
-        // broadcast skips its sender.
+        // broadcast or multicast skips its sender.
         let (receivers, sender) = match dst {
             Destination::Unicast(addr) => {
                 let node = self.node_of(addr).ok_or(NetError::UnknownEndpoint(addr))?;
                 (node..node + 1, None)
             }
-            Destination::Broadcast(DEFAULT_PORT) => (0..self.inboxes.len(), self.node_of(src)),
-            Destination::Broadcast(_) => (0..0, None),
+            Destination::Broadcast(port) if port != DEFAULT_PORT => (0..0, None),
+            _ => (0..self.inboxes.len(), self.node_of(src)),
         };
         self.stats.record_send(payload.len());
         let dgram = Datagram { src, dst, payload, delivered_at: Micros::ZERO };
         let slot = self.store(&dgram);
         for node in receivers.filter(|node| Some(*node) != sender) {
-            self.schedule(&dgram, NodeId(node as u16), slot);
+            let to = NodeId(node as u16);
+            match dst {
+                Destination::Multicast(group) if !self.members.contains(&(group, to)) => {}
+                _ => self.schedule(&dgram, to, slot),
+            }
         }
         if self.payloads[slot as usize].readers == 0 {
             self.free_slots.push(slot);
@@ -278,6 +285,12 @@ impl Transport for SimLan {
                 self.free_slots.push(slot);
             }
         }
+        Ok(())
+    }
+
+    fn join(&mut self, addr: Addr, group: u16) -> Result<(), NetError> {
+        self.node_of(addr).ok_or(NetError::UnknownEndpoint(addr))?;
+        self.members.insert((group, addr.node));
         Ok(())
     }
 }
@@ -386,6 +399,28 @@ mod tests {
         assert_eq!(lan.poll(a).len(), 0);
         assert_eq!(lan.poll(b).len(), 1);
         assert_eq!(lan.poll(c).len(), 1);
+    }
+
+    #[test]
+    fn a_multicast_reaches_its_members_in_node_order_and_skips_its_sender() {
+        let mut lan = SimLan::new(LanConfig::fast_ethernet(3));
+        let nodes: [Addr; 5] = std::array::from_fn(|_| lan.attach());
+        for node in [3, 1, 0, 3] {
+            lan.join(nodes[node], 7).unwrap();
+        }
+        let bogus = Addr::new(NodeId(77), DEFAULT_PORT);
+        assert!(matches!(lan.join(bogus, 7), Err(NetError::UnknownEndpoint(_))));
+        // Scheduled, so drawn, in node order: node 3 joined first, and twice.
+        lan.send(nodes[0], Destination::Multicast(7), b"to 7").unwrap();
+        let mut scheduled: Vec<_> = lan.queue.iter().map(|Reverse(s)| (s.seq, s.to.0)).collect();
+        scheduled.sort();
+        assert_eq!(scheduled, [(0, 1), (1, 3)]);
+        // Members are topology: a new session keeps them.
+        lan.begin_session(Micros::ZERO, 4);
+        lan.send(nodes[2], Destination::Multicast(7), b"again").unwrap();
+        lan.send(nodes[2], Destination::Multicast(9), b"nobody").unwrap();
+        lan.run_until_idle();
+        assert_eq!(nodes.map(|addr| lan.poll(addr).len()), [1, 1, 0, 1, 0]);
     }
 
     #[test]

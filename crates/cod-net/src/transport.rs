@@ -6,9 +6,9 @@ use crate::error::NetError;
 
 /// The cluster network as a CB sees it for the length of one tick.
 ///
-/// The Communication Backbone only ever needs two operations — send a
-/// datagram (unicast or broadcast) from its own address, and drain the
-/// datagrams delivered to that address. [`crate::SimLan`] is the production
+/// The Communication Backbone only ever needs three operations — send a
+/// datagram from its own address, drain the datagrams delivered to that
+/// address, and join a multicast group. [`crate::SimLan`] is the production
 /// implementor; the trait is what lets a kernel test run the same CB code over
 /// a fake that records sends and injects datagrams.
 pub trait Transport {
@@ -33,6 +33,14 @@ pub trait Transport {
         addr: Addr,
         deliver: &mut dyn FnMut(Datagram<'_>),
     ) -> Result<(), NetError>;
+
+    /// Makes the endpoint `addr` a member of the multicast `group`; joining
+    /// twice changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `addr` is not attached to the medium.
+    fn join(&mut self, addr: Addr, group: u16) -> Result<(), NetError>;
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! Produces the static background noise of the construction site plus the
 //! dynamic effects — engine load, hoist/slew motor whine, collision clangs,
 //! alarm beeps — by driving the `audio-sim` mixer from the reflected state and
-//! the interactions broadcast by the other modules.
+//! the interactions the other modules send.
 
 use audio_sim::{Mixer, SoundEvent};
 use cod_cb::{CbApi, CbError, ClassRegistry};

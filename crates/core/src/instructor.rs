@@ -117,7 +117,6 @@ impl LogicalProcess for InstructorLp {
 
     fn init(&mut self, cb: &mut dyn CbApi) -> Result<(), CbError> {
         cb.subscribe_object_class(self.fom.crane_state)?;
-        cb.subscribe_object_class(self.fom.hook_state)?;
         cb.subscribe_object_class(self.fom.scenario_state)?;
         cb.subscribe_interaction_class(self.fom.collision)?;
         Ok(())

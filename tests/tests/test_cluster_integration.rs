@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the frame-synchronized surround view
 //! (experiments E1/E3/E12) and the cluster-vs-single-PC comparison (E6).
 
+use cod_cluster::ComputerId;
 use cod_net::Micros;
 use crane_sim::{
     CraneSimulator, FrameDigest, GpuGeneration, OperatorKind, SimulatorConfig, TelemetryTrace,
@@ -115,4 +116,19 @@ fn lan_carries_data_but_co_resident_modules_stay_local() {
     let report = simulator.report();
     assert!(report.lan.datagrams_sent > 100, "state updates should cross the LAN");
     assert!(report.established_channels > 10);
+}
+
+#[test]
+fn every_interaction_a_cb_receives_reaches_a_resident_subscriber() {
+    // Only CBs hosting a subscriber join an interaction class's LAN group.
+    let mut simulator = CraneSimulator::new(SimulatorConfig::default()).unwrap();
+    simulator.run().unwrap();
+    let cluster = simulator.cluster();
+    let stats: Vec<_> = (0..cluster.computer_count())
+        .map(|i| cluster.computer(ComputerId(i)).kernel().stats())
+        .collect();
+    assert_eq!(stats.iter().map(|s| s.interactions_unread).collect::<Vec<_>>(), [0; 8]);
+    let sent: u64 = stats.iter().map(|s| s.interactions_sent).sum();
+    let delivered: u64 = stats.iter().map(|s| s.interactions_delivered).sum();
+    assert!(sent >= 2_000 && delivered >= sent, "{sent} sent, {delivered} delivered");
 }

@@ -18,7 +18,6 @@ pub mod framerate;
 pub mod init_protocol;
 pub mod observability;
 pub mod platform;
-pub mod sync_overhead;
 
 use crate::report::ExperimentResult;
 
@@ -26,15 +25,14 @@ use crate::report::ExperimentResult;
 /// the function that runs it.
 pub type Experiment = (&'static str, &'static str, fn() -> ExperimentResult);
 
-/// Every experiment, E1 first. Retired ids (E5, E9–E11, E13) keep their
+/// Every experiment, E1 first. Retired ids (E5, E7, E9–E11, E13) keep their
 /// numbers and have no row.
-pub const EXPERIMENTS: [Experiment; 10] = [
+pub const EXPERIMENTS: [Experiment; 9] = [
     ("E1", "framerate", framerate::run),
     ("E2", "dynamics", dynamics::run),
     ("E3", "collision", collision::run),
     ("E4", "platform", platform::run),
     ("E6", "init_protocol", init_protocol::run),
-    ("E7", "sync_overhead", sync_overhead::run),
     ("E8", "cluster_speedup", cluster_speedup::run),
     ("E12", "fidelity_tiers", fidelity_tiers::run),
     ("E14", "observability", observability::run),
@@ -68,10 +66,11 @@ mod tests {
             let heading = format!("## {id} — `{name}`");
             assert!(doc.lines().any(|line| line == heading), "EXPERIMENTS.md lacks '{heading}'");
         }
-        for retired in ["E5", "E9", "E10", "E11", "E13"] {
+        for retired in ["E5", "E7", "E9", "E10", "E11", "E13"] {
             assert!(lookup(retired).is_none(), "retired {retired} is back in the table");
         }
         assert!(lookup("routing").is_none(), "retired E5 is back under its name");
+        assert!(lookup("sync_overhead").is_none(), "retired E7 is back under its name");
         assert_eq!(lookup("E8").map(|e| e.1), Some("cluster_speedup"));
         assert_eq!(lookup("cluster_speedup").map(|e| e.0), Some("E8"));
         assert!(lookup("fleet").is_none());

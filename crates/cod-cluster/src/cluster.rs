@@ -143,7 +143,7 @@ impl Cluster {
     /// `name`, or `None` if the rack has no such computer.
     pub fn computer_cost(&self, name: &str) -> Option<Micros> {
         let index = self.computers.iter().position(|c| c.name() == name)?;
-        Some(self.metrics.computer_cost.get(index).copied().unwrap_or(Micros::ZERO))
+        Some(self.metrics.computer_cost.get(index).map_or(Micros::ZERO, |c| c.total))
     }
 
     /// Traffic counters of the cluster LAN.
@@ -363,7 +363,9 @@ mod tests {
         assert_eq!(cluster.computer_cost("consumer-pc"), Some(Micros::from_millis(10)));
         assert_eq!(cluster.computer_cost("no-such-pc"), None);
         let m = cluster.metrics();
-        assert_eq!(m.max_frame_cost, Micros::from_millis(5));
+        let peaks: Vec<Micros> = m.computer_cost.iter().map(|c| c.peak).collect();
+        assert_eq!(peaks, [Micros::from_millis(5), Micros::from_millis(1)]);
+        assert_eq!(m.max_frame_cost(), Micros::from_millis(5), "the largest peak");
         assert_eq!(m.max_sequential_frame_cost, Micros::from_millis(6));
     }
 
@@ -396,7 +398,8 @@ mod tests {
         assert_eq!(second.frame, 1);
         assert_eq!(second.now, cluster.now());
         let per_computer = [Micros::from_millis(10), Micros::from_millis(4)];
-        assert_eq!(cluster.metrics().computer_cost, per_computer, "split in rack order");
+        let totals: Vec<Micros> = cluster.metrics().computer_cost.iter().map(|c| c.total).collect();
+        assert_eq!(totals, per_computer, "split in rack order");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`FrameSyncClient`] — the client half embedded in a display LP.
 //! * [`synchronized_period`] and [`SWAP_LOCK_BARRIER`] — the frame period the
 //!   lock imposes: the slowest channel plus the barrier. The session report
-//!   and the frame-rate experiments (E1, E7) read the period from here.
+//!   and the frame-rate experiment (E1) read the period from here.
 
 use cod_cb::{fom_classes, CbApi, CbError, ClassRegistry, InteractionClassId};
 use cod_net::Micros;

@@ -17,8 +17,6 @@
 //! * [`framesync`] — the synchronization server used by the three display
 //!   channels to swap in lock-step (paper §4: the fourth computer), and the
 //!   one model of the frame period that swap lock imposes.
-//! * [`pipeline`] — analytic model of pipelined vs sequential execution used by
-//!   the cluster-speedup experiment (E6).
 //! * [`placement`] — load-based assignment of LPs to computers.
 //!
 //! # Example: a two-computer producer/consumer cluster
@@ -74,7 +72,6 @@ pub mod computer;
 pub mod framesync;
 pub mod lp;
 pub mod metrics;
-pub mod pipeline;
 pub mod placement;
 
 pub use cluster::{frame_period_for_fps, Cluster, ClusterConfig, ComputerId, FrameRecord};
@@ -84,5 +81,4 @@ pub use framesync::{
 };
 pub use lp::LogicalProcess;
 pub use metrics::ClusterMetrics;
-pub use pipeline::{PipelineModel, StageCost};
 pub use placement::{balance_load, least_loaded, nominal_sequential_frame_cost, LpLoad, Placement};

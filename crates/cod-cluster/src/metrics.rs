@@ -2,6 +2,16 @@
 
 use cod_net::Micros;
 
+/// One computer's modeled CPU cost over a run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ComputerCost {
+    /// Summed over every executed frame.
+    pub total: Micros,
+    /// The largest single-frame cost: what this computer alone limits the
+    /// frame period to.
+    pub peak: Micros,
+}
+
 /// Metrics accumulated over a cluster run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterMetrics {
@@ -9,12 +19,9 @@ pub struct ClusterMetrics {
     pub frames_run: u64,
     /// Total simulated time elapsed.
     pub simulated_time: Micros,
-    /// Per-computer total modeled CPU cost, in rack order
-    /// ([`crate::Cluster::computer_cost`] looks one up by computer name).
-    pub computer_cost: Vec<Micros>,
-    /// Largest single-frame cost observed on any computer (the frame-rate
-    /// limiter of the pipelined cluster).
-    pub max_frame_cost: Micros,
+    /// Per-computer modeled CPU cost, in rack order
+    /// ([`crate::Cluster::computer_cost`] looks a total up by computer name).
+    pub computer_cost: Vec<ComputerCost>,
     /// Largest whole-cluster frame cost (the frame-rate limiter of a
     /// single-computer, sequential execution of the same modules).
     pub max_sequential_frame_cost: Micros,
@@ -29,14 +36,12 @@ impl ClusterMetrics {
         self.frames_run += 1;
         self.simulated_time += dt;
         if self.computer_cost.len() < costs.len() {
-            self.computer_cost.resize(costs.len(), Micros::ZERO);
+            self.computer_cost.resize(costs.len(), ComputerCost::default());
         }
         let mut sequential = Micros::ZERO;
-        for (total, cost) in self.computer_cost.iter_mut().zip(costs) {
-            *total += *cost;
-            if *cost > self.max_frame_cost {
-                self.max_frame_cost = *cost;
-            }
+        for (computer, cost) in self.computer_cost.iter_mut().zip(costs) {
+            computer.total += *cost;
+            computer.peak = computer.peak.max(*cost);
             sequential += *cost;
         }
         if sequential > self.max_sequential_frame_cost {
@@ -45,10 +50,16 @@ impl ClusterMetrics {
         self.total_sequential_cost += sequential;
     }
 
+    /// Largest single-frame cost observed on any computer: the frame-rate
+    /// limiter of the pipelined cluster.
+    pub fn max_frame_cost(&self) -> Micros {
+        self.computer_cost.iter().map(|c| c.peak).max().unwrap_or(Micros::ZERO)
+    }
+
     /// The frame rate the pipelined cluster can sustain given the observed
     /// worst per-computer frame cost, capped by the requested frame period.
     pub fn achievable_fps(&self, frame_period: Micros) -> f64 {
-        let limiter = self.max_frame_cost.max(frame_period);
+        let limiter = self.max_frame_cost().max(frame_period);
         if limiter == Micros::ZERO {
             0.0
         } else {
@@ -57,7 +68,7 @@ impl ClusterMetrics {
     }
 
     /// The frame rate a single computer running every module sequentially
-    /// could sustain (the "mainframe-replacement" baseline of experiment E6).
+    /// could sustain (the "mainframe-replacement" baseline of experiment E8).
     pub fn sequential_fps(&self, frame_period: Micros) -> f64 {
         let limiter = self.max_sequential_frame_cost.max(frame_period);
         if limiter == Micros::ZERO {
@@ -81,8 +92,11 @@ mod tests {
         );
         m.record_frame(Micros::from_millis(16), &[Micros::from_millis(20), Micros::from_millis(5)]);
         assert_eq!(m.frames_run, 2);
-        assert_eq!(m.computer_cost, [Micros::from_millis(30), Micros::from_millis(35)]);
-        assert_eq!(m.max_frame_cost, Micros::from_millis(30));
+        let totals: Vec<Micros> = m.computer_cost.iter().map(|c| c.total).collect();
+        assert_eq!(totals, [Micros::from_millis(30), Micros::from_millis(35)]);
+        let peaks: Vec<Micros> = m.computer_cost.iter().map(|c| c.peak).collect();
+        assert_eq!(peaks, [Micros::from_millis(20), Micros::from_millis(30)]);
+        assert_eq!(m.max_frame_cost(), peaks.iter().copied().max().unwrap());
         assert_eq!(m.max_sequential_frame_cost, Micros::from_millis(40));
     }
 

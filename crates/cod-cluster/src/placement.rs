@@ -3,7 +3,7 @@
 //! "One or many LPs can run on a computer, depending upon the computational
 //! load of each LP" (paper §2.1). This module provides the classic
 //! longest-processing-time-first heuristic for packing module loads onto a
-//! given number of desktop PCs, which the cluster-speedup experiment (E6) uses
+//! given number of desktop PCs, which the cluster-speedup experiment (E8) uses
 //! to decide how many computers a configuration really needs.
 
 use cod_net::Micros;

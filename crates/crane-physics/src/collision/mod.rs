@@ -13,7 +13,7 @@
 //!    normal and penetration depth.
 //!
 //! An optional uniform [`broad::SpatialGrid`] prunes the level-1 candidate set
-//! for large obstacle counts; the collision benchmark (experiment E7) compares
+//! for large obstacle counts; the collision benchmark (experiment E3) compares
 //! the hierarchy against the naive all-exact baseline.
 
 pub mod broad;
@@ -177,7 +177,7 @@ impl CollisionWorld {
 
     /// Naive baseline: runs the exact test against every obstacle without any
     /// pruning. Produces the same contacts as [`CollisionWorld::query_sphere`];
-    /// exists so the E7 benchmark can quantify what the hierarchy saves.
+    /// exists so the E3 benchmark can quantify what the hierarchy saves.
     pub fn query_sphere_naive(&mut self, center: Vec3, radius: f64) -> Vec<Contact> {
         let mut contacts = Vec::new();
         for (index, shape) in self.statics.iter().enumerate() {

@@ -1,66 +1,12 @@
-//! Cluster scaling (experiment E8): what frame rate the seven-module simulator
-//! can sustain on one desktop PC versus on the eight-computer COD, and how the
-//! load-balancer packs the modules onto intermediate cluster sizes.
+//! Cluster scaling (experiment E8): what frame rate the crane simulator
+//! sustains on one desktop PC versus on the eight-computer COD, read off the
+//! per-computer costs the executive records over a 120-frame idle session,
+//! and how the rack's computers pack onto intermediate cluster sizes.
 //!
 //! ```text
 //! cargo run --release --example cluster_scaling
 //! ```
 
-use cod_cluster::{balance_load, LpLoad, PipelineModel, StageCost};
-use cod_net::Micros;
-use crane_sim::{CraneSimulator, OperatorKind, SimulatorConfig};
-
 fn main() {
-    // Measured module costs (the `last_step_cost` each module reports).
-    let stages = vec![
-        StageCost::new("visual-0", Micros::from_millis(60)),
-        StageCost::new("visual-1", Micros::from_millis(60)),
-        StageCost::new("visual-2", Micros::from_millis(60)),
-        StageCost::new("sync-server", Micros(500)),
-        StageCost::new("dynamics", Micros::from_millis(15)),
-        StageCost::new("dashboard", Micros::from_millis(2)),
-        StageCost::new("scenario", Micros::from_millis(1)),
-        StageCost::new("instructor", Micros::from_millis(2)),
-        StageCost::new("audio", Micros::from_millis(3)),
-        StageCost::new("motion-platform", Micros::from_millis(6)),
-    ];
-    let model = PipelineModel::new(stages.clone(), Micros(200));
-    println!("analytic pipeline model");
-    println!(
-        "  sequential (one PC) period : {}  ({:.1} fps)",
-        model.sequential_period(),
-        PipelineModel::fps(model.sequential_period())
-    );
-    println!(
-        "  fully pipelined period     : {}  ({:.1} fps)",
-        model.fully_pipelined_period(),
-        PipelineModel::fps(model.fully_pipelined_period())
-    );
-    println!("  throughput speedup         : {:.2}x", model.speedup());
-
-    println!("\n  computers | frame period | fps  (load-balanced placement)");
-    println!("  ----------+--------------+------");
-    for computers in 1..=8 {
-        let loads: Vec<LpLoad> = stages.iter().map(|s| LpLoad::new(&s.name, s.cost)).collect();
-        let placement = balance_load(&loads, computers);
-        println!(
-            "  {computers:>9} | {:>12} | {:>5.1}",
-            placement.makespan,
-            placement.achievable_fps(Micros::ZERO.max(Micros(1)))
-        );
-    }
-
-    // Measured on the actual simulator: the executive records per-computer costs.
-    println!("\nmeasured with the full simulator (idle operator, 120 frames)...");
-    let mut simulator = CraneSimulator::new(SimulatorConfig {
-        operator: OperatorKind::Idle,
-        exam_frames: 120,
-        ..SimulatorConfig::default()
-    })
-    .expect("simulator builds");
-    simulator.run().expect("session runs");
-    let report = simulator.report();
-    println!("  eight-computer COD : {:5.1} fps", report.cluster_fps);
-    println!("  single desktop PC  : {:5.1} fps", report.sequential_fps);
-    println!("  measured speedup   : {:.2}x", report.cluster_fps / report.sequential_fps.max(1e-9));
+    cod_bench::experiments::cluster_speedup::run();
 }

@@ -1,4 +1,4 @@
-//! The three-channel surround view (experiments E1 and E7): renders real images of
+//! The three-channel surround view (experiment E1): renders real images of
 //! the training world with the software rasterizer and prints the frame-rate
 //! table the paper's §4 reports a single point of (16 fps at 3 235 polygons).
 //!

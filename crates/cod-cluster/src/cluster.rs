@@ -102,6 +102,18 @@ impl Cluster {
         id
     }
 
+    /// Sets the relative CPU speed of every computer in the rack. Speed scales
+    /// only the modeled cost of the frames run after this call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cpu_speed` is not positive.
+    pub fn set_cpu_speed(&mut self, cpu_speed: f64) {
+        for computer in self.computers.iter_mut() {
+            computer.set_cpu_speed(cpu_speed);
+        }
+    }
+
     /// Plugs an LP into a computer, running its `init`.
     ///
     /// # Errors

@@ -59,23 +59,13 @@ impl ClusterMetrics {
     /// The frame rate the pipelined cluster can sustain given the observed
     /// worst per-computer frame cost, capped by the requested frame period.
     pub fn achievable_fps(&self, frame_period: Micros) -> f64 {
-        let limiter = self.max_frame_cost().max(frame_period);
-        if limiter == Micros::ZERO {
-            0.0
-        } else {
-            1.0 / limiter.as_secs_f64()
-        }
+        self.max_frame_cost().max(frame_period).rate_hz()
     }
 
     /// The frame rate a single computer running every module sequentially
     /// could sustain (the "mainframe-replacement" baseline of experiment E8).
     pub fn sequential_fps(&self, frame_period: Micros) -> f64 {
-        let limiter = self.max_sequential_frame_cost.max(frame_period);
-        if limiter == Micros::ZERO {
-            0.0
-        } else {
-            1.0 / limiter.as_secs_f64()
-        }
+        self.max_sequential_frame_cost.max(frame_period).rate_hz()
     }
 }
 

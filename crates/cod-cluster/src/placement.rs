@@ -51,12 +51,7 @@ pub struct Placement {
 impl Placement {
     /// The frame rate the placement can sustain, additionally bounded by `frame_period`.
     pub fn achievable_fps(&self, frame_period: Micros) -> f64 {
-        let limiter = self.makespan.max(frame_period);
-        if limiter == Micros::ZERO {
-            0.0
-        } else {
-            1.0 / limiter.as_secs_f64()
-        }
+        self.makespan.max(frame_period).rate_hz()
     }
 }
 

@@ -30,6 +30,14 @@
 //!   replay cost included. The replayed frames are charged to the receiving
 //!   shard's modeled time.
 //!
+//! A retired rack goes to the pool of the shard that stepped it. Before a
+//! shard resumes a session — placement, migration, either direction of a
+//! retier — the driver checks that shard's pool and, when it holds no rack of
+//! the session's shape, moves one over from the lowest-id shard that does
+//! (the receiving shard re-stamps its own CPU speed on it). A rack is built
+//! only when no shard holds its shape. Lending runs on the driver between
+//! ticks, in shard-id order, so the pools are the same at every thread count.
+//!
 //! Throughput and utilization are accounted in *modeled* time (the same
 //! modeled CPU costs the cluster executive already records), so a fleet run
 //! is a pure function of its configuration: same seed, same report, byte for
@@ -45,11 +53,11 @@ use std::time::Duration;
 use cod_cb::CbError;
 use cod_net::Micros;
 use cod_trace::{DetTrace, ObsConfig, WallTrace, DRIVER_LANE};
-use crane_sim::FidelityTier;
+use crane_sim::{FidelityTier, SimulatorConfig};
 
 use crate::admission::{AdmissionConfig, AdmissionState};
 use crate::executor::{WallClockExecutor, WallStopwatch};
-use crate::shard::{Completed, PortableSession, Shard, ShardConfig, ShardStats};
+use crate::shard::{Completed, PortableSession, SessionShape, Shard, ShardConfig, ShardStats};
 use crate::workload::{coarse_eligible, generate, initial_tier, Priority, WorkloadConfig};
 
 /// How many threads step shard batches each tick.
@@ -534,6 +542,7 @@ pub fn run_fleet_traced(
             entry.portable.admitted_tick = tick;
         }
         let session = entry.portable.spec.id;
+        lend_rack(shards, target, &entry.portable.spec.config);
         let replay = shards[target].resume(entry.portable)?;
         resume_busy[target] += replay;
         if let Some(d) = det.as_mut() {
@@ -755,18 +764,18 @@ fn retier_tick(
     tick: u64,
 ) -> Result<(), CbError> {
     if admission.pending() > 0 {
-        for shard in shards.iter_mut() {
+        for sid in 0..shards.len() {
             loop {
-                let target = shard
+                let target = shards[sid]
                     .residents_overview()
                     .into_iter()
                     .filter(|v| v.tier == FidelityTier::Full && coarse_eligible(v.priority))
                     .min_by_key(|v| (v.frames_done, v.id));
                 let Some(view) = target else { break };
-                let cost = shard.retier(view.index, FidelityTier::Coarse)?;
-                resume_busy[shard.id] += cost;
+                let cost = retier(shards, sid, view.index, FidelityTier::Coarse)?;
+                resume_busy[sid] += cost;
                 if let Some(d) = det.as_mut() {
-                    d.event(tick, "demote", view.id, shard.id as i64);
+                    d.event(tick, "demote", view.id, sid as i64);
                 }
             }
         }
@@ -785,7 +794,7 @@ fn retier_tick(
             })
             .min_by_key(|(sid, v)| (v.frames_done, v.id, *sid));
         if let Some((sid, view)) = candidate {
-            let cost = shards[sid].retier(view.index, FidelityTier::Full)?;
+            let cost = retier(shards, sid, view.index, FidelityTier::Full)?;
             resume_busy[sid] += cost;
             if let Some(d) = det.as_mut() {
                 d.event(tick, "promote", view.id, sid as i64);
@@ -793,6 +802,33 @@ fn retier_tick(
         }
     }
     Ok(())
+}
+
+/// [`Shard::retier`] of the resident at `index` on shard `sid`, with the
+/// shard's pool first stocked with a rack of the new tier (see [`lend_rack`]).
+fn retier(
+    shards: &mut [Shard],
+    sid: usize,
+    index: usize,
+    tier: FidelityTier,
+) -> Result<Micros, CbError> {
+    let config = SimulatorConfig { tier, ..shards[sid].resident_config(index) };
+    lend_rack(shards, sid, &config);
+    shards[sid].retier(index, tier)
+}
+
+/// Makes sure shard `target` can recycle a rack for a session of `config`:
+/// if its own pool holds none of that shape, moves one over from the
+/// lowest-id shard whose pool does. When no shard holds the shape, nothing
+/// moves and the target builds.
+fn lend_rack(shards: &mut [Shard], target: usize, config: &SimulatorConfig) {
+    let shape = SessionShape::of(config);
+    if shards[target].pools(&shape) {
+        return;
+    }
+    if let Some(rack) = shards.iter_mut().find_map(|s| s.take_pooled(&shape)) {
+        shards[target].recycle(rack);
+    }
 }
 
 /// Performs at most one strictly-improving migration: donor = most
@@ -839,6 +875,7 @@ fn migrate_one(
     if let Some(d) = det.as_mut() {
         d.event(tick, "migrate", portable.spec.id, receiver as i64);
     }
+    lend_rack(shards, receiver, &portable.spec.config);
     let cost = shards[receiver].resume(portable)?;
     resume_busy[receiver] += cost;
     Ok(())
@@ -1177,6 +1214,40 @@ mod tests {
         let d = run_fleet(&pooled).unwrap();
         assert_eq!(a.sessions, d.sessions);
         assert_eq!(a.elapsed_modeled, d.elapsed_modeled);
+    }
+
+    #[test]
+    fn a_shape_served_one_session_at_a_time_is_built_once_fleet_wide() {
+        // Three sessions of one shape, arriving 16 ticks apart, each done in
+        // at most three: never two at once. Each is placed on the idle
+        // reference shard 0 and moves live to the double-speed shard 1.
+        let mut config = tiny_config(2, 1277);
+        config.shard_speeds = vec![1.0, 2.0];
+        config.placement = PlacementPolicy::LeastResident;
+        config.migration = true;
+        config.workload =
+            WorkloadConfig { sessions: 3, seed: 1277, base_frames: 16, mean_interarrival_ticks: 8 };
+        let arrivals = generate(&config.workload);
+        let shape = SessionShape::of(&arrivals[0].spec.config);
+        assert!(arrivals.iter().all(|a| SessionShape::of(&a.spec.config) == shape));
+
+        let outcome = run_fleet(&config).unwrap();
+        assert_eq!(outcome.completed, 3);
+        for pair in outcome.sessions.windows(2) {
+            assert!(pair[1].admitted_tick > pair[0].completed_tick, "sessions overlapped");
+        }
+        assert!(outcome.sessions.iter().all(|s| (s.migrated, s.shard) == (1, 1)));
+        // The rack built on shard 0 serves every placement and every move:
+        // shard 1 borrows it, re-stamped to its own speed, instead of
+        // building a second one.
+        let built: Vec<u64> = outcome.shard_stats.iter().map(|s| s.sims_built).collect();
+        let recycled: u64 = outcome.shard_stats.iter().map(|s| s.sims_recycled).sum();
+        assert_eq!(built, [1, 0], "one shape, one session at a time: one rack");
+        assert_eq!(recycled, 5);
+        // A fleet that pools nothing builds a fresh rack at every resume;
+        // the lent racks serve the same sessions at the same modeled cost.
+        config.shard.pool_per_shape = 0;
+        assert_eq!(run_fleet(&config).unwrap().sessions, outcome.sessions);
     }
 
     use proptest::prelude::*;

@@ -7,11 +7,15 @@
 //! away: it files the rack under its [`SessionShape`] and the next session of
 //! the same shape gets it back through
 //! [`CraneSimulator::reset_for_session`], skipping initialization entirely.
+//! In a fleet, the driver also lends a pooled rack to a sibling shard that
+//! has none of the shape it is about to serve, so a shape is built again only
+//! when no shard holds one.
 //!
 //! Shards are *heterogeneous*: each carries a relative CPU speed (1.0 = the
-//! paper's reference desktop PC) threaded into every simulator it builds via
-//! [`SimulatorConfig::cpu_speed`] → `Cluster::add_computer_with_speed`, so a
-//! half-speed shard charges twice the modeled cost per frame. A resident
+//! paper's reference desktop PC) stamped on every rack it builds via
+//! [`SimulatorConfig::cpu_speed`] → `Cluster::add_computer_with_speed`, and
+//! re-stamped on every rack it takes from a pool, so a half-speed shard
+//! charges twice the modeled cost per frame. A resident
 //! session can also be *extracted* — serialized to its spec, seed and frame
 //! count — and resumed on another shard (or later on the same one) by
 //! deterministic replay; that is the substrate of both preemption and live
@@ -44,7 +48,7 @@ pub struct ShardConfig {
     pub slots: usize,
     /// Executive frames each resident session advances per fleet tick.
     pub batch_frames: usize,
-    /// Retired simulators kept per session shape for recycling.
+    /// Retired simulators this shard keeps per session shape for recycling.
     pub pool_per_shape: usize,
     /// Selects nothing (see [`SteppingMode`]); kept only because
     /// `benchmark/` sets it.
@@ -64,14 +68,16 @@ impl Default for ShardConfig {
 
 /// The structural part of a [`SimulatorConfig`] — every field that affects
 /// the replay identity of a built rack, i.e. everything that decides whether
-/// a pooled simulator can be recycled for another session. Only the session
-/// seed and frame budget are per-session and excluded.
+/// a pooled simulator can be recycled for another session. The session seed
+/// and frame budget are per-session and excluded.
 ///
-/// The CPU speed and fidelity tier are part of the key: a shard does stamp
-/// its own speed onto every configuration before the pool lookup, but the key
-/// must not *rely* on every caller doing that — a rack built at the wrong
-/// speed would report wrong modeled costs, and a Full rack handed to a Coarse
-/// session (or vice versa) would replay a different trace entirely.
+/// The fidelity tier is part of the key: a Full rack handed to a Coarse
+/// session (or vice versa) would replay a different trace entirely. The CPU
+/// speed is not: it scales only the modeled cost of a frame, never what the
+/// rack simulates, and the shard that takes a rack from a pool re-stamps its
+/// own speed on it ([`CraneSimulator::set_cpu_speed`]) before the reset. So
+/// a rack built on one shard serves a session of its shape on any shard, at
+/// that shard's modeled cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SessionShape {
     operator: u8,
@@ -83,7 +89,6 @@ pub struct SessionShape {
     render_pixels: bool,
     cargo_mass_millig: u64,
     frame_period_us: u64,
-    cpu_speed_millis: u64,
 }
 
 impl SessionShape {
@@ -99,7 +104,6 @@ impl SessionShape {
             render_pixels: config.render_pixels,
             cargo_mass_millig: (config.cargo_mass_kg * 1_000.0).round() as u64,
             frame_period_us: (1_000_000.0 / config.target_fps).round() as u64,
-            cpu_speed_millis: (config.cpu_speed * 1_000.0).round() as u64,
         }
     }
 }
@@ -213,7 +217,8 @@ pub struct ShardStats {
     pub sessions_completed: u64,
     /// Simulators built from scratch.
     pub sims_built: u64,
-    /// Sessions served by a recycled simulator.
+    /// Sessions served by a recycled simulator (from this shard's pool, or
+    /// lent to it by a sibling's).
     pub sims_recycled: u64,
     /// Residents extracted for preemption.
     pub preempted_out: u64,
@@ -401,12 +406,13 @@ impl Shard {
             .collect()
     }
 
-    /// Builds or recycles a simulator for `spec`, with this shard's CPU speed
-    /// stamped into the configuration.
+    /// Builds or recycles a simulator for `spec`, whose configuration
+    /// carries this shard's CPU speed. A pooled rack may have been built on
+    /// another shard, so its speed is re-stamped before the reset.
     fn obtain_sim(&mut self, spec: &SessionSpec) -> Result<CraneSimulator, CbError> {
-        let shape = SessionShape::of(&spec.config);
-        let mut sim = match self.pool.get_mut(&shape).and_then(Vec::pop) {
+        let mut sim = match self.take_pooled(&SessionShape::of(&spec.config)) {
             Some(mut sim) => {
+                sim.set_cpu_speed(spec.config.cpu_speed);
                 sim.reset_for_session(spec.config.seed)?;
                 self.stats.sims_recycled += 1;
                 sim
@@ -493,17 +499,37 @@ impl Shard {
             r.session.preempted += 1;
             self.stats.preempted_out += 1;
         }
-        self.recycle(&r.session.spec.config, r.sim);
+        self.recycle(r.sim);
         r.session
     }
 
-    /// Files a simulator leaving residency under its shape, if the pool has
-    /// room for it.
-    fn recycle(&mut self, config: &SimulatorConfig, sim: CraneSimulator) {
-        let pool = self.pool.entry(SessionShape::of(config)).or_default();
+    /// Files a simulator leaving residency (or lent by a sibling) under its
+    /// shape, if the pool has room for it.
+    pub(crate) fn recycle(&mut self, sim: CraneSimulator) {
+        let pool = self.pool.entry(SessionShape::of(sim.config())).or_default();
         if pool.len() < self.config.pool_per_shape {
             pool.push(sim);
         }
+    }
+
+    /// Whether the pool holds a rack of `shape`.
+    pub(crate) fn pools(&self, shape: &SessionShape) -> bool {
+        self.pool.get(shape).is_some_and(|racks| !racks.is_empty())
+    }
+
+    /// Takes a pooled rack of `shape` out of the pool: to serve a session
+    /// here, or to lend to a sibling.
+    pub(crate) fn take_pooled(&mut self, shape: &SessionShape) -> Option<CraneSimulator> {
+        self.pool.get_mut(shape).and_then(Vec::pop)
+    }
+
+    /// The configuration of the resident at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub(crate) fn resident_config(&self, index: usize) -> SimulatorConfig {
+        self.residents[index].session.spec.config
     }
 
     /// Moves the resident at `index` to `tier` in place, by the same
@@ -526,7 +552,7 @@ impl Shard {
     pub fn retier(&mut self, index: usize, tier: FidelityTier) -> Result<Micros, CbError> {
         let mut r = self.residents.remove(index);
         assert_ne!(r.session.spec.config.tier, tier, "retier must change the tier");
-        self.recycle(&r.session.spec.config, r.sim);
+        self.recycle(r.sim);
         match tier {
             FidelityTier::Full => {
                 r.session.promoted += 1;
@@ -601,7 +627,7 @@ impl Shard {
         let cost = r.sim.cluster().metrics().total_sequential_cost;
         let telemetry = r.sim.telemetry_digest().fingerprint();
         self.stats.sessions_completed += 1;
-        self.recycle(&r.session.spec.config, r.sim);
+        self.recycle(r.sim);
         let s = r.session;
         Completed {
             id: s.spec.id,
@@ -787,11 +813,12 @@ mod tests {
         let mut c = a.clone();
         c.config.display_channels += 1;
         assert_ne!(SessionShape::of(&a.config), SessionShape::of(&c.config));
-        // Regression: cpu_speed was once excluded, so a rack built at one
-        // speed could be recycled at another and misreport modeled cost.
+        // The CPU speed does not: the shard that takes a pooled rack
+        // re-stamps its own speed on it, so a rack serves every shard (see
+        // `a_shape_served_one_session_at_a_time_is_built_once_fleet_wide`).
         let mut d = a.clone();
         d.config.cpu_speed = 2.0;
-        assert_ne!(SessionShape::of(&a.config), SessionShape::of(&d.config));
+        assert_eq!(SessionShape::of(&a.config), SessionShape::of(&d.config));
         // The fidelity tier racks a different cluster entirely.
         let mut e = a.clone();
         e.config.tier = FidelityTier::Coarse;

@@ -49,6 +49,16 @@ impl Micros {
     pub fn saturating_sub(self, rhs: Micros) -> Micros {
         Micros(self.0.saturating_sub(rhs.0))
     }
+
+    /// The rate of a period, in events per second: a frame period's frame
+    /// rate. A zero period has rate 0 (no frame has been timed yet).
+    pub fn rate_hz(self) -> f64 {
+        if self == Micros::ZERO {
+            0.0
+        } else {
+            1.0 / self.as_secs_f64()
+        }
+    }
 }
 
 impl Add for Micros {
@@ -118,6 +128,12 @@ impl SimClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_period_has_its_rate_and_zero_has_none() {
+        assert_eq!(Micros::from_millis(50).rate_hz(), 20.0);
+        assert_eq!(Micros::ZERO.rate_hz(), 0.0);
+    }
 
     #[test]
     fn conversions_roundtrip() {

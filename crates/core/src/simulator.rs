@@ -277,7 +277,24 @@ impl CraneSimulator {
         self.cluster.begin_session(self.session_epoch, seed)
     }
 
-    /// The configuration the simulator was built with.
+    /// Re-stamps the rack's relative CPU speed: on every computer, and in the
+    /// configuration (so a display added later runs at it too). Speed scales
+    /// only the modeled cost of a frame, never what the rack simulates, so a
+    /// rack built at one speed, re-stamped to another and reset replays a
+    /// rack built at the other digest for digest, at the same modeled cost.
+    /// A fleet re-stamps every pooled rack with the speed of the shard that
+    /// takes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cpu_speed` is not positive.
+    pub fn set_cpu_speed(&mut self, cpu_speed: f64) {
+        self.cluster.set_cpu_speed(cpu_speed);
+        self.config.cpu_speed = cpu_speed;
+    }
+
+    /// The configuration the simulator was built with, with the session seed
+    /// and CPU speed it was last given.
     pub fn config(&self) -> &SimulatorConfig {
         &self.config
     }
@@ -404,13 +421,6 @@ impl CraneSimulator {
         let slowest_channel =
             snap.channel_frame_times.iter().copied().max().unwrap_or(Micros::ZERO);
         let swap_locked_period = synchronized_period(&snap.channel_frame_times, SWAP_LOCK_BARRIER);
-        let fps_of = |period: Micros| {
-            if period == Micros::ZERO {
-                0.0
-            } else {
-                1.0 / period.as_secs_f64()
-            }
-        };
 
         SessionReport {
             // The cluster counts cluster frames; a session is graded in
@@ -423,8 +433,8 @@ impl CraneSimulator {
             collisions: snap.collisions.len(),
             cluster_fps: metrics.achievable_fps(frame_period),
             sequential_fps: metrics.sequential_fps(frame_period),
-            synchronized_fps: fps_of(swap_locked_period),
-            free_running_fps: fps_of(slowest_channel),
+            synchronized_fps: swap_locked_period.rate_hz(),
+            free_running_fps: slowest_channel.rate_hz(),
             channel_frame_times: snap.channel_frame_times.clone(),
             max_hook_swing: snap.max_swing,
             platform_saturated: snap.platform_saturated,

@@ -58,7 +58,10 @@ impl GpuCostModel {
         self.frame_time(triangles, pixels)
     }
 
-    /// Frames per second for a given frame time.
+    /// Frames per second for a given frame time. Unlike
+    /// [`Micros::rate_hz`], which reads a zero period as "not timed yet" and
+    /// returns 0, a zero render time is infinitely fast here
+    /// (`fps_of_zero_frame_time_is_infinite` pins it).
     pub fn fps(frame_time: Micros) -> f64 {
         if frame_time == Micros::ZERO {
             f64::INFINITY

@@ -1,7 +1,10 @@
 //! Fleet serving: dozens of concurrent crane-simulator sessions on a pool of
 //! *unequal* shards — priority admission with preemption, speed-weighted
 //! placement, live session migration, fidelity tiering and simulator
-//! recycling, end to end.
+//! recycling, end to end. A retired rack is pooled on the shard that ran it,
+//! and a shard about to serve a shape it has no rack of borrows one from a
+//! sibling's pool, re-stamped to its own CPU speed, so the fleet builds a
+//! shape again only when no shard holds one.
 //!
 //! ```text
 //! cargo run --release --example fleet_serving
@@ -75,6 +78,8 @@ fn main() {
         );
     }
 
+    // Racks built from scratch vs sessions served by a pooled rack, the
+    // borrowed ones included.
     let recycled: u64 = outcome.shard_stats.iter().map(|s| s.sims_recycled).sum();
     let built: u64 = outcome.shard_stats.iter().map(|s| s.sims_built).sum();
     println!(

@@ -1,9 +1,9 @@
 //! The executive's heap traffic is part of its wall cost (ROADMAP open
-//! item 5): a steady-state frame of the paper's rig and the build of a rack
-//! must each stay inside a fixed allocation budget, counted by a
-//! `#[global_allocator]` that wraps the system allocator. The budgets are the
-//! numbers the follow-up work drives toward zero; raise one only with a
-//! measurement that says why.
+//! item 5): a steady-state frame of the paper's rig, the build of a rack and
+//! the recycle of a pooled one must each stay inside a fixed allocation
+//! budget, counted by a `#[global_allocator]` that wraps the system
+//! allocator. The budgets are the numbers the follow-up work drives toward
+//! zero; raise one only with a measurement that says why.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -38,6 +38,12 @@ const MEASURED_FRAMES: usize = 1000;
 /// 3 656 while every rack also built its own worlds).
 const BUDGET_PER_BUILD: [(FidelityTier, u64); 2] =
     [(FidelityTier::Full, 289), (FidelityTier::Coarse, 235)];
+
+/// Heap allocations allowed to re-stamp a pooled Full rack with another
+/// shard's CPU speed and reset it for the next session (1 measured):
+/// what a fleet pays per recycled admission, whichever shard's pool the rack
+/// came from.
+const BUDGET_PER_RECYCLE: u64 = 1;
 
 thread_local! {
     // Per thread, so the test harness's own threads never leak into the count.
@@ -119,4 +125,29 @@ fn rack_build_stays_inside_the_allocation_budget() {
         );
         println!("allocations per {tier:?} rack build: {allocations}");
     }
+}
+
+#[test]
+fn recycling_a_pooled_rack_stays_inside_the_allocation_budget() {
+    let config = SimulatorConfig {
+        tier: FidelityTier::Full,
+        operator: OperatorKind::Exam,
+        display_width: 64,
+        display_height: 48,
+        cpu_speed: 2.0,
+        ..SimulatorConfig::default()
+    };
+    // A session ran on the rack before it was pooled.
+    let mut rack = CraneSimulator::new(config).unwrap();
+    rack.run_frames(WARM_UP_FRAMES).unwrap();
+    let before = allocations_on_this_thread();
+    rack.set_cpu_speed(0.5);
+    rack.reset_for_session(config.seed ^ 0x5EED).unwrap();
+    let allocations = allocations_on_this_thread() - before;
+    assert!(
+        allocations <= BUDGET_PER_RECYCLE,
+        "re-stamping and resetting a pooled Full rack made {allocations} heap allocations, \
+         budget {BUDGET_PER_RECYCLE}"
+    );
+    println!("allocations to re-stamp and reset a pooled Full rack: {allocations}");
 }

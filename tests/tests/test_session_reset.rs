@@ -53,6 +53,30 @@ fn reset_replays_a_fresh_build_bit_for_bit() {
 }
 
 #[test]
+fn a_rack_restamped_to_another_speed_replays_a_rack_built_at_it() {
+    let seed = 0x5EED;
+    let slow = SimulatorConfig { cpu_speed: 0.5, ..config(OperatorKind::Exam, seed) };
+    let mut fresh = CraneSimulator::new(slow).unwrap();
+
+    // A rack built on a double-speed machine serves a session there, is
+    // pooled, and is handed to a half-speed machine.
+    let fast = SimulatorConfig { cpu_speed: 2.0, ..config(OperatorKind::Exam, 0xFA57) };
+    let mut moved = CraneSimulator::new(fast).unwrap();
+    moved.run_frames(25).unwrap();
+    moved.set_cpu_speed(0.5);
+    moved.reset_for_session(seed).unwrap();
+    assert_eq!(moved.config(), fresh.config());
+
+    for frame in 0..60 {
+        let (want, got) = (fresh.step_frame().unwrap(), moved.step_frame().unwrap());
+        assert_eq!(want, got, "frame {frame}: record (modeled cost included)");
+        assert_eq!(fresh.telemetry_digest(), moved.telemetry_digest(), "frame {frame}");
+    }
+    assert_eq!(fresh.session_cost_hint(), moved.session_cost_hint());
+    assert_eq!(fresh.report(), moved.report());
+}
+
+#[test]
 fn reset_clears_faulty_session_state() {
     let seed = 7;
     let mut fresh = CraneSimulator::new(config(OperatorKind::Idle, seed)).unwrap();

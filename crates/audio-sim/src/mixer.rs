@@ -38,6 +38,22 @@ struct Voice {
     oscillator: Oscillator,
 }
 
+impl Voice {
+    /// `source`, its waveform tuned to the sample step `dt`.
+    fn tuned(source: SoundSource, dt: f64) -> Voice {
+        Voice { oscillator: source.waveform.oscillator(dt), source }
+    }
+}
+
+/// The static background of the construction site as a session starts it.
+const BACKGROUND_NOISE: SoundSource = SoundSource {
+    kind: SourceKind::Continuous,
+    waveform: Waveform::Rumble { frequency: 27.0 },
+    gain: 0.12,
+    position: None,
+    age: 0.0,
+};
+
 /// The audio mixer: sources in, attenuated mixed samples out.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mixer {
@@ -93,8 +109,7 @@ impl Mixer {
     pub fn add_source(&mut self, source: SoundSource) -> SourceId {
         let id = SourceId(self.next_id);
         self.next_id += 1;
-        let oscillator = source.waveform.oscillator(self.sample_step());
-        self.sources.insert(id, Voice { source, oscillator });
+        self.sources.insert(id, Voice::tuned(source, self.sample_step()));
         id
     }
 
@@ -111,13 +126,26 @@ impl Mixer {
     /// Adds the static background of the construction site (always present,
     /// paper §3.7: "the static sound, such as the background noise").
     pub fn add_background_noise(&mut self) -> SourceId {
-        self.add_source(SoundSource {
-            kind: SourceKind::Continuous,
-            waveform: Waveform::Rumble { frequency: 27.0 },
-            gain: 0.12,
-            position: None,
-            age: 0.0,
-        })
+        self.add_source(BACKGROUND_NOISE)
+    }
+
+    /// Starts the mixer over for a new session, in the state [`Mixer::new`]
+    /// followed by [`Mixer::add_background_noise`] leaves it: the listener
+    /// at the origin, every other source stopped, and the background noise
+    /// playing from its start as the first source. The sample rate and
+    /// [`Mixer::reference_distance`] are kept, and so is the source table's
+    /// storage: a restart allocates nothing.
+    pub fn reset_to_background(&mut self) {
+        let background = Voice::tuned(BACKGROUND_NOISE, self.sample_step());
+        let first = SourceId(0);
+        // Replacing a kept entry's value reuses its node.
+        self.sources.retain(|id, _| *id == first);
+        self.sources.insert(first, background);
+        self.next_id = 1;
+        self.listener = Vec3::ZERO;
+        self.engine_source = None;
+        self.motor_source = None;
+        self.alarm_source = None;
     }
 
     /// Reacts to a simulation event by creating, adjusting or removing sources.
@@ -270,6 +298,27 @@ mod tests {
         assert!(first.rms() > 0.01);
         assert!(later.rms() > 0.01);
         assert_eq!(m.active_sources(), 1);
+    }
+
+    #[test]
+    fn a_reset_mixer_equals_a_fresh_one_with_background_noise() {
+        let mut fresh = Mixer::new(8_000);
+        fresh.add_background_noise();
+        let mut used = fresh.clone();
+        used.set_listener(Vec3::new(3.0, 0.0, 1.0));
+        used.handle_event(SoundEvent::EngineLoad { intensity: 0.7 });
+        used.handle_event(SoundEvent::MotorWorking { active: true });
+        used.handle_event(SoundEvent::Alarm { active: true });
+        used.handle_event(SoundEvent::Collision { location: Vec3::ZERO, impulse: 5.0 });
+        used.render(0.3);
+        used.reset_to_background();
+        assert_eq!(used, fresh);
+        // A mixer whose first source is not the background gets it back too.
+        let mut other = Mixer::new(8_000);
+        other.handle_event(SoundEvent::EngineLoad { intensity: 0.2 });
+        other.reset_to_background();
+        assert_eq!(other, fresh);
+        assert_eq!(used.render(0.2), fresh.render(0.2));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! interval and the packet loss change.
 
 use cod_cb::{CbKernel, ClassRegistry};
-use cod_net::{LanConfig, Micros, SimLan};
+use cod_net::{FaultPlan, LanConfig, Micros, SimLan};
 
 use crate::report::{DerivedMetric, ExperimentResult};
 
@@ -14,7 +14,8 @@ use crate::report::{DerivedMetric, ExperimentResult};
 fn establish(subscribers: usize, interval: Micros, loss: f64) -> (usize, Micros) {
     let mut registry = ClassRegistry::new();
     let class = registry.register_object_class("CraneState", &["x"]).unwrap();
-    let mut lan = SimLan::new(LanConfig::fast_ethernet(17).with_loss(loss));
+    let mut lan = SimLan::new(LanConfig::fast_ethernet(17));
+    lan.set_fault_plan(FaultPlan::seeded(17).with_drop_probability(loss));
 
     let mut publisher = CbKernel::with_broadcast_interval(lan.attach(), registry.clone(), interval);
     let p = publisher.register_lp();

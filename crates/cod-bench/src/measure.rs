@@ -271,11 +271,7 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "percentile {p} outside [0, 100]");
     let mut sorted = xs.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-comparable sample"));
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
+    sim_math::percentile_sorted(&sorted, p)
 }
 
 /// Raw median absolute deviation from the median (unscaled).

@@ -747,7 +747,7 @@ fn fan_out<I: Iterator, V: Clone>(targets: I, value: V, mut deliver: impl FnMut(
 mod tests {
     use super::*;
     use crate::fom::{AttributeId, Value};
-    use cod_net::{Datagram, LanConfig, NetError, NodeId, Port, SimLan};
+    use cod_net::{Datagram, FaultPlan, LanConfig, NetError, NodeId, Port, SimLan};
 
     struct Cluster {
         lan: SimLan,
@@ -1012,7 +1012,8 @@ mod tests {
     #[test]
     fn lossy_lan_still_converges_thanks_to_rebroadcast() {
         let (fom, crane, _) = crane_fom();
-        let mut cluster = Cluster { lan: SimLan::new(LanConfig::fast_ethernet(11).with_loss(0.3)) };
+        let mut cluster = Cluster { lan: SimLan::new(LanConfig::fast_ethernet(11)) };
+        cluster.lan.set_fault_plan(FaultPlan::seeded(11).with_drop_probability(0.3));
         let mut publisher = cluster.kernel(&fom);
         let mut subscriber = cluster.kernel(&fom);
         let dynamics = publisher.register_lp();

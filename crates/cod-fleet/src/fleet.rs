@@ -30,13 +30,17 @@
 //!   replay cost included. The replayed frames are charged to the receiving
 //!   shard's modeled time.
 //!
-//! A retired rack goes to the pool of the shard that stepped it. Before a
-//! shard resumes a session — placement, migration, either direction of a
-//! retier — the driver checks that shard's pool and, when it holds no rack of
-//! the session's shape, moves one over from the lowest-id shard that does
-//! (the receiving shard re-stamps its own CPU speed on it). A rack is built
-//! only when no shard holds its shape. Lending runs on the driver between
-//! ticks, in shard-id order, so the pools are the same at every thread count.
+//! A session reaches a shard one way, whatever brought it there — placement
+//! from the queue (fresh or preempted), a migration, or either direction of
+//! a retier: the driver's private `land` hands its [`PortableSession`] to the
+//! target shard. `land` first checks that shard's pool and, when it holds no
+//! rack of the session's shape, moves one over from the lowest-id shard that
+//! does (the receiving shard re-stamps its own CPU speed on it); then the
+//! shard resumes the session by replay, and the replay's modeled cost is
+//! charged to that shard's tick. A rack is built only when no shard holds its
+//! shape. Landing runs on the driver between ticks, in shard-id order, so the
+//! pools are the same at every thread count. A retired rack goes to the pool
+//! of the shard that stepped it.
 //!
 //! Throughput and utilization are accounted in *modeled* time (the same
 //! modeled CPU costs the cluster executive already records), so a fleet run
@@ -53,7 +57,7 @@ use std::time::Duration;
 use cod_cb::CbError;
 use cod_net::Micros;
 use cod_trace::{DetTrace, ObsConfig, WallTrace, DRIVER_LANE};
-use crane_sim::{FidelityTier, SimulatorConfig};
+use crane_sim::FidelityTier;
 
 use crate::admission::{AdmissionConfig, AdmissionState};
 use crate::executor::{WallClockExecutor, WallStopwatch};
@@ -276,20 +280,6 @@ pub struct FleetOutcome {
     pub shard_stats: Vec<ShardStats>,
 }
 
-/// The `p`-th percentile (0–100) of a sorted sample, by the same linear
-/// interpolation between closest ranks that `cod_bench::measure::percentile`
-/// uses — the two layers must agree on what "p95" means.
-fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = p.clamp(0.0, 100.0) / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
-}
-
 impl FleetOutcome {
     /// Completed sessions per second of modeled serving time.
     pub fn sessions_per_sec(&self) -> f64 {
@@ -301,56 +291,40 @@ impl FleetOutcome {
         }
     }
 
-    /// The `p`-th percentile (0–100) of session latency in fleet ticks,
-    /// linearly interpolated between closest ranks — the same convention as
-    /// `cod_bench::measure::percentile`, so `FLEET_cod.json` and
-    /// `BENCH_cod.json` percentiles are comparable. Returns `0.0` when no
-    /// session completed.
+    /// The `p`-th percentile (0–100) of session latency in fleet ticks, over
+    /// every completed session; `benchmark/` reads it.
     pub fn latency_percentile_ticks(&self, p: f64) -> f64 {
-        self.latency_percentile_ticks_for(None, p)
+        self.latency_percentile_ticks_where(p, |_| true)
     }
 
-    /// [`FleetOutcome::latency_percentile_ticks`] restricted to one priority
-    /// class (`None` = all classes).
-    pub fn latency_percentile_ticks_for(&self, class: Option<Priority>, p: f64) -> f64 {
-        let mut latencies: Vec<f64> = self
-            .sessions
-            .iter()
-            .filter(|s| class.is_none_or(|c| s.priority == c))
-            .map(|s| s.latency_ticks() as f64)
-            .collect();
+    /// The `p`-th percentile (0–100) of the latency in fleet ticks of the
+    /// completed sessions `keep` accepts, by [`sim_math::percentile_sorted`]
+    /// — the convention `cod_bench::measure::percentile` uses too, so
+    /// `FLEET_cod.json` and `BENCH_cod.json` percentiles are comparable.
+    /// Returns `0.0` when no session matches.
+    pub fn latency_percentile_ticks_where(
+        &self,
+        p: f64,
+        keep: impl Fn(&SessionOutcome) -> bool,
+    ) -> f64 {
+        let mut latencies: Vec<f64> =
+            self.sessions.iter().filter(|s| keep(s)).map(|s| s.latency_ticks() as f64).collect();
+        if latencies.is_empty() {
+            return 0.0;
+        }
         latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        percentile_sorted(&latencies, p)
+        sim_math::percentile_sorted(&latencies, p)
     }
 
-    /// Completed sessions of one priority class.
-    pub fn completed_of_class(&self, class: Priority) -> usize {
-        self.sessions.iter().filter(|s| s.priority == class).count()
+    /// Completed sessions that `keep` accepts.
+    pub fn completed_where(&self, keep: impl Fn(&SessionOutcome) -> bool) -> usize {
+        self.sessions.iter().filter(|s| keep(s)).count()
     }
 
-    /// Completed sessions that finished on one fidelity tier.
-    pub fn completed_of_tier(&self, tier: FidelityTier) -> usize {
-        self.sessions.iter().filter(|s| s.tier == tier).count()
-    }
-
-    /// [`FleetOutcome::latency_percentile_ticks`] restricted to sessions that
-    /// finished on one fidelity tier.
-    pub fn latency_percentile_ticks_for_tier(&self, tier: FidelityTier, p: f64) -> f64 {
-        let mut latencies: Vec<f64> = self
-            .sessions
-            .iter()
-            .filter(|s| s.tier == tier)
-            .map(|s| s.latency_ticks() as f64)
-            .collect();
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        percentile_sorted(&latencies, p)
-    }
-
-    /// Mean final score over sessions that finished on one fidelity tier, or
-    /// `0.0` when none did.
-    pub fn mean_score_of_tier(&self, tier: FidelityTier) -> f64 {
-        let scores: Vec<f64> =
-            self.sessions.iter().filter(|s| s.tier == tier).map(|s| s.score).collect();
+    /// Mean final score over the completed sessions `keep` accepts, or `0.0`
+    /// when none does.
+    pub fn mean_score_where(&self, keep: impl Fn(&SessionOutcome) -> bool) -> f64 {
+        let scores: Vec<f64> = self.sessions.iter().filter(|s| keep(s)).map(|s| s.score).collect();
         if scores.is_empty() {
             return 0.0;
         }
@@ -367,14 +341,6 @@ impl FleetOutcome {
         }
     }
 
-    /// Mean final score over completed sessions.
-    pub fn mean_score(&self) -> f64 {
-        if self.sessions.is_empty() {
-            return 0.0;
-        }
-        self.sessions.iter().map(|s| s.score).sum::<f64>() / self.sessions.len() as f64
-    }
-
     /// Fraction of completed sessions that passed the exam.
     pub fn pass_rate(&self) -> f64 {
         if self.sessions.is_empty() {
@@ -385,12 +351,12 @@ impl FleetOutcome {
 }
 
 /// One queued session: either a fresh arrival (no frames yet) or a preempted
-/// resident awaiting resumption. `seq` keeps FIFO order within a priority
-/// class; preempted sessions re-enter at the back of their class.
+/// resident awaiting resumption (`preempted > 0`). `seq` keeps FIFO order
+/// within a priority class; preempted sessions re-enter at the back of their
+/// class.
 struct QueueEntry {
     portable: PortableSession,
     seq: u64,
-    was_admitted: bool,
 }
 
 /// Index of the queue entry to place next: most urgent class first, FIFO
@@ -523,9 +489,8 @@ pub fn run_fleet_traced(
     };
 
     // Places the next queued session (most urgent class first), weighted by
-    // each shard's modeled backlog under the configured policy. Replay cost
-    // of resumed sessions is charged to `resume_busy`. Returns false when the
-    // queue is empty or every slot is taken.
+    // each shard's modeled backlog under the configured policy, and lands it
+    // there. Returns false when the queue is empty or every slot is taken.
     let place_one = |admission: &mut AdmissionState,
                      shards: &mut Vec<Shard>,
                      queue: &mut Vec<QueueEntry>,
@@ -538,13 +503,11 @@ pub fn run_fleet_traced(
         let index = next_queued(queue).expect("admission counted a queued session");
         let mut entry = queue.swap_remove(index);
         debug_assert_eq!(entry.portable.spec.priority, class, "queue and ledger disagree");
-        if !entry.was_admitted {
+        if entry.portable.preempted == 0 {
             entry.portable.admitted_tick = tick;
         }
         let session = entry.portable.spec.id;
-        lend_rack(shards, target, &entry.portable.spec.config);
-        let replay = shards[target].resume(entry.portable)?;
-        resume_busy[target] += replay;
+        land(shards, target, entry.portable, resume_busy)?;
         if let Some(d) = det.as_mut() {
             d.event(tick, "place", session, target as i64);
         }
@@ -579,18 +542,8 @@ pub fn run_fleet_traced(
                     spec.config.tier = initial_tier(spec.priority);
                 }
                 queue.push(QueueEntry {
-                    portable: PortableSession {
-                        spec,
-                        frames_done: 0,
-                        arrived_tick: tick,
-                        admitted_tick: tick,
-                        preempted: 0,
-                        migrated: 0,
-                        promoted: 0,
-                        demoted: 0,
-                    },
+                    portable: PortableSession::arriving(spec, tick),
                     seq: next_seq,
-                    was_admitted: false,
                 });
                 next_seq += 1;
             } else if let Some(d) = det.as_mut() {
@@ -631,7 +584,7 @@ pub fn run_fleet_traced(
             if let Some(d) = det.as_mut() {
                 d.event(tick, "preempt", portable.spec.id, shard_id as i64);
             }
-            queue.push(QueueEntry { portable, seq: next_seq, was_admitted: true });
+            queue.push(QueueEntry { portable, seq: next_seq });
             next_seq += 1;
         }
 
@@ -646,8 +599,8 @@ pub fn run_fleet_traced(
         // 3½. Retier: under queue pressure every coarse-eligible Full
         //     resident sheds fidelity (freeing modeled capacity for the
         //     backlog); on a calm tick one demoted session buys its full
-        //     rack back. Either direction is an in-place deterministic
-        //     replay, charged like a migration's.
+        //     rack back. Either direction lands the re-tiered session back
+        //     on its own shard, by replay, charged like a migration's.
         if config.tiering {
             retier_tick(&admission, &mut shards, &mut resume_busy, &mut det, tick)?;
         }
@@ -772,8 +725,8 @@ fn retier_tick(
                     .filter(|v| v.tier == FidelityTier::Full && coarse_eligible(v.priority))
                     .min_by_key(|v| (v.frames_done, v.id));
                 let Some(view) = target else { break };
-                let cost = retier(shards, sid, view.index, FidelityTier::Coarse)?;
-                resume_busy[sid] += cost;
+                let session = shards[sid].retier(view.index, FidelityTier::Coarse);
+                land(shards, sid, session, resume_busy)?;
                 if let Some(d) = det.as_mut() {
                     d.event(tick, "demote", view.id, sid as i64);
                 }
@@ -794,8 +747,8 @@ fn retier_tick(
             })
             .min_by_key(|(sid, v)| (v.frames_done, v.id, *sid));
         if let Some((sid, view)) = candidate {
-            let cost = retier(shards, sid, view.index, FidelityTier::Full)?;
-            resume_busy[sid] += cost;
+            let session = shards[sid].retier(view.index, FidelityTier::Full);
+            land(shards, sid, session, resume_busy)?;
             if let Some(d) = det.as_mut() {
                 d.event(tick, "promote", view.id, sid as i64);
             }
@@ -804,31 +757,25 @@ fn retier_tick(
     Ok(())
 }
 
-/// [`Shard::retier`] of the resident at `index` on shard `sid`, with the
-/// shard's pool first stocked with a rack of the new tier (see [`lend_rack`]).
-fn retier(
+/// The one way a session reaches a shard — placement, migration, and both
+/// directions of a retier. When shard `target`'s pool holds no rack of the
+/// session's shape, one moves over from the lowest-id shard whose pool does
+/// (when none does, the target builds); then the target resumes the session
+/// by replay, and the replay's modeled cost is charged to its tick.
+fn land(
     shards: &mut [Shard],
-    sid: usize,
-    index: usize,
-    tier: FidelityTier,
-) -> Result<Micros, CbError> {
-    let config = SimulatorConfig { tier, ..shards[sid].resident_config(index) };
-    lend_rack(shards, sid, &config);
-    shards[sid].retier(index, tier)
-}
-
-/// Makes sure shard `target` can recycle a rack for a session of `config`:
-/// if its own pool holds none of that shape, moves one over from the
-/// lowest-id shard whose pool does. When no shard holds the shape, nothing
-/// moves and the target builds.
-fn lend_rack(shards: &mut [Shard], target: usize, config: &SimulatorConfig) {
-    let shape = SessionShape::of(config);
-    if shards[target].pools(&shape) {
-        return;
+    target: usize,
+    session: PortableSession,
+    resume_busy: &mut [Micros],
+) -> Result<(), CbError> {
+    let shape = SessionShape::of(&session.spec.config);
+    if !shards[target].pools(&shape) {
+        if let Some(rack) = shards.iter_mut().find_map(|s| s.take_pooled(&shape)) {
+            shards[target].recycle(rack);
+        }
     }
-    if let Some(rack) = shards.iter_mut().find_map(|s| s.take_pooled(&shape)) {
-        shards[target].recycle(rack);
-    }
+    resume_busy[target] += shards[target].resume(session)?;
+    Ok(())
 }
 
 /// Performs at most one strictly-improving migration: donor = most
@@ -875,27 +822,25 @@ fn migrate_one(
     if let Some(d) = det.as_mut() {
         d.event(tick, "migrate", portable.spec.id, receiver as i64);
     }
-    lend_rack(shards, receiver, &portable.spec.config);
-    let cost = shards[receiver].resume(portable)?;
-    resume_busy[receiver] += cost;
-    Ok(())
+    land(shards, receiver, portable, resume_busy)
 }
 
 fn session_outcome(done: Completed, tick: u64, shard: usize) -> SessionOutcome {
+    let s = done.session;
     SessionOutcome {
-        id: done.id,
-        name: done.name,
-        frames: done.frames,
-        priority: done.priority,
-        arrived_tick: done.arrived_tick,
-        admitted_tick: done.admitted_tick,
+        id: s.spec.id,
+        name: s.spec.name,
+        frames: s.spec.frames,
+        priority: s.spec.priority,
+        arrived_tick: s.arrived_tick,
+        admitted_tick: s.admitted_tick,
         completed_tick: tick,
         shard,
-        preempted: done.preempted,
-        migrated: done.migrated,
-        promoted: done.promoted,
-        demoted: done.demoted,
-        tier: done.tier,
+        preempted: s.preempted,
+        migrated: s.migrated,
+        promoted: s.promoted,
+        demoted: s.demoted,
+        tier: s.spec.config.tier,
         score: done.report.score,
         passed: done.report.passed,
         cost: done.cost,
@@ -1093,8 +1038,9 @@ mod tests {
         let sum: u32 = preempting.sessions.iter().map(|s| s.preempted).sum();
         assert_eq!(u64::from(sum), preempting.preempted);
         // Interactive latency must not get worse than the FIFO run's.
-        let p95 =
-            |o: &FleetOutcome| o.latency_percentile_ticks_for(Some(Priority::Interactive), 95.0);
+        let p95 = |o: &FleetOutcome| {
+            o.latency_percentile_ticks_where(95.0, |s| s.priority == Priority::Interactive)
+        };
         assert!(
             p95(&preempting) <= p95(&fifo),
             "interactive p95 {} vs FIFO {}",
@@ -1170,7 +1116,7 @@ mod tests {
                 assert_eq!((s.tier, s.promoted), (FidelityTier::Coarse, 0));
             }
         }
-        assert!(tiered.completed_of_tier(FidelityTier::Coarse) > 0);
+        assert!(tiered.completed_where(|s| s.tier == FidelityTier::Coarse) > 0);
     }
 
     #[test]
@@ -1214,6 +1160,63 @@ mod tests {
         let d = run_fleet(&pooled).unwrap();
         assert_eq!(a.sessions, d.sessions);
         assert_eq!(a.elapsed_modeled, d.elapsed_modeled);
+    }
+
+    #[test]
+    fn a_retier_lands_on_a_siblings_pooled_rack_of_the_new_tier() {
+        let config =
+            ShardConfig { slots: 2, batch_frames: 4, pool_per_shape: 1, ..ShardConfig::default() };
+        let mut shards: Vec<Shard> = (0..2).map(|i| Shard::new(i, config, 1.0)).collect();
+        let mut busy = vec![Micros::ZERO; 2];
+        let workload =
+            WorkloadConfig { sessions: 1, seed: 5, base_frames: 16, mean_interarrival_ticks: 0 };
+        let spec = generate(&workload).remove(0).spec;
+        let session = |id: u64, tier: FidelityTier| {
+            let mut s = spec.clone();
+            s.id = id;
+            s.config.seed ^= id;
+            s.config.tier = tier;
+            s
+        };
+        let full = SessionShape::of(&spec.config);
+        let coarse = SessionShape::of(&session(0, FidelityTier::Coarse).config);
+
+        // Session 0 runs Full on shard 0; shard 1 pools one rack of each tier.
+        shards[0].admit(session(0, FidelityTier::Full), 0, 0).unwrap();
+        shards[0].step_batch().unwrap();
+        shards[1].admit(session(1, FidelityTier::Full), 0, 0).unwrap();
+        shards[1].admit(session(2, FidelityTier::Coarse), 0, 0).unwrap();
+        while shards[1].resident_count() > 0 {
+            shards[1].step_batch().unwrap();
+        }
+        assert!(shards[1].pools(&full) && shards[1].pools(&coarse));
+        let built =
+            |shards: &[Shard]| shards.iter().map(|s| s.stats.sims_built).collect::<Vec<_>>();
+        assert_eq!(built(&shards), [1, 2]);
+
+        // A demotion pools the Full rack at home and borrows shard 1's Coarse one.
+        let demoted = shards[0].retier(0, FidelityTier::Coarse);
+        land(&mut shards, 0, demoted, &mut busy).unwrap();
+        assert!(busy[0] > Micros::ZERO, "the replay is charged to the landing shard");
+        assert!(!shards[1].pools(&coarse), "the sibling's Coarse rack was lent");
+        assert!(shards[0].pools(&full));
+        // A fresh Full session takes that home rack...
+        land(
+            &mut shards,
+            0,
+            PortableSession::arriving(session(3, FidelityTier::Full), 1),
+            &mut busy,
+        )
+        .unwrap();
+        assert!(!shards[0].pools(&full));
+        // ...so the promotion borrows shard 1's Full rack.
+        let promoted = shards[0].retier(0, FidelityTier::Full);
+        land(&mut shards, 0, promoted, &mut busy).unwrap();
+        assert!(!shards[1].pools(&full), "the sibling's Full rack was lent");
+        assert_eq!(shards[0].residents_overview()[1].tier, FidelityTier::Full);
+        assert_eq!(built(&shards), [1, 2], "no retier built a rack");
+        assert_eq!(shards[0].stats.sims_recycled, 3);
+        assert_eq!((shards[0].stats.demoted, shards[0].stats.promoted), (1, 1));
     }
 
     #[test]

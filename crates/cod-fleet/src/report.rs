@@ -166,24 +166,17 @@ impl FleetReport {
         h.write_u64(outcome.demoted);
         h.write_u64(outcome.elapsed_modeled.0);
 
-        let class_latency_p95 = [
-            outcome.latency_percentile_ticks_for(Some(Priority::Batch), 95.0),
-            outcome.latency_percentile_ticks_for(Some(Priority::Training), 95.0),
-            outcome.latency_percentile_ticks_for(Some(Priority::Interactive), 95.0),
-        ];
-        let class_completed = [
-            outcome.completed_of_class(Priority::Batch) as u64,
-            outcome.completed_of_class(Priority::Training) as u64,
-            outcome.completed_of_class(Priority::Interactive) as u64,
-        ];
-        let mut tier_completed = [0u64; FidelityTier::COUNT];
-        let mut tier_latency_p95 = [0.0; FidelityTier::COUNT];
-        let mut tier_mean_score = [0.0; FidelityTier::COUNT];
-        for tier in FidelityTier::ALL {
-            tier_completed[tier.index()] = outcome.completed_of_tier(tier) as u64;
-            tier_latency_p95[tier.index()] = outcome.latency_percentile_ticks_for_tier(tier, 95.0);
-            tier_mean_score[tier.index()] = outcome.mean_score_of_tier(tier);
-        }
+        // `ALL[i].index() == i` for both enums, so each array is indexed by
+        // class or tier.
+        let class_latency_p95 = Priority::ALL
+            .map(|c| outcome.latency_percentile_ticks_where(95.0, |s| s.priority == c));
+        let class_completed =
+            Priority::ALL.map(|c| outcome.completed_where(|s| s.priority == c) as u64);
+        let tier_completed =
+            FidelityTier::ALL.map(|t| outcome.completed_where(|s| s.tier == t) as u64);
+        let tier_latency_p95 = FidelityTier::ALL
+            .map(|t| outcome.latency_percentile_ticks_where(95.0, |s| s.tier == t));
+        let tier_mean_score = FidelityTier::ALL.map(|t| outcome.mean_score_where(|s| s.tier == t));
 
         FleetReport {
             seed: outcome.config.workload.seed,
@@ -217,7 +210,7 @@ impl FleetReport {
             tier_completed,
             tier_latency_p95,
             tier_mean_score,
-            mean_score: outcome.mean_score(),
+            mean_score: outcome.mean_score_where(|_| true),
             pass_rate: outcome.pass_rate(),
             shard_rows: (0..outcome.shard_stats.len())
                 .map(|i| {

@@ -7,19 +7,22 @@
 //! away: it files the rack under its [`SessionShape`] and the next session of
 //! the same shape gets it back through
 //! [`CraneSimulator::reset_for_session`], skipping initialization entirely.
-//! In a fleet, the driver also lends a pooled rack to a sibling shard that
-//! has none of the shape it is about to serve, so a shape is built again only
-//! when no shard holds one.
 //!
 //! Shards are *heterogeneous*: each carries a relative CPU speed (1.0 = the
 //! paper's reference desktop PC) stamped on every rack it builds via
 //! [`SimulatorConfig::cpu_speed`] → `Cluster::add_computer_with_speed`, and
 //! re-stamped on every rack it takes from a pool, so a half-speed shard
-//! charges twice the modeled cost per frame. A resident
-//! session can also be *extracted* — serialized to its spec, seed and frame
-//! count — and resumed on another shard (or later on the same one) by
-//! deterministic replay; that is the substrate of both preemption and live
-//! migration.
+//! charges twice the modeled cost per frame.
+//!
+//! A session is one [`PortableSession`] from arrival to retirement: its spec,
+//! frames done, ticks and move counters. It reaches a shard one way,
+//! [`Shard::resume`]: a rack obtained, the frames done replayed on it
+//! ([`Shard::admit`] wraps it for a fresh session). It leaves a shard three
+//! ways: [`Shard::extract`] for preemption and migration, [`Shard::retier`]
+//! to be resumed on another tier, and retirement inside
+//! [`Shard::step_batch`], whose [`Completed`] carries it. In a fleet the
+//! driver's `land` is the only caller of `resume`; it first lends the shard a
+//! sibling's pooled rack when the shard has none of the session's shape.
 
 use std::collections::BTreeMap;
 
@@ -150,6 +153,23 @@ pub struct PortableSession {
     pub demoted: u32,
 }
 
+impl PortableSession {
+    /// A session arriving at fleet tick `tick`: no frames run, no moves yet,
+    /// admitted at `tick` until a placement says otherwise.
+    pub(crate) fn arriving(spec: SessionSpec, tick: u64) -> PortableSession {
+        PortableSession {
+            spec,
+            frames_done: 0,
+            arrived_tick: tick,
+            admitted_tick: tick,
+            preempted: 0,
+            migrated: 0,
+            promoted: 0,
+            demoted: 0,
+        }
+    }
+}
+
 /// A cheap view of one resident the fleet driver uses to pick preemption
 /// victims and migration candidates without touching the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,28 +194,15 @@ pub struct ResidentView {
 /// A session the shard has just retired.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Completed {
-    /// The retired session's spec id.
+    /// The retired session's spec id, `session.spec.id`; kept because
+    /// `benchmark/` reads it.
     pub id: u64,
-    /// The spec's descriptive name.
-    pub name: String,
-    /// Frames the session ran.
+    /// Frames the session ran, `session.spec.frames`; kept because
+    /// `benchmark/` reads it.
     pub frames: usize,
-    /// The session's priority class.
-    pub priority: Priority,
-    /// Fleet tick the session arrived at.
-    pub arrived_tick: u64,
-    /// Fleet tick the session was first placed at.
-    pub admitted_tick: u64,
-    /// Times the session was preempted back to the queue.
-    pub preempted: u32,
-    /// Times the session was migrated between shards.
-    pub migrated: u32,
-    /// Times the session was promoted to the Full tier.
-    pub promoted: u32,
-    /// Times the session was demoted to the Coarse tier.
-    pub demoted: u32,
-    /// The fidelity tier the session finished on.
-    pub tier: FidelityTier,
+    /// The retired session: its spec (on the tier it finished on), ticks
+    /// and move counters.
+    pub session: PortableSession,
     /// The session's final report.
     pub report: SessionReport,
     /// Total modeled cost the session charged this shard.
@@ -426,8 +433,10 @@ impl Shard {
         Ok(sim)
     }
 
-    /// Admits a session: recycles a pooled simulator of the same shape when
-    /// one exists, otherwise builds the rack from scratch.
+    /// Admits a fresh session (a [`PortableSession`] arriving at
+    /// `arrived_tick`, placed at `admitted_tick`) through [`Shard::resume`]:
+    /// recycles a pooled simulator of the same shape when one exists,
+    /// otherwise builds the rack from scratch.
     ///
     /// # Errors
     ///
@@ -443,17 +452,9 @@ impl Shard {
         arrived_tick: u64,
         admitted_tick: u64,
     ) -> Result<(), CbError> {
-        let portable = PortableSession {
-            spec,
-            frames_done: 0,
-            arrived_tick,
-            admitted_tick,
-            preempted: 0,
-            migrated: 0,
-            promoted: 0,
-            demoted: 0,
-        };
-        self.resume(portable).map(|_| ())
+        let session =
+            PortableSession { admitted_tick, ..PortableSession::arriving(spec, arrived_tick) };
+        self.resume(session).map(|_| ())
     }
 
     /// Admits a [`PortableSession`], fast-forwarding it to where it left off:
@@ -523,33 +524,18 @@ impl Shard {
         self.pool.get_mut(shape).and_then(Vec::pop)
     }
 
-    /// The configuration of the resident at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub(crate) fn resident_config(&self, index: usize) -> SimulatorConfig {
-        self.residents[index].session.spec.config
-    }
-
-    /// Moves the resident at `index` to `tier` in place, by the same
-    /// deterministic replay that powers migration: the old rack goes back to
-    /// the recycling pool under its old shape, a rack of the new tier is
-    /// built or recycled, and the frames done so far are replayed on it from
-    /// the session seed. The session's trace is therefore bit-identical to
-    /// one admitted on the new tier from the start — promotion and demotion
-    /// are transparent to everything but the modeled cost. Returns the
-    /// replay cost, charged to this shard's busy time.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the new tier's simulator fails to build, reset or
-    /// replay.
+    /// Takes the resident at `index` off its rack and re-tiers it: the old
+    /// rack goes back to the recycling pool under its old shape, and the
+    /// session comes back on `tier`, to be resumed — on this shard, by the
+    /// same deterministic replay that powers migration. Its trace is
+    /// therefore bit-identical to one admitted on the new tier from the
+    /// start: promotion and demotion are transparent to everything but the
+    /// modeled cost.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range or the resident is already on `tier`.
-    pub fn retier(&mut self, index: usize, tier: FidelityTier) -> Result<Micros, CbError> {
+    pub fn retier(&mut self, index: usize, tier: FidelityTier) -> PortableSession {
         let mut r = self.residents.remove(index);
         assert_ne!(r.session.spec.config.tier, tier, "retier must change the tier");
         self.recycle(r.sim);
@@ -564,7 +550,7 @@ impl Shard {
             }
         }
         r.session.spec.config.tier = tier;
-        self.resume(r.session)
+        r.session
     }
 
     /// Books a migrated-in session (the paired accounting of
@@ -628,19 +614,10 @@ impl Shard {
         let telemetry = r.sim.telemetry_digest().fingerprint();
         self.stats.sessions_completed += 1;
         self.recycle(r.sim);
-        let s = r.session;
         Completed {
-            id: s.spec.id,
-            name: s.spec.name,
-            frames: s.spec.frames,
-            priority: s.spec.priority,
-            arrived_tick: s.arrived_tick,
-            admitted_tick: s.admitted_tick,
-            preempted: s.preempted,
-            migrated: s.migrated,
-            promoted: s.promoted,
-            demoted: s.demoted,
-            tier: s.spec.config.tier,
+            id: r.session.spec.id,
+            frames: r.session.spec.frames,
+            session: r.session,
             report,
             cost,
             telemetry,
@@ -889,10 +866,14 @@ mod tests {
         let mut shard = Shard::new(1, ShardConfig::default(), 1.0);
         shard.admit(spec, 0, 0).unwrap();
         shard.step_batch().unwrap();
-        shard.retier(0, FidelityTier::Coarse).unwrap();
+        let demoted = shard.retier(0, FidelityTier::Coarse);
+        assert_eq!(shard.resident_count(), 0, "a retier takes the session off its rack");
+        assert_eq!(demoted.spec.config.tier, FidelityTier::Coarse);
+        shard.resume(demoted).unwrap();
         assert_eq!(shard.residents_overview()[0].tier, FidelityTier::Coarse);
         shard.step_batch().unwrap();
-        let replay = shard.retier(0, FidelityTier::Full).unwrap();
+        let promoted = shard.retier(0, FidelityTier::Full);
+        let replay = shard.resume(promoted).unwrap();
         assert!(replay > Micros::ZERO, "promotion must charge the replay");
         let mut done = Vec::new();
         while shard.resident_count() > 0 {
@@ -900,9 +881,8 @@ mod tests {
         }
         assert_eq!(shard.stats.promoted, 1);
         assert_eq!(shard.stats.demoted, 1);
-        assert_eq!(done[0].promoted, 1);
-        assert_eq!(done[0].demoted, 1);
-        assert_eq!(done[0].tier, FidelityTier::Full);
+        assert_eq!((done[0].session.promoted, done[0].session.demoted), (1, 1));
+        assert_eq!(done[0].session.spec.config.tier, FidelityTier::Full);
         assert_eq!(
             base_done[0].report, done[0].report,
             "a promoted session must be bit-identical to one never demoted"
@@ -940,17 +920,19 @@ mod tests {
             for _ in 0..batches_full {
                 shard.step_batch().unwrap();
             }
-            shard.retier(0, FidelityTier::Coarse).unwrap();
+            let demoted = shard.retier(0, FidelityTier::Coarse);
+            shard.resume(demoted).unwrap();
             for _ in 0..batches_coarse {
                 shard.step_batch().unwrap();
             }
-            shard.retier(0, FidelityTier::Full).unwrap();
+            let promoted = shard.retier(0, FidelityTier::Full);
+            shard.resume(promoted).unwrap();
             let mut done = Vec::new();
             while shard.resident_count() > 0 {
                 done.extend(shard.step_batch().unwrap().0);
             }
             prop_assert_eq!(done.len(), 1);
-            prop_assert_eq!((done[0].promoted, done[0].demoted), (1, 1));
+            prop_assert_eq!((done[0].session.promoted, done[0].session.demoted), (1, 1));
             prop_assert_eq!(&base_done[0].report, &done[0].report);
             // The Coarse decimation phase survives an arbitrary split — the
             // bookkeeping a retier replay relies on when it re-runs a session
@@ -975,16 +957,8 @@ mod tests {
         // shard instead of retiring the session.
         let mut shard = Shard::new(0, ShardConfig::default(), 1.0);
         let spec = tiny_spec(0, 5, 4);
-        let portable = PortableSession {
-            spec,
-            frames_done: 6, // more than the 4-frame budget
-            arrived_tick: 0,
-            admitted_tick: 0,
-            preempted: 0,
-            migrated: 0,
-            promoted: 0,
-            demoted: 0,
-        };
+        // More frames done than the 4-frame budget.
+        let portable = PortableSession { frames_done: 6, ..PortableSession::arriving(spec, 0) };
         shard.resume(portable).unwrap();
         let (completed, _) = shard.step_batch().unwrap();
         assert_eq!(completed.len(), 1, "overshot resident must retire");
@@ -1072,7 +1046,7 @@ mod tests {
             base_done[0].report, moved_done[0].report,
             "a migrated session must replay the original bit for bit"
         );
-        assert_eq!(moved_done[0].migrated, 1);
+        assert_eq!(moved_done[0].session.migrated, 1);
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! and short partitions while somebody trips over a cable. A [`FaultPlan`]
 //! describes such a failure schedule declaratively; [`crate::SimLan`] applies
 //! it on top of the nominal [`crate::LinkModel`] using a *dedicated* RNG
-//! stream seeded from [`FaultPlan::seed`] and drawn per datagram before the
-//! link's own loss draw, so for a given LAN configuration and traffic sequence
-//! the same plan and seed reproduce the same fault schedule bit for bit, and
-//! changing the link-jitter seed alone never re-aligns which datagrams fault.
+//! stream seeded from [`FaultPlan::seed`] and drawn per datagram, so for a
+//! given LAN configuration and traffic sequence the same plan and seed
+//! reproduce the same fault schedule bit for bit, and changing the
+//! link-jitter seed alone never re-aligns which datagrams fault. A plan's
+//! drop rule is the LAN's only way to lose a datagram.
 
 use crate::addr::NodeId;
 use crate::time::Micros;
@@ -16,8 +17,8 @@ use crate::time::Micros;
 /// Stochastic fault parameters, applied by a [`FaultPlan`] to every link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFaultRule {
-    /// Probability in `[0, 1]` that a datagram is dropped (on top of the link
-    /// model's own loss probability).
+    /// Probability in `[0, 1]` that a datagram is dropped: the LAN's one
+    /// loss model.
     pub drop_probability: f64,
     /// Probability in `[0, 1]` that a datagram is delivered twice.
     pub duplicate_probability: f64,

@@ -3,8 +3,9 @@
 //! The original system (Huang et al., ICDCS 2001) ran its Communication
 //! Backbone over a 100 Mbit Ethernet LAN connecting eight desktop PCs. This
 //! crate provides the equivalent substrate: [`SimLan`], a deterministic
-//! discrete-event LAN model with configurable latency, jitter, bandwidth, loss
-//! and seeded fault plans ([`FaultPlan`]). Every rack, test, experiment and
+//! discrete-event LAN model with configurable latency, jitter and bandwidth,
+//! and seeded fault plans ([`FaultPlan`]) that drop, duplicate, reorder,
+//! delay or partition datagrams. Every rack, test, experiment and
 //! benchmark workload runs on it, so results are reproducible.
 //!
 //! A `SimLan` is a plain value with one owner (a rack's cluster executive),

@@ -1,4 +1,5 @@
-//! Link model: how long a datagram takes to cross the LAN and whether it is lost.
+//! Link model: how long a datagram takes to cross the LAN. Losing one is a
+//! [`crate::FaultPlan`] drop rule, drawn on the fault stream.
 
 use crate::datagram::Datagram;
 use crate::time::Micros;
@@ -13,39 +14,17 @@ pub struct LinkModel {
     pub jitter_us: u64,
     /// Link bandwidth in bits per second; determines serialization delay.
     pub bandwidth_bps: u64,
-    /// Probability in `[0, 1]` that a datagram is silently dropped.
-    pub loss_probability: f64,
 }
 
 impl LinkModel {
     /// A 100 Mbit switched Ethernet segment of the era described by the paper.
     pub fn fast_ethernet() -> LinkModel {
-        LinkModel {
-            base_latency_us: 120,
-            jitter_us: 60,
-            bandwidth_bps: 100_000_000,
-            loss_probability: 0.0,
-        }
+        LinkModel { base_latency_us: 120, jitter_us: 60, bandwidth_bps: 100_000_000 }
     }
 
-    /// A 10 Mbit shared Ethernet segment (the pessimistic variant).
-    pub fn legacy_ethernet() -> LinkModel {
-        LinkModel {
-            base_latency_us: 400,
-            jitter_us: 250,
-            bandwidth_bps: 10_000_000,
-            loss_probability: 0.001,
-        }
-    }
-
-    /// An idealized zero-latency, lossless link (for isolating protocol costs).
+    /// An idealized zero-latency link (for isolating protocol costs).
     pub fn ideal() -> LinkModel {
-        LinkModel {
-            base_latency_us: 0,
-            jitter_us: 0,
-            bandwidth_bps: u64::MAX,
-            loss_probability: 0.0,
-        }
+        LinkModel { base_latency_us: 0, jitter_us: 0, bandwidth_bps: u64::MAX }
     }
 
     /// Serialization delay for a datagram of `bytes` bytes.
@@ -62,11 +41,6 @@ impl LinkModel {
         let jitter = if self.jitter_us == 0 { 0 } else { rng.up_to(self.jitter_us) };
         Micros(self.base_latency_us + jitter) + self.serialization_delay(dgram.wire_size())
     }
-
-    /// Draws whether the datagram is lost.
-    pub fn sample_loss(&self, rng: &mut SplitMix64) -> bool {
-        self.loss_probability > 0.0 && rng.chance(self.loss_probability.clamp(0.0, 1.0))
-    }
 }
 
 /// Complete configuration for a simulated LAN.
@@ -74,7 +48,7 @@ impl LinkModel {
 pub struct LanConfig {
     /// The shared link model.
     pub link: LinkModel,
-    /// Seed for the deterministic jitter / loss random stream.
+    /// Seed for the deterministic jitter random stream.
     pub seed: u64,
     /// Maximum datagram payload accepted by the LAN.
     pub mtu: usize,
@@ -86,20 +60,9 @@ impl LanConfig {
         LanConfig { link: LinkModel::fast_ethernet(), seed, mtu: 65_507 }
     }
 
-    /// Legacy 10 Mbit LAN with a given RNG seed.
-    pub fn legacy_ethernet(seed: u64) -> LanConfig {
-        LanConfig { link: LinkModel::legacy_ethernet(), seed, mtu: 65_507 }
-    }
-
-    /// An ideal LAN (no latency, no loss), useful as an experimental control.
+    /// An ideal LAN (no latency), useful as an experimental control.
     pub fn ideal(seed: u64) -> LanConfig {
         LanConfig { link: LinkModel::ideal(), seed, mtu: 65_507 }
-    }
-
-    /// Returns a copy with the loss probability replaced.
-    pub fn with_loss(mut self, p: f64) -> LanConfig {
-        self.link.loss_probability = p;
-        self
     }
 }
 
@@ -133,7 +96,6 @@ mod tests {
         let link = LinkModel::ideal();
         let mut rng = SplitMix64::new(1);
         assert_eq!(link.sample_delay(&dgram(&[0; 1000]), &mut rng), Micros::ZERO);
-        assert!(!link.sample_loss(&mut rng));
     }
 
     #[test]
@@ -161,18 +123,9 @@ mod tests {
     }
 
     #[test]
-    fn loss_probability_respected_statistically() {
-        let mut link = LinkModel::fast_ethernet();
-        link.loss_probability = 0.25;
-        let mut rng = SplitMix64::new(99);
-        let losses = (0..10_000).filter(|_| link.sample_loss(&mut rng)).count();
-        assert!((2_000..3_000).contains(&losses), "losses = {losses}");
-    }
-
-    #[test]
     fn config_builders() {
-        let c = LanConfig::fast_ethernet(1).with_loss(0.5);
-        assert_eq!(c.link.loss_probability, 0.5);
-        assert_eq!(c.link.base_latency_us, LinkModel::fast_ethernet().base_latency_us);
+        let c = LanConfig::fast_ethernet(1);
+        assert_eq!(c.link, LinkModel::fast_ethernet());
+        assert_eq!((c.seed, c.mtu), (1, 65_507));
     }
 }

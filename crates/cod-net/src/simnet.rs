@@ -43,7 +43,8 @@ struct Scheduled {
 /// One owner (the cluster executive) holds the LAN and lends it, as a
 /// [`Transport`], to each attached computer's CB for that CB's tick.
 /// Datagrams sent through it are scheduled for delivery according to the
-/// configured [`LanConfig`] (latency, jitter, serialization delay, loss) and
+/// configured [`LanConfig`] (latency, jitter, serialization delay) and
+/// [`FaultPlan`] (drops, duplicates, reordering, spikes, partitions), and
 /// appear in receiver inboxes once the LAN clock is advanced past their
 /// delivery time.
 ///
@@ -177,8 +178,8 @@ impl SimLan {
     }
 
     /// Draws the fate of `dgram` on its way to node `to` — partition, fault
-    /// and link loss, delay, injected reordering and duplication — and
-    /// schedules what survives as readers of `slot`.
+    /// drop, delay, injected reordering and duplication — and schedules what
+    /// survives as readers of `slot`.
     fn schedule(&mut self, dgram: &Datagram<'_>, to: NodeId, slot: u32) {
         let now = self.clock.now();
         let inject = !self.faults.is_none();
@@ -186,9 +187,8 @@ impl SimLan {
             self.stats.record_partition_drop();
             return;
         }
-        // Fault decisions are drawn *before* the link-loss draw so the
-        // fault stream consumes its RNG identically whether or not the
-        // link model itself is lossy.
+        // Fault decisions come from their own stream, so the link's jitter
+        // draws never re-align which datagrams fault.
         let (fault_dropped, reordered, duplicated) = if inject {
             let rule = self.faults.default_rule;
             let dropped = rule.drop_probability > 0.0
@@ -203,10 +203,6 @@ impl SimLan {
         };
         if fault_dropped {
             self.stats.record_fault_drop();
-            return;
-        }
-        if self.config.link.sample_loss(&mut self.rng) {
-            self.stats.record_drop();
             return;
         }
         let mut delay = self.config.link.sample_delay(dgram, &mut self.rng);
@@ -477,8 +473,8 @@ mod tests {
 
     #[test]
     fn lossy_lan_drops_some_datagrams() {
-        let config = LanConfig::fast_ethernet(11).with_loss(0.5);
-        let (mut lan, a, b) = lan_pair(config);
+        let (mut lan, a, b) = lan_pair(LanConfig::fast_ethernet(11));
+        lan.set_fault_plan(FaultPlan::seeded(11).with_drop_probability(0.5));
         for _ in 0..200 {
             lan.unicast(a, b, b"d").unwrap();
         }
@@ -630,29 +626,5 @@ mod tests {
         // Same fault seed, different jitter seed: identical drop pattern (the
         // fault RNG never interleaves with the link RNG).
         assert_eq!(run(1), run(2));
-    }
-
-    #[test]
-    fn fault_stream_is_independent_of_a_lossy_link_model() {
-        // Fault decisions are drawn before the link's own loss draw, so even
-        // on a lossy link model the fault schedule depends only on the fault
-        // seed and the traffic sequence, not on the LAN seed.
-        let run = |lan_seed| {
-            let (mut lan, a, b) = lan_pair(LanConfig::legacy_ethernet(lan_seed).with_loss(0.2));
-            lan.set_fault_plan(FaultPlan::seeded(99).with_drop_probability(0.3));
-            for _ in 0..300 {
-                lan.unicast(a, b, b"x").unwrap();
-            }
-            lan.run_until_idle();
-            *lan.stats()
-        };
-        let first = run(1);
-        let second = run(2);
-        assert_eq!(first.fault_drops, second.fault_drops);
-        // The link's own losses do differ between the two seeds.
-        assert_ne!(
-            first.datagrams_dropped - first.fault_drops,
-            second.datagrams_dropped - second.fault_drops
-        );
     }
 }

@@ -7,7 +7,7 @@ pub struct LanStats {
     pub datagrams_sent: u64,
     /// Datagram deliveries performed (a broadcast counts once per receiver).
     pub deliveries: u64,
-    /// Datagrams dropped by the loss model (including fault-injected drops).
+    /// Datagrams dropped: fault-plan drops plus partition drops.
     pub datagrams_dropped: u64,
     /// Datagrams dropped by an injected [`crate::FaultPlan`] rule.
     pub fault_drops: u64,
@@ -31,11 +31,6 @@ impl LanStats {
     /// Records one delivery to one receiver.
     pub fn record_delivery(&mut self) {
         self.deliveries += 1;
-    }
-
-    /// Records a datagram dropped by the loss model.
-    pub fn record_drop(&mut self) {
-        self.datagrams_dropped += 1;
     }
 
     /// Records a datagram dropped by a fault-plan rule.
@@ -81,7 +76,7 @@ mod tests {
         s.record_send(100);
         s.record_send(50);
         s.record_delivery();
-        s.record_drop();
+        s.record_fault_drop();
         assert_eq!(s.datagrams_sent, 2);
         assert_eq!(s.bytes_sent, 150);
         assert_eq!(s.deliveries, 1);
@@ -98,10 +93,9 @@ mod tests {
         let mut s = LanStats::default();
         s.record_fault_drop();
         s.record_partition_drop();
-        s.record_drop();
         s.record_fault_duplicate();
         s.record_fault_reorder();
-        assert_eq!(s.datagrams_dropped, 3, "fault and partition drops count as drops");
+        assert_eq!(s.datagrams_dropped, 2, "fault and partition drops count as drops");
         assert_eq!(s.fault_drops, 1);
         assert_eq!(s.partition_drops, 1);
         assert_eq!(s.fault_duplicates, 1);
@@ -113,13 +107,12 @@ mod tests {
         use proptest::prelude::*;
 
         fn apply(s: &mut LanStats, op: u8) {
-            match op % 7 {
+            match op % 6 {
                 0 => s.record_send(op as usize),
                 1 => s.record_delivery(),
-                2 => s.record_drop(),
-                3 => s.record_fault_drop(),
-                4 => s.record_fault_duplicate(),
-                5 => s.record_fault_reorder(),
+                2 => s.record_fault_drop(),
+                3 => s.record_fault_duplicate(),
+                4 => s.record_fault_reorder(),
                 _ => s.record_partition_drop(),
             }
         }

@@ -40,9 +40,7 @@ pub enum ObsConfig {
     /// Deterministic sink only: counters, histograms and events keyed on
     /// modeled time and seeded identifiers, drained into `OBS_cod.json`.
     Deterministic,
-    /// Wall-clock sink only: real-time spans for Perfetto.
-    Wall,
-    /// Both sinks.
+    /// Both sinks: the deterministic one plus real-time spans for Perfetto.
     Full,
 }
 
@@ -54,7 +52,7 @@ impl ObsConfig {
 
     /// Whether the wall-clock sink records.
     pub fn wall_enabled(&self) -> bool {
-        matches!(self, ObsConfig::Wall | ObsConfig::Full)
+        matches!(self, ObsConfig::Full)
     }
 }
 #[cfg(test)]
@@ -69,8 +67,6 @@ mod tests {
         assert!(!obs.wall_enabled());
         assert!(ObsConfig::Deterministic.deterministic_enabled());
         assert!(!ObsConfig::Deterministic.wall_enabled());
-        assert!(ObsConfig::Wall.wall_enabled());
-        assert!(!ObsConfig::Wall.deterministic_enabled());
         assert!(ObsConfig::Full.deterministic_enabled() && ObsConfig::Full.wall_enabled());
     }
 }

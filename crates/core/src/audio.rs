@@ -25,23 +25,19 @@ pub struct AudioLp {
     block: Vec<f32>,
 }
 
-/// The mixer every session starts with: the site's background noise only.
-fn session_start_mixer() -> Mixer {
-    let mut mixer = Mixer::new(11_025);
-    mixer.add_background_noise();
-    mixer
-}
-
 impl AudioLp {
     /// Creates the audio module.
     ///
     /// `_registry` is unused (an attribute's id is its position); the parameter
     /// stays until `benchmark/`, which calls this constructor, is re-bound.
     pub fn new(_registry: ClassRegistry, fom: CraneFom, telemetry: SharedTelemetry) -> AudioLp {
+        // Every session starts with the site's background noise only.
+        let mut mixer = Mixer::new(11_025);
+        mixer.add_background_noise();
         AudioLp {
             fom,
             telemetry,
-            mixer: session_start_mixer(),
+            mixer,
             observation: Observation::default(),
             collisions_heard: 0,
             block: Vec::new(),
@@ -106,7 +102,7 @@ impl LogicalProcess for AudioLp {
     }
 
     fn begin_session(&mut self, _cb: &mut dyn CbApi, _seed: u64) -> Result<(), CbError> {
-        self.mixer = session_start_mixer();
+        self.mixer.reset_to_background();
         self.observation = Observation::default();
         self.collisions_heard = 0;
         Ok(())

@@ -9,6 +9,26 @@ pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
     a + (b - a) * t
 }
 
+/// The `p`-th percentile (0–100, clamped) of an ascending sample, linearly
+/// interpolated between the closest ranks: `p = 0` is the minimum, `p = 100`
+/// the maximum and `p = 50` the conventional median. The one definition of a
+/// percentile that the benchmark layer and the fleet report share.
+///
+/// ```
+/// assert_eq!(sim_math::percentile_sorted(&[10.0, 20.0, 30.0, 40.0], 75.0), 32.5);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `sorted` is empty.
+pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+    let rank = p.clamp(0.0, 100.0) / 100.0 * (sorted.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    let frac = rank - lo as f64;
+    lerp(sorted[lo], sorted[hi], frac)
+}
+
 /// Moves `current` toward `target` by at most `max_delta`, never overshooting.
 pub fn move_toward(current: f64, target: f64, max_delta: f64) -> f64 {
     debug_assert!(max_delta >= 0.0);

@@ -33,7 +33,7 @@ pub use batch::rk4_step_batch;
 pub use filter::{HighPass, LowPass, RateLimiter};
 pub use hash::{mix64, Fnv1a, SplitMix64};
 pub use integrate::rk4_step;
-pub use interp::lerp;
+pub use interp::{lerp, percentile_sorted};
 pub use mat::{Mat3, Mat4};
 pub use noise::ValueNoise;
 pub use quat::Quat;

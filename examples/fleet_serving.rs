@@ -93,8 +93,8 @@ fn main() {
         outcome.migrated,
         outcome.promoted,
         outcome.demoted,
-        outcome.latency_percentile_ticks_for(Some(Priority::Interactive), 95.0),
-        outcome.latency_percentile_ticks_for(Some(Priority::Batch), 95.0),
+        outcome.latency_percentile_ticks_where(95.0, |s| s.priority == Priority::Interactive),
+        outcome.latency_percentile_ticks_where(95.0, |s| s.priority == Priority::Batch),
     );
     println!(
         "modeled throughput {:.2} sessions/s over {:.1} s of serving time",

@@ -3,7 +3,7 @@
 //! establishment, dynamic join, and behaviour over a lossy LAN.
 
 use cod_cb::{CbKernel, ClassRegistry, Value};
-use cod_net::{LanConfig, Micros, SimLan};
+use cod_net::{FaultPlan, LanConfig, Micros, SimLan};
 
 fn crane_fom() -> ClassRegistry {
     let mut fom = ClassRegistry::new();
@@ -92,7 +92,8 @@ fn setup_latency_is_reported_and_bounded_by_the_broadcast_interval() {
 fn protocol_converges_even_on_a_very_lossy_lan() {
     let fom = crane_fom();
     let class = fom.object_class_by_name("CraneState").unwrap();
-    let mut lan = SimLan::new(LanConfig::fast_ethernet(77).with_loss(0.4));
+    let mut lan = SimLan::new(LanConfig::fast_ethernet(77));
+    lan.set_fault_plan(FaultPlan::seeded(77).with_drop_probability(0.4));
     let mut publisher = CbKernel::new(lan.attach(), fom.clone());
     let p = publisher.register_lp();
     publisher.publish_object_class(p, class).unwrap();

@@ -71,6 +71,9 @@ fn a_rack_restamped_to_another_speed_replays_a_rack_built_at_it() {
         let (want, got) = (fresh.step_frame().unwrap(), moved.step_frame().unwrap());
         assert_eq!(want, got, "frame {frame}: record (modeled cost included)");
         assert_eq!(fresh.telemetry_digest(), moved.telemetry_digest(), "frame {frame}");
+        // No fingerprint holds the audio level, so it is compared here.
+        let (want, got) = (fresh.snapshot().audio_rms, moved.snapshot().audio_rms);
+        assert_eq!(want.to_bits(), got.to_bits(), "frame {frame}: audio_rms");
     }
     assert_eq!(fresh.session_cost_hint(), moved.session_cost_hint());
     assert_eq!(fresh.report(), moved.report());

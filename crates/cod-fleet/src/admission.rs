@@ -64,8 +64,6 @@ pub struct AdmissionState {
     pub rejected_with_free_slot: u64,
     /// Largest queue depth observed.
     pub peak_pending: usize,
-    /// Largest per-shard residency observed.
-    pub peak_residents: usize,
 }
 
 impl AdmissionState {
@@ -89,13 +87,7 @@ impl AdmissionState {
             migrated: 0,
             rejected_with_free_slot: 0,
             peak_pending: 0,
-            peak_residents: 0,
         }
-    }
-
-    /// The sizing this controller was built with.
-    pub fn config(&self) -> AdmissionConfig {
-        self.config
     }
 
     /// Number of sessions currently waiting in the queue, over all classes.
@@ -161,7 +153,6 @@ impl AdmissionState {
         self.pending_by_class[priority.index()] -= 1;
         self.admitted += 1;
         self.residents[chosen] += 1;
-        self.peak_residents = self.peak_residents.max(self.residents[chosen]);
         Some((chosen, priority))
     }
 
@@ -222,7 +213,6 @@ impl AdmissionState {
         self.residents[from] -= 1;
         self.residents[to] += 1;
         self.migrated += 1;
-        self.peak_residents = self.peak_residents.max(self.residents[to]);
     }
 
     /// The shard a new session would be placed on, without placing it: the

@@ -58,6 +58,7 @@ use cod_cb::CbError;
 use cod_net::Micros;
 use cod_trace::{DetTrace, ObsConfig, WallTrace, DRIVER_LANE};
 use crane_sim::FidelityTier;
+use sim_math::Fnv1a;
 
 use crate::admission::{AdmissionConfig, AdmissionState};
 use crate::executor::{WallClockExecutor, WallStopwatch};
@@ -347,6 +348,40 @@ impl FleetOutcome {
             return 0.0;
         }
         self.sessions.iter().filter(|s| s.passed).count() as f64 / self.sessions.len() as f64
+    }
+
+    /// FNV-1a fingerprint over every session outcome, then the ledger's
+    /// rejection, preemption, migration and retiering counters and the
+    /// modeled serving time — the `FLEET_cod.json` fingerprint. Two runs of
+    /// the same seed agree bit for bit, whatever stepped their shards.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        h.write_u64(self.sessions.len() as u64);
+        for s in &self.sessions {
+            h.write_u64(s.id);
+            h.write_u64(s.name.len() as u64);
+            h.write_bytes(s.name.as_bytes());
+            h.write_u64(s.frames as u64);
+            h.write_u64(s.priority.index() as u64);
+            h.write_u64(s.arrived_tick);
+            h.write_u64(s.admitted_tick);
+            h.write_u64(s.completed_tick);
+            h.write_u64(s.shard as u64);
+            h.write_u64(u64::from(s.preempted));
+            h.write_u64(u64::from(s.migrated));
+            h.write_u64(u64::from(s.promoted));
+            h.write_u64(u64::from(s.demoted));
+            h.write_u64(s.tier.index() as u64);
+            h.write_u64(s.score.to_bits());
+            h.write_u64(s.passed as u64);
+            h.write_u64(s.cost.0);
+            h.write_u64(s.telemetry);
+        }
+        for counter in [self.rejected, self.preempted, self.migrated, self.promoted, self.demoted] {
+            h.write_u64(counter);
+        }
+        h.write_u64(self.elapsed_modeled.0);
+        h.finish()
     }
 }
 

@@ -71,7 +71,7 @@ pub use fleet::{
     run_fleet, run_fleet_timed, run_fleet_traced, ExecutionMode, FleetConfig, FleetOutcome,
     PlacementPolicy, SessionOutcome, TraceArtifacts, WallClockStats,
 };
-pub use report::{document, FleetReport, ShardRow, TieredSection, SCHEMA};
+pub use report::{document, FleetReport, TieredSection, SCHEMA};
 pub use shard::{
     Completed, PortableSession, SessionShape, Shard, ShardConfig, ShardStats, SteppingMode,
 };

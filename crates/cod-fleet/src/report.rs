@@ -9,7 +9,6 @@
 
 use cod_json::Json;
 use crane_sim::{FidelityTier, SCORE_DRIFT_TOLERANCE};
-use sim_math::Fnv1a;
 
 use crate::fleet::{FleetOutcome, PlacementPolicy};
 use crate::workload::Priority;
@@ -27,104 +26,16 @@ use crate::workload::Priority;
 /// would break the byte-identity guarantee the gate exists to enforce.
 pub const SCHEMA: &str = "cod-fleet-v4";
 
-/// Per-shard row of the report: speed, utilization and counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardRow {
-    /// Relative CPU speed of the shard.
-    pub speed: f64,
-    /// Fraction of the modeled serving time the shard was busy.
-    pub utilization: f64,
-    /// Sessions the shard retired.
-    pub completed: u64,
-    /// Simulators built from scratch.
-    pub sims_built: u64,
-    /// Sessions served by a recycled simulator.
-    pub sims_recycled: u64,
-    /// Residents preempted off this shard.
-    pub preempted_out: u64,
-    /// Residents migrated off this shard.
-    pub migrated_out: u64,
-    /// Sessions migrated onto this shard.
-    pub migrated_in: u64,
-    /// Frames re-executed to fast-forward resumed sessions.
-    pub replayed_frames: u64,
-    /// Residents promoted to the Full tier in place.
-    pub promoted: u64,
-    /// Residents demoted to the Coarse tier in place.
-    pub demoted: u64,
-    /// Largest residency observed.
-    pub peak_residents: usize,
-}
-
-/// Aggregated, serializable view of one fleet run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetReport {
-    /// Workload seed.
-    pub seed: u64,
-    /// Number of shards.
-    pub shards: usize,
-    /// Relative CPU speed per shard.
-    pub shard_speeds: Vec<f64>,
-    /// Placement policy the run used.
-    pub placement: PlacementPolicy,
-    /// Whether preemption was enabled.
-    pub preemption: bool,
-    /// Whether live migration was enabled.
-    pub migration: bool,
-    /// Whether fidelity tiering was enabled.
-    pub tiering: bool,
-    /// Concurrent sessions per shard.
-    pub slots_per_shard: usize,
-    /// Frames per session per fleet tick.
-    pub batch_frames: usize,
-    /// Admission-queue bound.
-    pub max_pending: usize,
-    /// Arrivals offered / admitted / completed / rejected.
-    pub offered: u64,
-    /// Placements onto a shard (preempted sessions re-count on resumption).
-    pub admitted: u64,
-    /// Sessions retired.
-    pub completed: u64,
-    /// Arrivals shed by backpressure.
-    pub rejected: u64,
-    /// Residents preempted back to the queue.
-    pub preempted: u64,
-    /// Residents migrated live between shards.
-    pub migrated: u64,
-    /// Residents promoted live to the Full tier.
-    pub promoted: u64,
-    /// Residents demoted live to the Coarse tier.
-    pub demoted: u64,
-    /// Fleet ticks until drain.
-    pub ticks: u64,
-    /// Modeled serving time in milliseconds.
-    pub elapsed_modeled_ms: f64,
-    /// Completed sessions per modeled second.
-    pub sessions_per_sec: f64,
-    /// Latency percentiles in fleet ticks (p50, p95, p99), linearly
-    /// interpolated like `cod_bench::measure::percentile`.
-    pub latency_ticks: [f64; 3],
-    /// p95 latency per priority class, indexed by [`Priority::index`].
-    pub class_latency_p95: [f64; Priority::COUNT],
-    /// Completed sessions per priority class, indexed by [`Priority::index`].
-    pub class_completed: [u64; Priority::COUNT],
-    /// Completed sessions per fidelity tier, indexed by
-    /// [`FidelityTier::index`].
-    pub tier_completed: [u64; FidelityTier::COUNT],
-    /// p95 latency per fidelity tier, indexed by [`FidelityTier::index`].
-    pub tier_latency_p95: [f64; FidelityTier::COUNT],
-    /// Mean final score per fidelity tier, indexed by
-    /// [`FidelityTier::index`].
-    pub tier_mean_score: [f64; FidelityTier::COUNT],
-    /// Mean final score of completed sessions.
-    pub mean_score: f64,
-    /// Fraction of completed sessions that passed.
-    pub pass_rate: f64,
-    /// Per-shard rows.
-    pub shard_rows: Vec<ShardRow>,
-    /// FNV-1a fingerprint over every session outcome — two runs of the same
-    /// seed must agree bit for bit.
-    pub fingerprint: u64,
+/// A view of one fleet run as `FLEET_cod.json` lays it out. It copies
+/// nothing: [`FleetReport::to_json`] and [`FleetReport::render_table`] read
+/// the config, the ledger and each shard's
+/// [`ShardStats`](crate::shard::ShardStats) off the borrowed outcome, and the
+/// fingerprint is [`FleetOutcome::fingerprint`]. `from_outcome` is the
+/// constructor because `benchmark/` calls
+/// `FleetReport::from_outcome(&outcome).to_json()`.
+#[derive(Debug, Clone, Copy)]
+pub struct FleetReport<'a> {
+    outcome: &'a FleetOutcome,
 }
 
 fn placement_name(placement: PlacementPolicy) -> &'static str {
@@ -134,285 +45,184 @@ fn placement_name(placement: PlacementPolicy) -> &'static str {
     }
 }
 
-impl FleetReport {
-    /// Builds the report from a fleet outcome.
-    pub fn from_outcome(outcome: &FleetOutcome) -> FleetReport {
-        let mut h = Fnv1a::new();
-        h.write_u64(outcome.sessions.len() as u64);
-        for s in &outcome.sessions {
-            h.write_u64(s.id);
-            h.write_u64(s.name.len() as u64);
-            h.write_bytes(s.name.as_bytes());
-            h.write_u64(s.frames as u64);
-            h.write_u64(s.priority.index() as u64);
-            h.write_u64(s.arrived_tick);
-            h.write_u64(s.admitted_tick);
-            h.write_u64(s.completed_tick);
-            h.write_u64(s.shard as u64);
-            h.write_u64(u64::from(s.preempted));
-            h.write_u64(u64::from(s.migrated));
-            h.write_u64(u64::from(s.promoted));
-            h.write_u64(u64::from(s.demoted));
-            h.write_u64(s.tier.index() as u64);
-            h.write_u64(s.score.to_bits());
-            h.write_u64(s.passed as u64);
-            h.write_u64(s.cost.0);
-            h.write_u64(s.telemetry);
-        }
-        h.write_u64(outcome.rejected);
-        h.write_u64(outcome.preempted);
-        h.write_u64(outcome.migrated);
-        h.write_u64(outcome.promoted);
-        h.write_u64(outcome.demoted);
-        h.write_u64(outcome.elapsed_modeled.0);
+fn on_off(enabled: bool) -> &'static str {
+    if enabled {
+        "on"
+    } else {
+        "off"
+    }
+}
 
-        // `ALL[i].index() == i` for both enums, so each array is indexed by
-        // class or tier.
-        let class_latency_p95 = Priority::ALL
-            .map(|c| outcome.latency_percentile_ticks_where(95.0, |s| s.priority == c));
-        let class_completed =
-            Priority::ALL.map(|c| outcome.completed_where(|s| s.priority == c) as u64);
-        let tier_completed =
-            FidelityTier::ALL.map(|t| outcome.completed_where(|s| s.tier == t) as u64);
-        let tier_latency_p95 = FidelityTier::ALL
-            .map(|t| outcome.latency_percentile_ticks_where(95.0, |s| s.tier == t));
-        let tier_mean_score = FidelityTier::ALL.map(|t| outcome.mean_score_where(|s| s.tier == t));
+/// One member per priority class, keyed by its tag.
+fn by_class(value: impl Fn(Priority) -> f64) -> Json {
+    Json::Obj(Priority::ALL.iter().map(|&p| (p.tag().to_owned(), Json::Num(value(p)))).collect())
+}
 
-        FleetReport {
-            seed: outcome.config.workload.seed,
-            shards: outcome.config.shards,
-            shard_speeds: (0..outcome.config.shards).map(|i| outcome.config.speed_of(i)).collect(),
-            placement: outcome.config.placement,
-            preemption: outcome.config.preemption,
-            migration: outcome.config.migration,
-            tiering: outcome.config.tiering,
-            slots_per_shard: outcome.config.shard.slots,
-            batch_frames: outcome.config.shard.batch_frames,
-            max_pending: outcome.config.max_pending,
-            offered: outcome.offered,
-            admitted: outcome.admitted,
-            completed: outcome.completed,
-            rejected: outcome.rejected,
-            preempted: outcome.preempted,
-            migrated: outcome.migrated,
-            promoted: outcome.promoted,
-            demoted: outcome.demoted,
-            ticks: outcome.ticks_run,
-            elapsed_modeled_ms: outcome.elapsed_modeled.as_secs_f64() * 1e3,
-            sessions_per_sec: outcome.sessions_per_sec(),
-            latency_ticks: [
-                outcome.latency_percentile_ticks(50.0),
-                outcome.latency_percentile_ticks(95.0),
-                outcome.latency_percentile_ticks(99.0),
-            ],
-            class_latency_p95,
-            class_completed,
-            tier_completed,
-            tier_latency_p95,
-            tier_mean_score,
-            mean_score: outcome.mean_score_where(|_| true),
-            pass_rate: outcome.pass_rate(),
-            shard_rows: (0..outcome.shard_stats.len())
-                .map(|i| {
-                    let s = &outcome.shard_stats[i];
-                    ShardRow {
-                        speed: outcome.config.speed_of(i),
-                        utilization: outcome.shard_utilization(i),
-                        completed: s.sessions_completed,
-                        sims_built: s.sims_built,
-                        sims_recycled: s.sims_recycled,
-                        preempted_out: s.preempted_out,
-                        migrated_out: s.migrated_out,
-                        migrated_in: s.migrated_in,
-                        replayed_frames: s.replayed_frames,
-                        promoted: s.promoted,
-                        demoted: s.demoted,
-                        peak_residents: s.peak_residents,
-                    }
-                })
-                .collect(),
-            fingerprint: h.finish(),
-        }
+/// One member per fidelity tier, keyed by its tag.
+fn by_tier(value: impl Fn(FidelityTier) -> f64) -> Json {
+    Json::Obj(
+        FidelityTier::ALL.iter().map(|&t| (t.tag().to_owned(), Json::Num(value(t)))).collect(),
+    )
+}
+
+impl<'a> FleetReport<'a> {
+    /// The report of `outcome`.
+    pub fn from_outcome(outcome: &'a FleetOutcome) -> FleetReport<'a> {
+        FleetReport { outcome }
     }
 
     /// Serializes to the `FLEET_cod.json` schema (one run's worth).
     pub fn to_json(&self) -> Json {
-        let class_obj = |values: &[f64; Priority::COUNT]| {
-            Json::Obj(
-                Priority::ALL
-                    .iter()
-                    .map(|p| (p.tag().to_owned(), Json::Num(values[p.index()])))
-                    .collect(),
-            )
-        };
+        let o = self.outcome;
+        let c = &o.config;
+        let num = |v: u64| Json::Num(v as f64);
         Json::Obj(vec![
-            ("seed".into(), Json::Str(format!("{:#x}", self.seed))),
-            ("shards".into(), Json::Num(self.shards as f64)),
+            ("seed".into(), Json::Str(format!("{:#x}", c.workload.seed))),
+            ("shards".into(), num(c.shards as u64)),
             (
                 "shard_speeds".into(),
-                Json::Arr(self.shard_speeds.iter().map(|s| Json::Num(*s)).collect()),
+                Json::Arr((0..c.shards).map(|i| Json::Num(c.speed_of(i))).collect()),
             ),
-            ("placement".into(), Json::Str(placement_name(self.placement).into())),
-            ("preemption".into(), Json::Bool(self.preemption)),
-            ("migration".into(), Json::Bool(self.migration)),
-            ("tiering".into(), Json::Bool(self.tiering)),
-            ("slots_per_shard".into(), Json::Num(self.slots_per_shard as f64)),
-            ("batch_frames".into(), Json::Num(self.batch_frames as f64)),
-            ("max_pending".into(), Json::Num(self.max_pending as f64)),
-            ("offered".into(), Json::Num(self.offered as f64)),
-            ("admitted".into(), Json::Num(self.admitted as f64)),
-            ("completed".into(), Json::Num(self.completed as f64)),
-            ("rejected".into(), Json::Num(self.rejected as f64)),
-            ("preempted".into(), Json::Num(self.preempted as f64)),
-            ("migrated".into(), Json::Num(self.migrated as f64)),
-            ("promoted".into(), Json::Num(self.promoted as f64)),
-            ("demoted".into(), Json::Num(self.demoted as f64)),
-            ("ticks".into(), Json::Num(self.ticks as f64)),
-            ("elapsed_modeled_ms".into(), Json::Num(self.elapsed_modeled_ms)),
-            ("sessions_per_sec".into(), Json::Num(self.sessions_per_sec)),
-            ("latency_p50_ticks".into(), Json::Num(self.latency_ticks[0])),
-            ("latency_p95_ticks".into(), Json::Num(self.latency_ticks[1])),
-            ("latency_p99_ticks".into(), Json::Num(self.latency_ticks[2])),
-            ("latency_p95_by_class".into(), class_obj(&self.class_latency_p95)),
+            ("placement".into(), Json::Str(placement_name(c.placement).into())),
+            ("preemption".into(), Json::Bool(c.preemption)),
+            ("migration".into(), Json::Bool(c.migration)),
+            ("tiering".into(), Json::Bool(c.tiering)),
+            ("slots_per_shard".into(), num(c.shard.slots as u64)),
+            ("batch_frames".into(), num(c.shard.batch_frames as u64)),
+            ("max_pending".into(), num(c.max_pending as u64)),
+            ("offered".into(), num(o.offered)),
+            ("admitted".into(), num(o.admitted)),
+            ("completed".into(), num(o.completed)),
+            ("rejected".into(), num(o.rejected)),
+            ("preempted".into(), num(o.preempted)),
+            ("migrated".into(), num(o.migrated)),
+            ("promoted".into(), num(o.promoted)),
+            ("demoted".into(), num(o.demoted)),
+            ("ticks".into(), num(o.ticks_run)),
+            ("elapsed_modeled_ms".into(), Json::Num(o.elapsed_modeled.as_secs_f64() * 1e3)),
+            ("sessions_per_sec".into(), Json::Num(o.sessions_per_sec())),
+            ("latency_p50_ticks".into(), Json::Num(o.latency_percentile_ticks(50.0))),
+            ("latency_p95_ticks".into(), Json::Num(o.latency_percentile_ticks(95.0))),
+            ("latency_p99_ticks".into(), Json::Num(o.latency_percentile_ticks(99.0))),
+            (
+                "latency_p95_by_class".into(),
+                by_class(|p| o.latency_percentile_ticks_where(95.0, |s| s.priority == p)),
+            ),
             (
                 "completed_by_class".into(),
-                Json::Obj(
-                    Priority::ALL
-                        .iter()
-                        .map(|p| {
-                            (p.tag().to_owned(), Json::Num(self.class_completed[p.index()] as f64))
-                        })
-                        .collect(),
-                ),
+                by_class(|p| o.completed_where(|s| s.priority == p) as f64),
             ),
-            (
-                "completed_by_tier".into(),
-                Json::Obj(
-                    FidelityTier::ALL
-                        .iter()
-                        .map(|t| {
-                            (t.tag().to_owned(), Json::Num(self.tier_completed[t.index()] as f64))
-                        })
-                        .collect(),
-                ),
-            ),
+            ("completed_by_tier".into(), by_tier(|t| o.completed_where(|s| s.tier == t) as f64)),
             (
                 "latency_p95_by_tier".into(),
-                Json::Obj(
-                    FidelityTier::ALL
-                        .iter()
-                        .map(|t| (t.tag().to_owned(), Json::Num(self.tier_latency_p95[t.index()])))
-                        .collect(),
-                ),
+                by_tier(|t| o.latency_percentile_ticks_where(95.0, |s| s.tier == t)),
             ),
-            (
-                "mean_score_by_tier".into(),
-                Json::Obj(
-                    FidelityTier::ALL
-                        .iter()
-                        .map(|t| (t.tag().to_owned(), Json::Num(self.tier_mean_score[t.index()])))
-                        .collect(),
-                ),
-            ),
-            ("mean_score".into(), Json::Num(self.mean_score)),
-            ("pass_rate".into(), Json::Num(self.pass_rate)),
+            ("mean_score_by_tier".into(), by_tier(|t| o.mean_score_where(|s| s.tier == t))),
+            ("mean_score".into(), Json::Num(o.mean_score_where(|_| true))),
+            ("pass_rate".into(), Json::Num(o.pass_rate())),
             (
                 "shards_detail".into(),
                 Json::Arr(
-                    self.shard_rows
+                    o.shard_stats
                         .iter()
                         .enumerate()
-                        .map(|(i, row)| {
+                        .map(|(i, s)| {
                             Json::Obj(vec![
-                                ("shard".into(), Json::Num(i as f64)),
-                                ("speed".into(), Json::Num(row.speed)),
-                                ("utilization".into(), Json::Num(row.utilization)),
-                                ("completed".into(), Json::Num(row.completed as f64)),
-                                ("sims_built".into(), Json::Num(row.sims_built as f64)),
-                                ("sims_recycled".into(), Json::Num(row.sims_recycled as f64)),
-                                ("preempted_out".into(), Json::Num(row.preempted_out as f64)),
-                                ("migrated_out".into(), Json::Num(row.migrated_out as f64)),
-                                ("migrated_in".into(), Json::Num(row.migrated_in as f64)),
-                                ("replayed_frames".into(), Json::Num(row.replayed_frames as f64)),
-                                ("promoted".into(), Json::Num(row.promoted as f64)),
-                                ("demoted".into(), Json::Num(row.demoted as f64)),
-                                ("peak_residents".into(), Json::Num(row.peak_residents as f64)),
+                                ("shard".into(), num(i as u64)),
+                                ("speed".into(), Json::Num(c.speed_of(i))),
+                                ("utilization".into(), Json::Num(o.shard_utilization(i))),
+                                ("completed".into(), num(s.sessions_completed)),
+                                ("sims_built".into(), num(s.sims_built)),
+                                ("sims_recycled".into(), num(s.sims_recycled)),
+                                ("preempted_out".into(), num(s.preempted_out)),
+                                ("migrated_out".into(), num(s.migrated_out)),
+                                ("migrated_in".into(), num(s.migrated_in)),
+                                ("replayed_frames".into(), num(s.replayed_frames)),
+                                ("promoted".into(), num(s.promoted)),
+                                ("demoted".into(), num(s.demoted)),
+                                ("peak_residents".into(), num(s.peak_residents as u64)),
                             ])
                         })
                         .collect(),
                 ),
             ),
-            ("fingerprint".into(), Json::Str(format!("{:016x}", self.fingerprint))),
+            ("fingerprint".into(), Json::Str(format!("{:016x}", o.fingerprint()))),
         ])
     }
 
     /// Renders the human-readable summary.
     pub fn render_table(&self) -> String {
+        let o = self.outcome;
+        let c = &o.config;
+        let p95_class = |p| o.latency_percentile_ticks_where(95.0, |s| s.priority == p);
+        let done_class = |p| o.completed_where(|s| s.priority == p);
+        let p95_tier = |t| o.latency_percentile_ticks_where(95.0, |s| s.tier == t);
+        let done_tier = |t| o.completed_where(|s| s.tier == t);
         let mut out = String::new();
         out.push_str(&format!(
             "  {} shards x {} slots ({}, preemption {}, migration {}, tiering {}) | offered {} admitted {} completed {} rejected {} preempted {} migrated {}\n",
-            self.shards,
-            self.slots_per_shard,
-            placement_name(self.placement),
-            if self.preemption { "on" } else { "off" },
-            if self.migration { "on" } else { "off" },
-            if self.tiering { "on" } else { "off" },
-            self.offered,
-            self.admitted,
-            self.completed,
-            self.rejected,
-            self.preempted,
-            self.migrated,
+            c.shards,
+            c.shard.slots,
+            placement_name(c.placement),
+            on_off(c.preemption),
+            on_off(c.migration),
+            on_off(c.tiering),
+            o.offered,
+            o.admitted,
+            o.completed,
+            o.rejected,
+            o.preempted,
+            o.migrated,
         ));
         out.push_str(&format!(
             "  modeled serving time {:.1} ms | {:.2} sessions/s | latency p50/p95/p99 = {:.1}/{:.1}/{:.1} ticks\n",
-            self.elapsed_modeled_ms,
-            self.sessions_per_sec,
-            self.latency_ticks[0],
-            self.latency_ticks[1],
-            self.latency_ticks[2],
+            o.elapsed_modeled.as_secs_f64() * 1e3,
+            o.sessions_per_sec(),
+            o.latency_percentile_ticks(50.0),
+            o.latency_percentile_ticks(95.0),
+            o.latency_percentile_ticks(99.0),
         ));
         out.push_str(&format!(
             "  p95 by class: int {:.1} / trn {:.1} / bat {:.1} ticks (completed {}/{}/{})\n",
-            self.class_latency_p95[Priority::Interactive.index()],
-            self.class_latency_p95[Priority::Training.index()],
-            self.class_latency_p95[Priority::Batch.index()],
-            self.class_completed[Priority::Interactive.index()],
-            self.class_completed[Priority::Training.index()],
-            self.class_completed[Priority::Batch.index()],
+            p95_class(Priority::Interactive),
+            p95_class(Priority::Training),
+            p95_class(Priority::Batch),
+            done_class(Priority::Interactive),
+            done_class(Priority::Training),
+            done_class(Priority::Batch),
         ));
-        if self.tiering {
+        if c.tiering {
             out.push_str(&format!(
                 "  tiers: full {} / coarse {} completed | promoted {} demoted {} | p95 full {:.1} / coarse {:.1} ticks\n",
-                self.tier_completed[FidelityTier::Full.index()],
-                self.tier_completed[FidelityTier::Coarse.index()],
-                self.promoted,
-                self.demoted,
-                self.tier_latency_p95[FidelityTier::Full.index()],
-                self.tier_latency_p95[FidelityTier::Coarse.index()],
+                done_tier(FidelityTier::Full),
+                done_tier(FidelityTier::Coarse),
+                o.promoted,
+                o.demoted,
+                p95_tier(FidelityTier::Full),
+                p95_tier(FidelityTier::Coarse),
             ));
         }
         out.push_str(&format!(
             "  mean score {:.1} | pass rate {:.0}% | fingerprint {:016x}\n",
-            self.mean_score,
-            self.pass_rate * 100.0,
-            self.fingerprint
+            o.mean_score_where(|_| true),
+            o.pass_rate() * 100.0,
+            o.fingerprint()
         ));
         out.push_str(
             "  shard | speed | util % | done | built | recycled | pre> | mig> | >mig | peak\n",
         );
-        for (i, row) in self.shard_rows.iter().enumerate() {
+        for (i, s) in o.shard_stats.iter().enumerate() {
             out.push_str(&format!(
                 "  {i:>5} | {:>5.2} | {:>6.1} | {:>4} | {:>5} | {:>8} | {:>4} | {:>4} | {:>4} | {:>4}\n",
-                row.speed,
-                row.utilization * 100.0,
-                row.completed,
-                row.sims_built,
-                row.sims_recycled,
-                row.preempted_out,
-                row.migrated_out,
-                row.migrated_in,
-                row.peak_residents
+                c.speed_of(i),
+                o.shard_utilization(i) * 100.0,
+                s.sessions_completed,
+                s.sims_built,
+                s.sims_recycled,
+                s.preempted_out,
+                s.migrated_out,
+                s.migrated_in,
+                s.peak_residents
             ));
         }
         out
@@ -421,15 +231,14 @@ impl FleetReport {
 
 /// The tiered-capacity pair of the document: the same rack and seed run once
 /// all-Full and once with tiering on, plus the largest per-session
-/// final-score drift between the two runs. The drift is a property of the
-/// paired [`FleetOutcome`]s (sessions matched by id), not recoverable from
-/// the two reports alone, so callers compute and carry it here.
+/// final-score drift between the two runs (sessions matched by id), which
+/// callers compute and carry here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TieredSection {
     /// The burst workload served with every session on the Full tier.
-    pub all_full: FleetReport,
+    pub all_full: FleetOutcome,
     /// The same workload with fidelity tiering enabled.
-    pub tiered: FleetReport,
+    pub tiered: FleetOutcome,
     /// Largest `|tiered score - all-Full score|` over paired sessions.
     pub max_score_drift: f64,
 }
@@ -439,31 +248,32 @@ pub struct TieredSection {
 /// speed-weighted placement on the 1×fast + 3×slow fleet) behind the
 /// placement gate and the tiered-capacity pair behind the fidelity gate.
 pub fn document(
-    baseline: &FleetReport,
-    fleet: &FleetReport,
-    (residency, weighted): (&FleetReport, &FleetReport),
+    baseline: &FleetOutcome,
+    fleet: &FleetOutcome,
+    (residency, weighted): (&FleetOutcome, &FleetOutcome),
     tiered: &TieredSection,
     quick: bool,
 ) -> Json {
-    let ratio = |num: &FleetReport, den: &FleetReport| {
-        if den.sessions_per_sec > 0.0 {
-            num.sessions_per_sec / den.sessions_per_sec
+    let ratio = |num: &FleetOutcome, den: &FleetOutcome| {
+        if den.sessions_per_sec() > 0.0 {
+            num.sessions_per_sec() / den.sessions_per_sec()
         } else {
             0.0
         }
     };
+    let json = |outcome| FleetReport::from_outcome(outcome).to_json();
     Json::Obj(vec![
         ("schema".into(), Json::Str(SCHEMA.into())),
         ("quick".into(), Json::Bool(quick)),
         ("scaling_sessions_per_sec".into(), Json::Num(ratio(fleet, baseline))),
-        ("baseline_1_shard".into(), baseline.to_json()),
-        ("fleet".into(), fleet.to_json()),
+        ("baseline_1_shard".into(), json(baseline)),
+        ("fleet".into(), json(fleet)),
         (
             "hetero".into(),
             Json::Obj(vec![
                 ("speedup_speed_weighted".into(), Json::Num(ratio(weighted, residency))),
-                ("least_resident".into(), residency.to_json()),
-                ("speed_weighted".into(), weighted.to_json()),
+                ("least_resident".into(), json(residency)),
+                ("speed_weighted".into(), json(weighted)),
             ]),
         ),
         (
@@ -472,8 +282,8 @@ pub fn document(
                 ("capacity_multiplier".into(), Json::Num(ratio(&tiered.tiered, &tiered.all_full))),
                 ("max_score_drift".into(), Json::Num(tiered.max_score_drift)),
                 ("score_drift_tolerance".into(), Json::Num(SCORE_DRIFT_TOLERANCE)),
-                ("all_full".into(), tiered.all_full.to_json()),
-                ("tiered".into(), tiered.tiered.to_json()),
+                ("all_full".into(), json(&tiered.all_full)),
+                ("tiered".into(), json(&tiered.tiered)),
             ]),
         ),
     ])
@@ -520,30 +330,31 @@ mod tests {
         // executor gates of the `gates` runner and the determinism stress test
         // lean on.
         let mut config = outcome().config;
-        let modeled = FleetReport::from_outcome(&run_fleet(&config).unwrap());
-        let baseline = modeled.to_json().to_pretty();
+        let modeled = run_fleet(&config).unwrap();
+        let baseline = FleetReport::from_outcome(&modeled).to_json().to_pretty();
         for mode in
             [ExecutionMode::WallClock { threads: 2 }, ExecutionMode::WallClock { threads: 3 }]
         {
             config.execution = mode;
-            let report = FleetReport::from_outcome(&run_fleet(&config).unwrap());
-            assert_eq!(report.fingerprint, modeled.fingerprint, "fingerprint under {mode:?}");
-            assert_eq!(report.to_json().to_pretty(), baseline, "bytes under {mode:?}");
+            let pooled = run_fleet(&config).unwrap();
+            assert_eq!(pooled.fingerprint(), modeled.fingerprint(), "fingerprint under {mode:?}");
+            let bytes = FleetReport::from_outcome(&pooled).to_json().to_pretty();
+            assert_eq!(bytes, baseline, "bytes under {mode:?}");
         }
     }
 
-    /// The document with `report` in every slot and the given tiered drift,
+    /// The document with `outcome` in every slot and the given tiered drift,
     /// parsed back through the shared parser.
-    fn parsed_document(report: &FleetReport, max_score_drift: f64) -> Json {
+    fn parsed_document(outcome: &FleetOutcome, max_score_drift: f64) -> Json {
         let tiered =
-            TieredSection { all_full: report.clone(), tiered: report.clone(), max_score_drift };
-        let doc = document(report, report, (report, report), &tiered, true);
+            TieredSection { all_full: outcome.clone(), tiered: outcome.clone(), max_score_drift };
+        let doc = document(outcome, outcome, (outcome, outcome), &tiered, true);
         Json::parse(&doc.to_pretty()).expect("valid JSON")
     }
 
     #[test]
     fn report_serializes_and_round_trips_through_the_shared_parser() {
-        let parsed = parsed_document(&FleetReport::from_outcome(&outcome()), 0.0);
+        let parsed = parsed_document(&outcome(), 0.0);
         assert_eq!(parsed.get("schema").and_then(Json::as_str), Some(SCHEMA));
         assert_eq!(parsed.get("quick").and_then(Json::as_bool), Some(true));
         assert_eq!(parsed.get("scaling_sessions_per_sec").and_then(Json::as_f64), Some(1.0));
@@ -568,7 +379,7 @@ mod tests {
 
     #[test]
     fn hetero_section_carries_both_policies() {
-        let parsed = parsed_document(&FleetReport::from_outcome(&outcome()), 0.0);
+        let parsed = parsed_document(&outcome(), 0.0);
         let hetero = parsed.get("hetero").expect("hetero section present");
         assert_eq!(hetero.get("speedup_speed_weighted").and_then(Json::as_f64), Some(1.0));
         assert!(hetero.get("least_resident").is_some());
@@ -577,7 +388,7 @@ mod tests {
 
     #[test]
     fn tiered_section_carries_both_runs_and_the_pinned_tolerance() {
-        let parsed = parsed_document(&FleetReport::from_outcome(&outcome()), 1.25);
+        let parsed = parsed_document(&outcome(), 1.25);
         let tiered = parsed.get("tiered").expect("tiered section present");
         assert_eq!(tiered.get("capacity_multiplier").and_then(Json::as_f64), Some(1.0));
         assert_eq!(tiered.get("max_score_drift").and_then(Json::as_f64), Some(1.25));
@@ -591,16 +402,41 @@ mod tests {
 
     #[test]
     fn same_outcome_same_fingerprint_and_bytes() {
-        let a = FleetReport::from_outcome(&outcome());
-        let b = FleetReport::from_outcome(&outcome());
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.to_json().to_pretty(), b.to_json().to_pretty());
+        let (a, b) = (outcome(), outcome());
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        let bytes = |o| FleetReport::from_outcome(o).to_json().to_pretty();
+        assert_eq!(bytes(&a), bytes(&b));
+    }
+
+    #[test]
+    fn the_report_bytes_of_a_run_with_every_mechanism_firing_are_pinned() {
+        // A 2.0 + 0.5 pair of one-slot shards with preemption, migration
+        // and tiering on, so every ledger counter and shard column is non-zero
+        // somewhere. The pins are this layout's fingerprint and the FNV-1a
+        // of its pretty JSON: a moved field, a renamed key or a
+        // changed fold order fails here by value.
+        let mut config = outcome().config;
+        config.shard.slots = 1;
+        config.shard_speeds = vec![2.0, 0.5];
+        config.preemption = true;
+        config.migration = true;
+        config.tiering = true;
+        config.max_pending = 8;
+        config.workload.sessions = 8;
+        config.workload.base_frames = 16;
+        let outcome = run_fleet(&config).unwrap();
+        let (preempted, migrated, demoted) = (outcome.preempted, outcome.migrated, outcome.demoted);
+        assert!(preempted > 0 && migrated > 0 && demoted > 0, "{preempted}/{migrated}/{demoted}");
+        let json = FleetReport::from_outcome(&outcome).to_json();
+        assert_eq!(json.get("fingerprint").and_then(Json::as_str), Some("d55b540e4ff58308"));
+        let mut bytes = sim_math::Fnv1a::new();
+        bytes.write_bytes(json.to_pretty().as_bytes());
+        assert_eq!(bytes.finish(), 0xd219_b966_0367_17a4);
     }
 
     #[test]
     fn table_mentions_the_headline_numbers() {
-        let report = FleetReport::from_outcome(&outcome());
-        let table = report.render_table();
+        let table = FleetReport::from_outcome(&outcome()).render_table();
         assert!(table.contains("sessions/s"));
         assert!(table.contains("pass rate"));
         assert!(table.contains("p95 by class"));

@@ -1,10 +1,9 @@
 //! The canonical LAN fault plans swept by the scenario matrix and drawn from
 //! by the fleet workload generator.
 //!
-//! These lived in `cod-testkit` originally; they moved here (next to
-//! [`FaultPlan`] itself) so that both the testkit matrix and the `cod-fleet`
-//! serving layer can share one set of named failure modes without a
-//! dependency cycle. `cod_testkit::plans` re-exports this module.
+//! They live here, next to [`FaultPlan`] itself, so that the testkit matrix
+//! and the `cod-fleet` serving layer share one set of named failure modes
+//! without a dependency cycle.
 
 use crate::{FaultPlan, Micros, NodeId};
 

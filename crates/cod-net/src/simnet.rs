@@ -481,7 +481,7 @@ mod tests {
         lan.run_until_idle();
         let delivered = lan.poll(b).len();
         assert!(delivered < 160 && delivered > 40, "delivered = {delivered}");
-        assert_eq!(lan.stats().datagrams_dropped + delivered as u64, 200);
+        assert_eq!(lan.stats().datagrams_dropped() + delivered as u64, 200);
     }
 
     #[test]
@@ -531,18 +531,30 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_drops_are_counted_separately_from_link_loss() {
+    fn fault_and_partition_drops_account_for_every_undelivered_datagram() {
+        // A drop rule and a partition window both active: the partition
+        // severs everything sent inside its window, the drop rule thins what
+        // is sent after it. Each datagram lands in exactly one counter.
         let (mut lan, a, b) = lan_pair(LanConfig::fast_ethernet(1));
-        lan.set_fault_plan(FaultPlan::seeded(3).with_drop_probability(0.5));
-        for _ in 0..200 {
+        let heal = Micros::from_millis(100);
+        lan.set_fault_plan(FaultPlan::seeded(3).with_drop_probability(0.5).with_partition(
+            Micros::ZERO,
+            heal,
+            vec![b.node],
+        ));
+        for _ in 0..100 {
+            lan.unicast(a, b, b"d").unwrap();
+        }
+        lan.advance_to(heal);
+        for _ in 0..100 {
             lan.unicast(a, b, b"d").unwrap();
         }
         lan.run_until_idle();
-        let delivered = lan.poll(b).len();
+        let delivered = lan.poll(b).len() as u64;
         let stats = lan.stats();
-        assert!(stats.fault_drops > 40 && stats.fault_drops < 160, "{}", stats.fault_drops);
-        assert_eq!(stats.fault_drops, stats.datagrams_dropped, "link itself is lossless");
-        assert_eq!(delivered as u64 + stats.fault_drops, 200);
+        assert_eq!(stats.partition_drops, 100, "the window severs all it sees");
+        assert!(stats.fault_drops > 20 && stats.fault_drops < 80, "{}", stats.fault_drops);
+        assert_eq!(delivered + stats.fault_drops + stats.partition_drops, stats.datagrams_sent);
     }
 
     #[test]

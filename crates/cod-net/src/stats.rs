@@ -7,8 +7,6 @@ pub struct LanStats {
     pub datagrams_sent: u64,
     /// Datagram deliveries performed (a broadcast counts once per receiver).
     pub deliveries: u64,
-    /// Datagrams dropped: fault-plan drops plus partition drops.
-    pub datagrams_dropped: u64,
     /// Datagrams dropped by an injected [`crate::FaultPlan`] rule.
     pub fault_drops: u64,
     /// Extra copies scheduled by an injected duplication rule.
@@ -35,7 +33,6 @@ impl LanStats {
 
     /// Records a datagram dropped by a fault-plan rule.
     pub fn record_fault_drop(&mut self) {
-        self.datagrams_dropped += 1;
         self.fault_drops += 1;
     }
 
@@ -51,17 +48,22 @@ impl LanStats {
 
     /// Records a datagram severed by a partition window.
     pub fn record_partition_drop(&mut self) {
-        self.datagrams_dropped += 1;
         self.partition_drops += 1;
+    }
+
+    /// Datagrams dropped: fault-plan drops plus partition drops.
+    pub fn datagrams_dropped(&self) -> u64 {
+        self.fault_drops + self.partition_drops
     }
 
     /// Fraction of accepted datagram deliveries that were dropped, in `[0, 1]`.
     pub fn drop_ratio(&self) -> f64 {
-        let attempted = self.deliveries + self.datagrams_dropped;
+        let dropped = self.datagrams_dropped();
+        let attempted = self.deliveries + dropped;
         if attempted == 0 {
             0.0
         } else {
-            self.datagrams_dropped as f64 / attempted as f64
+            dropped as f64 / attempted as f64
         }
     }
 }
@@ -95,7 +97,7 @@ mod tests {
         s.record_partition_drop();
         s.record_fault_duplicate();
         s.record_fault_reorder();
-        assert_eq!(s.datagrams_dropped, 2, "fault and partition drops count as drops");
+        assert_eq!(s.datagrams_dropped(), 2, "fault and partition drops count as drops");
         assert_eq!(s.fault_drops, 1);
         assert_eq!(s.partition_drops, 1);
         assert_eq!(s.fault_duplicates, 1);
@@ -121,7 +123,7 @@ mod tests {
             [
                 s.datagrams_sent,
                 s.deliveries,
-                s.datagrams_dropped,
+                s.datagrams_dropped(),
                 s.fault_drops,
                 s.fault_duplicates,
                 s.fault_reorders,

@@ -26,7 +26,7 @@ fn first_divergence(a: &str, b: &str) -> Option<usize> {
 /// [`ExecutionMode::Modeled`] and under [`ExecutionMode::WallClock`] at each
 /// requested thread count must serialize to byte-identical reports — thread
 /// scheduling may decide who steps a shard, never what the fleet computes.
-/// Returns the modeled report plus, per thread count, the first byte where
+/// Returns the modeled outcome plus, per thread count, the first byte where
 /// that run's report diverged (`None` everywhere proves equivalence).
 ///
 /// # Errors
@@ -35,17 +35,17 @@ fn first_divergence(a: &str, b: &str) -> Option<usize> {
 pub fn wallclock_equivalence_check(
     config: &FleetConfig,
     thread_counts: &[usize],
-) -> Result<(FleetReport, Divergences<usize>), CbError> {
+) -> Result<(FleetOutcome, Divergences<usize>), CbError> {
     let mut modeled_config = config.clone();
     modeled_config.execution = ExecutionMode::Modeled;
-    let modeled = FleetReport::from_outcome(&run_fleet(&modeled_config)?);
-    let reference = modeled.to_json().to_pretty();
+    let modeled = run_fleet(&modeled_config)?;
+    let reference = FleetReport::from_outcome(&modeled).to_json().to_pretty();
     let mut divergences = Vec::with_capacity(thread_counts.len());
     for &threads in thread_counts {
         let mut pooled_config = config.clone();
         pooled_config.execution = ExecutionMode::WallClock { threads };
-        let report = FleetReport::from_outcome(&run_fleet(&pooled_config)?);
-        let bytes = report.to_json().to_pretty();
+        let pooled = run_fleet(&pooled_config)?;
+        let bytes = FleetReport::from_outcome(&pooled).to_json().to_pretty();
         divergences.push((threads, first_divergence(&reference, &bytes)));
     }
     Ok((modeled, divergences))
@@ -347,20 +347,20 @@ mod tests {
         violations
     }
 
-    /// Runs the fleet twice from the same configuration and returns both reports
-    /// plus the first difference between their serialized forms (`None` proves
-    /// the run replays byte for byte).
+    /// Runs the fleet twice from the same configuration and returns both
+    /// outcomes plus the first difference between their serialized reports
+    /// (`None` proves the run replays byte for byte).
     ///
     /// # Errors
     ///
     /// Returns the first hard error raised by either run.
     fn fleet_replay_check(
         config: &FleetConfig,
-    ) -> Result<(FleetReport, FleetReport, Option<usize>), CbError> {
-        let first = FleetReport::from_outcome(&run_fleet(config)?);
-        let second = FleetReport::from_outcome(&run_fleet(config)?);
-        let a = first.to_json().to_pretty();
-        let b = second.to_json().to_pretty();
+    ) -> Result<(FleetOutcome, FleetOutcome, Option<usize>), CbError> {
+        let first = run_fleet(config)?;
+        let second = run_fleet(config)?;
+        let a = FleetReport::from_outcome(&first).to_json().to_pretty();
+        let b = FleetReport::from_outcome(&second).to_json().to_pretty();
         Ok((first, second, first_divergence(&a, &b)))
     }
 
@@ -553,7 +553,7 @@ mod tests {
     fn replay_check_proves_bit_exact_reports() {
         let (first, second, divergence) = fleet_replay_check(&small_config(2, 0xC0D)).unwrap();
         assert_eq!(divergence, None, "fleet replay diverged");
-        assert_eq!(first.fingerprint, second.fingerprint);
+        assert_eq!(first.fingerprint(), second.fingerprint());
         assert_eq!(first, second);
     }
 
@@ -620,7 +620,7 @@ mod tests {
     fn different_seeds_produce_different_fingerprints() {
         let (a, _, _) = fleet_replay_check(&small_config(2, 1)).unwrap();
         let (b, _, _) = fleet_replay_check(&small_config(2, 2)).unwrap();
-        assert_ne!(a.fingerprint, b.fingerprint);
+        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]

@@ -318,21 +318,21 @@ fn run_scenarios() -> Result<Vec<GateRow>, String> {
     Ok(scenario_rows(&summary))
 }
 
-/// What the fleet gates read: the reports of `FLEET_cod.json` plus the
+/// What the fleet gates read: the runs `FLEET_cod.json` reports plus the
 /// headline configuration served by the executor pool.
 #[derive(Debug, Clone)]
 pub struct FleetRuns {
     /// The headline workload on one shard.
-    pub baseline: FleetReport,
+    pub baseline: FleetOutcome,
     /// The headline workload on [`SHARDS`] shards.
-    pub fleet: FleetReport,
+    pub fleet: FleetOutcome,
     /// The 1x2.0 + 3x0.5 rack with residency-only placement.
-    pub naive: FleetReport,
+    pub naive: FleetOutcome,
     /// The same rack with speed-weighted placement, priorities, preemption
     /// and migration.
-    pub aware: FleetReport,
+    pub aware: FleetOutcome,
     /// The aware rack with halved slots, saturated so preemption fires.
-    pub pressure: FleetReport,
+    pub pressure: FleetOutcome,
     /// The burst workload served all-Full and tiered.
     pub tiered: TieredSection,
     /// The headline report text served by the pool at 1 and at 4 threads.
@@ -346,17 +346,19 @@ pub struct FleetRuns {
 /// The eleven fleet gates.
 pub fn fleet_rows(runs: &FleetRuns) -> Vec<GateRow> {
     let FleetRuns { baseline, fleet, naive, aware, pressure, tiered, .. } = runs;
-    let (int, bat) = (Priority::Interactive.index(), Priority::Batch.index());
+    let completed = |p| pressure.completed_where(|s| s.priority == p);
+    let p95 = |p| pressure.latency_percentile_ticks_where(95.0, |s| s.priority == p);
     // A class that completed nothing has a p95 of 0.0, which would compare
     // as a pass; with the seed fixed an empty class is a broken run.
-    let (int_n, bat_n) = (pressure.class_completed[int], pressure.class_completed[bat]);
+    let (int_n, bat_n) = (completed(Priority::Interactive), completed(Priority::Batch));
     let interactive_p95 = if int_n == 0 || bat_n == 0 {
         Err(format!("{int_n} interactive / {bat_n} batch sessions completed, nothing to compare"))
     } else {
-        Ok(pressure.class_latency_p95[int])
+        Ok(p95(Priority::Interactive))
     };
     let (demoted, promoted) = (tiered.tiered.demoted, tiered.tiered.promoted);
-    let headline = fleet.to_json().to_pretty();
+    let headline = FleetReport::from_outcome(fleet).to_json().to_pretty();
+    let sps = FleetOutcome::sessions_per_sec;
     let [one_thread, four_threads] = &runs.pool_reports;
     let [one_sps, four_sps] = runs.pool_sessions_per_wall_sec;
     // No executor conjures parallel speedup out of fewer than 4 cores.
@@ -372,17 +374,17 @@ pub fn fleet_rows(runs: &FleetRuns) -> Vec<GateRow> {
     vec![
         GateRow::new(
             "sessions/sec scaling 1 -> 4 shards (x)",
-            Ok(ratio(fleet.sessions_per_sec, baseline.sessions_per_sec)),
+            Ok(ratio(sps(fleet), sps(baseline))),
             Bound::Floor(SCALING_FLOOR),
         ),
         // On unequal machines, weighing placement by speed-scaled backlog
         // must strictly beat counting residents.
         GateRow::new(
             "heterogeneous fleet: speed-weighted over residency-only (x)",
-            Ok(ratio(aware.sessions_per_sec, naive.sessions_per_sec)),
+            Ok(ratio(sps(aware), sps(naive))),
             Bound::Above(1.0),
         )
-        .detail(format!("{:.2}/s vs {:.2}/s", aware.sessions_per_sec, naive.sessions_per_sec)),
+        .detail(format!("{:.2}/s vs {:.2}/s", sps(aware), sps(naive))),
         // A gate over a mechanism the run never exercised proves nothing.
         GateRow::new(
             "preemptions in the saturated priority run",
@@ -392,7 +394,7 @@ pub fn fleet_rows(runs: &FleetRuns) -> Vec<GateRow> {
         GateRow::new(
             "interactive p95 under pressure (ticks; ceiling is batch p95)",
             interactive_p95,
-            Bound::Ceiling(pressure.class_latency_p95[bat]),
+            Bound::Ceiling(p95(Priority::Batch)),
         ),
         // The byte-exact replay gates are exercised under migration only if
         // the aware run migrates.
@@ -403,13 +405,10 @@ pub fn fleet_rows(runs: &FleetRuns) -> Vec<GateRow> {
         ),
         GateRow::new(
             "tiered capacity over all-Full (x)",
-            Ok(ratio(tiered.tiered.sessions_per_sec, tiered.all_full.sessions_per_sec)),
+            Ok(ratio(sps(&tiered.tiered), sps(&tiered.all_full))),
             Bound::Floor(TIERED_CAPACITY_FLOOR),
         )
-        .detail(format!(
-            "{:.2}/s vs {:.2}/s",
-            tiered.tiered.sessions_per_sec, tiered.all_full.sessions_per_sec
-        )),
+        .detail(format!("{:.2}/s vs {:.2}/s", sps(&tiered.tiered), sps(&tiered.all_full))),
         // Pressure was real (a demotion) and spare capacity bought fidelity
         // back (a promotion), or the tier gates are vacuous.
         GateRow::new(
@@ -447,10 +446,6 @@ fn drain(config: &FleetConfig) -> Result<FleetOutcome, String> {
     run_fleet(config).map_err(|err| format!("fleet run failed: {err}"))
 }
 
-fn report_of(config: &FleetConfig) -> Result<FleetReport, String> {
-    drain(config).map(|outcome| FleetReport::from_outcome(&outcome))
-}
-
 /// Serves the tiered-capacity pair on `base`'s rack: a burst workload
 /// (every session at the door at once, so admission pressure is real)
 /// served all-Full and then with fidelity tiering on, identical otherwise.
@@ -471,7 +466,7 @@ fn serve_tiered_pair(base: FleetConfig) -> Result<TieredSection, String> {
     let full_outcome = drain(&all_full)?;
     let tiered_outcome = drain(&tiered)?;
     // The drift pairs the two runs' sessions by id, which the serialized
-    // reports no longer carry.
+    // reports do not carry.
     let full_scores: BTreeMap<u64, f64> =
         full_outcome.sessions.iter().map(|s| (s.id, s.score)).collect();
     let max_score_drift = tiered_outcome
@@ -479,11 +474,7 @@ fn serve_tiered_pair(base: FleetConfig) -> Result<TieredSection, String> {
         .iter()
         .filter_map(|s| full_scores.get(&s.id).map(|full| (s.score - full).abs()))
         .fold(0.0_f64, f64::max);
-    Ok(TieredSection {
-        all_full: FleetReport::from_outcome(&full_outcome),
-        tiered: FleetReport::from_outcome(&tiered_outcome),
-        max_score_drift,
-    })
+    Ok(TieredSection { all_full: full_outcome, tiered: tiered_outcome, max_score_drift })
 }
 
 /// The quick size (64 sessions). The full size (256) fails the retiering
@@ -506,9 +497,9 @@ fn run_fleet_gates() -> Result<Vec<GateRow>, String> {
         quick(SHARDS).workload.sessions
     );
 
-    let baseline = report_of(&quick(1))?;
-    let fleet = report_of(&quick(SHARDS))?;
-    let (naive, aware, pressure) = (report_of(&naive)?, report_of(&aware)?, report_of(&pressure)?);
+    let baseline = drain(&quick(1))?;
+    let fleet = drain(&quick(SHARDS))?;
+    let (naive, aware, pressure) = (drain(&naive)?, drain(&aware)?, drain(&pressure)?);
     let tiered = serve_tiered_pair(quick(SHARDS))?;
     write(
         "FLEET_cod.json",
@@ -656,7 +647,7 @@ mod tests {
 
     use cod_audit::Finding;
     use cod_bench::report::{Comparison, DerivedMetric, ExperimentResult};
-    use cod_fleet::ShardConfig;
+    use cod_fleet::{SessionOutcome, ShardConfig};
 
     use super::*;
     use crate::matrix::ScenarioResult;
@@ -749,10 +740,33 @@ mod tests {
         assert!(rows[0].to_string().contains("failed: b"));
     }
 
+    /// Sets `outcome`'s modeled serving time so that it completed
+    /// `sessions_per_sec` sessions per modeled second.
+    fn at_rate(outcome: &mut FleetOutcome, sessions_per_sec: f64) {
+        outcome.elapsed_modeled.0 =
+            (outcome.completed as f64 / sessions_per_sec * 1e6).round() as u64;
+    }
+
+    /// Replaces `outcome`'s sessions with one per `(priority, latency in
+    /// ticks)`.
+    fn with_latencies(outcome: &mut FleetOutcome, latencies: &[(Priority, u64)]) {
+        let template = outcome.sessions[0].clone();
+        outcome.sessions = latencies
+            .iter()
+            .map(|&(priority, ticks)| SessionOutcome {
+                priority,
+                arrived_tick: 0,
+                admitted_tick: 0,
+                completed_tick: ticks - 1,
+                ..template.clone()
+            })
+            .collect();
+    }
+
     /// Fleet runs that pass every fleet gate, built from one tiny drain.
     fn passing_fleet_runs() -> FleetRuns {
-        static REPORT: OnceLock<FleetReport> = OnceLock::new();
-        let report = REPORT.get_or_init(|| {
+        static OUTCOME: OnceLock<FleetOutcome> = OnceLock::new();
+        let outcome = OUTCOME.get_or_init(|| {
             let config = FleetConfig {
                 shards: 2,
                 shard: ShardConfig { slots: 2, batch_frames: 8, ..ShardConfig::default() },
@@ -764,25 +778,27 @@ mod tests {
                 },
                 ..FleetConfig::quick(2, 5)
             };
-            report_of(&config).expect("tiny fleet drains")
+            drain(&config).expect("tiny fleet drains")
         });
-        let with = |sessions_per_sec: f64| FleetReport { sessions_per_sec, ..report.clone() };
-        let (int, bat) = (Priority::Interactive.index(), Priority::Batch.index());
+        let with = |sessions_per_sec| {
+            let mut run = outcome.clone();
+            at_rate(&mut run, sessions_per_sec);
+            run
+        };
+        let (int, bat) = (Priority::Interactive, Priority::Batch);
         let mut pressure = with(1.0);
         pressure.preempted = 1;
-        pressure.class_completed[int] = 2;
-        pressure.class_completed[bat] = 2;
-        pressure.class_latency_p95[int] = 9.0;
-        pressure.class_latency_p95[bat] = 10.5;
+        // p95 9.0 against 10.95.
+        with_latencies(&mut pressure, &[(int, 9), (int, 9), (bat, 10), (bat, 11)]);
         let mut tiered = with(2.5);
         (tiered.demoted, tiered.promoted) = (3, 1);
         let fleet = with(3.0);
-        let headline = fleet.to_json().to_pretty();
+        let headline = FleetReport::from_outcome(&fleet).to_json().to_pretty();
         FleetRuns {
             baseline: with(1.0),
             fleet,
             naive: with(1.0),
-            aware: FleetReport { migrated: 1, ..with(1.5) },
+            aware: FleetOutcome { migrated: 1, ..with(1.5) },
             pressure,
             tiered: TieredSection { all_full: with(1.0), tiered, max_score_drift: 0.0 },
             pool_reports: [headline.clone(), headline],
@@ -795,16 +811,17 @@ mod tests {
     fn every_fleet_gate_fails_on_its_own_sabotage() {
         type Sabotage = fn(&mut FleetRuns);
         let cases: [(&str, Sabotage); 11] = [
-            ("sessions/sec scaling 1 -> 4 shards (x)", |r| r.baseline.sessions_per_sec = 2.0),
+            ("sessions/sec scaling 1 -> 4 shards (x)", |r| at_rate(&mut r.baseline, 2.0)),
             ("heterogeneous fleet: speed-weighted over residency-only (x)", |r| {
-                r.aware.sessions_per_sec = r.naive.sessions_per_sec
+                r.aware.elapsed_modeled = r.naive.elapsed_modeled
             }),
             ("preemptions in the saturated priority run", |r| r.pressure.preempted = 0),
             ("interactive p95 under pressure (ticks; ceiling is batch p95)", |r| {
-                r.pressure.class_latency_p95[Priority::Interactive.index()] = 11.0
+                let (int, bat) = (Priority::Interactive, Priority::Batch);
+                with_latencies(&mut r.pressure, &[(int, 11), (int, 11), (bat, 10), (bat, 11)])
             }),
             ("live migrations in the heterogeneous run", |r| r.aware.migrated = 0),
-            ("tiered capacity over all-Full (x)", |r| r.tiered.tiered.sessions_per_sec = 1.9),
+            ("tiered capacity over all-Full (x)", |r| at_rate(&mut r.tiered.tiered, 1.9)),
             ("live retiering in the tiered run (fewer of demotions, promotions)", |r| {
                 r.tiered.tiered.promoted = 0
             }),
@@ -842,7 +859,7 @@ mod tests {
     #[test]
     fn priority_latency_gate_fails_when_a_class_completed_nothing() {
         let mut runs = passing_fleet_runs();
-        runs.pressure.class_completed[Priority::Batch.index()] = 0;
+        runs.pressure.sessions.retain(|s| s.priority != Priority::Batch);
         let rows = fleet_rows(&runs);
         let name = "interactive p95 under pressure (ticks; ceiling is batch p95)";
         assert_eq!(failed(&rows), [name]);

@@ -172,7 +172,7 @@ impl FrameDigest {
             alarm_events: snap.alarm_events.len() as u64,
             channel_swaps: snap.channel_frames_swapped.clone(),
             datagrams_sent: lan.datagrams_sent,
-            datagrams_dropped: lan.datagrams_dropped,
+            datagrams_dropped: lan.datagrams_dropped(),
         }
     }
 

@@ -96,38 +96,6 @@ impl ExperimentResult {
             ("notes".into(), Json::Str(self.notes.clone())),
         ])
     }
-
-    fn from_json(json: &Json) -> Result<ExperimentResult, String> {
-        let comparison = match json.get("comparison") {
-            None | Some(Json::Null) => None,
-            Some(c) => Some(Comparison {
-                quantity: str_field(c, "quantity")?,
-                unit: str_field(c, "unit")?,
-                measured: num_field(c, "measured")?,
-                paper: num_field(c, "paper")?,
-            }),
-        };
-        let derived = json
-            .get("derived")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|d| {
-                Ok(DerivedMetric {
-                    name: str_field(d, "name")?,
-                    unit: str_field(d, "unit")?,
-                    value: num_field(d, "value")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(ExperimentResult {
-            id: str_field(json, "id")?,
-            name: str_field(json, "name")?,
-            comparison,
-            derived,
-            notes: str_field(json, "notes")?,
-        })
-    }
 }
 
 /// The aggregate report written to `BENCH_cod.json`.
@@ -168,31 +136,9 @@ impl BenchReport {
         ])
     }
 
-    /// Deserializes from the JSON tree.
-    pub fn from_json(json: &Json) -> Result<BenchReport, String> {
-        let experiments = json
-            .get("experiments")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "report missing 'experiments' array".to_owned())?
-            .iter()
-            .map(ExperimentResult::from_json)
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(BenchReport {
-            schema_version: num_field(json, "schema_version")? as u32,
-            generated_unix_ms: num_field(json, "generated_unix_ms")? as u64,
-            experiments,
-        })
-    }
-
     /// Renders the pretty JSON document.
     pub fn to_json_string(&self) -> String {
         self.to_json().to_pretty()
-    }
-
-    /// Parses a document produced by [`BenchReport::to_json_string`].
-    pub fn parse(text: &str) -> Result<BenchReport, String> {
-        let json = Json::parse(text).map_err(|e| e.to_string())?;
-        BenchReport::from_json(&json)
     }
 
     /// The paper-style comparison table: the measured-versus-paper column of
@@ -211,17 +157,6 @@ impl BenchReport {
         }
         out
     }
-}
-
-fn str_field(json: &Json, key: &str) -> Result<String, String> {
-    json.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
-fn num_field(json: &Json, key: &str) -> Result<f64, String> {
-    json.get(key).and_then(Json::as_f64).ok_or_else(|| format!("missing number field '{key}'"))
 }
 
 /// Human-formats a nanosecond quantity with an adaptive unit.
@@ -269,14 +204,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let report = sample_report();
-        let text = report.to_json_string();
-        let parsed = BenchReport::parse(&text).expect("parses back");
-        assert_eq!(parsed, report);
     }
 
     #[test]

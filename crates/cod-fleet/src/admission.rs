@@ -1,22 +1,22 @@
 //! Admission control and placement bookkeeping, kept pure so its safety
 //! properties can be property-tested without building simulators.
 //!
-//! The fleet owns the actual sessions; this state machine owns the *counts*:
-//! how many sessions each shard hosts, how many arrivals of each priority
-//! class wait in the bounded admission queue, and the conservation ledger.
-//! With preemption in the picture the ledger gains a `preempted` term (a
-//! preempted resident returns to the queue and is admitted again later):
+//! This state machine holds the queued sessions themselves — the fleet's
+//! one admission queue — plus how many sessions each shard hosts and the
+//! conservation ledger; the shards own the residents. With preemption in
+//! the picture the ledger gains a `preempted` term (a preempted resident
+//! returns to the queue and is admitted again later):
 //!
 //! ```text
 //! offered  = admitted + rejected + pending - preempted
 //! admitted = completed + resident + preempted
 //! ```
 //!
-//! The queue is a *priority* queue over [`Priority`] classes: placement
-//! always drains the most urgent non-empty class first (FIFO within a
-//! class — the fleet driver keeps the actual specs in matching order).
-//! Placement picks the least-loaded shard with a free slot, optionally
-//! weighted by the shards' modeled backlog cost (see
+//! The queue is a *priority* queue over [`Priority`] classes, kept in offer
+//! order: placement always takes the first-offered item of the most urgent
+//! queued class, and a preempted session re-enters at the back of its
+//! class. Placement picks the least-loaded shard with a free slot,
+//! optionally weighted by the shards' modeled backlog cost (see
 //! [`cod_cluster::least_loaded`]).
 
 use cod_net::Micros;
@@ -35,14 +35,28 @@ pub struct AdmissionConfig {
     pub max_pending: usize,
 }
 
-/// The admission/placement state machine.
+/// What the admission queue holds: anything that knows its priority class.
+pub trait Prioritized {
+    /// The item's priority class.
+    fn priority(&self) -> Priority;
+}
+
+impl Prioritized for Priority {
+    fn priority(&self) -> Priority {
+        *self
+    }
+}
+
+/// The admission/placement state machine, queueing items of type `T` (the
+/// fleet queues [`crate::shard::PortableSession`]s; a bare [`Priority`]
+/// models a session by its class alone).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdmissionState {
+pub struct AdmissionState<T = Priority> {
     config: AdmissionConfig,
     /// Resident session count per shard.
     residents: Vec<usize>,
-    /// Queued sessions per priority class (indexed by [`Priority::index`]).
-    pending_by_class: [usize; Priority::COUNT],
+    /// The queued items, in offer order.
+    queue: Vec<T>,
     /// Total arrivals ever offered.
     pub offered: u64,
     /// Placements onto a shard (re-placements of preempted sessions count
@@ -66,19 +80,19 @@ pub struct AdmissionState {
     pub peak_pending: usize,
 }
 
-impl AdmissionState {
+impl<T: Prioritized> AdmissionState<T> {
     /// Creates an empty controller.
     ///
     /// # Panics
     ///
     /// Panics if `shards` or `slots_per_shard` is zero.
-    pub fn new(config: AdmissionConfig) -> AdmissionState {
+    pub fn new(config: AdmissionConfig) -> AdmissionState<T> {
         assert!(config.shards > 0, "at least one shard is required");
         assert!(config.slots_per_shard > 0, "shards need at least one slot");
         AdmissionState {
             residents: vec![0; config.shards],
             config,
-            pending_by_class: [0; Priority::COUNT],
+            queue: Vec::new(),
             offered: 0,
             admitted: 0,
             rejected: 0,
@@ -92,18 +106,12 @@ impl AdmissionState {
 
     /// Number of sessions currently waiting in the queue, over all classes.
     pub fn pending(&self) -> usize {
-        self.pending_by_class.iter().sum()
-    }
-
-    /// Queued session counts per priority class (indexed by
-    /// [`Priority::index`]).
-    pub fn pending_by_class(&self) -> [usize; Priority::COUNT] {
-        self.pending_by_class
+        self.queue.len()
     }
 
     /// The most urgent class with a queued session, if any.
     pub fn highest_pending(&self) -> Option<Priority> {
-        Priority::ALL.iter().rev().copied().find(|p| self.pending_by_class[p.index()] > 0)
+        self.queue.iter().map(T::priority).max()
     }
 
     /// Resident session count per shard.
@@ -121,14 +129,14 @@ impl AdmissionState {
         self.config.shards * self.config.slots_per_shard - self.resident_total()
     }
 
-    /// Offers one arrival of class `priority`: queued (`true`) or rejected by
-    /// backpressure (`false`). A rejection at a moment when a shard slot is
-    /// still free is *avoidable* — the driver could have drained the queue
-    /// into the free slot first — and is counted in
-    /// [`AdmissionState::rejected_with_free_slot`]; a correct driver (see
-    /// [`crate::fleet::run_fleet`]) places queued sessions before bouncing an
-    /// arrival, keeping that counter at zero.
-    pub fn offer(&mut self, priority: Priority) -> bool {
+    /// Offers one arrival: queued at the back of its class (`true`) or
+    /// rejected by backpressure (`false`; the item is dropped). A rejection
+    /// at a moment when a shard slot is still free is *avoidable* — the
+    /// driver could have drained the queue into the free slot first — and
+    /// is counted in [`AdmissionState::rejected_with_free_slot`]; a correct
+    /// driver (see [`crate::fleet::run_fleet`]) places queued sessions
+    /// before bouncing an arrival, keeping that counter at zero.
+    pub fn offer(&mut self, item: T) -> bool {
         self.offered += 1;
         if self.pending() >= self.config.max_pending {
             self.rejected += 1;
@@ -137,27 +145,27 @@ impl AdmissionState {
             }
             return false;
         }
-        self.pending_by_class[priority.index()] += 1;
+        self.queue.push(item);
         self.peak_pending = self.peak_pending.max(self.pending());
         true
     }
 
-    /// Places the longest-waiting session of the most urgent queued class
-    /// onto the least-loaded shard with a free slot, weighting ties by the
+    /// Places the first-offered item of the most urgent queued class onto
+    /// the least-loaded shard with a free slot, weighting ties by the
     /// shards' modeled backlog cost when provided. Returns the chosen shard
-    /// and the class drained, or `None` when the queue is empty or every slot
-    /// is taken (backpressure holds the queue).
-    pub fn place_weighted(&mut self, backlog: &[Micros]) -> Option<(usize, Priority)> {
+    /// and the item, or `None` when the queue is empty or every slot is
+    /// taken (backpressure holds the queue).
+    pub fn place_weighted(&mut self, backlog: &[Micros]) -> Option<(usize, T)> {
         let priority = self.highest_pending()?;
         let chosen = self.choose_shard(backlog)?;
-        self.pending_by_class[priority.index()] -= 1;
+        let index = self.queue.iter().position(|item| item.priority() == priority)?;
         self.admitted += 1;
         self.residents[chosen] += 1;
-        Some((chosen, priority))
+        Some((chosen, self.queue.remove(index)))
     }
 
     /// [`AdmissionState::place_weighted`] with resident counts as the load.
-    pub fn place(&mut self) -> Option<(usize, Priority)> {
+    pub fn place(&mut self) -> Option<(usize, T)> {
         self.place_weighted(&[])
     }
 
@@ -178,8 +186,8 @@ impl AdmissionState {
         self.pending() < self.config.max_pending
     }
 
-    /// Pushes one resident of class `victim` from `shard` back into the
-    /// queue, to make room for a more urgent session. The session stays
+    /// Pushes the resident `victim` from `shard` back into the queue, at the
+    /// back of its class, to make room for a more urgent session. It stays
     /// admitted-then-preempted in the ledger; its eventual re-placement
     /// counts in `admitted` again.
     ///
@@ -187,11 +195,11 @@ impl AdmissionState {
     ///
     /// Panics if `shard` hosts no session or the queue has no room (check
     /// [`AdmissionState::can_preempt`] first).
-    pub fn preempt(&mut self, shard: usize, victim: Priority) {
+    pub fn preempt(&mut self, shard: usize, victim: T) {
         assert!(self.residents[shard] > 0, "shard {shard} has no resident session to preempt");
         assert!(self.can_preempt(), "the queue has no room for a preempted session");
         self.residents[shard] -= 1;
-        self.pending_by_class[victim.index()] += 1;
+        self.queue.push(victim);
         self.preempted += 1;
         self.peak_pending = self.peak_pending.max(self.pending());
     }
@@ -378,7 +386,7 @@ mod tests {
         assert!(adm.can_preempt());
         adm.preempt(0, Priority::Batch);
         assert_eq!(adm.preempted, 1);
-        assert_eq!(adm.pending_by_class(), [1, 0, 1]);
+        assert_eq!((adm.pending(), adm.highest_pending()), (2, Some(Priority::Interactive)));
         assert_eq!(adm.place(), Some((0, Priority::Interactive)));
         assert!(adm.violations().is_empty(), "{:?}", adm.violations());
         // The interactive session completes; the batch victim resumes.
@@ -426,7 +434,68 @@ mod tests {
         adm.migrate(0, 1);
     }
 
+    /// A queued item of the order property: its offer number and class.
+    impl Prioritized for (u64, Priority) {
+        fn priority(&self) -> Priority {
+            self.1
+        }
+    }
+
     proptest! {
+        /// Whatever the schedule of offers, placements, preemptions and
+        /// completions, each placement returns the earliest-offered queued
+        /// item of the most urgent queued class, where a preempted item
+        /// counts as offered again when it re-enters the queue.
+        #[test]
+        fn prop_placement_takes_the_first_offered_item_of_the_most_urgent_class(
+            shards in 1usize..4, slots in 1usize..3, max_pending in 1usize..6,
+            events in proptest::collection::vec((0u8..4, 0u8..6), 1..150)) {
+            let mut adm = AdmissionState::new(config(shards, slots, max_pending));
+            // The model: the queue in (re-)offer order, and each shard's residents.
+            let mut queued: Vec<(u64, Priority)> = Vec::new();
+            let mut hosted: Vec<Vec<(u64, Priority)>> = vec![Vec::new(); shards];
+            let mut offers = 0u64;
+            for (event, arg) in events {
+                let shard = arg as usize % shards;
+                match event {
+                    0 => {
+                        let item = (offers, priority(arg));
+                        offers += 1;
+                        if adm.offer(item) {
+                            queued.push(item);
+                        }
+                    }
+                    1 => {
+                        let urgent = queued.iter().map(|item| item.1).max();
+                        let first = queued.iter().position(|item| Some(item.1) == urgent);
+                        match adm.place() {
+                            Some((on, item)) => {
+                                let index = first.expect("placed from an empty queue");
+                                prop_assert_eq!(item, queued.remove(index));
+                                hosted[on].push(item);
+                            }
+                            None => prop_assert!(first.is_none() || adm.free_slots() == 0),
+                        }
+                    }
+                    2 => {
+                        if adm.can_preempt() && !hosted[shard].is_empty() {
+                            let index = arg as usize % hosted[shard].len();
+                            let victim = hosted[shard].remove(index);
+                            adm.preempt(shard, victim);
+                            queued.push(victim);
+                        }
+                    }
+                    _ => {
+                        if !hosted[shard].is_empty() {
+                            hosted[shard].remove(0);
+                            adm.complete(shard);
+                        }
+                    }
+                }
+                prop_assert_eq!(adm.pending(), queued.len());
+            }
+        }
+
         /// Drive the controller with an arbitrary event schedule — offers of
         /// every class, placements, completions, preemptions and migrations:
         /// capacity is never exceeded and the session ledger always balances.

@@ -9,10 +9,11 @@
 //! * [`workload`] — a seeded arrival process over the scenario mix of the
 //!   cod-testkit matrix (operator skill x GPU x display channels x LAN fault
 //!   plan); same seed, same workload.
-//! * [`admission`] — bounded *priority* queue admission control and
-//!   least-loaded placement, kept pure so its safety properties (never exceed
-//!   capacity, never reject while a slot is free, session conservation with
-//!   preemption and migration terms) are property-tested.
+//! * [`admission`] — bounded *priority* queue admission control, holding the
+//!   queued sessions themselves, and least-loaded placement, kept pure so its
+//!   safety properties (never exceed capacity, never reject while a slot is
+//!   free, session conservation with preemption and migration terms, FIFO
+//!   order within a class) are property-tested.
 //! * [`shard`] — a worker of a given relative CPU speed hosting several
 //!   concurrent sessions, recycling retired simulators through
 //!   [`crane_sim::CraneSimulator::reset_for_session`] so the expensive CB
@@ -51,10 +52,11 @@
 //!     obs: cod_fleet::ObsConfig::Disabled,
 //! };
 //! let (outcome, wall) = run_fleet_timed(&config).expect("fleet drains");
+//! let completed = outcome.sessions.len() as u64;
 //! assert_eq!(outcome.offered, 3);
-//! assert_eq!(outcome.completed + outcome.rejected, 3);
+//! assert_eq!(completed + outcome.rejected, 3);
 //! assert_eq!(wall.threads, 2);
-//! assert!(wall.sessions_per_wall_sec(outcome.completed) > 0.0);
+//! assert!(wall.sessions_per_wall_sec(completed) > 0.0);
 //! ```
 
 pub mod admission;

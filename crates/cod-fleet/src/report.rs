@@ -76,6 +76,7 @@ impl<'a> FleetReport<'a> {
         let o = self.outcome;
         let c = &o.config;
         let num = |v: u64| Json::Num(v as f64);
+        let done_shard = |i| o.completed_where(|s| s.shard == i);
         Json::Obj(vec![
             ("seed".into(), Json::Str(format!("{:#x}", c.workload.seed))),
             ("shards".into(), num(c.shards as u64)),
@@ -92,12 +93,12 @@ impl<'a> FleetReport<'a> {
             ("max_pending".into(), num(c.max_pending as u64)),
             ("offered".into(), num(o.offered)),
             ("admitted".into(), num(o.admitted)),
-            ("completed".into(), num(o.completed)),
+            ("completed".into(), num(o.sessions.len() as u64)),
             ("rejected".into(), num(o.rejected)),
-            ("preempted".into(), num(o.preempted)),
-            ("migrated".into(), num(o.migrated)),
-            ("promoted".into(), num(o.promoted)),
-            ("demoted".into(), num(o.demoted)),
+            ("preempted".into(), num(o.preempted())),
+            ("migrated".into(), num(o.migrated())),
+            ("promoted".into(), num(o.promoted())),
+            ("demoted".into(), num(o.demoted())),
             ("ticks".into(), num(o.ticks_run)),
             ("elapsed_modeled_ms".into(), Json::Num(o.elapsed_modeled.as_secs_f64() * 1e3)),
             ("sessions_per_sec".into(), Json::Num(o.sessions_per_sec())),
@@ -131,7 +132,7 @@ impl<'a> FleetReport<'a> {
                                 ("shard".into(), num(i as u64)),
                                 ("speed".into(), Json::Num(c.speed_of(i))),
                                 ("utilization".into(), Json::Num(o.shard_utilization(i))),
-                                ("completed".into(), num(s.sessions_completed)),
+                                ("completed".into(), num(done_shard(i) as u64)),
                                 ("sims_built".into(), num(s.sims_built)),
                                 ("sims_recycled".into(), num(s.sims_recycled)),
                                 ("preempted_out".into(), num(s.preempted_out)),
@@ -158,6 +159,7 @@ impl<'a> FleetReport<'a> {
         let done_class = |p| o.completed_where(|s| s.priority == p);
         let p95_tier = |t| o.latency_percentile_ticks_where(95.0, |s| s.tier == t);
         let done_tier = |t| o.completed_where(|s| s.tier == t);
+        let done_shard = |i| o.completed_where(|s| s.shard == i);
         let mut out = String::new();
         out.push_str(&format!(
             "  {} shards x {} slots ({}, preemption {}, migration {}, tiering {}) | offered {} admitted {} completed {} rejected {} preempted {} migrated {}\n",
@@ -169,10 +171,10 @@ impl<'a> FleetReport<'a> {
             on_off(c.tiering),
             o.offered,
             o.admitted,
-            o.completed,
+            o.sessions.len(),
             o.rejected,
-            o.preempted,
-            o.migrated,
+            o.preempted(),
+            o.migrated(),
         ));
         out.push_str(&format!(
             "  modeled serving time {:.1} ms | {:.2} sessions/s | latency p50/p95/p99 = {:.1}/{:.1}/{:.1} ticks\n",
@@ -196,8 +198,8 @@ impl<'a> FleetReport<'a> {
                 "  tiers: full {} / coarse {} completed | promoted {} demoted {} | p95 full {:.1} / coarse {:.1} ticks\n",
                 done_tier(FidelityTier::Full),
                 done_tier(FidelityTier::Coarse),
-                o.promoted,
-                o.demoted,
+                o.promoted(),
+                o.demoted(),
                 p95_tier(FidelityTier::Full),
                 p95_tier(FidelityTier::Coarse),
             ));
@@ -216,7 +218,7 @@ impl<'a> FleetReport<'a> {
                 "  {i:>5} | {:>5.2} | {:>6.1} | {:>4} | {:>5} | {:>8} | {:>4} | {:>4} | {:>4} | {:>4}\n",
                 c.speed_of(i),
                 o.shard_utilization(i) * 100.0,
-                s.sessions_completed,
+                done_shard(i),
                 s.sims_built,
                 s.sims_recycled,
                 s.preempted_out,
@@ -292,7 +294,9 @@ pub fn document(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::{run_fleet, ExecutionMode, FleetConfig};
+    use cod_trace::ObsConfig;
+
+    use crate::fleet::{run_fleet, run_fleet_traced, ExecutionMode, FleetConfig};
     use crate::shard::ShardConfig;
     use crate::workload::WorkloadConfig;
 
@@ -408,13 +412,10 @@ mod tests {
         assert_eq!(bytes(&a), bytes(&b));
     }
 
-    #[test]
-    fn the_report_bytes_of_a_run_with_every_mechanism_firing_are_pinned() {
-        // A 2.0 + 0.5 pair of one-slot shards with preemption, migration
-        // and tiering on, so every ledger counter and shard column is non-zero
-        // somewhere. The pins are this layout's fingerprint and the FNV-1a
-        // of its pretty JSON: a moved field, a renamed key or a
-        // changed fold order fails here by value.
+    /// A 2.0 + 0.5 pair of one-slot shards with preemption, migration and
+    /// tiering on, so every ledger counter and shard column is non-zero
+    /// somewhere.
+    fn every_mechanism_config() -> FleetConfig {
         let mut config = outcome().config;
         config.shard.slots = 1;
         config.shard_speeds = vec![2.0, 0.5];
@@ -424,14 +425,41 @@ mod tests {
         config.max_pending = 8;
         config.workload.sessions = 8;
         config.workload.base_frames = 16;
-        let outcome = run_fleet(&config).unwrap();
-        let (preempted, migrated, demoted) = (outcome.preempted, outcome.migrated, outcome.demoted);
+        config
+    }
+
+    #[test]
+    fn the_report_bytes_of_a_run_with_every_mechanism_firing_are_pinned() {
+        // The pins are this layout's fingerprint and the FNV-1a of its
+        // pretty JSON: a moved field, a renamed key or a changed fold order
+        // fails here by value.
+        let outcome = run_fleet(&every_mechanism_config()).unwrap();
+        let (preempted, migrated, demoted) =
+            (outcome.preempted(), outcome.migrated(), outcome.demoted());
         assert!(preempted > 0 && migrated > 0 && demoted > 0, "{preempted}/{migrated}/{demoted}");
         let json = FleetReport::from_outcome(&outcome).to_json();
         assert_eq!(json.get("fingerprint").and_then(Json::as_str), Some("d55b540e4ff58308"));
         let mut bytes = sim_math::Fnv1a::new();
         bytes.write_bytes(json.to_pretty().as_bytes());
         assert_eq!(bytes.finish(), 0xd219_b966_0367_17a4);
+    }
+
+    #[test]
+    fn the_obs_bytes_of_a_run_with_every_mechanism_firing_are_pinned() {
+        // The same run with the deterministic sink armed. Its events carry
+        // the order of every placement, preemption, migration and retier, so
+        // a change to the order the queue hands sessions out fails here by
+        // value.
+        let config = FleetConfig { obs: ObsConfig::Deterministic, ..every_mechanism_config() };
+        let (_, _, artifacts) = run_fleet_traced(&config).unwrap();
+        let det = artifacts.det.expect("the deterministic sink was armed");
+        for kind in ["place", "preempt", "migrate", "demote"] {
+            assert!(det.events_of(kind) > 0, "no {kind} event");
+        }
+        assert_eq!(det.fingerprint(), 0x7c11_e55a_2779_5caf);
+        let mut bytes = sim_math::Fnv1a::new();
+        bytes.write_bytes(det.to_report_json(config.workload.seed).to_pretty().as_bytes());
+        assert_eq!(bytes.finish(), 0xb3be_6bb5_c657_e03a);
     }
 
     #[test]

@@ -32,6 +32,7 @@ use cod_net::Micros;
 use cod_trace::DetTrace;
 use crane_sim::{CraneSimulator, FidelityTier, SessionReport, SimulatorConfig};
 
+use crate::admission::Prioritized;
 use crate::workload::{Priority, SessionSpec};
 
 /// The stepping mode a [`ShardConfig`] names. A shard has one stepping
@@ -170,6 +171,12 @@ impl PortableSession {
     }
 }
 
+impl Prioritized for PortableSession {
+    fn priority(&self) -> Priority {
+        self.spec.priority
+    }
+}
+
 /// A cheap view of one resident the fleet driver uses to pick preemption
 /// victims and migration candidates without touching the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,8 +227,6 @@ pub struct ShardStats {
     /// in-process, so a session frame costs its whole-cluster sequential
     /// cost).
     pub busy: Micros,
-    /// Sessions retired.
-    pub sessions_completed: u64,
     /// Simulators built from scratch.
     pub sims_built: u64,
     /// Sessions served by a recycled simulator (from this shard's pool, or
@@ -254,6 +259,9 @@ pub struct Shard {
     pool: BTreeMap<SessionShape, Vec<CraneSimulator>>,
     /// Accumulated counters.
     pub stats: ShardStats,
+    /// Modeled replay cost of the sessions resumed since the last
+    /// [`Shard::step_batch`], which adds it to the busy time it returns.
+    landed: Micros,
     /// Session frames stepped, summed over every tick: the deterministic
     /// sink's `frames_stepped`.
     frames_stepped: u64,
@@ -288,6 +296,7 @@ impl Shard {
             residents: Vec::new(),
             pool: BTreeMap::new(),
             stats: ShardStats::default(),
+            landed: Micros::ZERO,
             frames_stepped: 0,
             shapes_stepped: 0,
             #[cfg(test)]
@@ -461,7 +470,8 @@ impl Shard {
     /// the simulator is reset to the session seed and the already-executed
     /// frames are replayed (replay is deterministic, so the resumed session
     /// is bit-identical to one never interrupted). Returns the modeled cost
-    /// of the replay, charged to this shard's busy time.
+    /// of the replay, charged to this shard's busy time and to the busy time
+    /// its next [`Shard::step_batch`] returns.
     ///
     /// # Errors
     ///
@@ -479,6 +489,7 @@ impl Shard {
         let replay_cost = sim.run_frames(session.frames_done)?;
         self.stats.replayed_frames += session.frames_done as u64;
         self.stats.busy += replay_cost;
+        self.landed += replay_cost;
         self.residents.push(Resident { session, sim });
         self.stats.peak_residents = self.stats.peak_residents.max(self.residents.len());
         Ok(replay_cost)
@@ -562,7 +573,8 @@ impl Shard {
 
     /// Advances every resident session by up to one batch of frames, in
     /// residency order, retiring the ones that finish. Returns the
-    /// retirements plus the modeled busy time of this tick.
+    /// retirements plus the modeled busy time of this tick: the frames
+    /// stepped and the replays of the sessions resumed since the last step.
     ///
     /// # Errors
     ///
@@ -596,7 +608,7 @@ impl Shard {
                 self.residents.push(r);
             }
         }
-        Ok((completed, tick_busy))
+        Ok((completed, tick_busy + std::mem::take(&mut self.landed)))
     }
 
     /// Distinct shapes stepped per tick: the residents whose shape no
@@ -612,7 +624,6 @@ impl Shard {
         let report = r.sim.report();
         let cost = r.sim.cluster().metrics().total_sequential_cost;
         let telemetry = r.sim.telemetry_digest().fingerprint();
-        self.stats.sessions_completed += 1;
         self.recycle(r.sim);
         Completed {
             id: r.session.spec.id,
@@ -663,7 +674,6 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].report.frames_run, 10);
         assert_eq!(shard.resident_count(), 0);
-        assert_eq!(shard.stats.sessions_completed, 1);
         assert_eq!(shard.stats.sims_built, 1);
     }
 
@@ -738,13 +748,14 @@ mod tests {
         let mut second = tiny_spec(1, 5, 8);
         // Same shape (same generated mix from the same seed), fresh seed.
         second.config.seed ^= 0xABCD;
-        shard.admit(first, 0, 0).unwrap();
-        shard.step_batch().unwrap();
-        shard.admit(second, 1, 1).unwrap();
-        shard.step_batch().unwrap();
+        let mut retired = 0;
+        for (tick, spec) in [first, second].into_iter().enumerate() {
+            shard.admit(spec, tick as u64, tick as u64).unwrap();
+            retired += shard.step_batch().unwrap().0.len();
+        }
         assert_eq!(shard.stats.sims_built, 1, "second session must reuse the pooled rack");
         assert_eq!(shard.stats.sims_recycled, 1);
-        assert_eq!(shard.stats.sessions_completed, 2);
+        assert_eq!(retired, 2);
     }
 
     #[test]

@@ -124,21 +124,6 @@ fn mix_seed(seed: u64, id: u64) -> u64 {
     mix64(seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-fn operator_name(kind: OperatorKind) -> &'static str {
-    match kind {
-        OperatorKind::Exam => "exam",
-        OperatorKind::Idle => "idle",
-        OperatorKind::Reckless => "reckless",
-    }
-}
-
-fn gpu_name(gpu: GpuGeneration) -> &'static str {
-    match gpu {
-        GpuGeneration::Tnt2 => "tnt2",
-        GpuGeneration::NextGeneration => "nextgen",
-    }
-}
-
 /// Generates the arrival list: ascending ticks, one spec per session, fully
 /// determined by the configuration (same config ⇒ identical list).
 pub fn generate(config: &WorkloadConfig) -> Vec<Arrival> {
@@ -174,8 +159,8 @@ pub fn generate(config: &WorkloadConfig) -> Vec<Arrival> {
         let name = format!(
             "s{id:03}-{}-{}-{}-c{channels}-{}",
             priority.tag(),
-            operator_name(operator),
-            gpu_name(gpu),
+            operator.name(),
+            gpu.name(),
             plan.name
         );
         arrivals.push(Arrival {

@@ -107,10 +107,13 @@ pub fn tier_transparency_check(
     let tiered = run_fleet(&tiered_config)?;
 
     let mut violations = Vec::new();
-    if full.completed != tiered.completed || full.rejected != tiered.rejected {
+    if full.sessions.len() != tiered.sessions.len() || full.rejected != tiered.rejected {
         violations.push(format!(
             "tiering changed the admission outcome: {} completed / {} rejected vs {} / {}",
-            tiered.completed, tiered.rejected, full.completed, full.rejected
+            tiered.sessions.len(),
+            tiered.rejected,
+            full.sessions.len(),
+            full.rejected
         ));
     }
     for s in &tiered.sessions {
@@ -147,7 +150,8 @@ mod tests {
     use std::collections::BTreeMap;
 
     use cod_fleet::{
-        initial_tier, PlacementPolicy, Priority, SessionShape, ShardConfig, WorkloadConfig,
+        initial_tier, PlacementPolicy, Priority, SessionOutcome, SessionShape, ShardConfig,
+        WorkloadConfig,
     };
     use crane_sim::{step_frames_batch_traced, CraneSimulator, SimulatorConfig};
 
@@ -160,85 +164,53 @@ mod tests {
         let mut violations = Vec::new();
 
         // Conservation: after drain no session may be pending or resident, so
-        // every offered arrival is either completed or rejected, and the
-        // completion list matches the ledger. Preempted sessions were re-placed
-        // and re-counted in `admitted`, so the placement ledger closes as
-        // admitted = completed + preempted.
-        if outcome.offered != outcome.completed + outcome.rejected {
+        // every offered arrival is either completed or rejected. Preempted
+        // sessions were re-placed and re-counted in `admitted`, so the
+        // placement ledger closes as admitted = completed + preempted.
+        let completed = outcome.sessions.len() as u64;
+        if outcome.offered != completed + outcome.rejected {
             violations.push(format!(
-                "conservation: offered {} != completed {} + rejected {}",
-                outcome.offered, outcome.completed, outcome.rejected
+                "conservation: offered {} != completed {completed} + rejected {}",
+                outcome.offered, outcome.rejected
             ));
         }
-        if outcome.sessions.len() as u64 != outcome.completed {
+        if outcome.admitted != completed + outcome.preempted() {
             violations.push(format!(
-                "conservation: {} session outcomes vs {} completions",
-                outcome.sessions.len(),
-                outcome.completed
+                "drain: admitted {} != completed {completed} + preempted {} (a session is still \
+                 resident)",
+                outcome.admitted,
+                outcome.preempted()
             ));
         }
-        if outcome.admitted != outcome.completed + outcome.preempted {
-            violations.push(format!(
-                "drain: admitted {} != completed {} + preempted {} (a session is still resident)",
-                outcome.admitted, outcome.completed, outcome.preempted
-            ));
+        // Move ledgers: each move is counted per session and per shard (the
+        // fleet totals are the shard sums), and the two counts must agree; a
+        // migration is counted on both of its shards.
+        let per_session = |count: fn(&SessionOutcome) -> u32| -> u64 {
+            outcome.sessions.iter().map(|s| u64::from(count(s))).sum()
+        };
+        let moves = [
+            ("preemptions", per_session(|s| s.preempted), outcome.preempted()),
+            ("migrations", per_session(|s| s.migrated), outcome.migrated()),
+            ("promotions", per_session(|s| s.promoted), outcome.promoted()),
+            ("demotions", per_session(|s| s.demoted), outcome.demoted()),
+        ];
+        for (moved, sessions, shards) in moves {
+            if sessions != shards {
+                violations.push(format!(
+                    "move ledger: per-session {moved} {sessions} != per-shard {moved} {shards}"
+                ));
+            }
         }
-        // Preemption/migration conservation: the fleet totals must equal the
-        // per-session counters, both ways of counting the same events.
-        let session_preemptions: u64 =
-            outcome.sessions.iter().map(|s| u64::from(s.preempted)).sum();
-        if session_preemptions != outcome.preempted {
-            violations.push(format!(
-                "preemption ledger: per-session preemptions {} != fleet total {}",
-                session_preemptions, outcome.preempted
-            ));
-        }
-        let session_migrations: u64 = outcome.sessions.iter().map(|s| u64::from(s.migrated)).sum();
-        if session_migrations != outcome.migrated {
-            violations.push(format!(
-                "migration ledger: per-session migrations {} != fleet total {}",
-                session_migrations, outcome.migrated
-            ));
-        }
-        let shard_preempted: u64 = outcome.shard_stats.iter().map(|s| s.preempted_out).sum();
-        if shard_preempted != outcome.preempted {
-            violations.push(format!(
-                "preemption ledger: shard extractions {} != fleet total {}",
-                shard_preempted, outcome.preempted
-            ));
-        }
-        let migrated_out: u64 = outcome.shard_stats.iter().map(|s| s.migrated_out).sum();
         let migrated_in: u64 = outcome.shard_stats.iter().map(|s| s.migrated_in).sum();
-        if migrated_out != outcome.migrated || migrated_in != outcome.migrated {
-            violations.push(format!(
-                "migration ledger: {migrated_out} out / {migrated_in} in vs fleet total {}",
-                outcome.migrated
-            ));
+        if migrated_in != outcome.migrated() {
+            violations
+                .push(format!("migration ledger: {} out / {migrated_in} in", outcome.migrated()));
         }
-        // Retier ledger: promotions and demotions are counted three ways — per
-        // session, per shard, and as fleet totals — and all three must agree.
-        let session_promotions: u64 = outcome.sessions.iter().map(|s| u64::from(s.promoted)).sum();
-        let session_demotions: u64 = outcome.sessions.iter().map(|s| u64::from(s.demoted)).sum();
-        let shard_promotions: u64 = outcome.shard_stats.iter().map(|s| s.promoted).sum();
-        let shard_demotions: u64 = outcome.shard_stats.iter().map(|s| s.demoted).sum();
-        if session_promotions != outcome.promoted || shard_promotions != outcome.promoted {
-            violations.push(format!(
-                "retier ledger: per-session promotions {session_promotions} / shard promotions \
-                 {shard_promotions} vs fleet total {}",
-                outcome.promoted
-            ));
-        }
-        if session_demotions != outcome.demoted || shard_demotions != outcome.demoted {
-            violations.push(format!(
-                "retier ledger: per-session demotions {session_demotions} / shard demotions \
-                 {shard_demotions} vs fleet total {}",
-                outcome.demoted
-            ));
-        }
-        if !outcome.config.tiering && outcome.promoted + outcome.demoted > 0 {
+        if !outcome.config.tiering && outcome.promoted() + outcome.demoted() > 0 {
             violations.push(format!(
                 "retier ledger: {} promotions / {} demotions with tiering off",
-                outcome.promoted, outcome.demoted
+                outcome.promoted(),
+                outcome.demoted()
             ));
         }
         // Tier policy: an Interactive session never leaves the full rack, and a
@@ -443,10 +415,11 @@ mod tests {
         let migrating = run_fleet(&migrating_config)?;
 
         let mut violations = Vec::new();
-        if pinned.completed != migrating.completed {
+        if pinned.sessions.len() != migrating.sessions.len() {
             violations.push(format!(
                 "migration changed the completion count: {} vs {}",
-                pinned.completed, migrating.completed
+                pinned.sessions.len(),
+                migrating.sessions.len()
             ));
         }
         for s in &migrating.sessions {
@@ -543,8 +516,8 @@ mod tests {
     #[test]
     fn a_preempting_migrating_heterogeneous_fleet_passes_every_invariant() {
         let outcome = run_fleet(&hetero_config(0xC0D)).unwrap();
-        assert!(outcome.preempted > 0, "pressure must trigger preemption");
-        assert!(outcome.migrated > 0, "the speed gap must trigger migration");
+        assert!(outcome.preempted() > 0, "pressure must trigger preemption");
+        assert!(outcome.migrated() > 0, "the speed gap must trigger migration");
         let violations = check_fleet_outcome(&outcome);
         assert!(violations.is_empty(), "{violations:?}");
     }
@@ -562,15 +535,15 @@ mod tests {
         let (first, second, divergence) = fleet_replay_check(&hetero_config(0xC0D)).unwrap();
         assert_eq!(divergence, None, "heterogeneous fleet replay diverged");
         assert_eq!(first, second);
-        assert!(first.migrated > 0, "the replay gate must cover at least one migration");
-        assert!(first.preempted > 0, "the replay gate must cover at least one preemption");
+        assert!(first.migrated() > 0, "the replay gate must cover at least one migration");
+        assert!(first.preempted() > 0, "the replay gate must cover at least one preemption");
     }
 
     #[test]
     fn a_tiered_burst_fleet_passes_every_invariant() {
         let outcome = run_fleet(&tiered_burst_config(0xC0D)).unwrap();
-        assert!(outcome.demoted > 0, "the burst must trigger live demotion");
-        assert!(outcome.promoted > 0, "the calm drain must trigger live promotion");
+        assert!(outcome.demoted() > 0, "the burst must trigger live demotion");
+        assert!(outcome.promoted() > 0, "the calm drain must trigger live promotion");
         let violations = check_fleet_outcome(&outcome);
         assert!(violations.is_empty(), "{violations:?}");
     }
@@ -580,8 +553,8 @@ mod tests {
         let (first, second, divergence) = fleet_replay_check(&tiered_burst_config(0xC0D)).unwrap();
         assert_eq!(divergence, None, "tiered fleet replay diverged");
         assert_eq!(first, second);
-        assert!(first.demoted > 0, "the replay gate must cover at least one demotion");
-        assert!(first.promoted > 0, "the replay gate must cover at least one promotion");
+        assert!(first.demoted() > 0, "the replay gate must cover at least one demotion");
+        assert!(first.promoted() > 0, "the replay gate must cover at least one promotion");
     }
 
     #[test]
@@ -596,7 +569,10 @@ mod tests {
     fn wallclock_equivalence_holds_across_thread_counts() {
         let (modeled, divergences) =
             wallclock_equivalence_check(&hetero_config(0xC0D), &[1, 2, 4]).unwrap();
-        assert!(modeled.preempted > 0 && modeled.migrated > 0, "the check must stress the fleet");
+        assert!(
+            modeled.preempted() > 0 && modeled.migrated() > 0,
+            "the check must stress the fleet"
+        );
         for (threads, divergence) in divergences {
             assert_eq!(divergence, None, "report diverged at byte under {threads} threads");
         }
@@ -605,14 +581,14 @@ mod tests {
     #[test]
     fn tiering_is_transparent_to_session_physics() {
         let (tiered, violations) = tier_transparency_check(&tiered_burst_config(0xC0D)).unwrap();
-        assert!(tiered.demoted > 0, "the check must exercise a real demotion");
+        assert!(tiered.demoted() > 0, "the check must exercise a real demotion");
         assert!(violations.is_empty(), "{violations:?}");
     }
 
     #[test]
     fn migration_is_transparent_to_session_physics() {
         let (migrating, violations) = migration_transparency_check(&hetero_config(0xC0D)).unwrap();
-        assert!(migrating.migrated > 0, "the check must exercise a real migration");
+        assert!(migrating.migrated() > 0, "the check must exercise a real migration");
         assert!(violations.is_empty(), "{violations:?}");
     }
 
@@ -633,15 +609,16 @@ mod tests {
         outcome.rejected_with_free_slot = 1;
         assert!(!check_fleet_outcome(&outcome).is_empty(), "free-slot rejection must be flagged");
 
+        // The move totals are sums over the shard records: edit shard 0's.
         let mut outcome = run_fleet(&small_config(2, 3)).unwrap();
-        outcome.preempted += 1;
+        outcome.shard_stats[0].preempted_out += 1;
         assert!(
             !check_fleet_outcome(&outcome).is_empty(),
             "unaccounted preemption must be flagged"
         );
 
         let mut outcome = run_fleet(&small_config(2, 3)).unwrap();
-        outcome.migrated += 1;
+        outcome.shard_stats[0].migrated_out += 1;
         assert!(!check_fleet_outcome(&outcome).is_empty(), "unaccounted migration must be flagged");
 
         let mut outcome = run_fleet(&small_config(2, 3)).unwrap();
@@ -652,11 +629,11 @@ mod tests {
         assert!(!check_fleet_outcome(&outcome).is_empty(), "starvation must be flagged");
 
         let mut outcome = run_fleet(&small_config(2, 3)).unwrap();
-        outcome.promoted += 1;
+        outcome.shard_stats[0].promoted += 1;
         assert!(!check_fleet_outcome(&outcome).is_empty(), "unaccounted promotion must be flagged");
 
         let mut outcome = run_fleet(&small_config(2, 3)).unwrap();
-        outcome.demoted += 1;
+        outcome.shard_stats[0].demoted += 1;
         assert!(!check_fleet_outcome(&outcome).is_empty(), "unaccounted demotion must be flagged");
 
         let mut outcome = run_fleet(&tiered_burst_config(0xC0D)).unwrap();

@@ -356,7 +356,7 @@ pub fn fleet_rows(runs: &FleetRuns) -> Vec<GateRow> {
     } else {
         Ok(p95(Priority::Interactive))
     };
-    let (demoted, promoted) = (tiered.tiered.demoted, tiered.tiered.promoted);
+    let (demoted, promoted) = (tiered.tiered.demoted(), tiered.tiered.promoted());
     let headline = FleetReport::from_outcome(fleet).to_json().to_pretty();
     let sps = FleetOutcome::sessions_per_sec;
     let [one_thread, four_threads] = &runs.pool_reports;
@@ -388,7 +388,7 @@ pub fn fleet_rows(runs: &FleetRuns) -> Vec<GateRow> {
         // A gate over a mechanism the run never exercised proves nothing.
         GateRow::new(
             "preemptions in the saturated priority run",
-            Ok(pressure.preempted as f64),
+            Ok(pressure.preempted() as f64),
             Bound::Floor(1.0),
         ),
         GateRow::new(
@@ -400,7 +400,7 @@ pub fn fleet_rows(runs: &FleetRuns) -> Vec<GateRow> {
         // the aware run migrates.
         GateRow::new(
             "live migrations in the heterogeneous run",
-            Ok(aware.migrated as f64),
+            Ok(aware.migrated() as f64),
             Bound::Floor(1.0),
         ),
         GateRow::new(
@@ -514,7 +514,7 @@ fn run_fleet_gates() -> Result<Vec<GateRow>, String> {
         let (outcome, stats) = run_fleet_timed(&config)
             .map_err(|err| format!("pool run at {threads} thread(s) failed: {err}"))?;
         pool_reports[i] = FleetReport::from_outcome(&outcome).to_json().to_pretty();
-        pool_sessions_per_wall_sec[i] = stats.sessions_per_wall_sec(outcome.completed);
+        pool_sessions_per_wall_sec[i] = stats.sessions_per_wall_sec(outcome.sessions.len() as u64);
     }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     Ok(fleet_rows(&FleetRuns {
@@ -744,7 +744,7 @@ mod tests {
     /// `sessions_per_sec` sessions per modeled second.
     fn at_rate(outcome: &mut FleetOutcome, sessions_per_sec: f64) {
         outcome.elapsed_modeled.0 =
-            (outcome.completed as f64 / sessions_per_sec * 1e6).round() as u64;
+            (outcome.sessions.len() as f64 / sessions_per_sec * 1e6).round() as u64;
     }
 
     /// Replaces `outcome`'s sessions with one per `(priority, latency in
@@ -786,19 +786,22 @@ mod tests {
             run
         };
         let (int, bat) = (Priority::Interactive, Priority::Batch);
+        // The move totals are sums over the shard records: edit shard 0's.
         let mut pressure = with(1.0);
-        pressure.preempted = 1;
+        pressure.shard_stats[0].preempted_out = 1;
         // p95 9.0 against 10.95.
         with_latencies(&mut pressure, &[(int, 9), (int, 9), (bat, 10), (bat, 11)]);
         let mut tiered = with(2.5);
-        (tiered.demoted, tiered.promoted) = (3, 1);
+        (tiered.shard_stats[0].demoted, tiered.shard_stats[0].promoted) = (3, 1);
+        let mut aware = with(1.5);
+        aware.shard_stats[0].migrated_out = 1;
         let fleet = with(3.0);
         let headline = FleetReport::from_outcome(&fleet).to_json().to_pretty();
         FleetRuns {
             baseline: with(1.0),
             fleet,
             naive: with(1.0),
-            aware: FleetOutcome { migrated: 1, ..with(1.5) },
+            aware,
             pressure,
             tiered: TieredSection { all_full: with(1.0), tiered, max_score_drift: 0.0 },
             pool_reports: [headline.clone(), headline],
@@ -815,15 +818,19 @@ mod tests {
             ("heterogeneous fleet: speed-weighted over residency-only (x)", |r| {
                 r.aware.elapsed_modeled = r.naive.elapsed_modeled
             }),
-            ("preemptions in the saturated priority run", |r| r.pressure.preempted = 0),
+            ("preemptions in the saturated priority run", |r| {
+                r.pressure.shard_stats[0].preempted_out = 0
+            }),
             ("interactive p95 under pressure (ticks; ceiling is batch p95)", |r| {
                 let (int, bat) = (Priority::Interactive, Priority::Batch);
                 with_latencies(&mut r.pressure, &[(int, 11), (int, 11), (bat, 10), (bat, 11)])
             }),
-            ("live migrations in the heterogeneous run", |r| r.aware.migrated = 0),
+            ("live migrations in the heterogeneous run", |r| {
+                r.aware.shard_stats[0].migrated_out = 0
+            }),
             ("tiered capacity over all-Full (x)", |r| at_rate(&mut r.tiered.tiered, 1.9)),
             ("live retiering in the tiered run (fewer of demotions, promotions)", |r| {
-                r.tiered.tiered.promoted = 0
+                r.tiered.tiered.shard_stats[0].promoted = 0
             }),
             ("tiered final-score drift (points)", |r| {
                 r.tiered.max_score_drift = SCORE_DRIFT_TOLERANCE + 0.5
@@ -923,10 +930,10 @@ mod tests {
     fn full_size_tiered_burst_makes_a_promotion() {
         let pair = serve_tiered_pair(FleetConfig::full(SHARDS, SEED)).expect("both runs drain");
         assert!(
-            pair.tiered.promoted > 0,
+            pair.tiered.promoted() > 0,
             "{} demotions, {} promotions",
-            pair.tiered.demoted,
-            pair.tiered.promoted
+            pair.tiered.demoted(),
+            pair.tiered.promoted()
         );
     }
 }

@@ -37,21 +37,6 @@ impl MatrixConfig {
     }
 }
 
-fn operator_name(kind: OperatorKind) -> &'static str {
-    match kind {
-        OperatorKind::Exam => "exam",
-        OperatorKind::Idle => "idle",
-        OperatorKind::Reckless => "reckless",
-    }
-}
-
-fn gpu_name(gpu: GpuGeneration) -> &'static str {
-    match gpu {
-        GpuGeneration::Tnt2 => "tnt2",
-        GpuGeneration::NextGeneration => "nextgen",
-    }
-}
-
 /// Builds the scenario list for a sweep configuration.
 pub fn scenario_specs(config: &MatrixConfig) -> Vec<ScenarioSpec> {
     let (operators, gpus, channel_counts): (&[OperatorKind], &[GpuGeneration], &[usize]) =
@@ -82,13 +67,7 @@ pub fn scenario_specs(config: &MatrixConfig) -> Vec<ScenarioSpec> {
                         seed: config.seed ^ 0x0C0D_CAFE,
                         ..SimulatorConfig::default()
                     };
-                    let id = format!(
-                        "{}-{}-c{}-{}",
-                        operator_name(*operator),
-                        gpu_name(*gpu),
-                        channels,
-                        name
-                    );
+                    let id = format!("{}-{}-c{}-{}", operator.name(), gpu.name(), channels, name);
                     specs.push(
                         ScenarioSpec::new(&id, sim_config, config.frames).with_fault_plan(plan),
                     );

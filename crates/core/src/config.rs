@@ -9,6 +9,16 @@ pub enum GpuGeneration {
     NextGeneration,
 }
 
+impl GpuGeneration {
+    /// Short name for session and scenario names.
+    pub fn name(self) -> &'static str {
+        match self {
+            GpuGeneration::Tnt2 => "tnt2",
+            GpuGeneration::NextGeneration => "nextgen",
+        }
+    }
+}
+
 /// Which operator model drives the session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OperatorKind {
@@ -18,6 +28,17 @@ pub enum OperatorKind {
     Idle,
     /// A careless trainee: drives fast and swings the boom violently.
     Reckless,
+}
+
+impl OperatorKind {
+    /// Short name for session and scenario names.
+    pub fn name(self) -> &'static str {
+        match self {
+            OperatorKind::Exam => "exam",
+            OperatorKind::Idle => "idle",
+            OperatorKind::Reckless => "reckless",
+        }
+    }
 }
 
 /// Largest final-score deviation a Coarse session may show against the Full

@@ -82,17 +82,18 @@ fn main() {
     // borrowed ones included.
     let recycled: u64 = outcome.shard_stats.iter().map(|s| s.sims_recycled).sum();
     let built: u64 = outcome.shard_stats.iter().map(|s| s.sims_built).sum();
+    let completed = outcome.sessions.len() as u64;
     println!(
-        "\n{} sessions served by {} built racks ({} recycled through reset_for_session)",
-        outcome.completed, built, recycled
+        "\n{completed} sessions served by {built} built racks ({recycled} recycled through \
+         reset_for_session)"
     );
     println!(
         "{} preemptions, {} live migrations, {} promotions, {} demotions; interactive p95 {:.1} \
          ticks vs batch p95 {:.1}",
-        outcome.preempted,
-        outcome.migrated,
-        outcome.promoted,
-        outcome.demoted,
+        outcome.preempted(),
+        outcome.migrated(),
+        outcome.promoted(),
+        outcome.demoted(),
         outcome.latency_percentile_ticks_where(95.0, |s| s.priority == Priority::Interactive),
         outcome.latency_percentile_ticks_where(95.0, |s| s.priority == Priority::Batch),
     );
@@ -104,7 +105,7 @@ fn main() {
     println!(
         "wall clock: {:.2} sessions/s over {:.2} s real on {} stepping threads \
          (outcome identical at any thread count)",
-        wall.sessions_per_wall_sec(outcome.completed),
+        wall.sessions_per_wall_sec(completed),
         wall.wall.as_secs_f64(),
         wall.threads,
     );

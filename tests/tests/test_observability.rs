@@ -74,14 +74,16 @@ fn det_sink_records_the_fleet_ledger_and_the_hot_loop_counters() {
     let config = traced_config(0xC0D);
     let (outcome, _, artifacts) = run_fleet_traced(&config).unwrap();
     let det = artifacts.det.expect("Full arms the det sink");
-    // The sink's run-level aggregates must agree with the outcome's ledger.
+    // The sink's run-level aggregates (the admission model's counters) must
+    // agree with the outcome's sessions and shard records.
+    let completed = outcome.sessions.len() as u64;
     assert_eq!(det.counter("ticks_run"), outcome.ticks_run);
-    assert_eq!(det.counter("completed"), outcome.completed);
-    assert_eq!(det.counter("preempted"), outcome.preempted);
-    assert_eq!(det.counter("migrated"), outcome.migrated);
-    assert_eq!(det.events_of("preempt") as u64, outcome.preempted);
-    assert_eq!(det.events_of("migrate") as u64, outcome.migrated);
-    assert_eq!(det.events_of("demote") as u64, outcome.demoted);
+    assert_eq!(det.counter("completed"), completed);
+    assert_eq!(det.counter("preempted"), outcome.preempted());
+    assert_eq!(det.counter("migrated"), outcome.migrated());
+    assert_eq!(det.events_of("preempt") as u64, outcome.preempted());
+    assert_eq!(det.events_of("migrate") as u64, outcome.migrated());
+    assert_eq!(det.events_of("demote") as u64, outcome.demoted());
     // Frame counters flow up from the shard hot loop.
     assert!(det.counter("frames_stepped") > 0, "the hot loop must count frames");
     assert!(det.counter("cohorts_stepped") > 0, "batched stepping must count cohorts");
@@ -89,7 +91,7 @@ fn det_sink_records_the_fleet_ledger_and_the_hot_loop_counters() {
     let makespan = det.histogram("tick_makespan_us").expect("per-tick histogram");
     assert_eq!(makespan.count(), outcome.ticks_run);
     let latency = det.histogram("session_latency_ticks").expect("per-session histogram");
-    assert_eq!(latency.count(), outcome.completed);
+    assert_eq!(latency.count(), completed);
 }
 
 #[test]

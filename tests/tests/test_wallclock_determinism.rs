@@ -73,8 +73,8 @@ fn telemetry_digests(config: &FleetConfig) -> BTreeMap<u64, u64> {
 fn hetero_report_is_byte_identical_at_every_thread_count() {
     let (modeled, divergences) =
         wallclock_equivalence_check(&hetero_config(0xC0D), &THREADS).unwrap();
-    assert!(modeled.preempted > 0, "the workload must exercise preemption");
-    assert!(modeled.migrated > 0, "the workload must exercise migration");
+    assert!(modeled.preempted() > 0, "the workload must exercise preemption");
+    assert!(modeled.migrated() > 0, "the workload must exercise migration");
     for (threads, divergence) in divergences {
         assert_eq!(
             divergence, None,
@@ -87,8 +87,8 @@ fn hetero_report_is_byte_identical_at_every_thread_count() {
 fn tiered_burst_report_is_byte_identical_at_every_thread_count() {
     let (modeled, divergences) =
         wallclock_equivalence_check(&tiered_burst_config(0xC0D), &THREADS).unwrap();
-    assert!(modeled.demoted > 0, "the burst must exercise live demotion");
-    assert!(modeled.promoted > 0, "the drain must exercise live promotion");
+    assert!(modeled.demoted() > 0, "the burst must exercise live demotion");
+    assert!(modeled.promoted() > 0, "the drain must exercise live promotion");
     for (threads, divergence) in divergences {
         assert_eq!(
             divergence, None,
@@ -125,7 +125,7 @@ fn worker_instrumentation_is_present_and_non_degenerate() {
     let mut config = hetero_config(0xC0D);
     config.execution = ExecutionMode::WallClock { threads: 4 };
     let (outcome, stats) = run_fleet_timed(&config).unwrap();
-    assert!(outcome.completed > 0);
+    assert!(!outcome.sessions.is_empty());
     assert_eq!(stats.worker_steals.len(), 4, "one steal counter per worker");
     assert_eq!(stats.worker_idle_spins.len(), 4, "one idle counter per worker");
     // Every shard is stepped exactly once per tick, by some worker.

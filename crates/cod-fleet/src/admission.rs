@@ -69,8 +69,6 @@ pub struct AdmissionState<T = Priority> {
     /// Residents pushed back to the queue to make room for a more urgent
     /// session.
     pub preempted: u64,
-    /// Residents moved live from one shard to another.
-    pub migrated: u64,
     /// Rejections that happened while a shard slot was still free. Such a
     /// rejection is avoidable (the queue could have drained into the slot
     /// first), so a correct *driver* keeps this at zero; the fleet invariants
@@ -98,7 +96,6 @@ impl<T: Prioritized> AdmissionState<T> {
             rejected: 0,
             completed: 0,
             preempted: 0,
-            migrated: 0,
             rejected_with_free_slot: 0,
             peak_pending: 0,
         }
@@ -220,7 +217,6 @@ impl<T: Prioritized> AdmissionState<T> {
         );
         self.residents[from] -= 1;
         self.residents[to] += 1;
-        self.migrated += 1;
     }
 
     /// The shard a new session would be placed on, without placing it: the
@@ -416,7 +412,6 @@ mod tests {
         assert_eq!(adm.place(), Some((1, Priority::Training)));
         adm.migrate(0, 1);
         assert_eq!(adm.residents(), &[0, 2]);
-        assert_eq!(adm.migrated, 1);
         assert!(adm.violations().is_empty(), "{:?}", adm.violations());
         adm.complete(1);
         adm.complete(1);

@@ -15,15 +15,25 @@
 //! * there is one queue — a `Mutex` around the shards ready to step, the
 //!   results stepped so far and the pool's counters — and two `Condvar`s;
 //! * the driver is worker 0 of its own pool: it pushes the tick's shards,
-//!   wakes the spawned workers and then steps shards off the same queue
+//!   wakes any parked worker and then steps shards off the same queue
 //!   itself, exactly as a worker does; only when nothing is left to take
 //!   does it wait for the shards still out on other threads — so a
 //!   `threads`-thread pool spawns `threads - 1` workers, and a 1-thread
 //!   pool spawns none and hands nothing off;
-//! * a worker pops a shard, steps it *outside* the lock, pushes the result
-//!   and wakes the driver; when it finds nothing ready it parks on the
-//!   condvar (the check and the park happen under the lock, so no wake-up is
-//!   lost) and costs no CPU until the next tick;
+//! * each shard has a **home thread**, thread `id % threads`, as each module
+//!   of the paper's COD keeps its own desktop PC: a thread takes the
+//!   lowest-id ready shard whose home it is, and only then the lowest-id
+//!   ready shard of any home, so a shard's racks stay in one core's caches
+//!   from tick to tick while no ready shard waits for a busy home;
+//! * a thread that finds nothing ready — a worker between ticks, the driver
+//!   waiting for the shards still out — **spins** for at most
+//!   `SPIN_BUDGET`, yielding the CPU each round, on a counter the other
+//!   side bumps, and only then parks on its condvar (the check and the park
+//!   happen under the lock, so no wake-up is lost). A tick's serial gap is
+//!   far shorter than the budget, so a busy pool hands a tick over without a
+//!   sleep and wake; an idle one parks and costs no CPU. A worker that is
+//!   home to no shard of the tick (more threads than shards) parks at once,
+//!   and a condvar is notified only when a thread is parked on it;
 //! * results are **merged in shard-id order**, which is what keeps a run
 //!   bit-identical to a 1-thread run of the same configuration at *any*
 //!   thread count: threads decide only who executes a shard's
@@ -31,7 +41,7 @@
 //!   folded in.
 //!
 //! A tick is one task per shard — a handful — so one lock is never the
-//! bottleneck and there is nothing to steal.
+//! bottleneck.
 //!
 //! Wall-clock timings live beside the deterministic outcome (see
 //! [`crate::fleet::WallClockStats`]), never inside it: `FLEET_cod.json`
@@ -50,6 +60,7 @@
               proved scheduling-independent by the wallclock equivalence gates"
 )]
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -96,32 +107,82 @@ type TickResult = (Vec<Completed>, Micros);
 /// with the task's stack.
 type TaskDone = std::thread::Result<(Shard, Result<TickResult, CbError>)>;
 
+/// How long a stepping thread that finds nothing ready spins, yielding the
+/// CPU each round, before it parks on its condvar.
+///
+/// A `fleet_churn` tick (4 shards on 2 threads, one frame per session per
+/// tick) leaves a worker ~9 µs between its tasks of two ticks while the
+/// driver folds the last one in, and a task steps for ~25 µs, so a 100 µs
+/// budget covers every gap of a busy pool, handing its ticks over without a
+/// futex sleep and wake, while an idle pool still parks within a tenth of a
+/// millisecond. On a 2-core x86-64 box, this budget and the home thread
+/// together raised `fleet_churn`'s frames per wall second from a median
+/// 99.8k to 114.2k (ten alternating 20 s pairs, the change ahead in all
+/// ten) and cut a traced drain's parks from 3 299 to 19; pinned to one core
+/// it read 81.4k against 83.9k.
+const SPIN_BUDGET: Duration = Duration::from_micros(100);
+
 /// Everything the driver and the workers share, under the pool's one lock.
 struct Queue {
-    /// Shards handed over for this tick and not yet taken by any thread.
+    /// Shards handed over for this tick and not yet taken by any thread, in
+    /// shard-id order.
     ready: Vec<Shard>,
     /// Results of this tick so far, in the order the tasks finished.
     done: Vec<TaskDone>,
     /// Cleared on drop: a worker that finds nothing ready exits instead of
     /// parking.
     live: bool,
+    /// Shards in the latest tick posted: a worker of a higher index is home
+    /// to none of them, so it parks at once instead of spinning.
+    homes: usize,
+    /// Spawned workers parked on [`Pool::work`].
+    parked_workers: usize,
+    /// Whether the driver is parked on [`Pool::finished`].
+    driver_parked: bool,
     /// Shard-batch tasks run, per stepping thread (0 is the driver). Purely
     /// diagnostic, like `parks`: they describe how the race unfolded, never
     /// what was computed, and are never serialized into `FLEET_cod.json`.
     tasks: Vec<u64>,
-    /// Times each stepping thread found nothing ready and parked — for the
-    /// driver, times it waited on shards still out on a worker.
+    /// Times each stepping thread found nothing ready, spun out its budget
+    /// and parked — for the driver, times it parked waiting on shards still
+    /// out on a worker.
     parks: Vec<u64>,
 }
 
-/// The queue and the two conditions threads wait for on it.
+impl Queue {
+    /// Takes the shard stepping thread `thread` runs next, counting the task.
+    fn take(&mut self, thread: usize) -> Option<Shard> {
+        let threads = self.tasks.len();
+        let position = next_task(self.ready.iter().map(|s| s.id), thread, threads)?;
+        self.tasks[thread] += 1;
+        Some(self.ready.remove(position))
+    }
+}
+
+/// The position, among the ready shards' `ids`, of the shard that stepping
+/// thread `thread` of `threads` takes: the lowest id whose home it is (shard
+/// `i`'s home is thread `i % threads`), else the lowest id of any home.
+fn next_task(ids: impl Iterator<Item = usize>, thread: usize, threads: usize) -> Option<usize> {
+    ids.enumerate()
+        .min_by_key(|&(_, id)| (id % threads != thread, id))
+        .map(|(position, _)| position)
+}
+
+/// The queue, the two conditions threads park on, and the two counters they
+/// spin on before parking.
 struct Pool {
     queue: Mutex<Queue>,
     /// Workers park here until shards are ready or the pool shuts down.
     work: Condvar,
-    /// The driver waits here, once it has nothing left to take, until every
+    /// The driver parks here, once it has nothing left to take, until every
     /// shard of the tick has reported.
     finished: Condvar,
+    /// Bumped under the lock when the driver posts a tick and when the pool
+    /// shuts down: what a worker with nothing ready spins on.
+    posted: AtomicU64,
+    /// Bumped under the lock when a worker reports a result: what the driver
+    /// spins on while shards are still out.
+    reported: AtomicU64,
 }
 
 impl Pool {
@@ -129,6 +190,33 @@ impl Pool {
         // Shards are stepped outside the lock, so only a failed allocation
         // in a push can poison it.
         self.queue.lock().expect("executor queue poisoned")
+    }
+
+    /// Releases `queue`, spins until `counter` moves off the value it held
+    /// under the lock or [`SPIN_BUDGET`] runs out, and takes the lock back.
+    /// Returns the guard and whether the counter moved. The counters are
+    /// only written under the lock, which orders the queue itself; a relaxed
+    /// load is enough to say when to look again.
+    fn spin<'a>(
+        &'a self,
+        queue: MutexGuard<'a, Queue>,
+        counter: &AtomicU64,
+    ) -> (MutexGuard<'a, Queue>, bool) {
+        let seen = counter.load(Ordering::Relaxed);
+        drop(queue);
+        let started = Instant::now();
+        let moved = loop {
+            if counter.load(Ordering::Relaxed) != seen {
+                break true;
+            }
+            if started.elapsed() >= SPIN_BUDGET {
+                break false;
+            }
+            // Yield rather than busy-wait: on a box with fewer cores than
+            // stepping threads the thread being waited for needs this one.
+            std::thread::yield_now();
+        };
+        (self.lock(), moved)
     }
 }
 
@@ -161,11 +249,16 @@ impl WallClockExecutor {
                 ready: Vec::new(),
                 done: Vec::new(),
                 live: true,
+                homes: 0,
+                parked_workers: 0,
+                driver_parked: false,
                 tasks: vec![0; threads],
                 parks: vec![0; threads],
             }),
             work: Condvar::new(),
             finished: Condvar::new(),
+            posted: AtomicU64::new(0),
+            reported: AtomicU64::new(0),
         });
         let workers = (1..threads)
             .map(|index| {
@@ -185,10 +278,11 @@ impl WallClockExecutor {
         self.workers.len() + 1
     }
 
-    /// Per-thread count of times the thread found nothing ready and parked,
-    /// indexed by worker (0 is the caller, which parks only to wait for
-    /// shards still out on a worker). Diagnostic only — the values depend on
-    /// the race and are never part of the deterministic outcome.
+    /// Per-thread count of times the thread found nothing ready, spun out
+    /// its budget and parked, indexed by worker (0 is the caller, which
+    /// parks only to wait for shards still out on a worker). Diagnostic
+    /// only — the values depend on the race and are never part of the
+    /// deterministic outcome.
     pub fn worker_idle_spins(&self) -> Vec<u64> {
         self.pool.lock().parks.clone()
     }
@@ -220,31 +314,44 @@ impl WallClockExecutor {
     pub(crate) fn step_shards(&self, shards: &mut Vec<Shard>) -> Result<Vec<TickResult>, CbError> {
         let expected = shards.len();
         let wall = self.wall.as_deref();
+        let pool = &*self.pool;
         // Wall-clock µs at which the caller ran out of shards to take.
         let mut idle_since: Option<u64> = None;
         let done = {
-            // Pushed in reverse so that threads, popping from the back, take
-            // shards in id order. The outcome does not depend on it; the
+            // The caller takes its first task before it lets go of the lock,
+            // so it always runs the first task of a tick: shard 0, whose
+            // home it is. The outcome does not depend on who runs what; the
             // makespan can: a heterogeneous rack lists its fastest — and so
             // fullest — shard first, and the longest task should start first.
-            // The caller pops before it lets go of the lock, so it always
-            // runs the first task of a tick.
-            let mut queue = self.pool.lock();
-            queue.ready.extend(shards.drain(..).rev());
-            self.pool.work.notify_all();
+            let mut queue = pool.lock();
+            queue.ready.append(shards);
+            queue.homes = expected;
+            pool.posted.fetch_add(1, Ordering::Relaxed);
+            if queue.parked_workers > 0 {
+                pool.work.notify_all();
+            }
+            let mut spun = false;
             loop {
-                if let Some(shard) = queue.ready.pop() {
-                    queue.tasks[0] += 1;
+                if let Some(shard) = queue.take(0) {
                     drop(queue);
                     let done = run_task(0, shard, wall);
-                    queue = self.pool.lock();
+                    queue = pool.lock();
                     queue.done.push(done);
                 } else if queue.done.len() < expected {
-                    queue.parks[0] += 1;
                     if idle_since.is_none() {
                         idle_since = wall.map(WallTrace::now_us);
                     }
-                    queue = self.pool.finished.wait(queue).expect("executor queue poisoned");
+                    if spun {
+                        queue.parks[0] += 1;
+                        queue.driver_parked = true;
+                        queue = pool.finished.wait(queue).expect("executor queue poisoned");
+                        queue.driver_parked = false;
+                        spun = false;
+                    } else {
+                        let moved;
+                        (queue, moved) = pool.spin(queue, &pool.reported);
+                        spun = !moved;
+                    }
                 } else {
                     break std::mem::take(&mut queue.done);
                 }
@@ -279,8 +386,15 @@ impl Drop for WallClockExecutor {
     fn drop(&mut self) {
         // `live` is valid whatever a panicking thread left half-done, and a
         // drop must not panic: recover the guard from a poisoned lock.
-        self.pool.queue.lock().unwrap_or_else(PoisonError::into_inner).live = false;
-        self.pool.work.notify_all();
+        let mut queue = self.pool.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        queue.live = false;
+        // A spinning worker sees the counter move and exits; a parked one is
+        // woken.
+        self.pool.posted.fetch_add(1, Ordering::Relaxed);
+        if queue.parked_workers > 0 {
+            self.pool.work.notify_all();
+        }
+        drop(queue);
         for worker in self.workers.drain(..) {
             // A task's panic already surfaced through `step_shards`; nothing
             // useful left to propagate.
@@ -290,27 +404,36 @@ impl Drop for WallClockExecutor {
 }
 
 /// One spawned worker's life: take a ready shard, step it outside the lock,
-/// report it; park while nothing is ready; exit once the pool is no longer
-/// live.
+/// report it; spin and then park while nothing is ready; exit once the pool
+/// is no longer live.
 fn worker_loop(index: usize, pool: &Pool, wall: Option<&WallTrace>) {
     loop {
         // Wall-clock µs at which this worker first found nothing ready.
         let mut idle_since: Option<u64> = None;
         let task = {
             let mut queue = pool.lock();
+            let mut spun = false;
             loop {
-                if let Some(shard) = queue.ready.pop() {
-                    queue.tasks[index] += 1;
+                if let Some(shard) = queue.take(index) {
                     break Some(shard);
                 }
                 if !queue.live {
                     break None;
                 }
-                queue.parks[index] += 1;
                 if idle_since.is_none() {
                     idle_since = wall.map(WallTrace::now_us);
                 }
-                queue = pool.work.wait(queue).expect("executor queue poisoned");
+                if spun || index >= queue.homes {
+                    queue.parks[index] += 1;
+                    queue.parked_workers += 1;
+                    queue = pool.work.wait(queue).expect("executor queue poisoned");
+                    queue.parked_workers -= 1;
+                    spun = false;
+                } else {
+                    let moved;
+                    (queue, moved) = pool.spin(queue, &pool.posted);
+                    spun = !moved;
+                }
             }
         };
         // Recorded with the queue released: the trace lane has its own lock.
@@ -319,8 +442,14 @@ fn worker_loop(index: usize, pool: &Pool, wall: Option<&WallTrace>) {
         }
         let Some(shard) = task else { return };
         let done = run_task(index, shard, wall);
-        pool.lock().done.push(done);
-        pool.finished.notify_one();
+        let mut queue = pool.lock();
+        queue.done.push(done);
+        pool.reported.fetch_add(1, Ordering::Relaxed);
+        let driver_parked = queue.driver_parked;
+        drop(queue);
+        if driver_parked {
+            pool.finished.notify_one();
+        }
     }
 }
 
@@ -346,6 +475,7 @@ mod tests {
     use super::*;
     use crate::shard::ShardConfig;
     use crate::workload::{generate, WorkloadConfig};
+    use proptest::prelude::*;
 
     fn shard_with_session(id: usize, seed: u64, frames: usize) -> Shard {
         shard_with_batch(id, seed, frames, 4)
@@ -371,33 +501,52 @@ mod tests {
         shard
     }
 
-    #[test]
-    fn executor_steps_match_sequential_steps_at_any_thread_count() {
-        for threads in [1usize, 2, 4] {
-            // Sequential reference.
-            let mut expected = Vec::new();
-            let mut reference: Vec<Shard> =
-                (0..3).map(|i| shard_with_session(i, 7 + i as u64, 8)).collect();
-            for shard in reference.iter_mut() {
-                expected.push(shard.step_batch().unwrap());
-            }
-            // Pool run of identically prepared shards.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Whatever the shard count, thread count and number of ticks, the
+        /// pool's per-tick results equal stepping the same shards one after
+        /// another, and the shards come home in id order every tick.
+        #[test]
+        fn executor_steps_match_sequential_steps_at_any_thread_count(
+            shards in 1usize..7,
+            threads in 1usize..5,
+            ticks in 1usize..6,
+            seed in 0u64..(1 << 32),
+        ) {
+            // Six-frame sessions stepped two frames a tick retire on the third.
+            let prepare =
+                || (0..shards).map(|i| shard_with_batch(i, seed + i as u64, 6, 2)).collect();
+            let mut reference: Vec<Shard> = prepare();
+            let mut pooled: Vec<Shard> = prepare();
             let executor = WallClockExecutor::new(threads, None);
-            let mut shards: Vec<Shard> =
-                (0..3).map(|i| shard_with_session(i, 7 + i as u64, 8)).collect();
-            let results = executor.step_shards(&mut shards).unwrap();
-            assert_eq!(results.len(), 3);
-            for (i, ((completed, busy), (exp_completed, exp_busy))) in
-                results.iter().zip(&expected).enumerate()
-            {
-                assert_eq!(busy, exp_busy, "shard {i} busy time diverged at {threads} threads");
-                assert_eq!(completed, exp_completed, "shard {i} diverged at {threads} threads");
+            for tick in 0..ticks {
+                let expected: Vec<TickResult> =
+                    reference.iter_mut().map(|s| s.step_batch().unwrap()).collect();
+                let results = executor.step_shards(&mut pooled).unwrap();
+                prop_assert_eq!(&results, &expected, "tick {} at {} threads", tick, threads);
+                let ids: Vec<usize> = pooled.iter().map(|s| s.id).collect();
+                prop_assert_eq!(ids, (0..shards).collect::<Vec<_>>());
             }
-            // Shards come back in id order, ready for the next tick.
-            for (i, shard) in shards.iter().enumerate() {
-                assert_eq!(shard.id, i);
-            }
+            prop_assert_eq!(executor.worker_tasks().iter().sum::<u64>(), (shards * ticks) as u64);
         }
+    }
+
+    #[test]
+    fn a_thread_takes_its_own_lowest_shard_first_else_the_lowest() {
+        // Two threads: shards 0, 2, 4 are thread 0's, 1, 3, 5 thread 1's.
+        assert_eq!(next_task([0, 1, 2, 3].into_iter(), 0, 2), Some(0));
+        assert_eq!(next_task([0, 1, 2, 3].into_iter(), 1, 2), Some(1));
+        assert_eq!(next_task([1, 2, 3].into_iter(), 1, 2), Some(0));
+        assert_eq!(next_task([2, 3, 5].into_iter(), 1, 2), Some(1), "own shard 3 before 2");
+        // With none of its own left, a thread takes the lowest id of any home.
+        assert_eq!(next_task([3, 5].into_iter(), 0, 2), Some(0));
+        assert_eq!(next_task([4, 1, 7].into_iter(), 2, 3), Some(1), "order-independent");
+        // Three threads: shard 4's home is thread 1, shard 5's thread 2.
+        assert_eq!(next_task([2, 4, 5].into_iter(), 1, 3), Some(1));
+        assert_eq!(next_task([3, 5].into_iter(), 1, 3), Some(0));
+        // A single thread is every shard's home.
+        assert_eq!(next_task([2, 5, 6].into_iter(), 0, 1), Some(0));
+        assert_eq!(next_task(std::iter::empty(), 0, 2), None);
     }
 
     #[test]
@@ -448,7 +597,8 @@ mod tests {
         // A 1-thread pool is the caller alone, which steps every shard itself
         // and so never waits; the bound (one park per tick plus one before the
         // first, with slack for spurious wake-ups) is what a spawned worker is
-        // held to below. A polling pool reads in the thousands here.
+        // held to below. A pool counting every spin round reads in the
+        // thousands here.
         let parks = executor.worker_idle_spins()[0];
         assert!(parks <= 2 * (50 + 1), "a worker with nothing ready must park, not poll: {parks}");
     }
@@ -480,8 +630,10 @@ mod tests {
         // The caller pushes and pops under one lock, so it cannot lose the
         // first task of a tick to the worker — whatever the race does next.
         assert!(tasks[0] >= ticks as u64, "the caller must step every tick: {tasks:?}");
-        // The spawned worker parks between ticks instead of polling: one park
-        // per tick plus one before the first, with slack for spurious wake-ups.
+        // The spawned worker spins out its budget and parks between ticks
+        // instead of polling without end: at most one park per tick plus one
+        // before the first, with slack for spurious wake-ups (spinning only
+        // lowers the count).
         let parks = executor.worker_idle_spins()[1];
         assert!(parks <= 2 * (ticks as u64 + 1), "a worker must park, not poll: {parks}");
     }
@@ -545,6 +697,21 @@ mod tests {
     #[test]
     fn dropping_a_pool_of_parked_workers_returns() {
         drop(WallClockExecutor::new(4, None));
+    }
+
+    #[test]
+    fn dropping_a_pool_right_after_a_tick_returns() {
+        // The workers are still inside their spin budget when the pool
+        // drops, so no condvar wake-up reaches them: each must find the pool
+        // shut down when its spin ends (the drop bumps the counter it spins
+        // on) and exit rather than park.
+        for threads in [2usize, 4] {
+            let executor = WallClockExecutor::new(threads, None);
+            let mut shards: Vec<Shard> =
+                (0..threads).map(|i| shard_with_batch(i, 3, 4, 1)).collect();
+            executor.step_shards(&mut shards).unwrap();
+            drop(executor);
+        }
     }
 
     #[test]

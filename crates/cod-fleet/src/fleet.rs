@@ -81,8 +81,8 @@ pub enum ExecutionMode {
     Modeled,
     /// `threads` stepping threads — the caller plus `threads - 1` workers
     /// spawned once per run — taking shard-batch tasks off one mutex-guarded
-    /// queue; spawned workers park between ticks. The mode to measure real
-    /// sessions/sec under.
+    /// queue; spawned workers spin briefly, then park, between ticks. The
+    /// mode to measure real sessions/sec under.
     WallClock {
         /// Stepping threads, the caller included (clamped to at least one).
         threads: usize,
@@ -425,9 +425,11 @@ pub struct WallClockStats {
     /// One zero per thread: the pool has a single queue and nothing to steal
     /// from. Kept only because `benchmark/` reads it.
     pub worker_steals: Vec<u64>,
-    /// Per-thread count of times the thread found nothing ready and parked;
-    /// the driver parks only to wait for shards still out on a worker.
-    /// Diagnostic only, never serialized into `FLEET_cod.json`.
+    /// Per-thread count of parks: times the thread found nothing ready, spun
+    /// out the executor's spin budget (a worker home to no shard skips the
+    /// spin) and parked on its condvar. The driver parks only to wait for
+    /// shards still out on a worker. The name is kept because `benchmark/`
+    /// reads it. Diagnostic only, never serialized into `FLEET_cod.json`.
     pub worker_idle_spins: Vec<u64>,
     /// Per-thread count of shard-batch tasks run. Diagnostic only, never
     /// serialized.
@@ -683,7 +685,7 @@ pub fn run_fleet_traced(
         d.set("completed", admission.completed);
         d.set("rejected", admission.rejected);
         d.set("preempted", admission.preempted);
-        d.set("migrated", admission.migrated);
+        d.set("migrated", outcome.migrated());
         d.set("promoted", outcome.promoted());
         d.set("demoted", outcome.demoted());
         for shard in &shards {
@@ -772,7 +774,7 @@ fn land(shards: &mut [Shard], target: usize, session: PortableSession) -> Result
             shards[target].recycle(rack);
         }
     }
-    shards[target].resume(session).map(|_| ())
+    shards[target].resume(session)
 }
 
 /// Performs at most one strictly-improving migration: donor = most

@@ -26,8 +26,9 @@
 //!   by construction, accounted in modeled time.
 //! * [`executor`] — the execution engine every run steps on: a fixed pool
 //!   of stepping threads (the driver itself plus spawned workers) taking
-//!   shard batches off one queue and stepping them in real time (workers
-//!   parked, not polling, between ticks), with the results merged in shard
+//!   shard batches off one queue and stepping them in real time (each shard
+//!   on its home thread when that thread is free; a thread with nothing
+//!   ready spins briefly, then parks), with the results merged in shard
 //!   order so any thread count reproduces the 1-thread run bit for bit. [`fleet::run_fleet_timed`] reports the real elapsed time
 //!   beside (never inside) the deterministic outcome.
 //! * [`report`] — `FLEET_cod.json`, byte-identical across runs of the same

@@ -463,15 +463,15 @@ impl Shard {
     ) -> Result<(), CbError> {
         let session =
             PortableSession { admitted_tick, ..PortableSession::arriving(spec, arrived_tick) };
-        self.resume(session).map(|_| ())
+        self.resume(session)
     }
 
     /// Admits a [`PortableSession`], fast-forwarding it to where it left off:
     /// the simulator is reset to the session seed and the already-executed
     /// frames are replayed (replay is deterministic, so the resumed session
-    /// is bit-identical to one never interrupted). Returns the modeled cost
-    /// of the replay, charged to this shard's busy time and to the busy time
-    /// its next [`Shard::step_batch`] returns.
+    /// is bit-identical to one never interrupted). The modeled cost of the
+    /// replay is charged to this shard's busy time and to the busy time its
+    /// next [`Shard::step_batch`] returns.
     ///
     /// # Errors
     ///
@@ -480,7 +480,7 @@ impl Shard {
     /// # Panics
     ///
     /// Panics if the shard has no free slot.
-    pub fn resume(&mut self, mut session: PortableSession) -> Result<Micros, CbError> {
+    pub fn resume(&mut self, mut session: PortableSession) -> Result<(), CbError> {
         assert!(self.free_slots() > 0, "shard {} is full", self.id);
         // The shard's machine speed is a property of the shard, not the
         // session: stamp it before the shape lookup so pooled racks match.
@@ -492,7 +492,7 @@ impl Shard {
         self.landed += replay_cost;
         self.residents.push(Resident { session, sim });
         self.stats.peak_residents = self.stats.peak_residents.max(self.residents.len());
-        Ok(replay_cost)
+        Ok(())
     }
 
     /// Extracts the resident at `index` as a [`PortableSession`], returning
@@ -870,8 +870,11 @@ mod tests {
         let mut baseline = Shard::new(0, ShardConfig::default(), 1.0);
         baseline.admit(spec.clone(), 0, 0).unwrap();
         let mut base_done = Vec::new();
+        let mut base_busy = Vec::new();
         while baseline.resident_count() > 0 {
-            base_done.extend(baseline.step_batch().unwrap().0);
+            let (done, busy) = baseline.step_batch().unwrap();
+            base_done.extend(done);
+            base_busy.push(busy);
         }
         // Full → Coarse → Full around the middle batches.
         let mut shard = Shard::new(1, ShardConfig::default(), 1.0);
@@ -884,9 +887,13 @@ mod tests {
         assert_eq!(shard.residents_overview()[0].tier, FidelityTier::Coarse);
         shard.step_batch().unwrap();
         let promoted = shard.retier(0, FidelityTier::Full);
-        let replay = shard.resume(promoted).unwrap();
-        assert!(replay > Micros::ZERO, "promotion must charge the replay");
-        let mut done = Vec::new();
+        shard.resume(promoted).unwrap();
+        let (mut done, busy) = shard.step_batch().unwrap();
+        assert_eq!(
+            busy,
+            base_busy[0] + base_busy[1] + base_busy[2],
+            "promotion charges the Full replay of the first 16 frames to the next step"
+        );
         while shard.resident_count() > 0 {
             done.extend(shard.step_batch().unwrap().0);
         }
@@ -1032,8 +1039,11 @@ mod tests {
         let mut baseline = Shard::new(0, ShardConfig::default(), 1.0);
         baseline.admit(spec.clone(), 0, 0).unwrap();
         let mut base_done = Vec::new();
+        let mut base_busy = Vec::new();
         while baseline.resident_count() > 0 {
-            base_done.extend(baseline.step_batch().unwrap().0);
+            let (done, busy) = baseline.step_batch().unwrap();
+            base_done.extend(done);
+            base_busy.push(busy);
         }
         // Same session, interrupted after one batch and migrated.
         let mut donor = Shard::new(1, ShardConfig::default(), 1.0);
@@ -1044,9 +1054,13 @@ mod tests {
         assert_eq!(portable.frames_done, 8);
         assert_eq!(portable.migrated, 1);
         receiver.note_migrated_in();
-        let replay = receiver.resume(portable).unwrap();
-        assert!(replay > Micros::ZERO, "fast-forward must charge modeled time");
-        let mut moved_done = Vec::new();
+        receiver.resume(portable).unwrap();
+        let (mut moved_done, busy) = receiver.step_batch().unwrap();
+        assert_eq!(
+            busy,
+            base_busy[0] + base_busy[1],
+            "the receiver charges the fast-forward of the first 8 frames to its next step"
+        );
         while receiver.resident_count() > 0 {
             moved_done.extend(receiver.step_batch().unwrap().0);
         }

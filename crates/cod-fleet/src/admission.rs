@@ -2,15 +2,12 @@
 //! properties can be property-tested without building simulators.
 //!
 //! This state machine holds the queued sessions themselves — the fleet's
-//! one admission queue — plus how many sessions each shard hosts and the
-//! conservation ledger; the shards own the residents. With preemption in
-//! the picture the ledger gains a `preempted` term (a preempted resident
-//! returns to the queue and is admitted again later):
-//!
-//! ```text
-//! offered  = admitted + rejected + pending - preempted
-//! admitted = completed + resident + preempted
-//! ```
+//! one admission queue — plus how many sessions each shard hosts; the shards
+//! own the residents. It tallies no decision ([`AdmissionState::offer`]
+//! returns whether it queued), only two observations: avoidable rejections
+//! and the peak queue depth. The fleet records each decision once, in
+//! [`crate::fleet::FleetOutcome::events`], and checks conservation by
+//! walking that log ([`crate::fleet::FleetOutcome::log_violations`]).
 //!
 //! The queue is a *priority* queue over [`Priority`] classes, kept in offer
 //! order: placement always takes the first-offered item of the most urgent
@@ -57,18 +54,6 @@ pub struct AdmissionState<T = Priority> {
     residents: Vec<usize>,
     /// The queued items, in offer order.
     queue: Vec<T>,
-    /// Total arrivals ever offered.
-    pub offered: u64,
-    /// Placements onto a shard (re-placements of preempted sessions count
-    /// again).
-    pub admitted: u64,
-    /// Arrivals turned away because the queue was full.
-    pub rejected: u64,
-    /// Sessions retired from a shard.
-    pub completed: u64,
-    /// Residents pushed back to the queue to make room for a more urgent
-    /// session.
-    pub preempted: u64,
     /// Rejections that happened while a shard slot was still free. Such a
     /// rejection is avoidable (the queue could have drained into the slot
     /// first), so a correct *driver* keeps this at zero; the fleet invariants
@@ -91,11 +76,6 @@ impl<T: Prioritized> AdmissionState<T> {
             residents: vec![0; config.shards],
             config,
             queue: Vec::new(),
-            offered: 0,
-            admitted: 0,
-            rejected: 0,
-            completed: 0,
-            preempted: 0,
             rejected_with_free_slot: 0,
             peak_pending: 0,
         }
@@ -134,9 +114,7 @@ impl<T: Prioritized> AdmissionState<T> {
     /// driver (see [`crate::fleet::run_fleet`]) places queued sessions
     /// before bouncing an arrival, keeping that counter at zero.
     pub fn offer(&mut self, item: T) -> bool {
-        self.offered += 1;
         if self.pending() >= self.config.max_pending {
-            self.rejected += 1;
             if self.free_slots() > 0 {
                 self.rejected_with_free_slot += 1;
             }
@@ -156,7 +134,6 @@ impl<T: Prioritized> AdmissionState<T> {
         let priority = self.highest_pending()?;
         let chosen = self.choose_shard(backlog)?;
         let index = self.queue.iter().position(|item| item.priority() == priority)?;
-        self.admitted += 1;
         self.residents[chosen] += 1;
         Some((chosen, self.queue.remove(index)))
     }
@@ -174,7 +151,6 @@ impl<T: Prioritized> AdmissionState<T> {
     pub fn complete(&mut self, shard: usize) {
         assert!(self.residents[shard] > 0, "shard {shard} has no resident session to retire");
         self.residents[shard] -= 1;
-        self.completed += 1;
     }
 
     /// Whether a resident may be preempted right now: the queue must have
@@ -184,9 +160,8 @@ impl<T: Prioritized> AdmissionState<T> {
     }
 
     /// Pushes the resident `victim` from `shard` back into the queue, at the
-    /// back of its class, to make room for a more urgent session. It stays
-    /// admitted-then-preempted in the ledger; its eventual re-placement
-    /// counts in `admitted` again.
+    /// back of its class, to make room for a more urgent session; it is
+    /// placed again later like any queued item.
     ///
     /// # Panics
     ///
@@ -197,7 +172,6 @@ impl<T: Prioritized> AdmissionState<T> {
         assert!(self.can_preempt(), "the queue has no room for a preempted session");
         self.residents[shard] -= 1;
         self.queue.push(victim);
-        self.preempted += 1;
         self.peak_pending = self.peak_pending.max(self.pending());
     }
 
@@ -235,48 +209,6 @@ impl<T: Prioritized> AdmissionState<T> {
             .min_by_key(|(load, i)| (*load, *i))
             .map(|(_, i)| i)
     }
-
-    /// Verifies the conservation ledger and capacity bounds; returns every
-    /// violated property.
-    pub fn violations(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        let pending = self.pending() as u64;
-        if self.offered + self.preempted != self.admitted + self.rejected + pending {
-            out.push(format!(
-                "offered {} + preempted {} != admitted {} + rejected {} + pending {}",
-                self.offered, self.preempted, self.admitted, self.rejected, pending
-            ));
-        }
-        if self.admitted != self.completed + self.preempted + self.resident_total() as u64 {
-            out.push(format!(
-                "admitted {} != completed {} + preempted {} + resident {}",
-                self.admitted,
-                self.completed,
-                self.preempted,
-                self.resident_total()
-            ));
-        }
-        for (i, r) in self.residents.iter().enumerate() {
-            if *r > self.config.slots_per_shard {
-                out.push(format!(
-                    "shard {i} hosts {r} sessions, capacity {}",
-                    self.config.slots_per_shard
-                ));
-            }
-        }
-        if self.pending() > self.config.max_pending {
-            out.push(format!(
-                "queue depth {} exceeds bound {}",
-                self.pending(),
-                self.config.max_pending
-            ));
-        }
-        // `rejected_with_free_slot` is deliberately not checked here: for the
-        // bare state machine an avoidable rejection is the driver's doing.
-        // The fleet driver drains the queue before bouncing arrivals, and
-        // `cod_testkit::fleet_invariants` asserts the counter stays zero.
-        out
-    }
 }
 
 #[cfg(test)]
@@ -286,6 +218,27 @@ mod tests {
 
     fn config(shards: usize, slots: usize, max_pending: usize) -> AdmissionConfig {
         AdmissionConfig { shards, slots_per_shard: slots, max_pending }
+    }
+
+    /// Every capacity or queue bound `adm` breaks. The methods keep both
+    /// by construction; the proptests check that they do.
+    fn violations<T>(adm: &AdmissionState<T>) -> Vec<String> {
+        let slots = adm.config.slots_per_shard;
+        let mut out: Vec<String> = adm
+            .residents
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| **r > slots)
+            .map(|(i, r)| format!("shard {i} hosts {r} sessions, capacity {slots}"))
+            .collect();
+        if adm.queue.len() > adm.config.max_pending {
+            out.push(format!(
+                "queue depth {} exceeds bound {}",
+                adm.queue.len(),
+                adm.config.max_pending
+            ));
+        }
+        out
     }
 
     fn priority(code: u8) -> Priority {
@@ -299,9 +252,8 @@ mod tests {
             assert!(adm.offer(Priority::Training));
         }
         assert!(!adm.offer(Priority::Training), "fourth arrival must bounce off the bounded queue");
-        assert_eq!(adm.rejected, 1);
         assert_eq!(adm.pending(), 3);
-        assert!(adm.violations().is_empty(), "{:?}", adm.violations());
+        assert!(violations(&adm).is_empty(), "{:?}", violations(&adm));
     }
 
     #[test]
@@ -328,7 +280,7 @@ mod tests {
         assert_eq!(adm.place().map(|(_, p)| p), Some(Priority::Training));
         assert_eq!(adm.place().map(|(_, p)| p), Some(Priority::Batch));
         assert_eq!(adm.highest_pending(), None);
-        assert!(adm.violations().is_empty(), "{:?}", adm.violations());
+        assert!(violations(&adm).is_empty(), "{:?}", violations(&adm));
     }
 
     #[test]
@@ -349,7 +301,7 @@ mod tests {
         assert_eq!(adm.place(), None, "no slot free: the queue must hold");
         adm.complete(0);
         assert_eq!(adm.place(), Some((0, Priority::Batch)));
-        assert!(adm.violations().is_empty(), "{:?}", adm.violations());
+        assert!(violations(&adm).is_empty(), "{:?}", violations(&adm));
     }
 
     #[test]
@@ -367,7 +319,7 @@ mod tests {
             Some((1, Priority::Batch)),
             "shard 1 is free and must win even at a saturated cost hint"
         );
-        assert!(adm.violations().is_empty(), "{:?}", adm.violations());
+        assert!(violations(&adm).is_empty(), "{:?}", violations(&adm));
     }
 
     #[test]
@@ -381,17 +333,15 @@ mod tests {
         assert_eq!(adm.place(), None, "slot taken: must preempt first");
         assert!(adm.can_preempt());
         adm.preempt(0, Priority::Batch);
-        assert_eq!(adm.preempted, 1);
         assert_eq!((adm.pending(), adm.highest_pending()), (2, Some(Priority::Interactive)));
         assert_eq!(adm.place(), Some((0, Priority::Interactive)));
-        assert!(adm.violations().is_empty(), "{:?}", adm.violations());
+        assert!(violations(&adm).is_empty(), "{:?}", violations(&adm));
         // The interactive session completes; the batch victim resumes.
         adm.complete(0);
         assert_eq!(adm.place(), Some((0, Priority::Batch)));
         adm.complete(0);
-        assert!(adm.violations().is_empty(), "{:?}", adm.violations());
-        assert_eq!(adm.admitted, 3, "re-placement of the victim counts again");
-        assert_eq!(adm.completed, 2);
+        assert!(violations(&adm).is_empty(), "{:?}", violations(&adm));
+        assert_eq!((adm.pending(), adm.resident_total()), (0, 0));
     }
 
     #[test]
@@ -412,10 +362,10 @@ mod tests {
         assert_eq!(adm.place(), Some((1, Priority::Training)));
         adm.migrate(0, 1);
         assert_eq!(adm.residents(), &[0, 2]);
-        assert!(adm.violations().is_empty(), "{:?}", adm.violations());
+        assert!(violations(&adm).is_empty(), "{:?}", violations(&adm));
         adm.complete(1);
         adm.complete(1);
-        assert!(adm.violations().is_empty(), "{:?}", adm.violations());
+        assert!(violations(&adm).is_empty(), "{:?}", violations(&adm));
     }
 
     #[test]
@@ -493,15 +443,21 @@ mod tests {
 
         /// Drive the controller with an arbitrary event schedule — offers of
         /// every class, placements, completions, preemptions and migrations:
-        /// capacity is never exceeded and the session ledger always balances.
+        /// capacity and the queue bound are never exceeded, and a rejection
+        /// only ever bounces off a full queue.
         #[test]
         fn prop_admission_is_safe(shards in 1usize..5, slots in 1usize..4,
                                   max_pending in 1usize..6,
                                   events in proptest::collection::vec((0u8..5, 0u8..6), 1..120) ) {
             let mut adm = AdmissionState::new(config(shards, slots, max_pending));
+            let mut rejected = 0;
             for (event, arg) in events {
                 match event {
-                    0 => { let _ = adm.offer(priority(arg)); }
+                    0 => {
+                        if !adm.offer(priority(arg)) {
+                            rejected += 1;
+                        }
+                    }
                     1 => { let _ = adm.place(); }
                     2 => {
                         // Preempt from the busiest shard when allowed. The
@@ -544,9 +500,9 @@ mod tests {
                         }
                     }
                 }
-                prop_assert!(adm.violations().is_empty(), "{:?}", adm.violations());
+                prop_assert!(violations(&adm).is_empty(), "{:?}", violations(&adm));
                 // A rejection can only ever happen at a full queue.
-                prop_assert!(adm.rejected == 0 || adm.peak_pending == max_pending);
+                prop_assert!(rejected == 0 || adm.peak_pending == max_pending);
             }
         }
 

@@ -11,19 +11,19 @@
 //!   plan); same seed, same workload.
 //! * [`admission`] — bounded *priority* queue admission control, holding the
 //!   queued sessions themselves, and least-loaded placement, kept pure so its
-//!   safety properties (never exceed capacity, never reject while a slot is
-//!   free, session conservation with preemption and migration terms, FIFO
-//!   order within a class) are property-tested.
+//!   safety properties (never exceed capacity or the queue bound, never
+//!   reject while a slot is free, FIFO order within a class) are
+//!   property-tested.
 //! * [`shard`] — a worker of a given relative CPU speed hosting several
 //!   concurrent sessions, recycling retired simulators through
 //!   [`crane_sim::CraneSimulator::reset_for_session`] so the expensive CB
 //!   initialization runs once per session *shape*, not once per session; a
 //!   resident can be serialized to a [`shard::PortableSession`] and resumed
 //!   anywhere by deterministic replay.
-//! * [`fleet`] — the tick-driven executive: offer, place (residency- or
-//!   speed-weighted), preempt, migrate, batch-step all shards on the
-//!   executor pool sized by [`fleet::ExecutionMode`], retire; deterministic
-//!   by construction, accounted in modeled time.
+//! * [`fleet`] — the tick-driven executive: offer, place, preempt, migrate,
+//!   batch-step all shards on the pool sized by [`fleet::ExecutionMode`],
+//!   retire; each decision is one [`FleetEvent`] in a log that every count
+//!   folds and one walk checks for conservation; accounted in modeled time.
 //! * [`executor`] — the execution engine every run steps on: a fixed pool
 //!   of stepping threads (the driver itself plus spawned workers) taking
 //!   shard batches off one queue and stepping them in real time (each shard
@@ -71,8 +71,8 @@ pub use admission::{AdmissionConfig, AdmissionState};
 pub use cod_trace::{DetTrace, Histogram, ObsConfig, WallTrace, OBS_SCHEMA};
 pub use executor::{WallClockExecutor, WallStopwatch};
 pub use fleet::{
-    run_fleet, run_fleet_timed, run_fleet_traced, ExecutionMode, FleetConfig, FleetOutcome,
-    PlacementPolicy, SessionOutcome, TraceArtifacts, WallClockStats,
+    run_fleet, run_fleet_timed, run_fleet_traced, ExecutionMode, FleetConfig, FleetEvent,
+    FleetEventKind, FleetOutcome, PlacementPolicy, SessionOutcome, TraceArtifacts, WallClockStats,
 };
 pub use report::{document, FleetReport, TieredSection, SCHEMA};
 pub use shard::{

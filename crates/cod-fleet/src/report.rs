@@ -10,6 +10,7 @@
 use cod_json::Json;
 use crane_sim::{FidelityTier, SCORE_DRIFT_TOLERANCE};
 
+use crate::fleet::FleetEventKind::{Demote, Migrate, Preempt, Promote};
 use crate::fleet::{FleetOutcome, PlacementPolicy};
 use crate::workload::Priority;
 
@@ -28,10 +29,10 @@ pub const SCHEMA: &str = "cod-fleet-v4";
 
 /// A view of one fleet run as `FLEET_cod.json` lays it out. It copies
 /// nothing: [`FleetReport::to_json`] and [`FleetReport::render_table`] read
-/// the config, the ledger and each shard's
-/// [`ShardStats`](crate::shard::ShardStats) off the borrowed outcome, and the
-/// fingerprint is [`FleetOutcome::fingerprint`]. `from_outcome` is the
-/// constructor because `benchmark/` calls
+/// the config and each shard's [`ShardStats`](crate::shard::ShardStats) off
+/// the borrowed outcome and fold the totals and per-shard move columns from
+/// its event log; the fingerprint is [`FleetOutcome::fingerprint`].
+/// `from_outcome` is the constructor because `benchmark/` calls
 /// `FleetReport::from_outcome(&outcome).to_json()`.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetReport<'a> {
@@ -92,7 +93,7 @@ impl<'a> FleetReport<'a> {
             ("batch_frames".into(), num(c.shard.batch_frames as u64)),
             ("max_pending".into(), num(c.max_pending as u64)),
             ("offered".into(), num(o.offered)),
-            ("admitted".into(), num(o.admitted)),
+            ("admitted".into(), num(o.admitted())),
             ("completed".into(), num(o.sessions.len() as u64)),
             ("rejected".into(), num(o.rejected)),
             ("preempted".into(), num(o.preempted())),
@@ -135,12 +136,12 @@ impl<'a> FleetReport<'a> {
                                 ("completed".into(), num(done_shard(i) as u64)),
                                 ("sims_built".into(), num(s.sims_built)),
                                 ("sims_recycled".into(), num(s.sims_recycled)),
-                                ("preempted_out".into(), num(s.preempted_out)),
-                                ("migrated_out".into(), num(s.migrated_out)),
-                                ("migrated_in".into(), num(s.migrated_in)),
+                                ("preempted_out".into(), num(o.count_on(Preempt, i))),
+                                ("migrated_out".into(), num(o.migrated_out(i))),
+                                ("migrated_in".into(), num(o.count_on(Migrate, i))),
                                 ("replayed_frames".into(), num(s.replayed_frames)),
-                                ("promoted".into(), num(s.promoted)),
-                                ("demoted".into(), num(s.demoted)),
+                                ("promoted".into(), num(o.count_on(Promote, i))),
+                                ("demoted".into(), num(o.count_on(Demote, i))),
                                 ("peak_residents".into(), num(s.peak_residents as u64)),
                             ])
                         })
@@ -170,7 +171,7 @@ impl<'a> FleetReport<'a> {
             on_off(c.migration),
             on_off(c.tiering),
             o.offered,
-            o.admitted,
+            o.admitted(),
             o.sessions.len(),
             o.rejected,
             o.preempted(),
@@ -221,9 +222,9 @@ impl<'a> FleetReport<'a> {
                 done_shard(i),
                 s.sims_built,
                 s.sims_recycled,
-                s.preempted_out,
-                s.migrated_out,
-                s.migrated_in,
+                o.count_on(Preempt, i),
+                o.migrated_out(i),
+                o.count_on(Migrate, i),
                 s.peak_residents
             ));
         }
@@ -446,10 +447,10 @@ mod tests {
 
     #[test]
     fn the_obs_bytes_of_a_run_with_every_mechanism_firing_are_pinned() {
-        // The same run with the deterministic sink armed. Its events carry
-        // the order of every placement, preemption, migration and retier, so
-        // a change to the order the queue hands sessions out fails here by
-        // value.
+        // The same run with the deterministic sink armed. Its events, rendered
+        // from the outcome's log, carry the order of every placement,
+        // preemption, migration and retier, so a change to the order the
+        // queue hands sessions out fails here by value.
         let config = FleetConfig { obs: ObsConfig::Deterministic, ..every_mechanism_config() };
         let (_, _, artifacts) = run_fleet_traced(&config).unwrap();
         let det = artifacts.det.expect("the deterministic sink was armed");

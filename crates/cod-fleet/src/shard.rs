@@ -15,12 +15,12 @@
 //! charges twice the modeled cost per frame.
 //!
 //! A session is one [`PortableSession`] from arrival to retirement: its spec,
-//! frames done, ticks and move counters. It reaches a shard one way,
-//! [`Shard::resume`]: a rack obtained, the frames done replayed on it
-//! ([`Shard::admit`] wraps it for a fresh session). It leaves a shard three
-//! ways: [`Shard::extract`] for preemption and migration, [`Shard::retier`]
-//! to be resumed on another tier, and retirement inside
-//! [`Shard::step_batch`], whose [`Completed`] carries it. In a fleet the
+//! frames done and ticks (the fleet's event log records its moves). It
+//! reaches a shard one way, [`Shard::resume`]: a rack obtained, the frames
+//! done replayed on it ([`Shard::admit`] wraps it for a fresh session). It
+//! leaves a shard three ways: [`Shard::extract`] for preemption and
+//! migration, [`Shard::retier`] to be resumed on another tier, and
+//! retirement inside [`Shard::step_batch`], whose [`Completed`] carries it. In a fleet the
 //! driver's `land` is the only caller of `resume`; it first lends the shard a
 //! sibling's pooled rack when the shard has none of the session's shape.
 
@@ -142,32 +142,14 @@ pub struct PortableSession {
     pub frames_done: usize,
     /// Fleet tick the session arrived at.
     pub arrived_tick: u64,
-    /// Fleet tick the session was *first* placed at.
-    pub admitted_tick: u64,
-    /// Times the session has been preempted so far.
-    pub preempted: u32,
-    /// Times the session has been migrated so far.
-    pub migrated: u32,
-    /// Times the session has been promoted to the Full tier so far.
-    pub promoted: u32,
-    /// Times the session has been demoted to the Coarse tier so far.
-    pub demoted: u32,
+    /// Fleet tick the session was *first* placed at; `None` until then.
+    pub admitted_tick: Option<u64>,
 }
 
 impl PortableSession {
-    /// A session arriving at fleet tick `tick`: no frames run, no moves yet,
-    /// admitted at `tick` until a placement says otherwise.
+    /// A session arriving at fleet tick `tick`: no frames run, not placed yet.
     pub(crate) fn arriving(spec: SessionSpec, tick: u64) -> PortableSession {
-        PortableSession {
-            spec,
-            frames_done: 0,
-            arrived_tick: tick,
-            admitted_tick: tick,
-            preempted: 0,
-            migrated: 0,
-            promoted: 0,
-            demoted: 0,
-        }
+        PortableSession { spec, frames_done: 0, arrived_tick: tick, admitted_tick: None }
     }
 }
 
@@ -207,8 +189,7 @@ pub struct Completed {
     /// Frames the session ran, `session.spec.frames`; kept because
     /// `benchmark/` reads it.
     pub frames: usize,
-    /// The retired session: its spec (on the tier it finished on), ticks
-    /// and move counters.
+    /// The retired session: its spec (on the tier it finished on) and ticks.
     pub session: PortableSession,
     /// The session's final report.
     pub report: SessionReport,
@@ -232,18 +213,8 @@ pub struct ShardStats {
     /// Sessions served by a recycled simulator (from this shard's pool, or
     /// lent to it by a sibling's).
     pub sims_recycled: u64,
-    /// Residents extracted for preemption.
-    pub preempted_out: u64,
-    /// Residents extracted for migration to another shard.
-    pub migrated_out: u64,
-    /// Sessions resumed here after a migration.
-    pub migrated_in: u64,
     /// Frames re-executed to fast-forward resumed sessions.
     pub replayed_frames: u64,
-    /// Residents promoted to the Full tier in place.
-    pub promoted: u64,
-    /// Residents demoted to the Coarse tier in place.
-    pub demoted: u64,
     /// Largest residency observed.
     pub peak_residents: usize,
 }
@@ -461,8 +432,8 @@ impl Shard {
         arrived_tick: u64,
         admitted_tick: u64,
     ) -> Result<(), CbError> {
-        let session =
-            PortableSession { admitted_tick, ..PortableSession::arriving(spec, arrived_tick) };
+        let mut session = PortableSession::arriving(spec, arrived_tick);
+        session.admitted_tick = Some(admitted_tick);
         self.resume(session)
     }
 
@@ -496,21 +467,16 @@ impl Shard {
     }
 
     /// Extracts the resident at `index` as a [`PortableSession`], returning
-    /// its simulator to the recycling pool. `migration` selects which
-    /// counters the move charges (migrated vs preempted).
+    /// its simulator to the recycling pool. The `bool` selects nothing (the
+    /// fleet's event log records whether the move was a preemption or a
+    /// migration); it stays until `benchmark/` is re-bound (ROADMAP item 7
+    /// PR B).
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub fn extract(&mut self, index: usize, migration: bool) -> PortableSession {
-        let mut r = self.residents.remove(index);
-        if migration {
-            r.session.migrated += 1;
-            self.stats.migrated_out += 1;
-        } else {
-            r.session.preempted += 1;
-            self.stats.preempted_out += 1;
-        }
+    pub fn extract(&mut self, index: usize, _migration: bool) -> PortableSession {
+        let r = self.residents.remove(index);
         self.recycle(r.sim);
         r.session
     }
@@ -550,25 +516,8 @@ impl Shard {
         let mut r = self.residents.remove(index);
         assert_ne!(r.session.spec.config.tier, tier, "retier must change the tier");
         self.recycle(r.sim);
-        match tier {
-            FidelityTier::Full => {
-                r.session.promoted += 1;
-                self.stats.promoted += 1;
-            }
-            FidelityTier::Coarse => {
-                r.session.demoted += 1;
-                self.stats.demoted += 1;
-            }
-        }
         r.session.spec.config.tier = tier;
         r.session
-    }
-
-    /// Books a migrated-in session (the paired accounting of
-    /// [`Shard::extract`] on the donor side); called by the fleet driver
-    /// right before [`Shard::resume`] on the receiving shard.
-    pub fn note_migrated_in(&mut self) {
-        self.stats.migrated_in += 1;
     }
 
     /// Advances every resident session by up to one batch of frames, in
@@ -897,9 +846,6 @@ mod tests {
         while shard.resident_count() > 0 {
             done.extend(shard.step_batch().unwrap().0);
         }
-        assert_eq!(shard.stats.promoted, 1);
-        assert_eq!(shard.stats.demoted, 1);
-        assert_eq!((done[0].session.promoted, done[0].session.demoted), (1, 1));
         assert_eq!(done[0].session.spec.config.tier, FidelityTier::Full);
         assert_eq!(
             base_done[0].report, done[0].report,
@@ -950,7 +896,6 @@ mod tests {
                 done.extend(shard.step_batch().unwrap().0);
             }
             prop_assert_eq!(done.len(), 1);
-            prop_assert_eq!((done[0].session.promoted, done[0].session.demoted), (1, 1));
             prop_assert_eq!(&base_done[0].report, &done[0].report);
             // The Coarse decimation phase survives an arbitrary split — the
             // bookkeeping a retier replay relies on when it re-runs a session
@@ -1052,8 +997,6 @@ mod tests {
         donor.step_batch().unwrap();
         let portable = donor.extract(0, true);
         assert_eq!(portable.frames_done, 8);
-        assert_eq!(portable.migrated, 1);
-        receiver.note_migrated_in();
         receiver.resume(portable).unwrap();
         let (mut moved_done, busy) = receiver.step_batch().unwrap();
         assert_eq!(
@@ -1064,14 +1007,11 @@ mod tests {
         while receiver.resident_count() > 0 {
             moved_done.extend(receiver.step_batch().unwrap().0);
         }
-        assert_eq!(donor.stats.migrated_out, 1);
-        assert_eq!(receiver.stats.migrated_in, 1);
         assert_eq!(receiver.stats.replayed_frames, 8);
         assert_eq!(
             base_done[0].report, moved_done[0].report,
             "a migrated session must replay the original bit for bit"
         );
-        assert_eq!(moved_done[0].session.migrated, 1);
     }
 
     #[test]

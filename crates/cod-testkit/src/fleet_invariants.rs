@@ -1,7 +1,7 @@
 //! Fleet-level invariant checkers, mirroring the per-frame battery of
 //! [`crate::invariants`] one level up: whatever the workload does, the
-//! serving layer must conserve sessions (preemptions and migrations
-//! re-accounted), respect shard capacity, respect priority order, starve
+//! serving layer must conserve sessions (its event log walks clean, see
+//! [`FleetOutcome::log_violations`]), respect shard capacity, respect priority order, starve
 //! nobody, and replay bit-exactly from its seed. The checks the workspace
 //! tests call are public; those only this module's tests run live in its
 //! test module.
@@ -150,8 +150,8 @@ mod tests {
     use std::collections::BTreeMap;
 
     use cod_fleet::{
-        initial_tier, PlacementPolicy, Priority, SessionOutcome, SessionShape, ShardConfig,
-        WorkloadConfig,
+        initial_tier, FleetEvent, FleetEventKind, PlacementPolicy, Priority, SessionShape,
+        ShardConfig, WorkloadConfig,
     };
     use crane_sim::{step_frames_batch_traced, CraneSimulator, SimulatorConfig};
 
@@ -161,51 +161,11 @@ mod tests {
     /// Checks every fleet-level safety property on a drained outcome; returns a
     /// description of each violated property (empty ⇒ all held).
     fn check_fleet_outcome(outcome: &FleetOutcome) -> Vec<String> {
-        let mut violations = Vec::new();
-
-        // Conservation: after drain no session may be pending or resident, so
-        // every offered arrival is either completed or rejected. Preempted
-        // sessions were re-placed and re-counted in `admitted`, so the
-        // placement ledger closes as admitted = completed + preempted.
-        let completed = outcome.sessions.len() as u64;
-        if outcome.offered != completed + outcome.rejected {
-            violations.push(format!(
-                "conservation: offered {} != completed {completed} + rejected {}",
-                outcome.offered, outcome.rejected
-            ));
-        }
-        if outcome.admitted != completed + outcome.preempted() {
-            violations.push(format!(
-                "drain: admitted {} != completed {completed} + preempted {} (a session is still \
-                 resident)",
-                outcome.admitted,
-                outcome.preempted()
-            ));
-        }
-        // Move ledgers: each move is counted per session and per shard (the
-        // fleet totals are the shard sums), and the two counts must agree; a
-        // migration is counted on both of its shards.
-        let per_session = |count: fn(&SessionOutcome) -> u32| -> u64 {
-            outcome.sessions.iter().map(|s| u64::from(count(s))).sum()
-        };
-        let moves = [
-            ("preemptions", per_session(|s| s.preempted), outcome.preempted()),
-            ("migrations", per_session(|s| s.migrated), outcome.migrated()),
-            ("promotions", per_session(|s| s.promoted), outcome.promoted()),
-            ("demotions", per_session(|s| s.demoted), outcome.demoted()),
-        ];
-        for (moved, sessions, shards) in moves {
-            if sessions != shards {
-                violations.push(format!(
-                    "move ledger: per-session {moved} {sessions} != per-shard {moved} {shards}"
-                ));
-            }
-        }
-        let migrated_in: u64 = outcome.shard_stats.iter().map(|s| s.migrated_in).sum();
-        if migrated_in != outcome.migrated() {
-            violations
-                .push(format!("migration ledger: {} out / {migrated_in} in", outcome.migrated()));
-        }
+        // Conservation: the one record of every decision walks clean. Every
+        // count (totals, per shard, per session) is a fold of that log, so
+        // there is no second record to agree with.
+        let mut violations: Vec<String> =
+            outcome.log_violations().into_iter().map(|v| format!("conservation: {v}")).collect();
         if !outcome.config.tiering && outcome.promoted() + outcome.demoted() > 0 {
             violations.push(format!(
                 "retier ledger: {} promotions / {} demotions with tiering off",
@@ -599,42 +559,61 @@ mod tests {
         assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
+    /// `outcome`'s last completed session: its id and the shard it retired on.
+    fn last_retired(outcome: &FleetOutcome) -> (u64, usize) {
+        let s = outcome.sessions.last().expect("the run completed a session");
+        (s.id, s.shard)
+    }
+
+    /// Appends `kind` of `session` on `shard` to the end of the log.
+    fn append(
+        outcome: &mut FleetOutcome,
+        kind: FleetEventKind,
+        session: u64,
+        shard: Option<usize>,
+    ) {
+        let tick = outcome.ticks_run;
+        outcome.events.push(FleetEvent { tick, kind, session, shard });
+    }
+
     #[test]
     fn doctored_outcomes_are_caught() {
-        let mut outcome = run_fleet(&small_config(2, 3)).unwrap();
-        outcome.rejected += 1;
-        assert!(!check_fleet_outcome(&outcome).is_empty(), "broken ledger must be flagged");
+        let clean = run_fleet(&small_config(2, 3)).unwrap();
+        let (id, shard) = last_retired(&clean);
 
-        let mut outcome = run_fleet(&small_config(2, 3)).unwrap();
+        let mut outcome = clean.clone();
         outcome.rejected_with_free_slot = 1;
         assert!(!check_fleet_outcome(&outcome).is_empty(), "free-slot rejection must be flagged");
 
-        // The move totals are sums over the shard records: edit shard 0's.
-        let mut outcome = run_fleet(&small_config(2, 3)).unwrap();
-        outcome.shard_stats[0].preempted_out += 1;
+        // Every count is a fold of the log: edit the log.
+        let mut outcome = clean.clone();
+        outcome.events.retain(|e| e.session != id);
         assert!(
             !check_fleet_outcome(&outcome).is_empty(),
-            "unaccounted preemption must be flagged"
+            "an unplaced completion must be flagged"
         );
 
-        let mut outcome = run_fleet(&small_config(2, 3)).unwrap();
-        outcome.shard_stats[0].migrated_out += 1;
-        assert!(!check_fleet_outcome(&outcome).is_empty(), "unaccounted migration must be flagged");
+        let mut outcome = clean.clone();
+        let unoffered = outcome.config.workload.sessions as u64;
+        append(&mut outcome, FleetEventKind::Reject, unoffered, None);
+        assert!(!check_fleet_outcome(&outcome).is_empty(), "an unoffered session must be flagged");
 
-        let mut outcome = run_fleet(&small_config(2, 3)).unwrap();
+        let mut outcome = clean.clone();
         if let Some(s) = outcome.sessions.first_mut() {
             s.admitted_tick = s.arrived_tick + 10_000;
             s.completed_tick = s.admitted_tick + 1;
         }
         assert!(!check_fleet_outcome(&outcome).is_empty(), "starvation must be flagged");
 
-        let mut outcome = run_fleet(&small_config(2, 3)).unwrap();
-        outcome.shard_stats[0].promoted += 1;
-        assert!(!check_fleet_outcome(&outcome).is_empty(), "unaccounted promotion must be flagged");
-
-        let mut outcome = run_fleet(&small_config(2, 3)).unwrap();
-        outcome.shard_stats[0].demoted += 1;
-        assert!(!check_fleet_outcome(&outcome).is_empty(), "unaccounted demotion must be flagged");
+        // A promotion where the session is walks clean, but this run has
+        // tiering off.
+        let mut outcome = clean.clone();
+        append(&mut outcome, FleetEventKind::Promote, id, Some(shard));
+        assert_eq!(outcome.log_violations(), Vec::<String>::new());
+        assert!(
+            check_fleet_outcome(&outcome).iter().any(|v| v.starts_with("retier ledger:")),
+            "a promotion with tiering off must be flagged"
+        );
 
         let mut outcome = run_fleet(&tiered_burst_config(0xC0D)).unwrap();
         let doctored = outcome
@@ -647,6 +626,49 @@ mod tests {
             check_fleet_outcome(&outcome).iter().any(|v| v.starts_with("tier policy:")),
             "a coarse interactive session must be flagged"
         );
+    }
+
+    /// Asserts that the walk of `outcome`'s log flags `session` by name.
+    fn assert_walk_names(outcome: &FleetOutcome, session: u64) {
+        let violations = check_fleet_outcome(outcome);
+        let named =
+            violations.iter().any(|v| v.starts_with(&format!("conservation: session {session}:")));
+        assert!(named, "the walk did not name session {session}: {violations:?}");
+    }
+
+    #[test]
+    fn the_log_walk_names_the_session_of_each_doctored_event() {
+        let hetero = run_fleet(&hetero_config(0xC0D)).unwrap();
+        let tiered = run_fleet(&tiered_burst_config(0xC0D)).unwrap();
+        assert_eq!(hetero.log_violations(), Vec::<String>::new());
+        assert_eq!(tiered.log_violations(), Vec::<String>::new());
+        let first = |outcome: &FleetOutcome, kind| {
+            outcome.events.iter().position(|e| e.kind == kind).expect("the run made the move")
+        };
+
+        // A migration removed: the session retires where it was never landed.
+        let mut outcome = hetero.clone();
+        let dropped = outcome.events.remove(first(&hetero, FleetEventKind::Migrate));
+        assert_walk_names(&outcome, dropped.session);
+
+        // A preemption with no later placement: the session ends queued.
+        let mut outcome = hetero.clone();
+        let (id, shard) = last_retired(&hetero);
+        append(&mut outcome, FleetEventKind::Preempt, id, Some(shard));
+        assert_walk_names(&outcome, id);
+
+        // A demotion on a shard the session is not on.
+        let mut outcome = tiered.clone();
+        let demote = &mut outcome.events[first(&tiered, FleetEventKind::Demote)];
+        demote.shard = demote.shard.map(|s| (s + 1) % tiered.config.shards);
+        let id = demote.session;
+        assert_walk_names(&outcome, id);
+
+        // A rejection of a session that completed.
+        let mut outcome = tiered.clone();
+        let (id, _) = last_retired(&tiered);
+        append(&mut outcome, FleetEventKind::Reject, id, None);
+        assert_walk_names(&outcome, id);
     }
 
     #[test]

@@ -343,9 +343,12 @@ pub struct FleetRuns {
     pub cores: usize,
 }
 
-/// The eleven fleet gates.
+/// The twelve fleet gates.
 pub fn fleet_rows(runs: &FleetRuns) -> Vec<GateRow> {
     let FleetRuns { baseline, fleet, naive, aware, pressure, tiered, .. } = runs;
+    let drained = [baseline, fleet, naive, aware, pressure, &tiered.all_full, &tiered.tiered];
+    let broken: Vec<String> = drained.iter().flat_map(|run| run.log_violations()).collect();
+    let events: usize = drained.iter().map(|run| run.events.len()).sum();
     let completed = |p| pressure.completed_where(|s| s.priority == p);
     let p95 = |p| pressure.latency_percentile_ticks_where(95.0, |s| s.priority == p);
     // A class that completed nothing has a p95 of 0.0, which would compare
@@ -372,6 +375,13 @@ pub fn fleet_rows(runs: &FleetRuns) -> Vec<GateRow> {
         (Bound::Ungated, why)
     };
     vec![
+        // Every decision is recorded once; its log must conserve sessions.
+        GateRow::new(
+            "fleet log entries breaking conservation",
+            Ok(broken.len() as f64),
+            Bound::Ceiling(0.0),
+        )
+        .detail(broken.first().cloned().unwrap_or_else(|| format!("{events} events, 7 runs"))),
         GateRow::new(
             "sessions/sec scaling 1 -> 4 shards (x)",
             Ok(ratio(sps(fleet), sps(baseline))),
@@ -647,7 +657,7 @@ mod tests {
 
     use cod_audit::Finding;
     use cod_bench::report::{Comparison, DerivedMetric, ExperimentResult};
-    use cod_fleet::{SessionOutcome, ShardConfig};
+    use cod_fleet::{FleetEvent, FleetEventKind, ShardConfig};
 
     use super::*;
     use crate::matrix::ScenarioResult;
@@ -747,20 +757,30 @@ mod tests {
             (outcome.sessions.len() as f64 / sessions_per_sec * 1e6).round() as u64;
     }
 
-    /// Replaces `outcome`'s sessions with one per `(priority, latency in
-    /// ticks)`.
+    /// Gives `outcome`'s sessions, in order, one `(priority, latency in
+    /// ticks)` each; where they ran, and so the log, stays as it was.
     fn with_latencies(outcome: &mut FleetOutcome, latencies: &[(Priority, u64)]) {
-        let template = outcome.sessions[0].clone();
-        outcome.sessions = latencies
-            .iter()
-            .map(|&(priority, ticks)| SessionOutcome {
-                priority,
-                arrived_tick: 0,
-                admitted_tick: 0,
-                completed_tick: ticks - 1,
-                ..template.clone()
-            })
-            .collect();
+        assert_eq!(outcome.sessions.len(), latencies.len());
+        for (s, &(priority, ticks)) in outcome.sessions.iter_mut().zip(latencies) {
+            (s.priority, s.arrived_tick, s.admitted_tick) = (priority, 0, 0);
+            s.completed_tick = ticks - 1;
+        }
+    }
+
+    /// Splices two moves of the first placed session into `outcome`'s log,
+    /// right after its placement on shard `s`: `moves(s)`, each a kind and
+    /// its shard. Each caller's pair leaves the session on `s`, so the log
+    /// still walks clean.
+    fn splice_moves(
+        outcome: &mut FleetOutcome,
+        moves: impl Fn(usize) -> [(FleetEventKind, usize); 2],
+    ) {
+        let at = outcome.events.iter().position(|e| e.kind == FleetEventKind::Place).unwrap();
+        let FleetEvent { tick, session, shard, .. } = outcome.events[at];
+        let moves = moves(shard.expect("a placement names its shard"));
+        let spliced =
+            moves.map(|(kind, shard)| FleetEvent { tick, kind, session, shard: Some(shard) });
+        outcome.events.splice(at + 1..at + 1, spliced);
     }
 
     /// Fleet runs that pass every fleet gate, built from one tiny drain.
@@ -771,7 +791,7 @@ mod tests {
                 shards: 2,
                 shard: ShardConfig { slots: 2, batch_frames: 8, ..ShardConfig::default() },
                 workload: WorkloadConfig {
-                    sessions: 3,
+                    sessions: 4,
                     seed: 5,
                     base_frames: 10,
                     mean_interarrival_ticks: 1,
@@ -786,15 +806,16 @@ mod tests {
             run
         };
         let (int, bat) = (Priority::Interactive, Priority::Batch);
-        // The move totals are sums over the shard records: edit shard 0's.
+        // The move totals are folds of the log: splice moves into it.
+        let (preempt, migrate) = (FleetEventKind::Preempt, FleetEventKind::Migrate);
         let mut pressure = with(1.0);
-        pressure.shard_stats[0].preempted_out = 1;
+        splice_moves(&mut pressure, |s| [(preempt, s), (FleetEventKind::Place, s)]);
         // p95 9.0 against 10.95.
         with_latencies(&mut pressure, &[(int, 9), (int, 9), (bat, 10), (bat, 11)]);
         let mut tiered = with(2.5);
-        (tiered.shard_stats[0].demoted, tiered.shard_stats[0].promoted) = (3, 1);
+        splice_moves(&mut tiered, |s| [(FleetEventKind::Demote, s), (FleetEventKind::Promote, s)]);
         let mut aware = with(1.5);
-        aware.shard_stats[0].migrated_out = 1;
+        splice_moves(&mut aware, |s| [(migrate, 1 - s), (migrate, s)]);
         let fleet = with(3.0);
         let headline = FleetReport::from_outcome(&fleet).to_json().to_pretty();
         FleetRuns {
@@ -813,24 +834,30 @@ mod tests {
     #[test]
     fn every_fleet_gate_fails_on_its_own_sabotage() {
         type Sabotage = fn(&mut FleetRuns);
-        let cases: [(&str, Sabotage); 11] = [
+        let cases: [(&str, Sabotage); 12] = [
+            ("fleet log entries breaking conservation", |r| {
+                let at = r.aware.events.iter().position(|e| e.kind == FleetEventKind::Migrate);
+                r.aware.events.remove(at.expect("the aware run migrates"));
+            }),
             ("sessions/sec scaling 1 -> 4 shards (x)", |r| at_rate(&mut r.baseline, 2.0)),
             ("heterogeneous fleet: speed-weighted over residency-only (x)", |r| {
                 r.aware.elapsed_modeled = r.naive.elapsed_modeled
             }),
+            // Each run is the same drain with moves spliced in; the baseline's
+            // log is that drain's own.
             ("preemptions in the saturated priority run", |r| {
-                r.pressure.shard_stats[0].preempted_out = 0
+                r.pressure.events = r.baseline.events.clone()
             }),
             ("interactive p95 under pressure (ticks; ceiling is batch p95)", |r| {
                 let (int, bat) = (Priority::Interactive, Priority::Batch);
                 with_latencies(&mut r.pressure, &[(int, 11), (int, 11), (bat, 10), (bat, 11)])
             }),
             ("live migrations in the heterogeneous run", |r| {
-                r.aware.shard_stats[0].migrated_out = 0
+                r.aware.events = r.baseline.events.clone()
             }),
             ("tiered capacity over all-Full (x)", |r| at_rate(&mut r.tiered.tiered, 1.9)),
             ("live retiering in the tiered run (fewer of demotions, promotions)", |r| {
-                r.tiered.tiered.shard_stats[0].promoted = 0
+                r.tiered.tiered.events.retain(|e| e.kind != FleetEventKind::Promote)
             }),
             ("tiered final-score drift (points)", |r| {
                 r.tiered.max_score_drift = SCORE_DRIFT_TOLERANCE + 0.5
@@ -866,7 +893,9 @@ mod tests {
     #[test]
     fn priority_latency_gate_fails_when_a_class_completed_nothing() {
         let mut runs = passing_fleet_runs();
-        runs.pressure.sessions.retain(|s| s.priority != Priority::Batch);
+        for s in runs.pressure.sessions.iter_mut().filter(|s| s.priority == Priority::Batch) {
+            s.priority = Priority::Training;
+        }
         let rows = fleet_rows(&runs);
         let name = "interactive p95 under pressure (ticks; ceiling is batch p95)";
         assert_eq!(failed(&rows), [name]);

@@ -108,7 +108,9 @@ impl Histogram {
 
 /// One discrete deterministic event: something the fleet driver decided at a
 /// modeled instant, about a seeded session. No wall-clock field by
-/// construction.
+/// construction. The fleet records each decision once, in
+/// `cod_fleet::FleetOutcome::events`, and renders that log into these at the
+/// end of a traced run; nothing appends one while the fleet runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetEvent {
     /// Fleet tick the event happened at.
